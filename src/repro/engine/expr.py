@@ -397,12 +397,13 @@ def compile_expr(
             raise PlanError(
                 f"aggregate {expr.name}() in a non-aggregate context"
             )
+        function = registry.bind_scalar(expr.name, len(expr.args))
         compiled_args = [
             compile_expr(a, binding, registry, params) for a in expr.args
         ]
 
         def call(row: tuple) -> object:
-            return registry.call_scalar(expr.name, [arg(row) for arg in compiled_args])
+            return registry.invoke_scalar(function, [arg(row) for arg in compiled_args])
 
         return call
     if isinstance(expr, Comparison):

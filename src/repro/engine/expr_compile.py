@@ -20,8 +20,9 @@ Semantics are bit-identical to the interpreted evaluator (enforced by
 ``tests/engine/test_expr_compile.py``): NULL comparisons are not true,
 LIKE on NULL is false, ``NOT LIKE`` requires a non-NULL operand,
 arithmetic propagates NULL and divides ints with ``//``, and scalar
-function calls still go through ``FunctionRegistry.call_scalar`` so UDF
-invocation counts (Figure 14) are unchanged.  Typed fast paths — a
+function calls — bound to their function object once, here — still go
+through ``FunctionRegistry.invoke_scalar`` so UDF invocation counts
+(Figure 14) are unchanged.  Typed fast paths — a
 comparison of an INTEGER/VARCHAR column against a literal of the same
 kind compiles to a bare ``==``/``<`` with explicit NULL guards — apply
 only where the storage layer guarantees the operand types.
@@ -139,7 +140,7 @@ class _Lowering:
         self.env: dict[str, object] = {
             "__builtins__": {},
             "bool": bool,
-            "_call_scalar": registry.call_scalar,
+            "_invoke_scalar": registry.invoke_scalar,
         }
         self._counter = 0
         #: XADT method names seen while lowering (for EXPLAIN labels)
@@ -174,8 +175,9 @@ class _Lowering:
                 )
             if expr.name.lower() in XADT_METHOD_NAMES:
                 self.xadt_methods.add(expr.name.lower())
+            function = self.registry.bind_scalar(expr.name, len(expr.args))
             args = ", ".join(self.lower(arg) for arg in expr.args)
-            return f"_call_scalar({expr.name!r}, [{args}])"
+            return f"_invoke_scalar({self.bind(function, '_f')}, [{args}])"
         if isinstance(expr, Comparison):
             return self._comparison(expr)
         if isinstance(expr, Like):

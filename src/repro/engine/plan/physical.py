@@ -83,7 +83,7 @@ from repro.engine.plan.logical import (
 )
 from repro.engine.storage import HeapTable, PartitionedHeapTable
 from repro.engine.types import INTEGER, VARCHAR, SqlType
-from repro.engine.udf import FunctionRegistry
+from repro.engine.udf import FunctionRegistry, TableFunction
 from repro.engine.values import group_key
 from repro.errors import ExecutionError, PlanError
 from repro.obs.explain import OperatorStats
@@ -629,26 +629,27 @@ class LateralFunctionScan(Operator):
     def __init__(
         self,
         input_op: Operator,
-        function_name: str,
+        function: TableFunction,
         args: list[Compiled],
         alias: str,
-        output_columns: list[tuple[str, SqlType]],
         registry: FunctionRegistry,
     ) -> None:
         self.input = input_op
-        self.function_name = function_name
+        #: bound once, at lowering; ``fn``/``invoke`` are read per call
+        self.function = function
         self.args = args
         self.alias = alias.lower()
         self.registry = registry
         slots = [
-            Slot(self.alias, name, sql_type) for name, sql_type in output_columns
+            Slot(self.alias, name, sql_type)
+            for name, sql_type in function.output_columns
         ]
         self.binding = input_op.binding.extend(Binding(slots))
-        self._arity = len(output_columns)
+        self._arity = len(slots)
 
     def _execute(self) -> Iterator[Batch]:
-        call = self.registry.call_table
-        name = self.function_name
+        invoke = self.registry.invoke_table
+        function = self.function
         args = self.args
         arity = self._arity
         for input_batch in self.input.batches():
@@ -656,10 +657,10 @@ class LateralFunctionScan(Operator):
             append = out.append
             for input_row in input_batch:
                 evaluated = [arg(input_row) for arg in args]
-                for produced in call(name, evaluated):
+                for produced in invoke(function, evaluated):
                     if len(produced) != arity:
                         raise ExecutionError(
-                            f"table function {name!r} produced "
+                            f"table function {function.name!r} produced "
                             f"{len(produced)} columns, declared {arity}"
                         )
                     append(input_row + tuple(produced))
@@ -669,7 +670,7 @@ class LateralFunctionScan(Operator):
     def explain(self, depth: int = 0) -> list[str]:
         lines = [
             self._line(
-                depth, f"LateralFunctionScan {self.function_name}(...) as {self.alias}"
+                depth, f"LateralFunctionScan {self.function.name}(...) as {self.alias}"
             )
         ]
         lines.extend(self.input.explain(depth + 1))
@@ -1575,19 +1576,12 @@ class _SelectLowering:
 
     def _lower_lateral(self, node: LogicalLateral) -> Operator:
         plan = self._lower_rel(node.input)
-        function = self.registry.table_function(node.call.name)
+        function = self.registry.bind_table(node.call.name, len(node.call.args))
         args = [
             self.compile_fn(arg, plan.binding, self.registry, self.params)
             for arg in node.call.args
         ]
-        plan = LateralFunctionScan(
-            plan,
-            node.call.name,
-            args,
-            node.alias,
-            function.output_columns,
-            self.registry,
-        )
+        plan = LateralFunctionScan(plan, function, args, node.alias, self.registry)
         plan.estimated_rows = plan.input.estimated_rows * 4  # fan-out guess
         predicate = and_together(node.filters)
         if predicate is not None:
@@ -1882,9 +1876,9 @@ def _compile_tree(
         index = expr.index
         return lambda row: row[index]
     if isinstance(expr, FuncCall) and not expr.is_aggregate():
+        function = registry.bind_scalar(expr.name, len(expr.args))
         parts = [_compile_tree(arg, binding, registry, params) for arg in expr.args]
-        name = expr.name
-        return lambda row: registry.call_scalar(name, [part(row) for part in parts])
+        return lambda row: registry.invoke_scalar(function, [part(row) for part in parts])
     if contains_slot_ref(expr):
         # decompose one level and recurse
         if isinstance(expr, Comparison):

@@ -25,7 +25,7 @@ import enum
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.snapshot import active_budget
 from repro.engine.types import SqlType, is_xadt_value
@@ -59,13 +59,23 @@ _CALL_HISTOGRAMS = {
 
 
 def _marshal(value: object) -> object:
-    """Copy a value across the UDF call boundary (NOT FENCED mode)."""
+    """Copy a value across the UDF call boundary (NOT FENCED mode).
+
+    Exact types first — the arguments of a call are almost always
+    ``str`` literals, ``int`` positions and one XADT fragment; the
+    ``isinstance`` ladder only serves subclasses.
+    """
+    kind = type(value)
+    if kind is str:
+        return value.encode("utf-8").decode("utf-8")  # type: ignore[attr-defined]
+    if kind is int or value is None:
+        return value
+    if is_xadt_value(value):
+        return value.marshal_copy()  # type: ignore[attr-defined]
     if isinstance(value, str):
         return value.encode("utf-8").decode("utf-8")
     if isinstance(value, bytes):
         return bytes(bytearray(value))
-    if is_xadt_value(value):
-        return value.marshal_copy()  # type: ignore[attr-defined]
     return value
 
 
@@ -74,61 +84,99 @@ def _fence(value: object) -> object:
     return pickle.loads(pickle.dumps(value))
 
 
+_BUILTIN = FunctionKind.BUILTIN
+_NOT_FENCED = FunctionKind.NOT_FENCED
+
+
 @dataclass
-class ScalarFunction:
-    """A registered scalar function."""
+class _Function:
+    """What scalar and table functions share: identity, fencing mode,
+    accepted argument counts and the per-mode metrics instruments."""
 
     name: str
     fn: Callable[..., object]
-    kind: FunctionKind
+    kind: FunctionKind = _NOT_FENCED
     #: minimum/maximum accepted argument counts (None = unbounded max)
     min_args: int = 0
     max_args: int | None = None
+
+    def __post_init__(self) -> None:
+        #: ``udf.calls.*`` / ``udf.seconds.*`` of this function's mode
+        self.calls = _CALL_COUNTERS[self.kind]
+        self.seconds = _CALL_HISTOGRAMS[self.kind]
+
+    def check_arity(self, count: int) -> None:
+        """Raise unless a call with ``count`` arguments is acceptable
+        (checked once per call site, when it is compiled)."""
+        if count < self.min_args or (
+            self.max_args is not None and count > self.max_args
+        ):
+            raise UdfError(
+                f"function {self.name!r} called with {count} arguments"
+            )
+
+    def failure(self, exc: Exception) -> UdfError:
+        return UdfError(
+            f"function {self.name!r} failed: {type(exc).__name__}: {exc}"
+        )
+
+
+@dataclass
+class ScalarFunction(_Function):
+    """A registered scalar function."""
+
     #: declared result type, when known (used for output schemas)
     result_type: SqlType | None = None
 
     def invoke(self, args: Sequence[object]) -> object:
-        if len(args) < self.min_args or (
-            self.max_args is not None and len(args) > self.max_args
-        ):
-            raise UdfError(
-                f"function {self.name!r} called with {len(args)} arguments"
-            )
+        """Cross the call boundary: copy (FENCED: serialize) the
+        arguments in, run the body, and serialize a FENCED result back."""
         try:
-            if self.kind is FunctionKind.BUILTIN:
-                return self.fn(*args)
-            if self.kind is FunctionKind.NOT_FENCED:
+            if self.kind is _NOT_FENCED:
                 return self.fn(*[_marshal(a) for a in args])
+            if self.kind is _BUILTIN:
+                return self.fn(*args)
             # FENCED: round-trip arguments and the result
-            result = self.fn(*[_fence(a) for a in args])
-            return _fence(result)
+            return _fence(self.fn(*[_fence(a) for a in args]))
         except ReproError:
             raise  # library errors carry their own context
         except Exception as exc:
-            raise UdfError(
-                f"function {self.name!r} failed: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise self.failure(exc) from exc
 
 
 @dataclass
-class TableFunction:
+class TableFunction(_Function):
     """A registered table function (invocable in FROM via TABLE(...))."""
 
-    name: str
-    fn: Callable[..., Iterable[tuple]]
     #: output column (name, type) pairs
-    output_columns: list[tuple[str, SqlType]]
-    kind: FunctionKind = FunctionKind.NOT_FENCED
+    output_columns: list[tuple[str, SqlType]] = field(default_factory=list)
 
-    def invoke(self, args: Sequence[object]) -> Iterable[tuple]:
-        if self.kind is FunctionKind.BUILTIN:
-            return self.fn(*args)
-        if self.kind is FunctionKind.NOT_FENCED:
-            return self.fn(*[_marshal(a) for a in args])
-        return [
-            tuple(_fence(v) for v in row)
-            for row in self.fn(*[_fence(a) for a in args])
-        ]
+    def invoke(self, args: Sequence[object]) -> Iterator[tuple]:
+        """Cross the call boundary; rows are produced lazily, and a
+        failure while producing them is wrapped like one raised here."""
+        try:
+            if self.kind is _NOT_FENCED:
+                rows = self.fn(*[_marshal(a) for a in args])
+            elif self.kind is _BUILTIN:
+                rows = self.fn(*args)
+            else:
+                rows = [
+                    tuple(_fence(v) for v in row)
+                    for row in self.fn(*[_fence(a) for a in args])
+                ]
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise self.failure(exc) from exc
+        return self._guarded(rows)
+
+    def _guarded(self, rows: Iterable[tuple]) -> Iterator[tuple]:
+        try:
+            yield from rows
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise self.failure(exc) from exc
 
 
 @dataclass
@@ -147,7 +195,16 @@ class InvocationStats:
 
 
 class FunctionRegistry:
-    """Name -> function registry shared by one Database instance."""
+    """Name -> function registry shared by one Database instance.
+
+    A call site is resolved once, when its expression or lateral scan is
+    compiled (:meth:`bind_scalar` / :meth:`bind_table`: unknown names and
+    bad argument counts raise there); each call then goes through
+    :meth:`invoke_scalar` / :meth:`invoke_table` with the function
+    object, which count it, tick the statement budget and time the
+    boundary crossing.  ``fn`` and ``invoke`` are read from the function
+    object on every call, so either can be replaced on a live registry.
+    """
 
     def __init__(self) -> None:
         self._scalars: dict[str, ScalarFunction] = {}
@@ -179,13 +236,17 @@ class FunctionRegistry:
         fn: Callable[..., Iterable[tuple]],
         output_columns: list[tuple[str, SqlType]],
         kind: FunctionKind = FunctionKind.NOT_FENCED,
+        min_args: int = 0,
+        max_args: int | None = None,
     ) -> None:
         key = name.lower()
         if key in self._tables:
             raise UdfError(f"table function {name!r} already registered")
-        self._tables[key] = TableFunction(name, fn, list(output_columns), kind)
+        self._tables[key] = TableFunction(
+            name, fn, kind, min_args, max_args, list(output_columns)
+        )
 
-    # -- lookup / invocation ---------------------------------------------------
+    # -- lookup ----------------------------------------------------------------
 
     def has_scalar(self, name: str) -> bool:
         return name.lower() in self._scalars
@@ -205,10 +266,23 @@ class FunctionRegistry:
         except KeyError:
             raise UdfError(f"unknown table function {name!r}") from None
 
-    def call_scalar(self, name: str, args: Sequence[object]) -> object:
+    def bind_scalar(self, name: str, arg_count: int) -> ScalarFunction:
+        """Resolve one scalar call site (unknown name / bad arity raise)."""
         function = self.scalar(name)
-        key = function.name
-        self.stats.scalar_calls[key] = self.stats.scalar_calls.get(key, 0) + 1
+        function.check_arity(arg_count)
+        return function
+
+    def bind_table(self, name: str, arg_count: int) -> TableFunction:
+        """Resolve one table-function call site."""
+        function = self.table_function(name)
+        function.check_arity(arg_count)
+        return function
+
+    # -- invocation ------------------------------------------------------------
+
+    def invoke_scalar(self, function: ScalarFunction, args: Sequence[object]) -> object:
+        calls = self.stats.scalar_calls
+        calls[function.name] = calls.get(function.name, 0) + 1
         # UDFs dominate a governed statement's time between batch
         # boundaries (a sleeping or looping function body), so the
         # timeout is also checked per invocation
@@ -217,26 +291,35 @@ class FunctionRegistry:
             budget.tick()
         if not METRICS.enabled:
             return function.invoke(args)
-        _CALL_COUNTERS[function.kind].inc()
+        function.calls.inc()
         started = time.perf_counter()
         result = function.invoke(args)
-        _CALL_HISTOGRAMS[function.kind].observe(time.perf_counter() - started)
+        function.seconds.observe(time.perf_counter() - started)
         return result
 
-    def call_table(self, name: str, args: Sequence[object]) -> Iterable[tuple]:
-        function = self.table_function(name)
-        key = function.name
-        self.stats.table_calls[key] = self.stats.table_calls.get(key, 0) + 1
+    def invoke_table(
+        self, function: TableFunction, args: Sequence[object]
+    ) -> Iterable[tuple]:
+        calls = self.stats.table_calls
+        calls[function.name] = calls.get(function.name, 0) + 1
         budget = active_budget()
         if budget is not None:
             budget.tick()
         if not METRICS.enabled:
             return function.invoke(args)
-        _CALL_COUNTERS[function.kind].inc()
+        function.calls.inc()
         started = time.perf_counter()
         result = function.invoke(args)
-        _CALL_HISTOGRAMS[function.kind].observe(time.perf_counter() - started)
+        function.seconds.observe(time.perf_counter() - started)
         return result
+
+    def call_scalar(self, name: str, args: Sequence[object]) -> object:
+        """Resolve and invoke by name (one-off calls; compiled call
+        sites bind once and use :meth:`invoke_scalar`)."""
+        return self.invoke_scalar(self.bind_scalar(name, len(args)), args)
+
+    def call_table(self, name: str, args: Sequence[object]) -> Iterable[tuple]:
+        return self.invoke_table(self.bind_table(name, len(args)), args)
 
     # -- built-ins ---------------------------------------------------------------
 

@@ -1,22 +1,24 @@
 """Byte-bounded LRU memoization of decoded XADT fragments.
 
 The XADT methods (``getElm``/``findKeyInElm``/``getElmIndex``) scan a
-fragment's event stream; for the ``dict`` codec that means running the
-XMill-style decompressor on every call, and for the ``indexed`` codec it
-means rebuilding the element-span directory whenever a value is
-reconstructed (e.g. across the FENCED UDF marshal boundary).  QS/QG
-workloads touch the same fragments query after query, so this module
-keeps recently decoded artifacts in a process-wide LRU keyed on
-*fragment identity* — the payload content itself, which is stable no
-matter how many :class:`~repro.xadt.fragment.XadtValue` instances wrap
-it.
+fragment's tagged text; for the ``dict`` codec that would mean running
+the XMill-style decompressor and the serializer on every call, and for
+the ``indexed`` codec rebuilding the element-span directory whenever a
+value is reconstructed (e.g. across the FENCED UDF marshal boundary).
+QS/QG workloads touch the same fragments query after query, so this
+module keeps recently decoded artifacts — a dict payload's tagged text,
+an indexed payload's span directory, a ``findKeyInElm`` verdict — in a
+process-wide LRU keyed on *fragment identity*: the payload content
+itself, which is stable no matter how many
+:class:`~repro.xadt.fragment.XadtValue` instances wrap it.  Fragments a
+method *returns* are never cached: every call scans.
 
 The cache is bounded by an approximate byte budget (the in-memory size
 of the cached artifact, not the encoded payload), evicts least recently
 used entries when over budget, and refuses oversized single entries
-outright.  Correctness is cache-independent: entries are immutable by
-convention (event tuples are never mutated by consumers) and the budget
-only affects how much decoding is repeated, never the result.
+outright.  Correctness is cache-independent: entries are immutable
+(strings, ints) or never mutated by consumers (directories), and the
+budget only affects how much decoding is repeated, never the result.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class DecodeCache:
     """LRU map from fragment identity to a decoded artifact.
 
     Keys are ``(kind, payload)`` tuples — ``kind`` separates the decoded
-    event lists of dict payloads from the span directories of indexed
+    text of dict payloads from the span directories of indexed
     payloads, so the two artifact families never alias.
     """
 
@@ -146,18 +148,6 @@ class DecodeCache:
         }
 
 
-def event_list_cost(events: list) -> int:
-    """Approximate in-memory bytes of a decoded event list."""
-    cost = 0
-    for event in events:
-        cost += 48  # tuple + kind string
-        cost += len(event[1])
-        if event[0] == "open" and len(event) > 2 and event[2]:
-            for name, value in event[2].items():
-                cost += len(name) + len(value) + 16
-    return cost
-
-
 #: the process-wide cache instance all XADT decoding goes through
 DECODE_CACHE = DecodeCache()
 
@@ -171,7 +161,7 @@ def memoize_predicate(kind: str, payload: object, args: tuple, compute, version:
     Keys on fragment identity (the payload content) plus the predicate's
     arguments, so repeated scans of the same document with the same
     search terms — the shape of every Fig11/Fig13 XADT filter — skip the
-    event walk entirely.  ``version`` is part of the key: callers pass
+    scan entirely.  ``version`` is part of the key: callers pass
     the structural-index store epoch so a rebuilt index (which may route
     a method differently) can never be answered with a verdict computed
     against the previous generation.  Verdicts are tiny, so the byte
@@ -214,6 +204,5 @@ __all__ = [
     "DecodeCache",
     "DecodeCacheStats",
     "PREDICATE_ENTRY_BYTES",
-    "event_list_cost",
     "memoize_predicate",
 ]

@@ -4,9 +4,10 @@ The paper implemented the XADT methods "using the C string functions"
 over the VARCHAR payload; the Python-faithful equivalent is
 ``str.find``-based scanning, which runs in C and keeps the method cost
 proportional to the fragment bytes scanned — the property the §4.3/§4.4
-analysis depends on.  :mod:`repro.xadt.methods` dispatches here for
-plain payloads and falls back to the generic event walk for the
-compressed codec.
+analysis depends on.  This is the one kernel behind
+:mod:`repro.xadt.methods` and ``unnest``: plain payloads are scanned as
+stored, dict payloads through their decode-cached tagged text, and the
+indexed codec's span directory is built with it.
 
 Assumption (guaranteed by the XADT encoders and serializer, and by
 ``XadtValue.from_xml``'s validation): fragment text is well-formed and
@@ -17,8 +18,7 @@ so every raw ``<`` in the payload starts markup.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import XadtMethodError
 from repro.xmlkit.chars import unescape
@@ -35,8 +35,7 @@ def text_of(fragment_text: str) -> str:
     return stripped
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One element occurrence inside a payload string."""
 
     start: int          #: offset of '<'

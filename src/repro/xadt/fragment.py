@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.errors import XadtCodecError
-from repro.xadt import storage
+from repro.xadt import fastscan, storage
 from repro.xadt.storage import DICT, INDEXED, PLAIN
 from repro.xmlkit.dom import Comment, Element, ProcessingInstruction, Text
 from repro.xmlkit.parser import parse_fragment
@@ -25,20 +25,14 @@ class XadtValue:
     __slots__ = ("codec", "payload", "_size", "_xml", "_directory")
     __xadt__ = True
 
-    def __init__(self, payload: str | bytes, codec: str = PLAIN) -> None:
+    def __new__(cls, payload: str | bytes, codec: str = PLAIN) -> "XadtValue":
         if codec not in storage.CODECS:
             raise XadtCodecError(f"unknown codec {codec!r}")
         if codec in (PLAIN, INDEXED) and not isinstance(payload, str):
             raise XadtCodecError(f"{codec} payloads must be str")
         if codec == DICT and not isinstance(payload, bytes):
             raise XadtCodecError("dict payloads must be bytes")
-        object.__setattr__(self, "codec", codec)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_size", None)
-        object.__setattr__(
-            self, "_xml", payload if isinstance(payload, str) else None
-        )
-        object.__setattr__(self, "_directory", None)
+        return cls._trusted(payload, codec)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("XadtValue is immutable")
@@ -66,20 +60,29 @@ class XadtValue:
         return cls(storage.encode(xml_text, codec), codec)
 
     @classmethod
-    def wrap_plain(cls, xml_text: str) -> "XadtValue":
-        """A plain-codec value over already well-formed text.
+    def _trusted(
+        cls, payload: str | bytes, codec: str, directory: object = None
+    ) -> "XadtValue":
+        """A value over a payload already known to fit ``codec``.
 
-        Skips the constructor's codec/type checks; only for callers that
-        hold text sliced out of an existing validated fragment (e.g. the
-        structural-index method routing).
+        Skips the constructor's codec/type checks; for payloads taken
+        from, or sliced out of, an existing validated fragment.  The one
+        place slots are filled (through their descriptors: the class
+        rejects ``setattr``).
         """
         value = object.__new__(cls)
-        object.__setattr__(value, "codec", PLAIN)
-        object.__setattr__(value, "payload", xml_text)
-        object.__setattr__(value, "_size", None)
-        object.__setattr__(value, "_xml", xml_text)
-        object.__setattr__(value, "_directory", None)
+        _set_codec(value, codec)
+        _set_payload(value, payload)
+        _set_size(value, None)
+        _set_xml(value, None if codec == DICT else payload)
+        _set_directory(value, directory)
         return value
+
+    @classmethod
+    def wrap_plain(cls, xml_text: str) -> "XadtValue":
+        """A plain-codec value over already well-formed text (what the
+        XADT methods return: slices of a validated fragment)."""
+        return cls._trusted(xml_text, PLAIN)
 
     @classmethod
     def from_elements(
@@ -97,14 +100,25 @@ class XadtValue:
 
     def events(self) -> Iterator[storage.Event]:
         """The fragment's event stream (codec-transparent)."""
-        return storage.payload_events(self.payload, self.codec)
+        return storage.text_to_events(self.scan_text())
+
+    def scan_text(self) -> str:
+        """The tagged text the scan kernel slices.
+
+        The payload itself for the text codecs; for dict payloads the
+        decode-cached canonical text, fetched through the ``xadt.decode``
+        fault site on every call (never from this instance).
+        """
+        if self.codec == DICT:
+            return storage.dict_payload_text(self.payload)  # type: ignore[arg-type]
+        return self.payload  # type: ignore[return-value]
 
     def to_xml(self) -> str:
         """The fragment as XML text."""
         cached = self._xml
         if cached is None:
-            cached = storage.events_to_text(self.events())
-            object.__setattr__(self, "_xml", cached)
+            cached = self.scan_text()
+            _set_xml(self, cached)
         return cached
 
     def to_elements(self) -> list[Element]:
@@ -113,9 +127,7 @@ class XadtValue:
 
     def text(self) -> str:
         """Concatenated character content (document order)."""
-        return "".join(
-            event[1] for event in self.events() if event[0] == "text"
-        )
+        return fastscan.text_of(self.scan_text())
 
     def byte_size(self) -> int:
         """Stored size in bytes (drives the page accounting).
@@ -128,7 +140,7 @@ class XadtValue:
             size = storage.payload_size(self.payload, self.codec)
             if self.codec == INDEXED:
                 size += self.directory().byte_size()
-            object.__setattr__(self, "_size", size)
+            _set_size(self, size)
         return size
 
     def directory(self):
@@ -149,7 +161,7 @@ class XadtValue:
             if cached is None:
                 cached = SpanDirectory.build(self.to_xml())
                 DECODE_CACHE.put(key, cached, cached.byte_size())
-            object.__setattr__(self, "_directory", cached)
+            _set_directory(self, cached)
         return cached
 
     def is_empty(self) -> bool:
@@ -171,10 +183,7 @@ class XadtValue:
             copied: str | bytes = self.payload.encode("utf-8").decode("utf-8")
         else:
             copied = bytes(bytearray(self.payload))
-        copy = XadtValue(copied, self.codec)
-        if self.codec == INDEXED and self._directory is not None:
-            object.__setattr__(copy, "_directory", self._directory)
-        return copy
+        return XadtValue._trusted(copied, self.codec, self._directory)
 
     # -- value semantics ------------------------------------------------------------
 
@@ -191,6 +200,11 @@ class XadtValue:
         if len(preview) > 48:
             preview = preview[:45] + "..."
         return f"XadtValue({self.codec}, {preview!r})"
+
+
+_set_codec, _set_payload, _set_size, _set_xml, _set_directory = (
+    vars(XadtValue)[slot].__set__ for slot in XadtValue.__slots__
+)
 
 
 def coerce_fragment(value: object) -> XadtValue:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import XadtMethodError
 from repro.xadt import fastscan
 
 #: modelled bytes per directory entry (4 offsets + parent ref + tag code)
@@ -59,6 +58,8 @@ class SpanDirectory:
         self.entries = entries
         self._by_tag: dict[str, list[int]] = {}
         self._children: dict[int, list[int]] = {}
+        #: tag -> indices of its non-nested occurrences, filled on demand
+        self._outermost: dict[str, list[int]] = {}
         for index, entry in enumerate(entries):
             self._by_tag.setdefault(entry.tag, []).append(index)
             self._children.setdefault(entry.parent, []).append(index)
@@ -108,20 +109,25 @@ class SpanDirectory:
         """All occurrences of ``tag``, in document order."""
         return [self.entries[i] for i in self._by_tag.get(tag, [])]
 
-    def outermost_of(self, tag: str) -> Iterator[SpanEntry]:
-        """Non-nested occurrences of ``tag`` (no same-tag ancestor)."""
-        indices = self._by_tag.get(tag, [])
-        index_set = set(indices)
-        for i in indices:
-            parent = self.entries[i].parent
-            nested = False
-            while parent != -1:
-                if parent in index_set:
-                    nested = True
-                    break
-                parent = self.entries[parent].parent
-            if not nested:
-                yield self.entries[i]
+    def outermost_indices(self, tag: str) -> list[int]:
+        """Entry indices of the non-nested occurrences of ``tag`` (no
+        same-tag ancestor), worked out once per directory and tag."""
+        indices = self._outermost.get(tag)
+        if indices is None:
+            entries = self.entries
+            indices = []
+            for i in self._by_tag.get(tag, ()):
+                parent = entries[i].parent
+                while parent != -1 and entries[parent].tag != tag:
+                    parent = entries[parent].parent
+                if parent == -1:
+                    indices.append(i)
+            self._outermost[tag] = indices
+        return indices
+
+    def outermost_of(self, tag: str) -> list[SpanEntry]:
+        """Non-nested occurrences of ``tag``, in document order."""
+        return [self.entries[i] for i in self.outermost_indices(tag)]
 
     def top_level(self) -> list[SpanEntry]:
         return [self.entries[i] for i in self._children.get(-1, [])]
@@ -132,13 +138,6 @@ class SpanDirectory:
             if tag is None or self.entries[i].tag == tag:
                 out.append(self.entries[i])
         return out
-
-    def index_of(self, entry: SpanEntry) -> int:
-        # entries are unique by start offset
-        for i in self._by_tag.get(entry.tag, []):
-            if self.entries[i].start == entry.start:
-                return i
-        raise XadtMethodError("span entry not in directory")
 
     def descendants_within(self, ancestor: SpanEntry, tag: str) -> list[SpanEntry]:
         """Occurrences of ``tag`` inside ``ancestor`` (including itself)."""
@@ -234,8 +233,7 @@ def get_elm_index_indexed(
             if start_pos <= position <= end_pos:
                 matched.append(entry.slice(payload))
         return "".join(matched)
-    for parent in directory.outermost_of(parent_elm):
-        parent_index = directory.index_of(parent)
+    for parent_index in directory.outermost_indices(parent_elm):
         position = 0
         for child in directory.children_of(parent_index, child_elm):
             position += 1

@@ -1,9 +1,16 @@
 """The XADT methods (paper §3.4.2): getElm, findKeyInElm, getElmIndex.
 
-All three scan the fragment's event stream — they never build a DOM —
-mirroring the paper's C-string implementation whose cost is proportional
-to the amount of fragment data scanned (that scan cost is what makes
-QS6 slower under XORator, §4.3).
+All three scan the fragment's tagged text with ``str.find``
+(:mod:`repro.xadt.fastscan`) and answer with slices of it — they never
+build a DOM or re-serialize — mirroring the paper's C-string
+implementation whose cost is proportional to the amount of fragment data
+scanned (that scan cost is what makes QS6 slower under XORator, §4.3).
+One kernel serves every codec: a plain payload is the text, a dict
+payload's text comes from the decode cache
+(``XadtValue.scan_text``), and the indexed codec jumps through its span
+directory into the same text.  Only ``getElm`` with an explicit
+``level >= 0`` walks the event stream, because depth is not visible to
+a tag scan.
 
 Semantics follow the paper's definitions:
 
@@ -29,10 +36,11 @@ implemented", §3.4.2) returning the concatenated character content; the
 SIGMOD workload uses it to group unnested fragments by their text.
 
 Decoding cost is amortized underneath these methods, not inside them:
-``XadtValue.events()`` replays memoized event lists for dict payloads
-and ``XadtValue.directory()`` reuses memoized span directories (see
+``XadtValue.scan_text()`` reuses the memoized text of dict payloads and
+``XadtValue.directory()`` reuses memoized span directories (see
 :mod:`repro.xadt.decode_cache`), so repeated method calls over the same
-hot fragments skip the decompressor / directory rebuild entirely.
+hot fragments skip the decompressor / directory rebuild — but never the
+scan itself.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from repro.errors import XadtMethodError
 from repro.xadt import fastscan
 from repro.xadt.decode_cache import memoize_predicate
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.storage import Event, events_to_text
+from repro.xadt.storage import INDEXED, Event, events_to_text
 from repro.xadt.structural_index import (
     XINDEX,
     record_hit,
@@ -61,31 +69,31 @@ def get_elm(
 ) -> XadtValue:
     """Return all matching ``root_elm`` elements as a new fragment."""
     value = coerce_fragment(fragment)
-    if level < 0 and routing_enabled():
-        index = XINDEX.lookup(value)
-        if index is not None:
-            record_hit("get_elm")
-            return XadtValue.wrap_plain(
-                index.get_elm(root_elm, search_elm, search_key)
-            )
-        record_miss("get_elm")
-    if value.codec == "indexed" and level < 0:
-        from repro.xadt import metadata
+    if level < 0:
+        if routing_enabled():
+            index = XINDEX.lookup(value)
+            if index is not None:
+                record_hit("get_elm")
+                return XadtValue.wrap_plain(
+                    index.get_elm(root_elm, search_elm, search_key)
+                )
+            record_miss("get_elm")
+        if value.codec == INDEXED:
+            from repro.xadt import metadata
 
-        return XadtValue(
-            metadata.get_elm_indexed(
-                value.payload, value.directory(), root_elm, search_elm, search_key
+            return XadtValue.wrap_plain(
+                metadata.get_elm_indexed(
+                    value.payload, value.directory(), root_elm, search_elm, search_key
+                )
             )
-        )
-    if value.codec == "plain" and level < 0:
-        return XadtValue(
-            fastscan.get_elm_plain(value.payload, root_elm, search_elm, search_key)
+        return XadtValue.wrap_plain(
+            fastscan.get_elm_plain(value.scan_text(), root_elm, search_elm, search_key)
         )
     matched: list[str] = []
     for subtree in _iter_subtrees(value.events(), root_elm):
         if _subtree_matches(subtree, search_elm, search_key, level):
             matched.append(events_to_text(subtree))
-    return XadtValue("".join(matched))
+    return XadtValue.wrap_plain("".join(matched))
 
 
 def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
@@ -109,7 +117,7 @@ def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
             record_hit("find_key_in_elm")
             return index.find_key(search_elm, search_key)
         record_miss("find_key_in_elm")
-    if value.codec == "indexed":
+    if value.codec == INDEXED:
         from repro.xadt import metadata
 
         directory = value.directory()
@@ -124,63 +132,15 @@ def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
             ),
             version=XINDEX.epoch,
         )
-    if value.codec == "plain":
-        return memoize_predicate(
-            "findkey-plain",
-            value.payload,
-            (search_elm, search_key),
-            lambda: fastscan.find_key_in_elm_plain(
-                value.payload, search_elm, search_key
-            ),
-            version=XINDEX.epoch,
-        )
     return memoize_predicate(
-        "findkey-dict",
+        "findkey-" + value.codec,
         value.payload,
         (search_elm, search_key),
-        lambda: _find_key_in_events(value, search_elm, search_key),
+        lambda: fastscan.find_key_in_elm_plain(
+            value.scan_text(), search_elm, search_key
+        ),
         version=XINDEX.epoch,
     )
-
-
-def _find_key_in_events(value: XadtValue, search_elm: str, search_key: str) -> int:
-    """Event-stream findKeyInElm for dict-codec payloads."""
-    if not search_elm:
-        # any element content: the fragment's whole character stream
-        accumulated: list[str] = []
-        for event in value.events():
-            if event[0] == "text":
-                accumulated.append(event[1])
-                if search_key in "".join(accumulated[-2:]):
-                    return 1
-        return 1 if search_key in "".join(accumulated) else 0
-    collectors: list[list[str]] = []
-    depth_of: list[int] = []
-    depth = 0
-    for event in value.events():
-        kind = event[0]
-        if kind == "open":
-            if event[1] == search_elm:
-                if not search_key:
-                    return 1
-                collectors.append([])
-                depth_of.append(depth)
-            depth += 1
-        elif kind == "close":
-            depth -= 1
-            if depth_of and depth_of[-1] == depth:
-                text = "".join(collectors.pop())
-                depth_of.pop()
-                if search_key in text:
-                    return 1
-        else:  # text
-            if collectors:
-                data = event[1]
-                for collector in collectors:
-                    collector.append(data)
-                if search_key in "".join(collectors[-1]):
-                    return 1
-    return 0
 
 
 def get_elm_index(
@@ -204,41 +164,25 @@ def get_elm_index(
                 )
             )
         record_miss("get_elm_index")
-    if value.codec == "indexed":
+    if value.codec == INDEXED:
         from repro.xadt import metadata
 
-        return XadtValue(
+        return XadtValue.wrap_plain(
             metadata.get_elm_index_indexed(
                 value.payload, value.directory(), parent_elm, child_elm,
                 int(start_pos), int(end_pos),
             )
         )
-    if value.codec == "plain":
-        return XadtValue(
-            fastscan.get_elm_index_plain(
-                value.payload, parent_elm, child_elm, int(start_pos), int(end_pos)
-            )
+    return XadtValue.wrap_plain(
+        fastscan.get_elm_index_plain(
+            value.scan_text(), parent_elm, child_elm, int(start_pos), int(end_pos)
         )
-    matched: list[str] = []
-    if not parent_elm:
-        position = 0
-        for subtree in _iter_subtrees(value.events(), child_elm, top_level_only=True):
-            position += 1
-            if start_pos <= position <= end_pos:
-                matched.append(events_to_text(subtree))
-        return XadtValue("".join(matched))
-
-    for parent in _iter_subtrees(value.events(), parent_elm):
-        position = 0
-        for child in _iter_child_subtrees(parent, child_elm):
-            position += 1
-            if start_pos <= position <= end_pos:
-                matched.append(events_to_text(child))
-    return XadtValue("".join(matched))
+    )
 
 
 def elm_equals(fragment: object, search_elm: str, value: str) -> int:
-    """1 if any ``search_elm`` element's text content equals ``value``.
+    """1 if any (non-nested) ``search_elm`` element's text content
+    equals ``value``.
 
     The exact-match companion of :func:`find_key_in_elm` (a "more
     specialized method" in the sense of §3.4.2); the path-query compiler
@@ -247,32 +191,21 @@ def elm_equals(fragment: object, search_elm: str, value: str) -> int:
     """
     if not search_elm:
         raise XadtMethodError("elmEquals: searchElm cannot be empty")
-    value_of = coerce_fragment(fragment)
-    if value_of.codec == "indexed":
-        from repro.xadt import metadata
-
-        for entry in value_of.directory().spans_of(search_elm):
-            if fastscan.text_of(entry.content(value_of.payload)) == value:
-                return 1
-        return 0
-    if value_of.codec == "plain":
-        for span in fastscan.find_spans(value_of.payload, search_elm):
-            if fastscan.text_of(span.content(value_of.payload)) == value:
-                return 1
-        return 0
-    for subtree in _iter_subtrees(value_of.events(), search_elm):
-        text = "".join(event[1] for event in subtree if event[0] == "text")
-        if text == value:
+    fragment_value = coerce_fragment(fragment)
+    text = fragment_value.scan_text()
+    if fragment_value.codec == INDEXED:
+        spans = fragment_value.directory().outermost_of(search_elm)
+    else:
+        spans = fastscan.find_spans(text, search_elm)
+    for span in spans:
+        if fastscan.text_of(span.content(text)) == value:
             return 1
     return 0
 
 
 def elm_text(fragment: object) -> str:
     """Concatenated character content of the fragment."""
-    value = coerce_fragment(fragment)
-    if value.codec in ("plain", "indexed"):
-        return fastscan.text_of(value.payload)
-    return value.text()
+    return coerce_fragment(fragment).text()
 
 
 # ---------------------------------------------------------------------------
@@ -280,82 +213,35 @@ def elm_text(fragment: object) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _iter_subtrees(
-    events: Iterator[Event],
-    tag: str,
-    top_level_only: bool = False,
-) -> Iterator[list[Event]]:
+def _iter_subtrees(events: Iterator[Event], tag: str) -> Iterator[list[Event]]:
     """Non-nested subtrees whose root tag is ``tag`` ('' = top level).
 
     A matched subtree's inner occurrences of the same tag are not yielded
     separately (they are part of the outer match).
     """
     capture: list[Event] | None = None
-    capture_depth = 0
-    depth = 0
+    depth = 0  # open elements inside the capture
     for event in events:
         kind = event[0]
         if capture is not None:
             capture.append(event)
             if kind == "open":
-                capture_depth += 1
-            elif kind == "close":
-                capture_depth -= 1
-                if capture_depth == 0:
-                    yield capture
-                    capture = None
-            if kind == "open":
                 depth += 1
             elif kind == "close":
                 depth -= 1
-            continue
-        if kind == "open":
-            matches = (event[1] == tag) if tag else (depth == 0)
-            if top_level_only and depth != 0:
-                matches = False
-            if matches:
-                capture = [event]
-                capture_depth = 1
-            depth += 1
-        elif kind == "close":
-            depth -= 1
-
-
-def _iter_child_subtrees(subtree: list[Event], tag: str) -> Iterator[list[Event]]:
-    """Direct children of the subtree's root that have ``tag``."""
-    # subtree[0] is the root's open event; children sit at depth 1
-    depth = 0
-    capture: list[Event] | None = None
-    capture_depth = 0
-    for event in subtree:
-        kind = event[0]
-        if capture is not None:
-            capture.append(event)
-            if kind == "open":
-                capture_depth += 1
-            elif kind == "close":
-                capture_depth -= 1
-                if capture_depth == 0:
+                if depth == 0:
                     yield capture
                     capture = None
-            if kind == "open":
-                depth += 1
-            elif kind == "close":
-                depth -= 1
-            continue
-        if kind == "open":
-            if depth == 1 and event[1] == tag:
-                capture = [event]
-                capture_depth = 1
-            depth += 1
-        elif kind == "close":
-            depth -= 1
+        elif kind == "open" and (event[1] == tag or not tag):
+            capture = [event]
+            depth = 1
 
 
 def _subtree_matches(
     subtree: list[Event], search_elm: str, search_key: str, level: int
 ) -> bool:
-    """Does the captured subtree satisfy the getElm condition?"""
+    """Does the captured subtree satisfy getElm's condition within
+    ``level`` (>= 0) levels of its root?"""
     if not search_elm and not search_key:
         return True
     if not search_elm:
@@ -370,7 +256,7 @@ def _subtree_matches(
         kind = event[0]
         if kind == "open":
             depth += 1
-            if event[1] == search_elm and (level < 0 or depth <= level):
+            if event[1] == search_elm and depth <= level:
                 if not search_key:
                     return True
                 collectors.append([])

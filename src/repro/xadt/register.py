@@ -65,7 +65,9 @@ def register_xadt_functions(db: Database, fenced: bool = False) -> None:
         max_args=1,
         result_type=XADT,
     )
-    registry.register_table("unnest", unnest, [("out", XADT)], mode)
+    registry.register_table(
+        "unnest", unnest, [("out", XADT)], mode, min_args=1, max_args=2
+    )
 
     _register_figure14_udfs(db)
 

@@ -5,17 +5,18 @@
 * ``dict`` — the XMill-inspired compressed representation from
   :mod:`repro.xadt.compress`.
 
-Both expose the same event-stream interface, so the XADT methods run
-unchanged over either representation (the compressed scan walks the
-byte stream directly — it never materializes the XML text).
+Both serve the XADT methods the same thing — tagged text for the
+``str.find`` scan kernel (:mod:`repro.xadt.fastscan`): a plain payload
+*is* that text, a dict payload is decompressed to it once and the text
+memoized by payload bytes (:func:`dict_payload_text`).  The event-stream
+interface tokenizes the same text.
 
-Graceful degradation (DESIGN.md §9): every compressed decode passes the
-``xadt.decode`` fault-injection site.  When injected (or real) transient
-decode faults exceed a threshold, the module flips into *degraded mode*:
-dict payloads are decoded once through the raw decompressor, re-serialized
-to tagged text, and from then on served through the plain-text tokenizer
-— trading the compressed codec's speed for the tagged representation's
-robustness until :func:`reset_degradation` clears the state.
+Graceful degradation (DESIGN.md §9): every dict-payload access passes the
+``xadt.decode`` fault-injection site, cache hit or miss.  When injected
+(or real) transient decode faults exceed a threshold, the module flips
+into *degraded mode*: the fault site is skipped and the payload keeps
+being served from its tagged text, until :func:`reset_degradation`
+clears the state.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.engine.faults import FAULTS
 from repro.errors import TransientError, XadtCodecError
 from repro.obs.metrics import METRICS
 from repro.xadt import compress
-from repro.xadt.decode_cache import DECODE_CACHE, event_list_cost
+from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xmlkit.chars import escape_attribute, escape_text
 from repro.xmlkit.tokens import EndTag, StartTag, TextEvent, Tokenizer
 
@@ -111,40 +112,18 @@ def encode(xml_text: str, codec: str) -> str | bytes:
     raise XadtCodecError(f"unknown codec {codec!r}")
 
 
-def payload_events(payload: str | bytes, codec: str) -> Iterator[Event]:
-    """The event stream of a stored payload.
-
-    Dict payloads are decompressed through the process-wide decode cache
-    (:mod:`repro.xadt.decode_cache`): the first scan of a fragment
-    materializes and memoizes its event list, repeat scans of the same
-    payload bytes replay it without re-running the decompressor.  With
-    the cache disabled the decompressor streams lazily as before.
-    """
-    if codec in (PLAIN, INDEXED):
-        if not isinstance(payload, str):
-            raise XadtCodecError("plain payloads are text")
-        return text_to_events(payload)
-    if codec == DICT:
-        if not isinstance(payload, bytes):
-            raise XadtCodecError("dict payloads are bytes")
-        return dict_payload_events(payload)
-    raise XadtCodecError(f"unknown codec {codec!r}")
-
-
 _DECODE_FAULTS = METRICS.counter("xadt.decode_faults")
 _DECODE_FALLBACKS = METRICS.counter("xadt.decode_fallbacks")
 
 
 class DecodeDegradation:
-    """Fault counter that flips compressed decode into tagged fallback.
+    """Fault counter that takes the fault site out of dict decoding.
 
-    ``record_fault()`` is called when a compressed decode raises a
+    ``record_fault()`` is called when a dict-payload access raises a
     :class:`~repro.errors.TransientError`; once ``threshold`` faults
-    accumulate, ``active`` turns on and every subsequent dict decode is
-    served via :func:`_degraded_text` (decompress once, re-serialize to
-    tagged text, tokenize like a plain payload) — that path skips the
-    fault site entirely, which is the point: the tagged decoder keeps
-    working while the compressed one is considered broken.
+    accumulate, ``active`` turns on and every subsequent access skips
+    the fault site — the decoder is considered broken, the tagged text
+    it already produced keeps being served.
     """
 
     def __init__(self, threshold: int = 3) -> None:
@@ -186,14 +165,24 @@ def reset_degradation(threshold: int | None = None) -> None:
     DEGRADATION.reset(threshold)
 
 
-def _degraded_text(payload: bytes) -> str:
-    """The tagged-text rendering of a dict payload, cached by bytes.
+def dict_payload_text(payload: bytes) -> str:
+    """The canonical tagged text of a dict payload, memoized by bytes.
 
-    The one decompression this needs bypasses the fault site: degraded
-    mode models a broken fast path with a trusted slow path, mirroring
-    how an engine falls back from a corrupt compressed page to its
-    uncompressed backup representation.
+    This is the ``xadt.decode`` fault site and the degradation switch:
+    every access fires the site (cache hit or miss); transient faults
+    are counted, and past the threshold the site is skipped.  The text
+    is what every XADT method slices, so it is decompressed and
+    serialized once per payload, not per call.
     """
+    if DEGRADATION.active:
+        _DECODE_FALLBACKS.inc()
+    elif FAULTS.active:
+        try:
+            FAULTS.fire("xadt.decode")
+        except TransientError:
+            if not DEGRADATION.record_fault():
+                raise
+            _DECODE_FALLBACKS.inc()
     key = ("dict-text", payload)
     text = DECODE_CACHE.get(key)
     if text is None:
@@ -202,52 +191,24 @@ def _degraded_text(payload: bytes) -> str:
     return text  # type: ignore[return-value]
 
 
-def dict_payload_events(payload: bytes) -> Iterator[Event]:
-    """Decode a dict payload, memoizing the event list by payload bytes.
-
-    This is the ``xadt.decode`` fault site and the degradation switch:
-    transient decode faults are counted, and past the threshold the
-    payload is served through the tagged-text fallback instead.
-    """
-    if DEGRADATION.active:
-        _DECODE_FALLBACKS.inc()
-        return text_to_events(_degraded_text(payload))
-    try:
-        if FAULTS.active:
-            FAULTS.fire("xadt.decode")
-    except TransientError:
-        if DEGRADATION.record_fault():
-            _DECODE_FALLBACKS.inc()
-            return text_to_events(_degraded_text(payload))
-        raise
-    if not DECODE_CACHE.enabled:
-        return compress.decode_events(payload)
-    return iter(dict_payload_event_list(payload))
-
-
-def dict_payload_event_list(payload: bytes) -> list[Event]:
-    """The fully materialized (and cached) event list of a dict payload."""
-    key = ("dict-events", payload)
-    events = DECODE_CACHE.get(key)
-    if events is None:
-        events = list(compress.decode_events(payload))
-        DECODE_CACHE.put(key, events, event_list_cost(events))
-    return events  # type: ignore[return-value]
-
-
 def payload_text(payload: str | bytes, codec: str) -> str:
     """The canonical tagged-text rendering of a stored payload.
 
     For the text codecs this is the payload itself; dict payloads are
-    decoded and re-serialized.  The structural index
-    (:mod:`repro.xadt.structural_index`) builds from this rendering, so
-    its byte offsets address the same text the scan methods slice.
+    decoded through :func:`dict_payload_text`.  The scan methods slice
+    this text and the structural index
+    (:mod:`repro.xadt.structural_index`) builds from it, so its byte
+    offsets address the same text.
     """
     if codec in (PLAIN, INDEXED):
         if not isinstance(payload, str):
             raise XadtCodecError("plain payloads are text")
         return payload
-    return events_to_text(payload_events(payload, codec))
+    if codec == DICT:
+        if not isinstance(payload, bytes):
+            raise XadtCodecError("dict payloads are bytes")
+        return dict_payload_text(payload)
+    raise XadtCodecError(f"unknown codec {codec!r}")
 
 
 def payload_size(payload: str | bytes, codec: str) -> int:

@@ -17,26 +17,21 @@ from typing import Iterator
 
 from repro.xadt import fastscan
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.methods import _iter_subtrees
-from repro.xadt.storage import events_to_text
+from repro.xadt.storage import INDEXED
 
 
 def unnest(fragment: object, tag: str = "") -> Iterator[tuple[XadtValue]]:
     """Yield one single-column row per matching element."""
     value = coerce_fragment(fragment)
-    if value.codec == "indexed":
+    if value.codec == INDEXED:
         from repro.xadt import metadata
 
-        for piece in metadata.unnest_indexed(value.payload, value.directory(), tag):
-            yield (XadtValue(piece),)
-        return
-    if value.codec == "plain":
-        for piece in fastscan.unnest_plain(value.payload, tag):
-            yield (XadtValue(piece),)
-        return
-    top_level_only = not tag
-    for subtree in _iter_subtrees(value.events(), tag, top_level_only=top_level_only):
-        yield (XadtValue(events_to_text(subtree)),)
+        pieces = metadata.unnest_indexed(value.payload, value.directory(), tag)
+    else:
+        pieces = fastscan.unnest_plain(value.scan_text(), tag)
+    wrap = XadtValue.wrap_plain
+    for piece in pieces:
+        yield (wrap(piece),)
 
 
 def unnest_values(fragment: object, tag: str = "") -> list[XadtValue]:

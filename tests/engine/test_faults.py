@@ -8,7 +8,12 @@ from repro.engine.faults import FAULTS, FaultPlan, SITES
 from repro.errors import ConfigError, CrashPoint, FaultInjected
 from repro.xadt import compress
 from repro.xadt.fragment import XadtValue
-from repro.xadt.storage import DEGRADATION, dict_payload_events, reset_degradation
+from repro.xadt.storage import (
+    DEGRADATION,
+    dict_payload_text,
+    reset_degradation,
+    text_to_events,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -107,32 +112,33 @@ class TestDecodeDegradation:
         return XadtValue.from_xml("<sp><l>out</l> damned <l>spot</l></sp>",
                                   "dict").payload
 
+    def events(self, payload):
+        return list(text_to_events(dict_payload_text(payload)))
+
     def test_threshold_flips_to_tagged_fallback(self):
         reset_degradation(threshold=2)
         payload = self.payload()
         expected = list(compress.decode_events(payload))
         FAULTS.install(FaultPlan().raise_at("xadt.decode", probability=1.0))
         with pytest.raises(FaultInjected):
-            list(dict_payload_events(payload))
+            dict_payload_text(payload)
         assert DEGRADATION.active is False
-        # second fault reaches the threshold: the decode is served through
-        # the tagged-text fallback instead of surfacing the error
-        events = list(dict_payload_events(payload))
+        # second fault reaches the threshold: the access is served from
+        # the tagged text instead of surfacing the error
+        events = self.events(payload)
         assert DEGRADATION.active is True
         assert events == expected
         # degraded mode bypasses the fault site entirely
-        assert list(dict_payload_events(payload)) == expected
+        assert self.events(payload) == expected
 
     def test_reset_clears_degraded_mode(self):
         reset_degradation(threshold=1)
         FAULTS.install(FaultPlan().raise_at("xadt.decode", hit=1))
         payload = self.payload()
-        list(dict_payload_events(payload))
+        dict_payload_text(payload)
         assert DEGRADATION.active is True
         assert DEGRADATION.report()["faults"] == 1
         reset_degradation()
         FAULTS.clear()
         assert DEGRADATION.active is False
-        assert list(dict_payload_events(payload)) == list(
-            compress.decode_events(payload)
-        )
+        assert self.events(payload) == list(compress.decode_events(payload))

@@ -109,6 +109,33 @@ class TestTimeout:
         elapsed = time.perf_counter() - started
         assert elapsed < 2 * limit
 
+    @pytest.mark.parametrize(
+        "sql,counted",
+        [
+            ("SELECT nap(id) FROM t", "scalar_calls"),
+            ("SELECT r.x FROM t, TABLE(nap_rows(id)) r", "table_calls"),
+        ],
+    )
+    def test_timeout_fires_between_batch_boundaries(self, db, sql, counted):
+        # all 200 rows travel in one batch: only the per-invocation tick
+        # of the UDF boundary can stop the statement mid-batch
+        from repro.engine.types import INTEGER
+
+        db.registry.register_scalar(
+            "nap", lambda v: time.sleep(0.005) or v, min_args=1, max_args=1
+        )
+        db.registry.register_table(
+            "nap_rows", lambda v: time.sleep(0.005) or [(v,)], [("x", INTEGER)],
+            min_args=1, max_args=1,
+        )
+        assert db.exec_config.batch_size >= 200
+        db.governor.configure(statement_timeout_seconds=0.05)
+        db.reset_function_stats()
+        with pytest.raises(StatementTimeout):
+            db.execute(sql)
+        calls = sum(getattr(db.registry.stats, counted).values())
+        assert 1 <= calls < 200
+
     def test_abort_leaves_catalog_version_unchanged(self, db):
         db.registry.register_scalar(
             "dawdle2", lambda v: time.sleep(0.01) or v, min_args=1, max_args=1

@@ -103,6 +103,97 @@ class TestInvocation:
         assert seen["v"] is original
 
 
+class TestFigure14Mechanism:
+    """What Fig. 14 models must stay per call: NOT FENCED copies every
+    payload, FENCED serializes it, BUILTIN passes it through."""
+
+    ARGUMENTS = [
+        "a string payload",
+        b"a bytes payload",
+        XadtValue.from_xml("<s>plain</s>"),
+        XadtValue.from_xml("<s>dict <t>coded</t></s>", "dict"),
+        XadtValue.from_xml("<s>indexed</s>", "indexed"),
+    ]
+
+    @staticmethod
+    def payload_of(value):
+        return value.payload if isinstance(value, XadtValue) else value
+
+    def received(self, registry, kind, argument):
+        seen = []
+        registry.register_scalar(
+            "probe", lambda v: seen.append(v) or v, kind, 1, 1
+        )
+        function = registry.scalar("probe")
+        results = [
+            registry.call_scalar("probe", [argument]),
+            registry.invoke_scalar(function, [argument]),  # the bound route
+        ]
+        assert len(seen) == 2
+        return seen, results
+
+    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
+    def test_not_fenced_copies_the_payload_on_every_call(self, registry, argument):
+        seen, results = self.received(registry, FunctionKind.NOT_FENCED, argument)
+        payloads = [self.payload_of(value) for value in seen]
+        for value, payload in zip(seen, payloads):
+            assert value == argument and type(value) is type(argument)
+            assert value is not argument
+            assert payload is not self.payload_of(argument)
+        assert payloads[0] is not payloads[1]  # a fresh copy per call
+        assert results == [argument, argument]
+
+    def test_not_fenced_copy_keeps_codec_and_directory(self, registry):
+        indexed = self.ARGUMENTS[-1]
+        directory = indexed.directory()
+        seen, _ = self.received(registry, FunctionKind.NOT_FENCED, indexed)
+        assert seen[0].codec == "indexed"
+        assert seen[0].directory() is directory  # stored metadata travels
+
+    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
+    def test_fenced_round_trips_through_pickle(self, registry, argument, monkeypatch):
+        import pickle
+
+        dumped = []
+        real_dumps = pickle.dumps
+        monkeypatch.setattr(
+            pickle, "dumps", lambda value: dumped.append(value) or real_dumps(value)
+        )
+        seen, results = self.received(registry, FunctionKind.FENCED, argument)
+        assert len(dumped) == 4  # argument and result, both calls
+        for value in seen + results:
+            assert value == argument and value is not argument
+            assert self.payload_of(value) is not self.payload_of(argument)
+
+    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
+    def test_builtin_passes_identity(self, registry, argument):
+        seen, results = self.received(registry, FunctionKind.BUILTIN, argument)
+        assert all(value is argument for value in seen + results)
+
+    def test_counts_are_exact_for_a_qg2_run(self, sigmod_pair):
+        from repro.obs.metrics import METRICS
+        from repro.workloads.sigmod_queries import QG2
+
+        db = sigmod_pair[1].db
+        documents = len(db.execute("SELECT ppID FROM pp"))
+        sections = db.execute(
+            "SELECT COUNT(*) FROM pp, TABLE(unnest(pp_slist, 'sListTuple')) st"
+        ).scalar()
+        counter = METRICS.counter("udf.calls.not_fenced")
+        assert METRICS.enabled
+        db.reset_function_stats()
+        before = counter.value
+        rows = len(db.execute(QG2.sql_for("xorator")))
+        # one unnest per proceedings row and per section; per result row
+        # two elmText and one getElm
+        expected = documents + sections + 3 * rows
+        stats = db.registry.stats
+        assert stats.table_calls == {"unnest": documents + sections}
+        assert stats.scalar_calls == {"elmText": 2 * rows, "getElm": rows}
+        assert stats.total_udf_calls() == expected
+        assert counter.value - before == expected
+
+
 class TestAccounting:
     def test_scalar_calls_counted(self, registry):
         registry.register_scalar("f", lambda: 1, FunctionKind.NOT_FENCED, 0, 0)

@@ -61,3 +61,19 @@ class TestXmlSyntaxErrorLocation:
 
         with pytest.raises(errors.ReproError):
             Database().execute("SELEC")
+
+
+class TestTableFunctionMisuse:
+    @pytest.mark.parametrize(
+        "from_clause",
+        ["t, TABLE(unnest()) u", "t, TABLE(unnest(x, 'b', 'c', 'd')) u"],
+    )
+    def test_stays_in_the_taxonomy(self, from_clause):
+        from repro import Database
+        from repro.xadt import register_xadt_functions
+
+        db = Database()
+        register_xadt_functions(db)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x XADT)")
+        with pytest.raises(errors.UdfError):
+            db.execute(f"SELECT * FROM {from_clause}")

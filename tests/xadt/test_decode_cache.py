@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.xadt.decode_cache import DECODE_CACHE, DecodeCache, event_list_cost
+from repro.xadt.decode_cache import DECODE_CACHE, DecodeCache
 from repro.xadt.fragment import XadtValue
 from repro.xadt.methods import find_key_in_elm, get_elm, get_elm_index
+from repro.xadt.unnest import unnest_values
 
 XML = (
     "<SPEECH><SPEAKER>HAMLET</SPEAKER>"
@@ -54,10 +55,26 @@ class TestDictCodecCorrectness:
         # a new instance over the same payload shares the cached decode
         assert DECODE_CACHE.stats.hits == 2
 
-    def test_cached_events_not_consumed(self):
-        # iterating the cached list twice must yield it fully both times
+    def test_cached_text_is_the_one_artifact(self):
+        # one miss decodes the payload to its tagged text; every later
+        # access — any method, any instance — is a hit on that one entry
         value = XadtValue.from_xml(XML, "dict")
-        assert list(value.events()) == list(value.events())
+        assert value.scan_text() == XML
+        assert (DECODE_CACHE.stats.misses, len(DECODE_CACHE)) == (1, 1)
+        again = XadtValue.from_xml(XML, "dict")
+        get_elm(again, "SPEECH")
+        get_elm_index(again, "SPEECH", "LINE", 1, 1)
+        unnest_values(again, "LINE")
+        assert again.scan_text() is value.scan_text()
+        assert (DECODE_CACHE.stats.misses, len(DECODE_CACHE)) == (1, 1)
+        assert DECODE_CACHE.stats.hits == 5
+
+    def test_cached_events_not_consumed(self):
+        # the event view re-tokenizes the cached text: full both times
+        value = XadtValue.from_xml(XML, "dict")
+        events = list(value.events())
+        assert events and list(value.events()) == events
+        assert unnest_values(value, "LINE") == unnest_values(value, "LINE")
 
     def test_disabled_cache_stores_nothing(self):
         DECODE_CACHE.configure(enabled=False)
@@ -131,13 +148,6 @@ class TestBudget:
             DecodeCache(budget_bytes=-1)
         with pytest.raises(ValueError):
             DecodeCache().configure(budget_bytes=-5)
-
-    def test_event_list_cost_scales_with_content(self):
-        small = event_list_cost([("text", "ab")])
-        large = event_list_cost(
-            [("open", "a", {"k": "v"}), ("text", "x" * 100), ("close", "a")]
-        )
-        assert 0 < small < large
 
     def test_report_shape(self):
         report = DecodeCache().report()

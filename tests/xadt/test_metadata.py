@@ -56,6 +56,21 @@ class TestSpanDirectory:
         assert len(list(directory.outermost_of("d"))) == 2
         assert len(directory.spans_of("d")) == 3
 
+    def test_outermost_worked_out_once_per_tag(self):
+        # the positional lookup walks entry indices: no per-parent search
+        # of the same-tag list, no per-call set of them (wide fragments)
+        wide = "".join(f"<p><c>{i}</c><p><c>in</c></p></p>" for i in range(400))
+        directory = SpanDirectory.build(wide)
+        indices = directory.outermost_indices("p")
+        assert directory.outermost_indices("p") is indices
+        assert len(indices) == 400 and len(directory.spans_of("p")) == 800
+        assert directory.outermost_indices("ghost") == []
+        size = directory.byte_size()
+        assert get_elm_index(XadtValue(wide, INDEXED), "p", "c", 1, 1) == (
+            get_elm_index(XadtValue(wide, PLAIN), "p", "c", 1, 1)
+        )
+        assert SpanDirectory.build(wide).byte_size() == size  # storage model
+
     def test_descendants_within(self, directory):
         first_speech = directory.top_level()[0]
         lines = directory.descendants_within(first_speech, "LINE")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Database
+from repro.engine.types import INTEGER
 from repro.engine.udf import FunctionKind
 from repro.errors import UdfError
 from repro.xadt import XadtValue, register_xadt_functions
@@ -105,3 +106,46 @@ class TestSqlSurface:
     def test_wrong_arity_rejected(self, db):
         with pytest.raises(UdfError):
             db.execute("SELECT getElm(speech_line) FROM speech")
+
+    def test_table_function_arity_checked_at_compile_time(self, db):
+        # formerly a bare TypeError from unnest's Python signature
+        for call in ("unnest()", "unnest(speech_line, 'a', 'b', 'c')"):
+            sql = f"SELECT * FROM speech, TABLE({call}) u"
+            with pytest.raises(UdfError, match="unnest.*arguments"):
+                db.explain(sql)  # planning alone finds out: no row is read
+        assert "unnest" not in db.registry.stats.table_calls
+
+    def test_unknown_function_is_a_compile_time_udf_error(self, db):
+        with pytest.raises(UdfError, match="ghost"):
+            db.explain("SELECT ghost(speechID) FROM speech")
+
+    def test_table_function_failures_wrapped(self, db):
+        def fails_on_call(value):
+            raise ValueError("call")
+
+        def fails_on_second_row(value):
+            yield (1,)
+            raise ValueError("row two")
+
+        registry = db.registry
+        registry.register_table("fails_on_call", fails_on_call, [("x", INTEGER)])
+        registry.register_table(
+            "fails_on_second_row", fails_on_second_row, [("x", INTEGER)],
+            FunctionKind.FENCED,
+        )
+        registry.register_table(
+            "lazy_failure", fails_on_second_row, [("x", INTEGER)]
+        )
+        for name, detail in (
+            ("fails_on_call", "call"),
+            ("fails_on_second_row", "row two"),
+            ("lazy_failure", "row two"),
+        ):
+            with pytest.raises(UdfError, match=f"{name}.*ValueError: {detail}"):
+                db.execute(f"SELECT u.x FROM speech, TABLE({name}(speechID)) u")
+
+    def test_table_function_library_errors_pass_through(self, db):
+        from repro.errors import XadtCodecError
+
+        with pytest.raises(XadtCodecError):
+            db.execute("SELECT u.out FROM speech, TABLE(unnest(speechID)) u")
