@@ -8,7 +8,8 @@ one closure whose body is the whole expression — per-row cost collapses
 to one call plus the work itself.
 
 The compiled closure carries two batch-level companions as attributes
-(compiled from the same fragment against the same environment):
+(compiled from the same fragment against the same environment, each on
+its first call):
 
 * ``fn.batch_filter(batch)`` — ``[row for row in batch if <expr>]``
 * ``fn.batch_eval(batch)``   — ``[<expr> for row in batch]``
@@ -285,6 +286,26 @@ def _compile_fragment(source: str, env: dict[str, object]):
     return eval(compile(source, "<expr-compile>", "eval"), env)  # noqa: S307
 
 
+def _lazy(source: str, env: dict[str, object]):
+    """A batch companion that compiles ``source`` when it is first called.
+
+    Most closures are used through one form only (a scan predicate never
+    runs per row, a join residual's ``batch_eval`` never runs at all), and
+    a plan that misses the plan cache pays ``compile()`` for every form it
+    builds.  The stub must not reference the closure it hangs on: a cycle
+    would keep a dropped plan — and the tables its operators hold — alive
+    until the next full collection.
+    """
+    compiled: list = []
+
+    def companion(batch: list) -> list:
+        if not compiled:
+            compiled.append(_compile_fragment(source, env))
+        return compiled[0](batch)
+
+    return companion
+
+
 def compile_row_expr(
     expr: Expr,
     binding: Binding,
@@ -302,16 +323,14 @@ def compile_row_expr(
     env = lowering.env
     try:
         fn = _compile_fragment(f"lambda row: {fragment}", env)
-        fn.batch_filter = _compile_fragment(
-            f"lambda _batch: [row for row in _batch if {fragment}]", env
-        )
-        fn.batch_eval = _compile_fragment(
-            f"lambda _batch: [{fragment} for row in _batch]", env
-        )
     except SyntaxError:  # pragma: no cover - codegen bug safety net
         from repro.engine.expr import compile_expr
 
         return compile_expr(expr, binding, registry, params)
+    fn.batch_filter = _lazy(
+        f"lambda _batch: [row for row in _batch if {fragment}]", env
+    )
+    fn.batch_eval = _lazy(f"lambda _batch: [{fragment} for row in _batch]", env)
     fn.source = fragment
     fn.xadt_methods = frozenset(lowering.xadt_methods)
     return fn
@@ -335,9 +354,6 @@ def compile_projection(
     env = lowering.env
     try:
         fn = _compile_fragment(f"lambda row: {source}", env)
-        fn.batch_eval = _compile_fragment(
-            f"lambda _batch: [{source} for row in _batch]", env
-        )
     except SyntaxError:  # pragma: no cover - codegen bug safety net
         from repro.engine.expr import compile_expr
 
@@ -347,6 +363,7 @@ def compile_projection(
             return tuple(part(row) for part in parts)
 
         return fallback
+    fn.batch_eval = _lazy(f"lambda _batch: [{source} for row in _batch]", env)
     fn.source = source
     fn.xadt_methods = frozenset(lowering.xadt_methods)
     return fn

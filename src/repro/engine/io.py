@@ -194,16 +194,53 @@ class IoRouter:
         return self._target().snapshot()
 
 
-def estimate_row_bytes(row: tuple) -> int:
-    """Cheap in-flight width estimate for spill decisions."""
-    width = 24 + 8 * len(row)
-    for value in row:
+def _values_bytes(values) -> int:
+    """Variable-width bytes of ``values``: the per-value reference path."""
+    width = 0
+    for value in values:
         if isinstance(value, str):
             width += len(value)
         elif value is not None and not isinstance(value, (int, float)):
             size = getattr(value, "byte_size", None)
             if size is not None:
                 width += size()
+    return width
+
+
+def estimate_row_bytes(row: tuple) -> int:
+    """Cheap in-flight width estimate for spill decisions.
+
+    The reference semantics of :func:`batch_row_bytes`, and the form for
+    a single row (a new group's key).
+    """
+    return 24 + 8 * len(row) + _values_bytes(row)
+
+
+_FIXED_WIDTH = frozenset({int, float, bool, type(None)})
+_STR_OR_NULL = frozenset({str, type(None)})
+
+
+def batch_row_bytes(batch: list) -> int:
+    """``sum(estimate_row_bytes(row) for row in batch)``, column at a time.
+
+    The width kernel: each column is costed from the value types actually
+    observed in it (never from an inferred slot type) — integer/NULL
+    columns cost nothing, string columns one ``sum(map(len, ...))``, and
+    only columns holding anything else (XADT fragments, ``str``
+    subclasses, foreign objects) take the per-value reference path.
+    """
+    if not batch:
+        return 0
+    columns = list(zip(*batch))
+    width = len(batch) * (24 + 8 * len(columns))
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds <= _FIXED_WIDTH:
+            continue
+        if kinds <= _STR_OR_NULL:  # filter() drops the NULLs (and "")
+            width += sum(map(len, filter(None, column)))
+        else:
+            width += _values_bytes(column)
     return width
 
 

@@ -51,7 +51,7 @@ from repro.engine.expr import Binding, Slot
 from repro.engine.expr_compile import compile_row_expr
 from repro.engine.faults import FAULTS
 from repro.engine.udf import FunctionRegistry
-from repro.engine.values import group_key
+from repro.engine.values import batch_group_keys
 from repro.errors import (
     ConfigError,
     ExecutionError,
@@ -114,13 +114,50 @@ def run_with_retry(
 # ---------------------------------------------------------------------------
 
 
+# Per-kind accumulator updates for one non-NULL value.  ``HashAggregate``
+# binds one per aggregate and applies it column by column; the fragment
+# interpreter goes through ``PartialAgg.add``.
+
+
+def _add_count(acc: "PartialAgg", value: object) -> None:
+    acc.count += 1
+
+
+def _add_total(acc: "PartialAgg", value: object) -> None:
+    if not isinstance(value, (int, float)):
+        raise ExecutionError(f"{acc.kind.upper()} over non-numeric {value!r}")
+    acc.count += 1
+    acc.total += value
+
+
+def _add_min(acc: "PartialAgg", value: object) -> None:
+    acc.count += 1
+    if acc.best is None or value < acc.best:  # type: ignore[operator]
+        acc.best = value
+
+
+def _add_max(acc: "PartialAgg", value: object) -> None:
+    acc.count += 1
+    if acc.best is None or value > acc.best:  # type: ignore[operator]
+        acc.best = value
+
+
+AGG_UPDATES = {
+    "count": _add_count,
+    "sum": _add_total,
+    "avg": _add_total,
+    "min": _add_min,
+    "max": _add_max,
+}
+
+
 class PartialAgg:
     """Mergeable accumulator state for one non-DISTINCT aggregate.
 
-    Mirrors the semantics of ``physical._Accumulator`` exactly (NULL
-    skipping, numeric checks, finalization), with a ``merge`` step the
-    coordinator applies across partitions.  DISTINCT aggregates are
-    never pushed down, so no distinct-set state exists here.
+    The one accumulator of the engine: ``HashAggregate`` extends it with
+    a DISTINCT set, the coordinator applies ``merge`` across partitions.
+    DISTINCT aggregates are never pushed down, so no distinct-set state
+    crosses a worker boundary.
     """
 
     __slots__ = ("kind", "count", "total", "best")
@@ -132,20 +169,8 @@ class PartialAgg:
         self.best: object = None
 
     def add(self, value: object) -> None:
-        if value is None:
-            return
-        self.count += 1
-        kind = self.kind
-        if kind in ("sum", "avg"):
-            if not isinstance(value, (int, float)):
-                raise ExecutionError(f"{kind.upper()} over non-numeric {value!r}")
-            self.total += value
-        elif kind == "min":
-            if self.best is None or value < self.best:  # type: ignore[operator]
-                self.best = value
-        elif kind == "max":
-            if self.best is None or value > self.best:  # type: ignore[operator]
-                self.best = value
+        if value is not None:
+            AGG_UPDATES[self.kind](self, value)
 
     def dump(self) -> tuple:
         return (self.count, self.total, self.best)
@@ -228,9 +253,9 @@ def execute_fragment(
         if projection is None
         else Binding([binding.slots[i] for i in projection])
     )
+    if pick is not None:
+        pairs = [(rid, pick(row)) for rid, row in pairs]
     if task["kind"] == "scan":
-        if pick is not None:
-            pairs = [(rid, pick(row)) for rid, row in pairs]
         project = task.get("project")
         if project is not None:
             fns = [
@@ -256,10 +281,9 @@ def execute_fragment(
         for kind, arg in task["aggs"]
     ]
     groups: dict[tuple, tuple[tuple, int, list[PartialAgg]]] = {}
-    for rid, row in pairs:
-        out = pick(row) if pick is not None else row
-        raw_key = tuple(fn(out) for fn in group_fns)
-        key = tuple(group_key(value) for value in raw_key)
+    raw_keys = [tuple([fn(out) for fn in group_fns]) for _, out in pairs]
+    keys = batch_group_keys(raw_keys, True)
+    for (rid, out), raw_key, key in zip(pairs, raw_keys, keys):
         entry = groups.get(key)
         if entry is None:
             entry = (raw_key, rid, [PartialAgg(kind) for kind, _ in agg_fns])

@@ -28,9 +28,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.engine.expr import ColumnRef, Comparison, Expr, FuncCall, Literal
+from repro.engine.expr import (
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    Expr,
+    FuncCall,
+    Literal,
+    Negate,
+)
 from repro.engine.sql.ast import OrderItem, SelectItem, TableRef
-from repro.engine.types import INTEGER, VARCHAR, SqlType
+from repro.engine.types import INTEGER, VARCHAR, IntegerType, SqlType
 
 #: scalar UDF names the engine treats as XADT methods (mirrors
 #: expr_compile.XADT_METHOD_NAMES; re-exported there to avoid a cycle)
@@ -326,6 +334,14 @@ def infer_type(expr: Expr, binding, registry) -> SqlType:
         return VARCHAR
     if isinstance(expr, (_Cmp, _Like)):
         return INTEGER
+    if isinstance(expr, (Arithmetic, Negate)) and all(
+        isinstance(infer_type(operand, binding, registry), IntegerType)
+        for operand in children_of(expr)
+    ):
+        return INTEGER
+    # unknown shapes answer VARCHAR: a *guess*, so nothing downstream may
+    # specialise on an output slot's type (the batch kernels decide from
+    # the value types they observe)
     return VARCHAR
 
 

@@ -56,7 +56,13 @@ from repro.engine.expr import (
 )
 from repro.engine.expr_compile import compile_projection, compile_row_expr
 from repro.engine.index import BTreeIndex, Index
-from repro.engine.io import IoCounters, estimate_row_bytes, pages_of_bytes
+from repro.engine.io import (
+    IoCounters,
+    batch_row_bytes,
+    estimate_row_bytes,
+    pages_of_bytes,
+)
+from repro.engine.parallel import AGG_UPDATES, PartialAgg, execute_fragment
 from repro.engine.snapshot import (
     active_budget,
     current_context,
@@ -84,7 +90,7 @@ from repro.engine.plan.logical import (
 from repro.engine.storage import HeapTable, PartitionedHeapTable
 from repro.engine.types import INTEGER, VARCHAR, SqlType
 from repro.engine.udf import FunctionRegistry, TableFunction
-from repro.engine.values import group_key
+from repro.engine.values import batch_group_keys
 from repro.errors import ExecutionError, PlanError
 from repro.obs.explain import OperatorStats
 from repro.obs.trace import TRACER
@@ -107,6 +113,22 @@ def _batched(rows: Iterable[tuple], size: int) -> Iterator[Batch]:
             batch = []
     if batch:
         yield batch
+
+
+def _filter_batch(predicate: Compiled, batch: Batch) -> Batch:
+    """Rows of ``batch`` satisfying ``predicate`` (one comprehension)."""
+    batch_filter = getattr(predicate, "batch_filter", None)
+    if batch_filter is not None:
+        return batch_filter(batch)
+    return [row for row in batch if predicate(row)]
+
+
+def _eval_column(expr: Compiled, batch: Batch) -> list:
+    """``expr`` over every row of ``batch`` (one comprehension)."""
+    batch_eval = getattr(expr, "batch_eval", None)
+    if batch_eval is not None:
+        return batch_eval(batch)
+    return [expr(row) for row in batch]
 
 
 def _instrumented(impl: Iterator[Batch], stats: OperatorStats) -> Iterator[Batch]:
@@ -264,16 +286,10 @@ class SeqScan(Operator):
             )
             self.io.charge_sequential(pages)
         predicate = self.predicate
-        batch_filter = (
-            getattr(predicate, "batch_filter", None) if predicate is not None else None
-        )
         pick = _picker(self.projection)
         for chunk in self.table.scan_batches(self.batch_size, limit=bound):
             if predicate is not None:
-                if batch_filter is not None:
-                    chunk = batch_filter(chunk)
-                else:
-                    chunk = [row for row in chunk if predicate(row)]
+                chunk = _filter_batch(predicate, chunk)
                 if not chunk:
                     continue
             if pick is not None:
@@ -409,62 +425,49 @@ class HashJoin(Operator):
 
     def _execute(self) -> Iterator[Batch]:
         table: dict[object, list[tuple]] = {}
-        right_keys = self.right_keys
-        single = len(right_keys) == 1
+        composite = len(self.right_keys) > 1
+        right_key = itemgetter(*self.right_keys)
         build_bytes = 0
         budget = active_budget()
         setdefault = table.setdefault
-        if single:
-            right_key = right_keys[0]
-            for batch in self.right.batches():
-                before = build_bytes
-                for row in batch:
-                    build_bytes += estimate_row_bytes(row)
-                    key = group_key(row[right_key])
-                    if key is None:
-                        continue  # NULL keys never join
-                    setdefault(key, []).append(row)
-                if budget is not None:
-                    budget.charge_memory(build_bytes - before)
-        else:
-            for batch in self.right.batches():
-                before = build_bytes
-                for row in batch:
-                    build_bytes += estimate_row_bytes(row)
-                    key = tuple(group_key(row[i]) for i in right_keys)
-                    if any(part is None for part in key):
-                        continue  # NULL keys never join
-                    setdefault(key, []).append(row)
-                if budget is not None:
-                    budget.charge_memory(build_bytes - before)
+        for batch in self.right.batches():
+            width = batch_row_bytes(batch)
+            build_bytes += width
+            keys = batch_group_keys(list(map(right_key, batch)), composite)
+            if composite:
+                for key, row in zip(keys, batch):
+                    if None not in key:  # NULL keys never join
+                        setdefault(key, []).append(row)
+            else:
+                for key, row in zip(keys, batch):
+                    if key is not None:
+                        setdefault(key, []).append(row)
+            if budget is not None:
+                budget.charge_memory(width)
         spilled = (
             self.io is not None and build_bytes > self.io.work_mem_bytes
         )
-        left_keys = self.left_keys
-        left_key = left_keys[0] if single else -1
+        left_key = itemgetter(*self.left_keys)
         residual = self.residual
         get = table.get
         probe_bytes = 0
         for left_batch in self.left.batches():
-            out: Batch = []
-            append = out.append
-            for left_row in left_batch:
-                if spilled:
-                    probe_bytes += estimate_row_bytes(left_row)
-                if single:
-                    bucket = get(group_key(left_row[left_key]))
-                else:
-                    bucket = get(tuple(group_key(left_row[i]) for i in left_keys))
-                if bucket is None:
-                    continue
-                if residual is None:
-                    for right_row in bucket:
-                        append(left_row + right_row)
-                else:
-                    for right_row in bucket:
-                        combined = left_row + right_row
-                        if residual(combined):
-                            append(combined)
+            if spilled:
+                probe_bytes += batch_row_bytes(left_batch)
+            keys = batch_group_keys(list(map(left_key, left_batch)), composite)
+            # a NULL key (or part) finds no bucket: the build skipped them
+            if residual is None:
+                out = [
+                    left_row + right_row
+                    for left_row, key in zip(left_batch, keys)
+                    for right_row in get(key, ())
+                ]
+            else:  # filter as the pairs are formed: only passing rows are kept
+                out = _filter_batch(residual, (
+                    left_row + right_row
+                    for left_row, key in zip(left_batch, keys)
+                    for right_row in get(key, ())
+                ))
             if out:
                 yield out
         if spilled:
@@ -517,9 +520,7 @@ class NestedLoopJoin(Operator):
             right_rows = []
             for batch in self.right.batches():
                 right_rows.extend(batch)
-                budget.charge_memory(
-                    sum(estimate_row_bytes(row) for row in batch)
-                )
+                budget.charge_memory(batch_row_bytes(batch))
         predicate = self.predicate
         for left_batch in self.left.batches():
             out: Batch = []
@@ -695,15 +696,8 @@ class Filter(Operator):
 
     def _execute(self) -> Iterator[Batch]:
         predicate = self.predicate
-        batch_filter = getattr(predicate, "batch_filter", None)
-        if batch_filter is not None:
-            for batch in self.input.batches():
-                kept = batch_filter(batch)
-                if kept:
-                    yield kept
-            return
         for batch in self.input.batches():
-            kept = [row for row in batch if predicate(row)]
+            kept = _filter_batch(predicate, batch)
             if kept:
                 yield kept
 
@@ -782,20 +776,18 @@ class HashDistinct(Operator):
         size = self.batch_size
         out: Batch = []
         for batch in self.input.batches():
-            kept_bytes = 0
-            for row in batch:
-                key = tuple(group_key(value) for value in row)
-                if key in seen:
-                    continue
-                seen_add(key)
-                if budget is not None:
-                    kept_bytes += estimate_row_bytes(row)
-                out.append(row)
-                if len(out) >= size:
-                    yield out
-                    out = []
-            if budget is not None and kept_bytes:
-                budget.charge_memory(kept_bytes)
+            fresh = [
+                row
+                for key, row in zip(batch_group_keys(batch, True), batch)
+                if key not in seen and not seen_add(key)
+            ]
+            out.extend(fresh)
+            if len(out) >= size:
+                full = len(out) - len(out) % size
+                yield from _batched(out[:full], size)
+                out = out[full:]
+            if budget is not None and fresh:
+                budget.charge_memory(batch_row_bytes(fresh))
         if out:
             yield out
 
@@ -814,46 +806,14 @@ class AggSpec:
     distinct: bool = False
 
 
-class _Accumulator:
-    __slots__ = ("kind", "count", "total", "best", "distinct_seen")
+class _Accumulator(PartialAgg):
+    """An aggregate's running state, plus its DISTINCT set."""
+
+    __slots__ = ("seen",)
 
     def __init__(self, kind: str, distinct: bool) -> None:
-        self.kind = kind
-        self.count = 0
-        self.total: float | int = 0
-        self.best: object = None
-        self.distinct_seen: set[object] | None = set() if distinct else None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        if self.distinct_seen is not None:
-            key = group_key(value)
-            if key in self.distinct_seen:
-                return
-            self.distinct_seen.add(key)
-        self.count += 1
-        kind = self.kind
-        if kind in ("sum", "avg"):
-            if not isinstance(value, (int, float)):
-                raise ExecutionError(f"{kind.upper()} over non-numeric {value!r}")
-            self.total += value
-        elif kind == "min":
-            if self.best is None or value < self.best:  # type: ignore[operator]
-                self.best = value
-        elif kind == "max":
-            if self.best is None or value > self.best:  # type: ignore[operator]
-                self.best = value
-
-    def result(self) -> object:
-        kind = self.kind
-        if kind == "count":
-            return self.count
-        if kind == "sum":
-            return self.total if self.count else None
-        if kind == "avg":
-            return (self.total / self.count) if self.count else None
-        return self.best
+        super().__init__(kind)
+        self.seen: set[object] | None = set() if distinct else None
 
 
 class HashAggregate(Operator):
@@ -877,32 +837,49 @@ class HashAggregate(Operator):
         groups: dict[tuple, tuple[tuple, list[_Accumulator]]] = {}
         group_exprs = self.group_exprs
         aggregates = self.aggregates
+        updates = [AGG_UPDATES[spec.kind] for spec in aggregates]
         budget = active_budget()
         #: modelled bytes per group entry: key tuple + accumulator slots
         group_overhead = 56 * max(len(aggregates), 1)
         groups_get = groups.get
         for batch in self.input.batches():
             new_bytes = 0
-            for row in batch:
-                raw_key = tuple(expr(row) for expr in group_exprs)
-                key = tuple(group_key(value) for value in raw_key)
+            raw_keys = (
+                list(zip(*[_eval_column(expr, batch) for expr in group_exprs]))
+                if group_exprs
+                else [()] * len(batch)
+            )
+            #: each row's accumulator list (its group's)
+            row_accumulators = []
+            for key, raw_key in zip(batch_group_keys(raw_keys, True), raw_keys):
                 entry = groups_get(key)
                 if entry is None:
-                    entry = (
+                    entry = groups[key] = (
                         raw_key,
                         [_Accumulator(a.kind, a.distinct) for a in aggregates],
                     )
-                    groups[key] = entry
                     if budget is not None:
                         new_bytes += (
                             estimate_row_bytes(raw_key) + group_overhead
                         )
-                accumulators = entry[1]
-                for spec, accumulator in zip(aggregates, accumulators):
-                    if spec.arg is None:  # COUNT(*)
-                        accumulator.count += 1
-                    else:
-                        accumulator.add(spec.arg(row))
+                row_accumulators.append(entry[1])
+            for slot, (spec, update) in enumerate(zip(aggregates, updates)):
+                if spec.arg is None:  # COUNT(*)
+                    for accumulators in row_accumulators:
+                        accumulators[slot].count += 1
+                    continue
+                values = _eval_column(spec.arg, batch)
+                if not spec.distinct:
+                    for accumulators, value in zip(row_accumulators, values):
+                        if value is not None:
+                            update(accumulators[slot], value)
+                    continue
+                keys = batch_group_keys(values, False)
+                for accumulators, value, key in zip(row_accumulators, values, keys):
+                    accumulator = accumulators[slot]
+                    if value is not None and key not in accumulator.seen:
+                        accumulator.seen.add(key)
+                        update(accumulator, value)
             if budget is not None and new_bytes:
                 budget.charge_memory(new_bytes)
         if not groups and self._grand_total:
@@ -973,9 +950,7 @@ class Sort(Operator):
             rows = []
             for batch in self.input.batches():
                 rows.extend(batch)
-                budget.charge_memory(
-                    sum(estimate_row_bytes(row) for row in batch)
-                )
+                budget.charge_memory(batch_row_bytes(batch))
         # stable multi-key sort: apply keys right-to-left
         for key, desc in reversed(list(zip(self.keys, self.descending))):
             rows.sort(key=lambda row: _SortKey(key(row)), reverse=desc)
@@ -1190,8 +1165,6 @@ class Exchange(Operator):
         return task
 
     def _execute(self) -> Iterator[Batch]:
-        from repro.engine import parallel
-
         wall_started = time.perf_counter()
         cpu_started = time.process_time()
         heap = self.heap
@@ -1202,7 +1175,7 @@ class Exchange(Operator):
             if self.agg is not None and self.agg["grand_total"]:
                 yield [
                     tuple(
-                        parallel.PartialAgg(kind).result()
+                        PartialAgg(kind).result()
                         for kind, _ in self.agg["aggs"]
                     )
                 ]
@@ -1251,9 +1224,9 @@ class Exchange(Operator):
                 # compute is genuine coordinator CPU, so it lands in the
                 # process_time window and lengthens the critical path
                 results.append(
-                    parallel.execute_fragment(task, provider(), self.registry)
+                    execute_fragment(task, provider(), self.registry)
                 )
-        batches = list(self._stitch(results, parallel))
+        batches = list(self._stitch(results))
         if self.io is not None and lane_seconds:
             # The 1-CPU host serialized coordinator work and every worker
             # lane into our wall clock.  On the modeled pool (one core per
@@ -1268,10 +1241,10 @@ class Exchange(Operator):
             self.io.charge_overlap(max(wall - critical, 0.0))
         yield from batches
 
-    def _stitch(self, results, parallel) -> Iterator[Batch]:
+    def _stitch(self, results) -> Iterator[Batch]:
         """Merge fragment results into output batches (coordinator side)."""
         if self.agg is not None:
-            yield from self._merge_partial_agg(results, parallel)
+            yield from self._merge_partial_agg(results)
             return
         size = self.batch_size
         if self.mode == "ordered":
@@ -1289,7 +1262,7 @@ class Exchange(Operator):
                 for start in range(0, len(pairs), size):
                     yield [row for _, row in pairs[start : start + size]]
 
-    def _merge_partial_agg(self, results, parallel) -> Iterator[Batch]:
+    def _merge_partial_agg(self, results) -> Iterator[Batch]:
         assert self.agg is not None
         kinds = [kind for kind, _ in self.agg["aggs"]]
         merged: dict[tuple, list] = {}
@@ -1298,7 +1271,7 @@ class Exchange(Operator):
                 entry = merged.get(key)
                 if entry is None:
                     entry = [raw_key, first_rid, [
-                        parallel.PartialAgg(kind) for kind in kinds
+                        PartialAgg(kind) for kind in kinds
                     ]]
                     merged[key] = entry
                 elif first_rid < entry[1]:
@@ -1308,7 +1281,7 @@ class Exchange(Operator):
         if not merged:
             if self.agg["grand_total"]:
                 yield [
-                    tuple(parallel.PartialAgg(kind).result() for kind in kinds)
+                    tuple(PartialAgg(kind).result() for kind in kinds)
                 ]
             return
         # ascending minimal row id == HashAggregate's first-seen order

@@ -30,9 +30,10 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
+from repro.engine.config import DEFAULT_BATCH_SIZE
 from repro.engine.expr import ParamBox
 from repro.engine.governor import GovernorLimits
-from repro.engine.io import IoCounters, estimate_row_bytes
+from repro.engine.io import IoCounters, batch_row_bytes
 from repro.engine.plan.optimizer import plan_select
 from repro.engine.plan_cache import CachedPlan, normalize_sql
 from repro.engine.result import Result
@@ -303,8 +304,11 @@ class Session:
     ) -> None:
         observation.rows = len(result.rows)
         if STATEMENTS.track_result_bytes:
+            rows = result.rows
+            # a batch at a time: the kernel's transients stay batch-sized
             observation.bytes = sum(
-                estimate_row_bytes(row) for row in result.rows
+                batch_row_bytes(rows[start:start + DEFAULT_BATCH_SIZE])
+                for start in range(0, len(rows), DEFAULT_BATCH_SIZE)
             )
         # deltas of process-wide counters: exact single-threaded,
         # best-effort (may over-attribute) under concurrent writers
@@ -451,9 +455,7 @@ class Session:
                         rows.extend(batch)
                         if caps:
                             budget.add_result_rows(len(batch))
-                            budget.add_result_bytes(
-                                sum(estimate_row_bytes(row) for row in batch)
-                            )
+                            budget.add_result_bytes(batch_row_bytes(batch))
                 span.args["rows"] = len(rows)
         finally:
             if token is not None:

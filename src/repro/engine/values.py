@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain
 
 from repro.engine.types import is_xadt_value
 from repro.errors import ExecutionError
@@ -173,38 +174,75 @@ def like(value: object, pattern: str) -> bool:
     return _like_regex(pattern).fullmatch(text) is not None
 
 
+def _like_text_test(pattern: str):
+    """``text -> bool`` for ``pattern``: a plain ``str`` operation for the
+    shapes ``lit``, ``lit%``, ``%lit`` and ``%lit%`` (no ``_``; runs of
+    ``%`` match like one), the compiled regex for everything else."""
+    core = pattern.strip("%")
+    if "_" in core or "%" in core:
+        match = _like_regex(pattern).fullmatch
+        return lambda text: match(text) is not None
+    leading, trailing = pattern.startswith("%"), pattern.endswith("%")
+    if leading and trailing:
+        return lambda text: core in text
+    if trailing:
+        return lambda text: text.startswith(core)
+    if leading:
+        return lambda text: text.endswith(core)
+    return core.__eq__
+
+
 def like_matcher(pattern: str, negated: bool = False):
     """A prebound LIKE predicate for ``pattern``.
 
     Semantically identical to ``like(value, pattern)`` (respectively
     ``value is not None and not like(value, pattern)`` when negated),
-    but the regex is resolved once at compile time instead of through
-    the lru_cache on every row.
+    but the pattern is resolved once at compile time — to a substring /
+    prefix / suffix / equality test where its shape allows — instead of
+    a regex ``fullmatch`` through the lru_cache on every row.
     """
-    match = _like_regex(pattern).fullmatch
-    if negated:
-        def negative(value: object) -> bool:
-            if value is None:
-                return False
-            text = _xadt_text(value) if is_xadt_value(value) else str(value)
-            return match(text) is None
+    test = _like_text_test(pattern)
 
-        return negative
-
-    def positive(value: object) -> bool:
+    def matcher(value: object) -> bool:
         if value is None:
             return False
-        text = _xadt_text(value) if is_xadt_value(value) else str(value)
-        return match(text) is not None
+        if type(value) is not str:
+            value = _xadt_text(value)
+        return test(value) is not negated
 
-    return positive
+    return matcher
 
 
 def group_key(value: object) -> object:
-    """A hashable grouping key for DISTINCT / GROUP BY / hash joins."""
+    """A hashable grouping key for DISTINCT / GROUP BY / hash joins.
+
+    The reference semantics of :func:`batch_group_keys`.
+    """
     if is_xadt_value(value):
         return ("\0xadt", _xadt_text(value))
     return value
+
+
+#: exact types ``group_key`` maps to themselves
+_PLAIN_KEY_TYPES = frozenset({int, str, float, bool, type(None)})
+
+
+def batch_group_keys(raw_keys: list, composite: bool) -> list:
+    """``group_key`` over a batch of raw keys — the key kernel.
+
+    ``raw_keys`` holds one scalar per row, or with ``composite`` one
+    tuple of key parts per row (rewritten part-wise).  ``group_key`` is
+    the identity on int/str/float/NULL, so when the value types observed
+    in the batch are all plain the input list itself is returned; only a
+    batch holding anything else (an XADT fragment, wherever the planner
+    typed the slot) takes the per-value reference path.
+    """
+    parts = chain.from_iterable(raw_keys) if composite else raw_keys
+    if _PLAIN_KEY_TYPES.issuperset(map(type, parts)):
+        return raw_keys
+    if composite:
+        return [tuple(map(group_key, key)) for key in raw_keys]
+    return list(map(group_key, raw_keys))
 
 
 def render(value: object) -> str:
