@@ -26,7 +26,6 @@ from repro.datagen.shakespeare import (
 )
 from repro.datagen.sigmod import SigmodConfig, generate_corpus as generate_sigmod
 from repro.dtd import samples
-from repro.engine.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.io import SEQUENTIAL_PAGE_SECONDS
 from repro.engine.pages import PAGE_SIZE
@@ -186,18 +185,14 @@ def build_database(
     documents: list[Document],
     workload: list[str],
     sample_for_codecs: int = 0,
-    exec_config: ExecutionConfig | None = None,
 ) -> LoadedDatabase:
     """Create, load, advise indexes, and runstats one database.
 
     The recorded load time covers shredding + insertion + index builds +
     runstats — the paper's full database-preparation path (its loading
-    experiment compares ready-to-query databases).  ``exec_config``
-    selects the execution mode (vectorized by default); the speedup
-    benchmark passes :data:`~repro.engine.config.ROW_AT_A_TIME` to build
-    its baseline side.
+    experiment compares ready-to-query databases).
     """
-    db = Database(algorithm, exec_config=exec_config)
+    db = Database(algorithm)
     register_xadt_functions(db)
     codecs: dict[str, str] = {}
     if sample_for_codecs:
@@ -244,11 +239,7 @@ BASE_SIGMOD = SigmodConfig(documents=12)
 BASE_PLAYS = PlaysConfig(plays=3)
 
 
-def build_pair(
-    dataset: str,
-    scale: int = 1,
-    exec_config: ExecutionConfig | None = None,
-) -> DatasetPair:
+def build_pair(dataset: str, scale: int = 1) -> DatasetPair:
     """Generate the corpus at ``scale`` and load both databases."""
     if scale < 1:
         raise BenchmarkError("scale must be >= 1")
@@ -277,11 +268,10 @@ def build_pair(
         raise BenchmarkError(f"unknown dataset {dataset!r}")
 
     hybrid = build_database(
-        "hybrid", map_hybrid(simplified), documents, hybrid_sql,
-        exec_config=exec_config,
+        "hybrid", map_hybrid(simplified), documents, hybrid_sql
     )
     xorator = build_database(
         "xorator", map_xorator(simplified), documents, xorator_sql,
-        sample_for_codecs=codec_samples, exec_config=exec_config,
+        sample_for_codecs=codec_samples,
     )
     return DatasetPair(dataset, scale, hybrid, xorator)

@@ -1,23 +1,12 @@
 """Execution-layer configuration.
 
-One :class:`ExecutionConfig` rides on each :class:`~repro.engine.database.Database`
-and steers the physical layer the planner emits:
+The engine has one execution regime — batches of row tuples through
+expressions compiled by :mod:`repro.engine.expr_compile`, with
+single-table predicates and the needed-column projection pushed into the
+scans — so the one :class:`ExecutionConfig` riding on each
+:class:`~repro.engine.database.Database` only selects what differs
+between deployments:
 
-* ``batch_size`` — rows per batch in the vectorized executor
-  (``Operator._execute`` yields lists of row tuples).  1024 amortizes
-  the per-batch Python overhead (iterator resumption, instrumentation
-  branch, loop setup) over enough rows that per-row cost approaches the
-  body of a list comprehension, while a batch of 1024 narrow tuples
-  still fits comfortably in cache.  ``batch_size=1`` degenerates to the
-  classic row-at-a-time Volcano regime and is the measured baseline of
-  ``benchmarks/bench_vectorized_speedup.py``.
-* ``compiled_expressions`` — lower predicates/projections through
-  :mod:`repro.engine.expr_compile` (one generated closure per
-  expression) instead of the tree-walking closure chains of
-  :func:`repro.engine.expr.compile_expr`.
-* ``scan_pushdown`` — push single-table predicates and the needed-column
-  projection into ``SeqScan``/``IndexScan`` so filtered scans never
-  materialize dropped columns.
 * ``xadt_structural_index`` — route the XADT methods through the
   persistent per-column structural index
   (:mod:`repro.xadt.structural_index`) when one is published for the
@@ -31,59 +20,37 @@ and steers the physical layer the planner emits:
   wrapped in a scatter-gather Exchange.
 
 Changing the config on a live database bumps its config epoch, which
-invalidates cached plans (their operators bake in batch sizes, compiled
-closures, and pruned scan layouts).
+invalidates cached plans (their operators bake in the XADT access-path
+label and the Exchange wrapping).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.errors import ConfigError
 
-#: target rows per batch (see the module docstring for the rationale)
+#: target rows per batch (``Operator._execute`` yields lists of row
+#: tuples).  1024 amortizes the per-batch Python overhead (iterator
+#: resumption, instrumentation branch, loop setup) over enough rows that
+#: per-row cost approaches the body of a list comprehension, while a
+#: batch of 1024 narrow tuples still fits comfortably in cache.
 DEFAULT_BATCH_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Immutable knobs of the vectorized execution layer."""
+    """Immutable knobs of the execution layer."""
 
-    batch_size: int = DEFAULT_BATCH_SIZE
-    compiled_expressions: bool = True
-    scan_pushdown: bool = True
     xadt_structural_index: bool = False
     parallel_workers: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
         if self.parallel_workers < 0:
             raise ConfigError("parallel_workers cannot be negative")
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "batch_size": self.batch_size,
-            "compiled_expressions": self.compiled_expressions,
-            "scan_pushdown": self.scan_pushdown,
-            "xadt_structural_index": self.xadt_structural_index,
-            "parallel_workers": self.parallel_workers,
-        }
+        return asdict(self)
 
 
-#: the pre-vectorization regime: one row per batch, tree-walking
-#: expression closures, no scan-level pushdown — the benchmark baseline
-ROW_AT_A_TIME = ExecutionConfig(
-    batch_size=1, compiled_expressions=False, scan_pushdown=False
-)
-
-#: the shipped default
-VECTORIZED = ExecutionConfig()
-
-
-__all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "ExecutionConfig",
-    "ROW_AT_A_TIME",
-    "VECTORIZED",
-]
+__all__ = ["DEFAULT_BATCH_SIZE", "ExecutionConfig"]

@@ -332,8 +332,8 @@ class Database:
     def set_exec_config(self, config: ExecutionConfig) -> None:
         """Swap the execution config; cached plans are invalidated.
 
-        Plans bake in batch sizes, compiled expression closures, and
-        pruned scan layouts, so the catalog-version bump purges every
+        Plans bake in the XADT access path and the Exchange wrapping of
+        partitioned scans, so the catalog-version bump purges every
         cached statement at publish time.
         """
         with self._write() as version:

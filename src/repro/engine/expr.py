@@ -296,6 +296,16 @@ class Negate(Expr):
         return f"-({self.operand.sql()})"
 
 
+@dataclass(frozen=True)
+class SlotRef(Expr):
+    """Planner-internal direct slot reference (aggregate substitution)."""
+
+    index: int
+
+    def sql(self) -> str:
+        return f"$${self.index}"
+
+
 # ---------------------------------------------------------------------------
 # name binding
 # ---------------------------------------------------------------------------
@@ -368,7 +378,12 @@ def compile_expr(
     registry: FunctionRegistry,
     params: ParamBox | None = None,
 ) -> Compiled:
-    """Compile ``expr`` to a closure over row tuples.
+    """Compile ``expr`` to a tree of per-node closures over row tuples.
+
+    The reference semantics of the expression language: the generated
+    code of :mod:`repro.engine.expr_compile` — the only compiler a plan
+    holds — is diffed against it (``tests/engine/test_expr_compile.py``),
+    and ``INSERT ... VALUES`` evaluates its constants with it.
 
     ``params`` is the bind-value box Parameter markers read from; plans
     compiled without one reject markers at plan time.
@@ -389,6 +404,9 @@ def compile_expr(
         return lambda row: box.values[slot_index]
     if isinstance(expr, ColumnRef):
         index = binding.resolve(expr)
+        return lambda row: row[index]
+    if isinstance(expr, SlotRef):
+        index = expr.index
         return lambda row: row[index]
     if isinstance(expr, Star):
         raise PlanError("'*' is only valid inside COUNT(*)")

@@ -1,11 +1,12 @@
-"""Source-level expression compilation (the vectorized executor's lane).
+"""Source-level expression compilation: the one compiler a plan holds.
 
-:func:`repro.engine.expr.compile_expr` builds a closure *tree*: one
-lambda per AST node, so evaluating ``a = 3 AND b LIKE '%x%'`` costs five
-Python calls per row.  This module lowers the same AST into a single
-Python source fragment, compiles it once per (cached) plan, and returns
-one closure whose body is the whole expression — per-row cost collapses
-to one call plus the work itself.
+Every predicate, projection, group key, aggregate argument and sort key
+of a plan (and of a worker fragment) is lowered here into a single
+Python source fragment, compiled once per (cached) plan, and returned as
+one closure whose body is the whole expression — per-row cost is one
+call plus the work itself, where the closure *tree* of the reference
+evaluator :func:`repro.engine.expr.compile_expr` (one lambda per AST
+node) costs five calls for ``a = 3 AND b LIKE '%x%'``.
 
 The compiled closure carries two batch-level companions as attributes
 (compiled from the same fragment against the same environment, each on
@@ -17,7 +18,7 @@ its first call):
 so batch operators can run a whole batch inside one list comprehension
 without re-entering Python call dispatch per row.
 
-Semantics are bit-identical to the interpreted evaluator (enforced by
+Semantics are bit-identical to the reference evaluator (enforced by
 ``tests/engine/test_expr_compile.py``): NULL comparisons are not true,
 LIKE on NULL is false, ``NOT LIKE`` requires a non-NULL operand,
 arithmetic propagates NULL and divides ints with ``//``, and scalar
@@ -51,6 +52,7 @@ from repro.engine.expr import (
     Or,
     ParamBox,
     Parameter,
+    SlotRef,
     Star,
 )
 from repro.engine.types import IntegerType, VarcharType
@@ -120,9 +122,8 @@ _ARITH_FNS = {
 def _negate(value: object) -> object:
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        if not isinstance(value, (int, float)):
-            raise ExecutionError(f"cannot negate {value!r}")
+    if not isinstance(value, (int, float)):
+        raise ExecutionError(f"cannot negate {value!r}")
     return -value  # type: ignore[operator]
 
 
@@ -167,6 +168,8 @@ class _Lowering:
             return f"_params.values[{expr.index}]"
         if isinstance(expr, ColumnRef):
             return f"row[{self.binding.resolve(expr)}]"
+        if isinstance(expr, SlotRef):  # post-aggregation slot placeholder
+            return f"row[{expr.index}]"
         if isinstance(expr, Star):
             raise PlanError("'*' is only valid inside COUNT(*)")
         if isinstance(expr, FuncCall):
@@ -206,9 +209,6 @@ class _Lowering:
         if isinstance(expr, Negate):
             self.env.setdefault("_negate", _negate)
             return f"_negate({self.lower(expr.operand)})"
-        if type(expr).__name__ in ("SlotRef", "_SlotRef") and hasattr(expr, "index"):
-            # the planner's post-aggregation slot placeholder
-            return f"row[{expr.index}]"
         raise PlanError(f"cannot compile expression node {type(expr).__name__}")
 
     def _literal(self, value: object) -> str:
@@ -314,19 +314,14 @@ def compile_row_expr(
 ) -> Compiled:
     """Lower ``expr`` to one generated closure (plus batch companions).
 
-    Drop-in replacement for :func:`repro.engine.expr.compile_expr`; the
-    returned callable additionally exposes ``batch_filter``,
-    ``batch_eval``, and the generated ``source`` fragment.
+    ``fn(row)`` evaluates the expression; the callable additionally
+    exposes ``batch_filter``, ``batch_eval``, and the generated
+    ``source`` fragment.
     """
     lowering = _Lowering(binding, registry, params)
     fragment = lowering.lower(expr)
     env = lowering.env
-    try:
-        fn = _compile_fragment(f"lambda row: {fragment}", env)
-    except SyntaxError:  # pragma: no cover - codegen bug safety net
-        from repro.engine.expr import compile_expr
-
-        return compile_expr(expr, binding, registry, params)
+    fn = _compile_fragment(f"lambda row: {fragment}", env)
     fn.batch_filter = _lazy(
         f"lambda _batch: [row for row in _batch if {fragment}]", env
     )
@@ -352,17 +347,7 @@ def compile_projection(
     body = ", ".join(fragments) + ("," if len(fragments) == 1 else "")
     source = f"({body})"
     env = lowering.env
-    try:
-        fn = _compile_fragment(f"lambda row: {source}", env)
-    except SyntaxError:  # pragma: no cover - codegen bug safety net
-        from repro.engine.expr import compile_expr
-
-        parts = [compile_expr(e, binding, registry, params) for e in exprs]
-
-        def fallback(row: tuple) -> tuple:
-            return tuple(part(row) for part in parts)
-
-        return fallback
+    fn = _compile_fragment(f"lambda row: {source}", env)
     fn.batch_eval = _lazy(f"lambda _batch: [{source} for row in _batch]", env)
     fn.source = source
     fn.xadt_methods = frozenset(lowering.xadt_methods)

@@ -1,6 +1,6 @@
 """Partition-parallel execution: worker pool, fragment protocol, retry.
 
-The scatter-gather Exchange operator (:mod:`repro.engine.plan.physical`)
+The scatter-gather Exchange operator (:mod:`repro.engine.plan.exchange`)
 splits a scan of a :class:`~repro.engine.storage.PartitionedHeapTable`
 into per-partition *fragments* and runs them on a pool of forked worker
 processes.  This module owns everything below the operator:
@@ -205,7 +205,8 @@ def _full_binding(schema, alias: str) -> Binding:
     )
 
 
-def _picker(projection: list[int] | None):
+def row_picker(projection: list[int] | None):
+    """A row → pruned-tuple function for a pushed-down column list."""
     if projection is None:
         return None
     if not projection:
@@ -247,7 +248,7 @@ def execute_fragment(
         fn = compile_row_expr(predicate, binding, registry, params)
         pairs = [(rid, row) for rid, row in pairs if fn(row)]
     projection = task["projection"]
-    pick = _picker(projection)
+    pick = row_picker(projection)
     out_binding = (
         binding
         if projection is None

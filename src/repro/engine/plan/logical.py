@@ -10,8 +10,8 @@ records the decisions as plain node fields holding AST
 
 Two lowering backends consume it:
 
-* :func:`repro.engine.plan.physical.lower_select` builds the native
-  vectorized operator tree (compiling expressions to closures exactly
+* :func:`repro.engine.plan.lowering.lower_select` builds the native
+  batch operator tree (compiling expressions to closures exactly
   as the pre-IR planner did — golden-EXPLAIN snapshots pin that the
   translation is byte-for-byte plan-neutral), and
 * :mod:`repro.backends.sqlite` emits SQL text for a stdlib ``sqlite3``
@@ -36,6 +36,7 @@ from repro.engine.expr import (
     FuncCall,
     Literal,
     Negate,
+    SlotRef,
 )
 from repro.engine.sql.ast import OrderItem, SelectItem, TableRef
 from repro.engine.types import INTEGER, VARCHAR, IntegerType, SqlType
@@ -248,18 +249,8 @@ def collect_aggregates(
     return collected
 
 
-@dataclass(frozen=True)
-class SlotRef(Expr):
-    """Planner-internal direct slot reference (aggregate substitution)."""
-
-    index: int
-
-    def sql(self) -> str:
-        return f"$${self.index}"
-
-
 def rebuild_with_slots(expr: Expr, substitutions: dict[Expr, int]) -> Expr | None:
-    """Replace substituted subtrees by :class:`SlotRef` placeholders.
+    """Replace substituted subtrees by ``SlotRef`` placeholders.
 
     Returns None when the expression still contains free aggregates.
     """
@@ -295,12 +286,6 @@ def rebuild_with_slots(expr: Expr, substitutions: dict[Expr, int]) -> Expr | Non
         if replacements:
             return dataclasses.replace(expr, **replacements)
     return expr
-
-
-def contains_slot_ref(expr: Expr) -> bool:
-    if isinstance(expr, SlotRef):
-        return True
-    return any(contains_slot_ref(child) for child in children_of(expr))
 
 
 def output_name(expr: Expr, alias: str | None, position: int) -> str:
@@ -357,10 +342,8 @@ __all__ = [
     "LogicalProject",
     "LogicalScan",
     "LogicalSort",
-    "SlotRef",
     "children_of",
     "collect_aggregates",
-    "contains_slot_ref",
     "has_xadt_call",
     "infer_type",
     "output_name",

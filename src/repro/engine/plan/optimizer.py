@@ -14,7 +14,7 @@ Plans a parsed :class:`SelectStmt` in two phases:
    left), and stack aggregation / having / projection / distinct /
    order / limit on top.
 2. a lowering backend turns the IR into something executable.  The
-   native backend is :func:`repro.engine.plan.physical.lower_select`
+   native backend is :func:`repro.engine.plan.lowering.lower_select`
    (compiled-closure operator trees — :func:`plan_select` below); the
    SQLite backend (:mod:`repro.backends.sqlite`) emits SQL text instead.
 
@@ -39,7 +39,7 @@ from repro.engine.expr import (
     and_together,
     conjuncts_of,
 )
-from repro.engine.config import ExecutionConfig, VECTORIZED
+from repro.engine.config import ExecutionConfig
 from repro.engine.index import Index
 from repro.engine.plan import cost as cost_model
 from repro.engine.plan.logical import (
@@ -56,7 +56,8 @@ from repro.engine.plan.logical import (
     LogicalSort,
     collect_aggregates,
 )
-from repro.engine.plan.physical import Operator, lower_select, table_binding
+from repro.engine.plan.lowering import lower_select
+from repro.engine.plan.physical import Operator, table_binding
 from repro.engine.schema import IndexDef
 from repro.engine.statistics import TableStats
 from repro.engine.storage import HeapTable, PartitionedHeapTable
@@ -70,6 +71,7 @@ class PlannerContext(Protocol):
 
     registry: FunctionRegistry
     io: "object"  #: IoCounters shared by the physical operators
+    exec_config: ExecutionConfig
 
     def heap(self, table_name: str) -> HeapTable: ...
 
@@ -78,11 +80,6 @@ class PlannerContext(Protocol):
     def live_index(
         self, table_name: str, column_name: str
     ) -> tuple[IndexDef, Index] | None: ...
-
-
-def _exec_config(ctx: PlannerContext) -> ExecutionConfig:
-    """The context's execution config; contexts without one get defaults."""
-    return getattr(ctx, "exec_config", None) or VECTORIZED
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +180,7 @@ def plan_logical(stmt: SelectStmt, ctx: PlannerContext) -> LogicalNode:
         conjuncts_of(stmt.where), global_binding, set(heaps)
     )
 
-    config = _exec_config(ctx)
-    needed = (
-        _needed_columns(stmt, global_binding) if config.scan_pushdown else None
-    )
-
+    needed = _needed_columns(stmt, global_binding)
     node, binding, _ = _logical_joins(
         base_refs, heaps, stats, classified, ctx, needed
     )
@@ -199,19 +192,21 @@ def plan_logical(stmt: SelectStmt, ctx: PlannerContext) -> LogicalNode:
 
 def _needed_columns(
     stmt: SelectStmt, global_binding: Binding
-) -> dict[str, set[str]] | None:
+) -> dict[str, set[str]]:
     """Columns each base table must materialize, keyed by qualifier.
 
     Walks every expression position of the statement (select list,
     WHERE, GROUP BY, HAVING, ORDER BY, lateral call arguments) so scans
-    can drop all other columns at the source.  Returns None — pushdown
-    disabled — when the select list contains a bare ``*``.  References
-    that don't resolve against the FROM binding (e.g. ORDER BY on an
-    output alias) are skipped; they never name a scan column.
+    can drop all other columns at the source; a bare ``*`` in the select
+    list needs every column.  References that don't resolve against the
+    FROM binding (e.g. ORDER BY on an output alias) are skipped; they
+    never name a scan column.
     """
-    if any(isinstance(item.expr, Star) for item in stmt.items):
-        return None
     needed: dict[str, set[str]] = {}
+    if any(isinstance(item.expr, Star) for item in stmt.items):
+        for slot in global_binding.slots:
+            needed.setdefault(slot.qualifier, set()).add(slot.key)
+        return needed
 
     def visit(expr: Expr) -> None:
         for ref in expr.column_refs():
@@ -239,11 +234,9 @@ def _needed_columns(
 
 
 def _projection_of(
-    heap: HeapTable, qualifier: str, needed: dict[str, set[str]] | None
+    heap: HeapTable, qualifier: str, needed: dict[str, set[str]]
 ) -> list[int] | None:
     """The pushed-down column index list for one scan (schema order)."""
-    if needed is None:
-        return None
     names = needed.get(qualifier, set())
     columns = heap.schema.columns
     if len(names) == len(columns):
@@ -251,16 +244,6 @@ def _projection_of(
     return [
         i for i, column in enumerate(columns) if column.name.lower() in names
     ]
-
-
-def _scan_binding(
-    heap: HeapTable, alias: str, projection: list[int] | None
-) -> Binding:
-    """The slot layout a lowered scan will expose (projection applied)."""
-    full = table_binding(heap, alias)
-    if projection is None:
-        return full
-    return Binding([full.slots[i] for i in projection])
 
 
 def _check_alias_uniqueness(stmt: SelectStmt) -> None:
@@ -298,7 +281,7 @@ def _decide_access(
     table_stats: TableStats | None,
     pushed: list[Expr],
     ctx: PlannerContext,
-    needed: dict[str, set[str]] | None = None,
+    needed: dict[str, set[str]],
 ) -> LogicalScan:
     """Access-path decision for one base table (recorded, not built).
 
@@ -306,7 +289,7 @@ def _decide_access(
     conjunct with a live index wins when the index probe is cheaper than
     the (possibly partition-parallel) sequential scan.
     """
-    config = _exec_config(ctx)
+    config = ctx.exec_config
     projection = _projection_of(heap, ref.qualifier.lower(), needed)
     # partition-parallel scans need a partitioned heap, an enabled pool,
     # and a context that can provide one (DESIGN.md §12)
@@ -450,7 +433,7 @@ def _logical_joins(
     stats: dict[str, TableStats | None],
     classified: _Classified,
     ctx: PlannerContext,
-    needed: dict[str, set[str]] | None = None,
+    needed: dict[str, set[str]],
 ) -> tuple[LogicalNode, Binding, float]:
     if not base_refs:
         raise PlanError("at least one base table is required in FROM")
@@ -482,7 +465,7 @@ def _logical_joins(
         start_ref, heaps[start_qualifier], stats[start_qualifier], start_pushed,
         ctx, needed,
     )
-    binding = _scan_binding(
+    binding = table_binding(
         heaps[start_qualifier], start_ref.alias, node.projection
     )
     current_rows = node.estimate
@@ -529,7 +512,7 @@ def _logical_joins(
                 estimate=current_rows,
             )
             binding = binding.extend(
-                _scan_binding(heaps[ref.qualifier], ref.alias, right.projection)
+                table_binding(heaps[ref.qualifier], ref.alias, right.projection)
             )
         joined.add(candidate)
 
@@ -578,7 +561,7 @@ def _decide_join(
     table_pushed: list[Expr],
     connecting: list[tuple[int, JoinEdge]],
     ctx: PlannerContext,
-    needed: dict[str, set[str]] | None = None,
+    needed: dict[str, set[str]],
 ) -> tuple[LogicalNode, Binding, float]:
     qualifier = ref.qualifier
 
@@ -652,7 +635,7 @@ def _decide_join(
     )
     return (
         join,
-        binding.extend(_scan_binding(heap, ref.alias, right.projection)),
+        binding.extend(table_binding(heap, ref.alias, right.projection)),
         output_rows,
     )
 

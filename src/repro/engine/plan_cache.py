@@ -112,8 +112,8 @@ class CachedPlan:
     params: "ParamBox"
     statement: "SelectStmt"
     #: catalog version the plan was compiled under — plans bake in access
-    #: paths, batch sizes, compiled closures, and pruned scan layouts, so
-    #: any DDL / runstats / config change makes the plan stale
+    #: paths, compiled closures, and pruned scan layouts, so any DDL /
+    #: runstats / config change makes the plan stale
     version: int = 0
 
 

@@ -47,6 +47,12 @@ from repro.obs.metrics import METRICS
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
 
+#: ``exec_config`` keys older logs carry for the execution modes that no
+#: longer exist; replay drops exactly these, any other unknown key is an error
+_RETIRED_CONFIG_KEYS = frozenset(
+    {"batch_size", "compiled_expressions", "scan_pushdown"}
+)
+
 _RECOVERIES = METRICS.counter("wal.recoveries")
 _REPLAYED = METRICS.counter("wal.records_replayed")
 
@@ -146,7 +152,16 @@ def _apply(db: "Database", record: dict) -> None:
     elif kind == "runstats":
         db.runstats(record["table"])
     elif kind == "exec_config":
-        db.set_exec_config(ExecutionConfig(**record["config"]))
+        kept = {
+            key: value
+            for key, value in record["config"].items()
+            if key not in _RETIRED_CONFIG_KEYS
+        }
+        try:
+            config = ExecutionConfig(**kept)
+        except TypeError as exc:
+            raise RecoveryError(f"bad exec_config record: {exc}") from exc
+        db.set_exec_config(config)
     else:
         raise RecoveryError(f"unknown WAL record type {kind!r}")
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Database
-from repro.errors import PlanError
+from repro.errors import ExecutionError, PlanError
 
 
 @pytest.fixture()
@@ -110,6 +110,71 @@ class TestGroupBy:
             "SELECT author, COUNT(*) FROM papers GROUP BY author"
         )
         assert dict(result.rows)[None] == 2
+
+
+class TestExpressionsOverAggregates:
+    """Post-aggregate expressions go through the same generated compiler
+    as every other expression, so they share its semantics: per-author
+    sums are Codd 30 (3 rows), Gray 26 (2), Bird NULL (1)."""
+
+    def test_integer_division_floors_like_a_plain_column(self, db):
+        db.insert("papers", (7, "Gray", 1, 1))  # Gray: 27 pages over 3 rows
+        plain = db.execute("SELECT pages / 4 FROM papers WHERE pID = 1")
+        assert plain.scalar() == 2
+        result = db.execute(
+            "SELECT author, SUM(pages) / 2, SUM(pages) / COUNT(*) "
+            "FROM papers GROUP BY author ORDER BY author"
+        )
+        assert result.rows == [("Bird", None, None), ("Codd", 15, 10), ("Gray", 13, 9)]
+        assert all(
+            type(value) is int for row in result.rows[1:] for value in row[1:]
+        )
+
+    def test_negated_aggregate(self, db):
+        result = db.execute(
+            "SELECT author, -COUNT(*) FROM papers GROUP BY author ORDER BY author"
+        )
+        assert result.rows == [("Bird", -1), ("Codd", -3), ("Gray", -2)]
+
+    def test_having_aggregate_is_null(self, db):
+        null = db.execute(
+            "SELECT author FROM papers GROUP BY author HAVING SUM(pages) IS NULL"
+        )
+        assert null.rows == [("Bird",)]
+        not_null = db.execute(
+            "SELECT author FROM papers GROUP BY author "
+            "HAVING SUM(pages) IS NOT NULL ORDER BY author"
+        )
+        assert not_null.rows == [("Codd",), ("Gray",)]
+
+    def test_arithmetic_over_two_aggregates(self, db):
+        result = db.execute(
+            "SELECT author, SUM(pages) + COUNT(*), SUM(pages) * 2 "
+            "FROM papers GROUP BY author ORDER BY author"
+        )
+        assert result.rows == [("Bird", None, None), ("Codd", 33, 60), ("Gray", 28, 52)]
+
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            ("-COUNT(*)", ["Codd", "Gray", "Bird"]),
+            ("SUM(pages) + COUNT(*)", ["Gray", "Codd", "Bird"]),  # NULLs last
+            ("SUM(pages) * 2 DESC", ["Bird", "Codd", "Gray"]),
+            ("SUM(pages) / COUNT(*)", ["Codd", "Gray", "Bird"]),
+        ],
+    )
+    def test_as_order_by_key(self, db, key, expected):
+        result = db.execute(
+            f"SELECT author FROM papers GROUP BY author ORDER BY {key}"
+        )
+        assert result.column("author") == expected
+
+    def test_division_by_zero_is_an_execution_error(self, db):
+        with pytest.raises(ExecutionError):
+            db.execute(
+                "SELECT author, SUM(pages) / (COUNT(*) - COUNT(*)) "
+                "FROM papers WHERE pages > 0 GROUP BY author"
+            )
 
 
 class TestAggregateErrors:

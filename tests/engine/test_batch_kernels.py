@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database
-from repro.engine.expr import Binding, Slot
+from repro.engine.expr import Binding, Comparison, Slot, SlotRef
+from repro.engine.expr_compile import compile_row_expr
 from repro.engine.io import (
     IoCounters,
     batch_row_bytes,
@@ -23,6 +24,7 @@ from repro.engine.plan.logical import infer_type
 from repro.engine.plan.physical import HashJoin, Operator
 from repro.engine.sql.parser import parse_sql
 from repro.engine.types import INTEGER, VARCHAR, XADT, IntegerType
+from repro.engine.udf import FunctionRegistry
 from repro.engine.values import batch_group_keys, group_key, like, like_matcher
 from repro.xadt import DICT, INDEXED, PLAIN, XadtValue, register_xadt_functions
 
@@ -176,7 +178,15 @@ class TestHashJoinAgainstReference:
     )
     @settings(max_examples=200, deadline=None)
     def test_rows_and_order(self, left, right, keys, with_residual, batch_size):
-        residual = (lambda row: row[2] <= row[5]) if with_residual else None
+        residual = (
+            compile_row_expr(
+                Comparison("<=", SlotRef(2), SlotRef(5)),
+                Binding([]),
+                FunctionRegistry(),
+            )
+            if with_residual
+            else None
+        )
         join = HashJoin(
             _Rows(left, 3, batch_size),
             _Rows(right, 3, batch_size),

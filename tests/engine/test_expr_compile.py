@@ -1,11 +1,11 @@
-"""The codegen expression compiler must agree with the interpreter.
+"""The codegen expression compiler must agree with the reference evaluator.
 
-``compile_row_expr`` lowers an Expr tree into one generated closure;
-``compile_expr`` walks the same tree with per-node closures.  Every test
-here pins the two implementations together — NULL three-valued logic,
-LIKE pattern translation, parameter rebinding, arithmetic — because the
-vectorized engine switches between them via ``ExecutionConfig`` and the
-result sets must be indistinguishable.
+``compile_row_expr`` — the only compiler a plan holds — lowers an Expr
+tree into one generated closure; ``compile_expr`` walks the same tree
+with per-node closures and is kept as the reference semantics.  Every
+test here pins the generated code to it — NULL three-valued logic, LIKE
+pattern translation, parameter rebinding, arithmetic, post-aggregate
+slot references.
 """
 
 import random
@@ -13,8 +13,9 @@ import random
 import pytest
 
 from repro.engine import Database
-from repro.engine.expr import Binding, ParamBox, Slot, compile_expr
+from repro.engine.expr import Binding, ColumnRef, ParamBox, Slot, compile_expr
 from repro.engine.expr_compile import compile_projection, compile_row_expr
+from repro.engine.plan.logical import rebuild_with_slots
 from repro.engine.sql.parser import parse_expression
 from repro.engine.types import INTEGER, VARCHAR
 from repro.engine.udf import FunctionRegistry
@@ -211,6 +212,28 @@ class TestRandomizedAgreement:
             assert generated.batch_eval(rows) == [
                 generated(row) for row in rows
             ]
+
+    def test_slot_substituted_expressions_match(self, registry):
+        # the post-aggregate form: columns replaced by SlotRef placeholders,
+        # compiled against no binding at all
+        rng = random.Random(14)
+        rows = [_random_row(rng) for _ in range(100)]
+        slots = {ColumnRef(None, name): i for i, name in enumerate("abs")}
+        slots[ColumnRef(None, "u")] = 3
+        for text in TEMPLATES + ["a / 2", "-a", "a / (b - b)"]:
+            expr = rebuild_with_slots(parse_expression(text), slots)
+            assert not list(expr.column_refs())
+            generated = compile_row_expr(expr, Binding([]), registry)
+            interpreted = compile_expr(expr, Binding([]), registry)
+            for row in rows:
+                try:
+                    expected = interpreted(row)
+                except ExecutionError:
+                    with pytest.raises(ExecutionError):
+                        generated(row)
+                else:
+                    got = generated(row)
+                    assert (got, type(got)) == (expected, type(expected)), (text, row)
 
     def test_projection_matches_per_row_tuples(self, binding, registry):
         rng = random.Random(7)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.engine.config import DEFAULT_BATCH_SIZE
 from repro.engine.database import Database
 from repro.engine.governor import GovernorLimits, ResourceGovernor, UNLIMITED
 from repro.errors import ConfigError, ResourceExceeded, StatementTimeout
@@ -128,7 +129,7 @@ class TestTimeout:
             "nap_rows", lambda v: time.sleep(0.005) or [(v,)], [("x", INTEGER)],
             min_args=1, max_args=1,
         )
-        assert db.exec_config.batch_size >= 200
+        assert DEFAULT_BATCH_SIZE >= 200
         db.governor.configure(statement_timeout_seconds=0.05)
         db.reset_function_stats()
         with pytest.raises(StatementTimeout):

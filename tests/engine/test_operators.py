@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine.expr import Binding, Slot
+from repro.engine.expr import Binding, ColumnRef, Slot
+from repro.engine.expr_compile import compile_row_expr
 from repro.engine.plan.physical import (
     AggSpec,
     HashAggregate,
@@ -17,6 +18,7 @@ from repro.engine.plan.physical import (
 from repro.engine.schema import Column, TableSchema
 from repro.engine.storage import HeapTable
 from repro.engine.types import INTEGER, VARCHAR
+from repro.engine.udf import FunctionRegistry
 
 
 class _Rows(Operator):
@@ -102,14 +104,14 @@ class TestDistinctAndAggregate:
 
     def test_aggregate_min_max_over_strings(self):
         source = _Rows([Slot("t", "s", VARCHAR)], [("b",), ("a",), ("c",)])
+        arg = compile_row_expr(
+            ColumnRef(None, "s"), source.binding, FunctionRegistry()
+        )
         op = HashAggregate(
             source,
             group_exprs=[],
             group_slots=[],
-            aggregates=[
-                AggSpec("min", lambda r: r[0]),
-                AggSpec("max", lambda r: r[0]),
-            ],
+            aggregates=[AggSpec("min", arg), AggSpec("max", arg)],
             agg_slots=[Slot("", "lo", VARCHAR), Slot("", "hi", VARCHAR)],
         )
         assert list(op.rows()) == [("a", "c")]

@@ -1,10 +1,13 @@
 """Crash recovery: WAL replay rebuilds the last committed state."""
 
+import json
+
 import pytest
 
 from repro.engine.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
+from repro.engine.recovery import _RETIRED_CONFIG_KEYS
 from repro.errors import CrashPoint, RecoveryError
 from repro.xadt import XadtValue, register_xadt_functions
 
@@ -58,10 +61,44 @@ class TestCleanRecovery:
     def test_exec_config_replayed(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
         db = Database.open(path, sync_mode="always")
-        db.set_exec_config(ExecutionConfig(batch_size=7))
+        db.set_exec_config(ExecutionConfig(parallel_workers=3))
         db.close()
         recovered = Database.open(path, recover=True)
-        assert recovered.exec_config.batch_size == 7
+        assert recovered.exec_config.parallel_workers == 3
+
+    def _log_with_exec_config(self, path, config):
+        """A log whose committed ``exec_config`` record carries ``config``."""
+        db = Database.open(path, sync_mode="always")
+        db.set_exec_config(ExecutionConfig(parallel_workers=1))
+        db.close()
+        with open(path, encoding="utf-8") as log:
+            records = [json.loads(line) for line in log]
+        for record in records:
+            if record["type"] == "exec_config":
+                record["config"] = config
+        with open(path, "w", encoding="utf-8") as log:
+            log.writelines(json.dumps(record) + "\n" for record in records)
+
+    def test_retired_exec_config_keys_are_ignored(self, tmp_path):
+        # the five-key record shape written before the row-at-a-time mode
+        # and its three options were removed
+        assert len(_RETIRED_CONFIG_KEYS) == 3 and "batch_size" in _RETIRED_CONFIG_KEYS
+        path = str(tmp_path / "wal.jsonl")
+        self._log_with_exec_config(path, {
+            **dict.fromkeys(sorted(_RETIRED_CONFIG_KEYS), 1),
+            "xadt_structural_index": True,
+            "parallel_workers": 2,
+        })
+        recovered = Database.open(path, recover=True)
+        assert recovered.exec_config == ExecutionConfig(
+            xadt_structural_index=True, parallel_workers=2
+        )
+
+    def test_unknown_exec_config_key_is_a_recovery_error(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        self._log_with_exec_config(path, {"parallel_workers": 1, "bogus": 1})
+        with pytest.raises(RecoveryError, match="bogus"):
+            Database.open(path, recover=True)
 
     def test_xadt_rows_survive_recovery(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")

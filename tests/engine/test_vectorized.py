@@ -1,20 +1,17 @@
-"""Vectorized execution: batch shapes, pushdown, config, and parity.
+"""Batch execution: batch shapes, pushdown, config epoch, and parity.
 
-The batch layer must be invisible except in speed: result sets match the
-row-at-a-time engine on the full paper workloads, EXPLAIN ANALYZE still
-reports *row* counts, and flipping :class:`ExecutionConfig` invalidates
-cached plans (which bake in batch sizes and compiled closures).
+The batch layer must be invisible except in speed: result sets do not
+depend on where batch boundaries fall (checked on the full paper
+workloads at a 7-row batch size against the default), EXPLAIN ANALYZE
+still reports *row* counts, and flipping :class:`ExecutionConfig`
+invalidates cached plans (which bake in the XADT access path).
 """
 
 import pytest
 
 from repro.engine import Database
-from repro.engine.config import (
-    DEFAULT_BATCH_SIZE,
-    ExecutionConfig,
-    ROW_AT_A_TIME,
-    VECTORIZED,
-)
+from repro.engine.config import DEFAULT_BATCH_SIZE, ExecutionConfig
+from repro.engine.plan.physical import Operator
 from repro.engine.values import render
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 
@@ -32,6 +29,12 @@ def db():
     return database
 
 
+@pytest.fixture()
+def small_batches(monkeypatch):
+    """Every plan node emits 7-row batches for the duration of a test."""
+    monkeypatch.setattr(Operator, "batch_size", 7)
+
+
 def _plan_of(db, sql):
     statement = db.prepare(sql)
     entry = db._select_entry(statement._key, statement._statement)
@@ -40,18 +43,16 @@ def _plan_of(db, sql):
 
 
 class TestBatchShapes:
-    def test_batches_respect_configured_size(self, db):
-        db.set_exec_config(ExecutionConfig(batch_size=7))
+    def test_batches_respect_configured_size(self, db, small_batches):
         plan = _plan_of(db, "SELECT id FROM items")
         sizes = [len(batch) for batch in plan.batches()]
         assert sum(sizes) == 3000
         assert all(size <= 7 for size in sizes)
         assert max(sizes) == 7  # an unfiltered scan must fill its batches
 
-    def test_filtered_scan_emits_only_survivors(self, db):
+    def test_filtered_scan_emits_only_survivors(self, db, small_batches):
         # the scan filters each storage chunk in place, so output batches
         # may be smaller than batch_size but never empty
-        db.set_exec_config(ExecutionConfig(batch_size=7))
         plan = _plan_of(db, "SELECT id FROM items WHERE grp = 3")
         sizes = [len(batch) for batch in plan.batches()]
         assert sum(sizes) == 300
@@ -78,20 +79,12 @@ class TestProjectionPushdown:
         text = db.explain("SELECT * FROM items")
         assert "cols[" not in text
 
-    def test_pushdown_disabled_by_config(self, db):
-        db.set_exec_config(ExecutionConfig(scan_pushdown=False))
-        text = db.explain("SELECT id FROM items WHERE grp = 3")
-        assert "cols[" not in text
-
     def test_pruned_scan_returns_same_rows(self, db):
-        sql = "SELECT name FROM items WHERE grp = 3 AND id < 100"
-        vectorized = db.execute(sql)
-        db.set_exec_config(ROW_AT_A_TIME)
-        try:
-            baseline = db.execute(sql)
-        finally:
-            db.set_exec_config(VECTORIZED)
-        assert sorted(vectorized) == sorted(baseline)
+        where = "WHERE grp = 3 AND id < 100"
+        pruned = db.execute(f"SELECT name FROM items {where}")
+        full = db.execute(f"SELECT * FROM items {where}")
+        assert "cols[" in db.explain(f"SELECT name FROM items {where}")
+        assert sorted(pruned) == sorted((row[2],) for row in full)
 
 
 class TestConfigEpoch:
@@ -101,25 +94,24 @@ class TestConfigEpoch:
         db.execute(sql)
         hits_before = db.plan_cache.stats.hits
         assert hits_before >= 1
-        db.set_exec_config(ROW_AT_A_TIME)
+        db.set_exec_config(ExecutionConfig(xadt_structural_index=True))
         try:
             db.execute(sql)
         finally:
-            db.set_exec_config(VECTORIZED)
+            db.set_exec_config(ExecutionConfig())
         assert db.plan_cache.stats.invalidations >= 1
         assert db.plan_cache.stats.hits == hits_before
 
     def test_exec_config_constructor_argument(self):
-        database = Database("cfg", exec_config=ROW_AT_A_TIME)
-        assert database.exec_config.batch_size == 1
-        assert not database.exec_config.compiled_expressions
+        database = Database("cfg", exec_config=ExecutionConfig(parallel_workers=2))
+        assert database.exec_config.parallel_workers == 2
+        assert not database.exec_config.xadt_structural_index
 
 
 class TestExplainAnalyzeRowActuals:
-    def test_actuals_count_rows_not_batches(self, db):
+    def test_actuals_count_rows_not_batches(self, db, small_batches):
         # small batches make the distinction unmissable: 300 rows in
         # 7-row batches is 43 batch pulls but must report 300 rows
-        db.set_exec_config(ExecutionConfig(batch_size=7))
         sql = "SELECT id FROM items WHERE grp = 3"
         report = db.explain_analyze(sql)
         assert report.root.actual_rows == 300
@@ -140,32 +132,40 @@ def _canonical(rows):
     return sorted(tuple(render(value) for value in row) for row in rows)
 
 
-def _assert_modes_agree(loaded, sql, key):
+def _assert_batch_size_invisible(loaded, sql, key, monkeypatch):
     db = loaded.db
-    vectorized = db.execute(sql)
-    db.set_exec_config(ROW_AT_A_TIME)
-    try:
-        baseline = db.execute(sql)
-    finally:
-        db.set_exec_config(VECTORIZED)
-    assert _canonical(vectorized) == _canonical(baseline), (
-        f"{key}: vectorized and row-at-a-time result sets differ"
+    default = db.execute(sql)
+    with monkeypatch.context() as patch:
+        patch.setattr(Operator, "batch_size", 7)
+        small = db.execute(sql)
+    assert _canonical(default) == _canonical(small), (
+        f"{key}: result set depends on the batch size"
     )
 
 
 class TestWorkloadParity:
-    """Compiled + batched execution matches interpreted row-at-a-time
-    on every Figure 11 and Figure 13 query, both schemas."""
+    """Where batch boundaries fall changes no result: every Figure 11
+    and Figure 13 query, both schemas, at 7-row batches vs the default.
+    (Parity with an independent evaluator is the SQLite oracle's job:
+    ``tests/backends/test_sqlite_backend.py``.)"""
 
     @pytest.mark.parametrize("query", SHAKESPEARE_QUERIES,
                              ids=lambda q: q.key)
-    def test_fig11_agreement(self, shakespeare_pair, query):
+    def test_fig11_agreement(self, shakespeare_pair, query, monkeypatch):
         hybrid, xorator = shakespeare_pair
-        _assert_modes_agree(hybrid, query.hybrid_sql, f"{query.key}/hybrid")
-        _assert_modes_agree(xorator, query.xorator_sql, f"{query.key}/xorator")
+        _assert_batch_size_invisible(
+            hybrid, query.hybrid_sql, f"{query.key}/hybrid", monkeypatch
+        )
+        _assert_batch_size_invisible(
+            xorator, query.xorator_sql, f"{query.key}/xorator", monkeypatch
+        )
 
     @pytest.mark.parametrize("query", SIGMOD_QUERIES, ids=lambda q: q.key)
-    def test_fig13_agreement(self, sigmod_pair, query):
+    def test_fig13_agreement(self, sigmod_pair, query, monkeypatch):
         hybrid, xorator = sigmod_pair
-        _assert_modes_agree(hybrid, query.hybrid_sql, f"{query.key}/hybrid")
-        _assert_modes_agree(xorator, query.xorator_sql, f"{query.key}/xorator")
+        _assert_batch_size_invisible(
+            hybrid, query.hybrid_sql, f"{query.key}/hybrid", monkeypatch
+        )
+        _assert_batch_size_invisible(
+            xorator, query.xorator_sql, f"{query.key}/xorator", monkeypatch
+        )
