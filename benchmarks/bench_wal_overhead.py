@@ -15,11 +15,21 @@ behind other tenants' traffic; that jitter measures the disk queue, not
 the work the engine added.  Wall time is reported alongside.  Shared
 machines also drift between fast and slow states on a seconds
 timescale, so the gated statistic is the **minimum over paired
-ratios**: each iteration runs WAL-off and WAL-on back to back (same
-machine state), and of those per-pair ratios the cleanest one is the
-overhead — interference only ever inflates a pair.
+differences**: each iteration runs WAL-off and WAL-on back to back
+(same machine state), and of those per-pair differences the cleanest
+one is the overhead — interference only ever inflates a pair.
 
-Acceptance: WAL-on bulk load costs <= 15 % CPU over WAL-off.
+What is gated is the CPU the log **adds per row**, not WAL-on ÷
+WAL-off.  The gate used to be that ratio (<= 15 %), which held while
+the heap insert under it cost ~2.6 us a row.  The log's own cost is
+~0.3-0.4 us a row and independent of the heap's, so when the heap
+insert got 3-4x faster (the column-wise ``bulk_insert`` kernel) the
+ratio tripled with nothing having become slower: a ratio gate fails a
+change for shrinking its denominator.  The limit is the allowance the
+ratio gate gave when it was set — 15 % of the 52 ms the WAL-off load
+then took, over its 20 000 rows.  The ratio is still printed.
+
+Acceptance: WAL-on bulk load adds <= 0.39 us CPU per row over WAL-off.
 ``sync_mode="always"`` is measured for the printed report but not
 gated — one fsync per commit is the durability/latency trade the sync
 modes exist to expose.
@@ -35,7 +45,8 @@ from repro.engine.database import Database
 ROW_COUNT = 20_000
 BATCH_SIZE = 1_000
 RUNS = 9
-OVERHEAD_LIMIT = 0.15
+#: 0.15 * 52 ms / 20 000 rows (see the module docstring)
+ADDED_US_PER_ROW_LIMIT = 0.39
 
 #: id-encoded edge rows — the shape document shredding bulk-inserts
 #: once tags have been dictionary-encoded (DESIGN.md §2)
@@ -72,7 +83,7 @@ def _wal_run(tmp_path: Path, index: int, mode: str) -> tuple[float, float]:
 
 
 def test_wal_group_commit_overhead_bounded(tmp_path):
-    """The acceptance gate: group-commit WAL <= 15 % CPU over volatile."""
+    """The acceptance gate: group-commit WAL adds <= 0.39 us CPU a row."""
     _load(Database("warmup"))  # touch every code path before timing
     wall: dict[str, list[float]] = {"off": [], "group": [], "always": []}
     cpu: dict[str, list[float]] = {"off": [], "group": [], "always": []}
@@ -89,31 +100,37 @@ def test_wal_group_commit_overhead_bounded(tmp_path):
 
     best_wall = {mode: min(times) for mode, times in wall.items()}
     best_cpu = {mode: min(times) for mode, times in cpu.items()}
-    overhead = {
-        mode: min(
-            m / off - 1.0 for off, m in zip(cpu["off"], cpu[mode])
-        )
-        for mode in ("group", "always")
+    modes = ("group", "always")
+    ratio = {
+        mode: min(m / off - 1.0 for off, m in zip(cpu["off"], cpu[mode]))
+        for mode in modes
+    }
+    added_us_per_row = {
+        mode: min(m - off for off, m in zip(cpu["off"], cpu[mode]))
+        * 1e6 / ROW_COUNT
+        for mode in modes
     }
     lines = [
-        f"{'mode':12}{'cpu ms':>9}{'cpu ovh':>9}{'wall ms':>9}",
-        (f"{'wal off':12}{best_cpu['off'] * 1000:>9.1f}{'--':>9}"
+        f"{'mode':12}{'cpu ms':>9}{'us/row +':>10}{'cpu ovh':>9}{'wall ms':>9}",
+        (f"{'wal off':12}{best_cpu['off'] * 1000:>9.1f}{'--':>10}{'--':>9}"
          f"{best_wall['off'] * 1000:>9.1f}"),
     ]
-    for mode in ("group", "always"):
+    for mode in modes:
         lines.append(
             f"{'wal ' + mode:12}{best_cpu[mode] * 1000:>9.1f}"
-            f"{overhead[mode]:>8.1%}{best_wall[mode] * 1000:>9.1f}"
+            f"{added_us_per_row[mode]:>10.2f}"
+            f"{ratio[mode]:>8.1%}{best_wall[mode] * 1000:>9.1f}"
         )
     lines.append(
         f"\n{ROW_COUNT} rows, one transaction, {RUNS} paired runs; "
-        f"cpu ovh = min paired ratio; gate: group <= {OVERHEAD_LIMIT:.0%}"
+        f"us/row + = min paired CPU difference per row, cpu ovh = min "
+        f"paired ratio; gate: group us/row + <= {ADDED_US_PER_ROW_LIMIT}"
     )
     print_report("WAL overhead on bulk load (group commit)",
                  "\n".join(lines))
-    assert overhead["group"] <= OVERHEAD_LIMIT, (
-        f"group-commit WAL overhead {overhead['group']:.1%} CPU exceeds "
-        f"{OVERHEAD_LIMIT:.0%}"
+    assert added_us_per_row["group"] <= ADDED_US_PER_ROW_LIMIT, (
+        f"group-commit WAL adds {added_us_per_row['group']:.2f} us CPU per "
+        f"row, over the {ADDED_US_PER_ROW_LIMIT} us limit"
     )
 
 

@@ -10,8 +10,9 @@ site               fires
 =================  ====================================================
 ``wal.append``     per record appended to the write-ahead log
 ``wal.fsync``      per WAL fsync (group-commit boundary)
-``heap.store_row`` per row stored by :meth:`HeapTable._store_row`,
-                   before the point of no return
+``heap.store_row`` per row stored by :meth:`HeapTable._store_row`
+                   or :meth:`HeapTable._store_batch`, before the point
+                   of no return
 ``index.publish``  per snapshot publication, before index finalize
 ``xadt.decode``    per compressed (dict-codec) fragment decode
 ``io.charge``      per modelled-I/O charge through the

@@ -24,7 +24,7 @@ writer thread, under the engine's writer lock.  Readers may call
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.engine.pages import PAGE_CAPACITY, PAGE_SIZE
 from repro.engine.schema import IndexDef, TableSchema
@@ -45,6 +45,17 @@ def _key_bytes(key: object) -> int:
     return 8
 
 
+def _keys_bytes(keys: Sequence[object]) -> int:
+    """Sum of :func:`_key_bytes` over a column, decided by the value
+    types observed in it."""
+    kinds = set(map(type, keys))
+    if kinds == {int}:
+        return 4 * len(keys)
+    if kinds == {str} and all(map(str.isascii, keys)):
+        return 2 * len(keys) + sum(map(len, keys))
+    return sum(map(_key_bytes, keys))
+
+
 def _clamp(row_ids: list[int], bound: int | None) -> list[int]:
     """Drop row ids at or beyond the snapshot horizon."""
     if bound is None:
@@ -63,8 +74,8 @@ class Index:
         self.position = table.schema.position(definition.column)
         self._entry_bytes = 0
         self._entries = 0
-        for row_id, row in enumerate(table.rows):
-            self.insert(row, row_id)
+        position = self.position
+        self.insert_many([row[position] for row in table.rows], 0)
         self.finalize()
 
     def insert(self, row: tuple, row_id: int) -> None:
@@ -73,8 +84,19 @@ class Index:
         self._entry_bytes += _key_bytes(key) + RID_BYTES
         self._insert_key(key, row_id)
 
+    def insert_many(self, keys: Sequence[object], first_row_id: int) -> None:
+        """:meth:`insert` for the indexed column of a run of consecutive
+        rows: ``keys[i]`` belongs to row ``first_row_id + i``."""
+        self._entries += len(keys)
+        self._entry_bytes += _keys_bytes(keys) + RID_BYTES * len(keys)
+        self._insert_keys(keys, first_row_id)
+
     def _insert_key(self, key: object, row_id: int) -> None:
         raise NotImplementedError
+
+    def _insert_keys(self, keys: Sequence[object], first_row_id: int) -> None:
+        for row_id, key in enumerate(keys, first_row_id):
+            self._insert_key(key, row_id)
 
     def finalize(self) -> None:
         """Publish staged inserts (writer-only; no-op when none staged)."""
@@ -146,6 +168,19 @@ class HashIndex(Index):
             )
         self._buckets.setdefault(key, []).append(row_id)
 
+    def _insert_keys(self, keys: Sequence[object], first_row_id: int) -> None:
+        if self.definition.unique:
+            super()._insert_keys(keys, first_row_id)
+            return
+        buckets = self._buckets
+        for row_id, key in enumerate(keys, first_row_id):
+            if key is None:
+                continue
+            if key in buckets:
+                buckets[key].append(row_id)
+            else:
+                buckets[key] = [row_id]
+
     def _discard_from(self, row_count: int) -> None:
         emptied = []
         for key, row_ids in self._buckets.items():
@@ -193,6 +228,13 @@ class BTreeIndex(Index):
         if key is None:
             return
         self._pending.append((key, row_id))
+
+    def _insert_keys(self, keys: Sequence[object], first_row_id: int) -> None:
+        self._pending.extend(
+            (key, row_id)
+            for row_id, key in enumerate(keys, first_row_id)
+            if key is not None
+        )
 
     def finalize(self) -> None:
         if not self._pending:

@@ -8,6 +8,9 @@ runstats command ... before executing the queries").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from types import NoneType
+from typing import Iterable
 
 from repro.engine.storage import HeapTable
 from repro.engine.types import is_xadt_value
@@ -49,40 +52,68 @@ class TableStats:
 def collect_stats(table: HeapTable) -> TableStats:
     """One full pass over ``table`` collecting per-column statistics."""
     stats = TableStats(row_count=table.row_count(), data_pages=table.data_pages())
-    arity = table.schema.arity()
-    distinct: list[set[object]] = [set() for _ in range(arity)]
-    nulls = [0] * arity
-    widths = [0] * arity
-    minima: list[object] = [None] * arity
-    maxima: list[object] = [None] * arity
-
-    for row in table.scan():
-        for position in range(arity):
-            value = row[position]
-            if value is None:
-                nulls[position] += 1
-                continue
-            if is_xadt_value(value):
-                # XADT columns: track width only; fragments are not
-                # meaningfully comparable for min/max or distinct-count.
-                widths[position] += value.byte_size()
-                continue
-            distinct[position].add(value)
-            widths[position] += (
-                4 if isinstance(value, int) else len(str(value))
-            )
-            if minima[position] is None or value < minima[position]:  # type: ignore[operator]
-                minima[position] = value
-            if maxima[position] is None or value > maxima[position]:  # type: ignore[operator]
-                maxima[position] = value
-
-    for position, column in enumerate(table.schema.columns):
-        non_null = stats.row_count - nulls[position]
-        stats.columns[column.key] = ColumnStats(
-            n_distinct=len(distinct[position]),
-            null_count=nulls[position],
-            avg_width=(widths[position] / non_null) if non_null else 0.0,
-            min_value=minima[position],
-            max_value=maxima[position],
-        )
+    columns = zip(*table.scan()) if stats.row_count else repeat(())
+    for column, values in zip(table.schema.columns, columns):
+        stats.columns[column.key] = _column_stats(values)
     return stats
+
+
+def _column_stats(values: tuple) -> ColumnStats:
+    """:func:`_scan_column`, by set and C-level reductions where the
+    value types observed allow it: a column of nothing but ``int`` (or
+    nothing but ``str``) and NULLs.  There equal values are
+    interchangeable, so set order cannot show in min/max."""
+    kinds = set(map(type, values))
+    kinds.discard(NoneType)
+    if kinds != {int} and kinds != {str}:
+        return _scan_column(values)
+    distinct = set(values)
+    distinct.discard(None)
+    null_count = values.count(None)
+    non_null = len(values) - null_count
+    if kinds == {int}:
+        width = 4 * non_null
+    elif null_count:
+        width = sum(len(value) for value in values if value is not None)
+    else:
+        width = sum(map(len, values))
+    return ColumnStats(
+        n_distinct=len(distinct),
+        null_count=null_count,
+        avg_width=width / non_null,
+        min_value=min(distinct),
+        max_value=max(distinct),
+    )
+
+
+def _scan_column(values: Iterable[object]) -> ColumnStats:
+    """One column's statistics, a value at a time: the definition."""
+    distinct: set[object] = set()
+    nulls = 0
+    non_null = 0
+    width = 0
+    minimum: object = None
+    maximum: object = None
+    for value in values:
+        if value is None:
+            nulls += 1
+            continue
+        non_null += 1
+        if is_xadt_value(value):
+            # XADT columns: track width only; fragments are not
+            # meaningfully comparable for min/max or distinct-count.
+            width += value.byte_size()
+            continue
+        distinct.add(value)
+        width += 4 if isinstance(value, int) else len(str(value))
+        if minimum is None or value < minimum:  # type: ignore[operator]
+            minimum = value
+        if maximum is None or value > maximum:  # type: ignore[operator]
+            maximum = value
+    return ColumnStats(
+        n_distinct=len(distinct),
+        null_count=nulls,
+        avg_width=(width / non_null) if non_null else 0.0,
+        min_value=minimum,
+        max_value=maximum,
+    )

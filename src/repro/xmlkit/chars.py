@@ -8,6 +8,8 @@ tokenizer, serializer, and XADT codecs can all share it.
 
 from __future__ import annotations
 
+import re
+
 # Characters that may start an XML name.  XML 1.0 allows a large set of
 # Unicode letters; ``str.isalpha`` covers the letter categories and we add
 # the two ASCII specials.
@@ -55,7 +57,7 @@ def is_valid_name(name: str) -> bool:
 
 def is_whitespace(text: str) -> bool:
     """Return True if ``text`` is non-empty and consists only of XML whitespace."""
-    return bool(text) and all(ch in WHITESPACE for ch in text)
+    return bool(text) and not text.strip(" \t\r\n")
 
 
 def escape_text(text: str) -> str:
@@ -74,6 +76,26 @@ def escape_attribute(text: str) -> str:
     return escape_text(text).replace('"', "&quot;")
 
 
+# ``&``, a body, ``;``.  A body holding another ``&`` can never expand
+# (no entity name and no number contains one), so the pattern skips to
+# the inner ``&`` and gives that one its turn: ``&x &amp;`` is ``&x &``.
+_REFERENCE = re.compile(r"&([^;&]*);")
+
+
+def _expand_reference(match: re.Match) -> str:
+    body = match.group(1)
+    if body in _UNESCAPES:
+        return _UNESCAPES[body]
+    try:
+        if body.startswith(("#x", "#X")):
+            return chr(int(body[2:], 16))
+        if body.startswith("#"):
+            return chr(int(body[1:]))
+    except (ValueError, OverflowError):
+        pass
+    return match.group(0)
+
+
 def unescape(text: str) -> str:
     """Expand the five predefined entities and numeric character references.
 
@@ -84,42 +106,7 @@ def unescape(text: str) -> str:
     """
     if "&" not in text:
         return text
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
-        if end == -1:
-            out.append(ch)
-            i += 1
-            continue
-        body = text[i + 1:end]
-        if body in _UNESCAPES:
-            out.append(_UNESCAPES[body])
-            i = end + 1
-        elif body.startswith("#x") or body.startswith("#X"):
-            try:
-                out.append(chr(int(body[2:], 16)))
-                i = end + 1
-            except ValueError:
-                out.append(ch)
-                i += 1
-        elif body.startswith("#"):
-            try:
-                out.append(chr(int(body[1:])))
-                i = end + 1
-            except ValueError:
-                out.append(ch)
-                i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _REFERENCE.sub(_expand_reference, text)
 
 
 def collapse_whitespace(text: str) -> str:

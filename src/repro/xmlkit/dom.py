@@ -24,6 +24,11 @@ class Node:
         self.parent: Element | None = None
 
 
+#: allocates a node without running any ``__init__`` (the ``_trusted``
+#: constructors fill the slots themselves)
+_new_node = object.__new__
+
+
 class Text(Node):
     """A run of character data."""
 
@@ -32,6 +37,15 @@ class Text(Node):
     def __init__(self, data: str) -> None:
         super().__init__()
         self.data = data
+
+    @staticmethod
+    def _trusted(data: str, parent: "Element") -> "Text":
+        """The parser's constructor: a text node already under ``parent``
+        (the caller files it in ``parent.children``)."""
+        node = _new_node(Text)
+        node.parent = parent
+        node.data = data
+        return node
 
     def __repr__(self) -> str:
         preview = self.data if len(self.data) <= 30 else self.data[:27] + "..."
@@ -84,6 +98,24 @@ class Element(Node):
         self.children: list[Node] = []
         for child in children or ():
             self.append(child)
+
+    @staticmethod
+    def _trusted(
+        tag: str, attributes: dict[str, str], parent: "Element | None"
+    ) -> "Element":
+        """The parser's constructor: no name check, no cycle walk.
+
+        For a ``tag`` the tokenizer has already held to the name rules
+        and a node so fresh it can be nobody's ancestor; takes ownership
+        of ``attributes``.  The caller files the node in
+        ``parent.children``.
+        """
+        node = _new_node(Element)
+        node.parent = parent
+        node.tag = tag
+        node.attributes = attributes
+        node.children = []
+        return node
 
     def append(self, child: Node | str) -> Node:
         """Append ``child`` (a node, or a string which becomes a Text node)."""

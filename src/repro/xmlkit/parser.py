@@ -1,7 +1,7 @@
 """Tree-building XML parser.
 
-Builds a :class:`~repro.xmlkit.dom.Document` from the tokenizer's event
-stream, enforcing well-formedness (matching tags, a single root element).
+Builds a :class:`~repro.xmlkit.dom.Document` on the tokenizer's
+scanner, enforcing well-formedness (matching tags, a single root element).
 Whitespace-only text between elements can optionally be dropped, which the
 shredders use so that pretty-printed input does not create phantom text
 nodes.
@@ -15,6 +15,10 @@ from repro.errors import XmlSyntaxError
 from repro.xmlkit import chars
 from repro.xmlkit.dom import Comment, Document, Element, ProcessingInstruction, Text
 from repro.xmlkit.tokens import (
+    END,
+    MASTER,
+    START,
+    TEXT,
     CommentEvent,
     DoctypeEvent,
     EndTag,
@@ -22,6 +26,7 @@ from repro.xmlkit.tokens import (
     StartTag,
     TextEvent,
     Tokenizer,
+    parse_attributes,
 )
 
 
@@ -31,76 +36,125 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
     ``keep_whitespace`` controls whether whitespace-only text nodes between
     elements are preserved.  Mixed-content whitespace adjacent to real text
     is always preserved.
+
+    Runs the tokenizer's scanner itself rather than consuming its events:
+    what :data:`~repro.xmlkit.tokens.MASTER` matches becomes a node
+    directly, what it does not match is read by
+    :meth:`Tokenizer.read_markup` and joins the same tree-building code.
     """
     tokenizer = Tokenizer(text)
     prolog: list[Comment | ProcessingInstruction] = []
     doctype: str | None = None
     root: Element | None = None
     stack: list[Element] = []
+    # the open element and its child list; None outside the root
+    top: Element | None = None
+    siblings: list = []
+    match = MASTER.match
+    new_element = Element._trusted
+    new_text = Text._trusted
+    is_whitespace = chars.is_whitespace
+    pos = 0
+    n = len(text)
 
-    for event in tokenizer.tokens():
-        if isinstance(event, TextEvent):
-            if not stack:
-                if chars.is_whitespace(event.data) or not event.data:
-                    continue
-                raise XmlSyntaxError("text outside the root element", event.offset, text)
-            if not keep_whitespace and chars.is_whitespace(event.data):
+    while pos < n:
+        offset = pos
+        found = match(text, pos)
+        if found is not None:
+            pos = found.end()
+            kind = found.lastindex
+            if kind == TEXT:
+                data = found.group(1)
+                if "&" in data:
+                    data = chars.unescape(data)
+            elif kind == END:
+                name = found.group(2)
+            else:
+                name, raw, self_closing = found.group(3, 4, 5)
+                attributes = parse_attributes(raw) if raw else {}
+                if attributes is None:
+                    found = None  # a repeated name: _read_start_tag objects
+        if found is None:
+            event, pos = tokenizer.read_markup(offset)
+            if isinstance(event, StartTag):
+                kind = START
+                name, attributes = event.name, event.attributes
+                self_closing = event.self_closing
+            elif isinstance(event, EndTag):
+                kind = END
+                name = event.name
+            elif isinstance(event, TextEvent):  # a CDATA section
+                kind = TEXT
+                data = event.data
+            else:
+                if isinstance(event, CommentEvent):
+                    node = Comment(event.data)
+                    if top is not None:
+                        top.append(node)
+                    elif root is None:
+                        prolog.append(node)
+                    # comments after the root are legal but rarely useful;
+                    # drop them
+                elif isinstance(event, PIEvent):
+                    # the XML declaration carries no tree content
+                    if event.target.lower() != "xml":
+                        node = ProcessingInstruction(event.target, event.data)
+                        if top is not None:
+                            top.append(node)
+                        elif root is None:
+                            prolog.append(node)
+                elif isinstance(event, DoctypeEvent):
+                    if root is not None:
+                        raise XmlSyntaxError(
+                            "DOCTYPE must precede the root element", offset, text
+                        )
+                    doctype = event.raw
                 continue
-            top = stack[-1]
+
+        if kind == TEXT:
+            if top is None:
+                if is_whitespace(data) or not data:
+                    continue
+                raise XmlSyntaxError("text outside the root element", offset, text)
+            if not keep_whitespace and is_whitespace(data):
+                continue
             # Merge adjacent text nodes (CDATA next to character data).
-            if top.children and isinstance(top.children[-1], Text):
-                top.children[-1].data += event.data
+            if siblings and type(siblings[-1]) is Text:
+                siblings[-1].data += data
             else:
-                top.append(Text(event.data))
-        elif isinstance(event, StartTag):
-            if root is not None and not stack:
-                raise XmlSyntaxError(
-                    "multiple root elements", event.offset, text
-                )
-            node = Element(event.name, attributes=event.attributes)
-            if stack:
-                stack[-1].append(node)
-            else:
+                siblings.append(new_text(data, top))
+        elif kind == START:
+            # both scanners hold names to the name rules, and a node this
+            # fresh is nobody's ancestor: no Element.__init__, no append
+            node = new_element(name, attributes, top)
+            if top is not None:
+                siblings.append(node)
+            elif root is None:
                 root = node
-            if not event.self_closing:
+            else:
+                raise XmlSyntaxError("multiple root elements", offset, text)
+            if not self_closing:
                 stack.append(node)
-        elif isinstance(event, EndTag):
-            if not stack:
+                top = node
+                siblings = node.children
+        else:
+            if top is None:
+                raise XmlSyntaxError(f"unexpected end tag </{name}>", offset, text)
+            if top.tag != name:
                 raise XmlSyntaxError(
-                    f"unexpected end tag </{event.name}>", event.offset, text
-                )
-            open_element = stack.pop()
-            if open_element.tag != event.name:
-                raise XmlSyntaxError(
-                    f"mismatched end tag: expected </{open_element.tag}>, "
-                    f"found </{event.name}>",
-                    event.offset,
+                    f"mismatched end tag: expected </{top.tag}>, found </{name}>",
+                    offset,
                     text,
                 )
-        elif isinstance(event, CommentEvent):
-            node = Comment(event.data)
+            stack.pop()
             if stack:
-                stack[-1].append(node)
-            elif root is None:
-                prolog.append(node)
-            # comments after the root are legal but rarely useful; drop them
-        elif isinstance(event, PIEvent):
-            if event.target.lower() == "xml":
-                continue  # the XML declaration carries no tree content
-            node = ProcessingInstruction(event.target, event.data)
-            if stack:
-                stack[-1].append(node)
-            elif root is None:
-                prolog.append(node)
-        elif isinstance(event, DoctypeEvent):
-            if root is not None:
-                raise XmlSyntaxError(
-                    "DOCTYPE must precede the root element", event.offset, text
-                )
-            doctype = event.raw
+                top = stack[-1]
+                siblings = top.children
+            else:
+                top = None
 
-    if stack:
-        raise XmlSyntaxError(f"unclosed element <{stack[-1].tag}>", len(text), text)
+    if top is not None:
+        raise XmlSyntaxError(f"unclosed element <{top.tag}>", len(text), text)
     if root is None:
         raise XmlSyntaxError("document has no root element", 0, text)
     return Document(root, prolog=prolog, doctype=doctype)

@@ -1,13 +1,27 @@
 """Streaming tokenizer for XML documents.
 
 Turns a document string into a flat sequence of events (start tag, end
-tag, text, comment, processing instruction, doctype).  The tree-building
-parser sits on top of this; the XADT methods use a similar but
-byte-oriented scanner of their own so that fragment scans stay cheap.
+tag, text, comment, processing instruction, doctype).  The XADT codecs'
+``text_to_events`` consumes the events; the tree-building parser runs
+the same scanner but builds nodes straight from what it matches; the
+XADT *methods* use a ``str.find`` scanner of their own
+(``repro.xadt.fastscan``) so that fragment scans stay cheap.
+
+One compiled regex, :data:`MASTER`, recognises at the current offset the
+three tokens that make up more than 99 % of any document: a run of
+character data, ``</name>``, and ``<name attr="v" ...>`` / ``/>`` with
+ASCII names and quoted values free of ``<``.  It is a strict subset of
+what the hand-written readers below accept, and whatever it does not
+match at an offset — comments, CDATA, DOCTYPE, processing instructions,
+non-ASCII names, duplicate or oddly spaced attributes, every malformed
+input — is handed *at that offset* to :meth:`Tokenizer._read_markup`.
+So the regex never decides that input is wrong: every well-formedness
+check, error message and error offset is the per-character code's.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -57,6 +71,36 @@ class DoctypeEvent:
 
 Event = StartTag | EndTag | TextEvent | CommentEvent | PIEvent | DoctypeEvent
 
+# The ASCII subset of chars.is_name_start_char / is_name_char, and
+# chars.WHITESPACE.
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_WS = r"[ \t\r\n]"
+_VALUE = r"""(?:"[^<"]*"|'[^<']*')"""
+
+#: group 1: character data; group 2: end-tag name; groups 3-5: start-tag
+#: name, raw attribute text, ``/`` when self-closing.  ``lastindex`` is
+#: 1, 2 or 5 accordingly.
+MASTER = re.compile(
+    rf"([^<]+)"
+    rf"|</({_NAME}){_WS}*>"
+    rf"|<({_NAME})((?:{_WS}+{_NAME}{_WS}*={_WS}*{_VALUE})*){_WS}*(/?)>"
+)
+# only ever run over a group 4 of MASTER, which has vetted the syntax
+_ATTRIBUTES = re.compile(rf"""({_NAME}){_WS}*={_WS}*(?:"([^"]*)"|'([^']*)')""")
+
+#: ``MASTER.match(...).lastindex`` of each token kind
+TEXT, END, START = 1, 2, 5
+
+
+def parse_attributes(raw: str) -> dict[str, str] | None:
+    """The attributes in a start tag's raw attribute text, or None when
+    a name repeats (the caller then lets ``_read_start_tag`` object)."""
+    pairs = _ATTRIBUTES.findall(raw)
+    attributes = {
+        name: chars.unescape(double or single) for name, double, single in pairs
+    }
+    return attributes if len(attributes) == len(pairs) else None
+
 
 class Tokenizer:
     """Single-pass tokenizer over an XML string."""
@@ -73,16 +117,36 @@ class Tokenizer:
         """Yield all events until the end of input."""
         text = self._text
         n = self._len
-        while self._pos < n:
-            start = self._pos
-            if text[start] == "<":
-                yield self._read_markup()
-            else:
-                end = text.find("<", start)
-                if end == -1:
-                    end = n
-                self._pos = end
-                yield TextEvent(chars.unescape(text[start:end]), start)
+        match = MASTER.match
+        pos = self._pos
+        while pos < n:
+            found = match(text, pos)
+            if found is not None:
+                kind = found.lastindex
+                if kind == TEXT:
+                    data = found.group(1)
+                    yield TextEvent(chars.unescape(data), pos)
+                    pos = found.end()
+                    continue
+                if kind == END:
+                    yield EndTag(found.group(2), pos)
+                    pos = found.end()
+                    continue
+                name, raw, slash = found.group(3, 4, 5)
+                attributes = parse_attributes(raw) if raw else {}
+                if attributes is not None:
+                    yield StartTag(name, attributes, slash == "/", pos)
+                    pos = found.end()
+                    continue
+            event, pos = self.read_markup(pos)
+            yield event
+
+    def read_markup(self, offset: int) -> tuple[Event, int]:
+        """The one markup token at ``offset``, read a character at a
+        time, and the offset just behind it."""
+        self._pos = offset
+        event = self._read_markup()
+        return event, self._pos
 
     # -- markup dispatch ------------------------------------------------
 

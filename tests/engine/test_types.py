@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine.schema import Column, TableSchema
+from repro.engine.storage import HeapTable
 from repro.engine.types import (
     INTEGER,
     VARCHAR,
@@ -38,6 +40,40 @@ class TestInteger:
     def test_width(self):
         assert INTEGER.byte_width(5) == 4
         assert INTEGER.byte_width(None) == 0
+
+    # str.isdigit admits what int() refuses ("--5", a superscript) and
+    # the other way round nothing: each of these once raised a bare
+    # ValueError, or must keep coercing
+    DIGIT_LOOKALIKES = [
+        ("--5", None), ("²", None), ("-", None), ("- 5", None), ("٣", 3),
+    ]
+
+    @pytest.mark.parametrize("text,stored", DIGIT_LOOKALIKES)
+    def test_digit_lookalikes_stay_in_the_taxonomy(self, text, stored):
+        if stored is None:
+            with pytest.raises(TypeMismatchError):
+                INTEGER.validate(text)
+        else:
+            assert INTEGER.validate(text) == stored
+
+    @pytest.mark.parametrize("text,stored", DIGIT_LOOKALIKES)
+    def test_batch_kernel_and_row_path_agree(self, text, stored):
+        def outcome(load):
+            table = HeapTable(TableSchema("t", [Column("n", INTEGER)]))
+            try:
+                load(table)
+            except TypeMismatchError as error:
+                return str(error), table.rows
+            return None, table.rows
+
+        batch = [(1,), (text,), (3,)]
+        by_batch = outcome(lambda table: table.bulk_insert(batch))
+        by_row = outcome(lambda table: [table.insert(row) for row in batch])
+        if stored is None:
+            assert by_batch[0] == by_row[0] is not None
+            assert by_batch[1] == []  # the batch is all-or-nothing
+        else:
+            assert by_batch == by_row == (None, [(1,), (stored,), (3,)])
 
 
 class TestVarchar:

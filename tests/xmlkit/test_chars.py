@@ -1,6 +1,8 @@
 """Character-level helpers: names, escaping, entities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.xmlkit import chars
 
@@ -93,3 +95,80 @@ class TestWhitespace:
 
     def test_collapse(self):
         assert chars.collapse_whitespace("  a \n b\t c ") == "a b c"
+
+
+def _unescape_by_character(text):
+    """``chars.unescape`` as it was written before the ``re.sub`` form:
+    one character at a time.  The rule the new form must keep."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch != "&":
+            out.append(ch)
+            i += 1
+            continue
+        end = text.find(";", i + 1)
+        if end == -1:
+            out.append(ch)
+            i += 1
+            continue
+        body = text[i + 1:end]
+        if body in chars._UNESCAPES:
+            out.append(chars._UNESCAPES[body])
+            i = end + 1
+        elif body.startswith("#x") or body.startswith("#X"):
+            try:
+                out.append(chr(int(body[2:], 16)))
+                i = end + 1
+            except ValueError:
+                out.append(ch)
+                i += 1
+        elif body.startswith("#"):
+            try:
+                out.append(chr(int(body[1:])))
+                i = end + 1
+            except ValueError:
+                out.append(ch)
+                i += 1
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def _is_whitespace_by_character(text):
+    return bool(text) and all(ch in chars.WHITESPACE for ch in text)
+
+
+#: every shape of reference the rule distinguishes, and their neighbours
+ENTITY_TABLE = [
+    "&amp;", "&lt;", "&gt;", "&quot;", "&apos;",
+    "&#65;", "&#x41;", "&#X41;", "&#0;", "&#x10FFFF;", "&#1114112;",
+    "&#xD800;", "&# 65 ;", "&#6_5;", "&#+65;", "&#-65;", "&#٣;", "&#x0x41;",
+    "&;", "&#;", "&#x;", "&#xzz;", "&#12a;", "&unknown;", "&AMP;", "&amp",
+    "&", "&&", "&&amp;", "&amp;amp;", "&#38;amp;", "&x &amp;", "&x&y;&lt;",
+    "&#x41", "a&lt;b&gt;c", "fish & chips; peas", ";&;", "&lt;&lt;&#60;",
+    "&am&amp;p;", "&#&#65;;", "& amp;", "&\n;", "",
+]
+
+
+class TestRewritesKeepTheOldRule:
+    @pytest.mark.parametrize("text", ENTITY_TABLE)
+    def test_unescape_on_the_entity_table(self, text):
+        assert chars.unescape(text) == _unescape_by_character(text)
+
+    @given(st.text(alphabet="&#xX;amplt0169 é", max_size=24))
+    @settings(max_examples=400, deadline=None)
+    def test_unescape_on_generated_text(self, text):
+        assert chars.unescape(text) == _unescape_by_character(text)
+
+    def test_unescape_leaves_an_oversized_reference_alone(self):
+        # the character loop let chr()'s OverflowError escape
+        assert chars.unescape("&#99999999999999999999;") == "&#99999999999999999999;"
+
+    @given(st.text(alphabet=" \t\r\n\x0b\x0c\xa0 a", max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_is_whitespace(self, text):
+        assert chars.is_whitespace(text) is _is_whitespace_by_character(text)
