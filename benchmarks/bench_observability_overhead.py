@@ -32,6 +32,9 @@ import time
 import pytest
 from conftest import print_report
 
+from repro.engine.expr import ParamBox
+from repro.engine.plan.optimizer import plan_select
+from repro.engine.sql.parser import parse_sql
 from repro.obs import METRICS, STATEMENTS, TRACER, walk
 from repro.workloads import SHAKESPEARE_QUERIES
 
@@ -50,10 +53,10 @@ def _plans(pair):
     db = pair.xorator.db
     out = []
     for query in SHAKESPEARE_QUERIES:
-        statement = db.prepare(query.xorator_sql)
-        entry = db._select_entry(statement._key, statement._statement)
-        entry.params.bind(())
-        out.append((query.key, entry.plan))
+        box = ParamBox(0)
+        plan = plan_select(parse_sql(query.xorator_sql), db, box)
+        box.bind(())
+        out.append((query.key, plan))
     return out
 
 

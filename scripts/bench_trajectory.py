@@ -19,12 +19,6 @@ XORator prologue fragments, tag scan vs the structural index, with the
 speedup ratio (see ``benchmarks/bench_qs6_order_access.py`` for the
 gated version and the ``lines_per_speech=14`` rationale).
 
-A third artifact, ``BENCH_concurrency.json``, records the reader-scaling
-sweep of the session layer: the scan-heavy Fig11 flattening queries run
-on 1/2/4 concurrent reader sessions (``ConcurrentExecutor`` in
-``io_stalls`` mode, overlapping the simulated disk waits) with wall
-time, throughput, and speedup per reader count.
-
 ``BENCH_partitioned.json`` records the partition-parallel sweep: the
 Fig11 XORator queries over the ``speech`` table hash-partitioned 4
 ways, executed serially and through the multiprocessing Exchange at
@@ -71,7 +65,6 @@ from repro.bench.harness import (
 )
 from repro.datagen.shakespeare import generate_corpus
 from repro.dtd import samples
-from repro.engine import ConcurrentExecutor
 from repro.engine.config import ExecutionConfig
 from repro.mapping import map_xorator
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
@@ -85,11 +78,6 @@ FIGURES = {
     "fig11": ("shakespeare", SHAKESPEARE_QUERIES),
     "fig13": ("sigmod", SIGMOD_QUERIES),
 }
-
-#: scan-heavy Fig11 flattening queries: modeled disk dominates CPU on
-#: the hybrid schema, the regime where concurrent readers overlap
-CONCURRENCY_KEYS = ("QS1", "QS2", "QS3")
-READER_COUNTS = (1, 2, 4)
 
 
 def _median_cold(db, sql: str, rounds: int) -> float:
@@ -198,50 +186,6 @@ def qs6_sweep(scales: list[int], rounds: int) -> dict:
                   "(decode cache off)",
         "engine_config": ExecutionConfig().as_dict(),
         "access": results,
-    }
-
-
-def concurrency_sweep(scale: int, rounds: int) -> dict:
-    pair = build_pair("shakespeare", scale)
-    db = pair.hybrid.db
-    workload = [
-        query.hybrid_sql
-        for query in SHAKESPEARE_QUERIES
-        if query.key in CONCURRENCY_KEYS
-    ]
-    for sql in workload:  # plan once; every reader then runs warm
-        db.execute(sql)
-    results: dict[str, dict] = {}
-    single_wall = None
-    for readers in READER_COUNTS:
-        report = ConcurrentExecutor(db, readers=readers, io_stalls=True).run(
-            workload, rounds=rounds
-        )
-        report.raise_errors()
-        if single_wall is None:
-            single_wall = report.wall_seconds
-        speedup = (
-            readers * single_wall / report.wall_seconds
-            if report.wall_seconds
-            else None
-        )
-        results[str(readers)] = {
-            "wall_seconds": round(report.wall_seconds, 6),
-            "queries": report.total_queries,
-            "queries_per_second": round(report.queries_per_second, 2),
-            "speedup_vs_single": round(speedup, 3) if speedup else None,
-        }
-        print(f"concurrency: {readers} reader(s) done")
-    return {
-        "figure": "concurrency",
-        "dataset": "shakespeare",
-        "scale": scale,
-        "rounds": rounds,
-        "queries": list(CONCURRENCY_KEYS),
-        "metric": "wall seconds with io_stalls (simulated-disk sleeps "
-                  "overlap across reader sessions)",
-        "engine_config": ExecutionConfig().as_dict(),
-        "readers": results,
     }
 
 
@@ -519,8 +463,8 @@ def main() -> None:
     parser.add_argument(
         "--only", default="",
         help="comma-separated subset of artifacts to regenerate "
-             "(fig11, fig13, qs6, concurrency, partitioned, difftest, "
-             "server; default all)",
+             "(fig11, fig13, qs6, partitioned, difftest, server; "
+             "default all)",
     )
     args = parser.parse_args()
     scales = [1] if args.quick else [
@@ -546,12 +490,6 @@ def main() -> None:
         ]
         artifact = qs6_sweep(qs6_scales, rounds)
         path = args.out_dir / "BENCH_qs6.json"
-        path.write_text(json.dumps(artifact, indent=2) + "\n")
-        print(f"wrote {path}")
-
-    if wanted("concurrency"):
-        artifact = concurrency_sweep(scales[0], rounds)
-        path = args.out_dir / "BENCH_concurrency.json"
         path.write_text(json.dumps(artifact, indent=2) + "\n")
         print(f"wrote {path}")
 

@@ -26,7 +26,7 @@ commands (interactive or piped):
 * ``\\statements [N|on|off|reset]`` — statement-level statistics: the
   top-N statements by total time, or toggle/clear the collector;
 * ``\\waits`` — database-wide wait profile (where statement wall time
-  went: parse, plan, execute, wal.fsync, io.stall, ...);
+  went: parse, plan, execute, wal.fsync, exchange, network, ...);
 * ``\\slowlog [N|set <file> [threshold_ms]|off]`` — the slow-query log:
   show the most recent entries, attach a JSONL log file, or detach;
 * ``\\trace on|off|dump [file]`` — query tracing (Chrome trace format);

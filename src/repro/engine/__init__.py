@@ -10,10 +10,9 @@ overhead.  See DESIGN.md §2 for the substitution argument.
 from repro.engine.advisor import IndexAdvisor, IndexSuggestion
 from repro.engine.catalog import CatalogManager, CatalogState
 from repro.engine.database import Database
-from repro.engine.executor import ConcurrentExecutor, ConcurrentReport
 from repro.engine.faults import FAULTS, FaultInjector, FaultPlan
 from repro.engine.governor import GovernorLimits, ResourceGovernor
-from repro.engine.parallel import WorkerPool, run_with_retry
+from repro.engine.parallel import WorkerPool
 from repro.engine.recovery import RecoveryReport, recover_database
 from repro.engine.result import Result
 from repro.engine.wal import WriteAheadLog
@@ -44,8 +43,6 @@ __all__ = [
     "CatalogManager",
     "CatalogState",
     "Column",
-    "ConcurrentExecutor",
-    "ConcurrentReport",
     "Database",
     "EngineSnapshot",
     "FAULTS",
@@ -76,6 +73,5 @@ __all__ = [
     "XADT",
     "XadtType",
     "recover_database",
-    "run_with_retry",
     "type_from_name",
 ]

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -44,16 +43,10 @@ from repro.engine.governor import ResourceGovernor
 from repro.engine.index import Index
 from repro.engine.io import IoRouter
 from repro.engine.plan.optimizer import plan_select
-from repro.engine.plan_cache import (
-    DEFAULT_CAPACITY,
-    CachedPlan,
-    PlanCache,
-    normalize_sql,
-)
+from repro.engine.plan_cache import DEFAULT_CAPACITY, PlanCache, normalize_sql
 from repro.engine.result import Result
 from repro.engine.schema import Column, IndexDef, PartitionSpec, TableSchema
-from repro.engine.session import PreparedStatement, Session, _PlannerView
-from repro.engine.snapshot import EngineSnapshot
+from repro.engine.session import PreparedStatement, Session
 from repro.engine.sql.ast import (
     CreateIndexStmt,
     CreateTableStmt,
@@ -76,12 +69,7 @@ from repro.engine.types import type_from_name
 from repro.engine.udf import FunctionRegistry
 from repro.engine.wal import WriteAheadLog
 from repro.errors import CatalogError, CrashPoint, ExecutionError
-from repro.obs.explain import (
-    AnalyzeReport,
-    attach_stats,
-    build_report,
-    detach_stats,
-)
+from repro.obs.explain import AnalyzeReport
 from repro.obs.metrics import METRICS
 from repro.obs.statements import STATEMENTS
 from repro.obs.trace import TRACER
@@ -614,37 +602,6 @@ class Database:
         """Prepare ``sql`` once and execute it per bind-value row."""
         return self._default.execute_many(sql, param_rows)
 
-    def _build_entry(
-        self,
-        statement: Statement,
-        key: str,
-        catalog: CatalogState | None = None,
-        snapshot: EngineSnapshot | None = None,
-    ) -> CachedPlan:
-        """Plan a SELECT against ``catalog`` and cache it under its version."""
-        if not isinstance(statement, SelectStmt):
-            raise ExecutionError(
-                "statement normalizes like a SELECT but is "
-                f"{type(statement).__name__}"
-            )
-        if catalog is None:
-            catalog = self._catalog_mgr.state
-        box = ParamBox(count_parameters(statement))
-        view = _PlannerView(self, catalog, snapshot)
-        with TRACER.span("plan", args={"sql": key[:200]}):
-            plan = plan_select(statement, view, box)
-        entry = CachedPlan(
-            plan=plan,
-            params=box,
-            statement=statement,
-            version=catalog.version,
-        )
-        self.plan_cache.store(key, entry)
-        return entry
-
-    def _select_entry(self, key: str, statement: SelectStmt) -> CachedPlan:
-        return self._default._select_entry(key, statement)
-
     def _execute_statement(
         self, statement: Statement, params: tuple | list
     ) -> Result:
@@ -731,64 +688,16 @@ class Database:
 
         Plans the statement fresh (cached plans are shared and stay
         uninstrumented), attaches rows/timing counters to every physical
-        operator, runs the query to completion, and returns an
+        operator, runs the query to completion on the default session —
+        the same path ``execute`` takes — and returns an
         :class:`~repro.obs.explain.AnalyzeReport`: actual vs. estimated
         cardinality per operator, inclusive/self wall time, >10x
         estimate-miss flags, and the parse/plan/execute phase breakdown.
         The executed :class:`Result` rides along as ``report.result``.
         """
-        phases: dict[str, float] = {}
-        started = time.perf_counter()
-        statement = parse_sql(sql)
-        phases["parse"] = time.perf_counter() - started
-        if not isinstance(statement, SelectStmt):
-            raise ExecutionError(
-                "EXPLAIN ANALYZE supports SELECT statements only"
-            )
-        box = ParamBox(count_parameters(statement))
-        started = time.perf_counter()
-        plan = plan_select(statement, self, box)
-        phases["plan"] = time.perf_counter() - started
-        return self._analyze(plan, box, params, phases)
-
-    def _analyze(
-        self,
-        plan,
-        box: ParamBox,
-        params: tuple | list,
-        phases: dict[str, float],
-    ) -> AnalyzeReport:
-        """Instrument ``plan``, drain it, and fold stats into a report."""
-        from repro.xadt.structural_index import statement_routing
-
-        box.bind(tuple(params))
-        columns = [slot.name for slot in plan.binding.slots]
-        nodes = attach_stats(plan)
-        try:
-            started = time.perf_counter()
-            rows = []
-            with statement_routing(self._structural_enabled()):
-                for batch in plan.batches():
-                    rows.extend(batch)
-            phases["execute"] = time.perf_counter() - started
-            result = Result(columns, rows)
-            report = build_report(nodes, phases, result)
-            if TRACER.enabled:
-                for node, _depth in nodes:
-                    stats = node.stats
-                    if stats.started_at is None:
-                        continue
-                    finished = stats.finished_at or stats.started_at
-                    TRACER.add_complete(
-                        type(node).__name__,
-                        "operator",
-                        stats.started_at,
-                        finished - stats.started_at,
-                        {"rows": stats.rows_out, "loops": stats.loops},
-                    )
-        finally:
-            detach_stats(nodes)
-        return report
+        return self._default._explain_analyze(
+            normalize_sql(sql), None, sql, params
+        )
 
     # -- statistics & advice ------------------------------------------------------
 

@@ -24,10 +24,10 @@ processes.  This module owns everything below the operator:
 * :func:`execute_fragment` — the fragment interpreter itself, shared by
   the worker child and the coordinator's inline-degradation path so a
   fragment computes identical results wherever it runs;
-* :func:`run_with_retry` — the retry/backoff helper shared with
-  :class:`~repro.engine.executor.ConcurrentExecutor` (DESIGN.md §9):
-  transient failures (a killed worker, an injected fault) retry with
-  exponential backoff, everything else surfaces immediately.
+* **retry** — a failed fragment is re-dispatched under the shared
+  :class:`~repro.retry.RetryPolicy` (DESIGN.md §9): transient failures
+  (a killed worker, an injected fault) retry with jittered exponential
+  backoff, everything else surfaces immediately.
 
 The ``worker.crash`` fault site fires coordinator-side at each
 dispatch; when it raises, the pool terminates the target worker before
@@ -57,9 +57,9 @@ from repro.errors import (
     ExecutionError,
     FaultInjected,
     WorkerError,
-    is_transient,
 )
 from repro.obs.metrics import METRICS
+from repro.retry import RetryPolicy
 
 #: batch serialization format for tasks, slices, and replies
 PICKLE_PROTOCOL = 5
@@ -72,41 +72,6 @@ _INLINE_FALLBACKS = METRICS.counter("exchange.inline_fallbacks")
 _RESPAWNS = METRICS.counter("exchange.worker_respawns")
 _SLICES_SHIPPED = METRICS.counter("exchange.slices_shipped")
 _SLICE_BYTES = METRICS.counter("exchange.slice_bytes")
-
-
-# ---------------------------------------------------------------------------
-# shared retry helper (Exchange dispatch + ConcurrentExecutor)
-# ---------------------------------------------------------------------------
-
-
-def run_with_retry(
-    fn: Callable[[], object],
-    *,
-    max_retries: int = 2,
-    backoff_seconds: float = 0.0,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> object:
-    """Call ``fn`` and retry transient failures with exponential backoff.
-
-    ``max_retries`` bounds the *re*-attempts: the function runs at most
-    ``max_retries + 1`` times.  Only :class:`~repro.errors.TransientError`
-    is retried; fatal errors propagate on the first occurrence.
-    ``on_retry(attempt, exc)`` runs before each backoff sleep so callers
-    can attribute the wait (the concurrent executor records it against
-    the statement's wait profile).
-    """
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except Exception as exc:
-            if not is_transient(exc) or attempt >= max_retries:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            if backoff_seconds:
-                time.sleep(backoff_seconds * (2**attempt))
-            attempt += 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +385,8 @@ class WorkerPool:
     most one task to each worker, then gathers every reply, so the pipe
     protocol is pure request/reply and cannot deadlock on full buffers.
     Task failures — a worker-reported error, a dead process, an injected
-    ``worker.crash`` — surface per task; the pool retries each through
-    :func:`run_with_retry` (respawning the worker, which forces a slice
+    ``worker.crash`` — surface per task; the pool retries each under
+    ``self.retry`` (respawning the worker, which forces a slice
     reship) and reports ``("failed", reason)`` only once the retry
     budget is spent, at which point the caller degrades that fragment to
     inline execution.
@@ -451,6 +416,9 @@ class WorkerPool:
         self._spawned = [False] * size
         self._seq = 0
         self._closed = False
+        #: re-dispatch budget for a failed fragment: three more tries,
+        #: ~20 ms then ~40 ms apart, before the caller degrades inline
+        self.retry = RetryPolicy(attempts=3, base_delay=0.02)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -627,11 +595,7 @@ class WorkerPool:
         return result, elapsed
 
     def run_tasks(
-        self,
-        tasks: Iterable[tuple[dict, Callable]],
-        *,
-        max_retries: int = 2,
-        backoff_seconds: float = 0.02,
+        self, tasks: Iterable[tuple[dict, Callable]]
     ) -> list[tuple]:
         """Scatter-gather ``(task, slice_provider)`` pairs over the pool.
 
@@ -640,8 +604,8 @@ class WorkerPool:
         order; ``lane`` is the worker slot the fragment ran on (the
         Exchange's overlap credit groups fragment compute by lane).
         Each round scatters up to ``size`` tasks (one per worker) and
-        gathers them; failed fragments retry serially through
-        :func:`run_with_retry` before degrading.
+        gathers them; failed fragments retry serially under
+        ``self.retry`` before degrading.
         """
         items = list(tasks)
         outcomes: list[tuple | None] = [None] * len(items)
@@ -673,11 +637,7 @@ class WorkerPool:
                     return self._collect(index)
 
                 try:
-                    result, elapsed = run_with_retry(
-                        attempt,
-                        max_retries=max_retries,
-                        backoff_seconds=backoff_seconds,
-                    )
+                    result, elapsed = self.retry.run(attempt)
                     outcomes[position] = ("ok", result, elapsed, index)
                 except WorkerError as exc:
                     _INLINE_FALLBACKS.inc()
@@ -693,6 +653,5 @@ __all__ = [
     "SHM_THRESHOLD",
     "WorkerPool",
     "execute_fragment",
-    "run_with_retry",
     "worker_registry",
 ]

@@ -21,7 +21,7 @@ trio, whose separate reads could race a concurrent config change.
 
 All cache operations take an internal lock: the cache is shared by every
 session of a :class:`~repro.engine.database.Database` and is hit from
-the concurrent executor's reader threads.
+every thread that runs one (the server's pool, reader threads in tests).
 
 Normalization collapses whitespace and strips ``--`` comments *outside*
 string literals and quoted identifiers, so formatting differences share

@@ -240,60 +240,59 @@ class Session:
 
     def execute(self, sql: str, params: tuple | list = ()) -> Result:
         """Execute one statement against this session's snapshot."""
+        return self._execute(normalize_sql(sql), None, sql, params)
+
+    def _execute(
+        self,
+        key: str,
+        statement: Statement | None,
+        sql: str | None,
+        params: tuple | list,
+    ) -> Result:
+        """The statement envelope — the only one (DESIGN.md §8).
+
+        ``Session.execute`` enters with SQL text, ``PreparedStatement``
+        with the statement it parsed at prepare time; everything else is
+        shared: begin the observation, open the ``query`` span, run,
+        note the result, count, observe the latency histogram, finish.
+        Whether the statement collector is on is a branch in here, not
+        a second copy.
+        """
         self._check_open()
-        key = normalize_sql(sql)
         kind = _statement_kind(key)
         started = time.perf_counter()
         observation = STATEMENTS.begin(key, kind, self.session_id)
         if observation is not None:
-            return self._execute_observed(
-                observation, key, kind, sql, params, started
-            )
-        with TRACER.span("query", args={"sql": key[:200], "kind": kind}):
-            if kind == "select":
-                result = self._execute_select(key, None, sql, params)
-            else:
-                with TRACER.span("parse"):
-                    statement = parse_sql(sql)
-                result = self._execute_write(statement, params)
-        self._count(kind)
-        _QUERY_HISTOGRAMS[kind].observe(time.perf_counter() - started)
-        return result
-
-    def _execute_observed(
-        self,
-        observation: StatementObservation,
-        key: str,
-        kind: str,
-        sql: str,
-        params: tuple | list,
-        started: float,
-    ) -> Result:
-        """``execute`` with the statement collector's bookkeeping on."""
+            decode_start = _decode_cache_hits()
+            wal_start = _WAL_BYTES.value
         error: BaseException | None = None
-        decode_start = _decode_cache_hits()
-        wal_start = _WAL_BYTES.value
         try:
             with TRACER.span("query", args={"sql": key[:200], "kind": kind}):
                 if kind == "select":
-                    result = self._execute_select(
-                        key, None, sql, params, observation
+                    pin = self._pin()
+                    entry = self._select_entry(
+                        key, statement, sql, pin, observation
                     )
+                    result = self._run_select(entry, params, pin, observation)
                 else:
-                    with TRACER.span("parse"):
-                        statement = parse_sql(sql)
+                    if statement is None:
+                        with TRACER.span("parse"):
+                            statement = parse_sql(sql)
                     result = self._execute_write(statement, params)
-            self._note_result(observation, result, decode_start, wal_start)
+            if observation is not None:
+                self._note_result(observation, result, decode_start, wal_start)
             self._count(kind)
             _QUERY_HISTOGRAMS[kind].observe(time.perf_counter() - started)
             return result
         except BaseException as exc:
             error = exc
-            if isinstance(exc, (StatementTimeout, ResourceExceeded)):
-                observation.governor_abort = True
             raise
         finally:
-            STATEMENTS.finish(observation, error=error)
+            if observation is not None:
+                observation.governor_abort = isinstance(
+                    error, (StatementTimeout, ResourceExceeded)
+                )
+                STATEMENTS.finish(observation, error=error)
 
     @staticmethod
     def _note_result(
@@ -367,46 +366,57 @@ class Session:
         self.query_counts[kind] = self.query_counts.get(kind, 0) + 1
         _SESSION_QUERIES.inc()
 
-    def _execute_prepared(
+    def _select_entry(
         self,
         key: str,
-        statement: Statement,
-        params: tuple | list,
-        observation: StatementObservation | None = None,
-    ) -> Result:
-        """Prepared-statement entry point (statement already parsed)."""
-        self._check_open()
-        kind = _statement_kind(key)
-        if isinstance(statement, SelectStmt):
-            result = self._execute_select(
-                key, statement, None, params, observation
-            )
-        else:
-            result = self._execute_write(statement, params)
-        self._count(kind)
-        return result
-
-    def _execute_select(
-        self,
-        key: str,
-        statement: SelectStmt | None,
+        statement: Statement | None,
         sql: str | None,
-        params: tuple | list,
+        pin: EngineSnapshot | None,
         observation: StatementObservation | None = None,
-    ) -> Result:
-        pin = self._pin()
+    ) -> CachedPlan:
+        """The plan a SELECT runs: the cached entry, or a new one.
+
+        A miss parses (unless the caller already did), plans against
+        the pinned catalog and stores the entry under that catalog's
+        version.
+        """
         # one consistent catalog state for lookup, planning, and store —
         # the version cannot move between the cache probe and the compile
         catalog = pin.catalog if pin is not None else self._db.catalog
-        entry = self._db.plan_cache.lookup(key, catalog.version)
+        cache = self._db.plan_cache
+        entry = cache.lookup(key, catalog.version)
         if observation is not None:
             observation.plan_cache_hit = entry is not None
-        if entry is None:
-            if statement is None:
-                with TRACER.span("parse"):
-                    statement = parse_sql(sql)
-            entry = self._db._build_entry(statement, key, catalog, pin)
-        return self._run_select(entry, params, pin, observation)
+        if entry is not None:
+            return entry
+        if statement is None:
+            with TRACER.span("parse"):
+                statement = parse_sql(sql)
+        if not isinstance(statement, SelectStmt):
+            raise ExecutionError(
+                "statement normalizes like a SELECT but is "
+                f"{type(statement).__name__}"
+            )
+        entry = self._plan_entry(key, statement, catalog, pin)
+        cache.store(key, entry)
+        return entry
+
+    def _plan_entry(
+        self,
+        key: str,
+        statement: SelectStmt,
+        catalog: "CatalogState",
+        pin: EngineSnapshot | None,
+    ) -> CachedPlan:
+        """Plan ``statement`` against ``catalog`` via a :class:`_PlannerView`."""
+        box = ParamBox(count_parameters(statement))
+        with TRACER.span("plan", args={"sql": key[:200]}):
+            plan = plan_select(
+                statement, _PlannerView(self._db, catalog, pin), box
+            )
+        return CachedPlan(
+            plan=plan, params=box, statement=statement, version=catalog.version
+        )
 
     def _run_select(
         self,
@@ -473,14 +483,54 @@ class Session:
                 detach_stats(nodes)
         return Result(columns, rows)
 
-    def _select_entry(self, key: str, statement: SelectStmt) -> CachedPlan:
-        """The cached (or freshly planned) entry for a SELECT."""
+    def _explain_analyze(
+        self,
+        key: str,
+        statement: Statement | None,
+        sql: str | None,
+        params: tuple | list,
+    ) -> AnalyzeReport:
+        """EXPLAIN ANALYZE: ``execute``'s SELECT path on a private plan.
+
+        Same pin, private I/O counters, governor budget and XADT routing
+        as :meth:`_execute` — only the plan differs: planned fresh, kept
+        out of the cache, and instrumented for its whole (one-run) life.
+        """
+        self._check_open()
+        phases: dict[str, float] = {}
+        started = time.perf_counter()
+        if statement is None:
+            statement = parse_sql(sql)
+        phases["parse"] = time.perf_counter() - started
+        if not isinstance(statement, SelectStmt):
+            raise ExecutionError(
+                "EXPLAIN ANALYZE supports SELECT statements only"
+            )
         pin = self._pin()
+        started = time.perf_counter()
         catalog = pin.catalog if pin is not None else self._db.catalog
-        entry = self._db.plan_cache.lookup(key, catalog.version)
-        if entry is None:
-            entry = self._db._build_entry(statement, key, catalog, pin)
-        return entry
+        # a private entry, never stored: the shared cached plan stays
+        # uninstrumented
+        entry = self._plan_entry(key, statement, catalog, pin)
+        phases["plan"] = time.perf_counter() - started
+        nodes = attach_stats(entry.plan)
+        started = time.perf_counter()
+        result = self._run_select(entry, params, pin)
+        phases["execute"] = time.perf_counter() - started
+        if TRACER.enabled:
+            for node, _depth in nodes:
+                stats = node.stats
+                if stats.started_at is None:
+                    continue
+                finished = stats.finished_at or stats.started_at
+                TRACER.add_complete(
+                    type(node).__name__,
+                    "operator",
+                    stats.started_at,
+                    finished - stats.started_at,
+                    {"rows": stats.rows_out, "loops": stats.loops},
+                )
+        return build_report(nodes, phases, result)
 
     def _execute_write(
         self, statement: Statement, params: tuple | list
@@ -511,7 +561,6 @@ class PreparedStatement:
 
     def __init__(self, session: Session, sql: str) -> None:
         self._session = session
-        self._db = session._db
         self.sql = sql
         self._key = normalize_sql(sql)
         self._statement = parse_sql(sql)
@@ -519,60 +568,23 @@ class PreparedStatement:
         self.parameter_count = count_parameters(self._statement)
 
     def execute(self, *params: object) -> Result:
-        kind = _statement_kind(self._key)
-        started = time.perf_counter()
-        observation = STATEMENTS.begin(
-            self._key, kind, self._session.session_id
-        )
-        if observation is None:
-            with TRACER.span(
-                "query", args={"sql": self._key[:200], "kind": kind}
-            ):
-                result = self._session._execute_prepared(
-                    self._key, self._statement, params
-                )
-            _QUERY_HISTOGRAMS[kind].observe(time.perf_counter() - started)
-            return result
-        error: BaseException | None = None
-        decode_start = _decode_cache_hits()
-        wal_start = _WAL_BYTES.value
-        try:
-            with TRACER.span(
-                "query", args={"sql": self._key[:200], "kind": kind}
-            ):
-                result = self._session._execute_prepared(
-                    self._key, self._statement, params, observation
-                )
-            Session._note_result(observation, result, decode_start, wal_start)
-            _QUERY_HISTOGRAMS[kind].observe(time.perf_counter() - started)
-            return result
-        except BaseException as exc:
-            error = exc
-            if isinstance(exc, (StatementTimeout, ResourceExceeded)):
-                observation.governor_abort = True
-            raise
-        finally:
-            STATEMENTS.finish(observation, error=error)
+        return self._session._execute(self._key, self._statement, None, params)
 
     def explain(self) -> str:
         """The physical plan this statement currently executes."""
         if not isinstance(self._statement, SelectStmt):
             raise ExecutionError("EXPLAIN supports SELECT statements only")
-        entry = self._session._select_entry(self._key, self._statement)
+        session = self._session
+        entry = session._select_entry(
+            self._key, self._statement, None, session._pin()
+        )
         return "\n".join(entry.plan.explain())
 
     def explain_analyze(self, *params: object) -> AnalyzeReport:
         """Execute with per-operator instrumentation; see Database.explain_analyze."""
-        if not isinstance(self._statement, SelectStmt):
-            raise ExecutionError(
-                "EXPLAIN ANALYZE supports SELECT statements only"
-            )
-        phases = {"parse": 0.0}  # parsed at prepare() time
-        box = ParamBox(count_parameters(self._statement))
-        started = time.perf_counter()
-        plan = plan_select(self._statement, self._db, box)
-        phases["plan"] = time.perf_counter() - started
-        return self._db._analyze(plan, box, params, phases)
+        return self._session._explain_analyze(
+            self._key, self._statement, None, params
+        )
 
     def __repr__(self) -> str:
         return (

@@ -9,9 +9,9 @@ Orthogonal to the subsystem branches, every concrete error is classified
 for the retry layer (DESIGN.md §9):
 
 * :class:`TransientError` — the operation may succeed if retried
-  (injected chaos faults, interrupted I/O).  The concurrent executor's
-  retry-with-backoff and the XADT decode-degradation fallback key on
-  this base.
+  (injected chaos faults, interrupted I/O).  The retry policy
+  (:mod:`repro.retry`) and the XADT decode-degradation fallback key
+  on this base.
 * :class:`FatalError` — retrying the same operation will fail the same
   way (syntax errors, schema violations, resource-cap aborts).  These
   must surface to the caller immediately.

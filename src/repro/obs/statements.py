@@ -16,11 +16,11 @@ tracer's spans — ``parse``, ``plan``, ``execute``, ``wal.fsync``,
 ``xindex.build`` — record their durations into it even when the Chrome
 trace buffer is off.  At finish the sink is folded into a breakdown
 whose parts sum to the statement's wall time: nested waits
-(``wal.fsync``, ``xindex.build``, ``governor.throttle``) are subtracted
-from ``execute``, and the unattributed remainder lands in ``other``.
-The modelled-I/O stall a :class:`~repro.engine.executor.ConcurrentExecutor`
-sleeps *after* a query returns is attributed by the executor itself via
-:meth:`StatementStatsCollector.record_wait` (wait name ``io.stall``).
+(``wal.fsync``, ``xindex.build``, ``exchange``) are subtracted from
+``execute``, and the unattributed remainder lands in ``other``.  Time a
+statement costs *after* ``execute`` returned — the server writing its
+result frames — is attributed by that caller via
+:meth:`StatementStatsCollector.record_wait` (wait name ``network``).
 
 **Flight recorder and slow-query log.**  Every observed statement
 appends one record to a bounded in-memory deque (the flight recorder —
@@ -51,17 +51,15 @@ from collections import OrderedDict, deque
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.obs.trace import WAIT_SINK
 
-#: the wait taxonomy, in report order.  ``parse``/``plan``/``execute``
-#: are the statement phases; ``wal.fsync`` is durable-commit sync time;
-#: ``governor.throttle`` is admission-control delay (reserved — the
-#: governor aborts rather than throttles today, so it reads zero);
-#: ``io.stall`` is the concurrent executor's modelled-disk sleep;
+#: the wait taxonomy, in report order — only waits something records.
+#: ``parse``/``plan``/``execute`` are the statement phases;
+#: ``wal.fsync`` is durable-commit sync time;
 #: ``xindex.build`` is structural-index staging inside a write;
 #: ``exchange`` is time a partition-parallel scan spent scattered to the
 #: worker pool (dispatch through last reply); ``network`` is time the
 #: server spent writing a statement's result frames to the client
 #: (attributed out-of-band by the network front-end via
-#: :meth:`StatementStatsCollector.record_wait`, like ``io.stall``).
+#: :meth:`StatementStatsCollector.record_wait`).
 #: The residual bucket ``other`` absorbs unattributed wall time, so a
 #: breakdown always sums to the statement's measured wall clock.
 WAIT_NAMES = (
@@ -69,8 +67,6 @@ WAIT_NAMES = (
     "plan",
     "execute",
     "wal.fsync",
-    "governor.throttle",
-    "io.stall",
     "xindex.build",
     "exchange",
     "network",
@@ -78,7 +74,7 @@ WAIT_NAMES = (
 
 #: waits nested inside the ``execute`` span, subtracted so the
 #: breakdown never double-counts
-_NESTED_WAITS = ("wal.fsync", "xindex.build", "governor.throttle", "exchange")
+_NESTED_WAITS = ("wal.fsync", "xindex.build", "exchange")
 
 #: bounded number of distinct statement keys (LRU-evicted past this)
 DEFAULT_MAX_STATEMENTS = 512
@@ -341,7 +337,7 @@ class StatementStatsCollector:
             pass
 
     def record_wait(self, key: str, name: str, seconds: float) -> None:
-        """Attribute out-of-band wait time (e.g. ``io.stall``) to ``key``."""
+        """Attribute out-of-band wait time (e.g. ``network``) to ``key``."""
         if not self.enabled or seconds <= 0.0:
             return
         with self._lock:

@@ -14,8 +14,9 @@ pattern against a shedding server:
 * :class:`~repro.errors.FatalError` (syntax errors, timeouts, caps) —
   surface immediately; retrying would fail identically.
 
-Jitter comes from a :class:`random.Random` seeded per policy, so a
-failing chaos run replays the exact same backoff schedule.  Retries are
+The loop itself is the shared :class:`~repro.retry.RetryPolicy`
+(re-exported here); the client only supplies the attempt — reconnect
+and re-prepare if the socket is gone, then one round trip.  Retries are
 on by default because the protocol is read-oriented; callers issuing
 writes that must not be duplicated pass ``retry=False`` per call.
 """
@@ -23,17 +24,10 @@ writes that must not be duplicated pass ``retry=False`` per call.
 from __future__ import annotations
 
 import socket
-import time
 from asyncio import IncompleteReadError
-from random import Random
 
-from repro.errors import (
-    ConfigError,
-    ConnectionLost,
-    FatalError,
-    ProtocolError,
-    TransientError,
-)
+from repro.errors import ConfigError, ConnectionLost, ProtocolError
+from repro.retry import RetryPolicy
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     decode_body,
@@ -41,41 +35,6 @@ from repro.server.protocol import (
     frame_length,
     raise_wire_error,
 )
-
-
-class RetryPolicy:
-    """Jittered exponential backoff with a deterministic seed."""
-
-    def __init__(
-        self,
-        attempts: int = 5,
-        base_delay: float = 0.02,
-        max_delay: float = 1.0,
-        multiplier: float = 2.0,
-        seed: int = 0,
-    ) -> None:
-        if attempts < 1:
-            raise ConfigError(f"attempts must be >= 1, got {attempts!r}")
-        self.attempts = attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.multiplier = multiplier
-        self._rng = Random(seed)
-
-    def delay(self, attempt: int, hint: float | None = None) -> float:
-        """Sleep length before retry number ``attempt`` (1-based).
-
-        A server ``retry_after`` hint is respected as the floor: the
-        server knows its queue depth better than our backoff curve.
-        """
-        backoff = min(
-            self.max_delay,
-            self.base_delay * (self.multiplier ** (attempt - 1)),
-        )
-        jittered = backoff * (0.5 + self._rng.random())  # 0.5x..1.5x
-        if hint is not None:
-            return max(hint, jittered)
-        return jittered
 
 
 class ReproClient:
@@ -98,8 +57,8 @@ class ReproClient:
         self.request_timeout = request_timeout
         self._sock: socket.socket | None = None
         self._ids = 0
-        #: local stmt id -> (server stmt id, sql); re-prepared after a
-        #: reconnect, so prepared handles survive connection loss
+        #: local stmt id -> (server stmt id, sql); re-prepared by every
+        #: connect(), so prepared handles survive connection loss
         self._prepared: dict[int, tuple[int, str]] = {}
         self.reconnects = 0
         self.retries = 0
@@ -107,6 +66,11 @@ class ReproClient:
     # -- connection management ---------------------------------------------
 
     def connect(self) -> None:
+        """Open the socket, shake hands, re-prepare cached statements.
+
+        A no-op while connected, so "connected" always implies the
+        server ids in ``_prepared`` belong to this connection.
+        """
         if self._sock is not None:
             return
         try:
@@ -125,12 +89,17 @@ class ReproClient:
                 "protocol": PROTOCOL_VERSION,
                 "client": self.client_name,
             })
+            if not reply.get("ok"):
+                raise ProtocolError("handshake rejected")
+            # a new connection hands out new statement ids
+            for local_id, (_, sql) in list(self._prepared.items()):
+                reply = self._roundtrip({"op": "prepare", "sql": sql})
+                if reply.get("error"):
+                    raise_wire_error(reply["error"])
+                self._prepared[local_id] = (reply["stmt"], sql)
         except Exception:
             self.close()
             raise
-        if not reply.get("ok"):
-            self.close()
-            raise ProtocolError("handshake rejected")
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
@@ -139,17 +108,6 @@ class ReproClient:
                 sock.close()
             except OSError:
                 pass
-
-    def _reconnect(self) -> None:
-        self.close()
-        self.reconnects += 1
-        self.connect()
-        # re-establish server-side prepared statements under new ids
-        for local_id, (_, sql) in list(self._prepared.items()):
-            reply = self._roundtrip({"op": "prepare", "sql": sql})
-            if reply.get("error"):
-                raise_wire_error(reply["error"])
-            self._prepared[local_id] = (reply["stmt"], sql)
 
     def __enter__(self) -> "ReproClient":
         self.connect()
@@ -205,32 +163,37 @@ class ReproClient:
 
     # -- retrying request layer --------------------------------------------
 
-    def _request(self, message: dict, retry: bool = True) -> dict:
-        attempts = self.retry.attempts if retry else 1
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                if self._sock is None:
+    def _request(
+        self, message: dict, retry: bool = True, stmt: int | None = None
+    ) -> dict:
+        """One request under the retry policy (``stmt``: local id)."""
+
+        def attempt() -> dict:
+            if self._sock is None:
+                try:
                     self.connect()
-                reply = self._roundtrip(message)
-                error = reply.get("error")
-                if error:
-                    raise_wire_error(error)
-                return reply
-            except FatalError:
-                raise
-            except TransientError as exc:
-                if attempt >= attempts:
-                    raise
-                self.retries += 1
-                hint = getattr(exc, "retry_after", None)
-                time.sleep(self.retry.delay(attempt, hint))
-                if isinstance(exc, ConnectionLost):
-                    try:
-                        self._reconnect()
-                    except TransientError:
-                        continue  # server still down; keep backing off
+                except ConnectionLost:
+                    # a handshake lost to the same outage does not
+                    # spend an attempt: one more try before the request
+                    self.connect()
+            if stmt is not None:
+                # resolved per attempt: a reconnect re-prepares the
+                # statement under a new server id
+                message["stmt"] = self._prepared[stmt][0]
+            reply = self._roundtrip(message)
+            error = reply.get("error")
+            if error:
+                raise_wire_error(error)
+            return reply
+
+        if not retry:
+            return attempt()
+        return self.retry.run(attempt, self._note_retry)
+
+    def _note_retry(self, attempt: int, exc: BaseException) -> None:
+        self.retries += 1
+        if isinstance(exc, ConnectionLost):
+            self.reconnects += 1  # the next attempt opens a new socket
 
     # -- public API ---------------------------------------------------------
 
@@ -247,10 +210,8 @@ class ReproClient:
         """Run one statement; transparently page the full result in."""
         message: dict = {"op": "execute", "params": list(params)}
         if stmt is not None:
-            server_stmt = self._prepared.get(stmt)
-            if server_stmt is None:
+            if stmt not in self._prepared:
                 raise ConfigError(f"unknown prepared statement {stmt!r}")
-            message["stmt"] = server_stmt[0]
         elif sql is not None:
             message["sql"] = sql
         else:
@@ -259,7 +220,7 @@ class ReproClient:
             message["timeout_ms"] = timeout_ms
         if fetch_size is not None:
             message["fetch_size"] = fetch_size
-        reply = self._request(message, retry=retry)
+        reply = self._request(message, retry=retry, stmt=stmt)
         rows = list(reply.get("rows") or [])
         while reply.get("more"):
             fetch: dict = {"op": "fetch", "cursor": reply["cursor"]}

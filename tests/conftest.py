@@ -7,6 +7,9 @@ build their own.
 
 from __future__ import annotations
 
+import threading
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench.harness import build_database
@@ -103,3 +106,48 @@ def empty_db():
     db = Database("test")
     register_xadt_functions(db)
     return db
+
+
+@pytest.fixture()
+def run_readers():
+    """Concurrent readers the way production has them: sessions on threads.
+
+    ``run_readers(db, workload, readers=3, rounds=1)`` starts one thread
+    per reader, each on its own ``db.connect()`` session, releases them
+    together, and returns one record per reader: ``results`` (the last
+    round's :class:`Result` per statement), ``queries`` (statements that
+    completed) and ``error`` (what ended the reader early, else None).
+    A reader always closes its session, whatever happens.
+    """
+
+    def run(db, workload, readers=3, rounds=1):
+        outcomes = [
+            SimpleNamespace(results=[], queries=0, error=None)
+            for _ in range(readers)
+        ]
+        barrier = threading.Barrier(readers, timeout=60)
+
+        def reader(outcome):
+            with db.connect() as session:
+                barrier.wait()
+                try:
+                    for _ in range(rounds):
+                        outcome.results = []
+                        for sql in workload:
+                            outcome.results.append(session.execute(sql))
+                            outcome.queries += 1
+                except Exception as exc:  # noqa: BLE001 - reported per reader
+                    outcome.error = exc
+
+        threads = [
+            threading.Thread(target=reader, args=(outcome,))
+            for outcome in outcomes
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        return outcomes
+
+    return run

@@ -5,7 +5,8 @@ The layered engine's concurrency contract, stress-tested:
 * readers racing one writer never observe a torn write — every read
   matches a published snapshot (a whole number of marker batches);
 * concurrent execution of the paper's Fig11/Fig13 workloads returns
-  exactly the single-threaded results on every reader;
+  exactly the single-threaded results on every reader — sessions on
+  plain threads, and clients of the TCP server's session pool;
 * engine/catalog versions advance monotonically, and plain inserts
   never invalidate cached plans.
 """
@@ -16,11 +17,13 @@ import threading
 
 import pytest
 
-from repro.engine import CatalogManager, ConcurrentExecutor, Database
+from repro.engine import CatalogManager, Database
 from repro.engine.config import ExecutionConfig
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER
 from repro.errors import CatalogError, ExecutionError
+from repro.server import ReproClient, start_server_thread
+from repro.server.protocol import jsonable_rows
 from repro.workloads.shakespeare_queries import workload_sql as qs_workload
 from repro.workloads.sigmod_queries import workload_sql as qg_workload
 
@@ -233,44 +236,70 @@ class TestTornReads:
         assert counts == {self.BATCH}
 
 
-def _parity_case(loaded, workload):
-    baseline = [loaded.db.execute(sql).rows for sql in workload]
-    report = ConcurrentExecutor(loaded.db, readers=3).run(workload, rounds=2)
-    report.raise_errors()
-    assert report.total_queries == 3 * 2 * len(workload)
-    for reader in report.per_reader:
-        assert len(reader.results) == len(workload)
-        for result, expected in zip(reader.results, baseline):
-            assert result.rows == expected
-
-
 class TestWorkloadParity:
     """Fig11/Fig13 queries return identical rows on every reader."""
 
-    def test_fig11_shakespeare_hybrid(self, shakespeare_pair):
+    READERS = 3
+
+    @pytest.fixture()
+    def parity(self, run_readers):
+        def check(loaded, workload):
+            baseline = [loaded.db.execute(sql).rows for sql in workload]
+            outcomes = run_readers(
+                loaded.db, workload, readers=self.READERS, rounds=2
+            )
+            for reader in outcomes:
+                assert reader.error is None
+                assert reader.queries == 2 * len(workload)
+                assert [r.rows for r in reader.results] == baseline
+            # every reader closed its session on the way out
+            assert [s.name for s in loaded.db.sessions()] == ["default"]
+
+        return check
+
+    def test_fig11_shakespeare_hybrid(self, shakespeare_pair, parity):
         hybrid, _ = shakespeare_pair
-        _parity_case(hybrid, qs_workload("hybrid"))
+        parity(hybrid, qs_workload("hybrid"))
 
-    def test_fig11_shakespeare_xorator(self, shakespeare_pair):
+    def test_fig11_shakespeare_xorator(self, shakespeare_pair, parity):
         _, xorator = shakespeare_pair
-        _parity_case(xorator, qs_workload("xorator"))
+        parity(xorator, qs_workload("xorator"))
 
-    def test_fig13_sigmod_hybrid(self, sigmod_pair):
+    def test_fig13_sigmod_hybrid(self, sigmod_pair, parity):
         hybrid, _ = sigmod_pair
-        _parity_case(hybrid, qg_workload("hybrid"))
+        parity(hybrid, qg_workload("hybrid"))
 
-    def test_fig13_sigmod_xorator(self, sigmod_pair):
+    def test_fig13_sigmod_xorator(self, sigmod_pair, parity):
         _, xorator = sigmod_pair
-        _parity_case(xorator, qg_workload("xorator"))
+        parity(xorator, qg_workload("xorator"))
 
-    def test_io_stall_mode_keeps_results_identical(self, shakespeare_pair):
-        _, xorator = shakespeare_pair
-        workload = qs_workload("xorator")[:2]
-        baseline = [xorator.db.execute(sql).rows for sql in workload]
-        report = ConcurrentExecutor(
-            xorator.db, readers=2, io_stalls=True
-        ).run(workload)
-        report.raise_errors()
-        for reader in report.per_reader:
-            assert [r.rows for r in reader.results] == baseline
-            assert reader.stall_seconds > 0
+    @pytest.mark.parametrize("mapping", ["hybrid", "xorator"])
+    def test_fig11_parity_through_the_server_pool(
+        self, shakespeare_pair, mapping
+    ):
+        """The concurrency mechanism production has: N wire clients
+        multiplexed onto the server's session pool."""
+        loaded = shakespeare_pair[0 if mapping == "hybrid" else 1]
+        workload = qs_workload(mapping)
+        baseline = [
+            jsonable_rows(loaded.db.execute(sql).rows) for sql in workload
+        ]
+        seen: list[list] = []
+
+        def client_pass(handle, name):
+            with ReproClient(handle.host, handle.port, client_name=name) as c:
+                for _ in range(2):
+                    rows = [c.execute(sql).rows for sql in workload]
+                seen.append(rows)
+
+        with start_server_thread(loaded.db, max_inflight=4) as handle:
+            threads = [
+                threading.Thread(target=client_pass, args=(handle, f"c{i}"))
+                for i in range(self.READERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        assert seen == [baseline] * self.READERS

@@ -1,11 +1,18 @@
-"""Concurrent executor under failure: typed errors, no poisoned pool."""
+"""Statement execution on reader threads under failure.
+
+Concurrent readers are sessions on threads (``run_readers`` in
+``conftest.py``): a reader that fails reports a typed error and closes
+its session without disturbing the others, and a reader that wraps its
+statements in the shared :class:`~repro.retry.RetryPolicy` absorbs
+transient faults and never spins on fatal ones.
+"""
 
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.executor import ConcurrentExecutor
 from repro.engine.faults import FAULTS, FaultPlan
-from repro.errors import ConfigError, FaultInjected, UdfError
+from repro.errors import FaultInjected, UdfError
+from repro.retry import RetryPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -28,82 +35,84 @@ def db():
 WORKLOAD = ["SELECT id FROM t WHERE parent = 2", "SELECT parent FROM t"]
 
 
-class TestConfig:
-    def test_bad_retry_settings_rejected(self, db):
-        with pytest.raises(ConfigError):
-            ConcurrentExecutor(db, readers=0)
-        with pytest.raises(ConfigError):
-            ConcurrentExecutor(db, max_retries=-1)
-        with pytest.raises(ConfigError):
-            ConcurrentExecutor(db, backoff_seconds=-0.5)
-
-
 class TestReaderFailure:
-    def test_one_failing_reader_does_not_poison_the_pool(self, db):
+    def test_one_failing_reader_does_not_poison_the_pool(
+        self, db, run_readers
+    ):
         # exactly one injected fault: one reader errors, the rest finish
         FAULTS.install(FaultPlan().raise_at("io.charge", hit=1))
-        executor = ConcurrentExecutor(db, readers=3)
-        report = executor.run(WORKLOAD, rounds=2)
-        failed = [r for r in report.per_reader if r.error is not None]
-        healthy = [r for r in report.per_reader if r.error is None]
+        outcomes = run_readers(db, WORKLOAD, readers=3, rounds=2)
+        failed = [r for r in outcomes if r.error is not None]
+        healthy = [r for r in outcomes if r.error is None]
         assert len(failed) == 1
         assert isinstance(failed[0].error, FaultInjected)
         assert len(healthy) == 2
+        expected = [db.execute(sql).rows for sql in WORKLOAD]
         for reader in healthy:
             assert reader.queries == len(WORKLOAD) * 2
-            assert len(reader.results) == len(WORKLOAD)
-        with pytest.raises(FaultInjected):
-            report.raise_errors()
+            assert [r.rows for r in reader.results] == expected
 
-    def test_failed_reader_session_is_closed(self, db):
+    def test_failed_reader_session_is_closed(self, db, run_readers):
         FAULTS.install(FaultPlan().raise_at("io.charge", hit=1))
-        ConcurrentExecutor(db, readers=2).run(WORKLOAD)
+        run_readers(db, WORKLOAD, readers=2)
         # every reader session was closed even on the error path
         assert [s.name for s in db.sessions()] == ["default"]
 
     def test_fatal_error_reported_not_retried(self, db):
-        db.registry.register_scalar(
-            "always_fails", lambda v: 1 / 0, min_args=1, max_args=1
-        )
-        executor = ConcurrentExecutor(db, readers=2, max_retries=3)
-        report = executor.run(["SELECT always_fails(id) FROM t"])
-        assert all(
-            isinstance(r.error, UdfError) for r in report.per_reader
-        )
-        # UdfError is fatal: the retry loop must not have spun on it
-        assert report.total_retries == 0
+        calls = []
 
-    def test_pool_survives_other_databases_queries(self, db):
-        # a failing run leaves the executor reusable
+        def always_fails(value):
+            calls.append(value)
+            return 1 / 0
+
+        db.registry.register_scalar(
+            "always_fails", always_fails, min_args=1, max_args=1
+        )
+        absorbed = []
+        with db.connect() as session, pytest.raises(UdfError):
+            RetryPolicy(attempts=4, base_delay=0.001).run(
+                lambda: session.execute("SELECT always_fails(id) FROM t"),
+                on_retry=lambda attempt, exc: absorbed.append(exc),
+            )
+        # UdfError is fatal: the retry loop must not have spun on it
+        assert absorbed == []
+        assert len(calls) == 1
+
+    def test_pool_survives_other_databases_queries(self, db, run_readers):
+        # a failing run leaves the database fit for the next one
         FAULTS.install(FaultPlan().raise_at("io.charge", hit=1))
-        executor = ConcurrentExecutor(db, readers=2)
-        executor.run(WORKLOAD)
+        run_readers(db, WORKLOAD, readers=2)
         FAULTS.clear()
-        clean = executor.run(WORKLOAD)
-        clean.raise_errors()
-        assert clean.total_queries == 2 * len(WORKLOAD)
+        clean = run_readers(db, WORKLOAD, readers=2)
+        assert [r.error for r in clean] == [None, None]
+        assert sum(r.queries for r in clean) == 2 * len(WORKLOAD)
 
 
 class TestRetry:
     def test_transient_fault_absorbed_by_retry(self, db):
         FAULTS.install(FaultPlan().raise_at("io.charge", hit=1))
-        executor = ConcurrentExecutor(
-            db, readers=2, max_retries=2, backoff_seconds=0.001
-        )
-        report = executor.run(WORKLOAD, rounds=2)
-        report.raise_errors()  # nobody gave up
-        assert report.total_retries == 1
-        assert report.total_queries == 2 * len(WORKLOAD) * 2
+        policy = RetryPolicy(attempts=3, base_delay=0.001)
+        absorbed = []
+        with db.connect() as session:
+            for _ in range(2):
+                for sql in WORKLOAD:
+                    policy.run(
+                        lambda: session.execute(sql),
+                        on_retry=lambda attempt, exc: absorbed.append(exc),
+                    )
+            # only completed statements count; the faulted try does not
+            assert session.query_counts["select"] == 2 * len(WORKLOAD)
+        assert [type(exc) for exc in absorbed] == [FaultInjected]
 
     def test_retries_exhausted_surfaces_the_fault(self, db):
         # the site keeps failing: retries run out and the error surfaces
         FAULTS.install(
             FaultPlan().raise_at("io.charge", probability=1.0)
         )
-        executor = ConcurrentExecutor(
-            db, readers=1, max_retries=2, backoff_seconds=0.001
-        )
-        report = executor.run(["SELECT id FROM t"])
-        reader = report.per_reader[0]
-        assert isinstance(reader.error, FaultInjected)
-        assert reader.retries == 2
+        absorbed = []
+        with db.connect() as session, pytest.raises(FaultInjected):
+            RetryPolicy(attempts=3, base_delay=0.001).run(
+                lambda: session.execute("SELECT id FROM t"),
+                on_retry=lambda attempt, exc: absorbed.append(attempt),
+            )
+        assert absorbed == [1, 2]

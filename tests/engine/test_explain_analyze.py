@@ -14,8 +14,9 @@ from repro.engine import Database
 from repro.engine.plan import physical
 from repro.engine.plan_cache import normalize_sql
 from repro.engine.types import INTEGER
-from repro.errors import ExecutionError
-from repro.obs import METRICS, MISS_FACTOR, build_report, walk
+from repro.engine.governor import GovernorLimits
+from repro.errors import ExecutionError, ResourceExceeded, SessionClosed
+from repro.obs import METRICS, MISS_FACTOR, TRACER, build_report, walk
 from repro.obs.explain import OperatorStats
 from repro.workloads import SIGMOD_QUERIES
 
@@ -149,7 +150,7 @@ class _Static(physical.Operator):
         return [self._line(depth, "Static")]
 
 
-def _analyze_static(rows, estimated):
+def _static_root(rows, estimated):
     plan = _Static(rows, estimated)
     nodes = walk(plan)
     for node, _ in nodes:
@@ -160,13 +161,13 @@ def _analyze_static(rows, estimated):
 
 class TestEstimateMissFlag:
     def test_large_miss_is_flagged(self):
-        report = _analyze_static([(i,) for i in range(100)], estimated=2)
+        report = _static_root([(i,) for i in range(100)], estimated=2)
         assert report.actual_rows == 100
         assert report.miss_factor == pytest.approx(50.0)
         assert report.flagged
 
     def test_accurate_estimate_not_flagged(self):
-        report = _analyze_static([(i,) for i in range(10)], estimated=9)
+        report = _static_root([(i,) for i in range(10)], estimated=9)
         assert not report.flagged
         assert report.miss_factor < MISS_FACTOR
 
@@ -206,6 +207,65 @@ class TestEntryPoints:
         payload = report.to_dict()
         json.dumps(payload)
         assert payload["row_count"] == len(report.result)
+
+
+class TestSameEnvelopeAsExecute:
+    """EXPLAIN ANALYZE takes ``execute``'s path: pin, private I/O
+    counters, governor budget — only the plan is private."""
+
+    SQL = "SELECT tag FROM tags"
+
+    def test_frozen_session_analyzes_its_pinned_snapshot(self, db):
+        with db.connect(auto_refresh=False) as session:
+            statement = session.prepare(self.SQL)
+            db.bulk_insert("tags", [(100 + i,) for i in range(8)])
+            pinned = len(statement.execute())
+            assert pinned == 8
+            report = statement.explain_analyze()
+            assert report.root.actual_rows == pinned
+            assert len(report.result) == pinned
+            session.refresh()
+            assert statement.explain_analyze().root.actual_rows == 16
+
+    def test_governor_budget_applies(self, db):
+        with db.connect() as session:
+            session.set_limits(GovernorLimits(max_result_rows=5))
+            statement = session.prepare(self.SQL)
+            with pytest.raises(ResourceExceeded):
+                statement.execute()
+            with pytest.raises(ResourceExceeded):
+                statement.explain_analyze()
+        db.governor.set_limits(GovernorLimits(max_result_rows=5))
+        with pytest.raises(ResourceExceeded):
+            db.explain_analyze(self.SQL)
+
+    def test_session_analyze_charges_the_sessions_counters(self, db):
+        db.io.reset()
+        with db.connect() as session:
+            session.prepare(self.SQL).explain_analyze()
+            assert session.io.snapshot() != (0, 0, 0)
+        assert db.io.snapshot() == (0, 0, 0)
+        # the default session still charges the shared base counters
+        db.explain_analyze(self.SQL)
+        assert db.io.snapshot() != (0, 0, 0)
+
+    def test_closed_session_refuses(self, db):
+        session = db.connect()
+        statement = session.prepare(self.SQL)
+        session.close()
+        with pytest.raises(SessionClosed):
+            statement.explain_analyze()
+
+    def test_operator_spans_reach_the_tracer(self, db):
+        with db.connect() as session, TRACER.capture() as capture:
+            report = session.prepare(self.SQL).explain_analyze()
+        operators = [
+            event for event in capture.events()
+            if event.get("cat") == "operator"
+        ]
+        assert {event["name"] for event in operators} >= {"SeqScan"}
+        assert len(operators) == len(report.operators)
+        assert len(report.result) == 8
 
 
 class TestObservabilityHousekeeping:

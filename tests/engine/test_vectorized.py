@@ -11,7 +11,10 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.config import DEFAULT_BATCH_SIZE, ExecutionConfig
+from repro.engine.expr import ParamBox
+from repro.engine.plan.optimizer import plan_select
 from repro.engine.plan.physical import Operator
+from repro.engine.sql.parser import parse_sql
 from repro.engine.values import render
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 
@@ -36,10 +39,10 @@ def small_batches(monkeypatch):
 
 
 def _plan_of(db, sql):
-    statement = db.prepare(sql)
-    entry = db._select_entry(statement._key, statement._statement)
-    entry.params.bind(())
-    return entry.plan
+    box = ParamBox(0)
+    plan = plan_select(parse_sql(sql), db, box)
+    box.bind(())
+    return plan
 
 
 class TestBatchShapes:

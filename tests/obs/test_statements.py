@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.executor import ConcurrentExecutor
-from repro.errors import PlanError, ResourceExceeded
-from repro.obs import STATEMENTS, WAIT_NAMES
+from repro.engine.governor import GovernorLimits
+from repro.errors import PlanError, ResourceExceeded, SessionClosed
+from repro.obs import METRICS, STATEMENTS, WAIT_NAMES
 from repro.obs.statements import StatementStatsCollector
 
 
@@ -119,6 +119,59 @@ class TestAggregation:
         assert all(r["ms"] >= 0.0 for r in recent)
 
 
+def via_session(session, sql, *params):
+    return session.execute(sql, params)
+
+
+def via_prepared(session, sql, *params):
+    return session.prepare(sql).execute(*params)
+
+
+@pytest.mark.parametrize("run", [via_session, via_prepared])
+class TestOneEnvelope:
+    """``Session.execute`` and ``PreparedStatement.execute`` share one
+    envelope, so they account identically — success, error, closed."""
+
+    def test_success_books_one_call_and_one_latency_sample(
+        self, db, collector, run
+    ):
+        histogram = METRICS.histogram("query.seconds.select")
+        before = histogram.count
+        with db.connect() as session:
+            assert len(run(session, "SELECT id FROM t WHERE v = ?", 3)) == 7
+            assert session.query_counts["select"] == 1
+        stats = collector.statement("SELECT id FROM t WHERE v = ?")
+        assert (stats.calls, stats.errors, stats.rows_returned) == (1, 0, 7)
+        assert histogram.count == before + 1
+
+    def test_error_books_the_call_but_not_the_latency(
+        self, db, collector, run
+    ):
+        histogram = METRICS.histogram("query.seconds.select")
+        before = histogram.count
+        with db.connect() as session:
+            session.set_limits(GovernorLimits(max_result_rows=5))
+            with pytest.raises(ResourceExceeded):
+                run(session, "SELECT id FROM t")
+            assert session.query_counts["select"] == 0
+        stats = collector.statement("SELECT id FROM t")
+        assert (stats.calls, stats.errors, stats.governor_aborts) == (1, 1, 1)
+        assert histogram.count == before
+
+    def test_closed_session_books_nothing(self, db, collector, run):
+        session = db.connect()
+        statement = session.prepare("SELECT COUNT(*) FROM t")
+        session.close()
+        with pytest.raises(SessionClosed):
+            if run is via_prepared:
+                statement.execute()
+            else:
+                run(session, "SELECT COUNT(*) FROM t")
+        # refused before STATEMENTS.begin: no call, no error, no record
+        assert collector.statement("SELECT COUNT(*) FROM t") is None
+        assert collector.recent(5) == []
+
+
 class TestWaitProfile:
     def test_breakdown_sums_to_wall_time(self, db, collector):
         for _ in range(5):
@@ -162,52 +215,44 @@ class TestWaitProfile:
 
     def test_record_wait_adds_out_of_band_time(self, db, collector):
         db.execute("SELECT COUNT(*) FROM t")
-        collector.record_wait("SELECT COUNT(*) FROM t", "io.stall", 0.25)
+        collector.record_wait("SELECT COUNT(*) FROM t", "network", 0.25)
         stats = collector.statement("SELECT COUNT(*) FROM t")
-        assert stats.waits["io.stall"] == pytest.approx(0.25)
+        assert stats.waits["network"] == pytest.approx(0.25)
 
     def test_record_wait_ignores_unknown_keys(self, collector):
-        collector.record_wait("never ran", "io.stall", 1.0)
+        collector.record_wait("never ran", "network", 1.0)
         assert collector.statement("never ran") is None
 
 
 class TestConcurrentAggregation:
-    def test_stats_aggregate_across_reader_threads(self, db, collector):
+    def test_stats_aggregate_across_reader_threads(
+        self, db, collector, run_readers
+    ):
         workload = [
             "SELECT COUNT(*) FROM t",
             "SELECT id FROM t WHERE v = 1",
         ]
-        executor = ConcurrentExecutor(db, readers=4)
-        report = executor.run(workload, rounds=3)
-        report.raise_errors()
+        outcomes = run_readers(db, workload, readers=4, rounds=3)
+        assert all(reader.error is None for reader in outcomes)
         for sql in workload:
             stats = collector.statement(sql)
             assert stats is not None, sql
             assert stats.calls == 4 * 3
         total_calls = sum(s.calls for s in collector.statements())
-        assert total_calls == report.total_queries
+        assert total_calls == sum(reader.queries for reader in outcomes)
 
-    def test_session_stats_track_each_reader(self, db, collector):
-        executor = ConcurrentExecutor(db, readers=3)
-        report = executor.run(["SELECT COUNT(*) FROM t"], rounds=2)
-        report.raise_errors()
+    def test_session_stats_track_each_reader(
+        self, db, collector, run_readers
+    ):
+        outcomes = run_readers(
+            db, ["SELECT COUNT(*) FROM t"], readers=3, rounds=2
+        )
+        assert all(reader.error is None for reader in outcomes)
         sessions = collector.session_stats()
         reader_sessions = [
             s for s in sessions.values() if s.statements == 2
         ]
         assert len(reader_sessions) == 3
-
-    def test_io_stalls_attributed_by_the_executor(self, db, collector):
-        executor = ConcurrentExecutor(db, readers=2, io_stalls=True)
-        report = executor.run(["SELECT id, v FROM t"], rounds=2)
-        report.raise_errors()
-        assert report.per_reader[0].stall_seconds > 0.0
-        stats = collector.statement("SELECT id, v FROM t")
-        assert stats.waits.get("io.stall", 0.0) > 0.0
-        totals = collector.wait_totals()
-        assert totals["io.stall"] == pytest.approx(
-            sum(r.stall_seconds for r in report.per_reader), rel=0.01
-        )
 
 
 class TestCollectorRobustness:

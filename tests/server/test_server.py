@@ -67,6 +67,28 @@ class TestWireOps:
             assert client.execute(stmt=stmt, params=(3,)).rows == [["row3"]]
             assert client.execute(stmt=stmt, params=(4,)).rows == [["row4"]]
 
+    def test_prepared_handles_survive_a_reconnect_under_new_ids(
+        self, served
+    ):
+        _, handle = served
+        with client_for(handle) as client:
+            first = client.prepare("SELECT name FROM t WHERE id = ?")
+            # paging allocates a cursor from the connection's id counter,
+            # so the next statement's server id is 3, not 2 ...
+            assert len(client.execute(
+                stmt=first, params=(3,), fetch_size=3
+            )) == 1
+            client.execute("SELECT id FROM t ORDER BY id", fetch_size=30)
+            second = client.prepare("SELECT id FROM t WHERE name = ?")
+            client._sock.shutdown(socket.SHUT_RDWR)  # the link drops
+            # ... and the re-prepare on the new connection hands out 2:
+            # the retried frame must carry the *current* server id
+            assert client.execute(
+                stmt=second, params=("row5",)
+            ).rows == [[5]]
+            assert client.execute(stmt=first, params=(6,)).rows == [["row6"]]
+            assert client.reconnects == 1
+
     def test_paging_fetches_the_full_result(self, served):
         _, handle = served
         with client_for(handle) as client:
@@ -222,6 +244,21 @@ class TestChaos:
                 "SELECT id FROM t WHERE id = 0"
             ).rows == [[0]]
             client.close()
+        finally:
+            FAULTS.clear()
+
+    def test_a_lost_handshake_does_not_spend_an_attempt(self, served):
+        _, handle = served
+        FAULTS.install(FaultPlan().raise_at("server.accept", hit=2))
+        try:
+            with client_for(handle, name="flaky-link") as client:
+                client._sock.shutdown(socket.SHUT_RDWR)  # the link drops
+                # attempt 1 loses the request, attempt 2's first
+                # handshake dies at accept and its second one goes through
+                assert client.execute(
+                    "SELECT id FROM t WHERE id = 0"
+                ).rows == [[0]]
+                assert (client.retries, client.reconnects) == (1, 1)
         finally:
             FAULTS.clear()
 
