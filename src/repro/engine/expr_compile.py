@@ -22,17 +22,45 @@ Semantics are bit-identical to the reference evaluator (enforced by
 ``tests/engine/test_expr_compile.py``): NULL comparisons are not true,
 LIKE on NULL is false, ``NOT LIKE`` requires a non-NULL operand,
 arithmetic propagates NULL and divides ints with ``//``, and scalar
-function calls — bound to their function object once, here — still go
+function calls — bound to their function object once, here — go
 through ``FunctionRegistry.invoke_scalar`` so UDF invocation counts
 (Figure 14) are unchanged.  Typed fast paths — a
 comparison of an INTEGER/VARCHAR column against a literal of the same
 kind compiles to a bare ``==``/``<`` with explicit NULL guards — apply
 only where the storage layer guarantees the operand types.
+
+**The column form.**  ``fn(row)`` crosses the UDF boundary once per
+call and stays the reference.  The companions of an expression that
+holds scalar calls cross it once per *batch* instead (the source is
+generated on a companion's first call; an expression without calls keeps
+exactly the two comprehensions above and never lowers twice):
+
+* *hoisting* — every call that row order evaluates unconditionally (not
+  under a non-first operand of ``AND``/``OR``) is lifted out of the
+  comprehension into a statement ``_cK = _invoke_scalar_batch(function,
+  _n, [args...], columnar)`` computing its whole column; literal and
+  ``?`` arguments stay scalars, a nested hoisted call feeds its column
+  straight in, any other argument is evaluated into a column first.
+  Conditional calls keep the inline ``_invoke_scalar(...)``.
+* *conjunct cascade* — ``batch_filter`` over a top-level ``AND`` runs
+  conjunct by conjunct over the rows the earlier conjuncts kept, which
+  are exactly the rows short-circuit evaluation reaches, so the calls
+  of ``code = 'SCENE' AND findKeyInElm(...) = 1`` are hoisted too.
+
+Call counts, arguments and results equal row order's
+(``tests/engine/test_udf_batch.py``).  Evaluation is column-major, so
+when two call sites of one expression can both fail, the first *call
+site's* error surfaces rather than the first row's — the same
+``ReproError`` class either way — and calls of earlier sites have been
+made for the whole batch by then.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from functools import partial
+from typing import Sequence
 
 from repro.engine import values as value_ops
 from repro.engine.expr import (
@@ -54,9 +82,10 @@ from repro.engine.expr import (
     Parameter,
     SlotRef,
     Star,
+    conjuncts_of,
 )
 from repro.engine.types import IntegerType, VarcharType
-from repro.engine.udf import FunctionRegistry
+from repro.engine.udf import FunctionRegistry, ScalarFunction
 from repro.errors import ExecutionError, PlanError
 
 #: the XADT method names (lowercased) whose calls can route through the
@@ -65,6 +94,10 @@ from repro.errors import ExecutionError, PlanError
 XADT_METHOD_NAMES = frozenset(
     {"getelm", "findkeyinelm", "getelmindex", "elmequals", "elmtext"}
 )
+
+#: the per-row name ``_vK`` of hoisted call ``K``'s value in column-form
+#: source (its column is ``_cK``); no other generated name has this shape
+_HOISTED = re.compile(r"\b_v(\d+)\b")
 
 
 # -- arithmetic helpers (bound into generated source) ------------------------
@@ -130,6 +163,11 @@ def _negate(value: object) -> object:
 class _Lowering:
     """One compilation unit: accumulates the closure environment."""
 
+    __slots__ = (
+        "binding", "registry", "params", "env", "_counter", "xadt_methods",
+        "calls", "hoisted", "_conditional",
+    )
+
     def __init__(
         self,
         binding: Binding,
@@ -147,6 +185,33 @@ class _Lowering:
         self._counter = 0
         #: XADT method names seen while lowering (for EXPLAIN labels)
         self.xadt_methods: set[str] = set()
+        #: scalar call sites lowered
+        self.calls = 0
+        #: column form only (:meth:`column_form`): the statements that
+        #: compute the hoisted calls' columns ``_c0``, ``_c1``, ...
+        self.hoisted: list[str] | None = None
+        #: lowering an operand row order reaches only conditionally
+        self._conditional = False
+
+    def column_form(self) -> "_Lowering":
+        """A lowering of the same unit for one batch companion.
+
+        It hoists the calls row order evaluates unconditionally into
+        columns, continues this lowering's names, and works on a private
+        copy of the environment: two companions — or two threads sharing
+        a cached plan — may generate their column source at once.
+        """
+        column = _Lowering(self.binding, self.registry, self.params)
+        column.env = dict(
+            self.env,
+            len=len,
+            list=list,
+            zip=zip,
+            _invoke_scalar_batch=self.registry.invoke_scalar_batch,
+        )
+        column._counter = self._counter
+        column.hoisted = []
+        return column
 
     def bind(self, value: object, prefix: str = "_g") -> str:
         name = f"{prefix}{self._counter}"
@@ -180,6 +245,9 @@ class _Lowering:
             if expr.name.lower() in XADT_METHOD_NAMES:
                 self.xadt_methods.add(expr.name.lower())
             function = self.registry.bind_scalar(expr.name, len(expr.args))
+            self.calls += 1
+            if self.hoisted is not None and not self._conditional:
+                return self._hoist(function, expr.args)
             args = ", ".join(self.lower(arg) for arg in expr.args)
             return f"_invoke_scalar({self.bind(function, '_f')}, [{args}])"
         if isinstance(expr, Comparison):
@@ -192,10 +260,10 @@ class _Lowering:
             check = "is not None" if expr.negated else "is None"
             return f"({self.lower(expr.operand)} {check})"
         if isinstance(expr, And):
-            inner = " and ".join(f"({self.lower(i)})" for i in expr.items)
+            inner = " and ".join(self._short_circuit(expr.items))
             return f"bool({inner})"
         if isinstance(expr, Or):
-            inner = " or ".join(f"({self.lower(i)})" for i in expr.items)
+            inner = " or ".join(self._short_circuit(expr.items))
             return f"bool({inner})"
         if isinstance(expr, Not):
             return f"(not ({self.lower(expr.operand)}))"
@@ -210,6 +278,55 @@ class _Lowering:
             self.env.setdefault("_negate", _negate)
             return f"_negate({self.lower(expr.operand)})"
         raise PlanError(f"cannot compile expression node {type(expr).__name__}")
+
+    def _short_circuit(self, items: tuple[Expr, ...]) -> list[str]:
+        """The operands of an AND/OR: row order reaches every operand
+        but the first conditionally, so calls under those stay inline."""
+        outer = self._conditional
+        fragments = []
+        for item in items:
+            fragments.append(f"({self.lower(item)})")
+            self._conditional = True
+        self._conditional = outer
+        return fragments
+
+    def _hoist(self, function: ScalarFunction, args: tuple[Expr, ...]) -> str:
+        """Lift one unconditional call out of the per-row comprehension.
+
+        Emits the statement that computes the call's column ``_cK`` for
+        the whole batch and returns ``_vK``, the name its value goes by
+        inside a comprehension over :meth:`over_rows`.  Literal and
+        ``?`` arguments stay scalars, a nested hoisted call feeds its
+        column straight in, anything else is evaluated into a column.
+        """
+        lowered = []
+        columnar = []
+        for arg in args:
+            fragment = self.lower(arg)
+            constant = isinstance(arg, (Literal, Parameter))
+            columnar.append(not constant)
+            if constant:
+                lowered.append(fragment)
+            elif _HOISTED.fullmatch(fragment):
+                lowered.append("_c" + fragment[2:])
+            else:
+                lowered.append(f"[{fragment} {self.over_rows(fragment)}]")
+        number = len(self.hoisted)
+        self.hoisted.append(
+            f"_c{number} = _invoke_scalar_batch({self.bind(function, '_f')}, "
+            f"_n, [{', '.join(lowered)}], {tuple(columnar)!r})"
+        )
+        return f"_v{number}"
+
+    def over_rows(self, fragment: str) -> str:
+        """The ``for ... in ...`` clause that walks ``_batch`` together
+        with the hoisted columns ``fragment`` reads."""
+        used = sorted({int(k) for k in _HOISTED.findall(fragment)})
+        if not used:
+            return "for row in _batch"
+        targets = ", ".join(f"_v{k}" for k in used)
+        sources = ", ".join(f"_c{k}" for k in used)
+        return f"for row, {targets} in zip(_batch, {sources})"
 
     def _literal(self, value: object) -> str:
         if value is None or value is True or value is False:
@@ -286,6 +403,18 @@ def _compile_fragment(source: str, env: dict[str, object]):
     return eval(compile(source, "<expr-compile>", "eval"), env)  # noqa: S307
 
 
+def _compile_companion(lines: list[str], env: dict[str, object]):
+    """Compile a multi-statement batch companion (the column form)."""
+    source = "def _companion(_batch):\n" + "".join(
+        f"    {line}\n" for line in lines
+    )
+    scope: dict[str, object] = {}
+    exec(compile(source, "<expr-compile>", "exec"), env, scope)  # noqa: S102
+    companion = scope["_companion"]
+    companion.source = source
+    return companion
+
+
 def _lazy(source: str, env: dict[str, object]):
     """A batch companion that compiles ``source`` when it is first called.
 
@@ -306,6 +435,108 @@ def _lazy(source: str, env: dict[str, object]):
     return companion
 
 
+def _lazy_column(build):
+    """:func:`_lazy` for the column form: ``build()`` lowers the
+    expression a second time and compiles the result, on the first call.
+
+    ``build`` holds the row lowering and the expression; it is dropped
+    once used, so a cached plan keeps them only for companions it never
+    ran (every object a cached plan retains is one more for each full
+    collection to walk — measurably so when the cache is full of ad-hoc
+    plans).
+    """
+    compiled: list = []
+
+    def companion(batch: list) -> list:
+        nonlocal build
+        if not compiled:
+            pending = build  # None: another thread has just built it
+            if pending is not None:
+                compiled.append(pending())
+                build = None
+        return compiled[0](batch)
+
+    return companion
+
+
+def _companion_of(lowering: _Lowering, plain: str, column_builder, *args):
+    """The lazy companion of one lowered unit: the ``plain``
+    comprehension over the fragment already lowered when the unit holds
+    no scalar call (nothing else is kept, nothing is lowered twice),
+    else ``column_builder``'s column form."""
+    if not lowering.calls:
+        return _lazy(plain, lowering.env)
+    return _lazy_column(partial(column_builder, lowering, *args, plain))
+
+
+def _column_filter(lowering: _Lowering, expr: Expr, plain: str):
+    """``batch_filter`` of a predicate with scalar calls: the conjunct
+    cascade.
+
+    The top-level AND runs conjunct by conjunct, each over the rows the
+    earlier ones kept — exactly the rows short-circuit evaluation
+    reaches — so a conjunct's unconditional calls are made column-wise
+    with exact counts.  Neighbouring conjuncts that hoist nothing share
+    one comprehension.  Nothing to hoist: the ``plain`` comprehension.
+    """
+    column = lowering.column_form()
+    lines: list[str] = []
+    pending: list[str] = []  # conditions awaiting one shared comprehension
+
+    def flush() -> None:
+        if pending:
+            condition = " and ".join(pending)
+            lines.append(f"_batch = [row for row in _batch if {condition}]")
+            pending.clear()
+
+    for conjunct in conjuncts_of(expr):
+        before = len(column.hoisted)
+        condition = f"({column.lower(conjunct)})"
+        statements = column.hoisted[before:]
+        if not statements:
+            pending.append(condition)
+            continue
+        flush()
+        if not lines:  # a first stage may be handed any iterable
+            lines.append("_batch = list(_batch)")
+        lines.append("_n = len(_batch)")
+        lines.extend(statements)
+        lines.append(
+            f"_batch = [row {column.over_rows(condition)} if {condition}]"
+        )
+    if not column.hoisted:
+        return _compile_fragment(plain, lowering.env)
+    flush()
+    lines.append("return _batch")
+    return _compile_companion(lines, column.env)
+
+
+def _tuple_source(fragments: list[str]) -> str:
+    body = ", ".join(fragments) + ("," if len(fragments) == 1 else "")
+    return f"({body})"
+
+
+def _column_eval(
+    lowering: _Lowering, exprs: Sequence[Expr], tupled: bool, plain: str
+):
+    """``batch_eval`` with every unconditional scalar call hoisted into
+    a column; the ``plain`` comprehension when there is none to hoist."""
+    column = lowering.column_form()
+    fragments = [column.lower(expr) for expr in exprs]
+    if not column.hoisted:
+        return _compile_fragment(plain, lowering.env)
+    lines = ["_batch = list(_batch)", "_n = len(_batch)", *column.hoisted]
+    if tupled:
+        body = _tuple_source(fragments)
+    else:
+        (body,) = fragments
+    if _HOISTED.fullmatch(body):  # the expression *is* a call: its column
+        lines.append(f"return _c{body[2:]}")
+    else:
+        lines.append(f"return [{body} {column.over_rows(body)}]")
+    return _compile_companion(lines, column.env)
+
+
 def compile_row_expr(
     expr: Expr,
     binding: Binding,
@@ -320,12 +551,15 @@ def compile_row_expr(
     """
     lowering = _Lowering(binding, registry, params)
     fragment = lowering.lower(expr)
-    env = lowering.env
-    fn = _compile_fragment(f"lambda row: {fragment}", env)
-    fn.batch_filter = _lazy(
-        f"lambda _batch: [row for row in _batch if {fragment}]", env
+    fn = _compile_fragment(f"lambda row: {fragment}", lowering.env)
+    fn.batch_filter = _companion_of(
+        lowering, f"lambda _batch: [row for row in _batch if {fragment}]",
+        _column_filter, expr,
     )
-    fn.batch_eval = _lazy(f"lambda _batch: [{fragment} for row in _batch]", env)
+    fn.batch_eval = _companion_of(
+        lowering, f"lambda _batch: [{fragment} for row in _batch]",
+        _column_eval, (expr,), False,
+    )
     fn.source = fragment
     fn.xadt_methods = frozenset(lowering.xadt_methods)
     return fn
@@ -343,12 +577,12 @@ def compile_projection(
     projects a whole batch in a single list comprehension.
     """
     lowering = _Lowering(binding, registry, params)
-    fragments = [lowering.lower(expr) for expr in exprs]
-    body = ", ".join(fragments) + ("," if len(fragments) == 1 else "")
-    source = f"({body})"
-    env = lowering.env
-    fn = _compile_fragment(f"lambda row: {source}", env)
-    fn.batch_eval = _lazy(f"lambda _batch: [{source} for row in _batch]", env)
+    source = _tuple_source([lowering.lower(expr) for expr in exprs])
+    fn = _compile_fragment(f"lambda row: {source}", lowering.env)
+    fn.batch_eval = _companion_of(
+        lowering, f"lambda _batch: [{source} for row in _batch]",
+        _column_eval, exprs, True,
+    )
     fn.source = source
     fn.xadt_methods = frozenset(lowering.xadt_methods)
     return fn

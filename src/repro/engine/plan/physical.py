@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -565,17 +566,23 @@ class LateralFunctionScan(Operator):
         args = self.args
         arity = self._arity
         for input_batch in self.input.batches():
+            # argument expressions run a column at a time (their scalar
+            # calls cross the UDF boundary once per batch)
+            columns = [arg.batch_eval(input_batch) for arg in args]
             out: Batch = []
-            append = out.append
-            for input_row in input_batch:
-                evaluated = [arg(input_row) for arg in args]
-                for produced in invoke(function, evaluated):
-                    if len(produced) != arity:
-                        raise ExecutionError(
-                            f"table function {function.name!r} produced "
-                            f"{len(produced)} columns, declared {arity}"
-                        )
-                    append(input_row + tuple(produced))
+            for input_row, evaluated in zip(
+                input_batch, zip(*columns) if columns else repeat(())
+            ):
+                produced = invoke(function, evaluated)
+                if produced and set(map(len, produced)) != {arity}:
+                    width = next(
+                        len(row) for row in produced if len(row) != arity
+                    )
+                    raise ExecutionError(
+                        f"table function {function.name!r} produced "
+                        f"{width} columns, declared {arity}"
+                    )
+                out.extend([input_row + tuple(row) for row in produced])
             if out:
                 yield out
 

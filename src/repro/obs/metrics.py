@@ -12,7 +12,8 @@ Two overhead disciplines keep the instrumentation out of the hot path's
 way (DESIGN.md records the guarantee; ``benchmarks/
 bench_observability_overhead.py`` enforces it):
 
-* *event* instruments (``Counter.inc`` / ``Histogram.observe``) check
+* *event* instruments (``Counter.inc`` / ``Histogram.observe`` /
+  ``observe_many``) check
   the registry's ``enabled`` flag first and no-op when metrics are off —
   the disabled cost is one attribute load and one branch;
 * *state* that some other component already tracks (the XADT decode
@@ -119,6 +120,20 @@ class Histogram:
             self.counts[bisect_left(self.buckets, value)] += 1
             self.sum += value
             self.count += 1
+
+    def observe_many(self, value: float, n: int) -> None:
+        """``n`` observations of ``value`` under one lock.
+
+        For a caller that timed ``n`` events together and reports their
+        mean: ``count`` and ``sum`` stay exact, and all ``n`` land in the
+        mean's bucket.
+        """
+        if not self._registry.enabled:
+            return
+        with self._lock:
+            self.counts[bisect_left(self.buckets, value)] += n
+            self.sum += value * n
+            self.count += n
 
     def reset(self) -> None:
         self.counts = [0] * (len(self.buckets) + 1)

@@ -127,6 +127,46 @@ class TestLateralFunctions:
         )
         assert result.column("i") == [3, 4]
 
+    def test_scalar_calls_in_lateral_arguments_are_counted_per_row(self, db):
+        db.registry.register_table(
+            "repeat_n", lambda n: [(i,) for i in range(n or 0)], [("i", INTEGER)]
+        )
+        db.registry.register_scalar("halve", lambda n: n // 2, min_args=1, max_args=1)
+        db.reset_function_stats()
+        result = db.execute(
+            "SELECT custID, r.i FROM customers, TABLE(repeat_n(halve(custID))) r "
+            "WHERE custID < 6"
+        )
+        rows = len(db.execute("SELECT custID FROM customers WHERE custID < 6"))
+        assert db.registry.stats.scalar_calls == {"halve": rows}
+        assert db.registry.stats.table_calls == {"repeat_n": rows}
+        assert sorted(result.rows) == sorted(
+            (cust, i)
+            for (cust,) in db.execute(
+                "SELECT custID FROM customers WHERE custID < 6"
+            ).rows
+            for i in range(cust // 2)
+        )
+
+    def test_table_function_without_arguments(self, db):
+        db.registry.register_table("pair", lambda: [(1,), (2,)], [("i", INTEGER)])
+        result = db.execute(
+            "SELECT custID, p.i FROM customers, TABLE(pair()) p WHERE custID = 3"
+        )
+        assert result.rows == [(3, 1), (3, 2)]
+
+    def test_wrong_width_row_reports_the_first_offender(self, db):
+        from repro.errors import ExecutionError
+
+        db.registry.register_table(
+            "ragged", lambda n: [(1,), (1, 2, 3), (1, 2)], [("i", INTEGER)]
+        )
+        with pytest.raises(
+            ExecutionError,
+            match="table function 'ragged' produced 3 columns, declared 1",
+        ):
+            db.execute("SELECT r.i FROM customers, TABLE(ragged(custID)) r")
+
     def test_lateral_cannot_reference_rightward(self, db):
         db.registry.register_table(
             "repeat_n", lambda n: [(i,) for i in range(n or 0)], [("i", INTEGER)]

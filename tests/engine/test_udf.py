@@ -1,11 +1,97 @@
 """UDF registry: registration, invocation modes, accounting."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.engine.types import INTEGER
 from repro.engine.udf import FunctionKind, FunctionRegistry
 from repro.errors import UdfError
+from repro.obs.metrics import METRICS
+from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 from repro.xadt import XadtValue
+from repro.xquery import compile_path, parse_path
+
+GOLDEN_UDF_CALLS = pathlib.Path(__file__).resolve().parent.parent / (
+    "golden/udf_calls.json"
+)
+#: path expressions whose XORator SQL puts the UDF predicate behind a
+#: call-free conjunct (``speech_parentCODE = 'SCENE' AND findKeyInElm(...)``)
+GOLDEN_PATHS = (
+    "/PLAY/ACT/SCENE/SPEECH[SPEAKER='ROMEO']/LINE",
+    "/PLAY/ACT/SCENE/SPEECH/SPEAKER[contains(., 'HAM')]",
+    "/PLAY/ACT[1]/SCENE/SPEECH[LINE/STAGEDIR]/SPEAKER",
+    "/PLAY/ACT/SCENE/SPEECH/LINE[contains(., 'love')]",
+    "/PLAY/ACT/PROLOGUE/SPEECH/LINE[contains(., 'a')]",
+    "/PLAY[contains(TITLE, 'Romeo')]/ACT/SCENE/SPEECH[SPEAKER='ROMEO']"
+    "/LINE[contains(., 'love')]",
+)
+#: call sites short-circuit evaluation reaches conditionally, and the
+#: operators besides scan/project that host calls (XORator Shakespeare)
+GOLDEN_STATEMENTS = {
+    "under_or": (
+        "SELECT speechID FROM speech WHERE speech_parentCODE = 'PROLOGUE' "
+        "OR findKeyInElm(speech_speaker, 'SPEAKER', 'ROMEO') = 1"
+    ),
+    "select_item_non_first_and": (
+        "SELECT speechID, speech_parentCODE = 'PROLOGUE' "
+        "AND findKeyInElm(speech_line, 'LINE', 'a') = 1 FROM speech"
+    ),
+    "having": (
+        "SELECT speech_speaker, COUNT(*) FROM speech GROUP BY speech_speaker "
+        "HAVING findKeyInElm(speech_speaker, 'SPEAKER', 'ROMEO') = 1"
+    ),
+    "group_by_key": (
+        "SELECT elmText(speech_speaker), COUNT(*) FROM speech "
+        "GROUP BY elmText(speech_speaker)"
+    ),
+}
+
+
+def udf_call_cases(shakespeare_pair, sigmod_pair):
+    """``(key, db, sql)`` of every statement ``udf_calls.json`` holds:
+    the Fig. 11/13 workloads on both mappings, then the path queries and
+    the conditional call sites on XORator."""
+    for dataset, pair, queries in (
+        ("shakespeare", shakespeare_pair, SHAKESPEARE_QUERIES),
+        ("sigmod", sigmod_pair, SIGMOD_QUERIES),
+    ):
+        for query in queries:
+            for algorithm, loaded in zip(("hybrid", "xorator"), pair):
+                yield (
+                    f"{dataset}_{algorithm}_{query.key}",
+                    loaded.db,
+                    query.sql_for(algorithm),
+                )
+    xorator = shakespeare_pair[1]
+    for position, path in enumerate(GOLDEN_PATHS, start=1):
+        sql = compile_path(parse_path(path), xorator.schema).sql
+        yield f"path_{position}", xorator.db, sql
+    for key, sql in GOLDEN_STATEMENTS.items():
+        yield key, xorator.db, sql
+
+
+def capture_udf_calls(db, sql: str) -> dict[str, object]:
+    """Every function invocation one execution of ``sql`` made, as both
+    collectors saw it (``registry.stats`` and ``udf.calls.*``).
+
+    Also the recorder: ``scripts/record_golden_udf_calls.py`` writes the
+    golden file from this function.
+    """
+    assert METRICS.enabled
+    db.reset_function_stats()  # zeroes ``udf.*`` too
+    rows = len(db.execute(sql))
+    stats = db.registry.stats
+    return {
+        "rows": rows,
+        "scalar_calls": dict(sorted(stats.scalar_calls.items())),
+        "table_calls": dict(sorted(stats.table_calls.items())),
+        "udf.calls": {
+            mode: METRICS.counter(f"udf.calls.{mode}").value
+            for mode in ("builtin", "not_fenced", "fenced")
+        },
+    }
 
 
 @pytest.fixture()
@@ -41,6 +127,20 @@ class TestRegistration:
     def test_unknown_table_function_rejected(self, registry):
         with pytest.raises(UdfError):
             registry.table_function("ghost")
+
+    @pytest.mark.parametrize(
+        "bounds", [{"min_args": 3, "max_args": 1}, {"min_args": -1}]
+    )
+    def test_impossible_argument_ranges_rejected_at_registration(
+        self, registry, bounds
+    ):
+        # accepted silently, every later call would fail its arity check
+        with pytest.raises(UdfError, match="'never'.*argument range"):
+            registry.register_scalar("never", lambda *a: 1, **bounds)
+        with pytest.raises(UdfError, match="'never'.*argument range"):
+            registry.register_table("never", lambda *a: [], [("x", INTEGER)], **bounds)
+        assert not registry.has_scalar("never")
+        assert not registry.has_table_function("never")
 
 
 class TestInvocation:
@@ -170,6 +270,97 @@ class TestFigure14Mechanism:
         seen, results = self.received(registry, FunctionKind.BUILTIN, argument)
         assert all(value is argument for value in seen + results)
 
+    # -- the batch route: one crossing for a column of calls ------------------
+
+    def received_batch(self, registry, kind, argument, constant="k"):
+        """Three calls ``probe(argument, constant)`` through
+        ``invoke_scalar_batch``: what the body saw, and the results."""
+        seen = []
+        registry.register_scalar(
+            "probe", lambda v, c: seen.append((v, c)) or v, kind, 2, 2
+        )
+        results = registry.invoke_scalar_batch(
+            registry.scalar("probe"), 3, [[argument] * 3, constant], (True, False)
+        )
+        assert len(seen) == len(results) == 3
+        assert registry.stats.scalar_calls == {"probe": 3}
+        return seen, results
+
+    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
+    def test_batch_not_fenced_copies_every_column_value_per_call(
+        self, registry, argument
+    ):
+        seen, results = self.received_batch(
+            registry, FunctionKind.NOT_FENCED, argument
+        )
+        values = [value for value, _constant in seen]
+        payloads = [self.payload_of(value) for value in values]
+        for value, payload in zip(values, payloads):
+            assert value == argument and type(value) is type(argument)
+            assert value is not argument
+            assert payload is not self.payload_of(argument)
+        # a fresh copy per call, although one list held the same object thrice
+        assert len({id(payload) for payload in payloads}) == 3
+        # the result is the body's own object: only arguments are marshalled
+        assert all(result is value for result, value in zip(results, values))
+
+    def test_batch_not_fenced_copies_a_constant_once_per_batch(self, registry):
+        constant = "a constant payload"
+        seen, _ = self.received_batch(
+            registry, FunctionKind.NOT_FENCED, 1, constant
+        )
+        constants = [received for _value, received in seen]
+        assert constants[0] == constant and constants[0] is not constant
+        assert constants[0] is constants[1] is constants[2]
+
+    def test_batch_not_fenced_copy_keeps_codec_and_directory(self, registry):
+        indexed = self.ARGUMENTS[-1]
+        directory = indexed.directory()
+        seen, _ = self.received_batch(registry, FunctionKind.NOT_FENCED, indexed)
+        for value, _constant in seen:
+            assert value.codec == "indexed"
+            assert value.directory() is directory
+
+    def test_batch_mixed_column_copies_value_by_value(self, registry):
+        seen = []
+        registry.register_scalar("probe", lambda v: seen.append(v) or v)
+        column = ["text", None, 7, self.ARGUMENTS[2], b"bytes", "more"]
+        results = registry.invoke_scalar_batch(
+            registry.scalar("probe"), len(column), [column], (True,)
+        )
+        assert results == seen == column
+        for value, original in zip(seen, column):
+            if original is not None and not isinstance(original, int):
+                assert value is not original
+
+    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
+    def test_batch_fenced_pickles_values_and_results(
+        self, registry, argument, monkeypatch
+    ):
+        import pickle
+
+        dumped = []
+        real_dumps = pickle.dumps
+        monkeypatch.setattr(
+            pickle, "dumps", lambda value: dumped.append(value) or real_dumps(value)
+        )
+        seen, results = self.received_batch(registry, FunctionKind.FENCED, argument)
+        # every column value and every result, plus the constant once
+        assert len(dumped) == 2 * 3 + 1
+        for value in [value for value, _constant in seen] + results:
+            assert value == argument and value is not argument
+            assert self.payload_of(value) is not self.payload_of(argument)
+
+    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
+    def test_batch_builtin_passes_identity(self, registry, argument):
+        constant = "k" * 3
+        seen, results = self.received_batch(
+            registry, FunctionKind.BUILTIN, argument, constant
+        )
+        assert all(value is argument for value, _constant in seen)
+        assert all(received is constant for _value, received in seen)
+        assert all(result is argument for result in results)
+
     def test_counts_are_exact_for_a_qg2_run(self, sigmod_pair):
         from repro.obs.metrics import METRICS
         from repro.workloads.sigmod_queries import QG2
@@ -194,6 +385,38 @@ class TestFigure14Mechanism:
         assert counter.value - before == expected
 
 
+class TestGoldenUdfCalls:
+    """Every Fig. 14 call count is what the parent of the batch boundary
+    counted: ``tests/golden/udf_calls.json`` was recorded with per-call
+    invocation only, and hoisting / the conjunct cascade must reach
+    exactly the rows short-circuit evaluation reaches."""
+
+    def test_counts_match_the_recording(self, shakespeare_pair, sigmod_pair):
+        golden = json.loads(GOLDEN_UDF_CALLS.read_text(encoding="utf-8"))
+        observed = {
+            key: capture_udf_calls(db, sql)
+            for key, db, sql in udf_call_cases(shakespeare_pair, sigmod_pair)
+        }
+        assert observed == golden
+
+    def test_golden_covers_what_it_claims(self):
+        golden = json.loads(GOLDEN_UDF_CALLS.read_text(encoding="utf-8"))
+        assert len(golden) == 2 * (
+            len(SHAKESPEARE_QUERIES) + len(SIGMOD_QUERIES)
+        ) + len(GOLDEN_PATHS) + len(GOLDEN_STATEMENTS)
+        for key, entry in golden.items():
+            calls = sum(entry["scalar_calls"].values()) + sum(
+                entry["table_calls"].values()
+            )
+            assert sum(entry["udf.calls"].values()) == calls
+            assert (calls == 0) == ("_hybrid_" in key), key
+        # the cascade cases: fewer calls than rows scanned by the UDF-free
+        # conjunct alone would allow, and a second UDF conjunct behind the first
+        assert golden["path_6"]["scalar_calls"]["findKeyInElm"] < (
+            golden["path_6"]["scalar_calls"]["elmEquals"]
+        )
+
+
 class TestAccounting:
     def test_scalar_calls_counted(self, registry):
         registry.register_scalar("f", lambda: 1, FunctionKind.NOT_FENCED, 0, 0)
@@ -211,6 +434,25 @@ class TestAccounting:
         registry.call_scalar("f", [])
         registry.stats.reset()
         assert registry.stats.total_udf_calls() == 0
+
+    @pytest.mark.parametrize("kind", list(FunctionKind))
+    def test_table_function_time_includes_producing_the_rows(self, registry, kind):
+        # bodies are generators: timing only ``invoke`` measured argument
+        # marshalling (three such calls once recorded 21 microseconds)
+        import time
+
+        def slow_rows(count):
+            time.sleep(0.02)
+            for i in range(count):
+                yield (i,)
+
+        registry.register_table("slow_rows", slow_rows, [("i", INTEGER)], kind)
+        histogram = registry.table_function("slow_rows").seconds
+        count, total = histogram.count, histogram.sum
+        for _ in range(3):
+            assert list(registry.call_table("slow_rows", [2])) == [(0,), (1,)]
+        assert histogram.count - count == 3
+        assert histogram.sum - total >= 0.06
 
 
 class TestBuiltins:
