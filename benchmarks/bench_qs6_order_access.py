@@ -37,13 +37,10 @@ Also asserted here, per the issue:
 * **engine routing** — ``enable_structural_indexes`` flips EXPLAIN from
   ``xadt[scan]`` to ``xadt[xindex]`` and the QS6 SQL results match the
   scan-mode run.
-
-``REPRO_QS6_QUICK=1`` drops to DSx1 and 3 rounds for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 from dataclasses import replace
@@ -65,10 +62,9 @@ import pytest
 #: required median speedup over the gated access kinds
 SPEEDUP_GATE = 10.0
 
-QUICK = os.environ.get("REPRO_QS6_QUICK", "") not in ("", "0")
-#: the largest Figure 11 scale (DSx8); quick mode smokes at DSx1
-SCALE = 1 if QUICK else 8
-ROUNDS = 3 if QUICK else 9
+#: the largest Figure 11 scale (DSx8)
+SCALE = 8
+ROUNDS = 9
 
 QS6 = next(q for q in SHAKESPEARE_QUERIES if q.key == "QS6")
 
@@ -167,8 +163,7 @@ def test_qs6_order_access_gate(qs6_db, benchmark):
     lines.append(
         f"median gated speedup: {median_speedup:.1f}x (gate: >= "
         f"{SPEEDUP_GATE:.0f}x; DSx{SCALE}, {len(fragments)} prologue "
-        f"fragments, median of {ROUNDS} rounds"
-        f"{', quick mode' if QUICK else ''})"
+        f"fragments, median of {ROUNDS} rounds)"
     )
     print_report(
         "QS6 order access — structural index vs tag scan "

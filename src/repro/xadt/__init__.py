@@ -5,7 +5,10 @@ dictionary compression (§3.4.1), and ``indexed`` (plain text plus the
 per-fragment element-span directory the paper proposes as future work in
 §4.4/§5) — the query methods of §3.4.2 (plus the ``elmText``/``elmEquals``
 conveniences), the unnest table UDF of §3.5, and the codec chooser of
-§4.1.
+§4.1.  Each method has two implementations, the tag scan (``fastscan``)
+and the element directory (``metadata.SpanDirectory``, which the
+opt-in structural index of ``structural_index`` extends with a keyword
+map); ``methods._directory`` picks one per call.
 """
 
 from repro.xadt.chooser import CodecDecision, choose_codec

@@ -10,9 +10,11 @@ stored, dict payloads through their decode-cached tagged text, and the
 indexed codec's span directory is built with it.
 
 Assumption (guaranteed by the XADT encoders and serializer, and by
-``XadtValue.from_xml``'s validation): fragment text is well-formed and
-``<``/``>`` appear escaped inside character data and attribute values,
-so every raw ``<`` in the payload starts markup.
+``XadtValue.from_xml``, which stores what it validates in canonical
+serialization): fragment text is well-formed, holds elements and
+character data only, and ``<``/``>`` appear escaped inside character
+data and attribute values, so every raw ``<`` in the payload starts an
+element tag.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The XADT value type.
 
 An :class:`XadtValue` is an immutable XML fragment — zero or more sibling
-elements — stored under one of the two codecs.  It is the value that XADT
+elements — stored under one of the three codecs.  It is the value that XADT
 columns hold, that the XADT methods take and return, and that ``unnest``
 emits.  The engine recognizes it structurally via the ``__xadt__`` marker
 (see :mod:`repro.engine.types`).
@@ -50,13 +50,20 @@ class XadtValue:
     ) -> "XadtValue":
         """Build a fragment from XML text.
 
-        Plain payloads are validated by parsing (the fast scanner relies
-        on well-formed, properly escaped text); internal callers that
-        construct payloads from the serializer pass ``validate=False``.
-        Dict payloads are validated by the encoder itself.
+        This is the one validating door: the text is parsed (an
+        ``XmlSyntaxError`` under every codec), and the text codecs then
+        store its canonical serialization — the form the dict codec
+        decodes to, and the only one the fast scanner's assumptions hold
+        for (every raw ``<`` starts an element tag, ``>`` is escaped in
+        attribute values): comments, CDATA sections and quoting styles
+        of the source do not survive.  Canonical input is stored
+        unchanged.  Internal callers that construct payloads from the
+        serializer pass ``validate=False``.
         """
-        if validate and codec == PLAIN and xml_text:
+        if validate and xml_text:
             parse_fragment(xml_text, keep_whitespace=True)
+            if codec != DICT:
+                xml_text = storage.events_to_text(storage.text_to_events(xml_text))
         return cls(storage.encode(xml_text, codec), codec)
 
     @classmethod

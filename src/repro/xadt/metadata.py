@@ -7,10 +7,16 @@
 This module implements that proposal: a :class:`SpanDirectory` records,
 for every element occurrence in a fragment, its tag and the four offsets
 of its span plus its parent entry — so the XADT methods can jump straight
-to the relevant elements instead of scanning the whole payload.  The
-``indexed`` codec stores the plain text together with this directory and
-pays for it in the storage accounting (about 18 bytes per element, the
-size of four 32-bit offsets plus tag/parent references).
+to the relevant elements instead of scanning the whole payload.  It is
+the one element directory of the package and carries the only directory
+implementations of ``getElm`` / ``findKeyInElm`` / ``getElmIndex`` /
+``unnest`` (their scan twins are ``fastscan.*_plain``).  The ``indexed``
+codec stores the plain text together with this directory and pays for it
+in the storage accounting (about 18 bytes per element, the size of four
+32-bit offsets plus tag/parent references); the persistent structural
+index (:mod:`repro.xadt.structural_index`) is this directory plus an
+inverted keyword map plugged into the two ``_keyed_entries`` /
+``_has_key`` hooks.
 
 The directory is built with the same fast scanner the plain codec uses,
 once, at encode time.
@@ -18,6 +24,7 @@ once, at encode time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -52,24 +59,28 @@ class SpanEntry:
 
 
 class SpanDirectory:
-    """All element spans of a fragment, indexed by tag and by parent."""
+    """All element spans of a fragment's text, in document (pre-)order,
+    indexed by tag and by ``(parent entry, child tag)``."""
 
-    def __init__(self, entries: list[SpanEntry]):
+    def __init__(self, text: str, entries: list[SpanEntry]):
+        self.text = text
         self.entries = entries
         self._by_tag: dict[str, list[int]] = {}
-        self._children: dict[int, list[int]] = {}
+        #: (parent entry, child tag) -> that parent's children with the
+        #: tag, in document order: getElmIndex's ordinal arrays
+        self._ordinals: dict[tuple[int, str], list[int]] = {}
         #: tag -> indices of its non-nested occurrences, filled on demand
         self._outermost: dict[str, list[int]] = {}
         for index, entry in enumerate(entries):
             self._by_tag.setdefault(entry.tag, []).append(index)
-            self._children.setdefault(entry.parent, []).append(index)
+            self._ordinals.setdefault((entry.parent, entry.tag), []).append(index)
 
     @classmethod
     def build(cls, payload: str) -> "SpanDirectory":
         """Scan ``payload`` once and record every element span."""
         entries: list[SpanEntry] = []
         cls._collect(payload, 0, len(payload), -1, 0, entries)
-        return cls(entries)
+        return cls(payload, entries)
 
     @classmethod
     def _collect(
@@ -111,18 +122,21 @@ class SpanDirectory:
 
     def outermost_indices(self, tag: str) -> list[int]:
         """Entry indices of the non-nested occurrences of ``tag`` (no
-        same-tag ancestor), worked out once per directory and tag."""
+        same-tag ancestor) — the methods' candidate elements; as in the
+        methods, ``''`` names the fragment's top-level elements.  Worked
+        out once per directory and tag."""
         indices = self._outermost.get(tag)
         if indices is None:
             entries = self.entries
             indices = []
-            for i in self._by_tag.get(tag, ()):
+            for i in self._by_tag.get(tag, ()) if tag else range(len(entries)):
                 parent = entries[i].parent
-                while parent != -1 and entries[parent].tag != tag:
-                    parent = entries[parent].parent
+                if tag:  # climb to the nearest same-tag ancestor, if any
+                    while parent != -1 and entries[parent].tag != tag:
+                        parent = entries[parent].parent
                 if parent == -1:
                     indices.append(i)
-            self._outermost[tag] = indices
+            self._outermost[tag] = indices  # whole: other threads read it
         return indices
 
     def outermost_of(self, tag: str) -> list[SpanEntry]:
@@ -130,14 +144,7 @@ class SpanDirectory:
         return [self.entries[i] for i in self.outermost_indices(tag)]
 
     def top_level(self) -> list[SpanEntry]:
-        return [self.entries[i] for i in self._children.get(-1, [])]
-
-    def children_of(self, entry_index: int, tag: str | None = None) -> list[SpanEntry]:
-        out = []
-        for i in self._children.get(entry_index, []):
-            if tag is None or self.entries[i].tag == tag:
-                out.append(self.entries[i])
-        return out
+        return self.outermost_of("")
 
     def descendants_within(self, ancestor: SpanEntry, tag: str) -> list[SpanEntry]:
         """Occurrences of ``tag`` inside ``ancestor`` (including itself)."""
@@ -157,97 +164,105 @@ class SpanDirectory:
     def __len__(self) -> int:
         return len(self.entries)
 
+    # -- the XADT methods over the directory -------------------------------
+    #
+    # Every answer is a slice (or a join of slices) of ``self.text`` and
+    # byte-identical to the ``fastscan.*_plain`` twin's.
 
-# ---------------------------------------------------------------------------
-# method implementations over a directory
-# ---------------------------------------------------------------------------
+    def _keyed_entries(self, search_key: str) -> "frozenset[int] | None":
+        """Hook: the entries whose text content holds ``search_key``, or
+        None when only reading their text can tell (the default)."""
+        return None
 
+    def _has_key(self, search_elm: str, search_key: str) -> bool | None:
+        """Hook: does any ``search_elm`` element's text content (the whole
+        fragment's for ``''``) hold ``search_key``?  None = unknown."""
+        return None
 
-def get_elm_indexed(
-    payload: str,
-    directory: SpanDirectory,
-    root_elm: str,
-    search_elm: str,
-    search_key: str,
-) -> str:
-    matched: list[str] = []
-    candidates = (
-        directory.outermost_of(root_elm) if root_elm else directory.top_level()
-    )
-    for candidate in candidates:
-        if _matches_indexed(payload, directory, candidate, search_elm, search_key):
-            matched.append(candidate.slice(payload))
-    return "".join(matched)
+    def _entry_text(self, index: int) -> str:
+        return fastscan.text_of(self.entries[index].content(self.text))
 
+    def get_elm(
+        self, root_elm: str, search_elm: str, search_key: str, level: int = -1
+    ) -> str:
+        """``getElm``; ``level < 0`` is unlimited, the root is level 0."""
+        roots = self.outermost_indices(root_elm)
+        if search_elm or search_key:
+            keyed = self._keyed_entries(search_key) if search_key else None
+            roots = [
+                root for root in roots
+                if self._matches(root, search_elm, search_key, level, keyed)
+            ]
+        text, entries = self.text, self.entries
+        return "".join([entries[i].slice(text) for i in roots])
 
-def _matches_indexed(
-    payload: str,
-    directory: SpanDirectory,
-    candidate: SpanEntry,
-    search_elm: str,
-    search_key: str,
-) -> bool:
-    if not search_elm and not search_key:
-        return True
-    if not search_elm:
-        return search_key in fastscan.text_of(candidate.content(payload))
-    for entry in directory.descendants_within(candidate, search_elm):
+    def _within(self, root_index: int, tag: str, level: int) -> Iterator[int]:
+        """The ``tag`` entries of a root's subtree (itself included: QE1's
+        rootElm == searchElm case) at most ``level`` levels below it.  In
+        pre-order a subtree is the run of entries up to the root's end."""
+        entries = self.entries
+        root = entries[root_index]
+        ids = self._by_tag.get(tag, ())
+        for k in range(bisect_left(ids, root_index), len(ids)):
+            entry = entries[ids[k]]
+            if entry.start >= root.end:
+                return
+            if level < 0 or entry.depth - root.depth <= level:
+                yield ids[k]
+
+    def _matches(
+        self,
+        root: int,
+        search_elm: str,
+        search_key: str,
+        level: int,
+        keyed: "frozenset[int] | None",
+    ) -> bool:
+        hits = self._within(root, search_elm, level) if search_elm else (root,)
         if not search_key:
-            return True
-        if search_key in fastscan.text_of(entry.content(payload)):
-            return True
-    return False
+            return any(True for _ in hits)
+        if keyed is not None:
+            return not keyed.isdisjoint(hits)
+        return any(search_key in self._entry_text(i) for i in hits)
 
-
-def find_key_in_elm_indexed(
-    payload: str,
-    directory: SpanDirectory,
-    search_elm: str,
-    search_key: str,
-) -> int:
-    if not search_elm:
-        return 1 if search_key in fastscan.text_of(payload) else 0
-    for entry in directory.spans_of(search_elm):
+    def find_key(self, search_elm: str, search_key: str) -> int:
+        """``findKeyInElm`` (same 0/1 contract)."""
+        if search_elm and search_elm not in self._by_tag:
+            return 0
         if not search_key:
             return 1
-        if search_key in fastscan.text_of(entry.content(payload)):
-            return 1
-    return 0
+        known = self._has_key(search_elm, search_key)
+        if known is not None:
+            return 1 if known else 0
+        if not search_elm:
+            return int(search_key in fastscan.text_of(self.text))
+        # an inner occurrence's text is part of its outermost ancestor's
+        return int(any(
+            search_key in self._entry_text(i)
+            for i in self.outermost_indices(search_elm)
+        ))
 
+    def get_elm_index(
+        self, parent_elm: str, child_elm: str, start_pos: int, end_pos: int
+    ) -> str:
+        """``getElmIndex``: one ordinal-array slice per parent."""
+        lo = max(start_pos - 1, 0)
+        hi = max(end_pos, 0)
+        if hi <= lo:
+            return ""
+        text, entries, ordinals = self.text, self.entries, self._ordinals
+        if not parent_elm:  # QS6's shape: the top-level sibling list
+            return "".join(
+                [entries[i].slice(text)
+                 for i in ordinals.get((-1, child_elm), ())[lo:hi]]
+            )
+        return "".join([
+            entries[i].slice(text)
+            for parent in self.outermost_indices(parent_elm)
+            for i in ordinals.get((parent, child_elm), ())[lo:hi]
+        ])
 
-def get_elm_index_indexed(
-    payload: str,
-    directory: SpanDirectory,
-    parent_elm: str,
-    child_elm: str,
-    start_pos: int,
-    end_pos: int,
-) -> str:
-    matched: list[str] = []
-    if not parent_elm:
-        position = 0
-        for entry in directory.top_level():
-            if entry.tag != child_elm:
-                continue
-            position += 1
-            if start_pos <= position <= end_pos:
-                matched.append(entry.slice(payload))
-        return "".join(matched)
-    for parent_index in directory.outermost_indices(parent_elm):
-        position = 0
-        for child in directory.children_of(parent_index, child_elm):
-            position += 1
-            if start_pos <= position <= end_pos:
-                matched.append(child.slice(payload))
-    return "".join(matched)
-
-
-def unnest_indexed(
-    payload: str, directory: SpanDirectory, tag: str
-) -> Iterator[str]:
-    if tag:
-        for entry in directory.outermost_of(tag):
-            yield entry.slice(payload)
-    else:
-        for entry in directory.top_level():
-            yield entry.slice(payload)
+    def unnest(self, tag: str) -> list[str]:
+        """``unnest``: the slices of the (non-nested) ``tag`` elements."""
+        text, entries = self.text, self.entries
+        return [entries[i].slice(text) for i in self.outermost_indices(tag)]

@@ -1,16 +1,23 @@
 """The XADT methods (paper §3.4.2): getElm, findKeyInElm, getElmIndex.
 
-All three scan the fragment's tagged text with ``str.find``
-(:mod:`repro.xadt.fastscan`) and answer with slices of it — they never
-build a DOM or re-serialize — mirroring the paper's C-string
-implementation whose cost is proportional to the amount of fragment data
-scanned (that scan cost is what makes QS6 slower under XORator, §4.3).
-One kernel serves every codec: a plain payload is the text, a dict
-payload's text comes from the decode cache
-(``XadtValue.scan_text``), and the indexed codec jumps through its span
-directory into the same text.  Only ``getElm`` with an explicit
-``level >= 0`` walks the event stream, because depth is not visible to
-a tag scan.
+Each method has two implementations and answers with slices of the
+fragment's tagged text either way — it never builds a DOM or
+re-serializes:
+
+* the **tag scan** (``fastscan.*_plain``): ``str.find`` over the text,
+  mirroring the paper's C-string implementation whose cost is
+  proportional to the amount of fragment data scanned (that scan cost is
+  what makes QS6 slower under XORator, §4.3).  One kernel serves the
+  scan codecs: a plain payload is the text, a dict payload's text comes
+  from the decode cache (``XadtValue.scan_text``);
+* the **directory** (``SpanDirectory.*`` in :mod:`repro.xadt.metadata`):
+  jumps through recorded element spans into the same text.
+
+:func:`_directory` decides which, in one place: the published
+structural index when the statement routes through the store, else the
+directory an ``indexed`` value stores, else the scan.  ``getElm`` with an
+explicit ``level >= 0`` always asks a directory (built for the call from
+a scan-codec value), because depth is not visible to a tag scan.
 
 Semantics follow the paper's definitions:
 
@@ -45,19 +52,38 @@ scan itself.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.errors import XadtMethodError
 from repro.xadt import fastscan
 from repro.xadt.decode_cache import memoize_predicate
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.storage import INDEXED, Event, events_to_text
+from repro.xadt.metadata import SpanDirectory
+from repro.xadt.storage import INDEXED
 from repro.xadt.structural_index import (
     XINDEX,
+    StructuralIndex,
     record_hit,
     record_miss,
     routing_enabled,
 )
+
+
+def _directory(value: XadtValue, method: str = "") -> SpanDirectory | None:
+    """The access-path decision, made here and nowhere else.
+
+    The published structural index when the statement routes through the
+    store (``method`` names the hit / miss counter; callers that never
+    consult the store pass none), else the directory an ``indexed``
+    value stores, else None: scan the text.
+    """
+    if method and routing_enabled():
+        index = XINDEX.lookup(value)
+        if index is not None:
+            record_hit(method)
+            return index
+        record_miss(method)
+    if value.codec == INDEXED:
+        return value.directory()
+    return None
 
 
 def get_elm(
@@ -69,76 +95,53 @@ def get_elm(
 ) -> XadtValue:
     """Return all matching ``root_elm`` elements as a new fragment."""
     value = coerce_fragment(fragment)
-    if level < 0:
-        if routing_enabled():
-            index = XINDEX.lookup(value)
-            if index is not None:
-                record_hit("get_elm")
-                return XadtValue.wrap_plain(
-                    index.get_elm(root_elm, search_elm, search_key)
-                )
-            record_miss("get_elm")
-        if value.codec == INDEXED:
-            from repro.xadt import metadata
-
-            return XadtValue.wrap_plain(
-                metadata.get_elm_indexed(
-                    value.payload, value.directory(), root_elm, search_elm, search_key
-                )
-            )
-        return XadtValue.wrap_plain(
-            fastscan.get_elm_plain(value.scan_text(), root_elm, search_elm, search_key)
+    directory = _directory(value, "get_elm" if level < 0 else "")
+    if directory is None and level >= 0:
+        # depth is not visible to a tag scan: a directory for the call
+        directory = SpanDirectory.build(value.scan_text())
+    if directory is not None:
+        matched = directory.get_elm(root_elm, search_elm, search_key, level)
+    else:
+        matched = fastscan.get_elm_plain(
+            value.scan_text(), root_elm, search_elm, search_key
         )
-    matched: list[str] = []
-    for subtree in _iter_subtrees(value.events(), root_elm):
-        if _subtree_matches(subtree, search_elm, search_key, level):
-            matched.append(events_to_text(subtree))
-    return XadtValue.wrap_plain("".join(matched))
+    return XadtValue.wrap_plain(matched)
 
 
 def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
     """1 if any ``search_elm`` element's content contains ``search_key``.
 
-    The per-codec verdicts are memoized in the process-wide decode cache
-    (keyed on payload identity + search terms), and the indexed codec
-    consults the span directory's tag index first: a document that never
-    contains ``search_elm`` is rejected in O(1) without decoding any
-    payload text — the predicate-pushdown half of the vectorized scan
-    path.
+    Scan and stored-directory verdicts are memoized in the process-wide
+    decode cache (keyed on payload identity + search terms + store
+    epoch), and a directory's tag index is consulted first: a document
+    that never contains ``search_elm`` is rejected in O(1) without
+    decoding any payload text — the predicate-pushdown half of the
+    vectorized scan path.  A structural-index probe costs no more than
+    the memo lookup would, so its verdicts are returned as they come.
     """
     if not search_elm and not search_key:
         raise XadtMethodError(
             "findKeyInElm: searchElm and searchKey cannot both be empty"
         )
     value = coerce_fragment(fragment)
-    if routing_enabled():
-        index = XINDEX.lookup(value)
-        if index is not None:
-            record_hit("find_key_in_elm")
-            return index.find_key(search_elm, search_key)
-        record_miss("find_key_in_elm")
-    if value.codec == INDEXED:
-        from repro.xadt import metadata
+    directory = _directory(value, "find_key_in_elm")
+    if isinstance(directory, StructuralIndex):
+        return directory.find_key(search_elm, search_key)
+    if directory is not None and search_elm and not directory.has_tag(search_elm):
+        return 0  # tag index proves absence; skip the payload entirely
 
-        directory = value.directory()
-        if search_elm and not directory.has_tag(search_elm):
-            return 0  # tag index proves absence; skip the payload entirely
-        return memoize_predicate(
-            "findkey-indexed",
-            value.payload,
-            (search_elm, search_key),
-            lambda: metadata.find_key_in_elm_indexed(
-                value.payload, directory, search_elm, search_key
-            ),
-            version=XINDEX.epoch,
+    def verdict() -> int:
+        if directory is not None:
+            return directory.find_key(search_elm, search_key)
+        return fastscan.find_key_in_elm_plain(
+            value.scan_text(), search_elm, search_key
         )
+
     return memoize_predicate(
         "findkey-" + value.codec,
         value.payload,
         (search_elm, search_key),
-        lambda: fastscan.find_key_in_elm_plain(
-            value.scan_text(), search_elm, search_key
-        ),
+        verdict,
         version=XINDEX.epoch,
     )
 
@@ -154,30 +157,16 @@ def get_elm_index(
     if not child_elm:
         raise XadtMethodError("getElmIndex: childElm cannot be an empty string")
     value = coerce_fragment(fragment)
-    if routing_enabled():
-        index = XINDEX.lookup(value)
-        if index is not None:
-            record_hit("get_elm_index")
-            return XadtValue.wrap_plain(
-                index.get_elm_index(
-                    parent_elm, child_elm, int(start_pos), int(end_pos)
-                )
-            )
-        record_miss("get_elm_index")
-    if value.codec == INDEXED:
-        from repro.xadt import metadata
-
-        return XadtValue.wrap_plain(
-            metadata.get_elm_index_indexed(
-                value.payload, value.directory(), parent_elm, child_elm,
-                int(start_pos), int(end_pos),
-            )
+    directory = _directory(value, "get_elm_index")
+    if directory is not None:
+        matched = directory.get_elm_index(
+            parent_elm, child_elm, int(start_pos), int(end_pos)
         )
-    return XadtValue.wrap_plain(
-        fastscan.get_elm_index_plain(
+    else:
+        matched = fastscan.get_elm_index_plain(
             value.scan_text(), parent_elm, child_elm, int(start_pos), int(end_pos)
         )
-    )
+    return XadtValue.wrap_plain(matched)
 
 
 def elm_equals(fragment: object, search_elm: str, value: str) -> int:
@@ -193,8 +182,9 @@ def elm_equals(fragment: object, search_elm: str, value: str) -> int:
         raise XadtMethodError("elmEquals: searchElm cannot be empty")
     fragment_value = coerce_fragment(fragment)
     text = fragment_value.scan_text()
-    if fragment_value.codec == INDEXED:
-        spans = fragment_value.directory().outermost_of(search_elm)
+    directory = _directory(fragment_value)
+    if directory is not None:
+        spans = directory.outermost_of(search_elm)
     else:
         spans = fastscan.find_spans(text, search_elm)
     for span in spans:
@@ -206,72 +196,3 @@ def elm_equals(fragment: object, search_elm: str, value: str) -> int:
 def elm_text(fragment: object) -> str:
     """Concatenated character content of the fragment."""
     return coerce_fragment(fragment).text()
-
-
-# ---------------------------------------------------------------------------
-# stream helpers
-# ---------------------------------------------------------------------------
-
-
-def _iter_subtrees(events: Iterator[Event], tag: str) -> Iterator[list[Event]]:
-    """Non-nested subtrees whose root tag is ``tag`` ('' = top level).
-
-    A matched subtree's inner occurrences of the same tag are not yielded
-    separately (they are part of the outer match).
-    """
-    capture: list[Event] | None = None
-    depth = 0  # open elements inside the capture
-    for event in events:
-        kind = event[0]
-        if capture is not None:
-            capture.append(event)
-            if kind == "open":
-                depth += 1
-            elif kind == "close":
-                depth -= 1
-                if depth == 0:
-                    yield capture
-                    capture = None
-        elif kind == "open" and (event[1] == tag or not tag):
-            capture = [event]
-            depth = 1
-
-
-def _subtree_matches(
-    subtree: list[Event], search_elm: str, search_key: str, level: int
-) -> bool:
-    """Does the captured subtree satisfy getElm's condition within
-    ``level`` (>= 0) levels of its root?"""
-    if not search_elm and not search_key:
-        return True
-    if not search_elm:
-        text = "".join(event[1] for event in subtree if event[0] == "text")
-        return search_key in text
-    # find search_elm occurrences (root itself is level 0)
-    collectors: list[list[str]] = []
-    collector_depths: list[int] = []
-    satisfied = False
-    depth = -1  # the root's open event brings us to level 0
-    for event in subtree:
-        kind = event[0]
-        if kind == "open":
-            depth += 1
-            if event[1] == search_elm and depth <= level:
-                if not search_key:
-                    return True
-                collectors.append([])
-                collector_depths.append(depth)
-        elif kind == "close":
-            if collector_depths and collector_depths[-1] == depth:
-                text = "".join(collectors.pop())
-                collector_depths.pop()
-                if search_key in text:
-                    satisfied = True
-            depth -= 1
-        else:
-            if collectors:
-                for collector in collectors:
-                    collector.append(event[1])
-        if satisfied:
-            return True
-    return satisfied

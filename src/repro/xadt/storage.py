@@ -1,15 +1,17 @@
-"""The two XADT storage codecs (paper §3.4.1).
+"""The three XADT storage codecs (paper §3.4.1, §5).
 
 * ``plain`` — the fragment is stored as its tagged XML text (the paper's
   "naive" VARCHAR representation);
 * ``dict`` — the XMill-inspired compressed representation from
-  :mod:`repro.xadt.compress`.
+  :mod:`repro.xadt.compress`;
+* ``indexed`` — the plain text plus the element-span directory of
+  :mod:`repro.xadt.metadata` (§5's proposed metadata).
 
-Both serve the XADT methods the same thing — tagged text for the
-``str.find`` scan kernel (:mod:`repro.xadt.fastscan`): a plain payload
-*is* that text, a dict payload is decompressed to it once and the text
-memoized by payload bytes (:func:`dict_payload_text`).  The event-stream
-interface tokenizes the same text.
+All serve the XADT methods the same thing — tagged text for the
+``str.find`` scan kernel (:mod:`repro.xadt.fastscan`): a plain or
+indexed payload *is* that text, a dict payload is decompressed to it
+once and the text memoized by payload bytes (:func:`dict_payload_text`).
+The event-stream interface tokenizes the same text.
 
 Graceful degradation (DESIGN.md §9): every dict-payload access passes the
 ``xadt.decode`` fault-injection site, cache hit or miss.  When injected
@@ -189,26 +191,6 @@ def dict_payload_text(payload: bytes) -> str:
         text = events_to_text(compress.decode_events(payload))
         DECODE_CACHE.put(key, text, 64 + 2 * len(text))
     return text  # type: ignore[return-value]
-
-
-def payload_text(payload: str | bytes, codec: str) -> str:
-    """The canonical tagged-text rendering of a stored payload.
-
-    For the text codecs this is the payload itself; dict payloads are
-    decoded through :func:`dict_payload_text`.  The scan methods slice
-    this text and the structural index
-    (:mod:`repro.xadt.structural_index`) builds from it, so its byte
-    offsets address the same text.
-    """
-    if codec in (PLAIN, INDEXED):
-        if not isinstance(payload, str):
-            raise XadtCodecError("plain payloads are text")
-        return payload
-    if codec == DICT:
-        if not isinstance(payload, bytes):
-            raise XadtCodecError("dict payloads are bytes")
-        return dict_payload_text(payload)
-    raise XadtCodecError(f"unknown codec {codec!r}")
 
 
 def payload_size(payload: str | bytes, codec: str) -> int:

@@ -5,23 +5,17 @@ The paper's XADT loses exactly where order access dominates (QS6):
 so intra-fragment access is O(fragment bytes).  Native XML stores
 (XRecursive, RadegastXDB — see PAPERS.md) win this query class with
 persistent structural indexes instead of text scans.  This module is
-that index, grown out of the per-fragment span directories of
-:mod:`repro.xadt.metadata`:
-
-* **tag-path postings** — every root-to-element tag path (``"SPEECH/LINE"``)
-  maps to the entry ids (and through them the byte offsets) of its
-  occurrences, in document order.  ``get_elm`` derives its outermost
-  candidate sets from these postings instead of re-scanning the text.
-* **per-tag ordinal arrays** — ``(parent entry, child tag)`` maps to the
-  document-ordered array of that parent's direct children with the tag,
-  so ``get_elm_index`` resolves a ``startPos..endPos`` ordinal range by
-  array slicing (better than the ~O(log n) the design asked for) instead
-  of walking sibling spans.
-* **inverted keyword map** — every maximal word token of an element's
-  character content posts to the element and its tag, so
-  ``find_key_in_elm`` answers word-key membership without touching the
-  payload text.  Non-word keys (whitespace/punctuation) fall back to a
-  bounded per-span scan of just the matching elements.
+that index: per fragment, the span directory of
+:mod:`repro.xadt.metadata` — whose ``(parent entry, child tag)`` ordinal
+arrays resolve ``get_elm_index``'s ``startPos..endPos`` range by array
+slicing, and which carries the one directory implementation of every
+method — plus an **inverted keyword map**: every maximal word token of
+an element's character content posts to the element and its tag, so
+``find_key_in_elm`` and ``get_elm`` answer word-key membership without
+touching the payload text.  Non-word keys (whitespace/punctuation) fall
+back to the directory's bounded per-span scan of just the matching
+elements.  No tag-path postings are stored: outermost sets come from
+the directory's parent links (DESIGN.md §10).
 
 One :class:`StructuralIndex` is immutable and fragment-scoped; the
 process-wide :class:`StructuralIndexStore` (:data:`XINDEX`) holds them
@@ -31,13 +25,14 @@ statement memory budget) into a *staged* set; the storage engine
 publishes staged indexes together with the catalog snapshot swap, after
 WAL commit — the same commit-before-publish ordering every other index
 follows, so a crash between build and publish loses nothing: recovery
-replays the logged loads and rebuilds deterministically.
+replays the logged loads and rebuilds deterministically.  ``DROP TABLE``
+retires the indexes built for the table's columns.
 
-Routing is per-statement: the session layer calls
-:func:`statement_routing` with the catalog's
-``ExecutionConfig.xadt_structural_index`` flag, so two databases in one
-process (one paper-faithful, one indexed) never contaminate each other's
-access paths.
+Routing is per-statement: the session layer pins :func:`routing` to the
+catalog's ``ExecutionConfig.xadt_structural_index`` flag, so two
+databases in one process (one paper-faithful, one indexed) never
+contaminate each other's access paths; the XADT methods read the pin in
+one place (``methods._directory``).
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.engine.faults import FAULTS
 from repro.engine.snapshot import active_budget
@@ -82,281 +77,97 @@ def record_miss(method: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class StructuralIndex:
-    """The structural index of one fragment's tagged text.
+class StructuralIndex(SpanDirectory):
+    """The structural index of one fragment's tagged text: its span
+    directory plus an inverted keyword map.
 
     Built once from the fragment text (for the dict codec, its canonical
     serialization — element serialization is context-free, so subtree
-    slices of the rendered text equal the event walk's output for the
-    subtree).  All answers are parity-equal to the fastscan
-    implementations in :mod:`repro.xadt.fastscan`; the randomized suite
-    in ``tests/xadt/test_structural_index.py`` enforces that.
+    slices of the rendered text equal the scan's output for the
+    subtree).  The methods are the directory's; the keyword map answers
+    their two key hooks for word keys, so those never read the text.
+    All answers are parity-equal to the fastscan implementations in
+    :mod:`repro.xadt.fastscan`; the randomized suite in
+    ``tests/xadt/test_structural_index.py`` enforces that.
     """
 
-    __slots__ = (
-        "text",
-        "entries",
-        "_by_tag",
-        "_by_path",
-        "_outermost",
-        "_ordinals",
-        "_top_ordinals",
-        "_token_tags",
-        "_token_entries",
-        "_tag_blob",
-        "_doc_blob",
-        "_doc_tokens",
-        "_text_content",
-        "_byte_size",
-    )
+    #: the (table, column) the store built this index for (set at ingest)
+    owner: tuple[str, str] = ("", "")
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        directory = SpanDirectory.build(text)
-        self.entries: list[SpanEntry] = directory.entries
-        by_tag: dict[str, list[int]] = {}
-        by_path: dict[str, list[int]] = {}
-        ordinals: dict[tuple[int, str], list[int]] = {}
-        paths: list[str] = []
-        for index, entry in enumerate(self.entries):
-            by_tag.setdefault(entry.tag, []).append(index)
-            path = (
-                entry.tag
-                if entry.parent == -1
-                else paths[entry.parent] + "/" + entry.tag
-            )
-            paths.append(path)
-            by_path.setdefault(path, []).append(index)
-            ordinals.setdefault((entry.parent, entry.tag), []).append(index)
-        self._by_tag = by_tag
-        self._by_path = by_path
-        self._ordinals = {key: tuple(ids) for key, ids in ordinals.items()}
-        # the empty-parent case (QS6's top-level sibling list) is the hot
-        # one: give it its own tag-keyed map, no tuple key construction
-        self._top_ordinals = {
-            tag: ids
-            for (parent, tag), ids in self._ordinals.items()
-            if parent == -1
-        }
-        # outermost occurrences of a tag, derived from the path postings:
-        # an occurrence is non-nested exactly when its root path contains
-        # the tag once (as the final segment).
-        outermost: dict[str, list[int]] = {}
-        for path, ids in by_path.items():
-            segments = path.split("/")
-            tag = segments[-1]
-            if segments.count(tag) == 1:
-                outermost.setdefault(tag, []).extend(ids)
-        self._outermost = {
-            tag: tuple(sorted(ids)) for tag, ids in outermost.items()
-        }
+    def __init__(self, text: str, entries: list[SpanEntry]) -> None:
+        super().__init__(text, entries)
         # inverted keyword map: maximal word runs of each element's
         # concatenated character content (the same concatenation
         # fastscan.text_of sees, so tokens never split at nested tags).
-        token_tags: dict[str, set[str]] = {}
         token_entries: dict[str, list[int]] = {}
-        for index, entry in enumerate(self.entries):
+        tag_tokens: dict[str, set[str]] = {}
+        for index, entry in enumerate(entries):
             if entry.content_end <= entry.content_start:
                 continue
-            content_text = fastscan.text_of(entry.content(text))
-            for token in set(_WORD_RE.findall(content_text)):
-                token_tags.setdefault(token, set()).add(entry.tag)
+            tokens = set(_WORD_RE.findall(self._entry_text(index)))
+            tag_tokens.setdefault(entry.tag, set()).update(tokens)
+            for token in tokens:
                 token_entries.setdefault(token, []).append(index)
-        self._token_tags = {
-            token: frozenset(tags) for token, tags in token_tags.items()
-        }
         self._token_entries = {
             token: tuple(ids) for token, ids in token_entries.items()
         }
+        # whole-fragment tokens, under the tag '': covers top-level text
+        # and word runs that straddle element boundaries once tags are
+        # stripped.
+        tag_tokens[""] = set(_WORD_RE.findall(fastscan.text_of(text)))
         # per-tag token blobs: every token of a tag's elements joined on
         # NUL.  A word key is \w+ so a match can never span the
         # separator — word-key membership (exact or substring-of-token)
         # collapses to one C-speed ``key in blob`` test.
-        tag_tokens: dict[str, set[str]] = {}
-        for token, tags in token_tags.items():
-            for tag in tags:
-                tag_tokens.setdefault(tag, set()).add(token)
-        self._tag_blob = {
+        self._blobs = {
             tag: "\x00".join(tokens) for tag, tokens in tag_tokens.items()
         }
-        # whole-document tokens: covers top-level text and word runs that
-        # straddle element boundaries once tags are stripped.
-        self._doc_tokens = frozenset(_WORD_RE.findall(fastscan.text_of(text)))
-        self._doc_blob = "\x00".join(self._doc_tokens)
-        self._text_content: str | None = None
-        self._byte_size = self._model_bytes()
+        self._byte_size = self._model_bytes(tag_tokens[""])
 
     @classmethod
     def from_payload(cls, payload: str | bytes, codec: str) -> "StructuralIndex":
         """Build from a stored payload via its canonical text rendering."""
-        from repro.xadt.storage import payload_text
+        from repro.xadt.fragment import XadtValue
 
-        return cls(payload_text(payload, codec))
+        return cls.build(XadtValue(payload, codec).scan_text())
 
-    # -- layout ------------------------------------------------------------
-
-    def _model_bytes(self) -> int:
+    def _model_bytes(self, fragment_tokens: set[str]) -> int:
         """Modelled storage cost (the governor charges this on build)."""
         if not self.entries:
             return HEADER_BYTES
         cost = HEADER_BYTES + ENTRY_BYTES * len(self.entries)
         for tag in self._by_tag:
             cost += len(tag.encode("utf-8")) + _KEY_OVERHEAD
-        for path, ids in self._by_path.items():
-            cost += len(path.encode("utf-8")) + _KEY_OVERHEAD
-            cost += _POSTING_BYTES * len(ids)
         for ids in self._ordinals.values():
             cost += _KEY_OVERHEAD + _POSTING_BYTES * len(ids)
         for token, ids in self._token_entries.items():
             cost += len(token.encode("utf-8")) + _KEY_OVERHEAD
             cost += _POSTING_BYTES * len(ids)
         cost += sum(
-            len(t.encode("utf-8")) + _POSTING_BYTES for t in self._doc_tokens
+            len(t.encode("utf-8")) + _POSTING_BYTES for t in fragment_tokens
         )
-        cost += len(self._doc_blob.encode("utf-8"))
-        cost += sum(len(b.encode("utf-8")) for b in self._tag_blob.values())
+        cost += sum(len(b.encode("utf-8")) for b in self._blobs.values())
         return cost
 
     def byte_size(self) -> int:
         return self._byte_size
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    # -- the directory's key hooks, answered from the keyword map ----------
 
-    @property
-    def text_content(self) -> str:
-        if self._text_content is None:
-            self._text_content = fastscan.text_of(self.text)
-        return self._text_content
-
-    def has_path(self, path: str) -> bool:
-        return path in self._by_path
-
-    def path_postings(self, path: str) -> tuple[int, ...]:
-        """Entry ids stored under a root-to-element tag path."""
-        return tuple(self._by_path.get(path, ()))
-
-    def path_offsets(self, path: str) -> tuple[int, ...]:
-        """Byte offsets ('<' positions) of a tag path's occurrences."""
-        return tuple(
-            self.entries[i].start for i in self._by_path.get(path, ())
+    def _keyed_entries(self, search_key: str) -> "frozenset[int] | None":
+        if not _WORD_RE.fullmatch(search_key):
+            return None  # non-word key: a bounded scan of the candidates
+        return frozenset(
+            index
+            for token, ids in self._token_entries.items()
+            if search_key in token
+            for index in ids
         )
 
-    def paths(self) -> Iterator[str]:
-        return iter(self._by_path)
-
-    # -- method implementations -------------------------------------------
-
-    def _entry_text(self, index: int) -> str:
-        return fastscan.text_of(self.entries[index].content(self.text))
-
-    def _key_in_entry(self, index: int, search_key: str) -> bool:
-        return search_key in self._entry_text(index)
-
-    def find_key(self, search_elm: str, search_key: str) -> int:
-        """``findKeyInElm`` over the index (same 0/1 contract)."""
-        if not search_elm:
-            if not search_key:
-                return 1
-            if _WORD_RE.fullmatch(search_key):
-                return 1 if search_key in self._doc_blob else 0
-            return 1 if search_key in self.text_content else 0
-        if search_elm not in self._by_tag:
-            return 0
-        if not search_key:
-            return 1
-        if _WORD_RE.fullmatch(search_key):
-            blob = self._tag_blob.get(search_elm)
-            return 1 if blob and search_key in blob else 0
-        # non-word key: bounded scan of just the outermost matching spans
-        for index in self._outermost.get(search_elm, ()):
-            if self._key_in_entry(index, search_key):
-                return 1
-        return 0
-
-    def get_elm_index(
-        self, parent_elm: str, child_elm: str, start_pos: int, end_pos: int
-    ) -> str:
-        """``getElmIndex`` via the ordinal arrays (array slice per parent)."""
-        lo = max(start_pos - 1, 0)
-        hi = max(end_pos, 0)
-        if hi <= lo:
-            return ""
-        text = self.text
-        entries = self.entries
-        if not parent_elm:
-            seq = self._top_ordinals.get(child_elm, ())
-            return "".join(entries[i].slice(text) for i in seq[lo:hi])
-        ordinals = self._ordinals
-        matched: list[str] = []
-        for parent_index in self._outermost.get(parent_elm, ()):
-            seq = ordinals.get((parent_index, child_elm), ())
-            for i in seq[lo:hi]:
-                matched.append(entries[i].slice(text))
-        return "".join(matched)
-
-    def get_elm(self, root_elm: str, search_elm: str, search_key: str) -> str:
-        """``getElm`` (unlimited level) via path postings + keyword map."""
-        if root_elm:
-            candidates: Iterable[int] = self._outermost.get(root_elm, ())
-        else:
-            candidates = self._ordinals_top_level()
-        # word keys prune the candidate walk through the inverted map:
-        # only entries whose content holds a token containing the key can
-        # satisfy the key test.
-        key_entries: frozenset[int] | None = None
-        if search_key and _WORD_RE.fullmatch(search_key):
-            hits: set[int] = set()
-            for token, ids in self._token_entries.items():
-                if search_key in token:
-                    hits.update(ids)
-            key_entries = frozenset(hits)
-        text = self.text
-        entries = self.entries
-        matched: list[str] = []
-        for candidate in candidates:
-            if self._candidate_matches(
-                candidate, search_elm, search_key, key_entries
-            ):
-                matched.append(entries[candidate].slice(text))
-        return "".join(matched)
-
-    def _ordinals_top_level(self) -> list[int]:
-        top = [
-            i for (parent, _), ids in self._ordinals.items()
-            if parent == -1 for i in ids
-        ]
-        top.sort()
-        return top
-
-    def _candidate_matches(
-        self,
-        candidate: int,
-        search_elm: str,
-        search_key: str,
-        key_entries: frozenset[int] | None,
-    ) -> bool:
-        if not search_elm and not search_key:
-            return True
-        entries = self.entries
-        root = entries[candidate]
-        if not search_elm:
-            if key_entries is not None:
-                return candidate in key_entries
-            return search_key in self._entry_text(candidate)
-        # descendant-or-self: containment includes the candidate itself
-        # when the tags coincide (QE1's rootElm == searchElm case).
-        for index in self._by_tag.get(search_elm, ()):
-            if not root.contains(entries[index]):
-                continue
-            if not search_key:
-                return True
-            if key_entries is not None:
-                if index in key_entries:
-                    return True
-            elif self._key_in_entry(index, search_key):
-                return True
-        return False
+    def _has_key(self, search_elm: str, search_key: str) -> bool | None:
+        if not _WORD_RE.fullmatch(search_key):
+            return None
+        return search_key in self._blobs.get(search_elm, "")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +189,8 @@ def routing_enabled() -> bool:
 
 @contextmanager
 def routing(enabled: bool):
-    """Pin the access path for a code block (tests and benchmarks)."""
+    """Pin the access path for a code block: one statement's execution
+    (the session layer), or a test's / benchmark's calls."""
     token = _ROUTING.set(enabled)
     try:
         yield
@@ -386,14 +198,8 @@ def routing(enabled: bool):
         _ROUTING.reset(token)
 
 
-@contextmanager
-def statement_routing(enabled: bool):
-    """Session-layer wrapper: pin the path for one statement's execution."""
-    token = _ROUTING.set(enabled)
-    try:
-        yield
-    finally:
-        _ROUTING.reset(token)
+#: the name the session layer and ``benchmarks/layers`` import
+statement_routing = routing
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +251,10 @@ class StructuralIndexStore:
         self.epoch = 0
         self.catalog_version = 0
         self._columns: dict[tuple[str, str], ColumnStats] = {}
+        #: payload -> index; each index remembers its owning
+        #: (table, column) in ``owner`` so DROP TABLE can retire it
         self._published: dict[object, StructuralIndex] = {}
-        self._staged: dict[object, tuple[StructuralIndex, tuple[str, str]]] = {}
+        self._staged: dict[object, StructuralIndex] = {}
         self._lock = threading.Lock()
 
     # -- registration ------------------------------------------------------
@@ -459,12 +267,23 @@ class StructuralIndexStore:
             self.active = True
 
     def unregister_table(self, table: str) -> None:
+        """DROP TABLE: forget the table's columns and retire the indexes
+        built for them.  A payload first indexed under the dropped table
+        and still stored elsewhere then misses and is scanned."""
         name = table.lower()
         with self._lock:
             for key in [k for k in self._columns if k[0] == name]:
                 del self._columns[key]
             if not self._columns:
                 self.active = False
+            kept = {
+                payload: index
+                for payload, index in self._published.items()
+                if index.owner[0] != name
+            }
+            if len(kept) != len(self._published):
+                self._published = kept
+                self.epoch += 1
 
     def columns_for(self, table: str) -> list[str]:
         name = table.lower()
@@ -507,11 +326,11 @@ class StructuralIndexStore:
                 if FAULTS.active:
                     FAULTS.fire("xadt.index_build")
                 started = time.perf_counter()
-                index = StructuralIndex(value.to_xml())
+                index = StructuralIndex.build(value.to_xml())
                 _BUILD_SECONDS.observe(time.perf_counter() - started)
                 _BUILDS.inc()
-                key = (table.lower(), column_names[position].lower())
-                self._staged[payload] = (index, key)
+                index.owner = (table.lower(), column_names[position].lower())
+                self._staged[payload] = index
                 if budget is not None:
                     budget.charge_memory(index.byte_size())
                 built += 1
@@ -524,9 +343,9 @@ class StructuralIndexStore:
             if not self._staged:
                 return
             merged = dict(self._published)
-            for payload, (index, key) in self._staged.items():
+            for payload, index in self._staged.items():
                 merged[payload] = index
-                stats = self._columns.get(key)
+                stats = self._columns.get(index.owner)
                 if stats is not None:
                     stats.fragments += 1
                     stats.bytes += index.byte_size()

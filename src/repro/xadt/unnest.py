@@ -17,18 +17,18 @@ from typing import Iterator
 
 from repro.xadt import fastscan
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.storage import INDEXED
+from repro.xadt.methods import _directory
 
 
 def unnest(fragment: object, tag: str = "") -> Iterator[tuple[XadtValue]]:
     """Yield one single-column row per matching element."""
     value = coerce_fragment(fragment)
-    if value.codec == INDEXED:
-        from repro.xadt import metadata
-
-        pieces = metadata.unnest_indexed(value.payload, value.directory(), tag)
-    else:
-        pieces = fastscan.unnest_plain(value.scan_text(), tag)
+    directory = _directory(value)
+    pieces = (
+        directory.unnest(tag)
+        if directory is not None
+        else fastscan.unnest_plain(value.scan_text(), tag)
+    )
     wrap = XadtValue.wrap_plain
     for piece in pieces:
         yield (wrap(piece),)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.faults import FAULTS, FaultPlan
-from repro.errors import FaultInjected
+from repro.errors import FaultInjected, XmlSyntaxError
 from repro.xadt import (
     DICT,
     INDEXED,
@@ -28,6 +28,8 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import DEGRADATION, events_to_text, reset_degradation
+from repro.xadt.structural_index import XINDEX, routing
+from tests.xadt.test_structural_index import publish_fragment
 
 TAGS = ("a", "ab", "b")
 tags = st.sampled_from(TAGS)
@@ -82,10 +84,14 @@ calls = st.one_of(
 )
 
 
-def answer(call, xml_text, codec):
+def answer(call, xml_text, codec, publish=False):
     method, *args = call
     # a fresh value per call: nothing may ride on instance-level memos
-    result = method(XadtValue.from_xml(xml_text, codec), *args)
+    value = XadtValue.from_xml(xml_text, codec)
+    if publish:
+        publish_fragment(value)
+    with routing(publish):
+        result = method(value, *args)
     if isinstance(result, XadtValue):
         return result.to_xml()
     if isinstance(result, list):
@@ -112,26 +118,42 @@ def degraded():
     assert DEGRADATION.active
 
 
+def routed():
+    """Each codec's value published to the structural-index store and the
+    call made with routing on; held to the plain codec's scan answer."""
+    DECODE_CACHE.configure(enabled=True)
+
+
 @pytest.fixture(autouse=True)
 def restore_cache_and_degradation():
     saved = (DECODE_CACHE.budget_bytes, DECODE_CACHE.enabled, DEGRADATION.threshold)
     yield
     FAULTS.clear()
+    XINDEX.clear()
     DECODE_CACHE.configure(budget_bytes=saved[0], enabled=saved[1])
     DECODE_CACHE.clear()
     reset_degradation(threshold=saved[2])
 
 
-@pytest.mark.parametrize("regime", [enabled, disabled, budget_zero, degraded])
+@pytest.mark.parametrize(
+    "regime", [enabled, disabled, budget_zero, degraded, routed]
+)
 @settings(max_examples=150, deadline=None)
 @given(xml_text=fragments(), call=calls)
 def test_every_codec_answers_with_the_same_bytes(regime, xml_text, call):
     regime()
+    publish = regime is routed
     expected = answer(call, xml_text, PLAIN)
-    assert answer(call, xml_text, DICT) == expected
-    assert answer(call, xml_text, INDEXED) == expected
-    # and again, now that whatever the regime caches is warm
-    assert answer(call, xml_text, DICT) == expected
+    try:
+        if publish:
+            assert answer(call, xml_text, PLAIN, publish) == expected
+        assert answer(call, xml_text, DICT, publish) == expected
+        assert answer(call, xml_text, INDEXED, publish) == expected
+        # and again, now that whatever the regime caches is warm
+        assert answer(call, xml_text, DICT, publish) == expected
+    finally:
+        if publish:
+            XINDEX.clear()
 
 
 @settings(max_examples=50, deadline=None)
@@ -170,3 +192,62 @@ def test_decode_fault_surfaces_on_a_cache_hit():
         with pytest.raises(FaultInjected):
             access()
     assert not DEGRADATION.active
+
+
+# ---------------------------------------------------------------------------
+# valid but non-canonical input (the SQL xadt('…') builtin, coerce_fragment)
+# ---------------------------------------------------------------------------
+
+#: (source text, the canonical text every codec must hold)
+NON_CANONICAL = [
+    ('<a x="1>2">t</a><b>u</b>', '<a x="1&gt;2">t</a><b>u</b>'),
+    ("<a x='1' y='say \"hi\"'>t</a>", '<a x="1" y="say &quot;hi&quot;">t</a>'),
+    ("<a><!-- <b>no</b> -->t</a>", "<a>t</a>"),
+    ("<a><![CDATA[<b>x</b>]]></a>", "<a>&lt;b&gt;x&lt;/b&gt;</a>"),
+    ("<a><?pi <b/> ?>t</a><b></b>", "<a>t</a><b/>"),
+]
+
+
+@pytest.mark.parametrize("source, canonical", NON_CANONICAL)
+def test_non_canonical_input_is_answered_the_same_under_every_codec(
+    source, canonical
+):
+    values = [XadtValue.from_xml(source, codec) for codec in (PLAIN, DICT, INDEXED)]
+    reference = XadtValue.from_xml(canonical, PLAIN)
+    assert reference.payload == canonical  # canonical input stored unchanged
+    for value in values:
+        assert value.to_xml() == canonical
+        assert value == reference and hash(value) == hash(reference)
+        assert elm_text(value) == elm_text(reference)
+        for tag in ("a", "b"):
+            for key in ("", "t", "2", "x", "no"):
+                assert find_key_in_elm(value, tag, key) == find_key_in_elm(
+                    reference, tag, key
+                ), (value.codec, tag, key)
+            assert unnest_values(value, tag) == unnest_values(reference, tag)
+            assert get_elm(value, tag, "", "", 0) == get_elm(reference, tag, "", "", 0)
+    # what a scan of the source text got wrong
+    assert find_key_in_elm(values[0], "a", "2") == 0
+    assert find_key_in_elm(values[0], "b", "") == int("<b" in canonical)
+
+
+def test_coerced_and_sql_constructed_fragments_are_canonical():
+    source = '<a x="1>2">t</a><b>u</b>'
+    assert elm_text(source) == "tu"
+    assert find_key_in_elm(source, "a", "2") == 0
+    from repro.engine.database import Database
+    from repro.xadt import register_xadt_functions
+
+    db = Database("canonical")
+    register_xadt_functions(db)
+    db.execute("CREATE TABLE t (id INTEGER, frag XADT)")
+    db.execute("INSERT INTO t VALUES (1, xadt('<a><!-- <b>no</b> -->t</a>'))")
+    rows = db.execute("SELECT findKeyInElm(frag, 'b', ''), elmText(frag) FROM t").rows
+    assert rows == [(0, "t")]
+
+
+@pytest.mark.parametrize("codec", (PLAIN, DICT, INDEXED))
+@pytest.mark.parametrize("broken", ["<a>", "<a></b>", "<a x=1>t</a>", "t</a>"])
+def test_every_codec_rejects_malformed_text(codec, broken):
+    with pytest.raises(XmlSyntaxError):
+        XadtValue.from_xml(broken, codec)

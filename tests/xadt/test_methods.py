@@ -5,6 +5,8 @@ codec (generic event path); the two implementations must agree.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import XadtMethodError
 from repro.xadt import (
@@ -16,6 +18,12 @@ from repro.xadt import (
     get_elm,
     get_elm_index,
 )
+from repro.xadt.decode_cache import DECODE_CACHE
+from repro.xadt.storage import CODECS
+from repro.xadt.structural_index import XINDEX, routing
+from repro.xmlkit.chars import escape_text
+from repro.xmlkit.serializer import serialize
+from tests.xadt.test_structural_index import publish_fragment
 
 SPEECH_LINES = (
     "<LINE>O true apothecary, my friend</LINE>"
@@ -205,3 +213,85 @@ class TestCodecAgreement:
         value = XadtValue.from_xml("<L>fri<S>x</S>end</L>")
         assert find_key_in_elm(value, "L", "frixend") == 1
         assert find_key_in_elm(value, "L", "friend") == 0
+
+
+# ---------------------------------------------------------------------------
+# getElm against a DOM oracle: every level x codec x access path
+# ---------------------------------------------------------------------------
+
+ORACLE_TAGS = ("LIN", "LINE", "d")  # a prefix pair and a tag that nests
+oracle_texts = st.sampled_from(("kiss", "lo", "ve", "a, b", " ", "x-y", "&"))
+#: word keys, non-word keys, and keys that only occur across a child
+#: boundary once the tags are stripped ("love", "s a")
+oracle_keys = st.sampled_from(("", "kiss", "love", "lo", ", ", " ", "-", "s a", "&", "zz"))
+
+
+@st.composite
+def oracle_element(draw, depth=0):
+    tag = draw(st.sampled_from(ORACLE_TAGS))
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        if depth < 3 and draw(st.booleans()):
+            parts.append(draw(oracle_element(depth + 1)))
+        else:
+            parts.append(escape_text(draw(oracle_texts)))
+    body = "".join(parts)
+    return f"<{tag}>{body}</{tag}>" if body else f"<{tag}/>"
+
+
+oracle_fragments = st.lists(oracle_element(), min_size=1, max_size=3).map("".join)
+
+
+def oracle_get_elm(elements, root, search, key, level):
+    """getElm over the DOM: the outermost ``root`` elements (top level if
+    empty) that hold, within ``level`` levels (root itself is level 0,
+    negative is unlimited), a ``search`` element (the root itself if
+    empty) whose text content contains ``key``."""
+
+    def outermost(siblings):
+        for element in siblings:
+            if not root or element.tag == root:
+                yield element
+            else:
+                yield from outermost(element.child_elements())
+
+    def within(element, depth):
+        if level < 0 or depth <= level:
+            yield element
+            for child in element.child_elements():
+                yield from within(child, depth + 1)
+
+    def matches(candidate):
+        if not search:
+            return key in candidate.text_content()
+        return any(
+            key in element.text_content()
+            for element in within(candidate, 0)
+            if element.tag == search
+        )
+
+    return "".join(serialize(c) for c in outermost(elements) if matches(c))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    xml=oracle_fragments,
+    root=st.sampled_from(("",) + ORACLE_TAGS),
+    search=st.sampled_from(("",) + ORACLE_TAGS),
+    key=st.one_of(st.just(""), oracle_keys),  # half the calls purely structural
+)
+def test_get_elm_matches_dom_oracle_at_every_level(xml, root, search, key):
+    try:
+        for codec in CODECS:
+            value = XadtValue.from_xml(xml, codec)
+            elements = value.to_elements()
+            publish_fragment(value)
+            for level in (-1, 0, 1, 2, 3):
+                expected = oracle_get_elm(elements, root, search, key, level)
+                for routed in (False, True):
+                    with routing(routed):
+                        got = get_elm(value, root, search, key, level).to_xml()
+                    assert got == expected, (codec, level, routed)
+    finally:
+        XINDEX.clear()
+        DECODE_CACHE.clear()

@@ -342,6 +342,37 @@ class TestEngineIntegration:
         db.execute("DROP TABLE x")
         assert XINDEX.columns_for("x") == []
 
+    def test_drop_table_retires_its_published_indexes(self):
+        from repro.obs.metrics import METRICS
+
+        db = Database("drop")
+        register_xadt_functions(db)
+        db.execute("CREATE TABLE t (id INTEGER, frag XADT)")
+        db.execute("CREATE TABLE keep (id INTEGER, frag XADT)")
+        enable_structural_indexes(db)
+        for i in range(5):
+            db.insert("t", (i, XadtValue.from_xml(f"<a><b>row {i}</b></a>")))
+        shared = XadtValue.from_xml("<a><b>row 0</b></a>")
+        db.insert("keep", (0, shared))  # payload first indexed under t
+        db.insert("keep", (1, XadtValue.from_xml("<c>kept</c>")))
+        assert len(XINDEX) == 6
+        epoch = XINDEX.epoch
+        db.execute("DROP TABLE t")
+        assert len(XINDEX) == 1 and XINDEX.epoch > epoch
+        report = XINDEX.report()
+        assert report["fragments"] == 1
+        assert [c["table"] for c in report["columns"]] == ["keep"]
+        # the shared payload now misses and is scanned: correct, and counted
+        misses = METRICS.counter("xindex.misses.find_key_in_elm").value
+        sql = "SELECT id FROM keep WHERE findKeyInElm(frag, 'b', 'row') = 1"
+        assert db.execute(sql).rows == [(0,)]
+        assert METRICS.counter("xindex.misses.find_key_in_elm").value == misses + 1
+        db.execute("DROP TABLE keep")
+        assert len(XINDEX) == 0 and not XINDEX.active
+        assert XINDEX.report()["bytes"] == 0
+        gauges = METRICS.snapshot()["gauges"]
+        assert gauges["xindex.fragments"] == gauges["xindex.bytes"] == 0
+
     def test_crash_at_index_build_leaves_no_state(self):
         db = make_db()
         enable_structural_indexes(db)
