@@ -1,6 +1,6 @@
-"""CI server smoke: load, connection chaos, kills, slow clients, drain.
+"""CI server smoke: load, connection chaos, kills, slow and big results, drain.
 
-Five stages against a live :class:`~repro.server.ReproServer`, each
+Six stages against a live :class:`~repro.server.ReproServer`, each
 printing one ``ok`` line (the :mod:`scripts.chaos_smoke` convention):
 
 1. **load** — 50 concurrent closed-loop clients (100 without
@@ -16,7 +16,12 @@ printing one ``ok`` line (the :mod:`scripts.chaos_smoke` convention):
 4. **slow client** — a client stops reading mid-result; the server's
    write timeout must drop the connection instead of buffering forever,
    and the accept loop must keep serving others.
-5. **drain** — a graceful stop under load: in-flight requests finish,
+5. **big result** — 600 rows x 40 KB, whose first 512 rows do not fit one
+   16 MiB frame, arrive whole across byte-cut pages with no reconnect; a
+   single row no frame can carry answers with a typed
+   ``ResourceExceeded`` on a connection that stays usable; afterwards no
+   pooled session is in use and no cursor is alive.
+6. **drain** — a graceful stop under load: in-flight requests finish,
    new connects are refused, zero sessions and connections remain.
 
 Usage::
@@ -33,16 +38,19 @@ import os
 import socket
 import sys
 import time
+import weakref
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro.server.server as server_module  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
 from repro.engine.faults import FAULTS, FaultPlan  # noqa: E402
 from repro.errors import (  # noqa: E402
     ConnectionLost,
     ReproError,
+    ResourceExceeded,
     TransientError,
 )
 from repro.obs.metrics import METRICS  # noqa: E402
@@ -52,7 +60,9 @@ from repro.server import (  # noqa: E402
     start_server_thread,
 )
 from repro.server.protocol import (  # noqa: E402
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    ResultPager,
     encode_frame,
 )
 from repro.server.registry import CONNECTIONS  # noqa: E402
@@ -61,6 +71,17 @@ from repro.xadt import register_xadt_functions  # noqa: E402
 CLIENTS = 50 if os.environ.get("REPRO_SERVER_QUICK") else 100
 REQUESTS = 4
 ROWS = 100
+BIG_ROWS, BIG_PAD = 600, 40_000
+
+#: every pager (= cursor) the server makes, by weak reference: what is
+#: still in here after a stage is a cursor something failed to let go
+LIVE_PAGERS: "weakref.WeakSet[ResultPager]" = weakref.WeakSet()
+
+
+class TrackedPager(ResultPager):
+    def __init__(self, columns, rows) -> None:
+        super().__init__(columns, rows)
+        LIVE_PAGERS.add(self)
 
 
 def build_database() -> Database:
@@ -78,6 +99,15 @@ def build_database() -> Database:
         "INSERT INTO wide VALUES (?, ?)",
         [(i, "x" * 500) for i in range(20000)],
     )
+    # the big-result stage: 512 of these rows are 20 MB, more than one
+    # frame; and one row that is itself more than one frame
+    db.execute(f"CREATE TABLE big (id INT, pad VARCHAR({BIG_PAD}))")
+    db.execute_many(
+        "INSERT INTO big VALUES (?, ?)",
+        [(i, f"{i:04d}".ljust(BIG_PAD, "y")) for i in range(BIG_ROWS)],
+    )
+    db.execute(f"CREATE TABLE giant (pad VARCHAR({MAX_FRAME_BYTES + 1}))")
+    db.execute("INSERT INTO giant VALUES (?)", ("z" * (MAX_FRAME_BYTES + 1),))
     return db
 
 
@@ -225,6 +255,60 @@ def stage_slow_client(db: Database, handle) -> None:
     )
 
 
+def stage_big_result(db: Database, handle) -> None:
+    big_sql = "SELECT id, pad FROM big ORDER BY id"
+
+    def check(rows: list) -> None:
+        assert [row[0] for row in rows] == list(range(BIG_ROWS)), (
+            "big-result: rows lost or reordered"
+        )
+        assert all(
+            len(row[1]) == BIG_PAD and row[1].startswith(f"{row[0]:04d}")
+            for row in rows
+        ), "big-result: a row was damaged"
+
+    with ReproClient(handle.host, handle.port, client_name="big") as client:
+        check(client.execute(big_sql).rows)
+        try:
+            client.execute("SELECT pad FROM giant")
+            raise AssertionError("big-result: the oversize row was sent")
+        except ResourceExceeded:
+            pass
+        assert client.execute("SELECT COUNT(*) FROM docs").rows == [[ROWS]]
+        assert (client.reconnects, client.retries) == (0, 0), (
+            f"big-result: {client.reconnects} reconnect(s), "
+            f"{client.retries} retry(ies)"
+        )
+
+    async def over_asyncio() -> list:
+        client = AsyncReproClient(handle.host, handle.port, "big-async")
+        await client.connect()
+        try:
+            rows = (await client.execute(big_sql)).rows
+            try:
+                await client.execute("SELECT pad FROM giant")
+                raise AssertionError("big-result: the oversize row was sent")
+            except ResourceExceeded:
+                pass
+            await client.ping()  # same connection, still in step
+            return rows
+        finally:
+            await client.close()
+
+    check(asyncio.run(over_asyncio()))
+    assert_leak_free(db, "big-result")
+    assert handle.server.pool.report()["in_use"] == 0, (
+        "big-result: a pooled session is still in use"
+    )
+    assert len(LIVE_PAGERS) == 0, (
+        f"big-result: {len(LIVE_PAGERS)} cursor(s) still alive"
+    )
+    print(
+        f"ok server.big_result {BIG_ROWS} x {BIG_PAD // 1000} KB rows paged "
+        f"by bytes, oversize row typed, zero reconnects, zero leaks"
+    )
+
+
 def stage_drain(db: Database, handle) -> None:
     with ReproClient(handle.host, handle.port, client_name="last") as c:
         assert len(c.execute("SELECT id FROM docs").rows) == ROWS
@@ -244,6 +328,7 @@ def stage_drain(db: Database, handle) -> None:
 
 def main() -> None:
     db = build_database()
+    server_module.ResultPager = TrackedPager
     handle = start_server_thread(
         db,
         max_inflight=8,
@@ -263,11 +348,13 @@ def main() -> None:
         stages += 1
         stage_slow_client(db, handle)
         stages += 1
+        stage_big_result(db, handle)
+        stages += 1
     finally:
         FAULTS.clear()
     stage_drain(db, handle)
     stages += 1
-    print(f"server smoke: {stages}/5 stages passed")
+    print(f"server smoke: {stages}/6 stages passed")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,15 @@ pattern against a shedding server:
 * :class:`~repro.errors.FatalError` (syntax errors, timeouts, caps) —
   surface immediately; retrying would fail identically.
 
+A result arrives in pages: ``execute`` loops on ``more`` and fetches the
+rest, so where the server cuts pages is invisible here — by encoded
+bytes (``protocol.PAGE_BYTES``) unless ``fetch_size`` names a row count,
+which then also rides on every ``fetch``.  The decoded first page *is*
+the result list and later pages extend it in place.  A ``fetch`` never
+retries (its cursor dies with the connection), and a row no frame can
+carry surfaces as :class:`~repro.errors.ResourceExceeded` — fatal, so
+not retried — on a connection that stays usable.
+
 The loop itself is the shared :class:`~repro.retry.RetryPolicy`
 (re-exported here); the client only supplies the attempt — reconnect
 and re-prepare if the socket is gone, then one round trip.  Retries are
@@ -221,7 +230,9 @@ class ReproClient:
         if fetch_size is not None:
             message["fetch_size"] = fetch_size
         reply = self._request(message, retry=retry, stmt=stmt)
-        rows = list(reply.get("rows") or [])
+        # the decoded first page is the result list: later pages extend
+        # it in place, nothing is copied
+        rows = reply.get("rows") or []
         while reply.get("more"):
             fetch: dict = {"op": "fetch", "cursor": reply["cursor"]}
             if fetch_size is not None:
@@ -230,7 +241,7 @@ class ReproClient:
             # dies with the connection), so it never retries
             reply = self._request(fetch, retry=False)
             rows.extend(reply.get("rows") or [])
-        return ClientResult(list(reply.get("columns") or []), rows)
+        return ClientResult(reply.get("columns") or [], rows)
 
     def execute_many(
         self,
@@ -349,15 +360,16 @@ class AsyncReproClient:
         error = reply.get("error")
         if error:
             raise_wire_error(error)
-        rows = list(reply.get("rows") or [])
+        rows = reply.get("rows") or []
         while reply.get("more"):
-            reply = await self._roundtrip(
-                {"op": "fetch", "cursor": reply["cursor"]}
-            )
+            fetch: dict = {"op": "fetch", "cursor": reply["cursor"]}
+            if fetch_size is not None:
+                fetch["fetch_size"] = fetch_size
+            reply = await self._roundtrip(fetch)
             if reply.get("error"):
                 raise_wire_error(reply["error"])
             rows.extend(reply.get("rows") or [])
-        return ClientResult(list(reply.get("columns") or []), rows)
+        return ClientResult(reply.get("columns") or [], rows)
 
     async def ping(self) -> dict:
         reply = await self._roundtrip({"op": "ping"})

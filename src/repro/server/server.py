@@ -13,9 +13,22 @@ Request lifecycle::
                         │admitted
                         ▼
                executor thread: pool.acquire ► execute ► pool.release
+                                ► encode the first page (bytes)
                         │
                         ▼
-               write result frame (chunked via cursors)
+               splice the request id on, write the frame
+
+**A result is encoded where it was computed.**  ``_result_response``
+runs on the executor thread and returns the reply as *encoded bytes*
+(:class:`~repro.server.protocol.ResultPager`): the C JSON encoder walks
+the engine's row tuples once, and ``_dispatch`` only appends the
+request id and writes.  Rows that do not fit the first page stay in the
+pager, which *is* the connection's cursor; a ``fetch`` encodes its page
+on the executor too, when it is asked for.  Pages are cut by encoded
+bytes (``PAGE_BYTES``) unless the request names a ``fetch_size``.  The
+loop therefore does no per-row work for any reply, and per frame it
+pays a ``wait_for(drain())`` task only when the kernel did not take the
+whole frame at once.
 
 Key properties the tests and chaos smoke pin down:
 
@@ -64,13 +77,13 @@ from repro.obs.statements import STATEMENTS
 from repro.server.admission import AdmissionController
 from repro.server.pool import PooledSession, SessionPool
 from repro.server.protocol import (
-    DEFAULT_FETCH_SIZE,
     PROTOCOL_VERSION,
+    ResultPager,
     decode_body,
     encode_frame,
     error_payload,
     frame_length,
-    jsonable_rows,
+    seal_frame,
 )
 from repro.server.registry import CONNECTIONS, ConnectionInfo
 
@@ -122,8 +135,8 @@ class _Connection:
         #: the SQL text, not a session-bound handle — any pooled session
         #: re-executes it through the shared plan cache
         self.prepared: dict[int, tuple[str, int]] = {}
-        #: cursor id -> (columns, remaining jsonable rows)
-        self.cursors: dict[int, tuple[list[str], list[list[object]]]] = {}
+        #: cursor id -> the pager holding what is left of that result
+        self.cursors: dict[int, ResultPager] = {}
         self.ids = itertools.count(1)
 
 
@@ -278,30 +291,30 @@ class ReproServer:
         if hello.get("op") != "hello":
             raise ProtocolError("first frame must be 'hello'")
         if hello.get("protocol") != PROTOCOL_VERSION:
-            await self._write_frame(conn, {
+            await self._write_frame(conn, encode_frame({
                 "id": hello.get("id", 0),
                 "error": error_payload(ProtocolError(
                     f"unsupported protocol {hello.get('protocol')!r}; "
                     f"server speaks {PROTOCOL_VERSION}"
                 )),
-            })
+            }))
             raise ProtocolError("protocol version mismatch")
         client = str(hello.get("client") or conn.info.client)
         conn.info.client = client
         conn.info.state = "idle"
-        await self._write_frame(conn, {
+        await self._write_frame(conn, encode_frame({
             "id": hello.get("id", 0),
             "ok": True,
             "protocol": PROTOCOL_VERSION,
             "server": "repro",
             "engine_version": self.db.version,
-        })
+        }))
         while True:
             request = await self._read_frame(conn)
             if request.get("op") == "close":
-                await self._write_frame(
-                    conn, {"id": request.get("id", 0), "ok": True}
-                )
+                await self._write_frame(conn, encode_frame(
+                    {"id": request.get("id", 0), "ok": True}
+                ))
                 conn.info.state = "closing"
                 return
             await self._dispatch(conn, request)
@@ -314,22 +327,24 @@ class ReproServer:
         _BYTES_IN.inc(4 + len(body))
         return decode_body(body)
 
-    async def _write_frame(self, conn: _Connection, message: dict) -> None:
-        data = encode_frame(message)
+    async def _write_frame(self, conn: _Connection, data: bytes) -> None:
         await _fire("server.write")
         conn.writer.write(data)
-        try:
-            await asyncio.wait_for(
-                conn.writer.drain(), timeout=self.write_timeout
-            )
-        except (TimeoutError, asyncio.TimeoutError):
-            # a client that stopped reading must not pin server memory:
-            # drop the connection instead of buffering forever
-            _WRITE_TIMEOUTS.inc()
-            raise ProtocolError(
-                f"client stalled past the {self.write_timeout:g}s "
-                f"write timeout"
-            ) from None
+        # write() hands the kernel what it takes at once; only a frame
+        # it did not take whole needs the flow-control wait and its timer
+        if conn.writer.transport.get_write_buffer_size():
+            try:
+                await asyncio.wait_for(
+                    conn.writer.drain(), timeout=self.write_timeout
+                )
+            except (TimeoutError, asyncio.TimeoutError):
+                # a client that stopped reading must not pin server
+                # memory: drop the connection instead of buffering forever
+                _WRITE_TIMEOUTS.inc()
+                raise ProtocolError(
+                    f"client stalled past the {self.write_timeout:g}s "
+                    f"write timeout"
+                ) from None
         conn.info.bytes_out += len(data)
         _BYTES_OUT.inc(len(data))
 
@@ -346,7 +361,12 @@ class ReproServer:
             if op in _EXECUTOR_OPS:
                 response = await self._run_admitted(conn, op, request)
             elif op == "fetch":
-                response = self._fetch(conn, request)
+                # encoding a page is row-level work: off the loop, but
+                # not through admission (shedding half a result helps
+                # nobody, and a fetch holds no session)
+                response = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._fetch, conn, request
+                )
             elif op == "close_stmt":
                 conn.prepared.pop(request.get("stmt"), None)
                 response = {"ok": True}
@@ -371,13 +391,20 @@ class ReproServer:
             if isinstance(exc, Overloaded):
                 conn.info.sheds += 1
             response = {"error": error_payload(exc)}
-        response["id"] = request_id
+        # a result arrives from the executor as encoded bytes, every
+        # other reply as a small dict
+        if isinstance(response, dict):
+            response["id"] = request_id
+            frame = encode_frame(response)
+        else:
+            frame = seal_frame(response, request_id)
         conn.info.state = "idle"
         write_started = time.perf_counter()
-        await self._write_frame(conn, response)
+        await self._write_frame(conn, frame)
         # draining a result to a slow client is wire time, not engine
-        # time: attribute it to the statement's wait profile
-        if op == "execute":
+        # time: attribute it to the statement's wait profile (the clock
+        # starts after the frame is built — encoding is CPU, not wire)
+        if op == "execute" and STATEMENTS.enabled:
             key = self._wait_key(conn, request)
             if key is not None:
                 STATEMENTS.record_wait(
@@ -398,7 +425,7 @@ class ReproServer:
 
     async def _run_admitted(
         self, conn: _Connection, op: str, request: dict
-    ) -> dict:
+    ) -> dict | bytes:
         """Admission-controlled execution on the thread pool."""
         self.admission.admit()  # raises Overloaded immediately on shed
         conn.info.state = "active"
@@ -414,12 +441,17 @@ class ReproServer:
             return await future
         finally:
             conn.info.state = "idle"
+            # a failed statement's traceback holds this frame, and the
+            # frames below it hold the whole result: do not close that
+            # into a cycle (frame -> future -> exception -> traceback)
+            # only the cyclic collector frees
+            del future
 
     # -- executor-side request handlers (synchronous) -----------------------
 
     def _execute_request(
         self, conn: _Connection, op: str, request: dict
-    ) -> dict:
+    ) -> dict | bytes:
         self.admission.started()
         try:
             # a pooled session can be chaos-killed between acquire and
@@ -445,7 +477,7 @@ class ReproServer:
     def _run_op(
         self, conn: _Connection, op: str, request: dict,
         entry: PooledSession,
-    ) -> dict:
+    ) -> dict | bytes:
         session = entry.session
         if op == "prepare":
             sql = self._sql_of(conn, request)
@@ -508,57 +540,54 @@ class ReproServer:
         base = session.limits or self.db.governor.limits
         return base.merged(statement_timeout_seconds=timeout_ms / 1000.0)
 
+    @staticmethod
+    def _fetch_size_of(request: dict) -> int | None:
+        """A request's explicit page size in rows; None cuts by bytes."""
+        fetch_size = request.get("fetch_size")
+        if fetch_size is not None and (
+            not isinstance(fetch_size, int) or fetch_size <= 0
+        ):
+            raise ProtocolError(
+                f"fetch_size must be a positive integer, got {fetch_size!r}"
+            )
+        return fetch_size
+
     def _result_response(
         self, conn: _Connection, request: dict, result: "Result"
-    ) -> dict:
-        fetch_size = request.get("fetch_size", DEFAULT_FETCH_SIZE)
-        if not isinstance(fetch_size, int) or fetch_size <= 0:
+    ) -> bytes:
+        """The execute reply, encoded; what is left becomes a cursor."""
+        pager = ResultPager(result.columns, result.rows)
+        page = pager.next_page(self._fetch_size_of(request))
+        if pager.exhausted:
+            return pager.body(page, row_count=len(result.rows))
+        if len(conn.cursors) >= self.max_cursors:
             raise ProtocolError(
-                f"fetch_size must be a positive integer, got {fetch_size!r}"
+                f"connection exceeds {self.max_cursors} open cursors"
             )
-        rows = jsonable_rows(result.rows)
-        response: dict = {
-            "ok": True,
-            "columns": list(result.columns),
-            "rows": rows[:fetch_size],
-            "row_count": len(rows),
-        }
-        if len(rows) > fetch_size:
-            if len(conn.cursors) >= self.max_cursors:
-                raise ProtocolError(
-                    f"connection exceeds {self.max_cursors} open cursors"
-                )
-            cursor_id = next(conn.ids)
-            conn.cursors[cursor_id] = (
-                list(result.columns), rows[fetch_size:]
-            )
-            response["cursor"] = cursor_id
-            response["more"] = True
-        return response
+        cursor_id = next(conn.ids)
+        conn.cursors[cursor_id] = pager
+        return pager.body(
+            page, row_count=len(result.rows), cursor=cursor_id, more=True
+        )
 
-    def _fetch(self, conn: _Connection, request: dict) -> dict:
+    def _fetch(self, conn: _Connection, request: dict) -> bytes:
+        """The next page of a cursor, encoded (executor thread)."""
         cursor_id = request.get("cursor")
-        cursor = conn.cursors.get(cursor_id)
-        if cursor is None:
+        pager = conn.cursors.get(cursor_id)
+        if pager is None:
             raise ProtocolError(f"unknown cursor {cursor_id!r}")
-        fetch_size = request.get("fetch_size", DEFAULT_FETCH_SIZE)
-        if not isinstance(fetch_size, int) or fetch_size <= 0:
-            raise ProtocolError(
-                f"fetch_size must be a positive integer, got {fetch_size!r}"
-            )
-        columns, remaining = cursor
-        chunk, rest = remaining[:fetch_size], remaining[fetch_size:]
-        if rest:
-            conn.cursors[cursor_id] = (columns, rest)
-        else:
+        fetch_size = self._fetch_size_of(request)
+        try:
+            page = pager.next_page(fetch_size)
+        except Exception:
+            # a row that cannot be sent ends the result: free the cursor
+            # (pop, not del — a dropped connection clears them first)
             conn.cursors.pop(cursor_id, None)
-        return {
-            "ok": True,
-            "columns": columns,
-            "rows": chunk,
-            "more": bool(rest),
-            **({"cursor": cursor_id} if rest else {}),
-        }
+            raise
+        if pager.exhausted:
+            conn.cursors.pop(cursor_id, None)
+            return pager.body(page, more=False)
+        return pager.body(page, cursor=cursor_id, more=True)
 
 
 # -- thread-hosted server (CLI, tests, benchmarks) --------------------------
