@@ -8,90 +8,48 @@ on a scaled-out 2002 machine (one disk spindle and one worker core per
 partition plus the coordinator; DESIGN.md §12).  Both sides of the
 ratio use the same accounting discipline:
 
-* serial baseline: wall CPU + modeled disk of the full sequential scan;
-* partitioned: wall CPU net of the overlap credit (fragment compute the
-  1-CPU host serialized that the modeled pool overlaps — never more
-  than wall minus the critical path) + modeled disk of the *widest*
+* serial baseline: counted work + modeled disk of the full sequential
+  scan;
+* partitioned: counted work of the busiest lane and the coordinator
+  (every other lane overlaps it) + modeled disk of the *widest*
   partition plus one parallel dispatch seek.
 
+The model is a function of (data, plan), so the gate is one pass.
 Every parallel run must return byte-identical rows to the serial
-baseline, and the default configuration (``parallel_workers = 0``)
-must keep planning exactly as before — no Exchange in any plan.
-
-Set ``REPRO_PART_QUICK=1`` for the reduced CI sweep (DSx4, 2 workers,
-proportionally lower target — 2 lanes can at best halve the CPU term).
+baseline (``run_partitioned_sweep`` raises otherwise), and the default
+configuration (``parallel_workers = 0``) must keep planning exactly as
+before — no Exchange in any plan.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import statistics
 
-import pytest
 from conftest import print_report
 
-from repro.bench.harness import build_database, build_pair, cold_query
-from repro.dtd import samples
-from repro.datagen.shakespeare import ShakespeareConfig, generate_corpus
-from repro.mapping import map_xorator
+from repro.bench.experiments import (
+    PARTITIONED_PARTITIONS as PARTITIONS,
+    PARTITIONED_SCALE as SCALE,
+    partitioned_speedups,
+    run_partitioned_sweep,
+)
+from repro.bench.harness import build_pair
 from repro.workloads import SHAKESPEARE_QUERIES
-from repro.workloads.shakespeare_queries import workload_sql
 
-QUICK = bool(os.environ.get("REPRO_PART_QUICK"))
-SCALE = 4 if QUICK else 16
-WORKERS = 2 if QUICK else 4
-PARTITIONS = 4
-TARGET_SPEEDUP = 1.3 if QUICK else 2.5
-RUNS = 3
+WORKERS = 4
+TARGET_SPEEDUP = 2.5
 
 
-@pytest.fixture(scope="module")
-def speech_db():
-    """The XORator Shakespeare database at the gate's scale."""
-    documents = generate_corpus(ShakespeareConfig(plays=6 * SCALE))
-    simplified = samples.shakespeare_simplified()
-    loaded = build_database(
-        "xorator", map_xorator(simplified), documents,
-        workload_sql("xorator"), sample_for_codecs=4,
-    )
-    yield loaded.db
-    loaded.db.close()
-
-
-def _median_sweep(db) -> dict[str, float]:
-    medians = {}
-    for query in SHAKESPEARE_QUERIES:
-        runs = [cold_query(db, query.xorator_sql) for _ in range(RUNS)]
-        medians[query.key] = statistics.median(
-            run.modeled_seconds for run in runs
-        )
-    return medians
-
-
-def test_partitioned_sweep_speedup(speech_db, benchmark):
+def test_partitioned_sweep_speedup(benchmark):
     """The acceptance gate: median Fig11 speedup >= the target."""
-    db = speech_db
-    expected = [
-        db.execute(query.xorator_sql).rows for query in SHAKESPEARE_QUERIES
-    ]
-    serial = _median_sweep(db)
-
-    db.partition_table("speech", "speechID", PARTITIONS)
-    db.set_exec_config(
-        dataclasses.replace(db.exec_config, parallel_workers=WORKERS)
-    )
-    for query, rows in zip(SHAKESPEARE_QUERIES, expected):
-        assert db.execute(query.xorator_sql).rows == rows, query.key
-    parallel = _median_sweep(db)
-
-    speedups = {key: serial[key] / parallel[key] for key in serial}
+    runs = run_partitioned_sweep((WORKERS,))
+    speedups = partitioned_speedups(runs, WORKERS)
     median_speedup = statistics.median(speedups.values())
     lines = [
-        f"{key}: serial {serial[key] * 1000:7.1f} ms   "
-        f"parallel {parallel[key] * 1000:7.1f} ms   "
-        f"speedup {speedups[key]:.2f}x"
-        for key in serial
+        f"{key}: serial {runs[0][key].modeled_seconds * 1000:7.1f} ms   "
+        f"parallel {runs[WORKERS][key].modeled_seconds * 1000:7.1f} ms   "
+        f"speedup {speedup:.2f}x"
+        for key, speedup in speedups.items()
     ]
     lines.append(
         f"median speedup: {median_speedup:.2f}x "
@@ -103,8 +61,7 @@ def test_partitioned_sweep_speedup(speech_db, benchmark):
         "\n".join(lines),
     )
     assert median_speedup >= TARGET_SPEEDUP, (
-        f"expected >= {TARGET_SPEEDUP}x median, measured "
-        f"{median_speedup:.2f}x ({speedups})"
+        f"expected >= {TARGET_SPEEDUP}x median, modeled {median_speedup:.2f}x"
     )
     benchmark(lambda: None)
 

@@ -1,16 +1,14 @@
 """Regenerate the committed benchmark trajectory artifacts.
 
-Runs the Figure 11 (Shakespeare) and Figure 13 (SIGMOD) query sweeps
-across corpus scales on the shipped (vectorized) engine and writes one
-JSON artifact per figure — ``BENCH_fig11.json`` and ``BENCH_fig13.json``
-— so the repository records how the paper's Hybrid-vs-XORator trajectory
-looks under the current engine, along with the exact execution
-configuration that produced it.
-
-Per query and scale the artifact stores the median *modeled cold*
-seconds (wall CPU + the simulated 2002 disk model, the paper's reported
-metric) for both schemas and their ratio (XORator / Hybrid; < 1 means
-XORator wins, as the paper reports for all but QS6/QG6-style queries).
+``BENCH_fig11.json`` (Shakespeare) and ``BENCH_fig13.json`` (SIGMOD)
+are ``repro.bench.report.sweep_to_json`` of
+``repro.bench.experiments.run_fig11`` / ``run_fig13`` — the same sweep
+and the same serializer ``benchmarks/bench_fig1*.py`` assert on.  Per
+query and scale: the *modeled cold* seconds of both schemas (counted
+work and pages x the constants of ``repro.engine.io``, the paper's
+reported metric) with their counters, the Hybrid / XORator ratio (> 1
+means XORator wins), and beside them the host's wall seconds.  One
+execution per cell: the model is a function of (data, plan).
 
 ``BENCH_qs6.json`` records the QS6 order-access sweep: per Figure 11
 scale, the per-call cost of the QS6-style XADT accesses (``getElmIndex``
@@ -19,13 +17,13 @@ XORator prologue fragments, tag scan vs the structural index, with the
 speedup ratio (see ``benchmarks/bench_qs6_order_access.py`` for the
 gated version and the ``lines_per_speech=14`` rationale).
 
-``BENCH_partitioned.json`` records the partition-parallel sweep: the
-Fig11 XORator queries over the ``speech`` table hash-partitioned 4
-ways, executed serially and through the multiprocessing Exchange at
-1/2/4 workers, with median modeled cold seconds and the speedup per
-worker count (the gated version is
-``benchmarks/bench_partitioned_speedup.py``; DESIGN.md §12 has the
-scaled-out machine model).
+``BENCH_partitioned.json`` records the partition-parallel sweep
+(``run_partitioned_sweep`` / ``partitioned_to_json``): the Fig11 XORator
+queries over the ``speech`` table hash-partitioned 4 ways, executed
+serially and through the multiprocessing Exchange at 1/2/4 workers,
+with modeled cold seconds and the speedup per worker count
+(``benchmarks/bench_partitioned_speedup.py`` gates the same sweep;
+DESIGN.md §12 has the scaled-out machine model).
 
 ``BENCH_difftest.json`` records the differential-oracle sweep: per
 seed, the query-shape mix the generator drew and the
@@ -44,7 +42,7 @@ every rejection must be the typed ``Overloaded`` (the gated version is
 Usage::
 
     PYTHONPATH=src python scripts/bench_trajectory.py [--quick]
-        [--scales 1,2,4] [--rounds 5] [--out-dir .]
+        [--scales 1,2,4,8] [--out-dir .]
         [--only fig11,partitioned,difftest]
 """
 
@@ -57,62 +55,24 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.bench.harness import (
-    BASE_SHAKESPEARE,
-    build_database,
-    build_pair,
-    cold_query,
+from repro.bench.experiments import (
+    run_fig11,
+    run_fig13,
+    run_partitioned_sweep,
 )
+from repro.bench.harness import BASE_SHAKESPEARE, build_database, build_pair
+from repro.bench.report import partitioned_to_json, sweep_to_json
 from repro.datagen.shakespeare import generate_corpus
 from repro.dtd import samples
 from repro.engine.config import ExecutionConfig
 from repro.mapping import map_xorator
-from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 from repro.workloads import shakespeare_queries
 from repro.xadt import methods
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.register import enable_structural_indexes
 from repro.xadt.structural_index import XINDEX, routing
 
-FIGURES = {
-    "fig11": ("shakespeare", SHAKESPEARE_QUERIES),
-    "fig13": ("sigmod", SIGMOD_QUERIES),
-}
-
-
-def _median_cold(db, sql: str, rounds: int) -> float:
-    return statistics.median(
-        cold_query(db, sql).modeled_seconds for _ in range(rounds)
-    )
-
-
-def sweep(figure: str, scales: list[int], rounds: int) -> dict:
-    dataset, queries = FIGURES[figure]
-    results: dict[str, dict] = {query.key: {} for query in queries}
-    for scale in scales:
-        pair = build_pair(dataset, scale)
-        for query in queries:
-            hybrid = _median_cold(
-                pair.hybrid.db, query.hybrid_sql, rounds
-            )
-            xorator = _median_cold(
-                pair.xorator.db, query.xorator_sql, rounds
-            )
-            results[query.key][str(scale)] = {
-                "hybrid_median_seconds": round(hybrid, 6),
-                "xorator_median_seconds": round(xorator, 6),
-                "ratio": round(xorator / hybrid, 4) if hybrid else None,
-            }
-        print(f"{figure}: scale x{scale} done ({len(queries)} queries)")
-    return {
-        "figure": figure,
-        "dataset": dataset,
-        "scales": scales,
-        "rounds": rounds,
-        "metric": "median modeled cold seconds (wall + simulated disk)",
-        "engine_config": ExecutionConfig().as_dict(),
-        "queries": results,
-    }
+FIGURES = {"fig11": run_fig11, "fig13": run_fig13}
 
 
 #: the QS6-style access kinds the structural index serves
@@ -186,65 +146,6 @@ def qs6_sweep(scales: list[int], rounds: int) -> dict:
                   "(decode cache off)",
         "engine_config": ExecutionConfig().as_dict(),
         "access": results,
-    }
-
-
-#: worker-pool sizes for the partitioned sweep
-PARTITIONED_WORKERS = (1, 2, 4)
-PARTITIONED_PARTITIONS = 4
-
-
-def partitioned_sweep(scale: int, rounds: int) -> dict:
-    """Serial vs partition-parallel medians for the Fig11 XORator sweep."""
-    documents = generate_corpus(BASE_SHAKESPEARE.scaled(scale))
-    loaded = build_database(
-        "xorator",
-        map_xorator(samples.shakespeare_simplified()),
-        documents,
-        shakespeare_queries.workload_sql("xorator"),
-        sample_for_codecs=4,
-    )
-    db = loaded.db
-    results: dict[str, dict] = {}
-    serial: dict[str, float] = {}
-    for query in SHAKESPEARE_QUERIES:
-        serial[query.key] = _median_cold(db, query.xorator_sql, rounds)
-        results[query.key] = {"serial_median_seconds": round(serial[query.key], 6)}
-    db.partition_table("speech", "speechID", PARTITIONED_PARTITIONS)
-    for workers in PARTITIONED_WORKERS:
-        db.set_exec_config(replace(db.exec_config, parallel_workers=workers))
-        for query in SHAKESPEARE_QUERIES:
-            median = _median_cold(db, query.xorator_sql, rounds)
-            results[query.key][f"workers_{workers}"] = {
-                "median_seconds": round(median, 6),
-                "speedup": round(serial[query.key] / median, 3)
-                if median else None,
-            }
-        print(f"partitioned: {workers} worker(s) done")
-    medians = {
-        workers: statistics.median(
-            results[q.key][f"workers_{workers}"]["speedup"]
-            for q in SHAKESPEARE_QUERIES
-        )
-        for workers in PARTITIONED_WORKERS
-    }
-    db.close()
-    return {
-        "figure": "partitioned_speedup",
-        "dataset": "shakespeare (xorator schema)",
-        "scale": scale,
-        "partitions": PARTITIONED_PARTITIONS,
-        "partition_column": "speechID",
-        "worker_counts": list(PARTITIONED_WORKERS),
-        "rounds": rounds,
-        "metric": "median modeled cold seconds (wall net of the exchange "
-                  "overlap credit + simulated disk of the widest partition; "
-                  "DESIGN.md §12)",
-        "engine_config": ExecutionConfig().as_dict(),
-        "median_speedup_by_workers": {
-            str(workers): round(value, 3) for workers, value in medians.items()
-        },
-        "queries": results,
     }
 
 
@@ -436,29 +337,21 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="scale x1 only, 3 rounds (CI smoke)",
+        help="smaller QS6 / difftest / server sweeps (the model's "
+             "figures are one pass per cell either way)",
     )
     parser.add_argument(
-        "--scales", default="1,2,4",
-        help="comma-separated corpus scale multipliers (default 1,2,4)",
-    )
-    parser.add_argument(
-        "--qs6-scales", default="1,2,4,8",
-        help="scales for the QS6 order-access sweep (default 1,2,4,8 — "
-             "the Figure 11 scales)",
+        "--scales", default="1,2,4,8",
+        help="comma-separated corpus scale multipliers (default 1,2,4,8 "
+             "— the paper's)",
     )
     parser.add_argument(
         "--rounds", type=int, default=5,
-        help="cold executions per query; the median is reported",
+        help="timed passes per QS6 access kind; the median is reported",
     )
     parser.add_argument(
         "--out-dir", type=Path, default=Path(__file__).resolve().parent.parent,
         help="directory for the BENCH_*.json artifacts (default: repo root)",
-    )
-    parser.add_argument(
-        "--partitioned-scale", type=int, default=16,
-        help="corpus scale for the partitioned sweep (default 16, the "
-             "benchmark gate's scale)",
     )
     parser.add_argument(
         "--only", default="",
@@ -467,28 +360,22 @@ def main() -> None:
              "default all)",
     )
     args = parser.parse_args()
-    scales = [1] if args.quick else [
-        int(s) for s in args.scales.split(",") if s.strip()
-    ]
+    scales = [int(s) for s in args.scales.split(",") if s.strip()]
     rounds = 3 if args.quick else args.rounds
     only = {name.strip() for name in args.only.split(",") if name.strip()}
 
     def wanted(name: str) -> bool:
         return not only or name in only
 
-    for figure in FIGURES:
+    for figure, run_figure in FIGURES.items():
         if not wanted(figure):
             continue
-        artifact = sweep(figure, scales, rounds)
         path = args.out_dir / f"BENCH_{figure}.json"
-        path.write_text(json.dumps(artifact, indent=2) + "\n")
+        path.write_text(sweep_to_json(run_figure(tuple(scales))) + "\n")
         print(f"wrote {path}")
 
     if wanted("qs6"):
-        qs6_scales = [1] if args.quick else [
-            int(s) for s in args.qs6_scales.split(",") if s.strip()
-        ]
-        artifact = qs6_sweep(qs6_scales, rounds)
+        artifact = qs6_sweep([1] if args.quick else scales, rounds)
         path = args.out_dir / "BENCH_qs6.json"
         path.write_text(json.dumps(artifact, indent=2) + "\n")
         print(f"wrote {path}")
@@ -508,10 +395,8 @@ def main() -> None:
         print(f"wrote {path}")
 
     if wanted("partitioned"):
-        partitioned_scale = 4 if args.quick else args.partitioned_scale
-        artifact = partitioned_sweep(partitioned_scale, rounds)
         path = args.out_dir / "BENCH_partitioned.json"
-        path.write_text(json.dumps(artifact, indent=2) + "\n")
+        path.write_text(partitioned_to_json(run_partitioned_sweep()) + "\n")
         print(f"wrote {path}")
 
 

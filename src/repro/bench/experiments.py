@@ -12,13 +12,15 @@ The ``REPRO_SCALE`` environment variable multiplies every corpus size
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
 
 from repro.bench.harness import (
+    BASE_SHAKESPEARE,
     ColdRun,
-    DatasetPair,
+    build_database,
     build_pair,
     cold_query,
 )
@@ -27,6 +29,7 @@ from repro.datagen.shakespeare import ShakespeareConfig, generate_corpus
 from repro.datagen.sigmod import SigmodConfig
 from repro.datagen.sigmod import generate_corpus as generate_sigmod_corpus
 from repro.dtd import samples
+from repro.errors import BenchmarkError
 from repro.mapping import (
     map_basic,
     map_hybrid,
@@ -41,6 +44,7 @@ from repro.workloads import (
     SHAKESPEARE_QUERIES,
     SIGMOD_QUERIES,
     WorkloadQuery,
+    shakespeare_queries,
 )
 
 PAPER_SCALES = (1, 2, 4, 8)
@@ -95,10 +99,11 @@ class RatioSweep:
 
     dataset: str
     scales: tuple[int, ...]
-    #: ratios[key][scale] -> QueryRatio ('LOAD' key holds loading ratios)
+    #: ratios[key][scale] -> QueryRatio
     ratios: dict[str, dict[int, QueryRatio]] = field(default_factory=dict)
     load_ratios: dict[int, float] = field(default_factory=dict)
-    pairs: dict[int, DatasetPair] = field(default_factory=dict)
+    #: loads[scale][algorithm] -> ``LoadedDatabase.load_to_dict()``
+    loads: dict[int, dict[str, dict]] = field(default_factory=dict)
 
     def ratio(self, key: str, scale: int) -> float:
         return self.ratios[key][scale].ratio
@@ -108,22 +113,24 @@ def run_ratio_sweep(
     dataset: str,
     queries: list[WorkloadQuery],
     scales: tuple[int, ...] = PAPER_SCALES,
-    keep_pairs: bool = False,
 ) -> RatioSweep:
     """Run the Figure-11/13 experiment for ``dataset``.
 
     REPRO_SCALE multiplies each sweep point's corpus (the reported DSx
-    labels stay the paper's 1/2/4/8).
+    labels stay the paper's 1/2/4/8).  Every cell is one execution: the
+    modeled time is a function of (data, plan).
     """
     multiplier = env_scale()
     sweep = RatioSweep(dataset, tuple(scales))
     for scale in scales:
         pair = build_pair(dataset, scale * multiplier)
-        if keep_pairs:
-            sweep.pairs[scale] = pair
         sweep.load_ratios[scale] = (
             pair.hybrid.load_modeled_seconds / pair.xorator.load_modeled_seconds
         )
+        sweep.loads[scale] = {
+            side.algorithm: side.load_to_dict()
+            for side in (pair.hybrid, pair.xorator)
+        }
         for query in queries:
             hybrid_run = cold_query(pair.hybrid.db, query.hybrid_sql)
             xorator_run = cold_query(pair.xorator.db, query.xorator_sql)
@@ -141,6 +148,62 @@ def run_fig11(scales: tuple[int, ...] = PAPER_SCALES) -> RatioSweep:
 def run_fig13(scales: tuple[int, ...] = PAPER_SCALES) -> RatioSweep:
     """Figure 13: QG1-QG6 + loading, SIGMOD Proceedings, DSx1-DSx8."""
     return run_ratio_sweep("sigmod", SIGMOD_QUERIES, scales)
+
+
+# ---------------------------------------------------------------------------
+# the partition-parallel Figure 11 sweep (DESIGN.md §12)
+# ---------------------------------------------------------------------------
+
+
+#: the partitioned gate's corpus scale and ``speech`` layout
+PARTITIONED_SCALE = 16
+PARTITIONED_PARTITIONS = 4
+
+
+def run_partitioned_sweep(
+    worker_counts: tuple[int, ...] = (1, 2, 4),
+    scale: int = PARTITIONED_SCALE,
+    partitions: int = PARTITIONED_PARTITIONS,
+) -> dict[int, dict[str, ColdRun]]:
+    """Cold runs of the Fig. 11 XORator queries by worker count: 0 is the
+    serial baseline, the others run through the Exchange over ``speech``
+    hash-partitioned ``partitions`` ways.  Every parallel run must
+    return the serial run's rows exactly."""
+    db = build_database(
+        "xorator",
+        map_xorator(samples.shakespeare_simplified()),
+        generate_corpus(BASE_SHAKESPEARE.scaled(scale)),
+        shakespeare_queries.workload_sql("xorator"),
+        sample_for_codecs=4,
+    ).db
+    try:
+        sqls = {q.key: q.xorator_sql for q in SHAKESPEARE_QUERIES}
+        expected = {key: db.execute(sql).rows for key, sql in sqls.items()}
+        runs = {0: {key: cold_query(db, sql) for key, sql in sqls.items()}}
+        db.partition_table("speech", "speechID", partitions)
+        for workers in worker_counts:
+            db.set_exec_config(
+                dataclasses.replace(db.exec_config, parallel_workers=workers)
+            )
+            for key, sql in sqls.items():
+                if db.execute(sql).rows != expected[key]:
+                    raise BenchmarkError(
+                        f"{key} at {workers} worker(s) differs from serial"
+                    )
+            runs[workers] = {key: cold_query(db, sql) for key, sql in sqls.items()}
+    finally:
+        db.close()
+    return runs
+
+
+def partitioned_speedups(
+    runs: dict[int, dict[str, ColdRun]], workers: int
+) -> dict[str, float]:
+    """Serial / parallel modeled seconds per query at ``workers``."""
+    return {
+        key: serial.modeled_seconds / runs[workers][key].modeled_seconds
+        for key, serial in runs[0].items()
+    }
 
 
 # ---------------------------------------------------------------------------

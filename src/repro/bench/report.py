@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import statistics
 
 from repro.bench.experiments import (
+    PARTITIONED_PARTITIONS,
+    PARTITIONED_SCALE,
     CompressionChoice,
     DecoupleAblation,
     GrowthPoint,
@@ -12,7 +15,9 @@ from repro.bench.experiments import (
     MicroResult,
     RatioSweep,
     TableCountComparison,
+    partitioned_speedups,
 )
+from repro.bench.harness import ColdRun
 from repro.bench.sizing import SizeComparison
 
 
@@ -61,9 +66,11 @@ def render_ratio_sweep(sweep: RatioSweep, title: str) -> str:
 def sweep_to_json(sweep: RatioSweep, indent: int | None = 2) -> str:
     """The Figure 11/13 sweep as a JSON artifact.
 
-    Each cell embeds both ColdRuns in full, including the tracer's
-    parse/plan/execute ``phase_seconds`` breakdown — the machine-readable
-    companion of the printed ratio table.
+    Each cell embeds both ColdRuns in full: the modeled time with its
+    two terms and the counters behind them, and beside it what the host
+    measured (``wall_seconds``, the tracer's parse/plan/execute
+    ``phase_seconds``).  Everything but those two host fields is
+    identical from run to run.
     """
     queries: dict[str, dict[str, object]] = {}
     for key in sorted(sweep.ratios):
@@ -78,12 +85,50 @@ def sweep_to_json(sweep: RatioSweep, indent: int | None = 2) -> str:
     payload = {
         "dataset": sweep.dataset,
         "scales": list(sweep.scales),
+        "metric": "Hybrid / XORator modeled cold seconds (counted work and "
+                  "pages x the constants of repro.engine.io; > 1 means "
+                  "XORator wins); wall_seconds / phase_seconds are host "
+                  "measurements recorded beside the model",
         "queries": queries,
         "load_ratios": {
             str(scale): ratio for scale, ratio in sweep.load_ratios.items()
         },
+        "loads": {str(scale): load for scale, load in sweep.loads.items()},
     }
     return json.dumps(payload, indent=indent)
+
+
+def partitioned_to_json(
+    runs: dict[int, dict[str, ColdRun]],
+    scale: int = PARTITIONED_SCALE,
+    partitions: int = PARTITIONED_PARTITIONS,
+) -> str:
+    """``run_partitioned_sweep``'s runs as a JSON artifact."""
+    speedups = {
+        workers: partitioned_speedups(runs, workers) for workers in runs if workers
+    }
+    payload = {
+        "dataset": "shakespeare (xorator schema)",
+        "scale": scale,
+        "partitions": partitions,
+        "partition_column": "speechID",
+        "metric": "modeled cold seconds: counted work net of the exchange "
+                  "lanes that overlap the busiest one + simulated disk of "
+                  "the widest partition (DESIGN.md §12); wall_seconds / "
+                  "phase_seconds are host measurements recorded beside it",
+        "median_speedup_by_workers": {
+            str(workers): statistics.median(by_query.values())
+            for workers, by_query in speedups.items()
+        },
+        "speedups": {str(workers): by_query for workers, by_query in speedups.items()},
+        "runs": {
+            "serial" if not workers else f"workers_{workers}": {
+                key: run.to_dict() for key, run in by_query.items()
+            }
+            for workers, by_query in runs.items()
+        },
+    }
+    return json.dumps(payload, indent=2)
 
 
 def render_fig14(results: list[MicroResult]) -> str:

@@ -173,7 +173,14 @@ class Shell:
         self._print(
             f"sequential pages: {io.sequential_pages}, random: "
             f"{io.random_pages}, spill: {io.spill_pages}, modeled disk "
-            f"time: {io.modeled_seconds() * 1000:.1f} ms"
+            f"time: {io.disk_seconds() * 1000:.1f} ms"
+        )
+        counted = ", ".join(
+            f"{name} {count}" for name, count in io.work().items() if count
+        )
+        self._print(
+            f"counted work: {counted or 'none'}, modeled cpu time: "
+            f"{io.cpu_seconds() * 1000:.1f} ms"
         )
 
     def _print_caches(self) -> None:

@@ -1,18 +1,23 @@
-"""Cold-run I/O accounting and the simulated disk model.
+"""Cold-run accounting: the simulated 2002 machine, disk and CPU.
 
 The paper's timings are *cold numbers* from DB2 V7.2 on a 550 MHz
-Pentium III with 256 MB of RAM and a year-2002 disk: every query paid
-real page I/O, and joins whose build side outgrew working memory paid
-spill I/O.  A pure in-memory Python engine hides all of that — hash
-probes cost nanoseconds regardless of table size — so the engine counts
-logical I/O while executing and the benchmark harness converts the
-counts into modeled cold-run time:
+Pentium III with 256 MB of RAM and a year-2002 disk.  A pure in-memory
+Python engine on a modern host reproduces none of those costs by being
+timed, so the engine *counts* what it does while executing and the
+model prices the counts with pinned constants:
 
-    elapsed = wall_cpu_seconds
-            + sequential_pages * SEQUENTIAL_PAGE_SECONDS
-            + random_pages    * RANDOM_PAGE_SECONDS
+    modeled      = cpu_seconds + disk_seconds
+    disk_seconds = (sequential_pages + spill_pages) * SEQUENTIAL_PAGE_SECONDS
+                 + random_pages * RANDOM_PAGE_SECONDS
+    cpu_seconds  = sum(counter * WORK_SECONDS[counter]), less the lanes
+                   a partition-parallel exchange overlaps
 
-Charging rules (documented in DESIGN.md §2):
+No clock enters the model: it is a function of (data, plan), identical
+from run to run, host to host and Python to Python (sums go through
+``math.fsum``).  Host wall time is recorded beside it by the harness,
+never added to it.
+
+Page charging rules (DESIGN.md §2):
 
 * a sequential scan charges the table's data pages, sequentially;
 * an index probe charges one random page (leaf; interior pages are
@@ -22,19 +27,27 @@ Charging rules (documented in DESIGN.md §2):
   disk GRACE-style: both inputs are written and re-read once
   (2 x (build+probe) pages, sequential);
 * everything already resident in the operator pipeline (lateral table
-  functions, projections, in-memory aggregation) charges nothing extra.
+  functions, projections, in-memory aggregation) charges no pages.
 
-The constants are fixed a priori from period hardware — 20 MB/s
-sequential bandwidth and ~5 ms per random 8 KB page — not tuned per
-experiment.
+Work charging rules (same section): operators charge the rows they
+consume, once per batch; the UDF boundary charges calls per fencing
+mode; the XADT methods charge the bytes their access path reads — all
+independent of batch size and of plan- and decode-cache state.
+
+Every constant is fixed a priori from period hardware and the paper's
+Figure 14, never tuned per experiment; DESIGN.md §2 derives each.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import fsum
+from typing import Mapping
 
 from repro.engine.faults import FAULTS
 from repro.engine.pages import PAGE_SIZE, pages_for
+from repro.engine.snapshot import active_io
 from repro.obs.metrics import METRICS
 
 #: process-wide page-read mirrors (lifetime totals across all databases,
@@ -47,6 +60,34 @@ _SPILL_PAGES = METRICS.counter("io.spill_pages")
 SEQUENTIAL_PAGE_SECONDS = PAGE_SIZE / (20 * 1024 * 1024)
 #: seconds per random page (seek + rotational latency + transfer)
 RANDOM_PAGE_SECONDS = 0.005
+#: seconds of the 550 MHz CPU per unit of counted query work (1 us is
+#: ~550 cycles: one tuple through one operator, or one hash-table visit)
+WORK_SECONDS: Mapping[str, float] = {
+    "scan_rows": 1.0e-6,         # a row read off a page by a scan
+    "operator_rows": 1.0e-6,     # a row into Filter/Project/Lateral/NL join
+    "hash_build_rows": 1.0e-6,   # a row inserted into a join hash table
+    "hash_probe_rows": 1.0e-6,   # a row probing one
+    "group_rows": 1.0e-6,        # a value hashed by GROUP BY / DISTINCT
+    "sort_comparisons": 0.2e-6,  # n * ceil(log2 n) per sort key
+    "udf_calls_builtin": 1.0e-6,  # one more expression node on the row
+    # Figure 14: scan + project + one call per row runs 40 % over the
+    # built-in twin, so 1 + 1 + c = 1.4 * (1 + 1 + 1)
+    "udf_calls_not_fenced": 2.2e-6,
+    "udf_calls_fenced": 25.0e-6,  # an address-space round trip
+    # a tag-matching string scan at ~16 MB/s: a 2002 XML tokenizer's
+    # order, and below the disk's 20 MB/s (why QS6 loses, paper §4.3)
+    "xadt_bytes_scanned": 60.0e-9,
+    "xadt_bytes_decoded": 150.0e-9,  # a dict payload byte decompressed
+}
+#: the load side, priced the same way (``LoadReport.work`` counts it)
+LOAD_WORK_SECONDS: Mapping[str, float] = {
+    "nodes_shredded": 2.0e-6,    # a DOM element visited by the shredder
+    "rows_stored": 20.0e-6,      # an INSERT and its log record (~50 k/s)
+    "fragment_bytes": 60.0e-9,   # serializing: the XADT scan in reverse
+    "compressed_bytes": 150.0e-9,  # the dict encoder, per byte out
+    "index_entries": 5.0e-6,     # a key sorted and placed into its leaf
+    "rows_sampled": 1.0e-6,      # a row through runstats' one pass
+}
 #: join/sort working memory before spilling.  This is a *scale model*:
 #: the paper's machine gave DB2 roughly 2 MB of buffer/sort memory against
 #: 7.5-96 MB data sets (a 1:4 .. 1:48 ratio); our benchmark corpora are
@@ -55,30 +96,45 @@ RANDOM_PAGE_SECONDS = 0.005
 DEFAULT_WORK_MEM_BYTES = 64 * 1024
 
 
+def work_seconds(
+    work: Mapping[str, int], prices: Mapping[str, float] = WORK_SECONDS
+) -> float:
+    """CPU seconds of the simulated machine for ``work`` (name -> count)."""
+    return fsum(work.get(name, 0) * price for name, price in prices.items())
+
+
 @dataclass
 class IoCounters:
-    """Logical I/O accumulated by the physical operators."""
+    """Logical I/O and counted CPU work of one statement."""
 
     sequential_pages: int = 0
     random_pages: int = 0
     spill_pages: int = 0  #: sequential pages written+read by join spills
-    #: fragment-compute seconds a partition-parallel exchange ran that a
-    #: multi-core pool would overlap: sum over fragments minus the
-    #: busiest lane.  The 1-CPU benchmark host serializes worker CPU
-    #: into the coordinator's wall clock, so the modeled cold time
-    #: credits this back — the same simulation discipline as the disk
-    #: constants above (DESIGN.md §12).
-    overlapped_seconds: float = 0.0
+    # counted work, one field per WORK_SECONDS entry
+    scan_rows: int = 0
+    operator_rows: int = 0
+    hash_build_rows: int = 0
+    hash_probe_rows: int = 0
+    group_rows: int = 0
+    sort_comparisons: int = 0
+    udf_calls_builtin: int = 0
+    udf_calls_not_fenced: int = 0
+    udf_calls_fenced: int = 0
+    xadt_bytes_scanned: int = 0
+    xadt_bytes_decoded: int = 0
+    #: the part of that work a multi-core pool overlaps: per exchange,
+    #: every lane but the busiest (DESIGN.md §12)
+    overlapped: Counter = field(default_factory=Counter)
     #: memory ceiling used by spill decisions
     work_mem_bytes: int = DEFAULT_WORK_MEM_BYTES
     #: per-category detail for EXPLAIN-style reporting
     notes: list[str] = field(default_factory=list)
 
     def reset(self) -> None:
-        self.sequential_pages = 0
-        self.random_pages = 0
-        self.spill_pages = 0
-        self.overlapped_seconds = 0.0
+        self.sequential_pages = self.random_pages = self.spill_pages = 0
+        for name in WORK_SECONDS:
+            setattr(self, name, 0)
+        self.overlapped.clear()
         self.notes.clear()
 
     def charge_sequential(self, pages: int) -> None:
@@ -93,32 +149,70 @@ class IoCounters:
         self.spill_pages += pages
         _SPILL_PAGES.inc(pages)
 
-    def charge_overlap(self, seconds: float) -> None:
-        if seconds > 0:
-            self.overlapped_seconds += seconds
+    def charge(self, name: str, amount: int) -> None:
+        """Add to the work counter ``name`` (sites that know theirs
+        statically write ``io.<name> += n``)."""
+        setattr(self, name, getattr(self, name) + amount)
 
-    def modeled_seconds(self) -> float:
-        """Disk seconds implied by the counters."""
+    def add_lane(self, work: Mapping[str, int], overlapped: bool) -> None:
+        """Merge one exchange lane's counted work into the statement's."""
+        for name, amount in work.items():
+            self.charge(name, amount)
+            if overlapped:
+                self.overlapped[name] += amount
+
+    def work(self) -> dict[str, int]:
+        """The work counters by name."""
+        return {name: getattr(self, name) for name in WORK_SECONDS}
+
+    @property
+    def overlapped_seconds(self) -> float:
+        return work_seconds(self.overlapped)
+
+    def cpu_seconds(self) -> float:
+        """CPU seconds on the critical path: the counted work less what
+        ran on lanes beside the busiest one."""
+        return fsum(
+            (count - self.overlapped[name]) * WORK_SECONDS[name]
+            for name, count in self.work().items()
+        )
+
+    def disk_seconds(self) -> float:
         return (
             (self.sequential_pages + self.spill_pages) * SEQUENTIAL_PAGE_SECONDS
             + self.random_pages * RANDOM_PAGE_SECONDS
         )
 
+    def modeled_seconds(self) -> float:
+        """Cold seconds on the simulated machine: the reported metric."""
+        return self.cpu_seconds() + self.disk_seconds()
+
     def snapshot(self) -> tuple[int, int, int]:
         return (self.sequential_pages, self.random_pages, self.spill_pages)
+
+
+#: where work charged outside any statement lands (operators, UDFs and
+#: XADT methods driven directly, e.g. by unit tests); never read
+_UNOBSERVED = IoCounters()
+
+
+def work_counters() -> IoCounters:
+    """The counters of the statement running on this thread."""
+    return active_io() or _UNOBSERVED
 
 
 class IoRouter:
     """Context-dispatching facade over :class:`IoCounters`.
 
     ``Database.io`` is one of these.  Every charge or read resolves the
-    *target* counters first: the execution context's per-session counters
-    when a session statement is running on this thread (see
+    *target* counters first: the execution context's counters while a
+    statement is running on this thread (see
     :func:`repro.engine.snapshot.active_io`), falling back to the shared
     base counters otherwise — so plans compiled once with ``self.io``
     baked into their operators charge the right session no matter which
-    thread replays them.  ``work_mem_bytes`` is engine configuration,
-    not per-query state, and always lives on the base.
+    thread replays them.  Reads, ``reset`` and the model's methods are
+    forwarded to the target as they are.  ``work_mem_bytes`` is engine
+    configuration, not per-query state, and always lives on the base.
     """
 
     __slots__ = ("base",)
@@ -127,14 +221,15 @@ class IoRouter:
         self.base = base if base is not None else IoCounters()
 
     def _target(self) -> IoCounters:
-        from repro.engine.snapshot import active_io
-
         return active_io() or self.base
 
+    def __getattr__(self, name: str):
+        return getattr(self._target(), name)
+
     # -- charges ----------------------------------------------------------
-    # Each charge is a fault-injection site ("io.charge"): delay rules
-    # installed there model a degraded disk, which is how the chaos and
-    # governor tests make a query deterministically slow.
+    # Each page charge is a fault-injection site ("io.charge"): delay
+    # rules installed there model a degraded disk, which is how the chaos
+    # and governor tests make a query deterministically slow.
 
     def charge_sequential(self, pages: int) -> None:
         if FAULTS.active:
@@ -151,31 +246,6 @@ class IoRouter:
             FAULTS.fire("io.charge")
         self._target().charge_spill(pages)
 
-    def charge_overlap(self, seconds: float) -> None:
-        self._target().charge_overlap(seconds)
-
-    # -- reads ------------------------------------------------------------
-
-    @property
-    def sequential_pages(self) -> int:
-        return self._target().sequential_pages
-
-    @property
-    def random_pages(self) -> int:
-        return self._target().random_pages
-
-    @property
-    def spill_pages(self) -> int:
-        return self._target().spill_pages
-
-    @property
-    def overlapped_seconds(self) -> float:
-        return self._target().overlapped_seconds
-
-    @property
-    def notes(self) -> list[str]:
-        return self._target().notes
-
     @property
     def work_mem_bytes(self) -> int:
         return self.base.work_mem_bytes
@@ -183,15 +253,6 @@ class IoRouter:
     @work_mem_bytes.setter
     def work_mem_bytes(self, value: int) -> None:
         self.base.work_mem_bytes = value
-
-    def reset(self) -> None:
-        self._target().reset()
-
-    def modeled_seconds(self) -> float:
-        return self._target().modeled_seconds()
-
-    def snapshot(self) -> tuple[int, int, int]:
-        return self._target().snapshot()
 
 
 def _values_bytes(values) -> int:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import gc
 import pickle
 import signal
-import time
 from multiprocessing import get_context
 from multiprocessing import shared_memory
 from operator import itemgetter
@@ -50,6 +49,8 @@ from typing import Callable, Iterable
 from repro.engine.expr import Binding, Slot
 from repro.engine.expr_compile import compile_row_expr
 from repro.engine.faults import FAULTS
+from repro.engine.io import IoCounters, work_counters
+from repro.engine.snapshot import activate, current_context, deactivate
 from repro.engine.udf import FunctionRegistry
 from repro.engine.values import batch_group_keys
 from repro.errors import (
@@ -203,8 +204,11 @@ def execute_fragment(
     the pruned binding) then evaluates per row exactly as the ``Project``
     operator would.  Returns ``[(row_id, out_row), ...]`` for scan
     fragments, or a ``{group_key: (raw_key, first_row_id, [state, ...])}``
-    dict for partial-aggregation fragments.
+    dict for partial-aggregation fragments.  Charges the work counters
+    the inline operators would.
     """
+    work = work_counters()
+    work.scan_rows += len(pairs)
     schema = task["schema"]
     binding = _full_binding(schema, task["alias"])
     params = SimpleNamespace(values=tuple(task["params"]))
@@ -224,6 +228,7 @@ def execute_fragment(
     if task["kind"] == "scan":
         project = task.get("project")
         if project is not None:
+            work.operator_rows += len(pairs)
             fns = [
                 compile_row_expr(expr, out_binding, registry, params)
                 for expr in project
@@ -246,6 +251,7 @@ def execute_fragment(
         )
         for kind, arg in task["aggs"]
     ]
+    work.group_rows += len(pairs)
     groups: dict[tuple, tuple[tuple, int, list[PartialAgg]]] = {}
     raw_keys = [tuple([fn(out) for fn in group_fns]) for _, out in pairs]
     keys = batch_group_keys(raw_keys, True)
@@ -263,6 +269,26 @@ def execute_fragment(
         key: (raw_key, first_rid, [acc.dump() for acc in accumulators])
         for key, (raw_key, first_rid, accumulators) in groups.items()
     }
+
+
+def execute_lane_fragment(
+    task: dict, pairs: list[tuple[int, tuple]], registry: FunctionRegistry
+) -> tuple[object, dict[str, int]]:
+    """:func:`execute_fragment` under counters of its own: returns
+    ``(result, counted work)`` for the Exchange to book on the lane that
+    ran it — a worker's, or the coordinator's on an inline fallback."""
+    lane = IoCounters()
+    context = current_context()
+    token = (
+        activate(None, lane)
+        if context is None
+        else activate(context.snapshot, lane, context.budget)
+    )
+    try:
+        result = execute_fragment(task, pairs, registry)
+    finally:
+        deactivate(token)
+    return result, lane.work()
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +359,9 @@ def _worker_main(conn) -> None:
         seq = task.get("seq")
         try:
             pairs = _resolve_slice(task, cache)
-            # CPU time, not wall: on a saturated host the OS timeslices
-            # sibling workers into each other's wall clocks, but the
-            # overlap credit must count only compute this fragment did
-            started = time.process_time()
-            result = execute_fragment(task, pairs, registry)
-            elapsed = time.process_time() - started
-            reply = ("ok", seq, result, elapsed)
+            reply = ("ok", seq, *execute_lane_fragment(task, pairs, registry))
         except Exception as exc:
-            reply = ("error", seq, f"{type(exc).__name__}: {exc}", 0.0)
+            reply = ("error", seq, f"{type(exc).__name__}: {exc}", None)
         try:
             conn.send_bytes(pickle.dumps(reply, protocol=PICKLE_PROTOCOL))
         except (BrokenPipeError, OSError):
@@ -554,9 +574,9 @@ class WorkerPool:
             self._kill(index)
             raise WorkerError(f"exchange worker died at dispatch: {exc}") from exc
 
-    def _collect(self, index: int) -> tuple[object, float]:
-        """Receive the ``(result, fragment_seconds)`` reply for the
-        worker's in-flight fragment."""
+    def _collect(self, index: int) -> tuple[object, dict[str, int]]:
+        """Receive the ``(result, counted work)`` reply for the worker's
+        in-flight fragment."""
         worker = self._workers[index]
         if worker is None:
             raise WorkerError("exchange worker vanished before reply")
@@ -578,7 +598,7 @@ class WorkerPool:
             raise
         finally:
             self._discard_shm(worker)
-        status, seq, result, elapsed = pickle.loads(payload)
+        status, seq, result, work = pickle.loads(payload)
         if seq != worker.pending_seq:  # pragma: no cover - protocol bug guard
             self._kill(index)
             raise WorkerError(
@@ -592,17 +612,17 @@ class WorkerPool:
             worker.pending_ship = None
         if status != "ok":
             raise WorkerError(f"exchange fragment failed in worker: {result}")
-        return result, elapsed
+        return result, work
 
     def run_tasks(
         self, tasks: Iterable[tuple[dict, Callable]]
     ) -> list[tuple]:
         """Scatter-gather ``(task, slice_provider)`` pairs over the pool.
 
-        Returns one ``("ok", result, fragment_seconds, lane)`` or
-        ``("failed", reason, 0.0, lane)`` outcome per task, in task
+        Returns one ``("ok", result, counted work, lane)`` or
+        ``("failed", reason, None, lane)`` outcome per task, in task
         order; ``lane`` is the worker slot the fragment ran on (the
-        Exchange's overlap credit groups fragment compute by lane).
+        Exchange's overlap credit groups fragment work by lane).
         Each round scatters up to ``size`` tasks (one per worker) and
         gathers them; failed fragments retry serially under
         ``self.retry`` before degrading.
@@ -625,8 +645,7 @@ class WorkerPool:
                 task, provider = items[position]
                 if error is None:
                     try:
-                        result, elapsed = self._collect(index)
-                        outcomes[position] = ("ok", result, elapsed, index)
+                        outcomes[position] = ("ok", *self._collect(index), index)
                         continue
                     except WorkerError as exc:
                         error = exc
@@ -637,12 +656,11 @@ class WorkerPool:
                     return self._collect(index)
 
                 try:
-                    result, elapsed = self.retry.run(attempt)
-                    outcomes[position] = ("ok", result, elapsed, index)
+                    outcomes[position] = ("ok", *self.retry.run(attempt), index)
                 except WorkerError as exc:
                     _INLINE_FALLBACKS.inc()
                     outcomes[position] = (
-                        "failed", f"{error}; then {exc}", 0.0, index
+                        "failed", f"{error}; then {exc}", None, index
                     )
         return outcomes  # type: ignore[return-value]
 
@@ -653,5 +671,6 @@ __all__ = [
     "SHM_THRESHOLD",
     "WorkerPool",
     "execute_fragment",
+    "execute_lane_fragment",
     "worker_registry",
 ]

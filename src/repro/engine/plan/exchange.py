@@ -8,13 +8,13 @@ single-process operators); the fragment interpreter the workers run is
 from __future__ import annotations
 
 import heapq
-import time
+from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from repro.engine.expr import Binding, Expr, FuncCall, Star
-from repro.engine.io import pages_of_bytes
-from repro.engine.parallel import PartialAgg, execute_fragment
+from repro.engine.io import pages_of_bytes, work_seconds
+from repro.engine.parallel import PartialAgg, execute_lane_fragment
 from repro.engine.plan.physical import (
     Batch,
     HashAggregate,
@@ -126,9 +126,9 @@ class Exchange(Operator):
         Workers evaluate the projection expressions (XADT method calls
         included — each worker carries the full UDF registry) per row,
         so the exchange emits final output tuples and the planner drops
-        the coordinator-side ``Project``.  The heavy per-row compute
-        then lands in the fragments, where the overlap credit models a
-        multi-core pool running the lanes concurrently.
+        the coordinator-side ``Project``.  The heavy per-row work then
+        lands in the fragments' lanes, which the modeled multi-core pool
+        runs side by side.
         """
         if self.agg is not None:
             raise ExecutionError(
@@ -202,8 +202,6 @@ class Exchange(Operator):
         return task
 
     def _execute(self) -> Iterator[Batch]:
-        wall_started = time.perf_counter()
-        cpu_started = time.process_time()
         heap = self.heap
         version = table_version(heap)
         horizon = len(heap.rows) if version is None else version.row_count
@@ -247,36 +245,31 @@ class Exchange(Operator):
             with TRACER.span("exchange"):
                 outcomes = pool.run_tasks(list(zip(tasks, providers)))
         else:
-            outcomes = [("failed", "no worker pool", 0.0, 0)] * len(tasks)
+            outcomes = [("failed", "no worker pool", None, 0)] * len(tasks)
         results = []
-        lane_seconds: dict[int, float] = {}
+        #: counted work per lane: a worker slot, or None = the coordinator
+        lanes: dict[int | None, Counter] = defaultdict(Counter)
         for task, provider, outcome in zip(tasks, providers, outcomes):
             if outcome[0] == "ok":
-                results.append(outcome[1])
-                lane_seconds[outcome[3]] = (
-                    lane_seconds.get(outcome[3], 0.0) + outcome[2]
-                )
+                _, result, work, lane = outcome
             else:
-                # degrade to inline execution of the same fragment; its
-                # compute is genuine coordinator CPU, so it lands in the
-                # process_time window and lengthens the critical path
-                results.append(
-                    execute_fragment(task, provider(), self.registry)
+                # degrade to inline execution of the same fragment: it
+                # runs on, and lengthens, the coordinator's own lane
+                result, work = execute_lane_fragment(
+                    task, provider(), self.registry
                 )
-        batches = list(self._stitch(results))
-        if self.io is not None and lane_seconds:
-            # The 1-CPU host serialized coordinator work and every worker
-            # lane into our wall clock.  On the modeled pool (one core per
-            # worker plus the coordinator, DESIGN.md §12) the scatter-
-            # gather pipeline runs lanes and the coordinator's own
-            # dispatch/collect/stitch concurrently, so its elapsed time is
-            # the critical path: the busiest lane or the coordinator,
-            # whichever is longer.  Credit back the rest.
-            coordinator_cpu = time.process_time() - cpu_started
-            wall = time.perf_counter() - wall_started
-            critical = max(coordinator_cpu, max(lane_seconds.values()))
-            self.io.charge_overlap(max(wall - critical, 0.0))
-        yield from batches
+                lane = None
+            results.append(result)
+            lanes[lane].update(work)
+        if self.io is not None:
+            # On the modeled pool (one core per worker plus the
+            # coordinator, DESIGN.md §12) the lanes run side by side, so
+            # the exchange takes as long as its busiest lane: every other
+            # lane's work is booked as overlapped.
+            busiest = max(lanes, key=lambda lane: work_seconds(lanes[lane]))
+            for lane, work in lanes.items():
+                self.io.add_lane(work, overlapped=lane is not busiest)
+        yield from self._stitch(results)
 
     def _stitch(self, results) -> Iterator[Batch]:
         """Merge fragment results into output batches (coordinator side)."""

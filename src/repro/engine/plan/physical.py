@@ -44,6 +44,7 @@ from repro.engine.io import (
     batch_row_bytes,
     estimate_row_bytes,
     pages_of_bytes,
+    work_counters,
 )
 from repro.engine.parallel import AGG_UPDATES, PartialAgg, row_picker
 from repro.engine.snapshot import active_budget, read_bound, table_version
@@ -208,6 +209,10 @@ class SeqScan(Operator):
                 self.table.data_pages() if version is None else version.pages
             )
             self.io.charge_sequential(pages)
+        # like its pages, a scan's rows are charged whole and up front
+        work_counters().scan_rows += (
+            self.table.row_count() if bound is None else bound
+        )
         predicate = self.predicate
         pick = row_picker(self.projection)
         for chunk in self.table.scan_batches(self.batch_size, limit=bound):
@@ -276,7 +281,9 @@ class IndexScan(Operator):
         touched: set[int] = set()
         size = self.batch_size
         batch: Batch = []
-        for row_id in self.index.lookup(key, bound=bound):
+        row_ids = self.index.lookup(key, bound=bound)
+        work_counters().scan_rows += len(row_ids)
+        for row_id in row_ids:
             if io is not None:
                 page = row_id // rows_per_page
                 if page not in touched:  # buffer pool caches within a query
@@ -342,7 +349,9 @@ class HashJoin(Operator):
         build_bytes = 0
         budget = active_budget()
         setdefault = table.setdefault
+        work = work_counters()
         for batch in self.right.batches():
+            work.hash_build_rows += len(batch)
             width = batch_row_bytes(batch)
             build_bytes += width
             keys = batch_group_keys(list(map(right_key, batch)), composite)
@@ -364,6 +373,7 @@ class HashJoin(Operator):
         get = table.get
         probe_bytes = 0
         for left_batch in self.left.batches():
+            work.hash_probe_rows += len(left_batch)
             if spilled:
                 probe_bytes += batch_row_bytes(left_batch)
             keys = batch_group_keys(list(map(left_key, left_batch)), composite)
@@ -434,7 +444,9 @@ class NestedLoopJoin(Operator):
                 right_rows.extend(batch)
                 budget.charge_memory(batch_row_bytes(batch))
         predicate = self.predicate
+        work = work_counters()
         for left_batch in self.left.batches():
+            work.operator_rows += len(left_batch) * len(right_rows)  # pairs
             out: Batch = []
             if predicate is None:
                 for left_row in left_batch:
@@ -494,7 +506,10 @@ class IndexNestedLoopJoin(Operator):
         rows_per_page = _rows_per_page(self.table)
         probed_keys: set[object] = set()
         touched_pages: set[int] = set()
+        work = work_counters()
         for left_batch in self.left.batches():
+            work.operator_rows += len(left_batch)  # one index descent each
+            fetched = 0
             out: Batch = []
             append = out.append
             for left_row in left_batch:
@@ -504,7 +519,9 @@ class IndexNestedLoopJoin(Operator):
                 if io is not None and key not in probed_keys:
                     probed_keys.add(key)
                     io.charge_random(1)  # index leaf, cached per key
-                for row_id in lookup(key, bound=bound):
+                row_ids = lookup(key, bound=bound)
+                fetched += len(row_ids)
+                for row_id in row_ids:
                     if io is not None:
                         page = row_id // rows_per_page
                         if page not in touched_pages:
@@ -513,6 +530,7 @@ class IndexNestedLoopJoin(Operator):
                     combined = left_row + fetch(row_id)
                     if residual is None or residual(combined):
                         append(combined)
+            work.scan_rows += fetched
             if out:
                 yield out
 
@@ -565,7 +583,9 @@ class LateralFunctionScan(Operator):
         function = self.function
         args = self.args
         arity = self._arity
+        work = work_counters()
         for input_batch in self.input.batches():
+            work.operator_rows += len(input_batch)
             # argument expressions run a column at a time (their scalar
             # calls cross the UDF boundary once per batch)
             columns = [arg.batch_eval(input_batch) for arg in args]
@@ -614,7 +634,9 @@ class Filter(Operator):
 
     def _execute(self) -> Iterator[Batch]:
         predicate = self.predicate
+        work = work_counters()
         for batch in self.input.batches():
+            work.operator_rows += len(batch)
             kept = predicate.batch_filter(batch)
             if kept:
                 yield kept
@@ -652,7 +674,9 @@ class Project(Operator):
             yield from self.input.batches()
             return
         batch_eval = self.tuple_fn.batch_eval
+        work = work_counters()
         for batch in self.input.batches():
+            work.operator_rows += len(batch)
             yield batch_eval(batch)
 
     def explain(self, depth: int = 0) -> list[str]:
@@ -676,7 +700,9 @@ class HashDistinct(Operator):
         budget = active_budget()
         size = self.batch_size
         out: Batch = []
+        work = work_counters()
         for batch in self.input.batches():
+            work.group_rows += len(batch)
             fresh = [
                 row
                 for key, row in zip(batch_group_keys(batch, True), batch)
@@ -743,7 +769,12 @@ class HashAggregate(Operator):
         #: modelled bytes per group entry: key tuple + accumulator slots
         group_overhead = 56 * max(len(aggregates), 1)
         groups_get = groups.get
+        work = work_counters()
+        #: hashed values per input row: its group key, and one more per
+        #: DISTINCT aggregate (each keeps a set)
+        hashes = 1 + sum(1 for spec in aggregates if spec.distinct)
         for batch in self.input.batches():
+            work.group_rows += hashes * len(batch)
             new_bytes = 0
             raw_keys = (
                 list(zip(*[expr.batch_eval(batch) for expr in group_exprs]))
@@ -852,6 +883,10 @@ class Sort(Operator):
             for batch in self.input.batches():
                 rows.extend(batch)
                 budget.charge_memory(batch_row_bytes(batch))
+        # n * ceil(log2 n) comparisons per key pass, whatever the input order
+        work_counters().sort_comparisons += (
+            len(self.keys) * len(rows) * (len(rows) - 1).bit_length()
+        )
         # stable multi-key sort: apply keys right-to-left
         for key, desc in reversed(list(zip(self.keys, self.descending))):
             rows.sort(key=lambda row: _SortKey(key(row)), reverse=desc)
@@ -874,6 +909,7 @@ class Limit(Operator):
         if remaining <= 0:
             return
         size = self.batch_size
+        work = work_counters()
         out: Batch = []
         # pull row-at-a-time so the child stops producing at the cutoff
         for row in self.input.rows():
@@ -882,9 +918,11 @@ class Limit(Operator):
             if remaining == 0:
                 break
             if len(out) >= size:
+                work.operator_rows += len(out)
                 yield out
                 out = []
         if out:
+            work.operator_rows += len(out)
             yield out
 
     def explain(self, depth: int = 0) -> list[str]:

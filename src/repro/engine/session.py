@@ -418,6 +418,11 @@ class Session:
             plan=plan, params=box, statement=statement, version=catalog.version
         )
 
+    def _counters(self, pin: EngineSnapshot | None) -> IoCounters:
+        """What a statement charges: this session's counters, or for the
+        default session (no pin, live reads) the shared base counters."""
+        return self.io if pin is not None else self._db.io.base
+
     def _run_select(
         self,
         entry: CachedPlan,
@@ -432,13 +437,9 @@ class Session:
         # config: two databases in one process (one paper-faithful, one
         # structurally indexed) must never see each other's routing
         config = (pin.catalog if pin is not None else self._db.catalog).exec_config
-        # the default session (pin None) passes io=None so the router
-        # keeps charging the shared base counters, exactly as before
-        token = (
-            activate(pin, self.io if pin is not None else None, budget)
-            if pin is not None or budget is not None
-            else None
-        )
+        # the statement's counters go into the context, where the UDF
+        # boundary and the XADT methods (which hold no operator) find them
+        token = activate(pin, self._counters(pin), budget)
         # slow-log plan capture: instrument the cached plan for this
         # execution only (skipped if another execution already holds
         # instrumentation on the shared plan)
@@ -468,8 +469,7 @@ class Session:
                             budget.add_result_bytes(batch_row_bytes(batch))
                 span.args["rows"] = len(rows)
         finally:
-            if token is not None:
-                deactivate(token)
+            deactivate(token)
             if nodes is not None:
                 try:
                     report = build_report(nodes, {}, None)
@@ -514,6 +514,10 @@ class Session:
         entry = self._plan_entry(key, statement, catalog, pin)
         phases["plan"] = time.perf_counter() - started
         nodes = attach_stats(entry.plan)
+        # like a cold run, start the statement's counters from zero: the
+        # report shows what this statement was charged
+        counters = self._counters(pin)
+        counters.reset()
         started = time.perf_counter()
         result = self._run_select(entry, params, pin)
         phases["execute"] = time.perf_counter() - started
@@ -530,7 +534,7 @@ class Session:
                     finished - stats.started_at,
                     {"rows": stats.rows_out, "loops": stats.loops},
                 )
-        return build_report(nodes, phases, result)
+        return build_report(nodes, phases, result, counters)
 
     def _execute_write(
         self, statement: Statement, params: tuple | list

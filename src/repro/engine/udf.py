@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from itertools import repeat, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.engine.io import work_counters
 from repro.engine.snapshot import active_budget
 from repro.engine.types import SqlType, is_xadt_value
 from repro.errors import ReproError, UdfError
@@ -181,6 +182,8 @@ class _Function:
         #: ``udf.calls.*`` / ``udf.seconds.*`` of this function's mode
         self.calls = _CALL_COUNTERS[self.kind]
         self.seconds = _CALL_HISTOGRAMS[self.kind]
+        #: the statement work counter its calls are charged to
+        self.work_counter = "udf_calls_" + self.kind.value.replace(" ", "_")
 
     def check_arity(self, count: int) -> None:
         """Raise unless a call with ``count`` arguments is acceptable
@@ -403,6 +406,7 @@ class FunctionRegistry:
     def invoke_scalar(self, function: ScalarFunction, args: Sequence[object]) -> object:
         calls = self.stats.scalar_calls
         calls[function.name] = calls.get(function.name, 0) + 1
+        work_counters().charge(function.work_counter, 1)
         # UDFs dominate a governed statement's time between batch
         # boundaries (a sleeping or looping function body), so the
         # timeout is also checked per invocation
@@ -460,6 +464,7 @@ class FunctionRegistry:
             made = min(completed + 1, n)  # the call that raised had started
             calls = self.stats.scalar_calls
             calls[function.name] = calls.get(function.name, 0) + made
+            work_counters().charge(function.work_counter, made)
             if timed:
                 function.calls.inc(made)
                 if completed:
@@ -476,6 +481,7 @@ class FunctionRegistry:
         region of ``udf.seconds.*`` (the caller wants all rows anyway)."""
         calls = self.stats.table_calls
         calls[function.name] = calls.get(function.name, 0) + 1
+        work_counters().charge(function.work_counter, 1)
         budget = active_budget()
         if budget is not None:
             budget.tick()

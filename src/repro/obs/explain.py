@@ -100,6 +100,11 @@ class AnalyzeReport:
     #: parse/plan/execute wall seconds
     phases: dict[str, float]
     result: object  #: the repro.engine.result.Result of the execution
+    #: what the statement charged its ``IoCounters`` (pages and work by
+    #: name) and the two modeled terms that prices to; empty if not read
+    counters: dict[str, int] = field(default_factory=dict)
+    cpu_seconds: float = 0.0
+    disk_seconds: float = 0.0
 
     @property
     def root(self) -> OperatorReport:
@@ -125,6 +130,15 @@ class AnalyzeReport:
                 for name, seconds in self.phases.items()
             )
         )
+        if self.counters:
+            counted = ", ".join(
+                f"{name} {count}" for name, count in self.counters.items() if count
+            )
+            lines.append(
+                f"counted: {counted}\nmodeled: cpu "
+                f"{self.cpu_seconds * 1000:.3f} ms + disk "
+                f"{self.disk_seconds * 1000:.3f} ms"
+            )
         return "\n".join(lines)
 
     def to_dict(self) -> dict[str, object]:
@@ -132,6 +146,9 @@ class AnalyzeReport:
             "operators": [op.to_dict() for op in self.operators],
             "phases": dict(self.phases),
             "row_count": len(self.result),  # type: ignore[arg-type]
+            "counters": dict(self.counters),
+            "cpu_seconds": self.cpu_seconds,
+            "disk_seconds": self.disk_seconds,
         }
 
     def __str__(self) -> str:
@@ -142,8 +159,11 @@ def build_report(
     nodes: list[tuple[object, int]],
     phases: dict[str, float],
     result,
+    io=None,
 ) -> AnalyzeReport:
-    """Fold the attached :class:`OperatorStats` into an AnalyzeReport."""
+    """Fold the attached :class:`OperatorStats` into an AnalyzeReport;
+    ``io`` is the statement's ``IoCounters`` (duck-typed, like the
+    operators), read for what it was charged."""
     operators: list[OperatorReport] = []
     for node, depth in nodes:
         stats: OperatorStats = node.stats
@@ -171,7 +191,14 @@ def build_report(
                 flagged=miss > MISS_FACTOR,
             )
         )
-    return AnalyzeReport(operators=operators, phases=phases, result=result)
+    report = AnalyzeReport(operators=operators, phases=phases, result=result)
+    if io is not None:
+        pages = zip(("sequential_pages", "random_pages", "spill_pages"),
+                    io.snapshot())
+        report.counters = {**dict(pages), **io.work()}
+        report.cpu_seconds = io.cpu_seconds()
+        report.disk_seconds = io.disk_seconds()
+    return report
 
 
 __all__ = [

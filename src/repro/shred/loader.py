@@ -22,7 +22,7 @@ from repro.errors import ShreddingError
 from repro.mapping.base import ColumnKind, MappedColumn, MappedSchema, MappedTable
 from repro.xadt.chooser import DEFAULT_THRESHOLD, choose_codec
 from repro.xadt.fragment import XadtValue
-from repro.xadt.storage import PLAIN
+from repro.xadt.storage import DICT, PLAIN
 from repro.xmlkit.dom import Document, Element
 from repro.xmlkit.parser import parse
 
@@ -36,6 +36,10 @@ class LoadReport:
     seconds: float = 0.0
     #: chosen codec per XADT column, keyed by "table.column"
     codecs: dict[str, str] = field(default_factory=dict)
+    #: counted work by ``repro.engine.io.LOAD_WORK_SECONDS`` name: the
+    #: shredder's counts and ``rows_stored``; whoever builds indexes and
+    #: runs runstats afterwards adds ``index_entries`` / ``rows_sampled``
+    work: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_rows(self) -> int:
@@ -59,6 +63,9 @@ class Shredder:
         self._next_id: dict[str, int] = {
             table.name: 1 for table in schema.tables
         }
+        #: counted so far: DOM elements visited, XADT payload bytes
+        #: serialized and, of those, bytes the dict codec produced
+        self.work = {"nodes_shredded": 0, "fragment_bytes": 0, "compressed_bytes": 0}
 
     def codec_for(self, table: MappedTable, column: MappedColumn) -> str:
         return self.codecs.get(f"{table.name}.{column.name}", PLAIN)
@@ -77,6 +84,7 @@ class Shredder:
                 f"the root element {root.tag!r}"
             )
         rows: dict[str, list[tuple]] = {t.name: [] for t in self.schema.tables}
+        self.work["nodes_shredded"] += 1
         self._emit(root, None, None, None, rows)
         return rows
 
@@ -121,6 +129,9 @@ class Shredder:
                 fragment = XadtValue.from_elements(
                     children, self.codec_for(table, column)
                 )
+                self.work["fragment_bytes"] += len(fragment.payload)
+                if fragment.codec == DICT:
+                    self.work["compressed_bytes"] += len(fragment.payload)
                 row.append(fragment)
             else:  # pragma: no cover - kinds are exhaustive
                 raise ShreddingError(f"unhandled column kind {kind}")
@@ -138,7 +149,9 @@ class Shredder:
         rows: dict[str, list[tuple]],
     ) -> None:
         order_counters: dict[str, int] = {}
-        for child in dom_parent.child_elements():
+        children = dom_parent.child_elements()
+        self.work["nodes_shredded"] += len(children)
+        for child in children:
             position = order_counters.get(child.tag, 0) + 1
             order_counters[child.tag] = position
             if child.tag in self._tables_by_element:
@@ -261,6 +274,7 @@ def load_documents(
         else:
             _insert_document(db, rows, report)
     report.seconds = time.perf_counter() - started
+    report.work = {**shredder.work, "rows_stored": report.total_rows}
     return report
 
 

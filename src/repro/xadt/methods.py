@@ -48,16 +48,21 @@ Decoding cost is amortized underneath these methods, not inside them:
 :mod:`repro.xadt.decode_cache`), so repeated method calls over the same
 hot fragments skip the decompressor / directory rebuild — but never the
 scan itself.
+
+The *modeled* cost is not amortized at all: every call charges the
+running statement for what its access path reads on a cold machine,
+before any memo or cache is consulted (:func:`_charge`).
 """
 
 from __future__ import annotations
 
+from repro.engine.io import work_counters
 from repro.errors import XadtMethodError
 from repro.xadt import fastscan
 from repro.xadt.decode_cache import memoize_predicate
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.metadata import SpanDirectory
-from repro.xadt.storage import INDEXED
+from repro.xadt.metadata import ENTRY_BYTES, HEADER_BYTES, SpanDirectory
+from repro.xadt.storage import DICT, INDEXED
 from repro.xadt.structural_index import (
     XINDEX,
     StructuralIndex,
@@ -86,6 +91,25 @@ def _directory(value: XadtValue, method: str = "") -> SpanDirectory | None:
     return None
 
 
+#: what one directory probe reads of the stored metadata
+_PROBE_BYTES = HEADER_BYTES + ENTRY_BYTES
+
+
+def _charge(value: XadtValue, scanned: int) -> None:
+    """Charge one call's reads to the running statement: ``scanned``
+    bytes of tagged text (all of it on the scan route, a probe plus the
+    spans touched on a directory route) and a dict payload's decoding."""
+    work = work_counters()
+    work.xadt_bytes_scanned += scanned
+    if value.codec == DICT:
+        work.xadt_bytes_decoded += len(value.payload)
+
+
+def _probed(spans) -> int:
+    """Bytes a directory route reads: one probe plus these spans."""
+    return _PROBE_BYTES + sum(span.end - span.start for span in spans)
+
+
 def get_elm(
     fragment: object,
     root_elm: str,
@@ -96,15 +120,20 @@ def get_elm(
     """Return all matching ``root_elm`` elements as a new fragment."""
     value = coerce_fragment(fragment)
     directory = _directory(value, "get_elm" if level < 0 else "")
-    if directory is None and level >= 0:
-        # depth is not visible to a tag scan: a directory for the call
-        directory = SpanDirectory.build(value.scan_text())
     if directory is not None:
         matched = directory.get_elm(root_elm, search_elm, search_key, level)
-    else:
-        matched = fastscan.get_elm_plain(
-            value.scan_text(), root_elm, search_elm, search_key
+        _charge(value, _PROBE_BYTES + len(matched))
+        return XadtValue.wrap_plain(matched)
+    text = value.scan_text()
+    _charge(value, len(text))
+    if level >= 0:
+        # depth is not visible to a tag scan: a directory for the call
+        # (building it reads the whole text, as charged)
+        matched = SpanDirectory.build(text).get_elm(
+            root_elm, search_elm, search_key, level
         )
+    else:
+        matched = fastscan.get_elm_plain(text, root_elm, search_elm, search_key)
     return XadtValue.wrap_plain(matched)
 
 
@@ -126,16 +155,21 @@ def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
     value = coerce_fragment(fragment)
     directory = _directory(value, "find_key_in_elm")
     if isinstance(directory, StructuralIndex):
+        _charge(value, _PROBE_BYTES)
         return directory.find_key(search_elm, search_key)
     if directory is not None and search_elm and not directory.has_tag(search_elm):
+        _charge(value, _PROBE_BYTES)
         return 0  # tag index proves absence; skip the payload entirely
+    if directory is None:
+        text = value.scan_text()
+        _charge(value, len(text))
+    else:  # a stored directory reads the candidate elements for the key
+        _charge(value, _probed(directory.outermost_of(search_elm)))
 
     def verdict() -> int:
         if directory is not None:
             return directory.find_key(search_elm, search_key)
-        return fastscan.find_key_in_elm_plain(
-            value.scan_text(), search_elm, search_key
-        )
+        return fastscan.find_key_in_elm_plain(text, search_elm, search_key)
 
     return memoize_predicate(
         "findkey-" + value.codec,
@@ -162,9 +196,12 @@ def get_elm_index(
         matched = directory.get_elm_index(
             parent_elm, child_elm, int(start_pos), int(end_pos)
         )
+        _charge(value, _PROBE_BYTES + len(matched))
     else:
+        text = value.scan_text()
+        _charge(value, len(text))
         matched = fastscan.get_elm_index_plain(
-            value.scan_text(), parent_elm, child_elm, int(start_pos), int(end_pos)
+            text, parent_elm, child_elm, int(start_pos), int(end_pos)
         )
     return XadtValue.wrap_plain(matched)
 
@@ -185,7 +222,9 @@ def elm_equals(fragment: object, search_elm: str, value: str) -> int:
     directory = _directory(fragment_value)
     if directory is not None:
         spans = directory.outermost_of(search_elm)
+        _charge(fragment_value, _probed(spans))
     else:
+        _charge(fragment_value, len(text))
         spans = fastscan.find_spans(text, search_elm)
     for span in spans:
         if fastscan.text_of(span.content(text)) == value:
@@ -195,4 +234,7 @@ def elm_equals(fragment: object, search_elm: str, value: str) -> int:
 
 def elm_text(fragment: object) -> str:
     """Concatenated character content of the fragment."""
-    return coerce_fragment(fragment).text()
+    value = coerce_fragment(fragment)
+    text = value.scan_text()
+    _charge(value, len(text))
+    return fastscan.text_of(text)

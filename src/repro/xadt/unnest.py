@@ -17,18 +17,20 @@ from typing import Iterator
 
 from repro.xadt import fastscan
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.methods import _directory
+from repro.xadt.methods import _PROBE_BYTES, _charge, _directory
 
 
 def unnest(fragment: object, tag: str = "") -> Iterator[tuple[XadtValue]]:
     """Yield one single-column row per matching element."""
     value = coerce_fragment(fragment)
     directory = _directory(value)
-    pieces = (
-        directory.unnest(tag)
-        if directory is not None
-        else fastscan.unnest_plain(value.scan_text(), tag)
-    )
+    if directory is not None:
+        pieces = directory.unnest(tag)
+        _charge(value, _PROBE_BYTES + sum(map(len, pieces)))
+    else:
+        text = value.scan_text()
+        _charge(value, len(text))
+        pieces = fastscan.unnest_plain(text, tag)
     wrap = XadtValue.wrap_plain
     for piece in pieces:
         yield (wrap(piece),)

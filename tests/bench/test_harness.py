@@ -37,9 +37,13 @@ class TestBuildPair:
     def test_codec_decision_recorded(self, tiny_pair):
         assert tiny_pair.xorator.codecs.get("pp.pp_slist") == "dict"
 
-    def test_load_modeled_time_exceeds_wall(self, tiny_pair):
+    def test_load_modeled_time_is_cpu_plus_disk(self, tiny_pair):
         loaded = tiny_pair.hybrid
-        assert loaded.load_modeled_seconds >= loaded.load_wall_seconds
+        assert loaded.load_cpu_seconds > 0 and loaded.load_disk_seconds > 0
+        assert loaded.load_modeled_seconds == (
+            loaded.load_cpu_seconds + loaded.load_disk_seconds
+        )
+        assert loaded.load_wall_seconds > 0  # recorded beside, not summed
 
 
 class TestColdQuery:
@@ -47,7 +51,10 @@ class TestColdQuery:
         run = cold_query(tiny_pair.hybrid.db, "SELECT COUNT(*) FROM atuple")
         assert run.rows == 1
         assert run.sequential_pages > 0
-        assert run.modeled_seconds >= run.wall_seconds
+        assert run.work["scan_rows"] == tiny_pair.hybrid.db.row_count("atuple")
+        assert run.cpu_seconds > 0 and run.disk_seconds > 0
+        assert run.modeled_seconds == run.cpu_seconds + run.disk_seconds
+        assert run.wall_seconds > 0  # recorded beside, not summed
 
     def test_each_run_is_cold(self, tiny_pair):
         first = cold_query(tiny_pair.hybrid.db, "SELECT COUNT(*) FROM atuple")

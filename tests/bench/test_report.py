@@ -27,9 +27,10 @@ from repro.bench.sizing import SizeComparison, SizeRow
 
 
 def _cold(seconds):
+    """A run modeled at ``seconds`` of CPU (and some unrelated wall)."""
     return ColdRun(
-        rows=1, wall_seconds=seconds, sequential_pages=0,
-        random_pages=0, spill_pages=0, disk_seconds=0.0,
+        rows=1, wall_seconds=123.0, sequential_pages=0,
+        random_pages=0, spill_pages=0, cpu_seconds=seconds, disk_seconds=0.0,
     )
 
 

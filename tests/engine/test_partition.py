@@ -28,6 +28,7 @@ import pytest
 from repro.bench.harness import build_database, cold_query
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
+from repro.engine.io import work_seconds
 from repro.engine.schema import Column, PartitionSpec, TableSchema, stable_hash
 from repro.engine.storage import PartitionedHeapTable
 from repro.engine.types import INTEGER, VARCHAR
@@ -446,16 +447,24 @@ class TestAccounting:
         assert random >= 1       # one parallel dispatch seek
         assert spill == serial[2]
 
-    def test_overlap_credit_never_exceeds_wall(self, pdb):
-        run = cold_query(pdb, "SELECT v FROM t WHERE v > 10")
-        assert run.overlapped_seconds >= 0.0
-        assert run.overlapped_seconds <= run.wall_seconds
-        assert run.modeled_seconds <= run.wall_seconds + run.disk_seconds
+    def test_overlap_credit_is_all_lanes_but_the_busiest(self, pdb):
+        # 4 partitions of 25 rows over 2 workers: two equal lanes of 50
+        # rows scanned and projected, one of which overlaps the other
+        run = cold_query(pdb, "SELECT v FROM t")
+        assert run.work["scan_rows"] == run.work["operator_rows"] == 100
+        assert run.overlapped_seconds == work_seconds(
+            {"scan_rows": 50, "operator_rows": 50}
+        )
+        assert run.cpu_seconds == (
+            work_seconds(run.work) - run.overlapped_seconds
+        )
+        assert run.modeled_seconds == run.cpu_seconds + run.disk_seconds
 
     def test_serial_runs_have_no_overlap_credit(self, pdb):
         parallel(pdb, 0)
         run = cold_query(pdb, "SELECT v FROM t WHERE v > 10")
         assert run.overlapped_seconds == 0.0
+        assert run.cpu_seconds == work_seconds(run.work)
 
     def test_exchange_wait_is_attributed(self, pdb):
         STATEMENTS.reset()
