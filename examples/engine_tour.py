@@ -74,7 +74,7 @@ def main() -> None:
         f"random: {db.io.random_pages}, spill: {db.io.spill_pages}"
     )
     print(f"  modeled disk time: {db.io.disk_seconds() * 1000:.1f} ms")
-    counted = {name: n for name, n in db.io.work().items() if n}
+    counted = {name: n for name, n in db.io.work.items() if n}
     print(f"  counted work: {counted}")
     print(f"  modeled cpu time:  {db.io.cpu_seconds() * 1000:.3f} ms")
     print(

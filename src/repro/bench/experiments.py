@@ -162,17 +162,15 @@ PARTITIONED_PARTITIONS = 4
 
 def run_partitioned_sweep(
     worker_counts: tuple[int, ...] = (1, 2, 4),
-    scale: int = PARTITIONED_SCALE,
-    partitions: int = PARTITIONED_PARTITIONS,
 ) -> dict[int, dict[str, ColdRun]]:
     """Cold runs of the Fig. 11 XORator queries by worker count: 0 is the
     serial baseline, the others run through the Exchange over ``speech``
-    hash-partitioned ``partitions`` ways.  Every parallel run must
-    return the serial run's rows exactly."""
+    hash-partitioned ``PARTITIONED_PARTITIONS`` ways.  Every parallel run
+    must return the serial run's rows exactly."""
     db = build_database(
         "xorator",
         map_xorator(samples.shakespeare_simplified()),
-        generate_corpus(BASE_SHAKESPEARE.scaled(scale)),
+        generate_corpus(BASE_SHAKESPEARE.scaled(PARTITIONED_SCALE)),
         shakespeare_queries.workload_sql("xorator"),
         sample_for_codecs=4,
     ).db
@@ -180,7 +178,7 @@ def run_partitioned_sweep(
         sqls = {q.key: q.xorator_sql for q in SHAKESPEARE_QUERIES}
         expected = {key: db.execute(sql).rows for key, sql in sqls.items()}
         runs = {0: {key: cold_query(db, sql) for key, sql in sqls.items()}}
-        db.partition_table("speech", "speechID", partitions)
+        db.partition_table("speech", "speechID", PARTITIONED_PARTITIONS)
         for workers in worker_counts:
             db.set_exec_config(
                 dataclasses.replace(db.exec_config, parallel_workers=workers)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.datagen.plays import PlaysConfig, generate_corpus as generate_plays
 from repro.datagen.shakespeare import (
@@ -58,10 +59,8 @@ class ColdRun:
     #: counted work x pinned constants, net of overlapped exchange lanes
     cpu_seconds: float
     disk_seconds: float
-    #: the work counters behind ``cpu_seconds`` (``IoCounters.work()``)
+    #: the counted work behind ``cpu_seconds`` (``IoCounters.work``)
     work: dict[str, int] = field(default_factory=dict)
-    #: CPU seconds of exchange lanes that ran beside the busiest one
-    overlapped_seconds: float = 0.0
     #: per-phase wall seconds (parse/plan/execute) from the query tracer
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -77,7 +76,6 @@ class ColdRun:
             "modeled_seconds": self.modeled_seconds,
             "cpu_seconds": self.cpu_seconds,
             "disk_seconds": self.disk_seconds,
-            "overlapped_seconds": self.overlapped_seconds,
             "sequential_pages": self.sequential_pages,
             "random_pages": self.random_pages,
             "spill_pages": self.spill_pages,
@@ -111,8 +109,7 @@ def cold_query(db: Database, sql: str) -> ColdRun:
         spill_pages=io.spill_pages,
         cpu_seconds=io.cpu_seconds(),
         disk_seconds=io.disk_seconds(),
-        work=io.work(),
-        overlapped_seconds=io.overlapped_seconds,
+        work=dict(io.work),
         phase_seconds=phases,
     )
 
@@ -175,33 +172,28 @@ class LoadedDatabase:
     #: counted work of the preparation (``LoadReport.work``)
     load_work: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def load_cpu_seconds(self) -> float:
-        return work_seconds(self.load_work, LOAD_WORK_SECONDS)
-
-    @property
-    def load_disk_seconds(self) -> float:
-        """Every inserted byte is written twice (WAL record + data page,
-        as DB2 logs inserts) and every index page once, sequentially."""
+    def load_to_dict(self) -> dict[str, Any]:
+        """The load priced for the simulated machine, for benchmark
+        artifacts.  Disk: every inserted byte is written twice (WAL
+        record + data page, as DB2 logs inserts) and every index page
+        once, sequentially."""
         written_pages = (
             2 * self.db.data_size_bytes() + self.db.index_size_bytes()
         ) // PAGE_SIZE
-        return written_pages * SEQUENTIAL_PAGE_SECONDS
+        cpu = work_seconds(self.load_work, LOAD_WORK_SECONDS)
+        disk = written_pages * SEQUENTIAL_PAGE_SECONDS
+        return {
+            "modeled_seconds": cpu + disk,
+            "cpu_seconds": cpu,
+            "disk_seconds": disk,
+            "work": dict(self.load_work),
+            "wall_seconds": self.load_wall_seconds,
+        }
 
     @property
     def load_modeled_seconds(self) -> float:
         """The loading bar of Figures 11 and 13."""
-        return self.load_cpu_seconds + self.load_disk_seconds
-
-    def load_to_dict(self) -> dict[str, object]:
-        """JSON-serializable form of the load, for benchmark artifacts."""
-        return {
-            "modeled_seconds": self.load_modeled_seconds,
-            "cpu_seconds": self.load_cpu_seconds,
-            "disk_seconds": self.load_disk_seconds,
-            "work": dict(self.load_work),
-            "wall_seconds": self.load_wall_seconds,
-        }
+        return self.load_to_dict()["modeled_seconds"]
 
     def size_report(self) -> dict[str, object]:
         return self.db.size_report()

@@ -98,19 +98,15 @@ def sweep_to_json(sweep: RatioSweep, indent: int | None = 2) -> str:
     return json.dumps(payload, indent=indent)
 
 
-def partitioned_to_json(
-    runs: dict[int, dict[str, ColdRun]],
-    scale: int = PARTITIONED_SCALE,
-    partitions: int = PARTITIONED_PARTITIONS,
-) -> str:
+def partitioned_to_json(runs: dict[int, dict[str, ColdRun]]) -> str:
     """``run_partitioned_sweep``'s runs as a JSON artifact."""
     speedups = {
         workers: partitioned_speedups(runs, workers) for workers in runs if workers
     }
     payload = {
         "dataset": "shakespeare (xorator schema)",
-        "scale": scale,
-        "partitions": partitions,
+        "scale": PARTITIONED_SCALE,
+        "partitions": PARTITIONED_PARTITIONS,
         "partition_column": "speechID",
         "metric": "modeled cold seconds: counted work net of the exchange "
                   "lanes that overlap the busiest one + simulated disk of "

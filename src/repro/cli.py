@@ -176,7 +176,7 @@ class Shell:
             f"time: {io.disk_seconds() * 1000:.1f} ms"
         )
         counted = ", ".join(
-            f"{name} {count}" for name, count in io.work().items() if count
+            f"{name} {count}" for name, count in io.work.items() if count
         )
         self._print(
             f"counted work: {counted or 'none'}, modeled cpu time: "

@@ -40,7 +40,6 @@ Figure 14, never tuned per experiment; DESIGN.md §2 derives each.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import fsum
 from typing import Mapping
@@ -103,6 +102,16 @@ def work_seconds(
     return fsum(work.get(name, 0) * price for name, price in prices.items())
 
 
+def add_work(into: dict[str, int], work: Mapping[str, int]) -> None:
+    """Add the counts of ``work`` to ``into``, name by name."""
+    for name, amount in work.items():
+        into[name] += amount
+
+
+def _no_work() -> dict[str, int]:
+    return dict.fromkeys(WORK_SECONDS, 0)
+
+
 @dataclass
 class IoCounters:
     """Logical I/O and counted CPU work of one statement."""
@@ -110,21 +119,12 @@ class IoCounters:
     sequential_pages: int = 0
     random_pages: int = 0
     spill_pages: int = 0  #: sequential pages written+read by join spills
-    # counted work, one field per WORK_SECONDS entry
-    scan_rows: int = 0
-    operator_rows: int = 0
-    hash_build_rows: int = 0
-    hash_probe_rows: int = 0
-    group_rows: int = 0
-    sort_comparisons: int = 0
-    udf_calls_builtin: int = 0
-    udf_calls_not_fenced: int = 0
-    udf_calls_fenced: int = 0
-    xadt_bytes_scanned: int = 0
-    xadt_bytes_decoded: int = 0
+    #: counted work, one entry per ``WORK_SECONDS`` name (a charge to any
+    #: other name is a KeyError): ``io.work[name] += n``
+    work: dict[str, int] = field(default_factory=_no_work)
     #: the part of that work a multi-core pool overlaps: per exchange,
     #: every lane but the busiest (DESIGN.md §12)
-    overlapped: Counter = field(default_factory=Counter)
+    overlapped: dict[str, int] = field(default_factory=_no_work)
     #: memory ceiling used by spill decisions
     work_mem_bytes: int = DEFAULT_WORK_MEM_BYTES
     #: per-category detail for EXPLAIN-style reporting
@@ -132,9 +132,8 @@ class IoCounters:
 
     def reset(self) -> None:
         self.sequential_pages = self.random_pages = self.spill_pages = 0
-        for name in WORK_SECONDS:
-            setattr(self, name, 0)
-        self.overlapped.clear()
+        self.work.update(_no_work())
+        self.overlapped.update(_no_work())
         self.notes.clear()
 
     def charge_sequential(self, pages: int) -> None:
@@ -149,32 +148,21 @@ class IoCounters:
         self.spill_pages += pages
         _SPILL_PAGES.inc(pages)
 
-    def charge(self, name: str, amount: int) -> None:
-        """Add to the work counter ``name`` (sites that know theirs
-        statically write ``io.<name> += n``)."""
-        setattr(self, name, getattr(self, name) + amount)
-
-    def add_lane(self, work: Mapping[str, int], overlapped: bool) -> None:
-        """Merge one exchange lane's counted work into the statement's."""
-        for name, amount in work.items():
-            self.charge(name, amount)
-            if overlapped:
-                self.overlapped[name] += amount
-
-    def work(self) -> dict[str, int]:
-        """The work counters by name."""
-        return {name: getattr(self, name) for name in WORK_SECONDS}
-
-    @property
-    def overlapped_seconds(self) -> float:
-        return work_seconds(self.overlapped)
+    def merge(self, other: "IoCounters") -> None:
+        """Add what another statement was charged to these counters."""
+        self.sequential_pages += other.sequential_pages
+        self.random_pages += other.random_pages
+        self.spill_pages += other.spill_pages
+        add_work(self.work, other.work)
+        add_work(self.overlapped, other.overlapped)
+        self.notes.extend(other.notes)
 
     def cpu_seconds(self) -> float:
         """CPU seconds on the critical path: the counted work less what
         ran on lanes beside the busiest one."""
         return fsum(
-            (count - self.overlapped[name]) * WORK_SECONDS[name]
-            for name, count in self.work().items()
+            (self.work[name] - self.overlapped[name]) * price
+            for name, price in WORK_SECONDS.items()
         )
 
     def disk_seconds(self) -> float:
@@ -191,13 +179,16 @@ class IoCounters:
         return (self.sequential_pages, self.random_pages, self.spill_pages)
 
 
-#: where work charged outside any statement lands (operators, UDFs and
-#: XADT methods driven directly, e.g. by unit tests); never read
+#: what :func:`work_counters` answers outside any statement; never read
 _UNOBSERVED = IoCounters()
 
 
 def work_counters() -> IoCounters:
-    """The counters of the statement running on this thread."""
+    """The counters of the statement running on this thread: the ones
+    its session put in the execution context, where ``IoRouter`` sends
+    the statement's page charges too.  Outside any statement there is
+    nothing to model — operators, UDFs and XADT methods driven bare
+    (unit tests, micro-benchmarks, library calls) count into a sink."""
     return active_io() or _UNOBSERVED
 
 

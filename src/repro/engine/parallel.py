@@ -207,8 +207,8 @@ def execute_fragment(
     dict for partial-aggregation fragments.  Charges the work counters
     the inline operators would.
     """
-    work = work_counters()
-    work.scan_rows += len(pairs)
+    work = work_counters().work
+    work["scan_rows"] += len(pairs)
     schema = task["schema"]
     binding = _full_binding(schema, task["alias"])
     params = SimpleNamespace(values=tuple(task["params"]))
@@ -228,7 +228,7 @@ def execute_fragment(
     if task["kind"] == "scan":
         project = task.get("project")
         if project is not None:
-            work.operator_rows += len(pairs)
+            work["operator_rows"] += len(pairs)
             fns = [
                 compile_row_expr(expr, out_binding, registry, params)
                 for expr in project
@@ -251,7 +251,7 @@ def execute_fragment(
         )
         for kind, arg in task["aggs"]
     ]
-    work.group_rows += len(pairs)
+    work["group_rows"] += len(pairs)
     groups: dict[tuple, tuple[tuple, int, list[PartialAgg]]] = {}
     raw_keys = [tuple([fn(out) for fn in group_fns]) for _, out in pairs]
     keys = batch_group_keys(raw_keys, True)
@@ -278,17 +278,13 @@ def execute_lane_fragment(
     ``(result, counted work)`` for the Exchange to book on the lane that
     ran it — a worker's, or the coordinator's on an inline fallback."""
     lane = IoCounters()
-    context = current_context()
-    token = (
-        activate(None, lane)
-        if context is None
-        else activate(context.snapshot, lane, context.budget)
-    )
+    context = current_context()  # None in a worker process
+    token = activate(context and context.snapshot, lane, context and context.budget)
     try:
         result = execute_fragment(task, pairs, registry)
     finally:
         deactivate(token)
-    return result, lane.work()
+    return result, dict(lane.work)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from repro.engine.expr import Binding, Expr, FuncCall, Star
-from repro.engine.io import pages_of_bytes, work_seconds
+from repro.engine.io import (
+    add_work,
+    pages_of_bytes,
+    work_counters,
+    work_seconds,
+)
 from repro.engine.parallel import PartialAgg, execute_lane_fragment
 from repro.engine.plan.physical import (
     Batch,
@@ -261,14 +266,16 @@ class Exchange(Operator):
                 lane = None
             results.append(result)
             lanes[lane].update(work)
-        if self.io is not None:
-            # On the modeled pool (one core per worker plus the
-            # coordinator, DESIGN.md §12) the lanes run side by side, so
-            # the exchange takes as long as its busiest lane: every other
-            # lane's work is booked as overlapped.
-            busiest = max(lanes, key=lambda lane: work_seconds(lanes[lane]))
-            for lane, work in lanes.items():
-                self.io.add_lane(work, overlapped=lane is not busiest)
+        # On the modeled pool (one core per worker plus the coordinator,
+        # DESIGN.md §12) the lanes run side by side, so the exchange takes
+        # as long as its busiest lane: every other lane's work is booked
+        # as overlapped.
+        io = work_counters()
+        busiest = max(lanes, key=lambda lane: work_seconds(lanes[lane]))
+        for lane, work in lanes.items():
+            add_work(io.work, work)
+            if lane is not busiest:
+                add_work(io.overlapped, work)
         yield from self._stitch(results)
 
     def _stitch(self, results) -> Iterator[Batch]:

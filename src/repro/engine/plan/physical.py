@@ -210,7 +210,7 @@ class SeqScan(Operator):
             )
             self.io.charge_sequential(pages)
         # like its pages, a scan's rows are charged whole and up front
-        work_counters().scan_rows += (
+        work_counters().work["scan_rows"] += (
             self.table.row_count() if bound is None else bound
         )
         predicate = self.predicate
@@ -282,7 +282,7 @@ class IndexScan(Operator):
         size = self.batch_size
         batch: Batch = []
         row_ids = self.index.lookup(key, bound=bound)
-        work_counters().scan_rows += len(row_ids)
+        work_counters().work["scan_rows"] += len(row_ids)
         for row_id in row_ids:
             if io is not None:
                 page = row_id // rows_per_page
@@ -349,9 +349,9 @@ class HashJoin(Operator):
         build_bytes = 0
         budget = active_budget()
         setdefault = table.setdefault
-        work = work_counters()
+        work = work_counters().work
         for batch in self.right.batches():
-            work.hash_build_rows += len(batch)
+            work["hash_build_rows"] += len(batch)
             width = batch_row_bytes(batch)
             build_bytes += width
             keys = batch_group_keys(list(map(right_key, batch)), composite)
@@ -373,7 +373,7 @@ class HashJoin(Operator):
         get = table.get
         probe_bytes = 0
         for left_batch in self.left.batches():
-            work.hash_probe_rows += len(left_batch)
+            work["hash_probe_rows"] += len(left_batch)
             if spilled:
                 probe_bytes += batch_row_bytes(left_batch)
             keys = batch_group_keys(list(map(left_key, left_batch)), composite)
@@ -444,9 +444,9 @@ class NestedLoopJoin(Operator):
                 right_rows.extend(batch)
                 budget.charge_memory(batch_row_bytes(batch))
         predicate = self.predicate
-        work = work_counters()
+        work = work_counters().work
         for left_batch in self.left.batches():
-            work.operator_rows += len(left_batch) * len(right_rows)  # pairs
+            work["operator_rows"] += len(left_batch) * len(right_rows)  # pairs
             out: Batch = []
             if predicate is None:
                 for left_row in left_batch:
@@ -506,9 +506,9 @@ class IndexNestedLoopJoin(Operator):
         rows_per_page = _rows_per_page(self.table)
         probed_keys: set[object] = set()
         touched_pages: set[int] = set()
-        work = work_counters()
+        work = work_counters().work
         for left_batch in self.left.batches():
-            work.operator_rows += len(left_batch)  # one index descent each
+            work["operator_rows"] += len(left_batch)  # one index descent each
             fetched = 0
             out: Batch = []
             append = out.append
@@ -530,7 +530,7 @@ class IndexNestedLoopJoin(Operator):
                     combined = left_row + fetch(row_id)
                     if residual is None or residual(combined):
                         append(combined)
-            work.scan_rows += fetched
+            work["scan_rows"] += fetched
             if out:
                 yield out
 
@@ -583,9 +583,9 @@ class LateralFunctionScan(Operator):
         function = self.function
         args = self.args
         arity = self._arity
-        work = work_counters()
+        work = work_counters().work
         for input_batch in self.input.batches():
-            work.operator_rows += len(input_batch)
+            work["operator_rows"] += len(input_batch)
             # argument expressions run a column at a time (their scalar
             # calls cross the UDF boundary once per batch)
             columns = [arg.batch_eval(input_batch) for arg in args]
@@ -634,9 +634,9 @@ class Filter(Operator):
 
     def _execute(self) -> Iterator[Batch]:
         predicate = self.predicate
-        work = work_counters()
+        work = work_counters().work
         for batch in self.input.batches():
-            work.operator_rows += len(batch)
+            work["operator_rows"] += len(batch)
             kept = predicate.batch_filter(batch)
             if kept:
                 yield kept
@@ -674,9 +674,9 @@ class Project(Operator):
             yield from self.input.batches()
             return
         batch_eval = self.tuple_fn.batch_eval
-        work = work_counters()
+        work = work_counters().work
         for batch in self.input.batches():
-            work.operator_rows += len(batch)
+            work["operator_rows"] += len(batch)
             yield batch_eval(batch)
 
     def explain(self, depth: int = 0) -> list[str]:
@@ -700,9 +700,9 @@ class HashDistinct(Operator):
         budget = active_budget()
         size = self.batch_size
         out: Batch = []
-        work = work_counters()
+        work = work_counters().work
         for batch in self.input.batches():
-            work.group_rows += len(batch)
+            work["group_rows"] += len(batch)
             fresh = [
                 row
                 for key, row in zip(batch_group_keys(batch, True), batch)
@@ -769,12 +769,12 @@ class HashAggregate(Operator):
         #: modelled bytes per group entry: key tuple + accumulator slots
         group_overhead = 56 * max(len(aggregates), 1)
         groups_get = groups.get
-        work = work_counters()
+        work = work_counters().work
         #: hashed values per input row: its group key, and one more per
         #: DISTINCT aggregate (each keeps a set)
         hashes = 1 + sum(1 for spec in aggregates if spec.distinct)
         for batch in self.input.batches():
-            work.group_rows += hashes * len(batch)
+            work["group_rows"] += hashes * len(batch)
             new_bytes = 0
             raw_keys = (
                 list(zip(*[expr.batch_eval(batch) for expr in group_exprs]))
@@ -884,7 +884,7 @@ class Sort(Operator):
                 rows.extend(batch)
                 budget.charge_memory(batch_row_bytes(batch))
         # n * ceil(log2 n) comparisons per key pass, whatever the input order
-        work_counters().sort_comparisons += (
+        work_counters().work["sort_comparisons"] += (
             len(self.keys) * len(rows) * (len(rows) - 1).bit_length()
         )
         # stable multi-key sort: apply keys right-to-left
@@ -909,7 +909,7 @@ class Limit(Operator):
         if remaining <= 0:
             return
         size = self.batch_size
-        work = work_counters()
+        work = work_counters().work
         out: Batch = []
         # pull row-at-a-time so the child stops producing at the cutoff
         for row in self.input.rows():
@@ -918,11 +918,11 @@ class Limit(Operator):
             if remaining == 0:
                 break
             if len(out) >= size:
-                work.operator_rows += len(out)
+                work["operator_rows"] += len(out)
                 yield out
                 out = []
         if out:
-            work.operator_rows += len(out)
+            work["operator_rows"] += len(out)
             yield out
 
     def explain(self, depth: int = 0) -> list[str]:

@@ -429,6 +429,7 @@ class Session:
         params: tuple | list,
         pin: EngineSnapshot | None,
         observation: StatementObservation | None = None,
+        counters: IoCounters | None = None,
     ) -> Result:
         entry.params.bind(tuple(params))
         columns = [slot.name for slot in entry.plan.binding.slots]
@@ -439,7 +440,7 @@ class Session:
         config = (pin.catalog if pin is not None else self._db.catalog).exec_config
         # the statement's counters go into the context, where the UDF
         # boundary and the XADT methods (which hold no operator) find them
-        token = activate(pin, self._counters(pin), budget)
+        token = activate(pin, counters or self._counters(pin), budget)
         # slow-log plan capture: instrument the cached plan for this
         # execution only (skipped if another execution already holds
         # instrumentation on the shared plan)
@@ -514,12 +515,14 @@ class Session:
         entry = self._plan_entry(key, statement, catalog, pin)
         phases["plan"] = time.perf_counter() - started
         nodes = attach_stats(entry.plan)
-        # like a cold run, start the statement's counters from zero: the
-        # report shows what this statement was charged
-        counters = self._counters(pin)
-        counters.reset()
+        # counters of its own, so the report shows what this statement
+        # was charged; the session's counters receive them afterwards
+        counters = IoCounters()
         started = time.perf_counter()
-        result = self._run_select(entry, params, pin)
+        try:
+            result = self._run_select(entry, params, pin, counters=counters)
+        finally:
+            self._counters(pin).merge(counters)
         phases["execute"] = time.perf_counter() - started
         if TRACER.enabled:
             for node, _depth in nodes:

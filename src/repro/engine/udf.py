@@ -406,7 +406,7 @@ class FunctionRegistry:
     def invoke_scalar(self, function: ScalarFunction, args: Sequence[object]) -> object:
         calls = self.stats.scalar_calls
         calls[function.name] = calls.get(function.name, 0) + 1
-        work_counters().charge(function.work_counter, 1)
+        work_counters().work[function.work_counter] += 1
         # UDFs dominate a governed statement's time between batch
         # boundaries (a sleeping or looping function body), so the
         # timeout is also checked per invocation
@@ -464,7 +464,7 @@ class FunctionRegistry:
             made = min(completed + 1, n)  # the call that raised had started
             calls = self.stats.scalar_calls
             calls[function.name] = calls.get(function.name, 0) + made
-            work_counters().charge(function.work_counter, made)
+            work_counters().work[function.work_counter] += made
             if timed:
                 function.calls.inc(made)
                 if completed:
@@ -481,7 +481,7 @@ class FunctionRegistry:
         region of ``udf.seconds.*`` (the caller wants all rows anyway)."""
         calls = self.stats.table_calls
         calls[function.name] = calls.get(function.name, 0) + 1
-        work_counters().charge(function.work_counter, 1)
+        work_counters().work[function.work_counter] += 1
         budget = active_budget()
         if budget is not None:
             budget.tick()

@@ -18,7 +18,7 @@ dependency arrow pointing engine -> obs only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 #: actual/estimated (or estimated/actual) ratio beyond which a node is flagged
 MISS_FACTOR = 10.0
@@ -100,11 +100,9 @@ class AnalyzeReport:
     #: parse/plan/execute wall seconds
     phases: dict[str, float]
     result: object  #: the repro.engine.result.Result of the execution
-    #: what the statement charged its ``IoCounters`` (pages and work by
-    #: name) and the two modeled terms that prices to; empty if not read
-    counters: dict[str, int] = field(default_factory=dict)
-    cpu_seconds: float = 0.0
-    disk_seconds: float = 0.0
+    #: the ``IoCounters`` this one statement was charged (duck-typed,
+    #: like the operators'); None for a report built without them
+    io: Any = None
 
     @property
     def root(self) -> OperatorReport:
@@ -130,25 +128,37 @@ class AnalyzeReport:
                 for name, seconds in self.phases.items()
             )
         )
-        if self.counters:
+        model = self.model()
+        if model:
             counted = ", ".join(
-                f"{name} {count}" for name, count in self.counters.items() if count
+                f"{name} {count}" for name, count in model["counters"].items() if count
             )
             lines.append(
                 f"counted: {counted}\nmodeled: cpu "
-                f"{self.cpu_seconds * 1000:.3f} ms + disk "
-                f"{self.disk_seconds * 1000:.3f} ms"
+                f"{model['cpu_seconds'] * 1000:.3f} ms + disk "
+                f"{model['disk_seconds'] * 1000:.3f} ms"
             )
         return "\n".join(lines)
+
+    def model(self) -> dict[str, Any]:
+        """What the statement was charged (pages and work, by name) and
+        the two modeled terms that prices to; empty without ``io``."""
+        io = self.io
+        if io is None:
+            return {}
+        pages = zip(("sequential_pages", "random_pages", "spill_pages"), io.snapshot())
+        return {
+            "counters": {**dict(pages), **io.work},
+            "cpu_seconds": io.cpu_seconds(),
+            "disk_seconds": io.disk_seconds(),
+        }
 
     def to_dict(self) -> dict[str, object]:
         return {
             "operators": [op.to_dict() for op in self.operators],
             "phases": dict(self.phases),
             "row_count": len(self.result),  # type: ignore[arg-type]
-            "counters": dict(self.counters),
-            "cpu_seconds": self.cpu_seconds,
-            "disk_seconds": self.disk_seconds,
+            **self.model(),
         }
 
     def __str__(self) -> str:
@@ -161,9 +171,8 @@ def build_report(
     result,
     io=None,
 ) -> AnalyzeReport:
-    """Fold the attached :class:`OperatorStats` into an AnalyzeReport;
-    ``io`` is the statement's ``IoCounters`` (duck-typed, like the
-    operators), read for what it was charged."""
+    """Fold the attached :class:`OperatorStats` into an AnalyzeReport
+    (``io``: the counters the statement was charged, if it had its own)."""
     operators: list[OperatorReport] = []
     for node, depth in nodes:
         stats: OperatorStats = node.stats
@@ -191,14 +200,7 @@ def build_report(
                 flagged=miss > MISS_FACTOR,
             )
         )
-    report = AnalyzeReport(operators=operators, phases=phases, result=result)
-    if io is not None:
-        pages = zip(("sequential_pages", "random_pages", "spill_pages"),
-                    io.snapshot())
-        report.counters = {**dict(pages), **io.work()}
-        report.cpu_seconds = io.cpu_seconds()
-        report.disk_seconds = io.disk_seconds()
-    return report
+    return AnalyzeReport(operators=operators, phases=phases, result=result, io=io)
 
 
 __all__ = [

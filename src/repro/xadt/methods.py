@@ -51,7 +51,7 @@ scan itself.
 
 The *modeled* cost is not amortized at all: every call charges the
 running statement for what its access path reads on a cold machine,
-before any memo or cache is consulted (:func:`_charge`).
+whatever a memo or cache held (:func:`_charge`).
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ def _charge(value: XadtValue, scanned: int) -> None:
     """Charge one call's reads to the running statement: ``scanned``
     bytes of tagged text (all of it on the scan route, a probe plus the
     spans touched on a directory route) and a dict payload's decoding."""
-    work = work_counters()
-    work.xadt_bytes_scanned += scanned
+    work = work_counters().work
+    work["xadt_bytes_scanned"] += scanned
     if value.codec == DICT:
-        work.xadt_bytes_decoded += len(value.payload)
+        work["xadt_bytes_decoded"] += len(value.payload)
 
 
 def _probed(spans) -> int:
@@ -160,24 +160,27 @@ def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
     if directory is not None and search_elm and not directory.has_tag(search_elm):
         _charge(value, _PROBE_BYTES)
         return 0  # tag index proves absence; skip the payload entirely
-    if directory is None:
+
+    def verdict() -> tuple[int, int]:
+        """(bytes read, answer): the charge rides in the memo entry, so
+        a hit charges exactly what the miss that made it did."""
+        if directory is not None:  # reads the candidate elements for the key
+            return (
+                _probed(directory.outermost_of(search_elm)),
+                directory.find_key(search_elm, search_key),
+            )
         text = value.scan_text()
-        _charge(value, len(text))
-    else:  # a stored directory reads the candidate elements for the key
-        _charge(value, _probed(directory.outermost_of(search_elm)))
+        return len(text), fastscan.find_key_in_elm_plain(text, search_elm, search_key)
 
-    def verdict() -> int:
-        if directory is not None:
-            return directory.find_key(search_elm, search_key)
-        return fastscan.find_key_in_elm_plain(text, search_elm, search_key)
-
-    return memoize_predicate(
+    scanned, found = memoize_predicate(
         "findkey-" + value.codec,
         value.payload,
         (search_elm, search_key),
         verdict,
         version=XINDEX.epoch,
     )
+    _charge(value, scanned)
+    return found
 
 
 def get_elm_index(

@@ -39,9 +39,10 @@ class TestBuildPair:
 
     def test_load_modeled_time_is_cpu_plus_disk(self, tiny_pair):
         loaded = tiny_pair.hybrid
-        assert loaded.load_cpu_seconds > 0 and loaded.load_disk_seconds > 0
+        load = loaded.load_to_dict()
+        assert load["cpu_seconds"] > 0 and load["disk_seconds"] > 0
         assert loaded.load_modeled_seconds == (
-            loaded.load_cpu_seconds + loaded.load_disk_seconds
+            load["cpu_seconds"] + load["disk_seconds"]
         )
         assert loaded.load_wall_seconds > 0  # recorded beside, not summed
 

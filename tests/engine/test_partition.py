@@ -452,18 +452,16 @@ class TestAccounting:
         # rows scanned and projected, one of which overlaps the other
         run = cold_query(pdb, "SELECT v FROM t")
         assert run.work["scan_rows"] == run.work["operator_rows"] == 100
-        assert run.overlapped_seconds == work_seconds(
+        assert run.cpu_seconds == work_seconds(
             {"scan_rows": 50, "operator_rows": 50}
         )
-        assert run.cpu_seconds == (
-            work_seconds(run.work) - run.overlapped_seconds
-        )
+        assert work_seconds(pdb.io.overlapped) == run.cpu_seconds
         assert run.modeled_seconds == run.cpu_seconds + run.disk_seconds
 
     def test_serial_runs_have_no_overlap_credit(self, pdb):
         parallel(pdb, 0)
         run = cold_query(pdb, "SELECT v FROM t WHERE v > 10")
-        assert run.overlapped_seconds == 0.0
+        assert not any(pdb.io.overlapped.values())
         assert run.cpu_seconds == work_seconds(run.work)
 
     def test_exchange_wait_is_attributed(self, pdb):
