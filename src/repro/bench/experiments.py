@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from dataclasses import dataclass, field
 
 from repro.bench.harness import (
@@ -211,7 +210,7 @@ def partitioned_speedups(
 
 @dataclass
 class MicroResult:
-    """QT1/QT2 timings: built-in vs NOT FENCED UDF vs FENCED UDF."""
+    """QT1/QT2 modeled CPU seconds: built-in vs NOT FENCED vs FENCED UDF."""
 
     key: str
     builtin_seconds: float
@@ -232,40 +231,24 @@ class MicroResult:
         return self.fenced_seconds / self.builtin_seconds - 1.0
 
 
-def run_fig14(scale: int | None = None, repeats: int = 5) -> list[MicroResult]:
+def run_fig14(scale: int | None = None) -> list[MicroResult]:
     """Figure 14: UDF vs built-in cost over the speaker table.
 
-    Pure CPU comparison (same rows, same plan shape), so wall time is
-    the metric.  Each variant is prepared once and re-executed through
-    the plan cache so the timing isolates evaluation cost — the quantity
-    Figure 14 compares — from the SQL front end; each variant runs
-    ``repeats`` times and the minimum is kept, mirroring the paper's
-    middle-of-five averaging in spirit.
+    Same rows, same plan shape, one call per row: the three variants of
+    a micro query differ only in which ``udf_calls_*`` counter the calls
+    are charged to, so the modeled ``cpu_seconds`` of one cold execution
+    each is the comparison — the same on every run.
     """
-    pair = build_pair("shakespeare", scale or env_scale())
-    db = pair.hybrid.db
-    results: list[MicroResult] = []
-    for micro in MICRO_QUERIES:
-        timings: dict[str, float] = {}
-        for label, sql in (
-            ("builtin", micro.builtin_sql),
-            ("udf", micro.udf_sql),
-            ("fenced", micro.fenced_sql),
-        ):
-            prepared = db.prepare(sql)
-            prepared.execute()  # plan + warm the cache outside the timer
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                prepared.execute()
-                best = min(best, time.perf_counter() - started)
-            timings[label] = best
-        results.append(
-            MicroResult(
-                micro.key, timings["builtin"], timings["udf"], timings["fenced"]
-            )
+    db = build_pair("shakespeare", scale or env_scale()).hybrid.db
+    return [
+        MicroResult(
+            micro.key,
+            cold_query(db, micro.builtin_sql).cpu_seconds,
+            cold_query(db, micro.udf_sql).cpu_seconds,
+            cold_query(db, micro.fenced_sql).cpu_seconds,
         )
-    return results
+        for micro in MICRO_QUERIES
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def partitioned_to_json(runs: dict[int, dict[str, ColdRun]]) -> str:
 
 def render_fig14(results: list[MicroResult]) -> str:
     lines = [
-        "Figure 14: UDF invocation overhead (speaker table)",
+        "Figure 14: UDF invocation overhead (speaker table, modeled CPU)",
         f"{'query':8}{'builtin':>12}{'UDF':>12}{'fenced':>12}"
         f"{'UDF ovh':>10}{'fenced ovh':>12}",
     ]

@@ -1,19 +1,22 @@
-"""Scalar and table function registry, with UDF invocation overhead.
+"""Scalar and table function registry, with UDF invocation accounting.
 
 The paper's Section 4.4 (Figure 14) shows that an external UDF costs
 roughly 40 % more than an equivalent built-in, and that the XADT methods
-— which are UDFs — pay that price on every call.  We reproduce the
-mechanism, not just the number:
+— which are UDFs — pay that price on every call.  That price is a
+period cost of DB2's 2002 calling convention, so it is *charged*, never
+performed: every :class:`FunctionKind` hands arguments and results
+across by identity (every storable value is immutable, so aliasing is
+safe), and the kind selects only what a call is charged to —
 
-* ``BUILTIN`` functions are invoked directly: arguments and the result
-  pass by identity;
-* ``NOT FENCED`` UDFs run in the engine's address space but still cross
-  a call boundary: every *argument* is marshalled in (string/bytes/XADT
-  payloads are physically copied), as DB2 copies values into the UDF's
-  argument buffers; the result is handed back as the body returned it;
-* ``FENCED`` UDFs run in a separate address space: arguments *and the
-  result* take a full serialization round trip (we use pickle), which is
-  the "significant performance penalty" the paper cites for FENCED mode.
+* ``BUILTIN``: ``udf_calls_builtin``, the engine's own function call;
+* ``NOT FENCED``: ``udf_calls_not_fenced``, a call across the UDF
+  boundary inside the engine's address space, priced so that QT1 models
+  40 % over its built-in twin;
+* ``FENCED``: ``udf_calls_fenced``, an address-space round trip, the
+  "significant performance penalty" the paper cites for FENCED mode
+
+— each a statement work counter priced in ``repro.engine.io.WORK_SECONDS``,
+beside the ``udf.calls.*`` / ``udf.seconds.*`` instruments of that kind.
 
 Every invocation is counted, so tests and benchmarks can assert how many
 UDF calls a query plan made (the paper attributes the small-data-set
@@ -23,17 +26,13 @@ The boundary has two forms with one meaning.  ``invoke`` /
 ``FunctionRegistry.invoke_scalar`` cross it for one call and are the
 reference.  ``invoke_batch`` / ``invoke_scalar_batch`` cross it once for
 the ``n`` calls one call site makes over a batch of rows: the same
-calls in the same row order, every column value copied (FENCED:
-serialized) afresh for its own call, but one count, one budget lookup,
-one clock pair and one histogram update per batch.  The one deliberate
-departure from per-call fidelity: an argument that is constant over the
-batch (a literal or a ``?``) is copied once per batch, not once per call.
+calls in the same row order, but one count, one budget lookup, one
+clock pair and one histogram update per batch.
 """
 
 from __future__ import annotations
 
 import enum
-import pickle
 import time
 from dataclasses import dataclass, field
 from itertools import repeat, starmap
@@ -71,91 +70,16 @@ _CALL_HISTOGRAMS = {
 }
 
 
-def _marshal(value: object) -> object:
-    """Copy a value across the UDF call boundary (NOT FENCED mode).
-
-    Exact types first — the arguments of a call are almost always
-    ``str`` literals, ``int`` positions and one XADT fragment; the
-    ``isinstance`` ladder only serves subclasses.
-    """
-    kind = type(value)
-    if kind is str:
-        return value.encode("utf-8").decode("utf-8")  # type: ignore[attr-defined]
-    if kind is int or value is None:
-        return value
-    if is_xadt_value(value):
-        return value.marshal_copy()  # type: ignore[attr-defined]
-    if isinstance(value, str):
-        return value.encode("utf-8").decode("utf-8")
-    if isinstance(value, bytes):
-        return bytes(bytearray(value))
-    return value
-
-
-def _marshal_column(column: list) -> Iterable[object]:
-    """:func:`_marshal` of every value of one argument column, in order.
-
-    Dispatched once on the types observed in the column rather than per
-    value: an all-``str`` column and an all-XADT column copy in one
-    pass, ``int``/NULL columns pass as they are, anything mixed falls
-    back to ``_marshal`` per value.
-    """
-    kinds = set(map(type, column))
-    if len(kinds) == 1:
-        (kind,) = kinds
-        if kind is str:
-            return [value.encode("utf-8").decode("utf-8") for value in column]
-        if getattr(kind, "__xadt__", False) is True:
-            return map(kind.marshal_copy, column)
-    if kinds <= _PASSED_AS_IS:
-        return column
-    return map(_marshal, column)
-
-
-def _fence(value: object) -> object:
-    """Serialize a value across an address-space boundary (FENCED mode)."""
-    return pickle.loads(pickle.dumps(value))
-
-
-def _fence_column(column: list) -> Iterable[object]:
-    """:func:`_fence` of every value of one argument column, in order."""
-    return map(_fence, column)
-
-
-def _as_is(value):
-    return value
-
-
 def _per_call(
-    n: int,
-    args: Sequence[object],
-    columnar: Sequence[bool],
-    copy: Callable = _as_is,
-    copy_column: Callable = _as_is,
+    n: int, args: Sequence[object], columnar: Sequence[bool]
 ) -> list[Iterable[object]]:
-    """One feed per argument, yielding its value for each of ``n`` calls.
-
-    ``args[i]`` is a list of ``n`` values where ``columnar[i]`` and goes
-    through ``copy_column``; otherwise it is one value, copied once by
-    ``copy`` and repeated.
-    """
+    """One feed per argument, yielding its value for each of ``n`` calls:
+    ``args[i]`` is a list of ``n`` values where ``columnar[i]``, else one
+    value, repeated."""
     return [
-        copy_column(arg) if column else repeat(copy(arg), n)
+        arg if column else repeat(arg, n)
         for arg, column in zip(args, columnar)
     ]
-
-
-_BUILTIN = FunctionKind.BUILTIN
-_NOT_FENCED = FunctionKind.NOT_FENCED
-_FENCED = FunctionKind.FENCED
-#: exact types ``_marshal`` hands over without a copy
-_PASSED_AS_IS = frozenset({int, type(None)})
-#: per fencing mode, how a constant and how a column of values cross in
-_CROSSING = {
-    _BUILTIN: (_as_is, _as_is),
-    _NOT_FENCED: (_marshal, _marshal_column),
-    _FENCED: (_fence, _fence_column),
-}
 
 
 @dataclass
@@ -165,7 +89,7 @@ class _Function:
 
     name: str
     fn: Callable[..., object]
-    kind: FunctionKind = _NOT_FENCED
+    kind: FunctionKind = FunctionKind.NOT_FENCED
     #: minimum/maximum accepted argument counts (None = unbounded max)
     min_args: int = 0
     max_args: int | None = None
@@ -209,15 +133,10 @@ class ScalarFunction(_Function):
     result_type: SqlType | None = None
 
     def invoke(self, args: Sequence[object]) -> object:
-        """Cross the call boundary: copy (FENCED: serialize) the
-        arguments in, run the body, and serialize a FENCED result back."""
+        """Cross the call boundary: run the body on the caller's values
+        and hand back the body's own result."""
         try:
-            if self.kind is _NOT_FENCED:
-                return self.fn(*[_marshal(a) for a in args])
-            if self.kind is _BUILTIN:
-                return self.fn(*args)
-            # FENCED: round-trip arguments and the result
-            return _fence(self.fn(*[_fence(a) for a in args]))
+            return self.fn(*args)
         except ReproError:
             raise  # library errors carry their own context
         except Exception as exc:
@@ -234,24 +153,17 @@ class ScalarFunction(_Function):
         in column form.
 
         ``args[i]`` is a list of ``n`` values — one per call — where
-        ``columnar[i]``, else the one value every call receives.  Every
-        call gets its own fresh copy (FENCED: serialization) of each
-        column value, as ``invoke`` would have made; a constant is
-        copied once for the whole batch.  ``fn`` is read once and
-        mapped over the columns.  Results are appended to
-        ``results`` in row order as the calls return, so after a failure
-        ``len(results)`` is the number of calls that completed.
+        ``columnar[i]``, else the one value every call receives.  ``fn``
+        is read once and mapped over the columns.  Results are appended
+        to ``results`` in row order as the calls return, so after a
+        failure ``len(results)`` is the number of calls that completed.
         """
-        kind = self.kind
         try:
-            feeds = _per_call(n, args, columnar, *_CROSSING[kind])
+            feeds = _per_call(n, args, columnar)
             if feeds:
-                calls: Iterable[object] = map(self.fn, *feeds)
+                results.extend(map(self.fn, *feeds))
             else:
-                calls = starmap(self.fn, repeat((), n))
-            if kind is _FENCED:
-                calls = map(_fence, calls)
-            results.extend(calls)
+                results.extend(starmap(self.fn, repeat((), n)))
         except ReproError:
             raise
         except Exception as exc:
@@ -274,15 +186,7 @@ class TableFunction(_Function):
         """Cross the call boundary; rows are produced lazily, and a
         failure while producing them is wrapped like one raised here."""
         try:
-            if self.kind is _NOT_FENCED:
-                rows = self.fn(*[_marshal(a) for a in args])
-            elif self.kind is _BUILTIN:
-                rows = self.fn(*args)
-            else:
-                rows = [
-                    tuple(_fence(v) for v in row)
-                    for row in self.fn(*[_fence(a) for a in args])
-                ]
+            rows = self.fn(*args)
         except ReproError:
             raise
         except Exception as exc:

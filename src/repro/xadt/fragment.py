@@ -39,7 +39,7 @@ class XadtValue:
 
     def __reduce__(self):
         # immutability breaks pickle's default protocol; rebuild from the
-        # constructor (FENCED UDF mode round-trips values through pickle)
+        # constructor (the Exchange workers receive and return rows pickled)
         return (XadtValue, (self.payload, self.codec))
 
     # -- constructors --------------------------------------------------------
@@ -67,9 +67,7 @@ class XadtValue:
         return cls(storage.encode(xml_text, codec), codec)
 
     @classmethod
-    def _trusted(
-        cls, payload: str | bytes, codec: str, directory: object = None
-    ) -> "XadtValue":
+    def _trusted(cls, payload: str | bytes, codec: str) -> "XadtValue":
         """A value over a payload already known to fit ``codec``.
 
         Skips the constructor's codec/type checks; for payloads taken
@@ -82,7 +80,7 @@ class XadtValue:
         _set_payload(value, payload)
         _set_size(value, None)
         _set_xml(value, None if codec == DICT else payload)
-        _set_directory(value, directory)
+        _set_directory(value, None)
         return value
 
     @classmethod
@@ -156,7 +154,7 @@ class XadtValue:
         Built once per payload, not per instance: directories are
         memoized process-wide (:mod:`repro.xadt.decode_cache`) keyed on
         the payload text, so values reconstructed from the same payload
-        — e.g. across the FENCED UDF pickle boundary — skip the rebuild.
+        — e.g. a row an Exchange worker sent back — skip the rebuild.
         """
         from repro.xadt.decode_cache import DECODE_CACHE
         from repro.xadt.metadata import SpanDirectory
@@ -179,18 +177,6 @@ class XadtValue:
         if codec == self.codec:
             return self
         return XadtValue.from_xml(self.to_xml(), codec, validate=False)
-
-    def marshal_copy(self) -> "XadtValue":
-        """A physically copied value (the UDF boundary uses this).
-
-        The span directory is *stored metadata* (§5): it crosses the UDF
-        boundary with the value instead of being rebuilt per call.
-        """
-        if isinstance(self.payload, str):
-            copied: str | bytes = self.payload.encode("utf-8").decode("utf-8")
-        else:
-            copied = bytes(bytearray(self.payload))
-        return XadtValue._trusted(copied, self.codec, self._directory)
 
     # -- value semantics ------------------------------------------------------------
 

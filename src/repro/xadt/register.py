@@ -9,11 +9,13 @@ Installs, following the paper's DB2 implementation:
 * the ``unnest`` table UDF,
 * the Figure-14 micro-benchmark UDF twins of the built-ins
   (``udf_length``/``udf_substr`` in NOT FENCED mode and
-  ``fenced_length``/``fenced_substr`` in FENCED mode).
+  ``fenced_length``/``fenced_substr`` in FENCED mode — the ablation
+  for the paper's remark that the FENCED option "causes a significant
+  performance penalty").
 
-Pass ``fenced=True`` to register the XADT methods in FENCED mode
-instead, which is the ablation for the paper's remark that the FENCED
-option "causes a significant performance penalty".
+The fencing mode is what a call is charged as (``udf_calls_*`` in
+``repro.engine.io.WORK_SECONDS``); values cross by reference in every
+mode.
 """
 
 from __future__ import annotations
@@ -34,27 +36,27 @@ from repro.xadt.methods import (
 from repro.xadt.unnest import unnest
 
 
-def register_xadt_functions(db: Database, fenced: bool = False) -> None:
-    """Install the XADT methods and helpers into ``db``."""
-    mode = FunctionKind.FENCED if fenced else FunctionKind.NOT_FENCED
+def register_xadt_functions(db: Database) -> None:
+    """Install the XADT methods and helpers into ``db`` (NOT FENCED is
+    the registry's default kind)."""
     registry = db.registry
 
     registry.register_scalar(
-        "getElm", get_elm, mode, min_args=2, max_args=5, result_type=XADT
+        "getElm", get_elm, min_args=2, max_args=5, result_type=XADT
     )
     registry.register_scalar(
-        "findKeyInElm", find_key_in_elm, mode,
+        "findKeyInElm", find_key_in_elm,
         min_args=3, max_args=3, result_type=INTEGER,
     )
     registry.register_scalar(
-        "getElmIndex", get_elm_index, mode,
+        "getElmIndex", get_elm_index,
         min_args=5, max_args=5, result_type=XADT,
     )
     registry.register_scalar(
-        "elmText", elm_text, mode, min_args=1, max_args=1, result_type=VARCHAR
+        "elmText", elm_text, min_args=1, max_args=1, result_type=VARCHAR
     )
     registry.register_scalar(
-        "elmEquals", elm_equals, mode,
+        "elmEquals", elm_equals,
         min_args=3, max_args=3, result_type=INTEGER,
     )
     registry.register_scalar(
@@ -66,7 +68,7 @@ def register_xadt_functions(db: Database, fenced: bool = False) -> None:
         result_type=XADT,
     )
     registry.register_table(
-        "unnest", unnest, [("out", XADT)], mode, min_args=1, max_args=2
+        "unnest", unnest, [("out", XADT)], min_args=1, max_args=2
     )
 
     _register_figure14_udfs(db)
@@ -87,32 +89,14 @@ def enable_structural_indexes(db: Database) -> None:
 
 
 def _register_figure14_udfs(db: Database) -> None:
-    """The QT1/QT2 micro-benchmark functions (paper Figure 14)."""
-
-    def udf_length(value: object) -> int | None:
-        if value is None:
-            return None
-        return len(str(value))
-
-    def udf_substr(value: object, start: int, length: int | None = None) -> str | None:
-        if value is None:
-            return None
-        text = str(value)
-        begin = max(int(start) - 1, 0)
-        if length is None:
-            return text[begin:]
-        return text[begin:begin + int(length)]
-
+    """The QT1/QT2 micro-benchmark functions (paper Figure 14): the
+    built-ins' own bodies under the two UDF kinds, so the three variants
+    of a micro query differ in nothing but what a call is charged as."""
     registry = db.registry
-    registry.register_scalar(
-        "udf_length", udf_length, FunctionKind.NOT_FENCED, 1, 1, INTEGER
-    )
-    registry.register_scalar(
-        "udf_substr", udf_substr, FunctionKind.NOT_FENCED, 2, 3, VARCHAR
-    )
-    registry.register_scalar(
-        "fenced_length", udf_length, FunctionKind.FENCED, 1, 1, INTEGER
-    )
-    registry.register_scalar(
-        "fenced_substr", udf_substr, FunctionKind.FENCED, 2, 3, VARCHAR
-    )
+    length, substr = registry.scalar("length").fn, registry.scalar("substr").fn
+    for prefix, kind in (
+        ("udf", FunctionKind.NOT_FENCED),
+        ("fenced", FunctionKind.FENCED),
+    ):
+        registry.register_scalar(f"{prefix}_length", length, kind, 1, 1, INTEGER)
+        registry.register_scalar(f"{prefix}_substr", substr, kind, 2, 3, VARCHAR)

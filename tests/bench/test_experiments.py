@@ -48,21 +48,21 @@ class TestTable2:
 
 
 class TestFig14:
-    def test_udf_slower_than_builtin(self):
-        # The fenced-vs-builtin gap (pickle round trip per call) is wide
-        # enough to assert deterministically; udf-vs-builtin is a few
-        # percent and flaps under timer jitter, so the tier-1 suite
-        # checks the stable ordering and leaves the fine-grained
-        # udf > builtin comparison to benchmarks/ where repeats are
-        # higher and pytest-benchmark controls the timing.
-        results = E.run_fig14(1, repeats=5)
-        assert {r.key for r in results} == {"QT1", "QT2"}
-        for result in results:
-            assert result.fenced_seconds > result.builtin_seconds
-            assert result.fenced_seconds > result.udf_seconds
+    @pytest.fixture(scope="class")
+    def results(self):
+        return E.run_fig14(1)
 
-    def test_render(self):
-        text = R.render_fig14(E.run_fig14(1, repeats=2))
+    def test_udf_slower_than_builtin(self, results):
+        assert [r.key for r in results] == ["QT1", "QT2"]
+        for result in results:
+            assert (
+                result.builtin_seconds < result.udf_seconds < result.fenced_seconds
+            )
+            assert result.udf_overhead == pytest.approx(0.40)
+            assert result.fenced_overhead > result.udf_overhead
+
+    def test_render(self, results):
+        text = R.render_fig14(results)
         assert "QT1" in text and "QT2" in text
 
 

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.engine import Database
-from repro.engine.udf import FunctionKind
 from repro.errors import (
     CatalogError,
     ReproError,
     UdfError,
     XadtCodecError,
 )
-from repro.xadt import XadtValue, find_key_in_elm, register_xadt_functions
+from repro.xadt import XadtValue, find_key_in_elm
 
 
 @pytest.fixture()
@@ -51,18 +49,6 @@ class TestUdfFailures:
 
         with pytest.raises(XadtMethodError):
             db.execute("SELECT findKeyInElm(frag, '', '') FROM t")
-
-    def test_fenced_udf_unpicklable_result_wrapped(self):
-        fresh = Database()
-        register_xadt_functions(fresh)
-        fresh.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
-        fresh.insert("t", (1,))
-        fresh.registry.register_scalar(
-            "gen", lambda v: (x for x in [1]),  # generators don't pickle
-            FunctionKind.FENCED, 1, 1,
-        )
-        with pytest.raises(UdfError):
-            fresh.execute("SELECT gen(id) FROM t")
 
 
 class TestCorruptPayloads:

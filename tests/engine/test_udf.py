@@ -158,41 +158,6 @@ class TestInvocation:
                                  FunctionKind.BUILTIN, 1, None)
         assert registry.call_scalar("any", [1, 2, 3, 4]) == 4
 
-    def test_not_fenced_marshals_strings(self, registry):
-        seen = {}
-
-        def capture(value):
-            seen["value"] = value
-            return value
-
-        registry.register_scalar("cap", capture, FunctionKind.NOT_FENCED, 1, 1)
-        original = "hello world"
-        registry.call_scalar("cap", [original])
-        assert seen["value"] == original
-        assert seen["value"] is not original  # physically copied
-
-    def test_not_fenced_marshals_xadt(self, registry):
-        seen = {}
-
-        def capture(value):
-            seen["value"] = value
-            return value
-
-        registry.register_scalar("cap", capture, FunctionKind.NOT_FENCED, 1, 1)
-        fragment = XadtValue.from_xml("<s>x</s>")
-        registry.call_scalar("cap", [fragment])
-        assert seen["value"] == fragment
-        assert seen["value"] is not fragment
-
-    def test_fenced_round_trips_result(self, registry):
-        registry.register_scalar(
-            "echo", lambda v: v, FunctionKind.FENCED, 1, 1
-        )
-        fragment = XadtValue.from_xml("<s>x</s>")
-        result = registry.call_scalar("echo", [fragment])
-        assert result == fragment
-        assert result is not fragment
-
     def test_builtin_passes_by_reference(self, registry):
         seen = {}
         registry.register_scalar(
@@ -204,8 +169,9 @@ class TestInvocation:
 
 
 class TestFigure14Mechanism:
-    """What Fig. 14 models must stay per call: NOT FENCED copies every
-    payload, FENCED serializes it, BUILTIN passes it through."""
+    """What Fig. 14 prices is charged, never performed: whatever the
+    kind and the route, the body receives the caller's objects and the
+    caller the body's (``test_work_model.py`` holds the charge)."""
 
     ARGUMENTS = [
         "a string payload",
@@ -215,9 +181,48 @@ class TestFigure14Mechanism:
         XadtValue.from_xml("<s>indexed</s>", "indexed"),
     ]
 
-    @staticmethod
-    def payload_of(value):
-        return value.payload if isinstance(value, XadtValue) else value
+    def crossed(self, registry, kind, route, argument):
+        """What the body saw, and what the caller got back, over two
+        calls ``probe(argument)`` of ``kind`` through ``route``."""
+        seen = []
+        if route == "invoke_table":
+
+            def rows(value):
+                seen.append(value)
+                yield (value,)
+
+            registry.register_table("probe", rows, [("v", INTEGER)], kind, 1, 1)
+            function = registry.table_function("probe")
+            returned = [
+                row[0]
+                for _ in range(2)
+                for row in registry.invoke_table(function, [argument])
+            ]
+        else:
+            registry.register_scalar(
+                "probe", lambda v: seen.append(v) or v, kind, 1, 1
+            )
+            function = registry.scalar("probe")
+            if route == "invoke_scalar":
+                returned = [
+                    registry.invoke_scalar(function, [argument]) for _ in range(2)
+                ]
+            else:
+                returned = registry.invoke_scalar_batch(
+                    function, 2, [[argument] * 2], (True,)
+                )
+        assert function.work_counter == "udf_calls_" + kind.name.lower()
+        return seen, returned
+
+    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
+    @pytest.mark.parametrize(
+        "route", ["invoke_scalar", "invoke_scalar_batch", "invoke_table"]
+    )
+    @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda kind: kind.name)
+    def test_values_cross_by_identity(self, registry, kind, route, argument):
+        seen, returned = self.crossed(registry, kind, route, argument)
+        assert len(seen) == len(returned) == 2
+        assert all(value is argument for value in seen + returned)
 
     def received(self, registry, kind, argument):
         seen = []
@@ -231,39 +236,6 @@ class TestFigure14Mechanism:
         ]
         assert len(seen) == 2
         return seen, results
-
-    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
-    def test_not_fenced_copies_the_payload_on_every_call(self, registry, argument):
-        seen, results = self.received(registry, FunctionKind.NOT_FENCED, argument)
-        payloads = [self.payload_of(value) for value in seen]
-        for value, payload in zip(seen, payloads):
-            assert value == argument and type(value) is type(argument)
-            assert value is not argument
-            assert payload is not self.payload_of(argument)
-        assert payloads[0] is not payloads[1]  # a fresh copy per call
-        assert results == [argument, argument]
-
-    def test_not_fenced_copy_keeps_codec_and_directory(self, registry):
-        indexed = self.ARGUMENTS[-1]
-        directory = indexed.directory()
-        seen, _ = self.received(registry, FunctionKind.NOT_FENCED, indexed)
-        assert seen[0].codec == "indexed"
-        assert seen[0].directory() is directory  # stored metadata travels
-
-    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
-    def test_fenced_round_trips_through_pickle(self, registry, argument, monkeypatch):
-        import pickle
-
-        dumped = []
-        real_dumps = pickle.dumps
-        monkeypatch.setattr(
-            pickle, "dumps", lambda value: dumped.append(value) or real_dumps(value)
-        )
-        seen, results = self.received(registry, FunctionKind.FENCED, argument)
-        assert len(dumped) == 4  # argument and result, both calls
-        for value in seen + results:
-            assert value == argument and value is not argument
-            assert self.payload_of(value) is not self.payload_of(argument)
 
     @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
     def test_builtin_passes_identity(self, registry, argument):
@@ -285,71 +257,6 @@ class TestFigure14Mechanism:
         assert len(seen) == len(results) == 3
         assert registry.stats.scalar_calls == {"probe": 3}
         return seen, results
-
-    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
-    def test_batch_not_fenced_copies_every_column_value_per_call(
-        self, registry, argument
-    ):
-        seen, results = self.received_batch(
-            registry, FunctionKind.NOT_FENCED, argument
-        )
-        values = [value for value, _constant in seen]
-        payloads = [self.payload_of(value) for value in values]
-        for value, payload in zip(values, payloads):
-            assert value == argument and type(value) is type(argument)
-            assert value is not argument
-            assert payload is not self.payload_of(argument)
-        # a fresh copy per call, although one list held the same object thrice
-        assert len({id(payload) for payload in payloads}) == 3
-        # the result is the body's own object: only arguments are marshalled
-        assert all(result is value for result, value in zip(results, values))
-
-    def test_batch_not_fenced_copies_a_constant_once_per_batch(self, registry):
-        constant = "a constant payload"
-        seen, _ = self.received_batch(
-            registry, FunctionKind.NOT_FENCED, 1, constant
-        )
-        constants = [received for _value, received in seen]
-        assert constants[0] == constant and constants[0] is not constant
-        assert constants[0] is constants[1] is constants[2]
-
-    def test_batch_not_fenced_copy_keeps_codec_and_directory(self, registry):
-        indexed = self.ARGUMENTS[-1]
-        directory = indexed.directory()
-        seen, _ = self.received_batch(registry, FunctionKind.NOT_FENCED, indexed)
-        for value, _constant in seen:
-            assert value.codec == "indexed"
-            assert value.directory() is directory
-
-    def test_batch_mixed_column_copies_value_by_value(self, registry):
-        seen = []
-        registry.register_scalar("probe", lambda v: seen.append(v) or v)
-        column = ["text", None, 7, self.ARGUMENTS[2], b"bytes", "more"]
-        results = registry.invoke_scalar_batch(
-            registry.scalar("probe"), len(column), [column], (True,)
-        )
-        assert results == seen == column
-        for value, original in zip(seen, column):
-            if original is not None and not isinstance(original, int):
-                assert value is not original
-
-    @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
-    def test_batch_fenced_pickles_values_and_results(
-        self, registry, argument, monkeypatch
-    ):
-        import pickle
-
-        dumped = []
-        real_dumps = pickle.dumps
-        monkeypatch.setattr(
-            pickle, "dumps", lambda value: dumped.append(value) or real_dumps(value)
-        )
-        seen, results = self.received_batch(registry, FunctionKind.FENCED, argument)
-        # every column value and every result, plus the constant once
-        assert len(dumped) == 2 * 3 + 1
-        for value in [value for value, _constant in seen] + results:
-            assert value == argument and value is not argument
-            assert self.payload_of(value) is not self.payload_of(argument)
 
     @pytest.mark.parametrize("argument", ARGUMENTS, ids=repr)
     def test_batch_builtin_passes_identity(self, registry, argument):
@@ -437,8 +344,8 @@ class TestAccounting:
 
     @pytest.mark.parametrize("kind", list(FunctionKind))
     def test_table_function_time_includes_producing_the_rows(self, registry, kind):
-        # bodies are generators: timing only ``invoke`` measured argument
-        # marshalling (three such calls once recorded 21 microseconds)
+        # bodies are generators: timing only ``invoke`` measured the call
+        # that made one (three such calls once recorded 21 microseconds)
         import time
 
         def slow_rows(count):

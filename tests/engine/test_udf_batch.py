@@ -243,7 +243,7 @@ class TestCompanionsAgainstRowOrder:
         assert fn.batch_eval(row for row in batch) == [fn(row) for row in batch]
 
     def test_results_are_the_bodies_own_objects(self):
-        # NOT FENCED marshals arguments in, never the result out
+        # a result crosses back by identity
         made = []
         registry = FunctionRegistry()
         registry.register_scalar(

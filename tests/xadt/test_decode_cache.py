@@ -89,7 +89,7 @@ class TestDirectoryMemoization:
         value = XadtValue.from_xml(XML, "indexed")
         built = value.directory()
         assert DECODE_CACHE.stats.misses == 1
-        # a fresh instance (the FENCED pickle path makes these) hits
+        # a fresh instance (a row an Exchange worker sent back) hits
         again = XadtValue(value.payload, "indexed").directory()
         assert again is built
         assert DECODE_CACHE.stats.hits == 1

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.errors import XadtCodecError, XmlSyntaxError
-from repro.xadt import DICT, PLAIN, XadtValue, coerce_fragment
+from repro.xadt import DICT, INDEXED, PLAIN, XadtValue, coerce_fragment
 from repro.xmlkit.dom import Text, element
 
 
@@ -101,18 +101,13 @@ class TestValueSemantics:
     def test_not_equal_to_string(self):
         assert XadtValue.from_xml("<s/>") != "<s/>"
 
-    def test_marshal_copy_is_distinct_object(self):
-        value = XadtValue.from_xml("<s>x</s>")
-        copy = value.marshal_copy()
-        assert copy == value
-        assert copy.payload is not value.payload
-
     def test_pickle_roundtrip(self):
-        for codec in (PLAIN, DICT):
+        # the Exchange: workers receive and return rows pickled
+        for codec in (PLAIN, DICT, INDEXED):
             value = XadtValue.from_xml("<s>x</s>", codec)
             again = pickle.loads(pickle.dumps(value))
             assert again == value
-            assert again.codec == codec
+            assert (again.codec, again.payload) == (codec, value.payload)
 
     def test_repr_previews_xml(self):
         assert "<s>" in repr(XadtValue.from_xml("<s>x</s>"))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import Database
 from repro.engine.types import INTEGER
 from repro.engine.udf import FunctionKind
 from repro.errors import UdfError
@@ -20,10 +19,10 @@ class TestRegistration:
     def test_methods_are_not_fenced_by_default(self, empty_db):
         assert empty_db.registry.scalar("getElm").kind is FunctionKind.NOT_FENCED
 
-    def test_fenced_mode(self):
-        db = Database()
-        register_xadt_functions(db, fenced=True)
-        assert db.registry.scalar("getElm").kind is FunctionKind.FENCED
+    def test_fenced_mode(self, empty_db):
+        # FENCED survives as the Fig. 14 ablation's twins only
+        for name in ("fenced_length", "fenced_substr"):
+            assert empty_db.registry.scalar(name).kind is FunctionKind.FENCED
 
     def test_double_registration_rejected(self, empty_db):
         with pytest.raises(UdfError):
