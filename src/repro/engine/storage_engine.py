@@ -123,9 +123,15 @@ class StorageEngine:
                 f"catalog version moved backwards: "
                 f"{previous.catalog.version} -> {catalog.version}"
             )
-        tables: dict[HeapTable, TableVersion] = {
-            heap: heap.capture_version() for heap in self._heaps.values()
-        }
+        # Heaps are append-only and ``rollback_to`` restores rows and
+        # accounting together, so a heap object whose row count did not
+        # move since the previous publish still has that version.
+        tables: dict[HeapTable, TableVersion] = {}
+        for heap in self._heaps.values():
+            extent = previous.tables.get(heap)
+            if extent is None or extent.row_count != len(heap.rows):
+                extent = heap.capture_version()
+            tables[heap] = extent
         self._snapshot = EngineSnapshot(
             version=version,
             catalog=catalog,

@@ -13,13 +13,14 @@ identical answers under both mappings (see ``repro.mapping.fields``).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.engine.database import Database
 from repro.errors import ShreddingError
-from repro.mapping.base import ColumnKind, MappedColumn, MappedSchema, MappedTable
+from repro.mapping.base import ColumnKind, MappedSchema, MappedTable
 from repro.xadt.chooser import DEFAULT_THRESHOLD, choose_codec
 from repro.xadt.fragment import XadtValue
 from repro.xadt.storage import DICT, PLAIN
@@ -46,6 +47,59 @@ class LoadReport:
         return sum(self.rows_by_table.values())
 
 
+#: how ``Shredder._emit`` fills a column, as a small integer.  The four
+#: key kinds come first: their code indexes ``_emit``'s tuple of
+#: ``(row id, parent id, parent code, child order)`` directly.
+_FILL = {
+    kind: code
+    for code, kind in enumerate((
+        ColumnKind.ID,
+        ColumnKind.PARENT_ID,
+        ColumnKind.PARENT_CODE,
+        ColumnKind.CHILD_ORDER,
+        ColumnKind.VALUE,
+        ColumnKind.XADT,
+        ColumnKind.INLINED_LEAF,
+        ColumnKind.ATTRIBUTE,
+        ColumnKind.PRESENCE,
+    ))
+}
+_VALUE = _FILL[ColumnKind.VALUE]
+_XADT = _FILL[ColumnKind.XADT]
+_INLINED_LEAF = _FILL[ColumnKind.INLINED_LEAF]
+_ATTRIBUTE = _FILL[ColumnKind.ATTRIBUTE]
+_NO_TAGS: frozenset[str] = frozenset()
+
+
+class _TablePlan:
+    """One relation's row recipe, compiled once per :class:`Shredder`."""
+
+    __slots__ = ("name", "next_id", "columns", "fragment_tags")
+
+    def __init__(self, table: MappedTable, codecs: dict[str, str]) -> None:
+        self.name = table.name
+        self.next_id = 1
+        #: ``(fill, source, detail)`` per column.  An XADT column's
+        #: ``source`` is the child tag it stores and its ``detail`` the
+        #: codec with the fragment of no children (values are immutable:
+        #: every row without such children holds that one); the other
+        #: kinds have their element path and, if any, the attribute name
+        columns: list[tuple] = []
+        for column in table.columns:
+            if column.kind is ColumnKind.XADT:
+                codec = codecs.get(f"{table.name}.{column.name}", PLAIN)
+                empty = XadtValue.from_elements((), codec)
+                columns.append((_XADT, column.path[-1], (codec, empty)))
+            else:
+                columns.append((_FILL[column.kind], column.path, column.attribute))
+        self.columns = tuple(columns)
+        #: child tags that go into this relation's XADT columns (so no
+        #: relation is looked for below them)
+        self.fragment_tags = frozenset(
+            source for fill, source, _ in self.columns if fill == _XADT
+        )
+
+
 class Shredder:
     """Shreds documents into rows of a mapped schema."""
 
@@ -57,18 +111,14 @@ class Shredder:
         self.schema = schema
         #: "table.column" -> codec for XADT columns (default: plain)
         self.codecs = dict(codecs or {})
-        self._tables_by_element = {
-            table.element: table for table in schema.tables
-        }
-        self._next_id: dict[str, int] = {
-            table.name: 1 for table in schema.tables
+        #: relation element -> its plan; everything ``_emit`` would
+        #: otherwise work out per row is decided here
+        self._plans = {
+            table.element: _TablePlan(table, self.codecs) for table in schema.tables
         }
         #: counted so far: DOM elements visited, XADT payload bytes
         #: serialized and, of those, bytes the dict codec produced
         self.work = {"nodes_shredded": 0, "fragment_bytes": 0, "compressed_bytes": 0}
-
-    def codec_for(self, table: MappedTable, column: MappedColumn) -> str:
-        return self.codecs.get(f"{table.name}.{column.name}", PLAIN)
 
     def shred(self, document: Document | Element | str) -> dict[str, list[tuple]]:
         """Shred one document; returns rows per table name."""
@@ -78,7 +128,7 @@ class Shredder:
                 f"document root {root.tag!r} does not match the DTD root "
                 f"{self.schema.dtd.root!r}"
             )
-        if root.tag not in self._tables_by_element:
+        if root.tag not in self._plans:
             raise ShreddingError(
                 f"the {self.schema.algorithm!r} mapping has no relation for "
                 f"the root element {root.tag!r}"
@@ -97,89 +147,83 @@ class Shredder:
         parent_id: int | None,
         child_order: int | None,
         rows: dict[str, list[tuple]],
-    ) -> int:
-        table = self._tables_by_element[element.tag]
-        row_id = self._next_id[table.name]
-        self._next_id[table.name] = row_id + 1
+    ) -> None:
+        plan = self._plans[element.tag]
+        row_id = plan.next_id
+        plan.next_id = row_id + 1
+        keys = (row_id, parent_id, parent_element_name, child_order)
+        fragment_tags = plan.fragment_tags
+        if fragment_tags:
+            # one pass over the children serves every XADT column
+            fragments: dict[str, list[Element]] = {tag: [] for tag in fragment_tags}
+            for child in element.children:
+                if isinstance(child, Element) and child.tag in fragment_tags:
+                    fragments[child.tag].append(child)
 
         row: list[object] = []
-        for column in table.columns:
-            kind = column.kind
-            if kind is ColumnKind.ID:
-                row.append(row_id)
-            elif kind is ColumnKind.PARENT_ID:
-                row.append(parent_id)
-            elif kind is ColumnKind.PARENT_CODE:
-                row.append(parent_element_name)
-            elif kind is ColumnKind.CHILD_ORDER:
-                row.append(child_order)
-            elif kind is ColumnKind.VALUE:
+        for fill, source, detail in plan.columns:
+            if fill < _VALUE:
+                row.append(keys[fill])
+            elif fill == _VALUE:
                 row.append(element.direct_text() or None)
-            elif kind is ColumnKind.ATTRIBUTE:
-                source = self._navigate(element, column.path)
-                row.append(source.get(column.attribute) if source else None)
-            elif kind is ColumnKind.INLINED_LEAF:
-                source = self._navigate(element, column.path)
-                row.append(source.direct_text() if source is not None else None)
-            elif kind is ColumnKind.PRESENCE:
-                source = self._navigate(element, column.path)
-                row.append(1 if source is not None else None)
-            elif kind is ColumnKind.XADT:
-                children = element.find_all(column.path[-1])
-                fragment = XadtValue.from_elements(
-                    children, self.codec_for(table, column)
-                )
+            elif fill == _XADT:
+                codec, fragment = detail
+                children = fragments[source]
+                if children:
+                    fragment = XadtValue.from_elements(children, codec)
                 self.work["fragment_bytes"] += len(fragment.payload)
-                if fragment.codec == DICT:
+                if codec == DICT:
                     self.work["compressed_bytes"] += len(fragment.payload)
                 row.append(fragment)
-            else:  # pragma: no cover - kinds are exhaustive
-                raise ShreddingError(f"unhandled column kind {kind}")
-        rows[table.name].append(tuple(row))
+            else:
+                node: Element | None = element
+                for step in source:
+                    node = node.find(step)
+                    if node is None:
+                        break
+                if node is None:
+                    row.append(None)
+                elif fill == _INLINED_LEAF:
+                    row.append(node.direct_text())
+                elif fill == _ATTRIBUTE:
+                    row.append(node.get(detail))
+                else:  # PRESENCE
+                    row.append(1)
+        rows[plan.name].append(tuple(row))
 
         # recurse to relation descendants through inlined intermediates
-        self._descend(element, element.tag, row_id, rows)
-        return row_id
+        self._descend(element, fragment_tags, element.tag, row_id, rows)
 
     def _descend(
         self,
         dom_parent: Element,
+        fragment_tags: frozenset[str],
         relation_element_name: str,
         relation_row_id: int,
         rows: dict[str, list[tuple]],
     ) -> None:
+        """Emit the relations below ``dom_parent``, whose children named
+        in ``fragment_tags`` already went into XADT columns."""
+        plans = self._plans
         order_counters: dict[str, int] = {}
-        children = dom_parent.child_elements()
-        self.work["nodes_shredded"] += len(children)
-        for child in children:
-            position = order_counters.get(child.tag, 0) + 1
-            order_counters[child.tag] = position
-            if child.tag in self._tables_by_element:
+        visited = 0
+        for child in dom_parent.children:
+            if not isinstance(child, Element):
+                continue
+            visited += 1
+            tag = child.tag
+            position = order_counters.get(tag, 0) + 1
+            order_counters[tag] = position
+            if tag in plans:
                 self._emit(
                     child, relation_element_name, relation_row_id, position, rows
                 )
-            elif not self._consumed_by_column(dom_parent.tag, child.tag):
+            elif tag not in fragment_tags:
                 # an inlined intermediate: relations may hide below it
-                self._descend(child, relation_element_name, relation_row_id, rows)
-
-    def _consumed_by_column(self, parent_tag: str, child_tag: str) -> bool:
-        """True when ``child_tag`` under ``parent_tag`` went into an XADT column."""
-        table = self._tables_by_element.get(parent_tag)
-        if table is None:
-            return False
-        return any(
-            column.kind is ColumnKind.XADT and column.path[-1] == child_tag
-            for column in table.columns
-        )
-
-    @staticmethod
-    def _navigate(element: Element, path: tuple[str, ...]) -> Element | None:
-        node: Element | None = element
-        for step in path:
-            if node is None:
-                return None
-            node = node.find(step)
-        return node
+                self._descend(
+                    child, _NO_TAGS, relation_element_name, relation_row_id, rows
+                )
+        self.work["nodes_shredded"] += visited
 
 
 def _root_element(document: Document | Element | str) -> Element:
@@ -197,28 +241,31 @@ def decide_codecs(
 ) -> dict[str, str]:
     """Pick per-XADT-column codecs by sampling documents (paper §4.1).
 
-    A plain-codec shred of the samples collects each column's fragments;
-    :func:`~repro.xadt.chooser.choose_codec` then decides per column.
+    A plain-codec shred of the samples collects each column's fragments
+    — over the schema's XADT columns only, the sample rows' relational
+    half is never built; :func:`~repro.xadt.chooser.choose_codec` then
+    decides per column.
     """
-    shredder = Shredder(schema)
+    fragment_columns = dataclasses.replace(
+        schema,
+        tables=[
+            dataclasses.replace(table, columns=table.xadt_columns())
+            for table in schema.tables
+        ],
+    )
+    shredder = Shredder(fragment_columns)
     fragments: dict[str, list[XadtValue]] = {}
     for document in sample_documents:
-        for table_name, rows in shredder.shred(document).items():
-            table = schema.table(table_name)
+        shredded = shredder.shred(document)
+        for table in fragment_columns.tables:
+            rows = shredded[table.name]
             for column_index, column in enumerate(table.columns):
-                if column.kind is not ColumnKind.XADT:
-                    continue
-                key = f"{table.name}.{column.name}"
-                bucket = fragments.setdefault(key, [])
-                bucket.extend(
-                    row[column_index]
-                    for row in rows
-                    if row[column_index] is not None
-                )
-    decisions: dict[str, str] = {}
-    for key, bucket in fragments.items():
-        decisions[key] = choose_codec(bucket, threshold=threshold).codec
-    return decisions
+                bucket = fragments.setdefault(f"{table.name}.{column.name}", [])
+                bucket.extend(row[column_index] for row in rows)
+    return {
+        key: choose_codec(bucket, threshold=threshold).codec
+        for key, bucket in fragments.items()
+    }
 
 
 def create_tables(db: Database, schema: MappedSchema) -> None:

@@ -14,9 +14,10 @@ from typing import Iterable, Iterator
 from repro.errors import XadtCodecError
 from repro.xadt import fastscan, storage
 from repro.xadt.storage import DICT, INDEXED, PLAIN
+from repro.xmlkit.chars import escape_text
 from repro.xmlkit.dom import Comment, Element, ProcessingInstruction, Text
 from repro.xmlkit.parser import parse_fragment
-from repro.xmlkit.serializer import serialize
+from repro.xmlkit.serializer import write_attributes
 
 
 class XadtValue:
@@ -93,9 +94,17 @@ class XadtValue:
     def from_elements(
         cls, elements: Iterable[Element], codec: str = PLAIN
     ) -> "XadtValue":
-        """Build a fragment from DOM elements (compact serialization)."""
-        xml_text = "".join(serialize(element) for element in elements)
-        return cls(storage.encode(xml_text, codec), codec)
+        """Build a fragment from DOM elements (canonical fragment text).
+
+        The loader's door.  An element the parser left a verbatim
+        :attr:`~repro.xmlkit.dom.Element.span` on goes in as that slice
+        of the source; any other element — every built tree, every
+        subtree the source spelled differently — is written out.
+        """
+        parts: list[str] = []
+        for element in elements:
+            _write_canonical(element, parts)
+        return cls._trusted(storage.encode("".join(parts), codec), codec)
 
     @classmethod
     def empty(cls, codec: str = PLAIN) -> "XadtValue":
@@ -193,6 +202,31 @@ class XadtValue:
         if len(preview) > 48:
             preview = preview[:45] + "..."
         return f"XadtValue({self.codec}, {preview!r})"
+
+
+def _write_canonical(element: Element, parts: list[str]) -> None:
+    """Append ``element`` as ``events_to_text(text_to_events(...))`` of
+    its compact serialization would spell it: comments and processing
+    instructions dropped, an element left without content self-closed —
+    the text the scan kernel's assumptions hold for, identical under all
+    three codecs."""
+    source = element.source
+    if source is not None:  # the verbatim span: nothing to write
+        parts.append(source[element.start:element.end])
+        return
+    tag = element.tag
+    attributes = element.attributes
+    parts.append(f"<{tag}{write_attributes(attributes)}>" if attributes else f"<{tag}>")
+    opened = len(parts)
+    for child in element.children:
+        if isinstance(child, Element):
+            _write_canonical(child, parts)
+        elif isinstance(child, Text) and child.data:
+            parts.append(escape_text(child.data))
+    if len(parts) == opened:
+        parts[-1] = parts[-1][:-1] + "/>"
+    else:
+        parts.append(f"</{tag}>")
 
 
 _set_codec, _set_payload, _set_size, _set_xml, _set_directory = (

@@ -14,6 +14,7 @@ import os
 from repro.errors import XmlSyntaxError
 from repro.xmlkit import chars
 from repro.xmlkit.dom import Comment, Document, Element, ProcessingInstruction, Text
+from repro.xmlkit.serializer import write_attributes
 from repro.xmlkit.tokens import (
     END,
     MASTER,
@@ -41,12 +42,26 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
     what :data:`~repro.xmlkit.tokens.MASTER` matches becomes a node
     directly, what it does not match is read by
     :meth:`Tokenizer.read_markup` and joins the same tree-building code.
+
+    An element whose subtree the source already spells the way
+    :func:`~repro.xmlkit.serializer.serialize` would gets its
+    :attr:`Element.span`: every tag and text run in it came from
+    ``MASTER`` and has exactly its canonical length, no whitespace-only
+    text was dropped and no ``<a></a>`` stands for ``<a/>``.  Anything
+    else — and everything ``read_markup`` reads — leaves the element and
+    all its ancestors without one; its clean siblings keep theirs.
     """
     tokenizer = Tokenizer(text)
     prolog: list[Comment | ProcessingInstruction] = []
     doctype: str | None = None
     root: Element | None = None
     stack: list[Element] = []
+    #: where each open element's start tag began, parallel to ``stack``
+    starts: list[int] = []
+    #: how many of the open elements, outermost first, are no longer
+    #: verbatim (always a prefix of ``stack``: an ancestor of a
+    #: non-verbatim element is non-verbatim)
+    dirty = 0
     # the open element and its child list; None outside the root
     top: Element | None = None
     siblings: list = []
@@ -54,6 +69,8 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
     new_element = Element._trusted
     new_text = Text._trusted
     is_whitespace = chars.is_whitespace
+    unescape = chars.unescape
+    escape_text = chars.escape_text
     pos = 0
     n = len(text)
 
@@ -66,16 +83,33 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
             if kind == TEXT:
                 data = found.group(1)
                 if "&" in data:
-                    data = chars.unescape(data)
+                    raw = data
+                    data = unescape(raw)
+                    if escape_text(data) != raw:
+                        dirty = len(stack)
+                elif ">" in data:
+                    dirty = len(stack)
             elif kind == END:
                 name = found.group(2)
             else:
                 name, raw, self_closing = found.group(3, 4, 5)
-                attributes = parse_attributes(raw) if raw else {}
-                if attributes is None:
-                    found = None  # a repeated name: _read_start_tag objects
+                # verbatim: no room for whitespace the serializer would
+                # not write, and the attributes spelled its way
+                verbatim = pos - offset == (
+                    len(name) + len(raw) + len(self_closing) + 2
+                )
+                if raw:
+                    attributes = parse_attributes(raw)
+                    if attributes is None:
+                        found = None  # a repeated name: _read_start_tag objects
+                    elif verbatim:
+                        verbatim = write_attributes(attributes) == raw
+                else:
+                    attributes = {}
         if found is None:
             event, pos = tokenizer.read_markup(offset)
+            dirty = len(stack)
+            verbatim = False
             if isinstance(event, StartTag):
                 kind = START
                 name, attributes = event.name, event.attributes
@@ -117,6 +151,7 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
                     continue
                 raise XmlSyntaxError("text outside the root element", offset, text)
             if not keep_whitespace and is_whitespace(data):
+                dirty = len(stack)
                 continue
             # Merge adjacent text nodes (CDATA next to character data).
             if siblings and type(siblings[-1]) is Text:
@@ -135,8 +170,15 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
                 raise XmlSyntaxError("multiple root elements", offset, text)
             if not self_closing:
                 stack.append(node)
+                starts.append(offset)
                 top = node
                 siblings = node.children
+                if not verbatim:
+                    dirty = len(stack)
+            elif verbatim:
+                node.source, node.start, node.end = text, offset, pos
+            else:
+                dirty = len(stack)
         else:
             if top is None:
                 raise XmlSyntaxError(f"unexpected end tag </{name}>", offset, text)
@@ -147,6 +189,14 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
                     text,
                 )
             stack.pop()
+            start = starts.pop()
+            depth = len(stack)
+            if dirty > depth:
+                dirty = depth  # the closed element was not verbatim
+            elif siblings and pos - offset == len(name) + 3:
+                top.source, top.start, top.end = text, start, pos
+            else:
+                dirty = depth  # ``<a></a>``, or a spaced end tag
             if stack:
                 top = stack[-1]
                 siblings = top.children

@@ -47,6 +47,14 @@ def serialize_children(element: Element) -> str:
     return "".join(parts)
 
 
+def write_attributes(attributes: dict[str, str]) -> str:
+    """The canonical attribute text of a start tag: `` name="value"``
+    per attribute, in order, values escaped."""
+    return "".join(
+        [f' {name}="{escape_attribute(value)}"' for name, value in attributes.items()]
+    )
+
+
 def _write(node: Node, parts: list[str], indent: int | None, depth: int) -> None:
     if isinstance(node, Text):
         parts.append(escape_text(node.data))
@@ -64,8 +72,8 @@ def _write_element(element: Element, parts: list[str], indent: int | None, depth
     pad = "" if indent is None else " " * (indent * depth)
     parts.append(pad)
     parts.append(f"<{element.tag}")
-    for name, value in element.attributes.items():
-        parts.append(f' {name}="{escape_attribute(value)}"')
+    if element.attributes:
+        parts.append(write_attributes(element.attributes))
     if not element.children:
         parts.append("/>")
         return

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.database import Database
 from repro.engine.index import BTreeIndex, HashIndex, build_index
 from repro.engine.pages import PAGE_SIZE, PageAccounting
 from repro.engine.schema import Column, IndexDef, TableSchema
@@ -253,3 +254,35 @@ class TestIndexes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ExecutionError):
             build_index(IndexDef("i", "t", "id", "rtree"), make_table(1))
+
+
+class TestPublishedVersions:
+    """``StorageEngine._publish`` keeps a heap's previous ``TableVersion``
+    while its row count has not moved instead of capturing it again."""
+
+    def test_snapshot_after_an_aborted_batch_equals_a_fresh_capture(self):
+        db = Database("publish")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR)")
+        db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY)")
+        db.bulk_insert("t", [(1, "a"), (2, "b")])
+        before = db.engine.snapshot
+        with pytest.raises(ExecutionError):
+            db.bulk_insert("t", [(3, "a long value " * 40), (1, "duplicate")])
+        after = db.engine.snapshot
+        assert after.version > before.version
+        assert len(after.tables) == 2
+        for heap, version in after.tables.items():
+            assert version == heap.capture_version()
+            assert version is before.tables[heap]
+        # a heap that did move is captured again; the other is not
+        db.bulk_insert("t", [(3, "c")])
+        moved = db.engine.snapshot
+        t, u = moved.heaps["t"], moved.heaps["u"]
+        assert moved.tables[t] == t.capture_version() != after.tables[t]
+        assert moved.tables[u] is after.tables[u]
+        # a re-created table is a new heap object with a version of its own
+        db.execute("DROP TABLE u")
+        db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY)")
+        fresh = db.engine.snapshot
+        assert u not in fresh.tables
+        assert fresh.tables[fresh.heaps["u"]] == fresh.heaps["u"].capture_version()

@@ -144,6 +144,25 @@ class TestXoratorShredding:
         (act,) = rows["act"]
         assert act[subtitle_pos].to_xml() == "<SUBTITLE>a subtitle</SUBTITLE>"
 
+    @pytest.mark.parametrize("codec", ["plain", "dict", "indexed"])
+    def test_comments_and_pis_stay_out_of_fragments(self, plays_sdtd, empty_db, codec):
+        # found on the parent: the plain payload kept the comment, so the
+        # scan kernel answered for an element that is not there
+        schema = map_xorator(plays_sdtd)
+        document = PLAY_DOC.replace(
+            "<LINE>first line</LINE>",
+            "<LINE>first<!-- <LINE>ghost</LINE> --> line<?pi <LINE/> ?></LINE>",
+        )
+        codecs = dict.fromkeys(decide_codecs(schema, [PLAY_DOC]), codec)
+        load_documents(empty_db, schema, [document], codecs)
+        rows = empty_db.execute(
+            "SELECT findKeyInElm(speech_line, 'LINE', 'ghost'), elmText(speech_line) "
+            "FROM speech ORDER BY speechID"
+        ).rows
+        assert rows == [(0, "first linesecond line"), (0, "act-level line")]
+        stored = empty_db.execute("SELECT speech_line FROM speech").rows[0][0]
+        assert stored.to_xml() == "<LINE>first line</LINE><LINE>second line</LINE>"
+
     def test_codec_applies_to_xadt_columns(self, plays_sdtd):
         schema = map_xorator(plays_sdtd)
         shredder = Shredder(schema, {"speech.speech_speaker": "dict"})

@@ -29,6 +29,7 @@ from repro.xadt import (
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import DEGRADATION, events_to_text, reset_degradation
 from repro.xadt.structural_index import XINDEX, routing
+from repro.xmlkit import parse, parse_fragment
 from tests.xadt.test_structural_index import publish_fragment
 
 TAGS = ("a", "ab", "b")
@@ -244,6 +245,28 @@ def test_coerced_and_sql_constructed_fragments_are_canonical():
     db.execute("INSERT INTO t VALUES (1, xadt('<a><!-- <b>no</b> -->t</a>'))")
     rows = db.execute("SELECT findKeyInElm(frag, 'b', ''), elmText(frag) FROM t").rows
     assert rows == [(0, "t")]
+
+
+@pytest.mark.parametrize("source, canonical", NON_CANONICAL)
+def test_the_loaders_door_stores_the_canonical_text_too(source, canonical):
+    """``from_elements`` is how the shredder makes fragments: a comment
+    holding markup must not reach a text-codec payload, where the scan
+    kernel takes every raw ``<`` for an element."""
+    elements = parse_fragment(source, keep_whitespace=True)
+    for codec in (PLAIN, DICT, INDEXED):
+        value = XadtValue.from_elements(elements, codec)
+        assert value.to_xml() == canonical
+        assert value.payload == XadtValue.from_xml(source, codec).payload
+
+
+def test_a_comment_holding_markup_is_no_element_under_any_codec():
+    root = parse("<S><L>a<!-- <L>ghost</L> -->b</L><L><?p <L/> ?></L></S>").root
+    for codec in (PLAIN, DICT, INDEXED):
+        value = XadtValue.from_elements(root.find_all("L"), codec)
+        assert value.to_xml() == "<L>ab</L><L/>"
+        assert find_key_in_elm(value, "L", "ghost") == 0
+        assert elm_text(value) == "ab"
+        assert len(unnest_values(value, "L")) == 2
 
 
 @pytest.mark.parametrize("codec", (PLAIN, DICT, INDEXED))
