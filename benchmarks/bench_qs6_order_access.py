@@ -55,7 +55,7 @@ from repro.workloads import SHAKESPEARE_QUERIES, shakespeare_queries
 from repro.xadt import methods
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.register import enable_structural_indexes
-from repro.xadt.structural_index import XINDEX, routing
+from repro.xadt.structural_index import routing
 
 import pytest
 
@@ -83,7 +83,7 @@ def qs6_db():
     Yields ``(db, fragments, scan_results, scan_explain)`` where the
     scan-mode artifacts are captured *before* the structural indexes are
     enabled, then enables them through the real engine path
-    (``enable_structural_indexes`` → catalog-versioned publish).
+    (``enable_structural_indexes`` → every stored fragment indexed).
     """
     config = replace(BASE_SHAKESPEARE.scaled(SCALE), lines_per_speech=14)
     docs = generate_corpus(config)
@@ -106,7 +106,7 @@ def qs6_db():
     fragments = [row[0] for row in rows]
     assert fragments, "corpus produced no prologue speeches"
     yield db, fragments, scan_results, scan_explain
-    XINDEX.clear()
+    db.close()
 
 
 def _median_pass_seconds(fn, fragments, routed: bool) -> float:

@@ -43,7 +43,6 @@ from repro.shred import decide_codecs, load_documents  # noqa: E402
 from repro.workloads.shakespeare_queries import workload_sql  # noqa: E402
 from repro.xadt import register_xadt_functions  # noqa: E402
 from repro.xadt.register import enable_structural_indexes  # noqa: E402
-from repro.xadt.structural_index import XINDEX  # noqa: E402
 
 #: (site, 1-based hit at which the process "dies") — hits are chosen to
 #: land mid-load: after some documents committed, before the last one
@@ -130,10 +129,10 @@ def xindex_stage(schema, documents, codecs, queries, expected) -> None:
 
     With structural indexes enabled, every fragment insert passes the
     ``xadt.index_build`` fault site before the heap mutation.  A crash
-    there must leave nothing visible (the build is staged until the
-    commit publishes), and after WAL recovery + resumed load the
-    rebuilt indexes must serve **byte-identical** query results to the
-    scan-mode reference fingerprint.
+    there must leave nothing visible (no row of the statement is
+    stored), and after WAL recovery + resumed load the rebuilt indexes
+    must serve **byte-identical** query results to the scan-mode
+    reference fingerprint.
     """
     site, hit = "xadt.index_build", 40
     with tempfile.TemporaryDirectory() as tmp:
@@ -151,8 +150,6 @@ def xindex_stage(schema, documents, codecs, queries, expected) -> None:
             FAULTS.clear()
         assert crashed, f"{site}: the crash plan never fired (hit={hit})"
         db.wal.abandon()
-        # the store is in-process state: a real crash loses it entirely
-        XINDEX.clear()
 
         recovered = Database.open(path, recover=True)
         register_xadt_functions(recovered)
@@ -163,11 +160,13 @@ def xindex_stage(schema, documents, codecs, queries, expected) -> None:
             resume_markers=report.markers,
         )
         recovered.runstats()
-        assert len(XINDEX) > 0, f"{site}: no indexes republished after recovery"
+        indexed = recovered.execute("SELECT fragments FROM sys_xindex").rows
+        assert sum(row[0] for row in indexed) > 0, (
+            f"{site}: no indexes rebuilt after recovery"
+        )
         actual = fingerprint(recovered, queries)
         assert actual == expected, f"{site}: query mismatch after recovery"
         recovered.close()
-        XINDEX.clear()
         print(
             f"ok {site:16} crash at hit {hit}: "
             f"{len(report.markers)} committed document txn(s), "

@@ -34,8 +34,9 @@ commands (interactive or piped):
   governor's database-wide limits (``timeout`` seconds, ``rows``,
   ``bytes``, ``memory``) and its abort counts;
 * ``\\wal`` — write-ahead-log status (or "disabled" in volatile mode);
-* ``\\xindex`` — XADT structural-index store status (per-column stats,
-  build/hit/miss counters);
+* ``\\xindex`` — XADT structural indexes: per column, the distinct
+  payloads whose stored value carries one (the ``sys_xindex`` rows),
+  and the build/hit/miss counters;
 * ``\\partitions`` — partitioned-table layout (per-partition row and
   byte extents) and the parallel worker pool's state;
 * ``\\backends [sql]`` — list execution backends, or show the SQL the
@@ -472,8 +473,7 @@ class Shell:
         state = "on" if report["active"] else "off"
         self._print(
             f"structural index ({state}): {report['fragments']} fragment(s), "
-            f"{report['bytes']} bytes, epoch {report['epoch']}, catalog "
-            f"version {report['catalog_version']}, {report['staged']} staged"
+            f"{report['bytes']} bytes"
         )
         for column in report["columns"]:
             self._print(

@@ -7,11 +7,11 @@ scans — so the one :class:`ExecutionConfig` riding on each
 :class:`~repro.engine.database.Database` only selects what differs
 between deployments:
 
-* ``xadt_structural_index`` — route the XADT methods through the
-  persistent per-column structural index
-  (:mod:`repro.xadt.structural_index`) when one is published for the
-  fragment.  Off by default: the tag-scan path is the paper-faithful
-  mode whose Fig11/Fig13 shapes the benchmarks reproduce.
+* ``xadt_structural_index`` — build a structural index
+  (:mod:`repro.xadt.structural_index`) for every fragment the database
+  stores, held by the stored value, and route each statement's XADT
+  methods through it.  Off by default: the tag-scan path is the
+  paper-faithful mode whose Fig11/Fig13 shapes the benchmarks reproduce.
 * ``parallel_workers`` — size of the multiprocessing worker pool for
   partition-parallel scans (DESIGN.md §12).  0 (the default) disables
   the pool entirely: plans never contain an Exchange operator and the

@@ -64,6 +64,7 @@ from repro.engine.system_views import (
     SystemViewTable,
     install_system_views,
     is_system_view_name,
+    xindex_rows,
 )
 from repro.engine.types import type_from_name
 from repro.engine.udf import FunctionRegistry
@@ -112,12 +113,6 @@ class Database:
             self, 0, name="default", snapshot_reads=False
         )
         self._sessions[0] = self._default
-        # the process-wide XADT structural-index store publishes with
-        # this engine's snapshot swaps (imported lazily: repro.xadt's
-        # package init imports this module)
-        from repro.xadt.structural_index import XINDEX
-
-        self.engine.attach_xindex(XINDEX)
         #: write-ahead log; None runs the engine in volatile mode
         self._wal: WriteAheadLog | None = None
         #: database-wide resource limits (sessions may override)
@@ -328,66 +323,35 @@ class Database:
             if self._wal is not None:
                 self._wal.log_exec_config(config)
             self._catalog_mgr.set_exec_config(config, version)
-            self._sync_structural_indexes()
+            if config.xadt_structural_index:
+                # retroactive, inside the same write transaction: the
+                # flip publishes every stored fragment indexed.  Turning
+                # the flag off leaves the indexes on their values (the
+                # per-statement routing stops consulting them).
+                self._index_fragments(
+                    row
+                    for heap in self.engine.heaps().values()
+                    for row in heap.scan()
+                )
 
     # -- XADT structural indexes -------------------------------------------
 
     def _structural_enabled(self) -> bool:
         return self._catalog_mgr.state.exec_config.xadt_structural_index
 
-    def _register_structural_columns(self, schema: TableSchema) -> bool:
-        """Register the schema's XADT columns with the process-wide store."""
-        from repro.engine.types import XadtType
-        from repro.xadt.structural_index import XINDEX
+    def _index_fragments(self, rows) -> None:
+        """Give the XADT cells of ``rows`` their structural indexes, one
+        build per distinct payload.
 
-        registered = False
-        for column in schema.columns:
-            if isinstance(column.sql_type, XadtType):
-                XINDEX.register_column(schema.name, column.name)
-                registered = True
-        return registered
-
-    def _ingest_structural(self, table: str, rows) -> None:
-        """Stage structural indexes for the XADT cells of ``rows``.
-
-        Runs inside the writer transaction (through the
-        ``xadt.index_build`` fault site); staged builds become visible
-        only when the engine publishes the next snapshot, after the WAL
-        transaction committed.
+        Runs inside the writer transaction, before the heap is touched:
+        a failed build (the ``xadt.index_build`` fault site, the
+        governor's memory budget) aborts the statement with no row
+        stored, and the index becomes visible with its row.
         """
-        from repro.xadt.structural_index import XINDEX
+        from repro.xadt.structural_index import index_fragments
 
-        if not XINDEX.active:
-            return
-        schema = self.heap(table).schema
-        names = [column.name for column in schema.columns]
-        try:
-            with TRACER.span("xindex.build", cat="xadt", args={"table": table}):
-                XINDEX.ingest_rows(table, names, rows)
-        except BaseException:
-            # a failed (or crashed) statement must not leak its builds
-            # into the next publish
-            XINDEX.discard_staged()
-            raise
-
-    def _sync_structural_indexes(self) -> None:
-        """Make the store match the config after an exec-config swap.
-
-        Turning the flag on is retroactive: every XADT column already in
-        the catalog is registered and its stored fragments are indexed
-        inside the same write transaction, so the flip publishes a fully
-        built index.  Turning it off leaves built indexes in place (the
-        per-statement routing simply stops consulting them).
-        """
-        if not self._structural_enabled():
-            return
-        registered = False
-        for schema in self._catalog_mgr.state.tables.values():
-            registered |= self._register_structural_columns(schema)
-        if not registered:
-            return
-        for heap in self.engine.heaps().values():
-            self._ingest_structural(heap.schema.name, heap.scan())
+        with TRACER.span("xindex.build", cat="xadt"):
+            index_fragments(cell for row in rows for cell in row)
 
     # -- sessions ----------------------------------------------------------
 
@@ -456,8 +420,6 @@ class Database:
                 self._wal.log_create_table(schema)
             self._catalog_mgr.add_table(schema, version)
             self.engine.add_heap(schema)
-            if self._structural_enabled():
-                self._register_structural_columns(schema)
 
     def drop_table(self, name: str) -> None:
         self._reject_system_name(name, "drop table")
@@ -466,10 +428,6 @@ class Database:
                 self._wal.log_drop_table(name)
             self._catalog_mgr.drop_table(name, version)
             self.engine.drop_heap(name)
-            if self._structural_enabled():
-                from repro.xadt.structural_index import XINDEX
-
-                XINDEX.unregister_table(name)
 
     def create_index(
         self,
@@ -506,7 +464,7 @@ class Database:
             if self._wal is not None:
                 self._wal.log_insert(table, row)
             if self._structural_enabled():
-                self._ingest_structural(table, (row,))
+                self._index_fragments((row,))
             return self.heap(table).insert(row)
 
     def bulk_insert(self, table: str, rows) -> int:
@@ -533,18 +491,18 @@ class Database:
             heap = self.heap(table)
             if budget is None:
                 if structural:
-                    self._ingest_structural(table, rows)
+                    self._index_fragments(rows)
                 return heap.bulk_insert(rows)
             from repro.engine.snapshot import activate, deactivate
 
             token = activate(None, None, budget)
             try:
-                # stage the structural indexes first (inside the budget
+                # build the structural indexes first (inside the budget
                 # scope, so the build's modelled bytes count against the
                 # statement): a build failure then aborts before the
                 # heap is touched
                 if structural:
-                    self._ingest_structural(table, rows)
+                    self._index_fragments(rows)
                 return heap.bulk_insert(rows)
             finally:
                 deactivate(token)
@@ -761,8 +719,8 @@ class Database:
         hit/miss/eviction counters of the plan cache, the process-wide
         XADT decode cache, and the observability layer's own footprint."""
         from repro.xadt.decode_cache import DECODE_CACHE
-        from repro.xadt.structural_index import XINDEX
 
+        xindex = xindex_rows(self)
         return {
             "tables": self.table_count(),
             "database_bytes": self.data_size_bytes(),
@@ -770,7 +728,15 @@ class Database:
             "rows": self.row_count(),
             "plan_cache": self.plan_cache.report(),
             "xadt_decode_cache": DECODE_CACHE.report(),
-            "xadt_structural_index": XINDEX.report(),
+            "xadt_structural_index": {
+                "active": self._structural_enabled(),
+                "fragments": sum(row[2] for row in xindex),
+                "bytes": sum(row[4] for row in xindex),
+                "columns": [
+                    dict(zip(("table", "column", "fragments", "entries", "bytes"), row))
+                    for row in xindex
+                ],
+            },
             "sessions": len(self.sessions()),
             "engine_version": self.version,
             "catalog_version": self.catalog_version,

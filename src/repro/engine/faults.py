@@ -17,8 +17,10 @@ site               fires
 ``xadt.decode``    per compressed (dict-codec) fragment decode
 ``io.charge``      per modelled-I/O charge through the
                    :class:`~repro.engine.io.IoRouter`
-``xadt.index_build``  per structural-index build of one fragment
-                   (:meth:`~repro.xadt.structural_index.StructuralIndexStore.ingest_rows`)
+``xadt.index_build``  per structural-index build of one distinct
+                   payload at ingest
+                   (:func:`~repro.xadt.structural_index.index_fragments`),
+                   before the heap is touched
 ``server.accept``  per TCP connection accepted by the network
                    front-end (a raise drops the connection before the
                    handshake; the accept loop must survive)

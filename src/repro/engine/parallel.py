@@ -276,12 +276,21 @@ def execute_lane_fragment(
 ) -> tuple[object, dict[str, int]]:
     """:func:`execute_fragment` under counters of its own: returns
     ``(result, counted work)`` for the Exchange to book on the lane that
-    ran it — a worker's, or the coordinator's on an inline fallback."""
+    ran it — a worker's, or the coordinator's on an inline fallback.
+
+    A fragment's XADT methods always scan: a worker's rows arrive
+    pickled, without the structural indexes their stored values carry,
+    so routing is pinned off here and a fragment is charged the same
+    wherever it runs."""
+    # lazy: repro.xadt's package init imports the engine
+    from repro.xadt.structural_index import routing
+
     lane = IoCounters()
     context = current_context()  # None in a worker process
     token = activate(context and context.snapshot, lane, context and context.budget)
     try:
-        result = execute_fragment(task, pairs, registry)
+        with routing(False):
+            result = execute_fragment(task, pairs, registry)
     finally:
         deactivate(token)
     return result, dict(lane.work)

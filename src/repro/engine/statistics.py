@@ -22,7 +22,7 @@ DEFAULT_EQ_SELECTIVITY = 0.01
 
 
 @dataclass
-class ColumnStats:
+class ColumnStatistics:
     """Statistics for one column."""
 
     n_distinct: int = 0
@@ -43,9 +43,9 @@ class TableStats:
 
     row_count: int = 0
     data_pages: int = 0
-    columns: dict[str, ColumnStats] = field(default_factory=dict)
+    columns: dict[str, ColumnStatistics] = field(default_factory=dict)
 
-    def column(self, name: str) -> ColumnStats | None:
+    def column(self, name: str) -> ColumnStatistics | None:
         return self.columns.get(name.lower())
 
 
@@ -58,7 +58,7 @@ def collect_stats(table: HeapTable) -> TableStats:
     return stats
 
 
-def _column_stats(values: tuple) -> ColumnStats:
+def _column_stats(values: tuple) -> ColumnStatistics:
     """:func:`_scan_column`, by set and C-level reductions where the
     value types observed allow it: a column of nothing but ``int`` (or
     nothing but ``str``) and NULLs.  There equal values are
@@ -77,7 +77,7 @@ def _column_stats(values: tuple) -> ColumnStats:
         width = sum(len(value) for value in values if value is not None)
     else:
         width = sum(map(len, values))
-    return ColumnStats(
+    return ColumnStatistics(
         n_distinct=len(distinct),
         null_count=null_count,
         avg_width=width / non_null,
@@ -86,7 +86,7 @@ def _column_stats(values: tuple) -> ColumnStats:
     )
 
 
-def _scan_column(values: Iterable[object]) -> ColumnStats:
+def _scan_column(values: Iterable[object]) -> ColumnStatistics:
     """One column's statistics, a value at a time: the definition."""
     distinct: set[object] = set()
     nulls = 0
@@ -110,7 +110,7 @@ def _scan_column(values: Iterable[object]) -> ColumnStats:
             minimum = value
         if maximum is None or value > maximum:  # type: ignore[operator]
             maximum = value
-    return ColumnStats(
+    return ColumnStatistics(
         n_distinct=len(distinct),
         null_count=nulls,
         avg_width=(width / non_null) if non_null else 0.0,

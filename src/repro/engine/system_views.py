@@ -22,7 +22,8 @@ executor — no side channel, no special syntax:
 * ``sys_partitions``  — per-partition row/byte extents of partitioned
   heaps plus the parallel worker pool's configured/alive counts;
 * ``sys_wal``         — the write-ahead log's report;
-* ``sys_xindex``      — the XADT structural-index column store;
+* ``sys_xindex``      — per XADT column, the structural indexes its
+  stored values carry;
 * ``sys_connections`` — the network front-end's live connections
   (process-wide: the server is a process-level component, like the
   metrics registry).
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.engine.schema import Column, TableSchema
 from repro.engine.snapshot import current_context
 from repro.engine.storage import HeapTable
-from repro.engine.types import DOUBLE, INTEGER, VARCHAR
+from repro.engine.types import DOUBLE, INTEGER, VARCHAR, XadtType
 from repro.errors import ExecutionError
 from repro.obs.metrics import METRICS
 from repro.obs.statements import STATEMENTS
@@ -247,20 +248,31 @@ def _wal_rows(db: "Database") -> list[tuple]:
     return rows
 
 
-def _xindex_rows(db: "Database") -> list[tuple]:
-    # lazy: repro.xadt's package init imports the engine
-    from repro.xadt.structural_index import XINDEX
-
-    report = XINDEX.report()
+def xindex_rows(db: "Database") -> list[tuple]:
+    """One row per XADT column of a database with structural indexes on:
+    the distinct payloads whose stored value carries an index, and
+    their directory entries and modelled bytes (``size_report()`` and
+    the shell's ``\\xindex`` read these rows too)."""
+    if not db.exec_config.xadt_structural_index:
+        return []
     rows: list[tuple] = []
-    for column in report.get("columns", []):
-        rows.append((
-            column["table"],
-            column["column"],
-            column["fragments"],
-            column["entries"],
-            column["bytes"],
-        ))
+    for heap in db.engine.heaps().values():
+        schema = heap.schema
+        for position, column in enumerate(schema.columns):
+            if not isinstance(column.sql_type, XadtType):
+                continue
+            indexes = {}
+            for row in heap.scan():
+                index = getattr(row[position], "_index", None)
+                if index is not None:
+                    indexes[row[position].payload] = index
+            rows.append((
+                schema.name.lower(),
+                column.name.lower(),
+                len(indexes),
+                sum(len(index) for index in indexes.values()),
+                sum(index.byte_size() for index in indexes.values()),
+            ))
     return sorted(rows)
 
 
@@ -375,7 +387,7 @@ _VIEW_DEFS: dict[str, tuple[list[tuple[str, object]], Callable]] = {
             ("fragments", INTEGER), ("entries", INTEGER),
             ("bytes", INTEGER),
         ],
-        _xindex_rows,
+        xindex_rows,
     ),
     "sys_connections": (
         [

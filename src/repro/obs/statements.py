@@ -54,7 +54,7 @@ from repro.obs.trace import WAIT_SINK
 #: the wait taxonomy, in report order — only waits something records.
 #: ``parse``/``plan``/``execute`` are the statement phases;
 #: ``wal.fsync`` is durable-commit sync time;
-#: ``xindex.build`` is structural-index staging inside a write;
+#: ``xindex.build`` is structural-index building inside a write;
 #: ``exchange`` is time a partition-parallel scan spent scattered to the
 #: worker pool (dispatch through last reply); ``network`` is time the
 #: server spent writing a statement's result frames to the client

@@ -155,23 +155,21 @@ DECODE_CACHE = DecodeCache()
 PREDICATE_ENTRY_BYTES = 48
 
 
-def memoize_predicate(
-    kind: str, payload: object, args: tuple, compute, *compute_args, version: int = 0
-):
+def memoize_predicate(kind: str, payload: object, args: tuple, compute, *compute_args):
     """Memoize a per-fragment predicate verdict (e.g. findKeyInElm).
 
     Keys on fragment identity (the payload content) plus the predicate's
     arguments, so repeated scans of the same document with the same
     search terms — the shape of every Fig11/Fig13 XADT filter — skip the
-    scan entirely.  ``version`` is part of the key: callers pass
-    the structural-index store epoch so a rebuilt index (which may route
-    a method differently) can never be answered with a verdict computed
-    against the previous generation.  Verdicts are tiny, so the byte
-    budget charges a flat :data:`PREDICATE_ENTRY_BYTES` per entry.
+    scan entirely.  ``kind`` names the access path the verdict was
+    computed on (``findKeyInElm`` passes one per codec); a structural
+    index's probe is never memoized, so nothing else can change a
+    payload's verdict.  Verdicts are tiny, so the byte budget charges a
+    flat :data:`PREDICATE_ENTRY_BYTES` per entry.
     ``compute(*compute_args)`` runs only on a miss; its result must
     never be None (the miss sentinel).
     """
-    key = (kind, payload, version, *args)
+    key = (kind, payload, *args)
     cached = DECODE_CACHE.get(key)
     if cached is not None:
         return cached

@@ -23,7 +23,10 @@ from repro.xmlkit.serializer import write_attributes
 class XadtValue:
     """An immutable XML fragment with an explicit storage codec."""
 
-    __slots__ = ("codec", "payload", "_size", "_xml", "_directory")
+    #: ``_index`` is the structural index a database with
+    #: ``xadt_structural_index`` on gave this stored value (written once,
+    #: by :func:`repro.xadt.structural_index.index_fragments`)
+    __slots__ = ("codec", "payload", "_size", "_xml", "_directory", "_index")
     __xadt__ = True
 
     def __new__(cls, payload: str | bytes, codec: str = PLAIN) -> "XadtValue":
@@ -83,6 +86,7 @@ class XadtValue:
         _set_size(value, None)
         _set_xml(value, None if codec == DICT else payload)
         _set_directory(value, None)
+        _set_index(value, None)
         return value
 
     @classmethod
@@ -224,7 +228,7 @@ def _write_canonical(element: Element, parts: list[str]) -> None:
         parts.append(f"</{tag}>")
 
 
-_set_codec, _set_payload, _set_size, _set_xml, _set_directory = (
+_set_codec, _set_payload, _set_size, _set_xml, _set_directory, _set_index = (
     vars(XadtValue)[slot].__set__ for slot in XadtValue.__slots__
 )
 

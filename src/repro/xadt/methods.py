@@ -10,8 +10,8 @@ depend on the value is done once per column:
 * the constant arguments are checked — an empty-argument error raises
   before any value is touched;
 * the access-path decision (:func:`_access_path`) is made, and only an
-  ``indexed`` value or a statement routing through the published
-  structural index asks for a directory value by value;
+  ``indexed`` value or a statement routing through structural indexes
+  asks for a directory value by value;
 * the running statement is charged once, with what all the values read
   (:func:`_charge`), also when a value fails part-way;
 * a value that already is an :class:`XadtValue` — every stored column
@@ -19,8 +19,8 @@ depend on the value is done once per column:
 
 What belongs to a value stays per value: ``XadtValue.scan_text()`` (a
 dict payload passes the ``xadt.decode`` fault site once per value, in
-row order), the directory of an indexed or published value, and
-``findKeyInElm``'s memoized verdict.
+row order), the directory of an indexed value or the structural index a
+stored value carries, and ``findKeyInElm``'s memoized verdict.
 
 Every answer is a slice of the fragment's tagged text, taken one of two
 ways — it never builds a DOM or re-serializes:
@@ -34,8 +34,8 @@ ways — it never builds a DOM or re-serializes:
 * the **directory** (``SpanDirectory.*`` in :mod:`repro.xadt.metadata`):
   jumps through recorded element spans into the same text.
 
-:func:`_access_path` decides which, in one place: the published
-structural index when the statement routes through the store, else the
+:func:`_access_path` decides which, in one place: the structural index
+a stored value carries when the statement routes through it, else the
 directory an ``indexed`` value stores, else the scan.  ``getElm`` with an
 explicit ``level >= 0`` always asks a directory (built for the call from
 a scan-codec value), because depth is not visible to a tag scan.
@@ -89,7 +89,6 @@ from repro.xadt.fragment import XadtValue, coerce_fragment
 from repro.xadt.metadata import ENTRY_BYTES, HEADER_BYTES, SpanDirectory
 from repro.xadt.storage import CODECS, DICT, INDEXED, PLAIN
 from repro.xadt.structural_index import (
-    XINDEX,
     StructuralIndex,
     record_hit,
     record_miss,
@@ -102,10 +101,10 @@ def _stored_directory(value: XadtValue) -> SpanDirectory | None:
     return value.directory() if value.codec == INDEXED else None
 
 
-def _published_directory(method: str, value: XadtValue) -> SpanDirectory | None:
-    """The published structural index of ``value`` (a hit of ``method``),
-    else (a miss) the directory the value stores."""
-    index = XINDEX.lookup(value)
+def _indexed_directory(method: str, value: XadtValue) -> SpanDirectory | None:
+    """The structural index ``value`` carries (a hit of ``method``), else
+    (a miss) the directory the value stores."""
+    index = value._index
     if index is not None:
         record_hit(method)
         return index
@@ -119,13 +118,13 @@ def _access_path(
     """The access-path decision, made here and nowhere else, once per
     column: the function that gives each value's directory.
 
-    Through the published structural index when the statement routes
-    through the store (``method`` names the hit / miss counter; callers
-    that never consult the store pass none), else the directory an
-    ``indexed`` value stores, else None: scan the text.
+    The structural index a value carries when the statement pins routing
+    on (``method`` names the hit / miss counter; callers that never
+    route pass none), else the directory an ``indexed`` value stores,
+    else None: scan the text.
     """
     if method and routing_enabled():
-        return partial(_published_directory, method)
+        return partial(_indexed_directory, method)
     return _stored_directory
 
 
@@ -224,8 +223,8 @@ def find_key_in_elm_column(
     content contains ``search_key``.
 
     Scan and stored-directory verdicts are memoized in the process-wide
-    decode cache (keyed on payload identity + search terms + store
-    epoch), and a directory's tag index is consulted first: a document
+    decode cache (keyed on payload identity + search terms), and a
+    directory's tag index is consulted first: a document
     that never contains ``search_elm`` is rejected in O(1) without
     decoding any payload text — the predicate-pushdown half of the
     vectorized scan path.  A structural-index probe costs no more than
@@ -237,7 +236,6 @@ def find_key_in_elm_column(
         )
     directory_of = _access_path("find_key_in_elm")
     terms = (search_elm, search_key)
-    epoch = XINDEX.epoch
     append = results.append
     scanned = decoded = 0
     try:
@@ -260,7 +258,6 @@ def find_key_in_elm_column(
                 read, found = memoize_predicate(
                     _VERDICT_KINDS[value.codec], value.payload, terms,
                     _verdict, value, directory, search_elm, search_key,
-                    version=epoch,
                 )
                 scanned += read
             if value.codec == DICT:

@@ -91,12 +91,11 @@ def enable_structural_indexes(db: Database) -> None:
     """Turn on structural-index routing for ``db``.
 
     Flips ``ExecutionConfig.xadt_structural_index`` through the normal
-    (WAL-logged) exec-config path, which retroactively registers every
-    XADT column in the catalog with the process-wide store and indexes
-    all stored fragments inside the same write transaction — so the
-    flag's publish already carries a fully built index, and a recovery
-    replaying the logged config rebuilds it at the same point in the
-    logical history.
+    (WAL-logged) exec-config path, which gives every fragment already
+    stored its index inside the same write transaction — so the flag's
+    publish already carries a fully built index, later inserts build
+    theirs as they store, and a recovery replaying the logged config
+    rebuilds them at the same point in the logical history.
     """
     db.set_exec_config(replace(db.exec_config, xadt_structural_index=True))
 

@@ -4,14 +4,14 @@ import pytest
 
 from repro.engine.plan import cost
 from repro.engine.sql.parser import parse_expression
-from repro.engine.statistics import ColumnStats, TableStats
+from repro.engine.statistics import ColumnStatistics, TableStats
 
 
 @pytest.fixture()
 def stats():
     table = TableStats(row_count=1000, data_pages=10)
-    table.columns["code"] = ColumnStats(n_distinct=4)
-    table.columns["id"] = ColumnStats(n_distinct=1000)
+    table.columns["code"] = ColumnStatistics(n_distinct=4)
+    table.columns["id"] = ColumnStatistics(n_distinct=1000)
     return table
 
 

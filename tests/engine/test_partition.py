@@ -16,7 +16,9 @@ The contract under test, layer by layer:
   aggregation / projection push down into the fragments;
 * execution — the paper's Fig11/Fig13 workloads return *exactly* the
   unpartitioned results at 1, 2, and 4 workers, through worker crashes
-  (respawn + retry) and total pool loss (inline degrade).
+  (respawn + retry) and total pool loss (inline degrade);
+* the Exchange route — a fragment's XADT methods scan wherever it runs,
+  with structural indexes on or off.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from repro.workloads.shakespeare_queries import SHAKESPEARE_QUERIES
 from repro.workloads.shakespeare_queries import workload_sql as qs_workload
 from repro.workloads.sigmod_queries import SIGMOD_QUERIES
 from repro.workloads.sigmod_queries import workload_sql as qg_workload
+from repro.xadt import XadtValue, register_xadt_functions
+from repro.xadt.register import enable_structural_indexes
 
 
 def parallel(db: Database, workers: int) -> None:
@@ -475,3 +479,57 @@ class TestAccounting:
         finally:
             STATEMENTS.disable()
             STATEMENTS.reset()
+
+
+# ---------------------------------------------------------------------------
+# the Exchange route with structural indexes on
+# ---------------------------------------------------------------------------
+
+XADT_SQL = "SELECT id FROM speech WHERE findKeyInElm(line, 'LINE', 'love') = 1"
+
+
+@pytest.fixture()
+def xadt_db():
+    """40 XORator-style speeches hash-partitioned 4 ways."""
+    db = Database("xadt-lanes")
+    register_xadt_functions(db)
+    db.execute(
+        "CREATE TABLE speech (id INTEGER PRIMARY KEY, line XADT) "
+        "PARTITION BY HASH(id) PARTITIONS 4"
+    )
+    words = ("love", "death", "kiss")
+    db.bulk_insert("speech", [
+        (i, XadtValue.from_xml("".join(
+            f"<LINE>{words[(i + k) % 3]} line {k}</LINE>"
+            for k in range(i % 4 + 1)
+        )))
+        for i in range(40)
+    ])
+    db.runstats()
+    yield db
+    db.close()
+
+
+def rows_and_scanned(db: Database) -> tuple[list, int]:
+    db.io.reset()
+    rows = sorted(db.execute(XADT_SQL).rows)
+    return rows, db.io.work["xadt_bytes_scanned"]
+
+
+class TestExchangeRoute:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fragment_scans_in_a_worker_and_inline(self, xadt_db, workers):
+        parallel(xadt_db, workers)
+        assert "exchange" in xadt_db.explain(XADT_SQL)
+        unrouted = rows_and_scanned(xadt_db)
+        assert unrouted[0] and unrouted[1] > 0
+        enable_structural_indexes(xadt_db)
+        assert rows_and_scanned(xadt_db) == unrouted
+        # the coordinator's inline fallback charges what a worker does
+        fallbacks = METRICS.counter("exchange.inline_fallbacks").value
+        FAULTS.install(FaultPlan().raise_at("worker.crash", probability=1.0))
+        try:
+            assert rows_and_scanned(xadt_db) == unrouted
+        finally:
+            FAULTS.clear()
+        assert METRICS.counter("exchange.inline_fallbacks").value > fallbacks

@@ -33,7 +33,6 @@ from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 from repro.workloads.shakespeare_queries import workload_sql as qs_workload_sql
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.register import enable_structural_indexes
-from repro.xadt.structural_index import XINDEX
 from tests.engine.test_partition import parallel
 from tests.engine.test_udf_batch import (
     BINDING,
@@ -316,7 +315,7 @@ class TestUdfBoundary:
 
 @pytest.fixture(scope="module")
 def indexed_db(shakespeare_docs, shakespeare_simplified):
-    """The XORator Shakespeare database with a published structural index."""
+    """The XORator Shakespeare database with structural indexes on."""
     loaded = build_database(
         "xorator", map_xorator(shakespeare_simplified), shakespeare_docs,
         qs_workload_sql("xorator"), sample_for_codecs=2,
@@ -324,7 +323,6 @@ def indexed_db(shakespeare_docs, shakespeare_simplified):
     enable_structural_indexes(loaded.db)
     yield loaded.db
     loaded.db.close()
-    XINDEX.clear()  # the store is process-wide
 
 
 class TestStructuralIndexRoute:

@@ -28,9 +28,8 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import DEGRADATION, events_to_text, reset_degradation
-from repro.xadt.structural_index import XINDEX, routing
+from repro.xadt.structural_index import index_fragments, routing
 from repro.xmlkit import parse, parse_fragment
-from tests.xadt.test_structural_index import publish_fragment
 
 TAGS = ("a", "ab", "b")
 tags = st.sampled_from(TAGS)
@@ -85,13 +84,13 @@ calls = st.one_of(
 )
 
 
-def answer(call, xml_text, codec, publish=False):
+def answer(call, xml_text, codec, indexed=False):
     method, *args = call
     # a fresh value per call: nothing may ride on instance-level memos
     value = XadtValue.from_xml(xml_text, codec)
-    if publish:
-        publish_fragment(value)
-    with routing(publish):
+    if indexed:
+        index_fragments([value])
+    with routing(indexed):
         result = method(value, *args)
     if isinstance(result, XadtValue):
         return result.to_xml()
@@ -120,8 +119,8 @@ def degraded():
 
 
 def routed():
-    """Each codec's value published to the structural-index store and the
-    call made with routing on; held to the plain codec's scan answer."""
+    """Each codec's value given its structural index and the call made
+    with routing on; held to the plain codec's scan answer."""
     DECODE_CACHE.configure(enabled=True)
 
 
@@ -130,7 +129,6 @@ def restore_cache_and_degradation():
     saved = (DECODE_CACHE.budget_bytes, DECODE_CACHE.enabled, DEGRADATION.threshold)
     yield
     FAULTS.clear()
-    XINDEX.clear()
     DECODE_CACHE.configure(budget_bytes=saved[0], enabled=saved[1])
     DECODE_CACHE.clear()
     reset_degradation(threshold=saved[2])
@@ -143,18 +141,14 @@ def restore_cache_and_degradation():
 @given(xml_text=fragments(), call=calls)
 def test_every_codec_answers_with_the_same_bytes(regime, xml_text, call):
     regime()
-    publish = regime is routed
+    indexed = regime is routed
     expected = answer(call, xml_text, PLAIN)
-    try:
-        if publish:
-            assert answer(call, xml_text, PLAIN, publish) == expected
-        assert answer(call, xml_text, DICT, publish) == expected
-        assert answer(call, xml_text, INDEXED, publish) == expected
-        # and again, now that whatever the regime caches is warm
-        assert answer(call, xml_text, DICT, publish) == expected
-    finally:
-        if publish:
-            XINDEX.clear()
+    if indexed:
+        assert answer(call, xml_text, PLAIN, indexed) == expected
+    assert answer(call, xml_text, DICT, indexed) == expected
+    assert answer(call, xml_text, INDEXED, indexed) == expected
+    # and again, now that whatever the regime caches is warm
+    assert answer(call, xml_text, DICT, indexed) == expected
 
 
 @settings(max_examples=50, deadline=None)

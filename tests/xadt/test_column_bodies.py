@@ -31,9 +31,8 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import reset_degradation
-from repro.xadt.structural_index import XINDEX, routing
+from repro.xadt.structural_index import index_fragments, routing
 from tests.xadt.test_codec_parity import fragments, keys, maybe_tag, tags, texts
-from tests.xadt.test_structural_index import publish_fragment
 
 BATCH_SIZES = [0, 1, 2, 7, 1024]
 CODECS = [PLAIN, DICT, INDEXED]
@@ -88,7 +87,6 @@ def clean_state():
     DECODE_CACHE.clear()
     yield
     FAULTS.clear()
-    XINDEX.clear()
     DECODE_CACHE.clear()
     reset_degradation()
 
@@ -163,15 +161,11 @@ def outcome(db, route, name, column, constants, routed=False):
 def test_the_column_route_answers_like_the_per_call_route(db, routed, drawn, call):
     column, values = drawn
     name, constants = call
-    if routed:  # every value of the column has a published index
-        for value in values:
-            publish_fragment(value)
-    try:
-        expected = outcome(db, per_call, name, column, constants, routed)
-        assert expected[1] is None
-        assert outcome(db, batched, name, column, constants, routed) == expected
-    finally:
-        XINDEX.clear()
+    if routed:  # every XADT value of the column carries an index
+        index_fragments(values)
+    expected = outcome(db, per_call, name, column, constants, routed)
+    assert expected[1] is None
+    assert outcome(db, batched, name, column, constants, routed) == expected
 
 
 def test_an_empty_column_makes_no_call(db):

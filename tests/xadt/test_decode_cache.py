@@ -104,6 +104,19 @@ class TestDirectoryMemoization:
         )
 
 
+class TestVerdictMemoization:
+    def test_equal_payload_and_terms_hit(self):
+        assert find_key_in_elm(XadtValue.from_xml(XML), "LINE", "question") == 1
+        hits = DECODE_CACHE.stats.hits
+        # a fresh instance over the same payload: the verdict is keyed on
+        # the payload and the search terms only
+        assert find_key_in_elm(XadtValue.from_xml(XML), "LINE", "question") == 1
+        assert DECODE_CACHE.stats.hits == hits + 1
+        misses = DECODE_CACHE.stats.misses
+        find_key_in_elm(XadtValue.from_xml(XML), "LINE", "lord")
+        assert DECODE_CACHE.stats.misses == misses + 1
+
+
 class TestBudget:
     def test_eviction_respects_budget(self):
         cache = DecodeCache(budget_bytes=1024)

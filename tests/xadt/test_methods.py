@@ -20,10 +20,9 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import CODECS
-from repro.xadt.structural_index import XINDEX, routing
+from repro.xadt.structural_index import index_fragments, routing
 from repro.xmlkit.chars import escape_text
 from repro.xmlkit.serializer import serialize
-from tests.xadt.test_structural_index import publish_fragment
 
 SPEECH_LINES = (
     "<LINE>O true apothecary, my friend</LINE>"
@@ -285,7 +284,7 @@ def test_get_elm_matches_dom_oracle_at_every_level(xml, root, search, key):
         for codec in CODECS:
             value = XadtValue.from_xml(xml, codec)
             elements = value.to_elements()
-            publish_fragment(value)
+            index_fragments([value])
             for level in (-1, 0, 1, 2, 3):
                 expected = oracle_get_elm(elements, root, search, key, level)
                 for routed in (False, True):
@@ -293,5 +292,4 @@ def test_get_elm_matches_dom_oracle_at_every_level(xml, root, search, key):
                         got = get_elm(value, root, search, key, level).to_xml()
                     assert got == expected, (codec, level, routed)
     finally:
-        XINDEX.clear()
         DECODE_CACHE.clear()

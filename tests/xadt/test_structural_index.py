@@ -1,5 +1,6 @@
-"""The structural path index: parity with the scan methods, store
-lifecycle, epoch-keyed memoization, and crash behaviour.
+"""The structural index: parity with the scan methods, the build at
+ingest, per-statement routing, isolation between databases, and crash
+behaviour.
 
 The parity suite is the module's contract: for every fragment (random or
 hand-picked, any codec) the indexed implementations of ``getElm``,
@@ -7,21 +8,25 @@ hand-picked, any codec) the indexed implementations of ``getElm``,
 to the paper-faithful scan implementations.
 """
 
+import pickle
 import random
 
 import pytest
 
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
+from repro.engine.io import IoCounters
+from repro.engine.snapshot import activate, deactivate
 from repro.errors import CrashPoint
+from repro.obs.metrics import METRICS
 from repro.xadt import XadtValue, register_xadt_functions
-from repro.xadt.decode_cache import DECODE_CACHE, memoize_predicate
+from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.methods import find_key_in_elm, get_elm, get_elm_index
 from repro.xadt.register import enable_structural_indexes
 from repro.xadt.storage import CODECS
 from repro.xadt.structural_index import (
-    XINDEX,
     StructuralIndex,
+    index_fragments,
     routing,
     routing_enabled,
     statement_routing,
@@ -29,21 +34,12 @@ from repro.xadt.structural_index import (
 
 
 @pytest.fixture(autouse=True)
-def clean_store():
-    XINDEX.clear()
+def clean_state():
     FAULTS.clear()
     DECODE_CACHE.clear()
     yield
-    XINDEX.clear()
     FAULTS.clear()
     DECODE_CACHE.clear()
-
-
-def publish_fragment(value: XadtValue) -> None:
-    """Push one fragment through the store's normal ingest/publish path."""
-    XINDEX.register_column("t", "frag")
-    XINDEX.ingest_rows("t", ["frag"], [(value,)])
-    XINDEX.publish(XINDEX.catalog_version)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +166,43 @@ class TestEdgeCaseParity:
     def test_routed_method_calls_match_scan(self, codec):
         xml = "<SPEECH><LINE>to be</LINE><LINE>or not to be</LINE></SPEECH>"
         value = XadtValue.from_xml(xml, codec)
-        publish_fragment(value)
+        index_fragments([value])
+        assert value._index is not None
         with routing(False):
             scan = get_elm_index(value, "SPEECH", "LINE", 2, 2).to_xml()
         with routing(True):
-            assert XINDEX.lookup(value) is not None
             routed = get_elm_index(value, "SPEECH", "LINE", 2, 2).to_xml()
         assert routed == scan == "<LINE>or not to be</LINE>"
+
+
+# ---------------------------------------------------------------------------
+# the build at ingest
+# ---------------------------------------------------------------------------
+
+
+class TestIndexBuild:
+    def test_one_build_per_distinct_payload(self):
+        first, twin = (XadtValue.from_xml("<a>x</a>") for _ in range(2))
+        other = XadtValue.from_xml("<b>y</b>")
+        assert index_fragments([first, None, twin, other]) == 2
+        assert first._index is twin._index
+        assert other._index is not None and other._index is not first._index
+
+    def test_an_index_is_written_once(self):
+        value = XadtValue.from_xml("<a>x</a>")
+        index_fragments([value])
+        index = value._index
+        later = XadtValue.from_xml("<a>x</a>")
+        # a second call builds nothing: the indexed value keeps its
+        # index and lends it to the equal payload after it
+        assert index_fragments([value, later]) == 0
+        assert value._index is index and later._index is index
+
+    def test_an_index_never_crosses_a_pickle(self):
+        value = XadtValue.from_xml("<a>x</a>")
+        index_fragments([value])
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and copy._index is None
 
 
 # ---------------------------------------------------------------------------
@@ -185,107 +211,14 @@ class TestEdgeCaseParity:
 
 
 class TestRouting:
-    def test_default_follows_store_activity(self):
-        assert not routing_enabled()
-        XINDEX.register_column("t", "frag")
-        assert routing_enabled()
-
     def test_statement_pin_overrides_store(self):
-        XINDEX.register_column("t", "frag")
+        # the pin decides; unpinned code scans
+        assert not routing_enabled()
         with statement_routing(False):
             assert not routing_enabled()
         with statement_routing(True):
             assert routing_enabled()
-        assert routing_enabled()
-
-
-# ---------------------------------------------------------------------------
-# store lifecycle
-# ---------------------------------------------------------------------------
-
-
-class TestStoreLifecycle:
-    def test_staged_builds_invisible_until_publish(self):
-        value = XadtValue.from_xml("<a>x</a>")
-        XINDEX.register_column("t", "frag")
-        built = XINDEX.ingest_rows("t", ["frag"], [(value,)])
-        assert built == 1
-        assert XINDEX.lookup(value) is None  # staged only
-        epoch = XINDEX.epoch
-        XINDEX.publish(3)
-        assert XINDEX.lookup(value) is not None
-        assert XINDEX.epoch == epoch + 1
-        assert XINDEX.catalog_version == 3
-
-    def test_publish_without_staged_keeps_epoch(self):
-        epoch = XINDEX.epoch
-        XINDEX.publish(7)
-        assert XINDEX.epoch == epoch
-        assert XINDEX.catalog_version == 7
-
-    def test_discard_staged_drops_builds(self):
-        value = XadtValue.from_xml("<a>x</a>")
-        XINDEX.register_column("t", "frag")
-        XINDEX.ingest_rows("t", ["frag"], [(value,)])
-        XINDEX.discard_staged()
-        XINDEX.publish(1)
-        assert XINDEX.lookup(value) is None
-
-    def test_unregistered_columns_not_indexed(self):
-        value = XadtValue.from_xml("<a>x</a>")
-        XINDEX.register_column("t", "other")
-        assert XINDEX.ingest_rows("t", ["frag"], [(value,)]) == 0
-
-    def test_report_accounts_per_column(self):
-        value = XadtValue.from_xml("<a><b>x</b></a>")
-        publish_fragment(value)
-        report = XINDEX.report()
-        assert report["active"] and report["fragments"] == 1
-        (column,) = report["columns"]
-        assert column["fragments"] == 1
-        assert column["entries"] == 2
-        assert column["bytes"] == report["bytes"] > 0
-
-    def test_unregister_last_table_deactivates(self):
-        XINDEX.register_column("t", "frag")
-        XINDEX.unregister_table("t")
-        assert not XINDEX.active
-
-
-# ---------------------------------------------------------------------------
-# decode-cache interplay (satellite: epoch-keyed predicate verdicts)
-# ---------------------------------------------------------------------------
-
-
-class TestEpochKeyedMemoization:
-    def test_version_busts_cached_verdicts(self):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 1
-
-        memoize_predicate("findkey-plain", "<a>x</a>", ("a", "x"), compute, version=0)
-        memoize_predicate("findkey-plain", "<a>x</a>", ("a", "x"), compute, version=0)
-        assert len(calls) == 1  # second call served from cache
-        memoize_predicate("findkey-plain", "<a>x</a>", ("a", "x"), compute, version=1)
-        assert len(calls) == 2  # new store generation recomputes
-
-    def test_find_key_recomputes_after_index_rebuild(self):
-        value = XadtValue.from_xml("<a>needle</a>")
-        with routing(False):
-            assert find_key_in_elm(value, "a", "needle") == 1
-        hits_before = DECODE_CACHE.stats.hits
-        with routing(False):
-            find_key_in_elm(value, "a", "needle")
-        assert DECODE_CACHE.stats.hits == hits_before + 1
-        # a publish that changes the store bumps the epoch: the old
-        # verdict may no longer describe the access path, so it misses
-        publish_fragment(XadtValue.from_xml("<other>doc</other>"))
-        misses_before = DECODE_CACHE.stats.misses
-        with routing(False):
-            find_key_in_elm(value, "a", "needle")
-        assert DECODE_CACHE.stats.misses == misses_before + 1
+        assert not routing_enabled()
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +237,10 @@ def make_db() -> Database:
     return db
 
 
+def xindex(db: Database) -> list[tuple]:
+    return db.execute("SELECT * FROM sys_xindex").rows
+
+
 class TestEngineIntegration:
     def test_enable_indexes_retroactively(self):
         db = make_db()
@@ -320,6 +257,23 @@ class TestEngineIntegration:
         report = db.size_report()["xadt_structural_index"]
         assert report["fragments"] == 2
 
+    def test_report_accounts_per_column(self):
+        db = Database("report")
+        register_xadt_functions(db)
+        db.execute("CREATE TABLE t (id INTEGER, frag XADT, other XADT)")
+        enable_structural_indexes(db)
+        value, twin = (XadtValue.from_xml("<a><b>x</b></a>") for _ in range(2))
+        db.bulk_insert("t", [(1, value, None), (2, twin, None)])
+        report = db.size_report()["xadt_structural_index"]
+        # each distinct payload of a column counts once
+        assert report["active"] and report["fragments"] == 1
+        frag, other = report["columns"]
+        assert (frag["table"], frag["column"], frag["fragments"]) == ("t", "frag", 1)
+        assert frag["entries"] == 2
+        assert frag["bytes"] == report["bytes"] == value._index.byte_size()
+        assert (other["fragments"], other["bytes"]) == (0, 0)
+        assert xindex(db) == [tuple(c.values()) for c in report["columns"]]
+
     def test_explain_labels_access_path(self):
         db = make_db()
         assert "xadt[scan]" in db.explain(QS6_SQL)
@@ -332,19 +286,18 @@ class TestEngineIntegration:
         register_xadt_functions(other)
         other.execute("CREATE TABLE x (id INTEGER PRIMARY KEY, frag XADT)")
         other.insert("x", (1, XadtValue.from_xml(SPEECH_XML)))
-        enable_structural_indexes(other)  # store active process-wide ...
+        enable_structural_indexes(other)  # another database opts in ...
         assert "xadt[scan]" in db.explain(QS6_SQL)  # ... db stays faithful
         assert db.execute(QS6_SQL).rows[0][0].to_xml() == "<LINE>or not to be</LINE>"
 
     def test_drop_table_unregisters(self):
         db = make_db()
         enable_structural_indexes(db)
+        assert [row[:2] for row in xindex(db)] == [("x", "frag")]
         db.execute("DROP TABLE x")
-        assert XINDEX.columns_for("x") == []
+        assert xindex(db) == []
 
     def test_drop_table_retires_its_published_indexes(self):
-        from repro.obs.metrics import METRICS
-
         db = Database("drop")
         register_xadt_functions(db)
         db.execute("CREATE TABLE t (id INTEGER, frag XADT)")
@@ -352,26 +305,25 @@ class TestEngineIntegration:
         enable_structural_indexes(db)
         for i in range(5):
             db.insert("t", (i, XadtValue.from_xml(f"<a><b>row {i}</b></a>")))
-        shared = XadtValue.from_xml("<a><b>row 0</b></a>")
-        db.insert("keep", (0, shared))  # payload first indexed under t
+        # a payload also stored in t: keep's value carries its own index
+        db.insert("keep", (0, XadtValue.from_xml("<a><b>row 0</b></a>")))
         db.insert("keep", (1, XadtValue.from_xml("<c>kept</c>")))
-        assert len(XINDEX) == 6
-        epoch = XINDEX.epoch
+        assert [row[:3] for row in xindex(db)] == [
+            ("keep", "frag", 2), ("t", "frag", 5),
+        ]
         db.execute("DROP TABLE t")
-        assert len(XINDEX) == 1 and XINDEX.epoch > epoch
-        report = XINDEX.report()
-        assert report["fragments"] == 1
-        assert [c["table"] for c in report["columns"]] == ["keep"]
-        # the shared payload now misses and is scanned: correct, and counted
+        assert [row[:3] for row in xindex(db)] == [("keep", "frag", 2)]
+        report = db.size_report()["xadt_structural_index"]
+        assert report["fragments"] == 2 and report["bytes"] == xindex(db)[0][4]
+        hits = METRICS.counter("xindex.hits.find_key_in_elm").value
         misses = METRICS.counter("xindex.misses.find_key_in_elm").value
         sql = "SELECT id FROM keep WHERE findKeyInElm(frag, 'b', 'row') = 1"
         assert db.execute(sql).rows == [(0,)]
-        assert METRICS.counter("xindex.misses.find_key_in_elm").value == misses + 1
+        assert METRICS.counter("xindex.hits.find_key_in_elm").value == hits + 2
+        assert METRICS.counter("xindex.misses.find_key_in_elm").value == misses
         db.execute("DROP TABLE keep")
-        assert len(XINDEX) == 0 and not XINDEX.active
-        assert XINDEX.report()["bytes"] == 0
-        gauges = METRICS.snapshot()["gauges"]
-        assert gauges["xindex.fragments"] == gauges["xindex.bytes"] == 0
+        assert xindex(db) == []
+        assert db.size_report()["xadt_structural_index"]["bytes"] == 0
 
     def test_crash_at_index_build_leaves_no_state(self):
         db = make_db()
@@ -381,8 +333,8 @@ class TestEngineIntegration:
         with pytest.raises(CrashPoint):
             db.insert("x", (2, value))
         FAULTS.clear()
-        assert XINDEX.lookup(value) is None  # staged build discarded
-        assert db.size_report()["xadt_structural_index"]["staged"] == 0
+        assert value._index is None
+        assert db.size_report()["xadt_structural_index"]["fragments"] == 1
         assert db.row_count("x") == 1  # heap never touched
 
     def test_recovery_rebuilds_indexes(self, tmp_path):
@@ -396,10 +348,47 @@ class TestEngineIntegration:
         expected = [r[0].to_xml() for r in db.execute(QS6_SQL).rows]
         db.close()
 
-        XINDEX.clear()  # cold process start
         recovered = Database.open(path, recover=True)
         register_xadt_functions(recovered)
         assert recovered.exec_config.xadt_structural_index
         report = recovered.size_report()["xadt_structural_index"]
         assert report["active"] and report["fragments"] == 2
         assert [r[0].to_xml() for r in recovered.execute(QS6_SQL).rows] == expected
+        recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# isolation: an index belongs to the database that stored its value
+# ---------------------------------------------------------------------------
+
+
+class TestIsolation:
+    def test_drop_table_leaves_another_databases_indexes(self):
+        first, second = make_db(), make_db()
+        enable_structural_indexes(first)
+        enable_structural_indexes(second)
+        first.execute("DROP TABLE x")
+        assert [row[:3] for row in xindex(second)] == [("x", "frag", 1)]
+        late = XadtValue.from_xml("<a>late</a>")
+        second.insert("x", (2, late))
+        assert late._index is not None
+        assert [row[:3] for row in xindex(second)] == [("x", "frag", 2)]
+
+    def test_default_database_lists_no_closed_databases_columns(self):
+        indexed = make_db()
+        enable_structural_indexes(indexed)
+        indexed.close()
+        assert xindex(make_db()) == []
+
+    def test_bare_call_scans_after_an_indexed_database_closed(self):
+        indexed = make_db()
+        enable_structural_indexes(indexed)
+        indexed.close()
+        value = XadtValue.from_xml(SPEECH_XML)  # an equal payload
+        counters = IoCounters()
+        token = activate(None, counters)
+        try:
+            assert find_key_in_elm(value, "LINE", "be") == 1
+        finally:
+            deactivate(token)
+        assert counters.work["xadt_bytes_scanned"] == len(SPEECH_XML)
