@@ -32,14 +32,6 @@ class SizeComparison:
         """XORator database size as a fraction of Hybrid's (paper: ~0.6)."""
         return self.xorator.database_bytes / self.hybrid.database_bytes
 
-    @property
-    def index_ratio(self) -> float:
-        return (
-            self.xorator.index_bytes / self.hybrid.index_bytes
-            if self.hybrid.index_bytes
-            else 0.0
-        )
-
 
 def compare_sizes(pair: DatasetPair) -> SizeComparison:
     rows = []

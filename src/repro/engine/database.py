@@ -17,7 +17,7 @@ A :class:`Database` composes three layers (DESIGN.md §8):
 
 ``Database.execute`` and friends remain the single-threaded public API:
 they delegate to a built-in *default session* that reads live storage
-through the shared base I/O counters, preserving the pre-layering
+and charges ``Database.io`` (its counters), preserving the pre-layering
 behaviour byte for byte.
 
 Repeated SELECTs are served from a bounded LRU plan cache (DB2's package
@@ -37,11 +37,10 @@ from typing import Iterator
 
 from repro.engine.advisor import IndexAdvisor
 from repro.engine.catalog import CatalogManager, CatalogState
-from repro.engine.config import ExecutionConfig
+from repro.engine.config import DEFAULT_WORK_MEM_BYTES, ExecutionConfig
 from repro.engine.expr import Binding, ParamBox, compile_expr
 from repro.engine.governor import ResourceGovernor
 from repro.engine.index import Index
-from repro.engine.io import IoRouter
 from repro.engine.plan.optimizer import plan_select
 from repro.engine.plan_cache import DEFAULT_CAPACITY, PlanCache, normalize_sql
 from repro.engine.result import Result
@@ -88,11 +87,11 @@ class Database:
     ) -> None:
         self.name = name
         self.registry = FunctionRegistry()
-        #: context-dispatching logical-I/O facade baked into every plan;
-        #: the benchmark harness resets this before each cold query run
-        self.io = IoRouter()
-        if work_mem_bytes is not None:
-            self.io.work_mem_bytes = work_mem_bytes
+        #: join working memory: the planner costs hash joins with it and
+        #: every statement's execution context carries it
+        self.work_mem_bytes = (
+            DEFAULT_WORK_MEM_BYTES if work_mem_bytes is None else work_mem_bytes
+        )
         self._catalog_mgr = CatalogManager(exec_config or ExecutionConfig())
         #: the storage layer: live heaps/indexes + writer lock + snapshots
         self.engine = StorageEngine(self._catalog_mgr)
@@ -113,6 +112,10 @@ class Database:
             self, 0, name="default", snapshot_reads=False
         )
         self._sessions[0] = self._default
+        #: the default session's counters, charged by ``execute`` and
+        #: friends; the benchmark harness resets them before each cold
+        #: query run
+        self.io = self._default.io
         #: write-ahead log; None runs the engine in volatile mode
         self._wal: WriteAheadLog | None = None
         #: database-wide resource limits (sessions may override)

@@ -15,8 +15,8 @@ site               fires
                    of no return
 ``index.publish``  per snapshot publication, before index finalize
 ``xadt.decode``    per compressed (dict-codec) fragment decode
-``io.charge``      per modelled-I/O charge through the
-                   :class:`~repro.engine.io.IoRouter`
+``io.charge``      per modelled page charge on an
+                   :class:`~repro.engine.io.IoCounters`
 ``xadt.index_build``  per structural-index build of one distinct
                    payload at ingest
                    (:func:`~repro.xadt.structural_index.index_fragments`),

@@ -17,22 +17,27 @@ from run to run, host to host and Python to Python (sums go through
 ``math.fsum``).  Host wall time is recorded beside it by the harness,
 never added to it.
 
-Page charging rules (DESIGN.md §2):
+Charging rules (DESIGN.md §2).  Pages:
 
 * a sequential scan charges the table's data pages, sequentially;
 * an index probe charges one random page (leaf; interior pages are
   assumed cached) plus one random data page per fetched row
   (secondary indexes are unclustered, as in the paper's setup);
-* a hash join whose build side exceeds ``work_mem_bytes`` partitions to
-  disk GRACE-style: both inputs are written and re-read once
-  (2 x (build+probe) pages, sequential);
+* a hash join whose build side exceeds the statement's work_mem
+  partitions to disk GRACE-style: both inputs are written and re-read
+  once (2 x (build+probe) pages, sequential);
 * everything already resident in the operator pipeline (lateral table
   functions, projections, in-memory aggregation) charges no pages.
 
-Work charging rules (same section): operators charge the rows they
-consume, once per batch; the UDF boundary charges calls per fencing
-mode; the XADT methods charge the bytes their access path reads — all
-independent of batch size and of plan- and decode-cache state.
+Work: operators charge the rows they consume, once per batch; the UDF
+boundary charges calls per fencing mode; the XADT methods charge the
+bytes their access path reads — all independent of batch size and of
+plan- and decode-cache state.
+
+One rule finds the counters for both: a charge site asks
+:func:`work_counters` for the running statement's counters (its
+session put them in the execution context); outside any statement the
+charges go to a sink.
 
 Every constant is fixed a priori from period hardware and the paper's
 Figure 14, never tuned per experiment; DESIGN.md §2 derives each.
@@ -46,7 +51,7 @@ from typing import Mapping
 
 from repro.engine.faults import FAULTS
 from repro.engine.pages import PAGE_SIZE, pages_for
-from repro.engine.snapshot import active_io
+from repro.engine.snapshot import current_context
 from repro.obs.metrics import METRICS
 
 #: process-wide page-read mirrors (lifetime totals across all databases,
@@ -87,12 +92,6 @@ LOAD_WORK_SECONDS: Mapping[str, float] = {
     "index_entries": 5.0e-6,     # a key sorted and placed into its leaf
     "rows_sampled": 1.0e-6,      # a row through runstats' one pass
 }
-#: join/sort working memory before spilling.  This is a *scale model*:
-#: the paper's machine gave DB2 roughly 2 MB of buffer/sort memory against
-#: 7.5-96 MB data sets (a 1:4 .. 1:48 ratio); our benchmark corpora are
-#: ~100 KB-10 MB, so 64 KB preserves the memory:data ratio band in which
-#: the paper's join-spill behaviour lives.  Override per Database.
-DEFAULT_WORK_MEM_BYTES = 64 * 1024
 
 
 def work_seconds(
@@ -125,8 +124,6 @@ class IoCounters:
     #: the part of that work a multi-core pool overlaps: per exchange,
     #: every lane but the busiest (DESIGN.md §12)
     overlapped: dict[str, int] = field(default_factory=_no_work)
-    #: memory ceiling used by spill decisions
-    work_mem_bytes: int = DEFAULT_WORK_MEM_BYTES
     #: per-category detail for EXPLAIN-style reporting
     notes: list[str] = field(default_factory=list)
 
@@ -136,15 +133,25 @@ class IoCounters:
         self.overlapped.update(_no_work())
         self.notes.clear()
 
+    # Each page charge is a fault-injection site ("io.charge"): delay
+    # rules installed there model a degraded disk, which is how the chaos
+    # and governor tests make a query deterministically slow.
+
     def charge_sequential(self, pages: int) -> None:
+        if FAULTS.active:
+            FAULTS.fire("io.charge")
         self.sequential_pages += pages
         _SEQ_PAGES.inc(pages)
 
     def charge_random(self, pages: int = 1) -> None:
+        if FAULTS.active:
+            FAULTS.fire("io.charge")
         self.random_pages += pages
         _RANDOM_PAGES.inc(pages)
 
     def charge_spill(self, pages: int) -> None:
+        if FAULTS.active:
+            FAULTS.fire("io.charge")
         self.spill_pages += pages
         _SPILL_PAGES.inc(pages)
 
@@ -185,65 +192,13 @@ _UNOBSERVED = IoCounters()
 
 def work_counters() -> IoCounters:
     """The counters of the statement running on this thread: the ones
-    its session put in the execution context, where ``IoRouter`` sends
-    the statement's page charges too.  Outside any statement there is
-    nothing to model — operators, UDFs and XADT methods driven bare
-    (unit tests, micro-benchmarks, library calls) count into a sink."""
-    return active_io() or _UNOBSERVED
-
-
-class IoRouter:
-    """Context-dispatching facade over :class:`IoCounters`.
-
-    ``Database.io`` is one of these.  Every charge or read resolves the
-    *target* counters first: the execution context's counters while a
-    statement is running on this thread (see
-    :func:`repro.engine.snapshot.active_io`), falling back to the shared
-    base counters otherwise — so plans compiled once with ``self.io``
-    baked into their operators charge the right session no matter which
-    thread replays them.  Reads, ``reset`` and the model's methods are
-    forwarded to the target as they are.  ``work_mem_bytes`` is engine
-    configuration, not per-query state, and always lives on the base.
-    """
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: IoCounters | None = None) -> None:
-        self.base = base if base is not None else IoCounters()
-
-    def _target(self) -> IoCounters:
-        return active_io() or self.base
-
-    def __getattr__(self, name: str):
-        return getattr(self._target(), name)
-
-    # -- charges ----------------------------------------------------------
-    # Each page charge is a fault-injection site ("io.charge"): delay
-    # rules installed there model a degraded disk, which is how the chaos
-    # and governor tests make a query deterministically slow.
-
-    def charge_sequential(self, pages: int) -> None:
-        if FAULTS.active:
-            FAULTS.fire("io.charge")
-        self._target().charge_sequential(pages)
-
-    def charge_random(self, pages: int = 1) -> None:
-        if FAULTS.active:
-            FAULTS.fire("io.charge")
-        self._target().charge_random(pages)
-
-    def charge_spill(self, pages: int) -> None:
-        if FAULTS.active:
-            FAULTS.fire("io.charge")
-        self._target().charge_spill(pages)
-
-    @property
-    def work_mem_bytes(self) -> int:
-        return self.base.work_mem_bytes
-
-    @work_mem_bytes.setter
-    def work_mem_bytes(self, value: int) -> None:
-        self.base.work_mem_bytes = value
+    its session put in the execution context.  Every page and work
+    charge lands here; a charge site resolves them once per execution.
+    Outside any statement there is nothing to model — operators, UDFs
+    and XADT methods driven bare (unit tests, micro-benchmarks, library
+    calls, a plan's ``batches()`` run by hand) count into a sink."""
+    context = current_context()
+    return (context and context.io) or _UNOBSERVED
 
 
 def _values_bytes(values) -> int:

@@ -280,17 +280,13 @@ def execute_lane_fragment(
 
     A fragment's XADT methods always scan: a worker's rows arrive
     pickled, without the structural indexes their stored values carry,
-    so routing is pinned off here and a fragment is charged the same
-    wherever it runs."""
-    # lazy: repro.xadt's package init imports the engine
-    from repro.xadt.structural_index import routing
-
+    so the fragment runs under a context of its own with routing off
+    and is charged the same wherever it runs."""
     lane = IoCounters()
     context = current_context()  # None in a worker process
     token = activate(context and context.snapshot, lane, context and context.budget)
     try:
-        with routing(False):
-            result = execute_fragment(task, pairs, registry)
+        result = execute_fragment(task, pairs, registry)
     finally:
         deactivate(token)
     return result, dict(lane.work)

@@ -43,14 +43,11 @@ class Exchange(Operator):
     worker pool (:mod:`repro.engine.parallel`), and the coordinator
     stitches the per-partition results back together.
 
-    * **ordered** mode (the default) k-way merges the ``(row_id, row)``
-      streams by row id.  Partition buckets are ascending row-id subsets
-      of the heap, so the merged stream is byte-identical to the
-      unpartitioned scan order — every downstream operator (joins,
-      aggregation, DISTINCT) sees exactly the stream it would have seen
-      without partitioning.
-    * **unordered** mode concatenates streams in partition order without
-      the merge heap (for consumers that re-order anyway).
+    * a scan k-way merges the ``(row_id, row)`` streams by row id.
+      Partition buckets are ascending row-id subsets of the heap, so the
+      merged stream is byte-identical to the unpartitioned scan order —
+      every downstream operator (joins, aggregation, DISTINCT) sees
+      exactly the stream it would have seen without partitioning.
     * **partial aggregation**: when the planner pushes a GROUP BY down
       (:meth:`attach_partial_agg`), workers pre-aggregate their
       partition and the coordinator merges the mergeable accumulator
@@ -81,12 +78,9 @@ class Exchange(Operator):
         predicate_ast: Expr | None = None,
         params=None,
         prunes: list[tuple[str, tuple[str, object]]] | None = None,
-        mode: str = "ordered",
     ) -> None:
         if not isinstance(template.table, PartitionedHeapTable):
             raise ExecutionError("Exchange requires a partitioned heap")
-        if mode not in ("ordered", "unordered"):
-            raise ExecutionError(f"unknown exchange mode {mode!r}")
         self.template = template
         self.input = template  # children(): EXPLAIN and stats walks
         self.heap: PartitionedHeapTable = template.table
@@ -97,8 +91,6 @@ class Exchange(Operator):
         self.predicate_ast = predicate_ast
         self.params = params
         self.prunes = list(prunes or ())
-        self.mode = mode
-        self.io = template.io
         self.binding = template.binding
         self.estimated_rows = template.estimated_rows
         self.agg: dict | None = None
@@ -220,14 +212,14 @@ class Exchange(Operator):
                     )
                 ]
             return
-        if self.io is not None:
-            # partitions live on separate spindles (shared-nothing layout,
-            # DESIGN.md §12) and are read concurrently: charge the widest
-            # fragment, not the sum, and one parallel dispatch seek
-            self.io.charge_sequential(
-                max(pages_of_bytes(heap.partition_bytes(p)) for p in parts)
-            )
-            self.io.charge_random(1)
+        # partitions live on separate spindles (shared-nothing layout,
+        # DESIGN.md §12) and are read concurrently: charge the widest
+        # fragment, not the sum, and one parallel dispatch seek
+        io = work_counters()
+        io.charge_sequential(
+            max(pages_of_bytes(heap.partition_bytes(p)) for p in parts)
+        )
+        io.charge_random(1)
         budget = active_budget()
         if budget is not None:
             for p in parts:
@@ -270,7 +262,6 @@ class Exchange(Operator):
         # DESIGN.md §12) the lanes run side by side, so the exchange takes
         # as long as its busiest lane: every other lane's work is booked
         # as overlapped.
-        io = work_counters()
         busiest = max(lanes, key=lambda lane: work_seconds(lanes[lane]))
         for lane, work in lanes.items():
             add_work(io.work, work)
@@ -284,20 +275,14 @@ class Exchange(Operator):
             yield from self._merge_partial_agg(results)
             return
         size = self.batch_size
-        if self.mode == "ordered":
-            merged = heapq.merge(*results, key=itemgetter(0))
-            batch: Batch = []
-            for _, row in merged:
-                batch.append(row)
-                if len(batch) >= size:
-                    yield batch
-                    batch = []
-            if batch:
+        batch: Batch = []
+        for _, row in heapq.merge(*results, key=itemgetter(0)):
+            batch.append(row)
+            if len(batch) >= size:
                 yield batch
-        else:
-            for pairs in results:
-                for start in range(0, len(pairs), size):
-                    yield [row for _, row in pairs[start : start + size]]
+                batch = []
+        if batch:
+            yield batch
 
     def _merge_partial_agg(self, results) -> Iterator[Batch]:
         assert self.agg is not None
@@ -341,8 +326,6 @@ class Exchange(Operator):
         if self.project is not None:
             names = ", ".join(slot.name for slot in self.binding.slots)
             suffix += f" project[{names}]"
-        if self.mode != "ordered":
-            suffix += f" {self.mode}"
         lines = [self._line(depth, f"Exchange{suffix}")]
         lines.extend(self.template.explain(depth + 1))
         return lines

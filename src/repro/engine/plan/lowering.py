@@ -87,7 +87,6 @@ class _SelectLowering:
         self.xadt_label = (
             "xindex" if self.config.xadt_structural_index else "scan"
         )
-        self.io = getattr(ctx, "io", None)
 
     def compile(self, expr: Expr, binding: Binding) -> Compiled:
         return compile_row_expr(expr, binding, self.registry, self.params)
@@ -263,7 +262,6 @@ class _SelectLowering:
                 key_fn=key_fn,
                 residual=self.compile(residual, binding) if residual else None,
                 residual_sql=residual.sql() if residual else "",
-                io=self.io,
                 projection=scan.projection,
                 xadt_access=xadt_access(rest, self.xadt_label),
             )
@@ -275,7 +273,6 @@ class _SelectLowering:
             ref.alias,
             predicate=self.compile(predicate, binding) if predicate else None,
             predicate_sql=predicate.sql() if predicate else "",
-            io=self.io,
             projection=scan.projection,
             xadt_access=xadt_access(scan.pushed, self.xadt_label),
         )
@@ -319,7 +316,6 @@ class _SelectLowering:
                     else None
                 ),
                 residual_sql=residual.sql() if residual else "",
-                io=self.io,
             )
             operator.estimated_rows = join.estimate
             return operator
@@ -337,7 +333,7 @@ class _SelectLowering:
             right_keys.append(
                 right.binding.resolve(ColumnRef(qualifier, own_column))
             )
-        operator = HashJoin(plan, right, left_keys, right_keys, io=self.io)
+        operator = HashJoin(plan, right, left_keys, right_keys)
         operator.estimated_rows = join.estimate
         return operator
 

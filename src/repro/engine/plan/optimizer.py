@@ -70,8 +70,8 @@ class PlannerContext(Protocol):
     """What the planner needs from the database."""
 
     registry: FunctionRegistry
-    io: "object"  #: IoCounters shared by the physical operators
     exec_config: ExecutionConfig
+    work_mem_bytes: int  #: join working memory the hash-join cost assumes
 
     def heap(self, table_name: str) -> HeapTable: ...
 
@@ -579,8 +579,7 @@ def _decide_join(
     output_rows = max(current_rows * heap.row_count() * pushed_sel * join_sel, 0.1)
 
     # cost the two strategies; the hash option must also scan the right side
-    io_counters = getattr(ctx, "io", None)
-    work_mem = getattr(io_counters, "work_mem_bytes", None)
+    work_mem = getattr(ctx, "work_mem_bytes", None)
     right_width = (
         heap.data_bytes() / heap.row_count() if heap.row_count() else 80.0
     )

@@ -35,18 +35,22 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from repro.engine.config import DEFAULT_BATCH_SIZE
+from repro.engine.config import DEFAULT_BATCH_SIZE, DEFAULT_WORK_MEM_BYTES
 from repro.engine.expr import Binding, Compiled, Slot
 from repro.engine.index import Index
 from repro.engine.io import (
-    IoCounters,
     batch_row_bytes,
     estimate_row_bytes,
     pages_of_bytes,
     work_counters,
 )
 from repro.engine.parallel import AGG_UPDATES, PartialAgg, row_picker
-from repro.engine.snapshot import active_budget, read_bound, table_version
+from repro.engine.snapshot import (
+    active_budget,
+    current_context,
+    read_bound,
+    table_version,
+)
 from repro.engine.storage import HeapTable
 from repro.engine.udf import FunctionRegistry, TableFunction
 from repro.engine.values import batch_group_keys
@@ -185,7 +189,6 @@ class SeqScan(Operator):
         alias: str,
         predicate: Compiled | None = None,
         predicate_sql: str = "",
-        io: IoCounters | None = None,
         projection: list[int] | None = None,
         xadt_access: str | None = None,
     ) -> None:
@@ -193,7 +196,6 @@ class SeqScan(Operator):
         self.alias = alias.lower()
         self.predicate = predicate
         self.predicate_sql = predicate_sql
-        self.io = io
         self.projection = projection
         self.xadt_access = xadt_access
         self.binding = table_binding(table, alias, projection)
@@ -203,13 +205,12 @@ class SeqScan(Operator):
         # extent bounds both the rows yielded and the pages charged
         version = table_version(self.table)
         bound = None if version is None else version.row_count
-        if self.io is not None:
-            pages = (
-                self.table.data_pages() if version is None else version.pages
-            )
-            self.io.charge_sequential(pages)
+        io = work_counters()
+        io.charge_sequential(
+            self.table.data_pages() if version is None else version.pages
+        )
         # like its pages, a scan's rows are charged whole and up front
-        work_counters().work["scan_rows"] += (
+        io.work["scan_rows"] += (
             self.table.row_count() if bound is None else bound
         )
         predicate = self.predicate
@@ -248,7 +249,6 @@ class IndexScan(Operator):
         key: object = None,
         residual: Compiled | None = None,
         residual_sql: str = "",
-        io: IoCounters | None = None,
         key_fn: Compiled | None = None,
         projection: list[int] | None = None,
         xadt_access: str | None = None,
@@ -262,32 +262,29 @@ class IndexScan(Operator):
         self.key_fn = key_fn
         self.residual = residual
         self.residual_sql = residual_sql
-        self.io = io
         self.projection = projection
         self.xadt_access = xadt_access
         self.binding = table_binding(table, alias, projection)
 
     def _execute(self) -> Iterator[Batch]:
         bound = read_bound(self.table)  # snapshot horizon, once per run
-        if self.io is not None:
-            self.io.charge_random(1)  # leaf descent; interior pages cached
+        io = work_counters()
+        io.charge_random(1)  # leaf descent; interior pages cached
         key = self.key_fn(()) if self.key_fn is not None else self.key
         fetch = self.table.fetch
         residual = self.residual
         pick = row_picker(self.projection)
-        io = self.io
         rows_per_page = _rows_per_page(self.table)
         touched: set[int] = set()
         size = self.batch_size
         batch: Batch = []
         row_ids = self.index.lookup(key, bound=bound)
-        work_counters().work["scan_rows"] += len(row_ids)
+        io.work["scan_rows"] += len(row_ids)
         for row_id in row_ids:
-            if io is not None:
-                page = row_id // rows_per_page
-                if page not in touched:  # buffer pool caches within a query
-                    touched.add(page)
-                    io.charge_random(1)
+            page = row_id // rows_per_page
+            if page not in touched:  # buffer pool caches within a query
+                touched.add(page)
+                io.charge_random(1)
             row = fetch(row_id)
             if residual is None or residual(row):
                 batch.append(pick(row) if pick is not None else row)
@@ -328,7 +325,6 @@ class HashJoin(Operator):
         right_keys: list[int],
         residual: Compiled | None = None,
         residual_sql: str = "",
-        io: IoCounters | None = None,
     ) -> None:
         if len(left_keys) != len(right_keys) or not left_keys:
             raise ExecutionError("hash join requires matching, non-empty key lists")
@@ -338,7 +334,6 @@ class HashJoin(Operator):
         self.right_keys = right_keys
         self.residual = residual
         self.residual_sql = residual_sql
-        self.io = io
         self.binding = left.binding.extend(right.binding)
 
     def _execute(self) -> Iterator[Batch]:
@@ -346,9 +341,14 @@ class HashJoin(Operator):
         composite = len(self.right_keys) > 1
         right_key = itemgetter(*self.right_keys)
         build_bytes = 0
+        # read per execution, never baked into the plan: a cached plan
+        # follows ``Database.work_mem_bytes``
+        context = current_context()
+        work_mem = context.work_mem_bytes if context else DEFAULT_WORK_MEM_BYTES
         budget = active_budget()
         setdefault = table.setdefault
-        work = work_counters().work
+        io = work_counters()
+        work = io.work
         for batch in self.right.batches():
             work["hash_build_rows"] += len(batch)
             width = batch_row_bytes(batch)
@@ -364,9 +364,7 @@ class HashJoin(Operator):
                         setdefault(key, []).append(row)
             if budget is not None:
                 budget.charge_memory(width)
-        spilled = (
-            self.io is not None and build_bytes > self.io.work_mem_bytes
-        )
+        spilled = build_bytes > work_mem
         left_key = itemgetter(*self.left_keys)
         residual = self.residual
         get = table.get
@@ -396,9 +394,9 @@ class HashJoin(Operator):
             # and read back during the merge phase, where partition files
             # interleave — the re-reads behave like random page I/O.
             pages = pages_of_bytes(build_bytes) + pages_of_bytes(probe_bytes)
-            self.io.charge_spill(pages)
-            self.io.charge_random(pages)
-            self.io.notes.append(
+            io.charge_spill(pages)
+            io.charge_random(pages)
+            io.notes.append(
                 f"hash join spilled {pages} pages (build {build_bytes} B)"
             )
 
@@ -483,7 +481,6 @@ class IndexNestedLoopJoin(Operator):
         left_key_slot: int,
         residual: Compiled | None = None,
         residual_sql: str = "",
-        io: IoCounters | None = None,
     ) -> None:
         self.left = left
         self.table = table
@@ -492,7 +489,6 @@ class IndexNestedLoopJoin(Operator):
         self.left_key_slot = left_key_slot
         self.residual = residual
         self.residual_sql = residual_sql
-        self.io = io
         self.binding = left.binding.extend(table_binding(table, alias))
 
     def _execute(self) -> Iterator[Batch]:
@@ -501,11 +497,11 @@ class IndexNestedLoopJoin(Operator):
         lookup = self.index.lookup
         key_slot = self.left_key_slot
         residual = self.residual
-        io = self.io
         rows_per_page = _rows_per_page(self.table)
         probed_keys: set[object] = set()
         touched_pages: set[int] = set()
-        work = work_counters().work
+        io = work_counters()
+        work = io.work
         for left_batch in self.left.batches():
             work["operator_rows"] += len(left_batch)  # one index descent each
             fetched = 0
@@ -515,17 +511,16 @@ class IndexNestedLoopJoin(Operator):
                 key = left_row[key_slot]
                 if key is None:
                     continue
-                if io is not None and key not in probed_keys:
+                if key not in probed_keys:
                     probed_keys.add(key)
                     io.charge_random(1)  # index leaf, cached per key
                 row_ids = lookup(key, bound=bound)
                 fetched += len(row_ids)
                 for row_id in row_ids:
-                    if io is not None:
-                        page = row_id // rows_per_page
-                        if page not in touched_pages:
-                            touched_pages.add(page)
-                            io.charge_random(1)
+                    page = row_id // rows_per_page
+                    if page not in touched_pages:
+                        touched_pages.add(page)
+                        io.charge_random(1)
                     combined = left_row + fetch(row_id)
                     if residual is None or residual(combined):
                         append(combined)

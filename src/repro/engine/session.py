@@ -11,17 +11,18 @@
 * per-kind query counts (surfaced by the CLI's ``\\sessions`` command
   and the ``session.*`` metrics).
 
-While a statement runs, the session installs its snapshot and counters
-into the execution context (:func:`repro.engine.snapshot.activate`); the
-storage read paths clamp everything to the pinned horizon, which is what
-makes reads snapshot-isolated.  Writes are *not* snapshotted — they go
-straight through the database's single-writer transaction path, and the
-writing session re-pins afterwards so it reads its own writes.
+While a statement runs, the session installs its snapshot, counters,
+budget, work_mem and XADT pin as one execution context
+(:func:`repro.engine.snapshot.activate`); the storage read paths clamp
+everything to the pinned horizon, which is what makes reads
+snapshot-isolated.  Writes are *not* snapshotted — they go straight
+through the database's single-writer transaction path, and the writing
+session re-pins afterwards so it reads its own writes.
 
 The database's built-in *default session* skips pinning entirely
-(``snapshot_reads=False``): it executes against live storage with the
-shared base I/O counters, byte-for-byte the pre-layering behaviour that
-the single-threaded tests and benchmarks measure.
+(``snapshot_reads=False``): it executes against live storage, and its
+counters are ``Database.io`` — byte-for-byte the pre-layering behaviour
+that the single-threaded tests and benchmarks measure.
 """
 
 from __future__ import annotations
@@ -92,17 +93,6 @@ def _decode_cache_hits() -> int:
     return _DECODE_CACHE.stats.hits
 
 
-def statement_routing(enabled: bool):
-    """Pin the XADT structural-index access path for one statement.
-
-    Imported lazily: ``repro.xadt``'s package init imports this module's
-    importer (``engine.database``), so a top-level import would cycle.
-    """
-    from repro.xadt.structural_index import statement_routing as pin_routing
-
-    return pin_routing(enabled)
-
-
 def _statement_kind(key: str) -> str:
     head = key[:6].lower()
     if head == "select":
@@ -117,13 +107,12 @@ class _PlannerView:
 
     The planner resolves heaps, statistics, and index structures through
     this view, so a pinned session plans against exactly the schema
-    version its reads will see.  ``io`` is the database's
-    :class:`~repro.engine.io.IoRouter` — it gets baked into the physical
-    operators, and routes each charge to whichever session is executing
-    when the plan is replayed.
+    version its reads will see.  ``work_mem_bytes`` is the database's at
+    plan time, for the hash-join cost; the executing statement reads its
+    own from the execution context.
     """
 
-    __slots__ = ("_db", "_catalog", "_snapshot", "registry", "io")
+    __slots__ = ("_db", "_catalog", "_snapshot", "registry", "work_mem_bytes")
 
     def __init__(
         self,
@@ -135,7 +124,7 @@ class _PlannerView:
         self._catalog = catalog
         self._snapshot = snapshot
         self.registry = db.registry
-        self.io = db.io
+        self.work_mem_bytes = db.work_mem_bytes
 
     @property
     def exec_config(self):
@@ -192,13 +181,13 @@ class Session:
         self._db = db
         self.session_id = session_id
         self.name = name or f"session-{session_id}"
-        #: False = the default session: live reads, shared base counters
+        #: False = the default session: live reads
         self.snapshot_reads = snapshot_reads
         #: re-pin to the latest published snapshot before each statement
         self.auto_refresh = auto_refresh
-        #: private modelled-I/O counters (the shared router dispatches
-        #: here while this session's statements execute)
-        self.io = IoCounters(work_mem_bytes=db.io.work_mem_bytes)
+        #: private modelled-I/O counters: every charge of this session's
+        #: statements (the default session's are ``Database.io``)
+        self.io = IoCounters()
         self._snapshot: EngineSnapshot | None = (
             db.engine.snapshot if snapshot_reads else None
         )
@@ -418,11 +407,6 @@ class Session:
             plan=plan, params=box, statement=statement, version=catalog.version
         )
 
-    def _counters(self, pin: EngineSnapshot | None) -> IoCounters:
-        """What a statement charges: this session's counters, or for the
-        default session (no pin, live reads) the shared base counters."""
-        return self.io if pin is not None else self._db.io.base
-
     def _run_select(
         self,
         entry: CachedPlan,
@@ -438,9 +422,13 @@ class Session:
         # config: two databases in one process (one paper-faithful, one
         # structurally indexed) must never see each other's routing
         config = (pin.catalog if pin is not None else self._db.catalog).exec_config
-        # the statement's counters go into the context, where the UDF
-        # boundary and the XADT methods (which hold no operator) find them
-        token = activate(pin, counters or self._counters(pin), budget)
+        # the statement's state goes into the context, where operators,
+        # the UDF boundary and the XADT methods find it; work_mem is read
+        # now, so a cached plan follows the database's current setting
+        token = activate(
+            pin, counters or self.io, budget, self._db.work_mem_bytes,
+            config.xadt_structural_index,
+        )
         # slow-log plan capture: instrument the cached plan for this
         # execution only (skipped if another execution already holds
         # instrumentation on the shared plan)
@@ -451,9 +439,7 @@ class Session:
         )
         nodes = attach_stats(entry.plan) if capture else None
         try:
-            with TRACER.span("execute") as span, statement_routing(
-                config.xadt_structural_index
-            ):
+            with TRACER.span("execute") as span:
                 rows: list[tuple] = []
                 if budget is None:
                     for batch in entry.plan.batches():
@@ -493,8 +479,8 @@ class Session:
     ) -> AnalyzeReport:
         """EXPLAIN ANALYZE: ``execute``'s SELECT path on a private plan.
 
-        Same pin, private I/O counters, governor budget and XADT routing
-        as :meth:`_execute` — only the plan differs: planned fresh, kept
+        Same pin, private I/O counters, governor budget, work_mem and XADT
+        routing as :meth:`_execute` — only the plan differs: planned fresh, kept
         out of the cache, and instrumented for its whole (one-run) life.
         """
         self._check_open()
@@ -522,7 +508,7 @@ class Session:
         try:
             result = self._run_select(entry, params, pin, counters=counters)
         finally:
-            self._counters(pin).merge(counters)
+            self.io.merge(counters)
         phases["execute"] = time.perf_counter() - started
         if TRACER.enabled:
             for node, _depth in nodes:

@@ -10,11 +10,12 @@ prefix ``rows[:row_count]`` named by a published version is physically
 immutable — that prefix is the "row-version array" a reader sees.
 
 Readers never take the lock.  A session pins a published snapshot and
-installs it (plus its private I/O counters) into a context variable for
-the duration of each statement; the storage layer's read paths —
-``HeapTable.scan_batches``, ``Index.lookup``, the scan operators' page
-charges — consult :func:`read_bound` / :func:`table_version` and clamp
-everything they return to the pinned horizon.  With no context installed
+installs it, with the rest of the statement's state, as one
+:class:`ExecContext` for the duration of each statement; the storage
+layer's read paths — ``HeapTable.scan_batches``, ``Index.lookup``, the
+scan operators' page charges — consult :func:`read_bound` /
+:func:`table_version` and clamp everything they return to the pinned
+horizon.  With no context installed
 (single-threaded callers, unit tests poking heaps directly) every helper
 returns None and reads see the live state, exactly as before the
 layering.
@@ -25,6 +26,8 @@ from __future__ import annotations
 from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
+
+from repro.engine.config import DEFAULT_WORK_MEM_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.catalog import CatalogState
@@ -73,19 +76,24 @@ class EngineSnapshot:
 
 
 class ExecContext:
-    """What a session installs while executing one statement."""
+    """What a session installs while executing one statement: the only
+    channel for per-statement state (``routing`` is the XADT pin)."""
 
-    __slots__ = ("snapshot", "io", "budget")
+    __slots__ = ("snapshot", "io", "budget", "work_mem_bytes", "routing")
 
     def __init__(
         self,
         snapshot: EngineSnapshot | None,
         io: "IoCounters | None",
         budget: "StatementBudget | None" = None,
+        work_mem_bytes: int = DEFAULT_WORK_MEM_BYTES,
+        routing: bool = False,
     ) -> None:
         self.snapshot = snapshot
         self.io = io
         self.budget = budget
+        self.work_mem_bytes = work_mem_bytes
+        self.routing = routing
 
 
 #: the active execution context; None outside session-managed execution
@@ -98,9 +106,13 @@ def activate(
     snapshot: EngineSnapshot | None,
     io: "IoCounters | None" = None,
     budget: "StatementBudget | None" = None,
+    work_mem_bytes: int = DEFAULT_WORK_MEM_BYTES,
+    routing: bool = False,
 ) -> Token:
     """Install an execution context; pair with :func:`deactivate`."""
-    return _CONTEXT.set(ExecContext(snapshot, io, budget))
+    return _CONTEXT.set(
+        ExecContext(snapshot, io, budget, work_mem_bytes, routing)
+    )
 
 
 def deactivate(token: Token) -> None:
@@ -129,12 +141,6 @@ def read_bound(heap: "HeapTable") -> int | None:
     return None if version is None else version.row_count
 
 
-def active_io() -> "IoCounters | None":
-    """The I/O counters charges should land on, or None for the base."""
-    context = _CONTEXT.get()
-    return None if context is None else context.io
-
-
 def active_budget() -> "StatementBudget | None":
     """The governor budget of the running statement, or None."""
     context = _CONTEXT.get()
@@ -147,7 +153,6 @@ __all__ = [
     "TableVersion",
     "activate",
     "active_budget",
-    "active_io",
     "current_context",
     "deactivate",
     "read_bound",

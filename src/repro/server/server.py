@@ -56,7 +56,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -197,16 +196,6 @@ class ReproServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._sweeper = self._loop.create_task(self._sweep_loop())
-
-    def install_signal_handlers(self) -> None:
-        """Drain on SIGTERM/SIGINT (only valid on a main-thread loop)."""
-        loop = self._loop
-        if loop is None:
-            raise ConfigError("server not started")
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(
-                sig, lambda: loop.create_task(self.drain())
-            )
 
     async def wait_closed(self) -> None:
         await self._closed.wait()

@@ -24,15 +24,6 @@ class WorkloadQuery:
             return self.xorator_sql
         raise BenchmarkError(f"unknown algorithm {algorithm!r}")
 
-    def prepare_for(self, db, algorithm: str):
-        """The query prepared against ``db`` (see ``Database.prepare``).
-
-        Repeated-execution experiments use this so per-run timing
-        excludes the SQL front end: the statement is parsed and planned
-        once and every ``execute()`` reuses the cached plan.
-        """
-        return db.prepare(self.sql_for(algorithm))
-
 
 def find_query(queries: list[WorkloadQuery], key: str) -> WorkloadQuery:
     for query in queries:

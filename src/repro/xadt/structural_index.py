@@ -27,10 +27,11 @@ index needs no staging, publishing or versioning: it becomes visible
 with its row, dies with its table or database, and never crosses a
 pickle (an Exchange worker's rows arrive without one).
 
-Routing is per statement: the session layer pins :func:`routing` to the
-catalog's flag, and ``methods._access_path`` (once per column) routes a
-value through its index when the pin is on and the value carries one.
-Unpinned calls — outside any statement — and Exchange fragments scan.
+Routing is per statement: the session layer installs the catalog's
+flag as the execution context's ``routing`` pin, and
+``methods._access_path`` (once per column) routes a value through its
+index when the pin is on and the value carries one.  Unpinned calls —
+outside any statement — and Exchange fragments scan.
 """
 
 from __future__ import annotations
@@ -38,11 +39,16 @@ from __future__ import annotations
 import re
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Iterable
 
 from repro.engine.faults import FAULTS
-from repro.engine.snapshot import active_budget
+from repro.engine.snapshot import (
+    ExecContext,
+    activate,
+    active_budget,
+    current_context,
+    deactivate,
+)
 from repro.obs.metrics import METRICS
 from repro.xadt import fastscan
 from repro.xadt.fragment import XadtValue, _set_index
@@ -210,27 +216,32 @@ def index_fragments(values: Iterable[object]) -> int:
 # per-statement routing
 # ---------------------------------------------------------------------------
 
-#: per-statement routing pin: the session layer sets it from the
-#: catalog's ExecutionConfig for each statement; unpinned calls scan.
-_ROUTING: ContextVar[bool] = ContextVar("xadt_structural_routing", default=False)
-
-
 def routing_enabled() -> bool:
-    return _ROUTING.get()
+    """The running statement's pin; unpinned calls scan."""
+    context = current_context()
+    return context is not None and context.routing
 
 
 @contextmanager
 def routing(enabled: bool):
-    """Pin the access path for a code block: one statement's execution
-    (the session layer), or a test's / benchmark's calls."""
-    token = _ROUTING.set(enabled)
+    """Pin the access path for a test's or benchmark's calls.
+
+    Inside a running statement it overlays that statement's context —
+    same counters, snapshot, budget and work_mem — and restores the pin
+    on exit; outside one it installs a bare context whose charges go to
+    the sink."""
+    context = current_context() or ExecContext(None, None)
+    token = activate(
+        context.snapshot, context.io, context.budget,
+        context.work_mem_bytes, enabled,
+    )
     try:
         yield
     finally:
-        _ROUTING.reset(token)
+        deactivate(token)
 
 
-#: the name the session layer and ``benchmarks/layers`` import
+#: the name ``benchmarks/layers`` imports
 statement_routing = routing
 
 

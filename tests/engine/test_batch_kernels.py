@@ -22,6 +22,7 @@ from repro.engine.io import (
 )
 from repro.engine.plan.logical import infer_type
 from repro.engine.plan.physical import HashJoin, Operator
+from repro.engine.snapshot import activate, deactivate
 from repro.engine.sql.parser import parse_sql
 from repro.engine.types import INTEGER, VARCHAR, XADT, IntegerType
 from repro.engine.udf import FunctionRegistry
@@ -159,6 +160,16 @@ def reference_hash_join(left, right, left_keys, right_keys, residual):
     return out
 
 
+def rows_under_work_mem(join, work_mem_bytes, io=None):
+    """``join``'s rows, run as a statement with this join working memory
+    (a tiny one takes the spill path) charging ``io``."""
+    token = activate(None, io or IoCounters(), work_mem_bytes=work_mem_bytes)
+    try:
+        return list(join.rows())
+    finally:
+        deactivate(token)
+
+
 join_values = st.one_of(
     st.none(),
     st.integers(0, 3),
@@ -193,9 +204,8 @@ class TestHashJoinAgainstReference:
             keys[0],
             keys[1],
             residual=residual,
-            io=IoCounters(work_mem_bytes=64),
         )
-        assert list(join.rows()) == reference_hash_join(
+        assert rows_under_work_mem(join, 64) == reference_hash_join(
             left, right, keys[0], keys[1], residual
         )
 
@@ -213,8 +223,10 @@ class TestHashJoinAgainstReference:
     def test_spill_charges_build_and_probe_bytes(self):
         left = [(i, "x" * 10) for i in range(50)]
         right = [(i, "y" * 30) for i in range(40)]
-        io = IoCounters(work_mem_bytes=256)
-        list(HashJoin(_Rows(left, 2, 7), _Rows(right, 2, 7), [0], [0], io=io).rows())
+        io = IoCounters()
+        rows_under_work_mem(
+            HashJoin(_Rows(left, 2, 7), _Rows(right, 2, 7), [0], [0]), 256, io
+        )
         build = sum(map(estimate_row_bytes, right))
         probe = sum(map(estimate_row_bytes, left))
         pages = pages_of_bytes(build) + pages_of_bytes(probe)

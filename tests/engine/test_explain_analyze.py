@@ -245,7 +245,7 @@ class TestSameEnvelopeAsExecute:
             session.prepare(self.SQL).explain_analyze()
             assert session.io.snapshot() != (0, 0, 0)
         assert db.io.snapshot() == (0, 0, 0)
-        # the default session still charges the shared base counters
+        # the default session charges its own counters: db.io
         db.explain_analyze(self.SQL)
         assert db.io.snapshot() != (0, 0, 0)
 

@@ -6,14 +6,20 @@ import pathlib
 import pytest
 
 from repro.engine import Database
+from repro.engine.expr import ParamBox
 from repro.engine.governor import GovernorLimits, StatementBudget
 from repro.engine.io import (
     RANDOM_PAGE_SECONDS,
     SEQUENTIAL_PAGE_SECONDS,
     IoCounters,
 )
+from repro.engine.plan.optimizer import plan_select
+from repro.engine.plan_cache import normalize_sql
+from repro.engine.snapshot import current_context
+from repro.engine.sql.parser import parse_sql
 from repro.errors import ResourceExceeded
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
+from repro.xadt.structural_index import routing, routing_enabled
 
 GOLDEN_IO = pathlib.Path(__file__).resolve().parent.parent / (
     "golden/io_counters.json"
@@ -109,7 +115,76 @@ class TestCharging:
         assert roomy.io.spill_pages == 0
 
     def test_work_mem_override_respected(self):
-        assert Database(work_mem_bytes=123).io.work_mem_bytes == 123
+        assert Database(work_mem_bytes=123).work_mem_bytes == 123
+
+
+class TestOneChannel:
+    """Every charge reaches the counters the running statement's context
+    names — pages and work alike — and nothing else does."""
+
+    SQL = "SELECT sid FROM small, big WHERE ref = id"
+
+    def test_plan_driven_by_hand_charges_the_sink(self, db):
+        plan = plan_select(parse_sql(self.SQL), db, ParamBox(0))
+        db.io.reset()
+        assert list(plan.rows())
+        assert db.io.snapshot() == (0, 0, 0)
+        assert db.io.notes == []
+        assert not any(db.io.work.values())
+
+    def test_one_cached_plan_charges_each_runner(self, db):
+        db.io.reset()
+        db.execute(self.SQL)
+        charged = (db.io.snapshot(), list(db.io.notes))
+        assert charged[0][2] > 0  # the join spills at the fixture's work_mem
+        entry = db.plan_cache.lookup(normalize_sql(self.SQL), db.catalog_version)
+        db.io.reset()
+        with db.connect() as session:
+            session.execute(self.SQL)
+            assert (session.io.snapshot(), session.io.notes) == charged
+            session.io.reset()
+            report = session.prepare(self.SQL).explain_analyze()
+            assert (report.io.snapshot(), report.io.notes) == charged
+            assert (session.io.snapshot(), session.io.notes) == charged
+        assert db.io.snapshot() == (0, 0, 0)
+        assert (
+            db.plan_cache.lookup(normalize_sql(self.SQL), db.catalog_version)
+            is entry
+        )
+
+    def test_work_mem_is_read_per_execution(self, db):
+        key = normalize_sql(self.SQL)
+        db.io.reset()
+        db.execute(self.SQL)
+        assert db.io.spill_pages > 0
+        entry = db.plan_cache.lookup(key, db.catalog_version)
+        db.work_mem_bytes = 64 * 1024 * 1024
+        db.io.reset()
+        db.execute(self.SQL)
+        assert db.io.spill_pages == 0 and db.io.notes == []
+        assert db.plan_cache.lookup(key, db.catalog_version) is entry
+
+    def test_routing_overlays_the_running_statement(self, db):
+        seen = []
+
+        def probe(value):
+            outer = current_context()
+            with routing(True):
+                seen.append((outer, current_context(), routing_enabled()))
+            seen.append(routing_enabled())
+            return value
+
+        db.registry.register_scalar("probe", probe)
+        with db.connect() as session:
+            session.set_limits(GovernorLimits(memory_budget_bytes=1 << 40))
+            session.execute("SELECT probe(sid) FROM small WHERE sid = 1")
+        (outer, inner, pinned), restored = seen
+        assert pinned and not outer.routing and not restored
+        assert inner.io is outer.io is session.io
+        assert inner.snapshot is outer.snapshot is not None
+        assert inner.budget is outer.budget is not None
+        assert inner.work_mem_bytes == outer.work_mem_bytes == db.work_mem_bytes
+        assert current_context() is None
 
 
 def capture_io_model(db, sql: str) -> dict[str, object]:
@@ -142,7 +217,7 @@ def capture_io_model(db, sql: str) -> dict[str, object]:
         return observed
 
     session = db.connect()
-    work_mem = db.io.work_mem_bytes
+    work_mem = db.work_mem_bytes
     StatementBudget.charge_memory = recording
     try:
         session.set_limits(GovernorLimits(memory_budget_bytes=1 << 40))
@@ -150,7 +225,7 @@ def capture_io_model(db, sql: str) -> dict[str, object]:
         loaded = counters()
         StatementBudget.charge_memory = charge_memory
         session.set_limits(None)
-        db.io.work_mem_bytes = GOLDEN_TIGHT_WORK_MEM
+        db.work_mem_bytes = GOLDEN_TIGHT_WORK_MEM
         session.execute(sql)
         squeezed = counters()
         session.set_limits(
@@ -163,7 +238,7 @@ def capture_io_model(db, sql: str) -> dict[str, object]:
             trip = str(exc)
     finally:
         StatementBudget.charge_memory = charge_memory
-        db.io.work_mem_bytes = work_mem
+        db.work_mem_bytes = work_mem
         session.close()
     return {
         "rows": rows,

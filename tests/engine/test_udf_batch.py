@@ -36,7 +36,6 @@ from repro.engine.expr import (
 )
 from repro.engine.expr_compile import compile_projection, compile_row_expr
 from repro.engine.governor import GovernorLimits, StatementBudget
-from repro.engine.io import IoCounters
 from repro.engine.plan.optimizer import plan_select
 from repro.engine.plan.physical import HashJoin
 from repro.engine.snapshot import activate, deactivate
@@ -47,7 +46,11 @@ from repro.errors import StatementTimeout, UdfError
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.workloads import SIGMOD_QUERIES
 from repro.xadt import DICT, INDEXED, PLAIN, XadtValue
-from tests.engine.test_batch_kernels import _Rows, reference_hash_join
+from tests.engine.test_batch_kernels import (
+    _Rows,
+    reference_hash_join,
+    rows_under_work_mem,
+)
 
 BATCH_SIZES = [0, 1, 2, 7, 1024]
 
@@ -563,9 +566,9 @@ class TestHashJoinResidualWithACall:
         reference = recorder.drain()
         join = HashJoin(
             _Rows(left, 2, batch_size), _Rows(right, 2, batch_size), [0], [0],
-            residual=residual, io=IoCounters(work_mem_bytes=64),
+            residual=residual,
         )
-        assert list(join.rows()) == expected
+        assert rows_under_work_mem(join, 64) == expected
         assert recorder.drain() == reference
 
 
