@@ -4,10 +4,27 @@ The paper implemented the XADT methods "using the C string functions"
 over the VARCHAR payload; the Python-faithful equivalent is
 ``str.find``-based scanning, which runs in C and keeps the method cost
 proportional to the fragment bytes scanned — the property the §4.3/§4.4
-analysis depends on.  This is the one kernel behind
-:mod:`repro.xadt.methods` and ``unnest``: plain payloads are scanned as
-stored, dict payloads through their decode-cached tagged text, and the
-indexed codec's span directory is built with it.
+analysis depends on.  Plain payloads are scanned as stored, dict
+payloads through their decode-cached tagged text.
+
+One kernel, :func:`find_spans`, finds a tag's outermost elements for
+every scan-route method — the ``*_plain`` bodies below, ``elmEquals`` in
+:mod:`repro.xadt.methods` and ``unnest`` — as one flat loop that returns
+a list: of ``(start, content_start, content_end, end)`` bounds, or, for
+a caller that only wants the elements, of their slices.  Per element it
+runs a ``find`` of the open tag, of that tag's ``>`` (a
+self-closing element ends there) and of the close tag, then one ``find``
+of the open tag bounded by that close tag.  Only when the bounded find
+lands on a same-tag open — the element nests its own tag, so the first
+close tag may be the inner element's — does the element go to
+:func:`_match_span`'s depth-counting walk.  That walk is also what
+:func:`top_level_spans` runs for every element: it serves the
+empty-tag forms (a fragment's or a parent's top-level elements) and the
+indexed codec's span directory.
+
+How a span is found is host wall only.  The methods charge every value
+``len(text)`` scanned bytes (:func:`repro.xadt.methods._charge`) — what
+the paper's C scan reads — whichever walk found its spans.
 
 Assumption (guaranteed by the XADT encoders and serializer, and by
 ``XadtValue.from_xml``, which stores what it validates in canonical
@@ -52,26 +69,60 @@ class Span(NamedTuple):
         return payload[self.content_start:self.content_end]
 
 
-def find_spans(payload: str, tag: str, start: int = 0, end: int | None = None) -> Iterator[Span]:
-    """Outermost (non-nested) occurrences of ``tag`` in payload[start:end]."""
+def find_spans(
+    payload: str,
+    tag: str,
+    start: int = 0,
+    end: int | None = None,
+    *,
+    slices: bool = False,
+) -> list:
+    """Outermost (non-nested) occurrences of ``tag`` in payload[start:end],
+    as ``(start, content_start, content_end, end)`` bounds (a
+    :class:`Span`'s fields) or, with ``slices``, as the elements' own
+    slices of ``payload``."""
     if not tag:
         raise XadtMethodError("find_spans requires a tag name")
     limit = len(payload) if end is None else end
     open_pat = "<" + tag
+    close_pat = "</" + tag + ">"
     open_len = len(open_pat)
+    close_len = len(close_pat)
     find = payload.find
+    spans: list = []
+    append = spans.append
     pos = start
-    while pos < limit:
+    while True:
         i = find(open_pat, pos, limit)
         if i == -1:
-            return
-        boundary = payload[i + open_len] if i + open_len < limit else ""
-        if boundary not in _OPEN_BOUNDARY:
+            return spans
+        after = i + open_len
+        if after >= limit or payload[after] not in _OPEN_BOUNDARY:
             pos = i + 1  # a longer tag name sharing the prefix
             continue
-        span = _match_span(payload, tag, i, limit)
-        yield span
-        pos = span.end
+        gt = find(">", i, limit)
+        if gt == -1:
+            raise XadtMethodError(f"unterminated tag <{tag} at offset {i}")
+        content_start = gt + 1
+        if payload[gt - 1] == "/":  # self-closing
+            pos = content_start
+            append(payload[i:pos] if slices else (i, pos, pos, pos))
+            continue
+        close_at = find(close_pat, content_start, limit)
+        if close_at == -1:
+            raise XadtMethodError(f"missing </{tag}> for tag at offset {i}")
+        # a same-tag open before the close tag means nesting; an open of a
+        # longer name sharing the prefix does not
+        inner = find(open_pat, content_start, close_at)
+        while inner != -1 and payload[inner + open_len] not in _OPEN_BOUNDARY:
+            inner = find(open_pat, inner + 1, close_at)
+        if inner == -1:
+            pos = close_at + close_len
+            append(payload[i:pos] if slices else (i, content_start, close_at, pos))
+        else:  # nests its own tag: count depth to the matching close
+            span = _match_span(payload, tag, i, limit)
+            pos = span.end
+            append(payload[i:pos] if slices else span)
 
 
 def top_level_spans(payload: str, start: int = 0, end: int | None = None) -> Iterator[tuple[str, Span]]:
@@ -151,42 +202,39 @@ def get_elm_plain(
     payload: str, root_elm: str, search_elm: str, search_key: str
 ) -> str:
     """Fast path for getElm with the default (unlimited) level."""
-    matched: list[str] = []
     if root_elm:
-        candidates: Iterator[Span] = find_spans(payload, root_elm)
+        if not search_elm and not search_key:
+            return "".join(find_spans(payload, root_elm, slices=True))
+        candidates = find_spans(payload, root_elm)
     else:
-        candidates = (span for _, span in top_level_spans(payload))
-    for span in candidates:
-        piece = span.slice(payload)
-        if _piece_matches(piece, search_elm, search_key):
-            matched.append(piece)
-    return "".join(matched)
+        candidates = [span for _, span in top_level_spans(payload)]
+    return "".join([
+        payload[s:e]
+        for s, _, _, e in candidates
+        if _holds(payload, s, e, search_elm, search_key)
+    ])
 
 
-def _piece_matches(piece: str, search_elm: str, search_key: str) -> bool:
-    if not search_elm and not search_key:
-        return True
+def _holds(
+    payload: str, start: int, end: int, search_elm: str, search_key: str
+) -> bool:
+    """Whether payload[start:end] holds a ``search_elm`` element (any
+    text, without one) whose character content contains ``search_key``."""
     if not search_elm:
-        return search_key in text_of(piece)
-    # find_spans also matches the piece's own root when the tags coincide
+        return not search_key or search_key in text_of(payload[start:end])
+    # find_spans also matches the window's own root when the tags coincide
     # (descendant-or-self semantics: QE1's rootElm == searchElm case).
-    for span in find_spans(piece, search_elm):
-        if not search_key:
-            return True
-        if search_key in text_of(span.content(piece)):
+    spans = find_spans(payload, search_elm, start, end)
+    if not search_key:
+        return bool(spans)
+    for _, content_start, content_end, _ in spans:
+        if search_key in text_of(payload[content_start:content_end]):
             return True
     return False
 
 
 def find_key_in_elm_plain(payload: str, search_elm: str, search_key: str) -> int:
-    if not search_elm:
-        return 1 if search_key in text_of(payload) else 0
-    for span in find_spans(payload, search_elm):
-        if not search_key:
-            return 1
-        if search_key in text_of(span.content(payload)):
-            return 1
-    return 0
+    return 1 if _holds(payload, 0, len(payload), search_elm, search_key) else 0
 
 
 def get_elm_index_plain(
@@ -202,11 +250,9 @@ def get_elm_index_plain(
             if start_pos <= position <= end_pos:
                 matched.append(span.slice(payload))
         return "".join(matched)
-    for parent in find_spans(payload, parent_elm):
+    for _, content_start, content_end, _ in find_spans(payload, parent_elm):
         position = 0
-        for tag, child in top_level_spans(
-            payload, parent.content_start, parent.content_end
-        ):
+        for tag, child in top_level_spans(payload, content_start, content_end):
             if tag != child_elm:
                 continue
             position += 1
@@ -215,10 +261,7 @@ def get_elm_index_plain(
     return "".join(matched)
 
 
-def unnest_plain(payload: str, tag: str) -> Iterator[str]:
+def unnest_plain(payload: str, tag: str) -> list[str]:
     if tag:
-        for span in find_spans(payload, tag):
-            yield span.slice(payload)
-    else:
-        for _, span in top_level_spans(payload):
-            yield span.slice(payload)
+        return find_spans(payload, tag, slices=True)
+    return [span.slice(payload) for _, span in top_level_spans(payload)]

@@ -7,8 +7,9 @@ is that body over a one-element column.  The UDF boundary hands a body a
 batch's whole column in one call (``engine/udf.py``), so what does not
 depend on the value is done once per column:
 
-* the constant arguments are checked — an empty-argument error raises
-  before any value is touched;
+* the constant arguments are checked — an empty or mistyped argument
+  raises :class:`XadtMethodError` before any value is touched (a NULL
+  tag or key relaxes the constraint like ``''``);
 * the access-path decision (:func:`_access_path`) is made, and only an
   ``indexed`` value or a statement routing through structural indexes
   asks for a directory value by value;
@@ -25,12 +26,13 @@ stored value carries, and ``findKeyInElm``'s memoized verdict.
 Every answer is a slice of the fragment's tagged text, taken one of two
 ways — it never builds a DOM or re-serializes:
 
-* the **tag scan** (``fastscan.*_plain``): ``str.find`` over the text,
-  mirroring the paper's C-string implementation whose cost is
-  proportional to the amount of fragment data scanned (that scan cost is
-  what makes QS6 slower under XORator, §4.3).  One kernel serves the
-  scan codecs: a plain payload is the text, a dict payload's text comes
-  from the decode cache (``XadtValue.scan_text``);
+* the **tag scan** (``fastscan.*_plain``, all over the one flat
+  ``str.find`` span walk ``fastscan.find_spans``), mirroring the paper's
+  C-string implementation whose cost is proportional to the amount of
+  fragment data scanned (that scan cost is what makes QS6 slower under
+  XORator, §4.3).  One kernel serves the scan codecs: a plain payload is
+  the text, a dict payload's text comes from the decode cache
+  (``XadtValue.scan_text``);
 * the **directory** (``SpanDirectory.*`` in :mod:`repro.xadt.metadata`):
   jumps through recorded element spans into the same text.
 
@@ -148,6 +150,29 @@ def _probed(spans) -> int:
     return _PROBE_BYTES + sum(span.end - span.start for span in spans)
 
 
+def _tag_arg(method: str, name: str, value: object) -> str:
+    """A tag or search-key argument: a string, or NULL, which relaxes the
+    constraint exactly as ``''`` does."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise XadtMethodError(
+            f"{method}: {name} must be a string, not {type(value).__name__}"
+        )
+    return value
+
+
+def _int_arg(method: str, name: str, value: object) -> int:
+    """An integer argument (anything ``int()`` takes; NULL is not one)."""
+    try:
+        return int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        shown = "NULL" if value is None else repr(value)
+        raise XadtMethodError(
+            f"{method}: {name} must be an integer, not {shown}"
+        ) from None
+
+
 # ---------------------------------------------------------------------------
 # the column bodies
 # ---------------------------------------------------------------------------
@@ -163,6 +188,10 @@ def get_elm_column(
 ) -> None:
     """``getElm`` of every value: the matching ``root_elm`` elements of
     each, as a new fragment."""
+    root_elm = _tag_arg("getElm", "rootElm", root_elm)
+    search_elm = _tag_arg("getElm", "searchElm", search_elm)
+    search_key = _tag_arg("getElm", "searchKey", search_key)
+    level = _int_arg("getElm", "level", level)
     directory_of = _access_path("get_elm" if level < 0 else "")
     new = XadtValue._trusted
     append = results.append
@@ -230,6 +259,8 @@ def find_key_in_elm_column(
     vectorized scan path.  A structural-index probe costs no more than
     the memo lookup would, so its verdicts are returned as they come.
     """
+    search_elm = _tag_arg("findKeyInElm", "searchElm", search_elm)
+    search_key = _tag_arg("findKeyInElm", "searchKey", search_key)
     if not search_elm and not search_key:
         raise XadtMethodError(
             "findKeyInElm: searchElm and searchKey cannot both be empty"
@@ -277,9 +308,12 @@ def get_elm_index_column(
 ) -> None:
     """``getElmIndex`` of every value: positional child access (paper
     QE2 / QS6 / QG6)."""
+    parent_elm = _tag_arg("getElmIndex", "parentElm", parent_elm)
+    child_elm = _tag_arg("getElmIndex", "childElm", child_elm)
     if not child_elm:
         raise XadtMethodError("getElmIndex: childElm cannot be an empty string")
-    start_pos, end_pos = int(start_pos), int(end_pos)
+    start_pos = _int_arg("getElmIndex", "startPos", start_pos)
+    end_pos = _int_arg("getElmIndex", "endPos", end_pos)
     directory_of = _access_path("get_elm_index")
     new = XadtValue._trusted
     append = results.append
@@ -318,6 +352,7 @@ def elm_equals_column(
     ``=`` predicates so Hybrid and XORator translations agree on
     equality semantics.
     """
+    search_elm = _tag_arg("elmEquals", "searchElm", search_elm)
     if not search_elm:
         raise XadtMethodError("elmEquals: searchElm cannot be empty")
     directory_of = _access_path()
@@ -333,15 +368,16 @@ def elm_equals_column(
             if directory is not None:
                 spans = directory.outermost_of(search_elm)
                 scanned += _probed(spans)
+                contents = [span.content(text) for span in spans]
             else:
                 scanned += len(text)
-                spans = fastscan.find_spans(text, search_elm)
+                contents = [
+                    text[cs:ce]
+                    for _, cs, ce, _ in fastscan.find_spans(text, search_elm)
+                ]
             if fragment.codec == DICT:
                 decoded += len(fragment.payload)
-            append(
-                1 if any(text_of(span.content(text)) == value for span in spans)
-                else 0
-            )
+            append(1 if value in map(text_of, contents) else 0)
     finally:
         _charge(scanned, decoded)
 

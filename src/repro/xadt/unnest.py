@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 from repro.xadt import fastscan
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.methods import _PROBE_BYTES, _access_path, _charge
+from repro.xadt.methods import _PROBE_BYTES, _access_path, _charge, _tag_arg
 from repro.xadt.storage import DICT, PLAIN
 
 
@@ -31,6 +31,7 @@ def unnest_column(
 ) -> None:
     """Append, per value, its rows: one single-column row per matching
     element."""
+    tag = _tag_arg("unnest", "tag", tag)
     directory_of = _access_path()
     new = XadtValue._trusted
     append = results.append

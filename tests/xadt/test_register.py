@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.types import INTEGER
 from repro.engine.udf import FunctionKind
-from repro.errors import UdfError
+from repro.errors import UdfError, XadtMethodError
 from repro.xadt import XadtValue, register_xadt_functions
 
 
@@ -142,6 +142,41 @@ class TestSqlSurface:
         ):
             with pytest.raises(UdfError, match=f"{name}.*ValueError: {detail}"):
                 db.execute(f"SELECT u.x FROM speech, TABLE({name}(speechID)) u")
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT findKeyInElm(speech_speaker, 1, 'a') FROM speech",
+         "findKeyInElm: searchElm must be a string, not int"),
+        ("SELECT u.out FROM speech, TABLE(unnest(speech_line, 5)) u",
+         "unnest: tag must be a string, not int"),
+        ("SELECT getElm(speech_line, 'p', 'c', '', 'zz') FROM speech",
+         "getElm: level must be an integer, not 'zz'"),
+        ("SELECT getElmIndex(speech_line, 'p', 'c', 'z', 2) FROM speech",
+         "getElmIndex: startPos must be an integer, not 'z'"),
+        ("SELECT getElmIndex(speech_line, 'p', 'c', 1, NULL) FROM speech",
+         "getElmIndex: endPos must be an integer, not NULL"),
+    ], ids=["findKeyInElm-int-tag", "unnest-int-tag", "getElm-text-level",
+            "getElmIndex-text-position", "getElmIndex-null-position"])
+    def test_argument_type_errors_stay_xadt_method_errors(self, db, sql, message):
+        # formerly a Python TypeError / ValueError wrapped in UdfError
+        with pytest.raises(XadtMethodError) as raised:
+            db.execute(sql)
+        assert str(raised.value) == message
+
+    def test_null_tag_and_key_arguments_relax_like_empty_strings(self, db):
+        for with_null, with_empty in [
+            ("findKeyInElm(speech_speaker, NULL, 'HAMLET')",
+             "findKeyInElm(speech_speaker, '', 'HAMLET')"),
+            ("getElm(speech_line, 'LINE', NULL, NULL)",
+             "getElm(speech_line, 'LINE', '', '')"),
+            ("getElmIndex(speech_line, NULL, 'LINE', 1, 1)",
+             "getElmIndex(speech_line, '', 'LINE', 1, 1)"),
+        ]:
+            sql = "SELECT {} FROM speech ORDER BY speechID"
+            assert db.execute(sql.format(with_null)).rows == db.execute(
+                sql.format(with_empty)
+            ).rows
+        sql = "SELECT u.out FROM speech, TABLE(unnest(speech_line, {})) u"
+        assert db.execute(sql.format("NULL")).rows == db.execute(sql.format("''")).rows
 
     def test_table_function_library_errors_pass_through(self, db):
         from repro.errors import XadtCodecError
