@@ -123,10 +123,6 @@ class WarmRun:
     total_wall_seconds: float
     plan_cache: dict[str, object]    #: plan-cache counters after the run
 
-    @property
-    def per_execution_seconds(self) -> float:
-        return self.total_wall_seconds / max(self.executions, 1)
-
 
 def warm_query(
     db: Database,

@@ -28,9 +28,6 @@ class Occurrence(enum.Enum):
     def is_repeating(self) -> bool:
         return self in (Occurrence.STAR, Occurrence.PLUS)
 
-    def is_optional(self) -> bool:
-        return self in (Occurrence.OPT, Occurrence.STAR)
-
 
 def combine_occurrence(outer: Occurrence, inner: Occurrence) -> Occurrence:
     """Collapse nested indicators (the paper's *simplification* rule).

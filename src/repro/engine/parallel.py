@@ -6,11 +6,11 @@ into per-partition *fragments* and runs them on a pool of forked worker
 processes.  This module owns everything below the operator:
 
 * the **fragment task** — a plain picklable dict carrying the table
-  schema, alias, pushed predicate/projection ASTs, bind-parameter
-  values, and (for partial aggregation) the GROUP BY / aggregate
-  expression ASTs.  Workers re-compile the expressions locally with
-  :func:`repro.engine.expr_compile.compile_row_expr`, so no closures or
-  locks ever cross the process boundary;
+  schema, alias, pushed predicate AST, column list, SELECT-list ASTs
+  and bind-parameter values.  Workers re-compile the expressions
+  locally with :mod:`repro.engine.expr_compile`, so no closures or
+  locks ever cross the process boundary.  Aggregation never ships: it
+  runs in the coordinator over the merged stream;
 * the **snapshot slice** — the partition's visible ``(row_id, row)``
   pairs under the statement's snapshot horizon.  Slices ship at most
   once per ``(table, partition, catalog version, horizon)`` key and are
@@ -21,9 +21,11 @@ processes.  This module owns everything below the operator:
   pipes, strict request/reply (at most one outstanding fragment per
   worker, so pipes cannot deadlock), death detection while gathering,
   respawn on the next dispatch;
-* :func:`execute_fragment` — the fragment interpreter itself, shared by
-  the worker child and the coordinator's inline-degradation path so a
-  fragment computes identical results wherever it runs;
+* :func:`execute_fragment` — the fragment interpreter itself (a scan
+  and an optional SELECT list, run through the same batch companions
+  as the inline operators), shared by the worker child and the
+  coordinator's inline-degradation path so a fragment computes
+  identical results wherever it runs;
 * **retry** — a failed fragment is re-dispatched under the shared
   :class:`~repro.retry.RetryPolicy` (DESIGN.md §9): transient failures
   (a killed worker, an injected fault) retry with jittered exponential
@@ -42,17 +44,16 @@ import pickle
 import signal
 from multiprocessing import get_context
 from multiprocessing import shared_memory
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from repro.engine.expr import Binding, Slot
-from repro.engine.expr_compile import compile_row_expr
+from repro.engine.expr_compile import compile_projection, compile_row_expr
 from repro.engine.faults import FAULTS
 from repro.engine.io import IoCounters, work_counters
+from repro.engine.plan.physical import row_picker
 from repro.engine.snapshot import activate, current_context, deactivate
 from repro.engine.udf import FunctionRegistry
-from repro.engine.values import batch_group_keys
 from repro.errors import (
     ConfigError,
     ExecutionError,
@@ -80,107 +81,11 @@ _SLICE_BYTES = METRICS.counter("exchange.slice_bytes")
 # ---------------------------------------------------------------------------
 
 
-# Per-kind accumulator updates for one non-NULL value.  ``HashAggregate``
-# binds one per aggregate and applies it column by column; the fragment
-# interpreter goes through ``PartialAgg.add``.
-
-
-def _add_count(acc: "PartialAgg", value: object) -> None:
-    acc.count += 1
-
-
-def _add_total(acc: "PartialAgg", value: object) -> None:
-    if not isinstance(value, (int, float)):
-        raise ExecutionError(f"{acc.kind.upper()} over non-numeric {value!r}")
-    acc.count += 1
-    acc.total += value
-
-
-def _add_min(acc: "PartialAgg", value: object) -> None:
-    acc.count += 1
-    if acc.best is None or value < acc.best:  # type: ignore[operator]
-        acc.best = value
-
-
-def _add_max(acc: "PartialAgg", value: object) -> None:
-    acc.count += 1
-    if acc.best is None or value > acc.best:  # type: ignore[operator]
-        acc.best = value
-
-
-AGG_UPDATES = {
-    "count": _add_count,
-    "sum": _add_total,
-    "avg": _add_total,
-    "min": _add_min,
-    "max": _add_max,
-}
-
-
-class PartialAgg:
-    """Mergeable accumulator state for one non-DISTINCT aggregate.
-
-    The one accumulator of the engine: ``HashAggregate`` extends it with
-    a DISTINCT set, the coordinator applies ``merge`` across partitions.
-    DISTINCT aggregates are never pushed down, so no distinct-set state
-    crosses a worker boundary.
-    """
-
-    __slots__ = ("kind", "count", "total", "best")
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.count = 0
-        self.total: float | int = 0
-        self.best: object = None
-
-    def add(self, value: object) -> None:
-        if value is not None:
-            AGG_UPDATES[self.kind](self, value)
-
-    def dump(self) -> tuple:
-        return (self.count, self.total, self.best)
-
-    def merge(self, state: tuple) -> None:
-        count, total, best = state
-        self.count += count
-        self.total += total
-        if best is not None:
-            if self.best is None:
-                self.best = best
-            elif self.kind == "min" and best < self.best:  # type: ignore[operator]
-                self.best = best
-            elif self.kind == "max" and best > self.best:  # type: ignore[operator]
-                self.best = best
-
-    def result(self) -> object:
-        kind = self.kind
-        if kind == "count":
-            return self.count
-        if kind == "sum":
-            return self.total if self.count else None
-        if kind == "avg":
-            return (self.total / self.count) if self.count else None
-        return self.best
-
-
 def _full_binding(schema, alias: str) -> Binding:
     qualifier = alias.lower()
     return Binding(
         [Slot(qualifier, c.name, c.sql_type) for c in schema.columns]
     )
-
-
-def row_picker(projection: list[int] | None):
-    """A row → pruned-tuple function for a pushed-down column list."""
-    if projection is None:
-        return None
-    if not projection:
-        return lambda row: ()
-    if len(projection) == 1:
-        index = projection[0]
-        return lambda row: (row[index],)
-    return itemgetter(*projection)
 
 
 def worker_registry() -> FunctionRegistry:
@@ -194,81 +99,42 @@ def worker_registry() -> FunctionRegistry:
 
 def execute_fragment(
     task: dict, pairs: list[tuple[int, tuple]], registry: FunctionRegistry
-) -> object:
+) -> list[tuple[int, tuple]]:
     """Run one partition fragment over ``pairs`` = ``[(row_id, row), ...]``.
 
-    The predicate compiles against the full storage-row binding and the
-    projection prunes afterwards — the same contract as ``SeqScan`` — so
-    partitioned and unpartitioned execution see identical row streams.
-    A pushed-down SELECT list (``task["project"]``, expression ASTs over
-    the pruned binding) then evaluates per row exactly as the ``Project``
-    operator would.  Returns ``[(row_id, out_row), ...]`` for scan
-    fragments, or a ``{group_key: (raw_key, first_row_id, [state, ...])}``
-    dict for partial-aggregation fragments.  Charges the work counters
-    the inline operators would.
+    A fragment is a scan and an optional SELECT list, evaluated with the
+    batch companions of the closures the inline ``SeqScan`` and
+    ``Project`` use, over the whole slice at once: the predicate filters
+    the full storage rows, the column list prunes them, and a pushed-down
+    SELECT list (``task["project"]``, expression ASTs over the pruned
+    binding) computes the output tuples.  Returns ``[(row_id, out_row),
+    ...]`` and charges the work counters the inline operators would.
     """
     work = work_counters().work
     work["scan_rows"] += len(pairs)
-    schema = task["schema"]
-    binding = _full_binding(schema, task["alias"])
+    binding = _full_binding(task["schema"], task["alias"])
     params = SimpleNamespace(values=tuple(task["params"]))
     predicate = task["predicate"]
     if predicate is not None:
-        fn = compile_row_expr(predicate, binding, registry, params)
-        pairs = [(rid, row) for rid, row in pairs if fn(row)]
+        keep = compile_row_expr(predicate, binding, registry, params)
+        # batch_filter returns the kept row objects themselves, and equal
+        # rows are kept alike, so identity recovers each kept row's id
+        kept = {id(row) for row in keep.batch_filter([row for _, row in pairs])}
+        pairs = [pair for pair in pairs if id(pair[1]) in kept]
+    row_ids = [row_id for row_id, _ in pairs]
+    rows = [row for _, row in pairs]
     projection = task["projection"]
-    pick = row_picker(projection)
-    out_binding = (
-        binding
-        if projection is None
-        else Binding([binding.slots[i] for i in projection])
-    )
-    if pick is not None:
-        pairs = [(rid, pick(row)) for rid, row in pairs]
-    if task["kind"] == "scan":
-        project = task.get("project")
-        if project is not None:
-            work["operator_rows"] += len(pairs)
-            fns = [
-                compile_row_expr(expr, out_binding, registry, params)
-                for expr in project
-            ]
-            pairs = [
-                (rid, tuple(fn(row) for fn in fns)) for rid, row in pairs
-            ]
-        return pairs
-
-    group_fns = [
-        compile_row_expr(expr, out_binding, registry, params)
-        for expr in task["group"]
-    ]
-    agg_fns = [
-        (
-            kind,
-            compile_row_expr(arg, out_binding, registry, params)
-            if arg is not None
-            else None,
+    if projection is not None:
+        pick = row_picker(projection)
+        rows = [pick(row) for row in rows]
+        binding = Binding([binding.slots[i] for i in projection])
+    project = task["project"]
+    if project is not None:
+        work["operator_rows"] += len(rows)
+        rows = compile_projection(project, binding, registry, params).batch_eval(
+            rows
         )
-        for kind, arg in task["aggs"]
-    ]
-    work["group_rows"] += len(pairs)
-    groups: dict[tuple, tuple[tuple, int, list[PartialAgg]]] = {}
-    raw_keys = [tuple([fn(out) for fn in group_fns]) for _, out in pairs]
-    keys = batch_group_keys(raw_keys, True)
-    for (rid, out), raw_key, key in zip(pairs, raw_keys, keys):
-        entry = groups.get(key)
-        if entry is None:
-            entry = (raw_key, rid, [PartialAgg(kind) for kind, _ in agg_fns])
-            groups[key] = entry
-        for (kind, fn), accumulator in zip(agg_fns, entry[2]):
-            if fn is None:  # COUNT(*)
-                accumulator.count += 1
-            else:
-                accumulator.add(fn(out))
-    return {
-        key: (raw_key, first_rid, [acc.dump() for acc in accumulators])
-        for key, (raw_key, first_rid, accumulators) in groups.items()
-    }
+    return list(zip(row_ids, rows))
 
 
 def execute_lane_fragment(
@@ -668,7 +534,6 @@ class WorkerPool:
 
 __all__ = [
     "PICKLE_PROTOCOL",
-    "PartialAgg",
     "SHM_THRESHOLD",
     "WorkerPool",
     "execute_fragment",

@@ -2,7 +2,10 @@
 
 Split from :mod:`repro.engine.plan.physical` (which keeps the
 single-process operators); the fragment interpreter the workers run is
-:mod:`repro.engine.parallel`.
+:mod:`repro.engine.parallel`.  A fragment is a scan and, at most, the
+SELECT list above it; every aggregate runs in the coordinator's
+``HashAggregate`` over the Exchange's row-id-ordered merge, so floats
+are added in serial order.
 """
 
 from __future__ import annotations
@@ -12,21 +15,15 @@ from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from repro.engine.expr import Binding, Expr, FuncCall, Star
+from repro.engine.expr import Binding, Expr
 from repro.engine.io import (
     add_work,
     pages_of_bytes,
     work_counters,
     work_seconds,
 )
-from repro.engine.parallel import PartialAgg, execute_lane_fragment
-from repro.engine.plan.physical import (
-    Batch,
-    HashAggregate,
-    Operator,
-    SeqScan,
-    _batched,
-)
+from repro.engine.parallel import execute_lane_fragment
+from repro.engine.plan.physical import Batch, Operator, SeqScan
 from repro.engine.snapshot import active_budget, current_context, table_version
 from repro.engine.storage import PartitionedHeapTable
 from repro.engine.udf import FunctionRegistry
@@ -43,16 +40,11 @@ class Exchange(Operator):
     worker pool (:mod:`repro.engine.parallel`), and the coordinator
     stitches the per-partition results back together.
 
-    * a scan k-way merges the ``(row_id, row)`` streams by row id.
-      Partition buckets are ascending row-id subsets of the heap, so the
-      merged stream is byte-identical to the unpartitioned scan order —
-      every downstream operator (joins, aggregation, DISTINCT) sees
-      exactly the stream it would have seen without partitioning.
-    * **partial aggregation**: when the planner pushes a GROUP BY down
-      (:meth:`attach_partial_agg`), workers pre-aggregate their
-      partition and the coordinator merges the mergeable accumulator
-      states, emitting groups ordered by their minimal first row id —
-      the same first-seen order ``HashAggregate`` produces inline.
+    The coordinator k-way merges the ``(row_id, row)`` streams by row
+    id.  Partition buckets are ascending row-id subsets of the heap, so
+    the merged stream is byte-identical to the unpartitioned scan order —
+    every downstream operator (joins, aggregation, DISTINCT) sees
+    exactly the stream it would have seen without partitioning.
 
     Pruning is *bind-aware*: equality/range predicates on the partition
     column resolve literals at plan time and parameters at execution
@@ -93,27 +85,10 @@ class Exchange(Operator):
         self.prunes = list(prunes or ())
         self.binding = template.binding
         self.estimated_rows = template.estimated_rows
-        self.agg: dict | None = None
         self.project: list[Expr] | None = None
         self._static_parts = self._static_prune()
 
     # -- planner hooks -----------------------------------------------------
-
-    def attach_partial_agg(
-        self,
-        group_asts: list[Expr],
-        agg_asts: list[tuple[str, Expr | None]],
-        binding: Binding,
-        estimated_rows: float,
-    ) -> None:
-        """Turn this exchange into a partial-aggregation exchange."""
-        self.agg = {
-            "group": group_asts,
-            "aggs": agg_asts,
-            "grand_total": not group_asts,
-        }
-        self.binding = binding
-        self.estimated_rows = estimated_rows
 
     def attach_project(
         self, project_asts: list[Expr], binding: Binding
@@ -121,16 +96,12 @@ class Exchange(Operator):
         """Push the SELECT list into the fragments.
 
         Workers evaluate the projection expressions (XADT method calls
-        included — each worker carries the full UDF registry) per row,
-        so the exchange emits final output tuples and the planner drops
-        the coordinator-side ``Project``.  The heavy per-row work then
-        lands in the fragments' lanes, which the modeled multi-core pool
-        runs side by side.
+        included — each worker carries the full UDF registry) over their
+        slice, so the exchange emits final output tuples and the planner
+        drops the coordinator-side ``Project``.  The heavy per-row work
+        then lands in the fragments' lanes, which the modeled multi-core
+        pool runs side by side.
         """
-        if self.agg is not None:
-            raise ExecutionError(
-                "cannot push a projection into a partial-agg exchange"
-            )
         self.project = list(project_asts)
         self.binding = binding
 
@@ -180,8 +151,7 @@ class Exchange(Operator):
         self, partition: int, horizon: int, catalog_token: int, values: tuple
     ) -> dict:
         key = self.heap.schema.key
-        task = {
-            "kind": "agg" if self.agg is not None else "scan",
+        return {
             "table": key,
             "partition": partition,
             "slice_key": (key, partition, catalog_token, horizon),
@@ -190,13 +160,8 @@ class Exchange(Operator):
             "predicate": self.predicate_ast,
             "projection": self.template.projection,
             "params": values,
+            "project": self.project,
         }
-        if self.agg is not None:
-            task["group"] = self.agg["group"]
-            task["aggs"] = self.agg["aggs"]
-        if self.project is not None:
-            task["project"] = self.project
-        return task
 
     def _execute(self) -> Iterator[Batch]:
         heap = self.heap
@@ -204,13 +169,6 @@ class Exchange(Operator):
         horizon = len(heap.rows) if version is None else version.row_count
         parts = self._live_partitions()
         if not parts:
-            if self.agg is not None and self.agg["grand_total"]:
-                yield [
-                    tuple(
-                        PartialAgg(kind).result()
-                        for kind, _ in self.agg["aggs"]
-                    )
-                ]
             return
         # partitions live on separate spindles (shared-nothing layout,
         # DESIGN.md §12) and are read concurrently: charge the widest
@@ -271,9 +229,6 @@ class Exchange(Operator):
 
     def _stitch(self, results) -> Iterator[Batch]:
         """Merge fragment results into output batches (coordinator side)."""
-        if self.agg is not None:
-            yield from self._merge_partial_agg(results)
-            return
         size = self.batch_size
         batch: Batch = []
         for _, row in heapq.merge(*results, key=itemgetter(0)):
@@ -284,45 +239,12 @@ class Exchange(Operator):
         if batch:
             yield batch
 
-    def _merge_partial_agg(self, results) -> Iterator[Batch]:
-        assert self.agg is not None
-        kinds = [kind for kind, _ in self.agg["aggs"]]
-        merged: dict[tuple, list] = {}
-        for partial in results:
-            for key, (raw_key, first_rid, states) in partial.items():
-                entry = merged.get(key)
-                if entry is None:
-                    entry = [raw_key, first_rid, [
-                        PartialAgg(kind) for kind in kinds
-                    ]]
-                    merged[key] = entry
-                elif first_rid < entry[1]:
-                    entry[1] = first_rid
-                for accumulator, state in zip(entry[2], states):
-                    accumulator.merge(state)
-        if not merged:
-            if self.agg["grand_total"]:
-                yield [
-                    tuple(PartialAgg(kind).result() for kind in kinds)
-                ]
-            return
-        # ascending minimal row id == HashAggregate's first-seen order
-        rows = [
-            raw_key + tuple(acc.result() for acc in accumulators)
-            for raw_key, _, accumulators in sorted(
-                merged.values(), key=itemgetter(1)
-            )
-        ]
-        yield from _batched(rows, self.batch_size)
-
     # -- explain -----------------------------------------------------------
 
     def explain(self, depth: int = 0) -> list[str]:
         total = self.heap.spec.partitions
         live = "?" if self._static_parts is None else len(self._static_parts)
         suffix = f" exchange[{live}/{total} parts] workers={self.workers}"
-        if self.agg is not None:
-            suffix += " partial-agg"
         if self.project is not None:
             names = ", ".join(slot.name for slot in self.binding.slots)
             suffix += f" project[{names}]"
@@ -331,46 +253,4 @@ class Exchange(Operator):
         return lines
 
 
-#: aggregate kinds with mergeable partial states (DESIGN.md §12)
-_PARTIAL_AGG_KINDS = frozenset({"count", "sum", "avg", "min", "max"})
-
-
-def maybe_push_partial_agg(
-    source: Operator,
-    aggregate: Operator,
-    group_by: list[Expr],
-    aggregates: list[FuncCall],
-) -> Operator:
-    """Fold ``HashAggregate(Exchange)`` into a partial-agg exchange.
-
-    Only when the aggregate sits *directly* on a scan-mode Exchange and
-    every aggregate is non-DISTINCT with a mergeable partial state do
-    workers pre-aggregate their partitions; the coordinator merges the
-    states and reproduces HashAggregate's first-seen group order by
-    minimal row id.  Anything else keeps the inline HashAggregate (the
-    Exchange's ordered merge already feeds it the exact row stream).
-    """
-    if not isinstance(source, Exchange) or source.agg is not None:
-        return aggregate
-    if not isinstance(aggregate, HashAggregate) or aggregate.input is not source:
-        return aggregate
-    agg_asts: list[tuple[str, Expr | None]] = []
-    for call in aggregates:
-        kind = call.name.lower()
-        if kind not in _PARTIAL_AGG_KINDS or call.distinct:
-            return aggregate
-        if kind == "count" and (not call.args or isinstance(call.args[0], Star)):
-            agg_asts.append((kind, None))
-        else:
-            agg_asts.append((kind, call.args[0]))
-    source.attach_partial_agg(
-        list(group_by),
-        agg_asts,
-        aggregate.binding,
-        aggregate.estimated_rows,
-    )
-    return source
-
-
-
-__all__ = ["Exchange", "maybe_push_partial_agg"]
+__all__ = ["Exchange"]

@@ -29,7 +29,7 @@ from repro.engine.expr import (
     and_together,
 )
 from repro.engine.expr_compile import compile_projection, compile_row_expr
-from repro.engine.plan.exchange import Exchange, maybe_push_partial_agg
+from repro.engine.plan.exchange import Exchange
 from repro.engine.plan.logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -182,11 +182,10 @@ class _SelectLowering:
         if (
             tuple_fn is not None
             and isinstance(plan, Exchange)
-            and plan.agg is None
             and plan.project is None
         ):
             # push the SELECT list into the fragments: workers evaluate the
-            # (already-validated) expressions per row, the exchange emits
+            # (already-validated) expressions, the exchange emits
             # final output tuples, and the coordinator-side Project is
             # dropped.  Per-row XADT decode then runs partition-parallel.
             plan.attach_project(select_exprs, Binding(projected_slots))
@@ -410,10 +409,7 @@ class _SelectLowering:
             substitutions[expr] = position
         for position, call in enumerate(aggregate.aggregates):
             substitutions[call] = len(group_exprs_ast) + position
-        pushed = maybe_push_partial_agg(
-            plan, hash_aggregate, aggregate.group_by, aggregate.aggregates
-        )
-        return pushed, substitutions
+        return hash_aggregate, substitutions
 
 
 def _substituted(expr: Expr, substitutions: dict[Expr, int]) -> Expr:

@@ -44,7 +44,6 @@ from repro.engine.io import (
     pages_of_bytes,
     work_counters,
 )
-from repro.engine.parallel import AGG_UPDATES, PartialAgg, row_picker
 from repro.engine.snapshot import (
     active_budget,
     current_context,
@@ -738,14 +737,69 @@ class AggSpec:
     distinct: bool = False
 
 
-class _Accumulator(PartialAgg):
-    """An aggregate's running state, plus its DISTINCT set."""
+class _Accumulator:
+    """One aggregate's running state for one group, plus its DISTINCT set."""
 
-    __slots__ = ("seen",)
+    __slots__ = ("kind", "count", "total", "best", "seen")
 
     def __init__(self, kind: str, distinct: bool) -> None:
-        super().__init__(kind)
+        self.kind = kind
+        self.count = 0
+        self.total: float | int = 0
+        self.best: object = None
         self.seen: set[object] | None = set() if distinct else None
+
+    def result(self) -> object:
+        kind = self.kind
+        if kind == "count":
+            return self.count
+        if kind == "sum":
+            return self.total if self.count else None
+        if kind == "avg":
+            return (self.total / self.count) if self.count else None
+        return self.best
+
+
+# Per-kind accumulator updates for one non-NULL value: ``HashAggregate``
+# binds one per aggregate and applies it column by column.
+
+
+def _add_count(acc: _Accumulator, value: object) -> None:
+    acc.count += 1
+
+
+def _add_total(acc: _Accumulator, value: object) -> None:
+    if not isinstance(value, (int, float)):
+        raise ExecutionError(f"{acc.kind.upper()} over non-numeric {value!r}")
+    acc.count += 1
+    acc.total += value
+
+
+def _add_min(acc: _Accumulator, value: object) -> None:
+    acc.count += 1
+    try:
+        if acc.best is None or value < acc.best:  # type: ignore[operator]
+            acc.best = value
+    except TypeError:
+        raise ExecutionError(f"MIN over unordered {value!r}") from None
+
+
+def _add_max(acc: _Accumulator, value: object) -> None:
+    acc.count += 1
+    try:
+        if acc.best is None or value > acc.best:  # type: ignore[operator]
+            acc.best = value
+    except TypeError:
+        raise ExecutionError(f"MAX over unordered {value!r}") from None
+
+
+AGG_UPDATES = {
+    "count": _add_count,
+    "sum": _add_total,
+    "avg": _add_total,
+    "min": _add_min,
+    "max": _add_max,
+}
 
 
 class HashAggregate(Operator):
@@ -942,6 +996,18 @@ def _rows_per_page(table: HeapTable) -> int:
     return max(table.row_count() // pages, 1)
 
 
+def row_picker(projection: list[int] | None):
+    """A row → pruned-tuple function for a pushed-down column list."""
+    if projection is None:
+        return None
+    if not projection:
+        return lambda row: ()
+    if len(projection) == 1:
+        index = projection[0]
+        return lambda row: (row[index],)
+    return itemgetter(*projection)
+
+
 def table_binding(
     table: HeapTable, alias: str, projection: list[int] | None = None
 ) -> Binding:
@@ -975,5 +1041,6 @@ __all__ = [
     "Project",
     "SeqScan",
     "Sort",
+    "row_picker",
     "table_binding",
 ]

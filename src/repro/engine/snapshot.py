@@ -69,11 +69,6 @@ class EngineSnapshot:
     #: heap object -> visible extent at this version
     tables: Mapping["HeapTable", TableVersion] = field(default_factory=dict)
 
-    def visible_rows(self, heap: "HeapTable") -> int:
-        """The read horizon for ``heap``: 0 if it post-dates the pin."""
-        version = self.tables.get(heap)
-        return 0 if version is None else version.row_count
-
 
 class ExecContext:
     """What a session installs while executing one statement: the only

@@ -44,10 +44,6 @@ class MappedColumn:
     attribute: str | None = None
     primary_key: bool = False
 
-    def source_element(self) -> str | None:
-        """The element the column's data comes from (None for key columns)."""
-        return self.path[-1] if self.path else None
-
     def ddl_fragment(self) -> str:
         suffix = " PRIMARY KEY" if self.primary_key else ""
         return f"{self.name} {self.type_name}{suffix}"
@@ -72,9 +68,6 @@ class MappedTable:
 
     def columns_of_kind(self, kind: ColumnKind) -> list[MappedColumn]:
         return [column for column in self.columns if column.kind is kind]
-
-    def has_parent(self) -> bool:
-        return bool(self.parent_elements)
 
     def needs_parent_code(self) -> bool:
         return len(self.parent_elements) > 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.xadt.fragment import XadtValue, coerce_fragment
+from repro.xadt.fragment import coerce_fragment
 from repro.xadt.storage import DICT, PLAIN
 
 #: compression must save at least this fraction to be chosen (paper: 20 %)
@@ -73,8 +73,3 @@ def choose_codec(
     savings = 1.0 - (dict_bytes / plain_bytes) if plain_bytes else 0.0
     codec = DICT if savings >= threshold else PLAIN
     return CodecDecision(codec, plain_bytes, dict_bytes, len(sample))
-
-
-def encode_with(fragments: list[XadtValue], codec: str) -> list[XadtValue]:
-    """Re-encode every fragment under ``codec``."""
-    return [fragment.recode(codec) for fragment in fragments]

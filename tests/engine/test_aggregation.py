@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Database
 from repro.errors import ExecutionError, PlanError
+from repro.xadt import XadtValue, register_xadt_functions
 
 
 @pytest.fixture()
@@ -193,3 +194,27 @@ class TestAggregateErrors:
     def test_star_outside_count_rejected(self, db):
         with pytest.raises(PlanError):
             db.execute("SELECT SUM(*) FROM papers")
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT MIN(line) FROM s",
+            "SELECT MAX(line) FROM s",
+            "SELECT MAX(getElm(line, 'L', '', '')) FROM s",
+            "SELECT id, MIN(getElm(line, 'L', '', '')) FROM s GROUP BY id",
+        ],
+    )
+    def test_min_max_over_unordered_values_is_an_execution_error(self, sql):
+        # XADT fragments have no order: the typed error names the aggregate
+        database = Database("agg-xadt")
+        register_xadt_functions(database)
+        database.execute(
+            "CREATE TABLE s (k INTEGER PRIMARY KEY, id INTEGER, line XADT)"
+        )
+        database.bulk_insert("s", [
+            (k, 1, XadtValue.from_xml(f"<L>line {k}</L>")) for k in range(3)
+        ])
+        kind = "MIN" if "MIN(" in sql else "MAX"
+        with pytest.raises(ExecutionError, match=kind):
+            database.execute(sql)
+        database.close()

@@ -12,11 +12,13 @@ The contract under test, layer by layer:
   ``Database.partition_table`` publish the spec, survive WAL recovery,
   and bump the catalog version so cached plans stay sound;
 * planning — partition pruning is visible in EXPLAIN
-  (``exchange[k/n parts]``, ``?`` while bind-dependent) and partial
-  aggregation / projection push down into the fragments;
-* execution — the paper's Fig11/Fig13 workloads return *exactly* the
-  unpartitioned results at 1, 2, and 4 workers, through worker crashes
-  (respawn + retry) and total pool loss (inline degrade);
+  (``exchange[k/n parts]``, ``?`` while bind-dependent) and the
+  projection pushes down into the fragments, while aggregates stay on
+  the coordinator;
+* execution — the paper's Fig11/Fig13 workloads, and float SUM/AVG,
+  return *exactly* the unpartitioned results at 1, 2, and 4 workers,
+  through worker crashes (respawn + retry) and total pool loss (inline
+  degrade);
 * the Exchange route — a fragment's XADT methods scan wherever it runs,
   with structural indexes on or off.
 """
@@ -322,10 +324,6 @@ class TestPlanning:
         )
         db.close()
 
-    def test_partial_agg_is_pushed_down(self, pdb):
-        plan = pdb.explain("SELECT COUNT(*), SUM(v) FROM t")
-        assert "partial-agg" in plan
-
     def test_projection_is_pushed_down(self, pdb):
         plan = pdb.explain("SELECT v FROM t WHERE v > 10")
         assert "project[v]" in plan
@@ -353,11 +351,19 @@ class TestPlanning:
         parallel(pdb, 0)
         assert pdb.execute(sql).rows == with_pool
 
+    def test_aggregates_stay_on_the_coordinator(self, pdb):
+        plan = pdb.explain("SELECT COUNT(*), SUM(v) FROM t")
+        assert plan.index("HashAggregate") < plan.index("Exchange")
+
     def test_grand_total_over_pruned_to_empty(self, pdb):
-        # equality on a value no row has still answers COUNT(*) = 0
+        # equality on a value no row has still answers COUNT(*) = 0 ...
         assert pdb.execute(
             "SELECT COUNT(*) FROM t WHERE id = 1000"
         ).rows == [(0,)]
+        # ... and a GROUP BY over no rows has no groups
+        assert pdb.execute(
+            "SELECT g, COUNT(*) FROM t WHERE id = 1000 GROUP BY g"
+        ).rows == []
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +441,38 @@ class TestWorkloadParity:
         assert (
             METRICS.counter("exchange.inline_fallbacks").value > fallbacks
         )
+
+
+@pytest.fixture()
+def float_db():
+    """200 DOUBLE values mixing 1e16 with small fractions, so the order
+    the floats are added in shows in the last digits of every sum."""
+    db = Database("floats")
+    db.execute(
+        "CREATE TABLE f (id INTEGER PRIMARY KEY, g INTEGER, x DOUBLE) "
+        "PARTITION BY HASH(id) PARTITIONS 4"
+    )
+    db.bulk_insert("f", [
+        (i, i % 3, 1e16 if i % 7 == 0 else 0.1 * i + 1 / 3)
+        for i in range(200)
+    ])
+    db.runstats()
+    yield db
+    db.close()
+
+
+class TestFloatParity:
+    @pytest.mark.parametrize("sql", [
+        "SELECT g, SUM(x), AVG(x) FROM f GROUP BY g",
+        "SELECT SUM(x), AVG(x) FROM f",
+    ])
+    def test_float_sum_avg_equal_serial_at_every_width(self, float_db, sql):
+        parallel(float_db, 0)
+        serial = float_db.execute(sql).rows
+        for workers in (1, 2, 4):
+            parallel(float_db, workers)
+            assert "Exchange" in float_db.explain(sql)
+            assert float_db.execute(sql).rows == serial, workers
 
 
 class TestAccounting:
@@ -533,3 +571,26 @@ class TestExchangeRoute:
         finally:
             FAULTS.clear()
         assert METRICS.counter("exchange.inline_fallbacks").value > fallbacks
+
+    def test_a_fragment_crosses_the_udf_boundary_a_column_at_a_time(
+        self, xadt_db, monkeypatch
+    ):
+        # every fragment degrades inline, onto the coordinator's registry:
+        # its filter and SELECT list take the batch route, never per call
+        sql = (
+            "SELECT id, getElm(line, 'LINE', '', '') FROM speech "
+            "WHERE findKeyInElm(line, 'LINE', 'love') = 1"
+        )
+        parallel(xadt_db, 0)
+        serial = xadt_db.execute(sql).rows
+        parallel(xadt_db, 2)
+        assert "project[" in xadt_db.explain(sql)
+        monkeypatch.setattr(
+            xadt_db.registry, "invoke_scalar",
+            lambda *a: pytest.fail("per-call route"),
+        )
+        FAULTS.install(FaultPlan().raise_at("worker.crash", probability=1.0))
+        try:
+            assert xadt_db.execute(sql).rows == serial
+        finally:
+            FAULTS.clear()
