@@ -62,8 +62,8 @@ from repro.engine.expr import (
     Parameter,
     Star,
 )
-from repro.engine.expr_compile import XADT_METHOD_NAMES
 from repro.engine.plan.logical import (
+    XADT_METHOD_NAMES,
     LogicalAggregate,
     LogicalDistinct,
     LogicalFilter,
@@ -586,8 +586,10 @@ def emit_select(root: LogicalNode, parameters: int = 0) -> SqliteCompiled:
         if aggregate.having is not None:
             sql += " HAVING " + emitter.expr(aggregate.having)
     if order_by:
+        # native ordering follows DB2: NULLs sort high (SQLite's sort low)
         sql += " ORDER BY " + ", ".join(
-            emitter.expr(o.expr) + (" DESC" if o.descending else "")
+            emitter.expr(o.expr)
+            + (" DESC NULLS FIRST" if o.descending else " NULLS LAST")
             for o in order_by
         )
     if limit is not None:

@@ -380,10 +380,12 @@ def compile_expr(
 ) -> Compiled:
     """Compile ``expr`` to a tree of per-node closures over row tuples.
 
-    The reference semantics of the expression language: the generated
-    code of :mod:`repro.engine.expr_compile` — the only compiler a plan
-    holds — is diffed against it (``tests/engine/test_expr_compile.py``),
-    and ``INSERT ... VALUES`` evaluates its constants with it.
+    The reference semantics of the expression language, one row and one
+    UDF call (``FunctionRegistry.invoke_scalar``) at a time: the batch
+    functions of :mod:`repro.engine.expr_compile` — the only compiler a
+    plan holds — are diffed against it, values and calls alike
+    (``tests/engine/test_expr_compile.py``, ``test_udf_batch.py``), and
+    ``INSERT ... VALUES`` evaluates its constants with it.
 
     ``params`` is the bind-value box Parameter markers read from; plans
     compiled without one reject markers at plan time.
@@ -433,9 +435,12 @@ def compile_expr(
         operand = compile_expr(expr.operand, binding, registry, params)
         pattern = expr.pattern
         if expr.negated:
-            return lambda row: (
-                operand(row) is not None and not value_ops.like(operand(row), pattern)
-            )
+
+            def not_like(row: tuple) -> bool:
+                value = operand(row)  # once: it may be a UDF call
+                return value is not None and not value_ops.like(value, pattern)
+
+            return not_like
         return lambda row: value_ops.like(operand(row), pattern)
     if isinstance(expr, IsNull):
         operand = compile_expr(expr.operand, binding, registry, params)

@@ -1,39 +1,30 @@
 """Source-level expression compilation: the one compiler a plan holds.
 
-Every predicate, projection, group key, aggregate argument and sort key
-of a plan (and of a worker fragment) is lowered here into a single
-Python source fragment, compiled once per (cached) plan, and returned as
-one closure whose body is the whole expression — per-row cost is one
-call plus the work itself, where the closure *tree* of the reference
-evaluator :func:`repro.engine.expr.compile_expr` (one lambda per AST
-node) costs five calls for ``a = 3 AND b LIKE '%x%'``.
+Every predicate, projection, group key, aggregate argument, sort key and
+lateral argument of a plan (and of a worker fragment) is lowered here,
+once, into the Python source of one *batch function*, compiled once per
+(cached) plan at plan time:
 
-The compiled closure carries two batch-level companions as attributes
-(compiled from the same fragment against the same environment, each on
-its first call):
+* :func:`compile_filter` — ``fn(batch)`` returns the rows it keeps;
+* :func:`compile_column` — ``fn(batch)`` returns one value per row;
+* :func:`compile_projection` — ``fn(batch)`` returns one tuple per row.
 
-* ``fn.batch_filter(batch)`` — ``[row for row in batch if <expr>]``
-* ``fn.batch_eval(batch)``   — ``[<expr> for row in batch]``
+A batch is a list of row tuples (any iterable of them will do).  A
+function's generated source is on ``fn.source``.  There is no per-row form: every operator runs its
+expressions a batch at a time, so per-row cost is the work itself inside
+one list comprehension, never a call.
 
-so batch operators can run a whole batch inside one list comprehension
-without re-entering Python call dispatch per row.
-
-Semantics are bit-identical to the reference evaluator (enforced by
+Semantics are bit-identical to the reference evaluator
+:func:`repro.engine.expr.compile_expr` (enforced by
 ``tests/engine/test_expr_compile.py``): NULL comparisons are not true,
 LIKE on NULL is false, ``NOT LIKE`` requires a non-NULL operand,
-arithmetic propagates NULL and divides ints with ``//``, and scalar
-function calls — bound to their function object once, here — go
-through ``FunctionRegistry.invoke_scalar`` so UDF invocation counts
-(Figure 14) are unchanged.  Typed fast paths — a
-comparison of an INTEGER/VARCHAR column against a literal of the same
-kind compiles to a bare ``==``/``<`` with explicit NULL guards — apply
-only where the storage layer guarantees the operand types.
+arithmetic propagates NULL and divides ints with ``//``.  Typed fast
+paths — a comparison of an INTEGER/VARCHAR column against a literal of
+the same kind compiles to a bare ``==``/``<`` with explicit NULL guards
+— apply only where the storage layer guarantees the operand types.
 
-**The column form.**  ``fn(row)`` crosses the UDF boundary once per
-call and stays the reference.  The companions of an expression that
-holds scalar calls cross it once per *batch* instead (the source is
-generated on a companion's first call; an expression without calls keeps
-exactly the two comprehensions above and never lowers twice):
+**Crossing the UDF boundary.**  Scalar calls are bound to their function
+object once, here, and cross a column at a time:
 
 * *hoisting* — every call that row order evaluates unconditionally (not
   under a non-first operand of ``AND``/``OR``) is lifted out of the
@@ -42,25 +33,25 @@ exactly the two comprehensions above and never lowers twice):
   ``?`` arguments stay scalars, a nested hoisted call feeds its column
   straight in, any other argument is evaluated into a column first.
   Conditional calls keep the inline ``_invoke_scalar(...)``.
-* *conjunct cascade* — ``batch_filter`` over a top-level ``AND`` runs
-  conjunct by conjunct over the rows the earlier conjuncts kept, which
-  are exactly the rows short-circuit evaluation reaches, so the calls
-  of ``code = 'SCENE' AND findKeyInElm(...) = 1`` are hoisted too.
+* *conjunct cascade* — a filter over a top-level ``AND`` runs conjunct
+  by conjunct over the rows the earlier conjuncts kept, which are
+  exactly the rows short-circuit evaluation reaches, so the calls of
+  ``code = 'SCENE' AND findKeyInElm(...) = 1`` are hoisted too.
 
-Call counts, arguments and results equal row order's
-(``tests/engine/test_udf_batch.py``).  Evaluation is column-major, so
-when two call sites of one expression can both fail, the first *call
-site's* error surfaces rather than the first row's — the same
-``ReproError`` class either way — and calls of earlier sites have been
-made for the whole batch by then.
+Call counts, arguments and results equal row order's under the
+reference (``tests/engine/test_udf_batch.py``), so UDF invocation counts
+(Figure 14) are unchanged.  Evaluation is column-major, so when two call
+sites of one expression can both fail, the first *call site's* error
+surfaces rather than the first row's — the same ``ReproError`` class
+either way — and calls of earlier sites have been made for the whole
+batch by then.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.engine import values as value_ops
 from repro.engine.expr import (
@@ -69,7 +60,6 @@ from repro.engine.expr import (
     Binding,
     ColumnRef,
     Comparison,
-    Compiled,
     Expr,
     FuncCall,
     IsNull,
@@ -88,14 +78,10 @@ from repro.engine.types import IntegerType, VarcharType
 from repro.engine.udf import FunctionRegistry, ScalarFunction
 from repro.errors import ExecutionError, PlanError
 
-#: the XADT method names (lowercased) whose calls can route through the
-#: structural index; lowering records them so EXPLAIN can label the
-#: access path (``xadt[xindex]`` vs ``xadt[scan]``)
-XADT_METHOD_NAMES = frozenset(
-    {"getelm", "findkeyinelm", "getelmindex", "elmequals", "elmtext"}
-)
+#: a compiled expression: a batch (list of row tuples) in, a list out
+BatchFn = Callable[[list], list]
 
-#: the per-row name ``_vK`` of hoisted call ``K``'s value in column-form
+#: the per-row name ``_vK`` of hoisted call ``K``'s value in generated
 #: source (its column is ``_cK``); no other generated name has this shape
 _HOISTED = re.compile(r"\b_v(\d+)\b")
 
@@ -161,11 +147,12 @@ def _negate(value: object) -> object:
 
 
 class _Lowering:
-    """One compilation unit: accumulates the closure environment."""
+    """One compilation unit: accumulates the function's environment and
+    the statements computing its hoisted calls' columns."""
 
     __slots__ = (
-        "binding", "registry", "params", "env", "_counter", "xadt_methods",
-        "calls", "hoisted", "_conditional",
+        "binding", "registry", "params", "env", "_counter", "hoisted",
+        "_conditional",
     )
 
     def __init__(
@@ -180,38 +167,18 @@ class _Lowering:
         self.env: dict[str, object] = {
             "__builtins__": {},
             "bool": bool,
+            "len": len,
+            "list": list,
+            "zip": zip,
             "_invoke_scalar": registry.invoke_scalar,
+            "_invoke_scalar_batch": registry.invoke_scalar_batch,
         }
         self._counter = 0
-        #: XADT method names seen while lowering (for EXPLAIN labels)
-        self.xadt_methods: set[str] = set()
-        #: scalar call sites lowered
-        self.calls = 0
-        #: column form only (:meth:`column_form`): the statements that
-        #: compute the hoisted calls' columns ``_c0``, ``_c1``, ...
-        self.hoisted: list[str] | None = None
+        #: the statements that compute the hoisted calls' columns
+        #: ``_c0``, ``_c1``, ...
+        self.hoisted: list[str] = []
         #: lowering an operand row order reaches only conditionally
         self._conditional = False
-
-    def column_form(self) -> "_Lowering":
-        """A lowering of the same unit for one batch companion.
-
-        It hoists the calls row order evaluates unconditionally into
-        columns, continues this lowering's names, and works on a private
-        copy of the environment: two companions — or two threads sharing
-        a cached plan — may generate their column source at once.
-        """
-        column = _Lowering(self.binding, self.registry, self.params)
-        column.env = dict(
-            self.env,
-            len=len,
-            list=list,
-            zip=zip,
-            _invoke_scalar_batch=self.registry.invoke_scalar_batch,
-        )
-        column._counter = self._counter
-        column.hoisted = []
-        return column
 
     def bind(self, value: object, prefix: str = "_g") -> str:
         name = f"{prefix}{self._counter}"
@@ -242,11 +209,8 @@ class _Lowering:
                 raise PlanError(
                     f"aggregate {expr.name}() in a non-aggregate context"
                 )
-            if expr.name.lower() in XADT_METHOD_NAMES:
-                self.xadt_methods.add(expr.name.lower())
             function = self.registry.bind_scalar(expr.name, len(expr.args))
-            self.calls += 1
-            if self.hoisted is not None and not self._conditional:
+            if not self._conditional:
                 return self._hoist(function, expr.args)
             args = ", ".join(self.lower(arg) for arg in expr.args)
             return f"_invoke_scalar({self.bind(function, '_f')}, [{args}])"
@@ -291,7 +255,7 @@ class _Lowering:
         return fragments
 
     def _hoist(self, function: ScalarFunction, args: tuple[Expr, ...]) -> str:
-        """Lift one unconditional call out of the per-row comprehension.
+        """Lift one unconditional call out of the row comprehension.
 
         Emits the statement that computes the call's column ``_cK`` for
         the whole batch and returns ``_vK``, the name its value goes by
@@ -399,87 +363,33 @@ class _Lowering:
         return f"({body})"
 
 
-def _compile_fragment(source: str, env: dict[str, object]):
-    return eval(compile(source, "<expr-compile>", "eval"), env)  # noqa: S307
-
-
-def _compile_companion(lines: list[str], env: dict[str, object]):
-    """Compile a multi-statement batch companion (the column form)."""
-    source = "def _companion(_batch):\n" + "".join(
+def _compile(lines: list[str], env: dict[str, object]) -> BatchFn:
+    """The batch function whose body is ``lines``: one ``compile()``."""
+    source = "def _batch_fn(_batch):\n" + "".join(
         f"    {line}\n" for line in lines
     )
     scope: dict[str, object] = {}
     exec(compile(source, "<expr-compile>", "exec"), env, scope)  # noqa: S102
-    companion = scope["_companion"]
-    companion.source = source
-    return companion
+    fn = scope["_batch_fn"]
+    fn.source = source
+    return fn
 
 
-def _lazy(source: str, env: dict[str, object]):
-    """A batch companion that compiles ``source`` when it is first called.
+def compile_filter(
+    expr: Expr,
+    binding: Binding,
+    registry: FunctionRegistry,
+    params: ParamBox | None = None,
+) -> BatchFn:
+    """``fn(batch)`` → the rows of ``batch`` for which ``expr`` is true.
 
-    Most closures are used through one form only (a scan predicate never
-    runs per row, a join residual's ``batch_eval`` never runs at all), and
-    a plan that misses the plan cache pays ``compile()`` for every form it
-    builds.  The stub must not reference the closure it hangs on: a cycle
-    would keep a dropped plan — and the tables its operators hold — alive
-    until the next full collection.
+    The top-level AND runs as a cascade: conjunct by conjunct, each over
+    the rows the earlier ones kept — exactly the rows short-circuit
+    evaluation reaches — so a conjunct's unconditional calls are made
+    column-wise with exact counts.  Neighbouring conjuncts that hoist
+    nothing share one comprehension.
     """
-    compiled: list = []
-
-    def companion(batch: list) -> list:
-        if not compiled:
-            compiled.append(_compile_fragment(source, env))
-        return compiled[0](batch)
-
-    return companion
-
-
-def _lazy_column(build):
-    """:func:`_lazy` for the column form: ``build()`` lowers the
-    expression a second time and compiles the result, on the first call.
-
-    ``build`` holds the row lowering and the expression; it is dropped
-    once used, so a cached plan keeps them only for companions it never
-    ran (every object a cached plan retains is one more for each full
-    collection to walk — measurably so when the cache is full of ad-hoc
-    plans).
-    """
-    compiled: list = []
-
-    def companion(batch: list) -> list:
-        nonlocal build
-        if not compiled:
-            pending = build  # None: another thread has just built it
-            if pending is not None:
-                compiled.append(pending())
-                build = None
-        return compiled[0](batch)
-
-    return companion
-
-
-def _companion_of(lowering: _Lowering, plain: str, column_builder, *args):
-    """The lazy companion of one lowered unit: the ``plain``
-    comprehension over the fragment already lowered when the unit holds
-    no scalar call (nothing else is kept, nothing is lowered twice),
-    else ``column_builder``'s column form."""
-    if not lowering.calls:
-        return _lazy(plain, lowering.env)
-    return _lazy_column(partial(column_builder, lowering, *args, plain))
-
-
-def _column_filter(lowering: _Lowering, expr: Expr, plain: str):
-    """``batch_filter`` of a predicate with scalar calls: the conjunct
-    cascade.
-
-    The top-level AND runs conjunct by conjunct, each over the rows the
-    earlier ones kept — exactly the rows short-circuit evaluation
-    reaches — so a conjunct's unconditional calls are made column-wise
-    with exact counts.  Neighbouring conjuncts that hoist nothing share
-    one comprehension.  Nothing to hoist: the ``plain`` comprehension.
-    """
-    column = lowering.column_form()
+    lowering = _Lowering(binding, registry, params)
     lines: list[str] = []
     pending: list[str] = []  # conditions awaiting one shared comprehension
 
@@ -490,9 +400,9 @@ def _column_filter(lowering: _Lowering, expr: Expr, plain: str):
             pending.clear()
 
     for conjunct in conjuncts_of(expr):
-        before = len(column.hoisted)
-        condition = f"({column.lower(conjunct)})"
-        statements = column.hoisted[before:]
+        before = len(lowering.hoisted)
+        condition = f"({lowering.lower(conjunct)})"
+        statements = lowering.hoisted[before:]
         if not statements:
             pending.append(condition)
             continue
@@ -502,90 +412,48 @@ def _column_filter(lowering: _Lowering, expr: Expr, plain: str):
         lines.append("_n = len(_batch)")
         lines.extend(statements)
         lines.append(
-            f"_batch = [row {column.over_rows(condition)} if {condition}]"
+            f"_batch = [row {lowering.over_rows(condition)} if {condition}]"
         )
-    if not column.hoisted:
-        return _compile_fragment(plain, lowering.env)
     flush()
     lines.append("return _batch")
-    return _compile_companion(lines, column.env)
+    return _compile(lines, lowering.env)
 
 
-def _tuple_source(fragments: list[str]) -> str:
-    body = ", ".join(fragments) + ("," if len(fragments) == 1 else "")
-    return f"({body})"
-
-
-def _column_eval(
-    lowering: _Lowering, exprs: Sequence[Expr], tupled: bool, plain: str
-):
-    """``batch_eval`` with every unconditional scalar call hoisted into
-    a column; the ``plain`` comprehension when there is none to hoist."""
-    column = lowering.column_form()
-    fragments = [column.lower(expr) for expr in exprs]
-    if not column.hoisted:
-        return _compile_fragment(plain, lowering.env)
-    lines = ["_batch = list(_batch)", "_n = len(_batch)", *column.hoisted]
-    if tupled:
-        body = _tuple_source(fragments)
-    else:
-        (body,) = fragments
+def _compile_values(lowering: _Lowering, body: str) -> BatchFn:
+    """The batch function computing ``body`` (already lowered) per row:
+    the hoisted columns first, then one comprehension over them."""
+    lines = []
+    if lowering.hoisted:  # the batch is walked once per column
+        lines = ["_batch = list(_batch)", "_n = len(_batch)", *lowering.hoisted]
     if _HOISTED.fullmatch(body):  # the expression *is* a call: its column
         lines.append(f"return _c{body[2:]}")
     else:
-        lines.append(f"return [{body} {column.over_rows(body)}]")
-    return _compile_companion(lines, column.env)
+        lines.append(f"return [{body} {lowering.over_rows(body)}]")
+    return _compile(lines, lowering.env)
 
 
-def compile_row_expr(
+def compile_column(
     expr: Expr,
     binding: Binding,
     registry: FunctionRegistry,
     params: ParamBox | None = None,
-) -> Compiled:
-    """Lower ``expr`` to one generated closure (plus batch companions).
-
-    ``fn(row)`` evaluates the expression; the callable additionally
-    exposes ``batch_filter``, ``batch_eval``, and the generated
-    ``source`` fragment.
-    """
+) -> BatchFn:
+    """``fn(batch)`` → the value of ``expr`` for each row of ``batch``."""
     lowering = _Lowering(binding, registry, params)
-    fragment = lowering.lower(expr)
-    fn = _compile_fragment(f"lambda row: {fragment}", lowering.env)
-    fn.batch_filter = _companion_of(
-        lowering, f"lambda _batch: [row for row in _batch if {fragment}]",
-        _column_filter, expr,
-    )
-    fn.batch_eval = _companion_of(
-        lowering, f"lambda _batch: [{fragment} for row in _batch]",
-        _column_eval, (expr,), False,
-    )
-    fn.source = fragment
-    fn.xadt_methods = frozenset(lowering.xadt_methods)
-    return fn
+    return _compile_values(lowering, lowering.lower(expr))
 
 
 def compile_projection(
-    exprs: list[Expr],
+    exprs: Sequence[Expr],
     binding: Binding,
     registry: FunctionRegistry,
     params: ParamBox | None = None,
-) -> Compiled:
-    """One closure computing the whole SELECT-list tuple per row.
-
-    ``fn(row)`` returns the projected tuple; ``fn.batch_eval(batch)``
-    projects a whole batch in a single list comprehension.
-    """
+) -> BatchFn:
+    """``fn(batch)`` → the SELECT-list tuple of each row of ``batch``."""
     lowering = _Lowering(binding, registry, params)
-    source = _tuple_source([lowering.lower(expr) for expr in exprs])
-    fn = _compile_fragment(f"lambda row: {source}", lowering.env)
-    fn.batch_eval = _companion_of(
-        lowering, f"lambda _batch: [{source} for row in _batch]",
-        _column_eval, exprs, True,
-    )
-    fn.source = source
-    fn.xadt_methods = frozenset(lowering.xadt_methods)
-    return fn
+    fragments = [lowering.lower(expr) for expr in exprs]
+    body = ", ".join(fragments) + ("," if len(fragments) == 1 else "")
+    return _compile_values(lowering, f"({body})")
 
 
-__all__ = ["XADT_METHOD_NAMES", "compile_projection", "compile_row_expr"]
+__all__ = ["BatchFn", "compile_column", "compile_filter", "compile_projection"]

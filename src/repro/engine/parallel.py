@@ -22,7 +22,7 @@ processes.  This module owns everything below the operator:
   worker, so pipes cannot deadlock), death detection while gathering,
   respawn on the next dispatch;
 * :func:`execute_fragment` — the fragment interpreter itself (a scan
-  and an optional SELECT list, run through the same batch companions
+  and an optional SELECT list, run through the same batch functions
   as the inline operators), shared by the worker child and the
   coordinator's inline-degradation path so a fragment computes
   identical results wherever it runs;
@@ -48,7 +48,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from repro.engine.expr import Binding, Slot
-from repro.engine.expr_compile import compile_projection, compile_row_expr
+from repro.engine.expr_compile import compile_filter, compile_projection
 from repro.engine.faults import FAULTS
 from repro.engine.io import IoCounters, work_counters
 from repro.engine.plan.physical import row_picker
@@ -103,12 +103,12 @@ def execute_fragment(
     """Run one partition fragment over ``pairs`` = ``[(row_id, row), ...]``.
 
     A fragment is a scan and an optional SELECT list, evaluated with the
-    batch companions of the closures the inline ``SeqScan`` and
-    ``Project`` use, over the whole slice at once: the predicate filters
-    the full storage rows, the column list prunes them, and a pushed-down
-    SELECT list (``task["project"]``, expression ASTs over the pruned
-    binding) computes the output tuples.  Returns ``[(row_id, out_row),
-    ...]`` and charges the work counters the inline operators would.
+    batch functions the inline ``SeqScan`` and ``Project`` use, over the
+    whole slice at once: the predicate filters the full storage rows, the
+    column list prunes them, and a pushed-down SELECT list
+    (``task["project"]``, expression ASTs over the pruned binding)
+    computes the output tuples.  Returns ``[(row_id, out_row), ...]`` and
+    charges the work counters the inline operators would.
     """
     work = work_counters().work
     work["scan_rows"] += len(pairs)
@@ -116,10 +116,10 @@ def execute_fragment(
     params = SimpleNamespace(values=tuple(task["params"]))
     predicate = task["predicate"]
     if predicate is not None:
-        keep = compile_row_expr(predicate, binding, registry, params)
-        # batch_filter returns the kept row objects themselves, and equal
+        keep = compile_filter(predicate, binding, registry, params)
+        # a filter returns the kept row objects themselves, and equal
         # rows are kept alike, so identity recovers each kept row's id
-        kept = {id(row) for row in keep.batch_filter([row for _, row in pairs])}
+        kept = {id(row) for row in keep([row for _, row in pairs])}
         pairs = [pair for pair in pairs if id(pair[1]) in kept]
     row_ids = [row_id for row_id, _ in pairs]
     rows = [row for _, row in pairs]
@@ -131,9 +131,7 @@ def execute_fragment(
     project = task["project"]
     if project is not None:
         work["operator_rows"] += len(rows)
-        rows = compile_projection(project, binding, registry, params).batch_eval(
-            rows
-        )
+        rows = compile_projection(project, binding, registry, params)(rows)
     return list(zip(row_ids, rows))
 
 

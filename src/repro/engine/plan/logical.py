@@ -41,9 +41,12 @@ from repro.engine.expr import (
 from repro.engine.sql.ast import OrderItem, SelectItem, TableRef
 from repro.engine.types import INTEGER, VARCHAR, IntegerType, SqlType
 
-#: scalar UDF names the engine treats as XADT methods (mirrors
-#: expr_compile.XADT_METHOD_NAMES; re-exported there to avoid a cycle)
-from repro.engine.expr_compile import XADT_METHOD_NAMES
+#: the XADT method names (lowercased) whose calls can route through the
+#: structural index, so EXPLAIN labels the access path (``xadt[xindex]``
+#: vs ``xadt[scan]``)
+XADT_METHOD_NAMES = frozenset(
+    {"getelm", "findkeyinelm", "getelmindex", "elmequals", "elmtext"}
+)
 
 
 @dataclass
@@ -342,6 +345,7 @@ __all__ = [
     "LogicalProject",
     "LogicalScan",
     "LogicalSort",
+    "XADT_METHOD_NAMES",
     "children_of",
     "collect_aggregates",
     "has_xadt_call",

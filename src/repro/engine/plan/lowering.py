@@ -3,9 +3,10 @@
 The optimizer (:func:`repro.engine.plan.optimizer.plan_logical`) records
 every planning decision on the logical IR; this module mechanically
 builds the corresponding operators, compiling each predicate/projection
-AST with :mod:`repro.engine.expr_compile` against the binding of the
-operator it will run over.  The golden-EXPLAIN snapshot tests pin that
-the round trip is byte-for-byte plan-neutral.
+AST with :mod:`repro.engine.expr_compile` — once, at plan time, into one
+batch function — against the binding of the operator it will run over.
+The golden-EXPLAIN snapshot tests pin that the round trip is
+byte-for-byte plan-neutral.
 
 :meth:`_SelectLowering.lower` reads in evaluation order: FROM/joins and
 WHERE (``_lower_rel``), GROUP BY, HAVING, ORDER BY, the SELECT list,
@@ -14,21 +15,24 @@ DISTINCT, LIMIT.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from repro.engine.expr import (
     Binding,
     ColumnRef,
-    Compiled,
     Expr,
     Literal,
     ParamBox,
     Parameter,
     Slot,
+    SlotRef,
     Star,
     and_together,
 )
-from repro.engine.expr_compile import compile_projection, compile_row_expr
+from repro.engine.expr_compile import (
+    BatchFn,
+    compile_column,
+    compile_filter,
+    compile_projection,
+)
 from repro.engine.plan.exchange import Exchange
 from repro.engine.plan.logical import (
     LogicalAggregate,
@@ -88,8 +92,11 @@ class _SelectLowering:
             "xindex" if self.config.xadt_structural_index else "scan"
         )
 
-    def compile(self, expr: Expr, binding: Binding) -> Compiled:
-        return compile_row_expr(expr, binding, self.registry, self.params)
+    def filter(self, expr: Expr, binding: Binding) -> BatchFn:
+        return compile_filter(expr, binding, self.registry, self.params)
+
+    def column(self, expr: Expr, binding: Binding) -> BatchFn:
+        return compile_column(expr, binding, self.registry, self.params)
 
     def lower(self, root: LogicalNode) -> Operator:
         # peel the output chain the optimizer stacked on top
@@ -127,7 +134,7 @@ class _SelectLowering:
             if aggregate.having is not None:
                 plan = Filter(
                     plan,
-                    self.compile(
+                    self.filter(
                         _substituted(aggregate.having, substitutions),
                         plan.binding,
                     ),
@@ -157,11 +164,11 @@ class _SelectLowering:
 
         # ORDER BY: before projection when the keys compile there (they
         # can see all columns + aggregates), else on aliases of the output
-        post_sort_keys: list[tuple[int, bool]] = []
+        post_sort_keys: list[BatchFn] = []
         if sort is not None:
             try:
                 keys = [
-                    self.compile(
+                    self.column(
                         _substituted(order.expr, substitutions), plan.binding
                     )
                     for order in sort.order_by
@@ -171,9 +178,8 @@ class _SelectLowering:
                 for order in sort.order_by:
                     if not isinstance(order.expr, ColumnRef):
                         raise
-                    post_sort_keys.append(
-                        (output_binding.resolve(order.expr), order.descending)
-                    )
+                    slot = SlotRef(output_binding.resolve(order.expr))
+                    post_sort_keys.append(self.column(slot, output_binding))
             else:
                 pre_sort = Sort(plan, keys, [o.descending for o in sort.order_by])
                 pre_sort.estimated_rows = plan.estimated_rows
@@ -206,9 +212,7 @@ class _SelectLowering:
 
         if post_sort_keys:
             plan = Sort(
-                plan,
-                [itemgetter(index) for index, _ in post_sort_keys],
-                [desc for _, desc in post_sort_keys],
+                plan, post_sort_keys, [o.descending for o in sort.order_by]
             )
 
         if limit is not None:
@@ -226,7 +230,7 @@ class _SelectLowering:
             plan = self._lower_rel(node.input)
             filtered = Filter(
                 plan,
-                self.compile(node.predicate, plan.binding),
+                self.filter(node.predicate, plan.binding),
                 node.predicate.sql(),
                 xadt_access=xadt_access([node.predicate], self.xadt_label),
             )
@@ -249,7 +253,7 @@ class _SelectLowering:
             # literal keys probe directly; parameter keys resolve per execution
             key_value = key_expr.value if isinstance(key_expr, Literal) else None
             key_fn = (
-                self.compile(key_expr, Binding([]))
+                self.column(key_expr, Binding([]))
                 if isinstance(key_expr, Parameter)
                 else None
             )
@@ -259,7 +263,7 @@ class _SelectLowering:
                 scan.index,
                 key=key_value,
                 key_fn=key_fn,
-                residual=self.compile(residual, binding) if residual else None,
+                residual=self.filter(residual, binding) if residual else None,
                 residual_sql=residual.sql() if residual else "",
                 projection=scan.projection,
                 xadt_access=xadt_access(rest, self.xadt_label),
@@ -270,7 +274,7 @@ class _SelectLowering:
         operator = SeqScan(
             heap,
             ref.alias,
-            predicate=self.compile(predicate, binding) if predicate else None,
+            predicate=self.filter(predicate, binding) if predicate else None,
             predicate_sql=predicate.sql() if predicate else "",
             projection=scan.projection,
             xadt_access=xadt_access(scan.pushed, self.xadt_label),
@@ -307,7 +311,7 @@ class _SelectLowering:
                 join.index,
                 left_key_slot,
                 residual=(
-                    self.compile(
+                    self.filter(
                         residual,
                         plan.binding.extend(table_binding(heap, ref.alias)),
                     )
@@ -339,7 +343,7 @@ class _SelectLowering:
     def _lower_lateral(self, node: LogicalLateral) -> Operator:
         plan = self._lower_rel(node.input)
         function = self.registry.bind_table(node.call.name, len(node.call.args))
-        args = [self.compile(arg, plan.binding) for arg in node.call.args]
+        args = [self.column(arg, plan.binding) for arg in node.call.args]
         columnar = [
             not isinstance(arg, (Literal, Parameter)) for arg in node.call.args
         ]
@@ -351,7 +355,7 @@ class _SelectLowering:
         if predicate is not None:
             plan = Filter(
                 plan,
-                self.compile(predicate, plan.binding),
+                self.filter(predicate, plan.binding),
                 predicate.sql(),
                 xadt_access=xadt_access([predicate], self.xadt_label),
             )
@@ -366,7 +370,7 @@ class _SelectLowering:
         """The aggregate over ``plan`` and the slot of each of its outputs."""
         group_exprs_ast = list(aggregate.group_by)
         group_compiled = [
-            self.compile(expr, plan.binding) for expr in group_exprs_ast
+            self.column(expr, plan.binding) for expr in group_exprs_ast
         ]
         group_slots = []
         for position, expr in enumerate(group_exprs_ast):
@@ -388,7 +392,7 @@ class _SelectLowering:
             else:
                 if len(call.args) != 1:
                     raise PlanError(f"{call.name}() takes exactly one argument")
-                arg = self.compile(call.args[0], plan.binding)
+                arg = self.column(call.args[0], plan.binding)
             agg_specs.append(AggSpec(kind, arg, call.distinct))
             result_type: SqlType = INTEGER if kind in ("count", "sum") else VARCHAR
             if (

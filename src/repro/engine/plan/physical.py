@@ -17,11 +17,12 @@ operator dispatch) to a per-batch cost: the inner loops below run over
 plain local lists, mostly as list comprehensions.
 
 Predicates and expressions arrive pre-compiled by
-:mod:`repro.engine.expr_compile` — the only compiler a plan holds — so
-operators stay free of name-resolution concerns and may rely on the
-closures' ``batch_filter`` / ``batch_eval`` companions to process a
-whole batch in one generated comprehension.  The lowering
-(:mod:`repro.engine.plan.lowering`) wires closures against the correct
+:mod:`repro.engine.expr_compile` — the only compiler a plan holds — as
+batch functions (a list of rows in, the kept rows or one value / tuple
+per row out), so operators stay free of name-resolution concerns and
+every expression, with the UDF calls in it, runs a batch at a time:
+no operator evaluates an expression on a single row.  The lowering
+(:mod:`repro.engine.plan.lowering`) wires them against the correct
 child bindings, including the scan-level projection pushdown
 (``SeqScan``/``IndexScan`` accept a ``projection`` column list and then
 bind only the surviving slots).  The scatter-gather ``Exchange`` lives
@@ -36,7 +37,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.engine.config import DEFAULT_BATCH_SIZE, DEFAULT_WORK_MEM_BYTES
-from repro.engine.expr import Binding, Compiled, Slot
+from repro.engine.expr import Binding, Slot
+from repro.engine.expr_compile import BatchFn
 from repro.engine.index import Index
 from repro.engine.io import (
     batch_row_bytes,
@@ -151,11 +153,6 @@ class Operator:
             yield from batch
 
     def _execute(self) -> Iterator[Batch]:
-        # compatibility shim: ad-hoc operators (tests, harnesses) may
-        # override rows() instead of the batch protocol — chunk them
-        if type(self).rows is not Operator.rows or "rows" in self.__dict__:
-            yield from _batched(self.rows(), self.batch_size)
-            return
         raise NotImplementedError
 
     def children(self) -> list["Operator"]:
@@ -186,7 +183,7 @@ class SeqScan(Operator):
         self,
         table: HeapTable,
         alias: str,
-        predicate: Compiled | None = None,
+        predicate: BatchFn | None = None,
         predicate_sql: str = "",
         projection: list[int] | None = None,
         xadt_access: str | None = None,
@@ -216,7 +213,7 @@ class SeqScan(Operator):
         pick = row_picker(self.projection)
         for chunk in self.table.scan_batches(self.batch_size, limit=bound):
             if predicate is not None:
-                chunk = predicate.batch_filter(chunk)
+                chunk = predicate(chunk)
                 if not chunk:
                     continue
             if pick is not None:
@@ -246,9 +243,9 @@ class IndexScan(Operator):
         alias: str,
         index: Index,
         key: object = None,
-        residual: Compiled | None = None,
+        residual: BatchFn | None = None,
         residual_sql: str = "",
-        key_fn: Compiled | None = None,
+        key_fn: BatchFn | None = None,
         projection: list[int] | None = None,
         xadt_access: str | None = None,
     ) -> None:
@@ -256,8 +253,8 @@ class IndexScan(Operator):
         self.alias = alias.lower()
         self.index = index
         self.key = key
-        #: lazy probe key (a closure over the empty row) — used when the
-        #: key is a prepared-statement parameter resolved per execution
+        #: the probe key as a column over the one empty row — used when
+        #: the key is a prepared-statement parameter, once per execution
         self.key_fn = key_fn
         self.residual = residual
         self.residual_sql = residual_sql
@@ -269,29 +266,27 @@ class IndexScan(Operator):
         bound = read_bound(self.table)  # snapshot horizon, once per run
         io = work_counters()
         io.charge_random(1)  # leaf descent; interior pages cached
-        key = self.key_fn(()) if self.key_fn is not None else self.key
+        key = self.key if self.key_fn is None else self.key_fn([()])[0]
         fetch = self.table.fetch
         residual = self.residual
         pick = row_picker(self.projection)
         rows_per_page = _rows_per_page(self.table)
         touched: set[int] = set()
-        size = self.batch_size
-        batch: Batch = []
         row_ids = self.index.lookup(key, bound=bound)
         io.work["scan_rows"] += len(row_ids)
-        for row_id in row_ids:
-            page = row_id // rows_per_page
-            if page not in touched:  # buffer pool caches within a query
-                touched.add(page)
-                io.charge_random(1)
-            row = fetch(row_id)
-            if residual is None or residual(row):
-                batch.append(pick(row) if pick is not None else row)
-                if len(batch) >= size:
-                    yield batch
-                    batch = []
-        if batch:
-            yield batch
+        for chunk_ids in _batched(row_ids, self.batch_size):
+            for page in {row_id // rows_per_page for row_id in chunk_ids}:
+                if page not in touched:  # buffer pool caches within a query
+                    touched.add(page)
+                    io.charge_random(1)
+            chunk = [fetch(row_id) for row_id in chunk_ids]
+            if residual is not None:
+                chunk = residual(chunk)
+                if not chunk:
+                    continue
+            if pick is not None:
+                chunk = [pick(row) for row in chunk]
+            yield chunk
 
     def explain(self, depth: int = 0) -> list[str]:
         if self.key_fn is not None and self.key is None:
@@ -322,8 +317,6 @@ class HashJoin(Operator):
         right: Operator,
         left_keys: list[int],
         right_keys: list[int],
-        residual: Compiled | None = None,
-        residual_sql: str = "",
     ) -> None:
         if len(left_keys) != len(right_keys) or not left_keys:
             raise ExecutionError("hash join requires matching, non-empty key lists")
@@ -331,8 +324,6 @@ class HashJoin(Operator):
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
-        self.residual = residual
-        self.residual_sql = residual_sql
         self.binding = left.binding.extend(right.binding)
 
     def _execute(self) -> Iterator[Batch]:
@@ -365,7 +356,6 @@ class HashJoin(Operator):
                 budget.charge_memory(width)
         spilled = build_bytes > work_mem
         left_key = itemgetter(*self.left_keys)
-        residual = self.residual
         get = table.get
         probe_bytes = 0
         for left_batch in self.left.batches():
@@ -374,18 +364,11 @@ class HashJoin(Operator):
                 probe_bytes += batch_row_bytes(left_batch)
             keys = batch_group_keys(list(map(left_key, left_batch)), composite)
             # a NULL key (or part) finds no bucket: the build skipped them
-            if residual is None:
-                out = [
-                    left_row + right_row
-                    for left_row, key in zip(left_batch, keys)
-                    for right_row in get(key, ())
-                ]
-            else:  # filter as the pairs are formed: only passing rows are kept
-                out = residual.batch_filter(
-                    left_row + right_row
-                    for left_row, key in zip(left_batch, keys)
-                    for right_row in get(key, ())
-                )
+            out = [
+                left_row + right_row
+                for left_row, key in zip(left_batch, keys)
+                for right_row in get(key, ())
+            ]
             if out:
                 yield out
         if spilled:
@@ -405,27 +388,19 @@ class HashJoin(Operator):
             f" = {self.right.binding.slots[r].qualifier}.{self.right.binding.slots[r].name}"
             for l, r in zip(self.left_keys, self.right_keys)
         )
-        suffix = f" residual[{self.residual_sql}]" if self.residual else ""
-        lines = [self._line(depth, f"HashJoin on {keys}{suffix}")]
+        lines = [self._line(depth, f"HashJoin on {keys}")]
         lines.extend(self.left.explain(depth + 1))
         lines.extend(self.right.explain(depth + 1))
         return lines
 
 
 class NestedLoopJoin(Operator):
-    """General join: the right input is materialized and rescanned per row."""
+    """Cross join: the right input is materialized and rescanned per row
+    (join predicates run in a ``Filter`` above it)."""
 
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        predicate: Compiled | None = None,
-        predicate_sql: str = "",
-    ) -> None:
+    def __init__(self, left: Operator, right: Operator) -> None:
         self.left = left
         self.right = right
-        self.predicate = predicate
-        self.predicate_sql = predicate_sql
         self.binding = left.binding.extend(right.binding)
 
     def _execute(self) -> Iterator[Batch]:
@@ -439,26 +414,19 @@ class NestedLoopJoin(Operator):
             for batch in self.right.batches():
                 right_rows.extend(batch)
                 budget.charge_memory(batch_row_bytes(batch))
-        predicate = self.predicate
         work = work_counters().work
         for left_batch in self.left.batches():
             work["operator_rows"] += len(left_batch) * len(right_rows)  # pairs
-            out: Batch = []
-            if predicate is None:
-                for left_row in left_batch:
-                    out.extend(left_row + right_row for right_row in right_rows)
-            else:
-                for left_row in left_batch:
-                    for right_row in right_rows:
-                        combined = left_row + right_row
-                        if predicate(combined):
-                            out.append(combined)
+            out = [
+                left_row + right_row
+                for left_row in left_batch
+                for right_row in right_rows
+            ]
             if out:
                 yield out
 
     def explain(self, depth: int = 0) -> list[str]:
-        suffix = f" on [{self.predicate_sql}]" if self.predicate else " (cross)"
-        lines = [self._line(depth, f"NestedLoopJoin{suffix}")]
+        lines = [self._line(depth, "NestedLoopJoin (cross)")]
         lines.extend(self.left.explain(depth + 1))
         lines.extend(self.right.explain(depth + 1))
         return lines
@@ -478,7 +446,7 @@ class IndexNestedLoopJoin(Operator):
         alias: str,
         index: Index,
         left_key_slot: int,
-        residual: Compiled | None = None,
+        residual: BatchFn | None = None,
         residual_sql: str = "",
     ) -> None:
         self.left = left
@@ -520,10 +488,10 @@ class IndexNestedLoopJoin(Operator):
                     if page not in touched_pages:
                         touched_pages.add(page)
                         io.charge_random(1)
-                    combined = left_row + fetch(row_id)
-                    if residual is None or residual(combined):
-                        append(combined)
+                    append(left_row + fetch(row_id))
             work["scan_rows"] += fetched
+            if residual is not None and out:
+                out = residual(out)
             if out:
                 yield out
 
@@ -555,7 +523,7 @@ class LateralFunctionScan(Operator):
         self,
         input_op: Operator,
         function: TableFunction,
-        args: list[Compiled],
+        args: list[BatchFn],
         alias: str,
         registry: FunctionRegistry,
         columnar: Sequence[bool],
@@ -589,9 +557,10 @@ class LateralFunctionScan(Operator):
             if not n:
                 continue
             # argument expressions run a column at a time (their scalar
-            # calls cross the UDF boundary once per batch)
+            # calls cross the UDF boundary once per batch); a constant
+            # one is evaluated over the batch's first row only
             values = [
-                arg.batch_eval(input_batch) if column else arg(input_batch[0])
+                arg(input_batch) if column else arg(input_batch[:1])[0]
                 for arg, column in zip(args, columnar)
             ]
             out: Batch = []
@@ -626,7 +595,7 @@ class Filter(Operator):
     def __init__(
         self,
         input_op: Operator,
-        predicate: Compiled,
+        predicate: BatchFn,
         predicate_sql: str = "",
         xadt_access: str | None = None,
     ):
@@ -641,7 +610,7 @@ class Filter(Operator):
         work = work_counters().work
         for batch in self.input.batches():
             work["operator_rows"] += len(batch)
-            kept = predicate.batch_filter(batch)
+            kept = predicate(batch)
             if kept:
                 yield kept
 
@@ -657,15 +626,15 @@ class Project(Operator):
 
     Two regimes: identity (``tuple_fn`` is None) passes batches through
     untouched — SELECT * over an aligned input — and otherwise
-    ``tuple_fn``, one generated closure for the whole output tuple, is
-    evaluated a batch at a time.
+    ``tuple_fn``, one generated batch function for the whole output
+    tuple, maps each batch.
     """
 
     def __init__(
         self,
         input_op: Operator,
         out_slots: list[Slot],
-        tuple_fn: Compiled | None = None,
+        tuple_fn: BatchFn | None = None,
         xadt_access: str | None = None,
     ) -> None:
         self.input = input_op
@@ -677,11 +646,11 @@ class Project(Operator):
         if self.tuple_fn is None:
             yield from self.input.batches()
             return
-        batch_eval = self.tuple_fn.batch_eval
+        tuple_fn = self.tuple_fn
         work = work_counters().work
         for batch in self.input.batches():
             work["operator_rows"] += len(batch)
-            yield batch_eval(batch)
+            yield tuple_fn(batch)
 
     def explain(self, depth: int = 0) -> list[str]:
         names = ", ".join(slot.name for slot in self.binding.slots)
@@ -733,7 +702,7 @@ class AggSpec:
     """One aggregate of a GROUP BY (or a grand total)."""
 
     kind: str                 #: count | sum | avg | min | max
-    arg: Compiled | None      #: None only for COUNT(*)
+    arg: BatchFn | None       #: None only for COUNT(*)
     distinct: bool = False
 
 
@@ -808,7 +777,7 @@ class HashAggregate(Operator):
     def __init__(
         self,
         input_op: Operator,
-        group_exprs: list[Compiled],
+        group_exprs: list[BatchFn],
         group_slots: list[Slot],
         aggregates: list[AggSpec],
         agg_slots: list[Slot],
@@ -836,7 +805,7 @@ class HashAggregate(Operator):
             work["group_rows"] += hashes * len(batch)
             new_bytes = 0
             raw_keys = (
-                list(zip(*[expr.batch_eval(batch) for expr in group_exprs]))
+                list(zip(*[expr(batch) for expr in group_exprs]))
                 if group_exprs
                 else [()] * len(batch)
             )
@@ -859,7 +828,7 @@ class HashAggregate(Operator):
                     for accumulators in row_accumulators:
                         accumulators[slot].count += 1
                     continue
-                values = spec.arg.batch_eval(batch)
+                values = spec.arg(batch)
                 if not spec.distinct:
                     for accumulators, value in zip(row_accumulators, values):
                         if value is not None:
@@ -920,12 +889,16 @@ class _SortKey:
 
 
 class Sort(Operator):
-    """Full materializing sort (stable, multi-key)."""
+    """Full materializing sort (stable, multi-key).
+
+    Each key is a batch function computing the key's column over all the
+    input rows at once; the rows are then sorted by those columns.
+    """
 
     def __init__(
         self,
         input_op: Operator,
-        keys: list[Compiled],
+        keys: list[BatchFn],
         descending: list[bool],
     ) -> None:
         self.input = input_op
@@ -946,10 +919,12 @@ class Sort(Operator):
         work_counters().work["sort_comparisons"] += (
             len(self.keys) * len(rows) * (len(rows) - 1).bit_length()
         )
-        # stable multi-key sort: apply keys right-to-left
-        for key, desc in reversed(list(zip(self.keys, self.descending))):
-            rows.sort(key=lambda row: _SortKey(key(row)), reverse=desc)
-        yield from _batched(rows, self.batch_size)
+        columns = [key(rows) for key in self.keys]
+        # stable multi-key sort of the row positions: keys right-to-left
+        order = list(range(len(rows)))
+        for column, desc in reversed(list(zip(columns, self.descending))):
+            order.sort(key=list(map(_SortKey, column)).__getitem__, reverse=desc)
+        yield from _batched([rows[i] for i in order], self.batch_size)
 
     def explain(self, depth: int = 0) -> list[str]:
         lines = [self._line(depth, f"Sort keys={len(self.keys)}")]

@@ -24,11 +24,15 @@ slowdown of XORator to "four to eight calls of UDFs" per query).
 
 The boundary has two forms with one meaning.  ``invoke`` /
 ``FunctionRegistry.invoke_scalar`` / ``invoke_table`` cross it for one
-call and are the reference.  ``invoke_batch`` /
-``invoke_scalar_batch`` / ``invoke_table_batch`` cross it once for the
-``n`` calls one call site makes over a batch of rows: the same calls in
-the same row order, but one count, one budget lookup, one clock pair and
-one histogram update per batch.  A function registered with a *column
+call and are the reference (``expr.compile_expr`` evaluates through
+them).  ``invoke_batch`` / ``invoke_scalar_batch`` /
+``invoke_table_batch`` cross it once for the ``n`` calls one call site
+makes over a batch of rows: the same calls in the same row order, but
+one count, one budget lookup, one clock pair and one histogram update
+per batch.  Every operator of a plan takes the batch form; a plan
+crosses per call only at a conditional call site (under a non-first
+``AND`` / ``OR`` operand), under a statement deadline, or through a
+replaced ``invoke``.  A function registered with a *column
 body* (the XADT methods and ``unnest``) is handed the batch's whole
 column in that one crossing, when only its first argument varies by row;
 otherwise the batch maps the per-call body over the columns.

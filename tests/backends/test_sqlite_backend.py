@@ -107,6 +107,33 @@ class TestParity:
         _assert_parity(loaded_db, "SELECT * FROM hollow")
 
 
+class TestNullOrdering:
+    """NULLs sort high on both backends, as in DB2: last under ASC,
+    first under DESC — row order, not just the multiset."""
+
+    EXPECTED = {
+        "ASC": [(0, 1), (2, 2), (3, 2), (1, None)],
+        "DESC": [(1, None), (2, 2), (3, 2), (0, 1)],
+    }
+
+    @pytest.fixture()
+    def nullable(self, empty_db):
+        empty_db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, c INTEGER)")
+        empty_db.execute("INSERT INTO t VALUES (0, 1), (1, NULL), (2, 2), (3, 2)")
+        return empty_db
+
+    @pytest.mark.parametrize("backend", ["native", "sqlite"])
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_nullable_key(self, nullable, backend, direction, limit):
+        sql = f"SELECT id, c FROM t ORDER BY c {direction}, id"
+        expected = self.EXPECTED[direction]
+        if limit is not None:
+            sql += f" LIMIT {limit}"
+            expected = expected[:limit]
+        assert nullable.execute(sql, backend=backend).rows == expected
+
+
 class TestFreshness:
     def test_mirror_sees_appended_rows(self, loaded_db):
         before = loaded_db.execute(

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database
-from repro.engine.expr import Binding, Comparison, Slot, SlotRef
-from repro.engine.expr_compile import compile_row_expr
+from repro.engine.expr import Binding, Slot
 from repro.engine.io import (
     IoCounters,
     batch_row_bytes,
@@ -25,7 +24,6 @@ from repro.engine.plan.physical import HashJoin, Operator
 from repro.engine.snapshot import activate, deactivate
 from repro.engine.sql.parser import parse_sql
 from repro.engine.types import INTEGER, VARCHAR, XADT, IntegerType
-from repro.engine.udf import FunctionRegistry
 from repro.engine.values import batch_group_keys, group_key, like, like_matcher
 from repro.xadt import DICT, INDEXED, PLAIN, XadtValue, register_xadt_functions
 
@@ -135,14 +133,15 @@ class _Rows(Operator):
         self._rows = rows
         self.batch_size = batch_size
 
-    def rows(self):
-        return iter(self._rows)
+    def _execute(self):
+        for start in range(0, len(self._rows), self.batch_size):
+            yield self._rows[start:start + self.batch_size]
 
     def explain(self, depth=0):
         return [self._line(depth, "Rows")]
 
 
-def reference_hash_join(left, right, left_keys, right_keys, residual):
+def reference_hash_join(left, right, left_keys, right_keys):
     """The parent's per-row join: build on the right, probe in left order."""
     table = {}
     for row in right:
@@ -153,10 +152,7 @@ def reference_hash_join(left, right, left_keys, right_keys, residual):
     out = []
     for row in left:
         key = tuple(group_key(row[i]) for i in left_keys)
-        for match in table.get(key, ()):
-            combined = row + match
-            if residual is None or residual(combined):
-                out.append(combined)
+        out.extend(row + match for match in table.get(key, ()))
     return out
 
 
@@ -184,29 +180,18 @@ class TestHashJoinAgainstReference:
         left=join_rows,
         right=join_rows,
         keys=st.sampled_from([([0], [0]), ([0, 1], [0, 1]), ([1], [0])]),
-        with_residual=st.booleans(),
         batch_size=st.sampled_from([1, 2, 1024]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_rows_and_order(self, left, right, keys, with_residual, batch_size):
-        residual = (
-            compile_row_expr(
-                Comparison("<=", SlotRef(2), SlotRef(5)),
-                Binding([]),
-                FunctionRegistry(),
-            )
-            if with_residual
-            else None
-        )
+    def test_rows_and_order(self, left, right, keys, batch_size):
         join = HashJoin(
             _Rows(left, 3, batch_size),
             _Rows(right, 3, batch_size),
             keys[0],
             keys[1],
-            residual=residual,
         )
         assert rows_under_work_mem(join, 64) == reference_hash_join(
-            left, right, keys[0], keys[1], residual
+            left, right, keys[0], keys[1]
         )
 
     def test_numeric_key_equivalence_and_null_keys(self):

@@ -1,22 +1,31 @@
 """The codegen expression compiler must agree with the reference evaluator.
 
-``compile_row_expr`` — the only compiler a plan holds — lowers an Expr
-tree into one generated closure; ``compile_expr`` walks the same tree
-with per-node closures and is kept as the reference semantics.  Every
-test here pins the generated code to it — NULL three-valued logic, LIKE
+``compile_filter`` / ``compile_column`` / ``compile_projection`` — the
+only compiler a plan holds — lower an Expr tree into one generated batch
+function; ``compile_expr`` walks the same tree with per-node closures,
+one row at a time, and is kept as the reference semantics.  Every test
+here pins the generated code to it — NULL three-valued logic, LIKE
 pattern translation, parameter rebinding, arithmetic, post-aggregate
-slot references.
+slot references — and pins that each expression site of a plan is
+compiled exactly once.
 """
 
 import random
 
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, expr_compile
 from repro.engine.expr import Binding, ColumnRef, ParamBox, Slot, compile_expr
-from repro.engine.expr_compile import compile_projection, compile_row_expr
+from repro.engine.expr_compile import (
+    compile_column,
+    compile_filter,
+    compile_projection,
+)
 from repro.engine.plan.logical import rebuild_with_slots
-from repro.engine.sql.parser import parse_expression
+from repro.engine.plan.optimizer import plan_select
+from repro.engine.plan.physical import Operator
+from repro.engine.sql.ast import count_parameters
+from repro.engine.sql.parser import parse_expression, parse_sql
 from repro.engine.types import INTEGER, VARCHAR
 from repro.engine.udf import FunctionRegistry
 from repro.errors import ExecutionError, PlanError
@@ -40,9 +49,9 @@ def registry():
 def both(text, binding, registry, row, params=None):
     """Evaluate ``text`` compiled and interpreted; assert agreement."""
     expr = parse_expression(text)
-    generated = compile_row_expr(expr, binding, registry, params)
+    generated = compile_column(expr, binding, registry, params)
     interpreted = compile_expr(expr, binding, registry, params)
-    got = generated(row)
+    (got,) = generated([row])
     assert got == interpreted(row), (
         f"{text!r} on {row}: compiled {got!r} != interpreted "
         f"{interpreted(row)!r} (source: {generated.source})"
@@ -82,9 +91,10 @@ class TestNullThreeValuedLogic:
     def test_results_are_booleans(self, binding, registry):
         # AND/OR must not leak operand values the way Python and/or do
         expr = parse_expression("a = 1 AND b = 2")
-        fn = compile_row_expr(expr, binding, FunctionRegistry())
-        assert fn((1, 2, "x", "y")) is True
-        assert fn((1, 3, "x", "y")) is False
+        fn = compile_column(expr, binding, FunctionRegistry())
+        got = fn([(1, 2, "x", "y"), (1, 3, "x", "y")])
+        assert [type(value) for value in got] == [bool, bool]
+        assert got == [True, False]
 
 
 class TestLikeTranslation:
@@ -123,18 +133,21 @@ class TestParameters:
     def test_rebinding_reuses_compiled_closure(self, binding, registry):
         box = ParamBox(1)
         expr = parse_expression("a = ?")
-        fn = compile_row_expr(expr, binding, registry, box)
+        fn = compile_filter(expr, binding, registry, box)
+        rows = [(1, 0, "x", "y"), (2, 0, "x", "y")]
         box.bind((1,))
-        assert fn((1, 0, "x", "y")) is True
-        assert fn((2, 0, "x", "y")) is False
-        box.bind((2,))  # same closure, new bind values
-        assert fn((2, 0, "x", "y")) is True
+        assert fn(rows) == rows[:1]
+        box.bind((2,))  # same function, new bind values
+        assert fn(rows) == rows[1:]
         box.bind((None,))
-        assert fn((2, 0, "x", "y")) is False
+        assert fn(rows) == []
 
-    def test_marker_outside_prepared_statement_rejected(self, binding, registry):
+    @pytest.mark.parametrize("compiler", [compile_filter, compile_column])
+    def test_marker_outside_prepared_statement_rejected(
+        self, binding, registry, compiler
+    ):
         with pytest.raises(PlanError):
-            compile_row_expr(parse_expression("a = ?"), binding, registry, None)
+            compiler(parse_expression("a = ?"), binding, registry, None)
 
     def test_execute_many_rebinds_across_executions(self):
         db = Database("exprs")
@@ -161,9 +174,9 @@ class TestArithmetic:
 
     def test_division_by_zero(self, binding, registry):
         expr = parse_expression("a / b")
-        fn = compile_row_expr(expr, binding, registry)
+        fn = compile_column(expr, binding, registry)
         with pytest.raises(ExecutionError):
-            fn((1, 0, "x", "y"))
+            fn([(1, 1, "x", "y"), (1, 0, "x", "y")])
 
 
 #: expression templates for the randomized agreement sweep — mixed
@@ -202,16 +215,11 @@ class TestRandomizedAgreement:
         rows = [_random_row(rng) for _ in range(300)]
         for text in TEMPLATES:
             expr = parse_expression(text)
-            generated = compile_row_expr(expr, binding, registry)
             interpreted = compile_expr(expr, binding, registry)
-            for row in rows:
-                assert generated(row) == interpreted(row), (text, row)
-            # the batch companions must agree with the row loop
+            values = compile_column(expr, binding, registry)(rows)
+            assert values == [interpreted(row) for row in rows], text
             kept = [row for row in rows if interpreted(row)]
-            assert generated.batch_filter(rows) == kept
-            assert generated.batch_eval(rows) == [
-                generated(row) for row in rows
-            ]
+            assert compile_filter(expr, binding, registry)(rows) == kept
 
     def test_slot_substituted_expressions_match(self, registry):
         # the post-aggregate form: columns replaced by SlotRef placeholders,
@@ -223,16 +231,16 @@ class TestRandomizedAgreement:
         for text in TEMPLATES + ["a / 2", "-a", "a / (b - b)"]:
             expr = rebuild_with_slots(parse_expression(text), slots)
             assert not list(expr.column_refs())
-            generated = compile_row_expr(expr, Binding([]), registry)
+            generated = compile_column(expr, Binding([]), registry)
             interpreted = compile_expr(expr, Binding([]), registry)
             for row in rows:
                 try:
                     expected = interpreted(row)
                 except ExecutionError:
                     with pytest.raises(ExecutionError):
-                        generated(row)
+                        generated([row])
                 else:
-                    got = generated(row)
+                    (got,) = generated([row])
                     assert (got, type(got)) == (expected, type(expected)), (text, row)
 
     def test_projection_matches_per_row_tuples(self, binding, registry):
@@ -242,12 +250,122 @@ class TestRandomizedAgreement:
         projection = compile_projection(exprs, binding, registry)
         parts = [compile_expr(e, binding, registry) for e in exprs]
         expected = [tuple(part(row) for part in parts) for row in rows]
-        assert [projection(row) for row in rows] == expected
-        assert projection.batch_eval(rows) == expected
+        assert projection(rows) == expected
 
     def test_single_column_projection_stays_a_tuple(self, binding, registry):
         projection = compile_projection(
             [parse_expression("a")], binding, registry
         )
-        assert projection((5, 0, "x", "y")) == (5,)
-        assert projection.batch_eval([(5, 0, "x", "y")]) == [(5,)]
+        assert projection([(5, 0, "x", "y")]) == [(5,)]
+
+
+# -- one compile() per expression site ------------------------------------------
+
+
+def _sites(plan):
+    """The batch functions a physical plan holds, one per expression
+    site (an operator attribute or list entry with generated source)."""
+    found = []
+
+    def visit(value):
+        if callable(value) and hasattr(value, "source"):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                visit(item)
+        elif hasattr(value, "arg"):  # an aggregate's spec
+            visit(value.arg)
+
+    def walk(op):
+        for value in vars(op).values():
+            if isinstance(value, Operator):
+                walk(value)
+            else:
+                visit(value)
+
+    walk(plan)
+    return found
+
+
+def sites_database():
+    """Two tables, two hash indexes, a scalar UDF ``twice`` and a table
+    function ``spread(n, k)`` (``n % k + 1`` rows), sized so that the
+    planner picks index probes for selective keys."""
+    db = Database("sites")
+    db.registry.register_scalar("twice", lambda value: value * 2)
+    db.registry.register_table(
+        "spread", lambda n, k: [(i,) for i in range(n % k + 1)], [("n", INTEGER)]
+    )
+    db.execute(
+        "CREATE TABLE t (a INTEGER PRIMARY KEY, c INTEGER, b INTEGER, pad VARCHAR)"
+    )
+    db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, name VARCHAR)")
+    db.bulk_insert("t", [(i, i % 1000, i % 7, "x" * 100) for i in range(5000)])
+    db.bulk_insert("u", [(i, f"n{i % 5}") for i in range(50)])
+    db.create_index("t_a", "t", "a", "hash")
+    db.create_index("t_c", "t", "c", "hash")
+    db.runstats()
+    return db
+
+
+#: one statement per operator kind that holds expressions: scan filter,
+#: SELECT list, index residual and ``?`` key, index-join residual, filter
+#: over a hash join, group keys, aggregate arguments, HAVING, pre- and
+#: post-projection ORDER BY keys, lateral arguments (columnar and
+#: constant) and the lateral's filter
+SITE_QUERIES = [
+    ("SELECT a + 1, twice(b) FROM t WHERE b > 2 AND twice(a) > 4", ()),
+    ("SELECT a FROM t WHERE c = ? AND twice(b) > 10", (7,)),
+    (
+        "SELECT u.name, t.b FROM u, t "
+        "WHERE t.c = u.id AND u.id = 7 AND twice(t.b) <> 4",
+        (),
+    ),
+    ("SELECT t.a, u.name FROM t, u WHERE t.c = u.id AND twice(t.b) > u.id", ()),
+    (
+        "SELECT c, COUNT(*), SUM(twice(b)) FROM t GROUP BY c "
+        "HAVING COUNT(*) > 1 ORDER BY c DESC",
+        (),
+    ),
+    ("SELECT a AS k FROM t ORDER BY k DESC", ()),
+    ("SELECT a, b FROM t WHERE c = 3 ORDER BY twice(b) DESC, a", ()),
+    ("SELECT u.id, s.n FROM u, TABLE(spread(twice(u.id), ?)) s WHERE s.n > 0", (3,)),
+]
+
+
+@pytest.fixture()
+def sites_db():
+    return sites_database()
+
+
+class TestOneCompilePerSite:
+    def test_the_queries_reach_every_expression_site(self, sites_db):
+        plans = "\n".join(sites_db.explain(sql) for sql, _ in SITE_QUERIES)
+        for shape in (
+            "SeqScan t as t filter[", "(key = ?) residual[",
+            "(outer key u.id) residual[", "HashJoin on", "Filter [",
+            "HashAggregate groups=1", "Sort keys=2", "LateralFunctionScan",
+        ):
+            assert shape in plans, shape
+
+    @pytest.mark.parametrize("sql,params", SITE_QUERIES)
+    def test_planning_compiles_each_site_once_and_running_compiles_none(
+        self, sites_db, monkeypatch, sql, params
+    ):
+        sources = []
+
+        def counting(source, *args, **kwargs):
+            sources.append(source)
+            return compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(expr_compile, "compile", counting, raising=False)
+        statement = parse_sql(sql)
+        box = ParamBox(count_parameters(statement))
+        plan = plan_select(statement, sites_db, box)
+        sites = _sites(plan)
+        assert sites and len(sources) == len(sites)
+        assert sorted(sources) == sorted(fn.source for fn in sites)
+        box.bind(params)
+        first = list(plan.rows())
+        assert first and list(plan.rows()) == first
+        assert len(sources) == len(sites)  # running compiles nothing

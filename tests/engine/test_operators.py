@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.engine.expr import Binding, ColumnRef, Slot
-from repro.engine.expr_compile import compile_row_expr
+from repro.engine.expr import Binding, ColumnRef, Comparison, Slot, SlotRef
+from repro.engine.expr_compile import compile_column, compile_filter
 from repro.engine.plan.physical import (
     AggSpec,
+    Filter,
     HashAggregate,
     HashDistinct,
     Limit,
@@ -28,8 +29,9 @@ class _Rows(Operator):
         self.binding = Binding(slots)
         self._rows = rows
 
-    def rows(self):
-        return iter(self._rows)
+    def _execute(self):
+        if self._rows:
+            yield list(self._rows)
 
     def explain(self, depth=0):
         return [self._line(depth, "Rows")]
@@ -37,6 +39,11 @@ class _Rows(Operator):
 
 def slots(*names):
     return [Slot("t", name, INTEGER) for name in names]
+
+
+def column(index):
+    """The batch function reading slot ``index`` of each row."""
+    return compile_column(SlotRef(index), Binding([]), FunctionRegistry())
 
 
 class TestSortKey:
@@ -57,12 +64,12 @@ class TestSortKey:
 class TestSortOperator:
     def test_multi_key_stable(self):
         source = _Rows(slots("a", "b"), [(1, 2), (0, 9), (1, 1), (0, 3)])
-        op = Sort(source, [lambda r: r[0], lambda r: r[1]], [False, True])
+        op = Sort(source, [column(0), column(1)], [False, True])
         assert list(op.rows()) == [(0, 9), (0, 3), (1, 2), (1, 1)]
 
     def test_explain(self):
         source = _Rows(slots("a"), [])
-        assert "Sort" in Sort(source, [lambda r: r[0]], [False]).explain()[0]
+        assert "Sort" in Sort(source, [column(0)], [False]).explain()[0]
 
 
 class TestLimitOperator:
@@ -73,10 +80,10 @@ class TestLimitOperator:
         consumed = []
 
         class Counting(_Rows):
-            def rows(self):
+            def _execute(self):
                 for row in self._rows:
                     consumed.append(row)
-                    yield row
+                    yield [row]
 
         source = Counting(slots("a"), [(1,), (2,), (3,)])
         assert list(Limit(source, 2).rows()) == [(1,), (2,)]
@@ -91,10 +98,15 @@ class TestNestedLoop:
         assert sorted(op.rows()) == [(1, 10), (1, 20), (2, 10), (2, 20)]
 
     def test_with_predicate(self):
+        # the lowering puts a join predicate in a Filter over the cross join
         left = _Rows(slots("a"), [(1,), (2,)])
         right = _Rows([Slot("u", "b", INTEGER)], [(1,), (2,)])
-        op = NestedLoopJoin(left, right, predicate=lambda r: r[0] == r[1])
-        assert sorted(op.rows()) == [(1, 1), (2, 2)]
+        join = NestedLoopJoin(left, right)
+        predicate = compile_filter(
+            Comparison("=", SlotRef(0), SlotRef(1)), join.binding,
+            FunctionRegistry(),
+        )
+        assert sorted(Filter(join, predicate).rows()) == [(1, 1), (2, 2)]
 
 
 class TestDistinctAndAggregate:
@@ -104,7 +116,7 @@ class TestDistinctAndAggregate:
 
     def test_aggregate_min_max_over_strings(self):
         source = _Rows([Slot("t", "s", VARCHAR)], [("b",), ("a",), ("c",)])
-        arg = compile_row_expr(
+        arg = compile_column(
             ColumnRef(None, "s"), source.binding, FunctionRegistry()
         )
         op = HashAggregate(

@@ -1,11 +1,13 @@
 """The batch UDF boundary must be the per-call boundary, a column at a time.
 
-``fn(row)`` (one ``FunctionRegistry.invoke_scalar`` per call) is the
-reference; the batch companions of :mod:`repro.engine.expr_compile`
-hoist unconditional calls into ``invoke_scalar_batch`` columns and run a
-top-level AND as a cascade.  Everything here pins the two routes to each
-other: same values in the same order, the same multiset of calls with
-the same arguments, the same errors, the same counters.
+:func:`repro.engine.expr.compile_expr` (one row, one
+``FunctionRegistry.invoke_scalar`` per call) is the reference; the batch
+functions of :mod:`repro.engine.expr_compile` hoist unconditional calls
+into ``invoke_scalar_batch`` columns and run a top-level AND as a
+cascade.  Everything here pins the two routes to each other: same values
+in the same order, the same multiset of calls with the same arguments,
+the same errors, the same counters — and pins that every operator of a
+plan takes the batch route.
 """
 
 import time
@@ -16,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import expr_compile
 from repro.engine.expr import (
     And,
     Arithmetic,
@@ -33,24 +34,22 @@ from repro.engine.expr import (
     Parameter,
     Slot,
     SlotRef,
+    compile_expr,
 )
-from repro.engine.expr_compile import compile_projection, compile_row_expr
+from repro.engine.expr_compile import (
+    compile_column,
+    compile_filter,
+    compile_projection,
+)
 from repro.engine.governor import GovernorLimits, StatementBudget
-from repro.engine.plan.optimizer import plan_select
-from repro.engine.plan.physical import HashJoin
 from repro.engine.snapshot import activate, deactivate
-from repro.engine.sql.parser import parse_expression, parse_sql
+from repro.engine.sql.parser import parse_expression
 from repro.engine.types import INTEGER, VARCHAR, XADT
 from repro.engine.udf import FunctionKind, FunctionRegistry, ScalarFunction
 from repro.errors import StatementTimeout, UdfError
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.workloads import SIGMOD_QUERIES
 from repro.xadt import DICT, INDEXED, PLAIN, XadtValue
-from tests.engine.test_batch_kernels import (
-    _Rows,
-    reference_hash_join,
-    rows_under_work_mem,
-)
+from tests.engine.test_expr_compile import sites_database
 
 BATCH_SIZES = [0, 1, 2, 7, 1024]
 
@@ -202,25 +201,34 @@ def _params() -> ParamBox:
     return box
 
 
+def _reference(expr, registry, rows) -> list:
+    """``expr`` over ``rows`` one row and one call at a time."""
+    evaluate = compile_expr(expr, BINDING, registry, _params())
+    return [evaluate(row) for row in rows]
+
+
 class TestCompanionsAgainstRowOrder:
+    """``compile_column`` (``batch_eval``), ``compile_filter``
+    (``batch_filter``) and ``compile_projection`` against row order."""
+
     @given(expr=expressions, batch=batches())
     @settings(max_examples=300, deadline=None)
     def test_batch_eval(self, expr, batch):
         recorder = Recorder()
-        fn = compile_row_expr(expr, BINDING, recorder.registry, _params())
-        expected = [fn(row) for row in batch]
+        fn = compile_column(expr, BINDING, recorder.registry, _params())
+        expected = _reference(expr, recorder.registry, batch)
         reference = recorder.drain()
-        assert fn.batch_eval(batch) == expected
+        assert fn(batch) == expected
         assert recorder.drain() == reference
 
     @given(expr=_BOOLEAN, batch=batches())
     @settings(max_examples=300, deadline=None)
     def test_batch_filter(self, expr, batch):
         recorder = Recorder()
-        fn = compile_row_expr(expr, BINDING, recorder.registry, _params())
-        expected = [row for row in batch if fn(row)]
+        fn = compile_filter(expr, BINDING, recorder.registry, _params())
+        kept = _reference(expr, recorder.registry, batch)
         reference = recorder.drain()
-        assert fn.batch_filter(batch) == expected
+        assert fn(batch) == [row for row, keep in zip(batch, kept) if keep]
         assert recorder.drain() == reference
 
     @given(
@@ -230,20 +238,27 @@ class TestCompanionsAgainstRowOrder:
     def test_projection(self, exprs, batch):
         recorder = Recorder()
         fn = compile_projection(exprs, BINDING, recorder.registry, _params())
-        expected = [fn(row) for row in batch]
+        evaluators = [
+            compile_expr(expr, BINDING, recorder.registry, _params())
+            for expr in exprs
+        ]
+        expected = [
+            tuple(evaluate(row) for evaluate in evaluators) for row in batch
+        ]
         reference = recorder.drain()
-        assert fn.batch_eval(batch) == expected
+        assert fn(batch) == expected
         assert recorder.drain() == reference
 
     @given(expr=_BOOLEAN, batch=batches())
     @settings(max_examples=100, deadline=None)
     def test_a_companion_handed_a_generator(self, expr, batch):
-        recorder = Recorder()
-        fn = compile_row_expr(expr, BINDING, recorder.registry, _params())
-        assert fn.batch_filter(row for row in batch) == [
-            row for row in batch if fn(row)
-        ]
-        assert fn.batch_eval(row for row in batch) == [fn(row) for row in batch]
+        registry = Recorder().registry
+        expected = _reference(expr, registry, batch)
+        kept = [row for row, keep in zip(batch, expected) if keep]
+        column = compile_column(expr, BINDING, registry, _params())
+        assert column(row for row in batch) == expected
+        keep = compile_filter(expr, BINDING, registry, _params())
+        assert keep(row for row in batch) == kept
 
     def test_results_are_the_bodies_own_objects(self):
         # a result crosses back by identity
@@ -252,60 +267,40 @@ class TestCompanionsAgainstRowOrder:
         registry.register_scalar(
             "make", lambda v: made.append(XadtValue.from_xml("<a>x</a>")) or made[-1]
         )
-        fn = compile_row_expr(FuncCall("make", (SlotRef(0),)), Binding([]), registry)
-        out = fn.batch_eval([(1,), (2,)])
+        fn = compile_column(FuncCall("make", (SlotRef(0),)), Binding([]), registry)
+        out = fn([(1,), (2,)])
         assert all(got is body for got, body in zip(out, made))
 
 
-# -- the generated column form -------------------------------------------------
+# -- the generated source ----------------------------------------------------------
 
 
-def _compile(text: str, registry=None, params=None):
-    return compile_row_expr(
+def _compile(text: str, registry=None, params=None, compiler=compile_column):
+    return compiler(
         parse_expression(text), BINDING, registry or Recorder().registry, params
     )
 
 
-def _column_source(closure, form: str, batch=()) -> str:
-    """The source of ``closure``'s column-form companion (built on its
-    first call)."""
-    sources = []
-    real = expr_compile._compile_companion
-
-    def spy(lines, env):
-        companion = real(lines, env)
-        sources.append(companion.source)
-        return companion
-
-    expr_compile._compile_companion = spy
-    try:
-        getattr(closure, form)(list(batch))
-    finally:
-        expr_compile._compile_companion = real
-    (source,) = sources
-    return source
-
-
 class TestColumnForm:
+    """The generated source, on ``fn.source``."""
+
     def test_unconditional_calls_are_hoisted_and_nested_ones_feed_columns(self):
-        source = _column_source(_compile("num(txt(s), 'k') + 1"), "batch_eval")
+        source = _compile("num(txt(s), 'k') + 1").source
         assert source.count("_invoke_scalar_batch(") == 2
         assert "_invoke_scalar(" not in source
         # the inner call's column is the outer call's argument, as it is
         assert "[_c0, " in source and "(True, False)" in source
 
     def test_calls_under_non_first_operands_stay_inline(self):
-        source = _column_source(
-            _compile("num(a) = 1 AND (b = 1 OR num(b) = 2)"), "batch_eval"
-        )
+        source = _compile("num(a) = 1 AND (b = 1 OR num(b) = 2)").source
         assert source.count("_invoke_scalar_batch(") == 1
         assert source.count("_invoke_scalar(") == 1
 
     def test_filter_cascades_over_the_conjuncts(self):
-        source = _column_source(
-            _compile("a = 1 AND b = 0 AND num(x) = 1 AND txt(s) LIKE 'a%'"),
-            "batch_filter",
-        )
+        source = _compile(
+            "a = 1 AND b = 0 AND num(x) = 1 AND txt(s) LIKE 'a%'",
+            compiler=compile_filter,
+        ).source
         lines = [line.strip() for line in source.splitlines()[1:]]
         # call-free neighbours share one comprehension, ahead of the calls
         assert lines[0].startswith("_batch = [row for row in _batch if ")
@@ -315,50 +310,13 @@ class TestColumnForm:
         ]
 
     def test_an_expression_that_is_a_call_returns_its_column(self):
-        source = _column_source(_compile("num(a, 1)"), "batch_eval")
+        source = _compile("num(a, 1)").source
         assert source.rstrip().endswith("return _c0")
 
-    def test_nothing_to_hoist_compiles_the_plain_comprehension(self, monkeypatch):
-        compiled = []
-        real = expr_compile._compile_fragment
-        monkeypatch.setattr(
-            expr_compile, "_compile_fragment",
-            lambda source, env: compiled.append(source) or real(source, env),
-        )
-        monkeypatch.setattr(
-            expr_compile, "_compile_companion",
-            lambda lines, env: pytest.fail("no call can be hoisted here"),
-        )
-        closure = _compile("a = 1 OR num(b) = 1")
-        assert closure.batch_eval([(2, 2, None, None)]) == [False]
-        assert closure.batch_filter([(2, 2, None, None)]) == []
-        assert compiled[1:] == [
-            f"lambda _batch: [{closure.source} for row in _batch]",
-            f"lambda _batch: [row for row in _batch if {closure.source}]",
-        ]
-
-    def test_column_source_is_generated_on_first_use_only(self, monkeypatch):
-        lowered = []
-        real = expr_compile._Lowering.column_form
-        monkeypatch.setattr(
-            expr_compile._Lowering, "column_form",
-            lambda self: lowered.append(1) or real(self),
-        )
-        closure = _compile("num(a) = 1")
-        assert closure((1, None, None, None)) in (True, False)
-        assert not lowered  # planning and the row route pay nothing
-        closure.batch_filter([])
-        closure.batch_filter([])
-        assert lowered == [1]
-
-    def test_call_free_closures_never_lower_twice(self, monkeypatch):
-        monkeypatch.setattr(
-            expr_compile._Lowering, "column_form",
-            lambda self: pytest.fail("no call: the lowered fragment is reused"),
-        )
-        closure = _compile("a = 1 AND s LIKE 'a%'")
-        assert closure.batch_filter([(1, 0, "ab", None)]) == [(1, 0, "ab", None)]
-        assert closure.batch_eval([(1, 0, "b", None)]) == [False]
+    def test_a_call_free_expression_is_one_comprehension(self):
+        source = _compile("a = 1 AND s LIKE 'a%'").source
+        assert source.splitlines()[1].strip().startswith("return [")
+        assert "_invoke" not in source and len(source.splitlines()) == 2
 
     def test_zero_argument_and_all_constant_calls(self):
         registry = FunctionRegistry()
@@ -367,21 +325,21 @@ class TestColumnForm:
         registry.register_scalar("fixed", lambda a, b: seen.append((a, b)) or a)
         box = ParamBox(1)
         box.bind(("p",))
-        closure = compile_row_expr(
+        closure = compile_column(
             Arithmetic(
                 "+", FuncCall("nothing", ()),
                 FuncCall("length", (FuncCall("fixed", (Literal("k"), Parameter(0))),)),
             ),
             BINDING, registry, box,
         )
-        assert closure.batch_eval([(0,)] * 3) == [8, 8, 8]
+        assert closure([(0,)] * 3) == [8, 8, 8]
         assert sorted(seen) == [()] * 3 + [("k", "p")] * 3
         assert registry.stats.scalar_calls == {"nothing": 3, "fixed": 3, "length": 3}
 
     def test_an_empty_batch_counts_nothing(self):
         recorder = Recorder()
-        closure = _compile("num(a) = 1", recorder.registry)
-        assert closure.batch_filter([]) == [] and closure.batch_eval([]) == []
+        keep = _compile("num(a) = 1", recorder.registry, compiler=compile_filter)
+        assert keep([]) == [] and _compile("num(a) = 1", recorder.registry)([]) == []
         # not even a zero entry: ``stats`` equality is asserted elsewhere
         assert recorder.registry.stats.scalar_calls == {}
 
@@ -408,18 +366,19 @@ class TestFailures:
     @pytest.mark.parametrize("form", ["batch_eval", "batch_filter"])
     def test_kth_call_failing_names_the_function_on_both_routes(self, fail_at, form):
         batch = [(i, i, "s", None) for i in range(10)]
+        expr = parse_expression("flaky(a) >= 0")
+        compiler = {"batch_eval": compile_column, "batch_filter": compile_filter}
         observed = []
         counter = METRICS.counter("udf.calls.not_fenced")
-        for route in ("rows", form):
+        for route in ("reference", compiler[form]):
             registry = FunctionRegistry()
             state = _failing(registry, fail_at)
-            closure = _compile("flaky(a) >= 0", registry)
             before = counter.value
             with pytest.raises(UdfError, match="'flaky' failed: ValueError: boom"):
-                if route == "rows":
-                    [closure(row) for row in batch]
+                if route == "reference":
+                    _reference(expr, registry, batch)
                 else:
-                    getattr(closure, form)(batch)
+                    route(expr, BINDING, registry)(batch)
             observed.append((
                 state["calls"], dict(registry.stats.scalar_calls),
                 counter.value - before,
@@ -431,7 +390,7 @@ class TestFailures:
         _failing(registry, 2, error=StatementTimeout("inner"))
         closure = _compile("flaky(a)", registry)
         with pytest.raises(StatementTimeout, match="inner"):
-            closure.batch_eval([(1,), (2,), (3,)])
+            closure([(1,), (2,), (3,)])
         assert registry.stats.scalar_calls == {"flaky": 2}
 
     def test_histogram_holds_the_calls_that_completed(self):
@@ -440,7 +399,7 @@ class TestFailures:
         histogram = METRICS.histogram("udf.seconds.not_fenced")
         before = histogram.count
         with pytest.raises(UdfError):
-            _compile("flaky(a)", registry).batch_eval([(i,) for i in range(5)])
+            _compile("flaky(a)", registry)([(i,) for i in range(5)])
         assert histogram.count - before == 2
 
     def test_first_call_site_surfaces_before_the_first_row(self):
@@ -455,12 +414,12 @@ class TestFailures:
             return value
 
         registry.register_scalar("picky", picky)
-        closure = _compile("picky(a, 2) + picky(a, 1)", registry)
+        expr = parse_expression("picky(a, 2) + picky(a, 1)")
         batch = [(1,), (2,)]
         with pytest.raises(UdfError, match="bad 1"):
-            [closure(row) for row in batch]
+            _reference(expr, registry, batch)
         with pytest.raises(UdfError, match="bad 2"):
-            closure.batch_eval(batch)
+            compile_column(expr, BINDING, registry)(batch)
 
 
 @contextmanager
@@ -480,7 +439,7 @@ class TestDeadlinesAndReplacedBoundaries:
         closure = _compile("nap(a)", registry)
         with governed(statement_timeout_seconds=0.03):
             with pytest.raises(StatementTimeout):
-                closure.batch_eval([(i,) for i in range(200)])
+                closure([(i,) for i in range(200)])
         assert 1 <= registry.stats.scalar_calls["nap"] < 200
 
     def test_a_budget_without_a_deadline_takes_the_batch_route(self, monkeypatch):
@@ -491,7 +450,7 @@ class TestDeadlinesAndReplacedBoundaries:
         )
         closure = _compile("same(a)", registry)
         with governed(max_result_rows=10):
-            assert closure.batch_eval([(1,), (2,)]) == [1, 2]
+            assert closure([(1,), (2,)]) == [1, 2]
 
     def test_a_replaced_invoke_is_crossed_per_call_by_both_routes(self):
         registry = FunctionRegistry()
@@ -500,12 +459,13 @@ class TestDeadlinesAndReplacedBoundaries:
         crossings = []
         original = function.invoke
         function.invoke = lambda args: crossings.append(tuple(args)) or original(args)
-        closure = _compile("same(a) + 1", registry)
+        expr = parse_expression("same(a) + 1")
+        closure = compile_column(expr, BINDING, registry)
         batch = [(1,), (2,), (3,)]
-        assert [closure(row) for row in batch] == closure.batch_eval(batch) == [2, 3, 4]
+        assert _reference(expr, registry, batch) == closure(batch) == [2, 3, 4]
         assert crossings == [(1,), (2,), (3,)] * 2
         del function.invoke  # back to the class's: one crossing per batch
-        assert closure.batch_eval(batch) == [2, 3, 4]
+        assert closure(batch) == [2, 3, 4]
         assert len(crossings) == 6
         assert registry.stats.scalar_calls == {"same": 9}
 
@@ -519,17 +479,18 @@ class TestDeadlinesAndReplacedBoundaries:
 
         registry = FunctionRegistry()
         registry._scalars["loud"] = Loud("loud", lambda v: v)
-        assert _compile("loud(a)", registry).batch_eval([(1,), (2,)]) == [1, 2]
+        assert _compile("loud(a)", registry)([(1,), (2,)]) == [1, 2]
         assert Loud.crossed == 2
 
     def test_a_replaced_fn_is_what_both_routes_run(self):
         registry = FunctionRegistry()
         registry.register_scalar("same", lambda v: v)
-        closure = _compile("same(a)", registry)
+        expr = parse_expression("same(a)")
+        closure = compile_column(expr, BINDING, registry)
         batch = [(1,), (2,)]
-        assert closure.batch_eval(batch) == [1, 2]  # companion built and bound
+        assert closure(batch) == [1, 2]
         registry.scalar("same").fn = lambda v: -v
-        assert [closure(row) for row in batch] == closure.batch_eval(batch) == [-1, -2]
+        assert _reference(expr, registry, batch) == closure(batch) == [-1, -2]
 
     def test_metrics_off_still_counts_calls(self, monkeypatch):
         recorder = Recorder()
@@ -537,7 +498,7 @@ class TestDeadlinesAndReplacedBoundaries:
         counter = METRICS.counter("udf.calls.not_fenced")
         before = counter.value
         monkeypatch.setattr(METRICS, "enabled", False)
-        closure.batch_eval([(1,), (2,)])
+        closure([(1,), (2,)])
         assert recorder.registry.stats.scalar_calls == {"num": 2}
         assert counter.value == before
 
@@ -545,70 +506,96 @@ class TestDeadlinesAndReplacedBoundaries:
 # -- operators -------------------------------------------------------------------
 
 
-class TestHashJoinResidualWithACall:
-    @given(
-        left=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=12),
-        right=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=12),
-        batch_size=st.sampled_from([1, 2, 7, 1024]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_rows_order_and_calls(self, left, right, batch_size):
-        recorder = Recorder()
-        residual = compile_row_expr(
-            And((
-                Comparison("<=", SlotRef(1), SlotRef(3)),
-                Comparison(">=", FuncCall("num", (SlotRef(1), SlotRef(3))), Literal(1)),
-            )),
-            Binding([]),
-            recorder.registry,
-        )
-        expected = reference_hash_join(left, right, [0], [0], residual)
-        reference = recorder.drain()
-        join = HashJoin(
-            _Rows(left, 2, batch_size), _Rows(right, 2, batch_size), [0], [0],
-            residual=residual,
-        )
-        assert rows_under_work_mem(join, 64) == expected
-        assert recorder.drain() == reference
+class TestOperatorsCrossAColumnAtATime:
+    """The operators that used to run an expression row by row — an
+    index scan's residual and ``?`` key, an index join's residual, a
+    sort key, a lateral's constant argument — take the batch route: no
+    ``invoke_scalar`` crossing without a deadline, and the calls and
+    rows of the per-call reference."""
 
+    @pytest.fixture()
+    def db(self):
+        return sites_database()
 
-class TestHybridPlansCompileTheParentsCompanions:
-    def test_no_column_form_and_the_plain_templates(self, sigmod_pair, monkeypatch):
-        """A Hybrid QG plan holds no scalar call: each companion is the
-        one comprehension the parent compiled, around the closure's own
-        row fragment, and no second lowering ever happens."""
-        db = sigmod_pair[0].db
-        compiled = []
-        real = expr_compile._compile_fragment
+    def _run(self, db, monkeypatch, sql, params):
+        crossings = []
+        per_call = db.registry.invoke_scalar
         monkeypatch.setattr(
-            expr_compile, "_compile_fragment",
-            lambda source, env: compiled.append(source) or real(source, env),
+            db.registry, "invoke_scalar",
+            lambda *args: crossings.append(args) or per_call(*args),
         )
-        monkeypatch.setattr(
-            expr_compile._Lowering, "column_form",
-            lambda self: pytest.fail("a Hybrid plan has no call to hoist"),
+        db.registry.stats.reset()
+        rows = db.execute(sql, params).rows
+        stats = self._stats(db)
+        monkeypatch.undo()
+        db.registry.stats.reset()  # the reference counts from zero
+        return rows, stats, crossings
+
+    @staticmethod
+    def _stats(db):
+        return (
+            dict(db.registry.stats.scalar_calls),
+            dict(db.registry.stats.table_calls),
         )
-        fragments = set()
-        for query in SIGMOD_QUERIES:
-            box = ParamBox(0)
-            plan = plan_select(parse_sql(query.sql_for("hybrid")), db, box)
-            box.bind(())
-            fragments |= {
-                source[len("lambda row: "):]
-                for source in compiled if source.startswith("lambda row: ")
-            }
-            assert sum(len(batch) for batch in plan.batches())
-        companions = [s for s in compiled if not s.startswith("lambda row: ")]
-        assert companions
-        for source in companions:
-            assert "_invoke_scalar" not in source
-            assert any(
-                source in (
-                    f"lambda _batch: [row for row in _batch if {fragment}]",
-                    f"lambda _batch: [{fragment} for row in _batch]",
-                )
-                for fragment in fragments
-            ), source
+
+    def _reference(self, db, binding, text="twice(b)"):
+        return compile_expr(parse_expression(text), binding, db.registry)
+
+    T = Binding([Slot("t", name, INTEGER) for name in ("a", "c", "b", "pad")])
+
+    def _t_rows(self, db, c):
+        return [row for row in db.heap("t").rows if row[1] == c]
+
+    def test_index_scan_residual_and_key(self, db, monkeypatch):
+        sql = "SELECT a FROM t WHERE c = ? AND twice(b) > 10"
+        assert "IndexScan t as t using t_c (key = ?) residual[" in db.explain(sql)
+        rows, stats, crossings = self._run(db, monkeypatch, sql, (7,))
+        keep = self._reference(db, self.T, "twice(b) > 10")
+        expected = [(row[0],) for row in self._t_rows(db, 7) if keep(row)]
+        assert crossings == []
+        assert rows == expected and stats == self._stats(db)
+        assert stats == ({"twice": 5}, {})
+
+    def test_index_join_residual(self, db, monkeypatch):
+        sql = (
+            "SELECT u.name, t.b FROM u, t "
+            "WHERE t.c = u.id AND u.id = 7 AND twice(t.b) <> 4"
+        )
+        assert "(outer key u.id) residual[twice(t.b) <> 4]" in db.explain(sql)
+        rows, stats, crossings = self._run(db, monkeypatch, sql, ())
+        keep = self._reference(db, self.T, "twice(b) <> 4")
+        expected = [("n2", row[2]) for row in self._t_rows(db, 7) if keep(row)]
+        assert crossings == []
+        assert rows == expected and stats == self._stats(db)
+
+    def test_order_by_key(self, db, monkeypatch):
+        sql = "SELECT a, b FROM t WHERE c = 3 ORDER BY twice(b) DESC, a"
+        rows, stats, crossings = self._run(db, monkeypatch, sql, ())
+        key = self._reference(db, self.T)
+        decorated = [(key(row), row[0], row[2]) for row in self._t_rows(db, 3)]
+        expected = [(a, b) for _, a, b in sorted(decorated, key=lambda d: (-d[0], d[1]))]
+        assert crossings == []
+        assert rows == expected and stats == self._stats(db)
+
+    def test_lateral_with_a_parameter_argument(self, db, monkeypatch):
+        sql = "SELECT u.id, s.n FROM u, TABLE(spread(twice(u.id), ?)) s"
+        rows, stats, crossings = self._run(db, monkeypatch, sql, (3,))
+        twice = self._reference(db, Binding([Slot("u", "id", INTEGER)]), "twice(id)")
+        spread = db.registry.table_function("spread")
+        expected = [
+            (row[0],) + produced
+            for row in db.heap("u").rows
+            for produced in db.registry.invoke_table(spread, [twice(row[:1]), 3])
+        ]
+        assert crossings == []
+        assert rows == expected and stats == self._stats(db)
+        assert stats == ({"twice": 50}, {"spread": 50})
+
+    def test_a_deadline_still_crosses_per_call(self, db, monkeypatch):
+        db.governor.configure(statement_timeout_seconds=60.0)
+        sql = "SELECT a FROM t WHERE c = ? AND twice(b) > 10"
+        _, stats, crossings = self._run(db, monkeypatch, sql, (7,))
+        assert len(crossings) == 5 and stats == ({"twice": 5}, {})
 
 
 # -- the histogram -----------------------------------------------------------------
@@ -646,6 +633,6 @@ class TestObserveMany:
         recorder = Recorder()
         histogram = METRICS.histogram("udf.seconds.not_fenced")
         before, total = histogram.count, histogram.sum
-        _compile("num(a)", recorder.registry).batch_eval([(i,) for i in range(40)])
+        _compile("num(a)", recorder.registry)([(i,) for i in range(40)])
         assert histogram.count - before == 40
         assert histogram.sum > total

@@ -285,10 +285,12 @@ class TestUdfBoundary:
     @given(expr=expressions, batch=batches())
     @settings(max_examples=150, deadline=None)
     def test_batch_and_per_call_routes_charge_alike(self, expr, batch):
-        from repro.engine.expr_compile import compile_row_expr
+        from repro.engine.expr import compile_expr
+        from repro.engine.expr_compile import compile_column
 
         recorder = Recorder()
-        fn = compile_row_expr(expr, BINDING, recorder.registry, _params())
+        reference = compile_expr(expr, BINDING, recorder.registry, _params())
+        fn = compile_column(expr, BINDING, recorder.registry, _params())
 
         def under_counters(evaluate) -> tuple[dict, tuple]:
             counters = IoCounters()
@@ -299,9 +301,11 @@ class TestUdfBoundary:
                 deactivate(token)
             return dict(counters.work), recorder.drain()
 
-        per_call, reference = under_counters(lambda: [fn(row) for row in batch])
-        per_batch, logged = under_counters(lambda: fn.batch_eval(batch))
-        assert per_batch == per_call and logged == reference
+        per_call, logged_per_call = under_counters(
+            lambda: [reference(row) for row in batch]
+        )
+        per_batch, logged = under_counters(lambda: fn(batch))
+        assert per_batch == per_call and logged == logged_per_call
         by_mode = {
             "udf_calls_not_fenced": ("num", "txt", "frag"),
             "udf_calls_builtin": ("num_builtin",),
@@ -309,7 +313,7 @@ class TestUdfBoundary:
         }
         for counter, names in by_mode.items():
             assert per_batch[counter] == sum(
-                reference[1].get(name, 0) for name in names
+                logged_per_call[1].get(name, 0) for name in names
             )
 
 
