@@ -142,12 +142,10 @@ class TestParameters:
         box.bind((None,))
         assert fn(rows) == []
 
-    @pytest.mark.parametrize("compiler", [compile_filter, compile_column])
-    def test_marker_outside_prepared_statement_rejected(
-        self, binding, registry, compiler
-    ):
-        with pytest.raises(PlanError):
-            compiler(parse_expression("a = ?"), binding, registry, None)
+    def test_marker_outside_prepared_statement_rejected(self, binding, registry):
+        for compiler in (compile_filter, compile_column):
+            with pytest.raises(PlanError):
+                compiler(parse_expression("a = ?"), binding, registry, None)
 
     def test_execute_many_rebinds_across_executions(self):
         db = Database("exprs")
