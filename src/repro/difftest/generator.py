@@ -458,12 +458,19 @@ class QueryGenerator:
         else:
             tag, text = rng.choice(vocab.subtrees)
             call = f"elmEquals({column}, {_quote(tag)}, {_quote(text)})"
-        expected = rng.choice([1, 1, 1, 0])
+        condition = f"{call} = {rng.choice([1, 1, 1, 0])}"
+        params: tuple = ()
+        roll = rng.random()
+        if roll < 0.3:  # the call is reached only where the first operand lets it
+            first, params = self._predicate(rng, profile)
+            condition = f"{first} {rng.choice(['AND', 'OR'])} {condition}"
+        elif roll < 0.45:
+            condition = f"NOT ({condition})"
         sql = (
             f"SELECT {', '.join(columns)} FROM {profile.name} "
-            f"WHERE {call} = {expected}"
+            f"WHERE {condition}"
         )
-        return GeneratedQuery(sql, (), "xadt_filter")
+        return GeneratedQuery(sql, params, "xadt_filter")
 
     def _shape_xadt_select(self, rng: random.Random) -> GeneratedQuery:
         profile, column = self._xadt_table(rng)

@@ -38,7 +38,8 @@ from typing import Iterator
 from repro.engine.advisor import IndexAdvisor
 from repro.engine.catalog import CatalogManager, CatalogState
 from repro.engine.config import DEFAULT_WORK_MEM_BYTES, ExecutionConfig
-from repro.engine.expr import Binding, ParamBox, compile_expr
+from repro.engine.expr import Binding, ParamBox
+from repro.engine.expr_compile import compile_projection
 from repro.engine.governor import ResourceGovernor
 from repro.engine.index import Index
 from repro.engine.plan.optimizer import plan_select
@@ -568,9 +569,7 @@ class Database:
     ) -> Result:
         """Non-SELECT dispatch (the single-writer path sessions call)."""
         if isinstance(statement, InsertStmt):
-            box = ParamBox(count_parameters(statement))
-            box.bind(tuple(params))
-            return self._execute_insert(statement, box)
+            return self._execute_insert(statement, params)
         if params:
             raise ExecutionError(
                 f"{type(statement).__name__} takes no parameters"
@@ -606,23 +605,30 @@ class Database:
         raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
     def _execute_insert(
-        self, statement: InsertStmt, params: ParamBox | None = None
+        self, statement: InsertStmt, params: tuple | list
     ) -> Result:
         """Evaluate the VALUES rows, then insert them as one atomic batch.
 
-        Evaluation happens *before* the write transaction opens, so a
-        bad expression never holds the writer lock, and the whole
-        statement lands through :meth:`bulk_insert` — one WAL record,
-        all-or-nothing storage semantics.
+        All cells are one projection over the one-row batch ``[()]``,
+        compiled once per statement.  Evaluation happens *before* the
+        write transaction opens, so a bad expression never holds the
+        writer lock, and the whole statement lands through
+        :meth:`bulk_insert` — one WAL record, all-or-nothing storage
+        semantics.
         """
         schema = self.heap(statement.table).schema
-        empty = Binding([])
+        if statement.compiled is None:
+            box = ParamBox(count_parameters(statement))
+            cells = [expr for value_row in statement.rows for expr in value_row]
+            evaluate = compile_projection(cells, Binding([]), self.registry, box)
+            statement.compiled = (box, evaluate)
+        box, evaluate = statement.compiled
+        box.bind(tuple(params))
+        (evaluated,) = evaluate([()])
+        values_of = iter(evaluated)
         rows: list[tuple] = []
         for value_row in statement.rows:
-            values = [
-                compile_expr(expr, empty, self.registry, params)(())
-                for expr in value_row
-            ]
+            values = [next(values_of) for _ in value_row]
             if statement.columns:
                 if len(values) != len(statement.columns):
                     raise ExecutionError("INSERT arity mismatch")

@@ -14,9 +14,9 @@ function's generated source is on ``fn.source``.  There is no per-row form: ever
 expressions a batch at a time, so per-row cost is the work itself inside
 one list comprehension, never a call.
 
-Semantics are bit-identical to the reference evaluator
-:func:`repro.engine.expr.compile_expr` (enforced by
-``tests/engine/test_expr_compile.py``): NULL comparisons are not true,
+Semantics are bit-identical to one-row-at-a-time evaluation (the
+reference closure evaluator the tests diff against,
+``tests/engine/reference_expr.py``): NULL comparisons are not true,
 LIKE on NULL is false, ``NOT LIKE`` requires a non-NULL operand,
 arithmetic propagates NULL and divides ints with ``//``.  Typed fast
 paths — a comparison of an INTEGER/VARCHAR column against a literal of
@@ -24,33 +24,38 @@ the same kind compiles to a bare ``==``/``<`` with explicit NULL guards
 — apply only where the storage layer guarantees the operand types.
 
 **Crossing the UDF boundary.**  Scalar calls are bound to their function
-object once, here, and cross a column at a time:
+object once, here, and every call crosses a column at a time:
 
-* *hoisting* — every call that row order evaluates unconditionally (not
-  under a non-first operand of ``AND``/``OR``) is lifted out of the
-  comprehension into a statement ``_cK = _invoke_scalar_batch(function,
-  _n, [args...], columnar)`` computing its whole column; literal and
-  ``?`` arguments stay scalars, a nested hoisted call feeds its column
-  straight in, any other argument is evaluated into a column first.
-  Conditional calls keep the inline ``_invoke_scalar(...)``.
+* *hoisting* — every call is lifted out of the comprehension into a
+  statement ``_cK = _invoke_scalar_batch(function, _n, [args...],
+  columnar)`` computing its whole column; literal and ``?`` arguments
+  stay scalars, a nested hoisted call feeds its column straight in, any
+  other argument is evaluated into a column first.
+* *reach selections* — a call under a non-first ``AND`` / ``OR``
+  operand is made only on the rows short-circuit evaluation reaches:
+  their mask ``_rK`` (the reach condition, over columns already hoisted)
+  selects its arguments, and ``_scatter`` puts its results back into a
+  full-length ``_cK`` whose other slots the comprehension's own ``and``
+  / ``or`` never read.
 * *conjunct cascade* — a filter over a top-level ``AND`` runs conjunct
   by conjunct over the rows the earlier conjuncts kept, which are
   exactly the rows short-circuit evaluation reaches, so the calls of
-  ``code = 'SCENE' AND findKeyInElm(...) = 1`` are hoisted too.
+  ``code = 'SCENE' AND findKeyInElm(...) = 1`` need no mask.
 
-Call counts, arguments and results equal row order's under the
-reference (``tests/engine/test_udf_batch.py``), so UDF invocation counts
-(Figure 14) are unchanged.  Evaluation is column-major, so when two call
-sites of one expression can both fail, the first *call site's* error
-surfaces rather than the first row's — the same ``ReproError`` class
-either way — and calls of earlier sites have been made for the whole
-batch by then.
+Call counts, arguments and results equal row order's
+(``tests/engine/test_udf_batch.py``), so UDF invocation counts (Figure
+14) are unchanged.  Evaluation is column-major, so when two call sites
+of one expression can both fail, the first *call site's* error surfaces
+rather than the first row's — the same ``ReproError`` class either way
+— and calls of earlier sites have been made for the whole batch by then;
+a reach condition that fails does so before the calls it guards.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import compress
 from typing import Callable, Sequence
 
 from repro.engine import values as value_ops
@@ -88,8 +93,8 @@ _HOISTED = re.compile(r"\b_v(\d+)\b")
 
 # -- arithmetic helpers (bound into generated source) ------------------------
 #
-# Each mirrors the corresponding branch of expr.compile_expr: NULL
-# propagates, int/int division floors, failures raise ExecutionError.
+# NULL propagates, int/int division floors, failures raise
+# ExecutionError.
 
 
 def _arith_add(lv: object, rv: object) -> object:
@@ -146,13 +151,20 @@ def _negate(value: object) -> object:
     return -value  # type: ignore[operator]
 
 
+def _scatter(reached: list, results: list) -> list:
+    """The full-length column of a call made on the ``reached`` rows
+    only: its results there, ``None`` (never read) elsewhere."""
+    values = iter(results)
+    return [next(values) if hit else None for hit in reached]
+
+
 class _Lowering:
     """One compilation unit: accumulates the function's environment and
     the statements computing its hoisted calls' columns."""
 
     __slots__ = (
         "binding", "registry", "params", "env", "_counter", "hoisted",
-        "_conditional",
+        "_calls", "_reach",
     )
 
     def __init__(
@@ -170,15 +182,18 @@ class _Lowering:
             "len": len,
             "list": list,
             "zip": zip,
-            "_invoke_scalar": registry.invoke_scalar,
+            "_compress": compress,
+            "_scatter": _scatter,
             "_invoke_scalar_batch": registry.invoke_scalar_batch,
         }
         self._counter = 0
         #: the statements that compute the hoisted calls' columns
-        #: ``_c0``, ``_c1``, ...
+        #: ``_c0``, ``_c1``, ... (and their reach masks ``_rK``)
         self.hoisted: list[str] = []
-        #: lowering an operand row order reaches only conditionally
-        self._conditional = False
+        self._calls = 0
+        #: the per-row condition under which short-circuit evaluation
+        #: reaches the node being lowered; None where it always does
+        self._reach: str | None = None
 
     def bind(self, value: object, prefix: str = "_g") -> str:
         name = f"{prefix}{self._counter}"
@@ -210,10 +225,7 @@ class _Lowering:
                     f"aggregate {expr.name}() in a non-aggregate context"
                 )
             function = self.registry.bind_scalar(expr.name, len(expr.args))
-            if not self._conditional:
-                return self._hoist(function, expr.args)
-            args = ", ".join(self.lower(arg) for arg in expr.args)
-            return f"_invoke_scalar({self.bind(function, '_f')}, [{args}])"
+            return self._hoist(function, expr.args)
         if isinstance(expr, Comparison):
             return self._comparison(expr)
         if isinstance(expr, Like):
@@ -224,10 +236,10 @@ class _Lowering:
             check = "is not None" if expr.negated else "is None"
             return f"({self.lower(expr.operand)} {check})"
         if isinstance(expr, And):
-            inner = " and ".join(self._short_circuit(expr.items))
+            inner = " and ".join(self._short_circuit(expr.items, ""))
             return f"bool({inner})"
         if isinstance(expr, Or):
-            inner = " or ".join(self._short_circuit(expr.items))
+            inner = " or ".join(self._short_circuit(expr.items, "not "))
             return f"bool({inner})"
         if isinstance(expr, Not):
             return f"(not ({self.lower(expr.operand)}))"
@@ -243,54 +255,76 @@ class _Lowering:
             return f"_negate({self.lower(expr.operand)})"
         raise PlanError(f"cannot compile expression node {type(expr).__name__}")
 
-    def _short_circuit(self, items: tuple[Expr, ...]) -> list[str]:
-        """The operands of an AND/OR: row order reaches every operand
-        but the first conditionally, so calls under those stay inline."""
-        outer = self._conditional
+    def _short_circuit(self, items: tuple[Expr, ...], negation: str) -> list[str]:
+        """The operands of an AND (``negation`` is ``""``) or an OR
+        (``"not "``), each lowered under its reach: short-circuit
+        evaluation reaches operand *k* where it reaches the whole and
+        operands 1..k-1 were all truthy (AND) or all falsy (OR)."""
+        outer = self._reach
         fragments = []
         for item in items:
-            fragments.append(f"({self.lower(item)})")
-            self._conditional = True
-        self._conditional = outer
+            fragment = f"({self.lower(item)})"
+            fragments.append(fragment)
+            step = negation + fragment
+            self._reach = step if self._reach is None else f"{self._reach} and {step}"
+        self._reach = outer
         return fragments
 
     def _hoist(self, function: ScalarFunction, args: tuple[Expr, ...]) -> str:
-        """Lift one unconditional call out of the row comprehension.
+        """Lift one call out of the row comprehension.
 
-        Emits the statement that computes the call's column ``_cK`` for
-        the whole batch and returns ``_vK``, the name its value goes by
-        inside a comprehension over :meth:`over_rows`.  Literal and
-        ``?`` arguments stay scalars, a nested hoisted call feeds its
-        column straight in, anything else is evaluated into a column.
+        Emits the statement that computes the call's column ``_cK`` and
+        returns ``_vK``, the name its value goes by inside a
+        comprehension over :meth:`over_rows`.  Literal and ``?``
+        arguments stay scalars, a nested hoisted call feeds its column
+        straight in, anything else is evaluated into a column.  Under a
+        reach condition the call is made on the reached rows only: their
+        mask ``_rK`` selects the arguments, and the results are
+        scattered back to a full-length ``_cK`` whose other slots the
+        short-circuiting comprehension never reads.
         """
+        fragments = [self.lower(arg) for arg in args]
+        number = self._calls
+        self._calls += 1
+        mask = None
+        if self._reach is not None:
+            mask = f"_r{number}"
+            self.hoisted.append(
+                f"{mask} = [bool({self._reach}) {self.over_rows(self._reach)}]"
+            )
         lowered = []
         columnar = []
-        for arg in args:
-            fragment = self.lower(arg)
+        for arg, fragment in zip(args, fragments):
             constant = isinstance(arg, (Literal, Parameter))
             columnar.append(not constant)
             if constant:
                 lowered.append(fragment)
-            elif _HOISTED.fullmatch(fragment):
+            elif mask is None and _HOISTED.fullmatch(fragment):
                 lowered.append("_c" + fragment[2:])
             else:
-                lowered.append(f"[{fragment} {self.over_rows(fragment)}]")
-        number = len(self.hoisted)
-        self.hoisted.append(
-            f"_c{number} = _invoke_scalar_batch({self.bind(function, '_f')}, "
-            f"_n, [{', '.join(lowered)}], {tuple(columnar)!r})"
+                lowered.append(f"[{fragment} {self.over_rows(fragment, mask)}]")
+        call = (
+            f"_invoke_scalar_batch({self.bind(function, '_f')}, "
+            f"{'_n' if mask is None else mask + '.count(True)'}, "
+            f"[{', '.join(lowered)}], {tuple(columnar)!r})"
         )
+        if mask is not None:
+            call = f"_scatter({mask}, {call})"
+        self.hoisted.append(f"_c{number} = {call}")
         return f"_v{number}"
 
-    def over_rows(self, fragment: str) -> str:
+    def over_rows(self, fragment: str, mask: str | None = None) -> str:
         """The ``for ... in ...`` clause that walks ``_batch`` together
-        with the hoisted columns ``fragment`` reads."""
+        with the hoisted columns ``fragment`` reads — only the rows
+        ``mask`` selects, when given."""
         used = sorted({int(k) for k in _HOISTED.findall(fragment)})
-        if not used:
-            return "for row in _batch"
-        targets = ", ".join(f"_v{k}" for k in used)
-        sources = ", ".join(f"_c{k}" for k in used)
-        return f"for row, {targets} in zip(_batch, {sources})"
+        targets = "row" + "".join(f", _v{k}" for k in used)
+        rows = "_batch"
+        if used:
+            rows = f"zip(_batch, {', '.join(f'_c{k}' for k in used)})"
+        if mask is not None:
+            rows = f"_compress({rows}, {mask})"
+        return f"for {targets} in {rows}"
 
     def _literal(self, value: object) -> str:
         if value is None or value is True or value is False:

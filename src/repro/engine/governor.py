@@ -7,10 +7,10 @@ equivalent across three enforcement layers:
 
 * **statement timeout** — checked per batch inside every physical
   operator (the batch executor wraps each operator's stream when a
-  deadline is set), per UDF invocation, and every 256 rows of a bulk
-  load.  Granularity is therefore one batch / one UDF call, which keeps
-  the no-governor fast path free and bounds abort latency by the cost
-  of a single batch.
+  deadline is set), per UDF call inside the batch crossing, and every
+  256 rows of a bulk load.  Granularity is therefore one batch / one UDF
+  call, which keeps the no-governor fast path free and bounds abort
+  latency by the cost of a single batch.
 * **result caps** — ``max_result_rows`` / ``max_result_bytes`` are
   enforced where the session drains the plan's batches into a
   :class:`~repro.engine.result.Result`.

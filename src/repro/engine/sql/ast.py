@@ -94,6 +94,9 @@ class InsertStmt:
     table: str
     columns: list[str]          #: empty means "all columns in order"
     rows: list[list[Expr]]      #: literal expressions only
+    #: ``(params, fn)``: every VALUES cell compiled as one projection at
+    #: the first execution, so a prepared INSERT compiles once
+    compiled: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass

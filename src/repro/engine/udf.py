@@ -24,18 +24,17 @@ slowdown of XORator to "four to eight calls of UDFs" per query).
 
 The boundary has two forms with one meaning.  ``invoke`` /
 ``FunctionRegistry.invoke_scalar`` / ``invoke_table`` cross it for one
-call and are the reference (``expr.compile_expr`` evaluates through
-them).  ``invoke_batch`` / ``invoke_scalar_batch`` /
+call.  ``invoke_batch`` / ``invoke_scalar_batch`` /
 ``invoke_table_batch`` cross it once for the ``n`` calls one call site
 makes over a batch of rows: the same calls in the same row order, but
 one count, one budget lookup, one clock pair and one histogram update
-per batch.  Every operator of a plan takes the batch form; a plan
-crosses per call only at a conditional call site (under a non-first
-``AND`` / ``OR`` operand), under a statement deadline, or through a
-replaced ``invoke``.  A function registered with a *column
-body* (the XADT methods and ``unnest``) is handed the batch's whole
-column in that one crossing, when only its first argument varies by row;
-otherwise the batch maps the per-call body over the columns.
+per batch.  Every call a plan makes takes the batch form, a statement's
+deadline checked inside it before each call; only a function object
+whose ``invoke`` was replaced is crossed per call.  A function
+registered with a *column body* (the XADT methods and ``unnest``) is
+handed the batch's whole column in that one crossing, when only its
+first argument varies by row; otherwise the batch maps the per-call
+body over the calls.
 """
 
 from __future__ import annotations
@@ -80,14 +79,23 @@ _CALL_HISTOGRAMS = {
 
 def _per_call(
     n: int, args: Sequence[object], columnar: Sequence[bool]
-) -> list[Iterable[object]]:
-    """One feed per argument, yielding its value for each of ``n`` calls:
-    ``args[i]`` is a list of ``n`` values where ``columnar[i]``, else one
-    value, repeated."""
-    return [
+) -> Iterable[tuple]:
+    """The argument tuple of each of ``n`` calls: ``args[i]`` is a list
+    of ``n`` values where ``columnar[i]``, else one value, repeated."""
+    if not args:
+        return repeat((), n)
+    return zip(*[
         arg if column else repeat(arg, n)
         for arg, column in zip(args, columnar)
-    ]
+    ])
+
+
+def _ticking(values: Iterable, tick: Callable[[], None]) -> Iterator:
+    """``values``, with ``tick()`` — a statement's deadline check — run
+    before each one is handed over."""
+    for value in values:
+        tick()
+        yield value
 
 
 @dataclass
@@ -104,7 +112,8 @@ class _Function:
     #: the body in column form: ``column(results, values, *constants)``
     #: appends one call's result per value, in order, as the calls
     #: complete — what ``map(fn, values, repeat(constant), ...)`` would
-    #: give.  Used while ``fn`` is the body it was registered with.
+    #: give; ``values`` may be a one-pass iterator (it is under a
+    #: deadline).  Used while ``fn`` is the body it was registered with.
     column: Callable[..., None] | None = None
 
     def __post_init__(self) -> None:
@@ -145,6 +154,7 @@ class _Function:
         args: Sequence[object],
         columnar: Sequence[bool],
         results: list,
+        tick: Callable[[], None] | None = None,
     ) -> None:
         """Cross the call boundary once for ``n`` calls: ``invoke`` in
         column form.
@@ -153,8 +163,9 @@ class _Function:
         ``columnar[i]``, else the one value every call receives.  When
         only the first argument is a column and ``fn`` is still the body
         ``column`` was registered for, ``column`` gets the whole column;
-        otherwise ``fn`` is read once and mapped over the columns.
-        Either way results are appended to ``results`` in row order as
+        otherwise ``fn`` is read once and mapped over the calls.  Either
+        way ``tick``, when given, runs before each call's value is handed
+        over, and results are appended to ``results`` in row order as
         the calls return, so after a failure ``len(results)`` is the
         number of calls that completed.
         """
@@ -166,14 +177,13 @@ class _Function:
                 and columnar[0]
                 and not any(columnar[1:])
             ):
-                self.column(results, *args)
+                values = args[0] if tick is None else _ticking(args[0], tick)
+                self.column(results, values, *args[1:])
                 return
-            call = self._per_call_body()
-            feeds = _per_call(n, args, columnar)
-            if feeds:
-                results.extend(map(call, *feeds))
-            else:
-                results.extend(starmap(call, repeat((), n)))
+            calls = _per_call(n, args, columnar)
+            if tick is not None:
+                calls = _ticking(calls, tick)
+            results.extend(starmap(self._per_call_body(), calls))
         except ReproError:
             raise  # library errors carry their own context
         except Exception as exc:
@@ -260,16 +270,14 @@ class FunctionRegistry:
 
     A call site is resolved once, when its expression or lateral scan is
     compiled (:meth:`bind_scalar` / :meth:`bind_table`: unknown names and
-    bad argument counts raise there); each call then goes through
-    :meth:`invoke_scalar` / :meth:`invoke_table` with the function
-    object, which count it, tick the statement budget and time the
-    boundary crossing.  A call site that runs once per row of a batch
-    goes through :meth:`invoke_scalar_batch` / :meth:`invoke_table_batch`
-    instead — the same calls, counted and timed once per batch.  ``fn``
-    and ``invoke`` are read from the function object on every crossing,
-    so either can be replaced on a live registry: a replaced ``fn`` is
-    what runs (and bypasses a column body), and a replaced ``invoke`` is
-    crossed once per call whichever route asked.
+    bad argument counts raise there); its calls over a batch then cross
+    through :meth:`invoke_scalar_batch` / :meth:`invoke_table_batch`,
+    counted, deadline-checked per call and timed once per batch, and so
+    do :meth:`call_scalar` / :meth:`call_table`.  ``fn`` and ``invoke``
+    are read from the function object on every crossing, so either can
+    be replaced on a live registry: a replaced ``fn`` is what runs (and
+    bypasses a column body), and a replaced ``invoke`` is crossed once
+    per call, through :meth:`invoke_scalar` / :meth:`invoke_table`.
     """
 
     def __init__(self) -> None:
@@ -380,12 +388,12 @@ class FunctionRegistry:
         ``columnar[i]``, else the value every call receives) with the
         instruments updated once: the count by ``n``, ``udf.calls.*`` by
         ``n`` and ``udf.seconds.*`` by ``n`` observations of the batch's
-        mean per-call latency.  After a failure mid-batch the counters
-        hold the calls *started*, the histogram the calls completed.
+        mean per-call latency.  A statement's deadline is checked before
+        each call.  After a failure mid-batch the counters hold the calls
+        *started*, the histogram the calls completed.
 
-        Two cases keep the per-call route, which is their definition: a
-        statement with a deadline (checked before every call) and a
-        function object whose ``invoke`` was replaced.
+        A function object whose ``invoke`` was replaced is crossed per
+        call, through :meth:`invoke_scalar`.
         """
         return self._invoke_batch(
             function, n, args, columnar,
@@ -405,8 +413,8 @@ class FunctionRegistry:
         :meth:`invoke_scalar_batch` for a table function: equals
         ``[invoke_table(function, row_args) for row_args in ...]`` with
         ``stats.table_calls``, ``udf_calls_*`` and ``udf.calls.*`` moved
-        by ``n`` at once, and the same two per-call detours (a deadline,
-        a replaced ``invoke``).
+        by ``n`` at once, the deadline checked before each call and the
+        same per-call detour for a replaced ``invoke``.
         """
         return self._invoke_batch(
             function, n, args, columnar,
@@ -425,24 +433,22 @@ class FunctionRegistry:
     ) -> list:
         """One crossing for ``n`` calls: ``batched_invoke`` is the
         ``invoke`` the batch stands for, ``calls`` the stats count to
-        move, ``per_call`` the route of the two detours."""
+        move, ``per_call`` the route of a replaced ``invoke``."""
         if not n:
             return []
-        budget = active_budget()
-        if (budget is not None and budget.deadline is not None) or (
-            getattr(function.invoke, "__func__", None) is not batched_invoke
-        ):
-            feeds = _per_call(n, args, columnar)
+        if getattr(function.invoke, "__func__", None) is not batched_invoke:
             return [
                 per_call(function, row_args)
-                for row_args in (zip(*feeds) if feeds else repeat((), n))
+                for row_args in _per_call(n, args, columnar)
             ]
+        budget = active_budget()
+        tick = None if budget is None or budget.deadline is None else budget.tick
         results: list = []
         timed = METRICS.enabled
         if timed:
             started = time.perf_counter()
         try:
-            function.invoke_batch(n, args, columnar, results)
+            function.invoke_batch(n, args, columnar, results, tick)
         finally:
             completed = len(results)
             made = min(completed + 1, n)  # the call that raised had started
@@ -477,12 +483,15 @@ class FunctionRegistry:
         return result
 
     def call_scalar(self, name: str, args: Sequence[object]) -> object:
-        """Resolve and invoke by name (one-off calls; compiled call
-        sites bind once and use :meth:`invoke_scalar`)."""
-        return self.invoke_scalar(self.bind_scalar(name, len(args)), args)
+        """Resolve by name and make one call, outside any plan: the
+        batch crossing of one call with constant arguments, as every
+        compiled call site crosses."""
+        function = self.bind_scalar(name, len(args))
+        return self.invoke_scalar_batch(function, 1, args, [False] * len(args))[0]
 
     def call_table(self, name: str, args: Sequence[object]) -> list[tuple]:
-        return self.invoke_table(self.bind_table(name, len(args)), args)
+        function = self.bind_table(name, len(args))
+        return self.invoke_table_batch(function, 1, args, [False] * len(args))[0]
 
     # -- built-ins ---------------------------------------------------------------
 

@@ -16,13 +16,13 @@ from repro.engine.expr import (
     Or,
     Slot,
     and_together,
-    compile_expr,
     conjuncts_of,
 )
 from repro.engine.sql.parser import parse_expression
 from repro.engine.types import INTEGER, VARCHAR
 from repro.engine.udf import FunctionRegistry
 from repro.errors import ExecutionError, PlanError
+from tests.engine.reference_expr import compile_expr
 
 
 @pytest.fixture()

@@ -2,8 +2,9 @@
 
 ``compile_filter`` / ``compile_column`` / ``compile_projection`` — the
 only compiler a plan holds — lower an Expr tree into one generated batch
-function; ``compile_expr`` walks the same tree with per-node closures,
-one row at a time, and is kept as the reference semantics.  Every test
+function; ``compile_expr`` (``tests/engine/reference_expr.py``) walks
+the same tree with per-node closures, one row at a time, and is kept as
+the reference semantics.  Every test
 here pins the generated code to it — NULL three-valued logic, LIKE
 pattern translation, parameter rebinding, arithmetic, post-aggregate
 slot references — and pins that each expression site of a plan is
@@ -15,7 +16,7 @@ import random
 import pytest
 
 from repro.engine import Database, expr_compile
-from repro.engine.expr import Binding, ColumnRef, ParamBox, Slot, compile_expr
+from repro.engine.expr import Binding, ColumnRef, ParamBox, Slot
 from repro.engine.expr_compile import (
     compile_column,
     compile_filter,
@@ -29,6 +30,7 @@ from repro.engine.sql.parser import parse_expression, parse_sql
 from repro.engine.types import INTEGER, VARCHAR
 from repro.engine.udf import FunctionRegistry
 from repro.errors import ExecutionError, PlanError
+from tests.engine.reference_expr import compile_expr
 
 
 @pytest.fixture()
@@ -367,3 +369,22 @@ class TestOneCompilePerSite:
         first = list(plan.rows())
         assert first and list(plan.rows()) == first
         assert len(sources) == len(sites)  # running compiles nothing
+
+    def test_a_prepared_insert_compiles_its_values_once(self, monkeypatch):
+        db = Database("inserts")
+        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, s VARCHAR, n INTEGER)")
+        sources = []
+
+        def counting(source, *args, **kwargs):
+            sources.append(source)
+            return compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(expr_compile, "compile", counting, raising=False)
+        db.execute_many(
+            "INSERT INTO t VALUES (?, upper(?), ? * 2), (? + 100, 'k', NULL)",
+            [(i, f"r{i}", i, i) for i in range(5)],
+        )
+        assert len(sources) == 1  # every cell of every row, in one projection
+        assert db.execute("SELECT a, s, n FROM t WHERE a = 3 OR a = 104").rows == [
+            (3, "R3", 6), (104, "k", None),
+        ]

@@ -82,7 +82,8 @@ class TestBinding:
             db.execute("SELECT speechID FROM speech WHERE code = ?")
 
     def test_marker_in_plain_expression_context_rejected(self, db):
-        from repro.engine.expr import Binding, compile_expr, Parameter
+        from repro.engine.expr import Binding, Parameter
+        from tests.engine.reference_expr import compile_expr
         from repro.engine.udf import FunctionRegistry
 
         with pytest.raises(PlanError, match="prepared statement"):

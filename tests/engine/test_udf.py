@@ -324,6 +324,43 @@ class TestGoldenUdfCalls:
         )
 
 
+class TestAGovernedPlanIsTheUngovernedPlan:
+    """A statement deadline is checked inside the column crossings, so
+    it changes no call, no charge and no row."""
+
+    def test_qg1_to_qg6_under_a_deadline(self, sigmod_pair, monkeypatch):
+        db = sigmod_pair[1].db
+        crossings = []
+        for name in ("invoke_scalar", "invoke_table"):
+            per_call = getattr(db.registry, name)
+            monkeypatch.setattr(
+                db.registry, name,
+                lambda *args, per_call=per_call: (
+                    crossings.append(args) or per_call(*args)
+                ),
+            )
+
+        def run(query):
+            db.reset_function_stats()
+            db.io.reset()
+            rows = db.execute(query.sql_for("xorator")).rows
+            stats = db.registry.stats
+            return (
+                rows,
+                (dict(stats.scalar_calls), dict(stats.table_calls)),
+                dict(db.io.work),
+            )
+
+        ungoverned = [run(query) for query in SIGMOD_QUERIES]
+        db.governor.configure(statement_timeout_seconds=60)
+        try:
+            governed = [run(query) for query in SIGMOD_QUERIES]
+        finally:
+            db.governor.configure(statement_timeout_seconds=None)
+        assert len(governed) == 6 and governed == ungoverned
+        assert crossings == []
+
+
 class TestAccounting:
     def test_scalar_calls_counted(self, registry):
         registry.register_scalar("f", lambda: 1, FunctionKind.NOT_FENCED, 0, 0)

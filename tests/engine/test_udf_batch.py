@@ -1,10 +1,10 @@
 """The batch UDF boundary must be the per-call boundary, a column at a time.
 
-:func:`repro.engine.expr.compile_expr` (one row, one
+``compile_expr`` of ``tests/engine/reference_expr.py`` (one row, one
 ``FunctionRegistry.invoke_scalar`` per call) is the reference; the batch
-functions of :mod:`repro.engine.expr_compile` hoist unconditional calls
-into ``invoke_scalar_batch`` columns and run a top-level AND as a
-cascade.  Everything here pins the two routes to each other: same values
+functions of :mod:`repro.engine.expr_compile` hoist every call into an
+``invoke_scalar_batch`` column — over the rows that reach it, under a
+short-circuiting operand — and run a top-level AND as a cascade.  Everything here pins the two routes to each other: same values
 in the same order, the same multiset of calls with the same arguments,
 the same errors, the same counters — and pins that every operator of a
 plan takes the batch route.
@@ -34,14 +34,16 @@ from repro.engine.expr import (
     Parameter,
     Slot,
     SlotRef,
-    compile_expr,
 )
 from repro.engine.expr_compile import (
     compile_column,
     compile_filter,
     compile_projection,
 )
+from repro.engine.config import DEFAULT_BATCH_SIZE
+from repro.engine.database import Database
 from repro.engine.governor import GovernorLimits, StatementBudget
+from repro.engine.io import work_counters
 from repro.engine.snapshot import activate, deactivate
 from repro.engine.sql.parser import parse_expression
 from repro.engine.types import INTEGER, VARCHAR, XADT
@@ -49,6 +51,7 @@ from repro.engine.udf import FunctionKind, FunctionRegistry, ScalarFunction
 from repro.errors import StatementTimeout, UdfError
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.xadt import DICT, INDEXED, PLAIN, XadtValue
+from tests.engine.reference_expr import compile_expr
 from tests.engine.test_expr_compile import sites_database
 
 BATCH_SIZES = [0, 1, 2, 7, 1024]
@@ -291,10 +294,26 @@ class TestColumnForm:
         # the inner call's column is the outer call's argument, as it is
         assert "[_c0, " in source and "(True, False)" in source
 
-    def test_calls_under_non_first_operands_stay_inline(self):
+    def test_calls_under_non_first_operands_are_batched(self):
         source = _compile("num(a) = 1 AND (b = 1 OR num(b) = 2)").source
-        assert source.count("_invoke_scalar_batch(") == 1
-        assert source.count("_invoke_scalar(") == 1
+        assert source.count("_invoke_scalar_batch(") == 2
+        assert "_invoke_scalar(" not in source
+        # the second call is made on the rows its reach mask selects
+        assert "_r1 = [bool(" in source and "_scatter(_r1, " in source
+
+    def test_a_call_under_not_of_an_or_in_a_projection(self):
+        expr = parse_expression("NOT (a = 1 OR num(b) = 2)")
+        batch = [(1, 2, "s", None), (2, 2, "s", None), (None, 0, None, None),
+                 (3, None, "ab", None), (1, 1, "", None)]
+        recorder = Recorder()
+        fn = compile_projection([expr, Literal(7)], BINDING, recorder.registry)
+        expected = [(value, 7) for value in _reference(expr, recorder.registry, batch)]
+        reference = recorder.drain()
+        assert fn(batch) == expected
+        calls = recorder.drain()
+        assert calls == reference
+        # only the rows where ``a = 1`` is not true reach the call
+        assert calls[1] == {"num": 3}
 
     def test_filter_cascades_over_the_conjuncts(self):
         source = _compile(
@@ -442,6 +461,36 @@ class TestDeadlinesAndReplacedBoundaries:
                 closure([(i,) for i in range(200)])
         assert 1 <= registry.stats.scalar_calls["nap"] < 200
 
+    def test_a_column_body_aborts_mid_column_on_a_deadline(self):
+        db = Database("napping")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        db.bulk_insert("t", [(i,) for i in range(200)])
+        completed = []
+
+        def nap_column(results, column):
+            try:
+                for value in column:
+                    time.sleep(0.004)
+                    completed.append(value)
+                    results.append(value)
+            finally:  # charges what it read, as the XADT bodies do
+                work_counters().work["xadt_bytes_scanned"] += len(completed)
+
+        db.registry.register_scalar(
+            "nap", lambda v: pytest.fail("the per-call body ran"),
+            min_args=1, max_args=1, column=nap_column,
+        )
+        assert DEFAULT_BATCH_SIZE >= 200  # one crossing for the whole column
+        db.governor.configure(statement_timeout_seconds=0.05)
+        db.io.reset()
+        with pytest.raises(StatementTimeout):
+            db.execute("SELECT nap(id) FROM t")
+        started = db.registry.stats.scalar_calls["nap"]
+        assert 1 <= len(completed) < 200
+        assert started == len(completed) + 1
+        assert db.io.work["xadt_bytes_scanned"] == len(completed)
+        assert db.io.work["udf_calls_not_fenced"] == started
+
     def test_a_budget_without_a_deadline_takes_the_batch_route(self, monkeypatch):
         registry = FunctionRegistry()
         registry.register_scalar("same", lambda v: v)
@@ -510,8 +559,8 @@ class TestOperatorsCrossAColumnAtATime:
     """The operators that used to run an expression row by row — an
     index scan's residual and ``?`` key, an index join's residual, a
     sort key, a lateral's constant argument — take the batch route: no
-    ``invoke_scalar`` crossing without a deadline, and the calls and
-    rows of the per-call reference."""
+    ``invoke_scalar`` crossing, with or without a deadline, and the
+    calls and rows of the per-call reference."""
 
     @pytest.fixture()
     def db(self):
@@ -591,11 +640,11 @@ class TestOperatorsCrossAColumnAtATime:
         assert rows == expected and stats == self._stats(db)
         assert stats == ({"twice": 50}, {"spread": 50})
 
-    def test_a_deadline_still_crosses_per_call(self, db, monkeypatch):
+    def test_a_deadline_crosses_per_column(self, db, monkeypatch):
         db.governor.configure(statement_timeout_seconds=60.0)
         sql = "SELECT a FROM t WHERE c = ? AND twice(b) > 10"
         _, stats, crossings = self._run(db, monkeypatch, sql, (7,))
-        assert len(crossings) == 5 and stats == ({"twice": 5}, {})
+        assert crossings == [] and stats == ({"twice": 5}, {})
 
 
 # -- the histogram -----------------------------------------------------------------

@@ -285,7 +285,7 @@ class TestUdfBoundary:
     @given(expr=expressions, batch=batches())
     @settings(max_examples=150, deadline=None)
     def test_batch_and_per_call_routes_charge_alike(self, expr, batch):
-        from repro.engine.expr import compile_expr
+        from tests.engine.reference_expr import compile_expr
         from repro.engine.expr_compile import compile_column
 
         recorder = Recorder()
