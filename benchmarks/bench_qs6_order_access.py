@@ -87,7 +87,8 @@ def qs6_db():
     Yields ``(db, fragments, scan_results, scan_explain)`` where the
     scan-mode artifacts are captured *before* the structural indexes are
     enabled, then enables them through the real engine path
-    (``enable_structural_indexes`` → every stored fragment indexed).
+    (``enable_structural_indexes``; each stored fragment builds its index
+    on the first routed call).
     """
     config = replace(BASE_SHAKESPEARE.scaled(SCALE), lines_per_speech=14)
     docs = generate_corpus(config)

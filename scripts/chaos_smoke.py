@@ -1,7 +1,7 @@
 """CI chaos smoke: crash the engine at WAL sites, recover, check parity.
 
-For each of four named fault sites (``wal.append``, ``heap.store_row``,
-``index.publish``, ``xadt.index_build``) this script
+For each of three named write-path fault sites (``wal.append``,
+``heap.store_row``, ``index.publish``) this script
 
 1. starts a WAL-backed database (``sync_mode="always"``) and bulk-loads
    a small Shakespeare XORator corpus with one marked transaction per
@@ -13,6 +13,10 @@ For each of four named fault sites (``wal.append``, ``heap.store_row``,
    interrupted load from the recovery markers, and
 4. asserts the Figure 11 query results are identical to an
    uninterrupted reference load.
+
+Then it crashes a structurally indexed database at ``xadt.index_build``
+mid-query, kills exchange workers, and drops server connections, each
+checked against the same reference.
 
 Usage::
 
@@ -127,11 +131,11 @@ def main() -> None:
 def xindex_stage(schema, documents, codecs, queries, expected) -> None:
     """Crash mid structural-index build, recover, check byte parity.
 
-    With structural indexes enabled, every fragment insert passes the
-    ``xadt.index_build`` fault site before the heap mutation.  A crash
-    there must leave nothing visible (no row of the statement is
-    stored), and after WAL recovery + resumed load the rebuilt indexes
-    must serve **byte-identical** query results to the scan-mode
+    With structural indexes enabled, a routed XADT method builds a
+    stored fragment's index on first use, passing the
+    ``xadt.index_build`` fault site.  A crash there interrupts a read:
+    after WAL recovery (which replays the flag) the routed Figure 11
+    queries must return **byte-identical** results to the scan-mode
     reference fingerprint.
     """
     site, hit = "xadt.index_build", 40
@@ -140,10 +144,12 @@ def xindex_stage(schema, documents, codecs, queries, expected) -> None:
         db = Database.open(path, sync_mode="always")
         register_xadt_functions(db)
         enable_structural_indexes(db)
+        load_documents(db, schema, documents, codecs)
+        db.runstats()
         FAULTS.install(FaultPlan(seed=hit).crash_at(site, hit=hit))
         crashed = False
         try:
-            load_documents(db, schema, documents, codecs)
+            fingerprint(db, queries)
         except CrashPoint:
             crashed = True
         finally:
@@ -153,25 +159,26 @@ def xindex_stage(schema, documents, codecs, queries, expected) -> None:
 
         recovered = Database.open(path, recover=True)
         register_xadt_functions(recovered)
-        enable_structural_indexes(recovered)
         report = recovered.recovery_report
-        load_documents(
-            recovered, schema, documents, codecs,
-            resume_markers=report.markers,
-        )
-        recovered.runstats()
-        indexed = recovered.execute("SELECT fragments FROM sys_xindex").rows
-        assert sum(row[0] for row in indexed) > 0, (
-            f"{site}: no indexes rebuilt after recovery"
+        assert recovered.exec_config.xadt_structural_index, (
+            f"{site}: recovery lost the structural-index flag"
         )
         actual = fingerprint(recovered, queries)
+        indexed = sum(
+            cell._index is not None
+            for heap in recovered.engine.heaps().values()
+            for row in heap.scan()
+            for cell in row
+            if getattr(cell, "__xadt__", False)
+        )
+        assert indexed > 0, f"{site}: no routed call after recovery"
         assert actual == expected, f"{site}: query mismatch after recovery"
         recovered.close()
         print(
-            f"ok {site:16} crash at hit {hit}: "
-            f"{len(report.markers)} committed document txn(s), "
-            f"{report.records_replayed} records replayed, indexed results "
-            f"byte-identical to the scan-mode reference"
+            f"ok {site:16} crash at hit {hit} mid-query: "
+            f"{report.records_replayed} records replayed, {indexed} stored "
+            f"fragments routed, results byte-identical to the scan-mode "
+            f"reference"
         )
 
 

@@ -1,10 +1,12 @@
 """CI gate: differential native-vs-sqlite execution with zero tolerance.
 
-Builds both Shakespeare schemas at scale 1, generates seeded random
+Builds both schemas of the dataset at scale 1, generates seeded random
 queries (selects, joins, aggregates, XADT method predicates, bound
 parameters — see ``repro.difftest.generator``), executes every query on
 the native engine and on the sqlite backend, and exits nonzero on any
-divergence.  Defaults run >= 200 queries total.
+divergence.  After that sweep it turns structural indexes on for the
+XORator database and reruns the same seeds, so the native side's XADT
+methods take the index route.  Defaults run 540 queries per dataset.
 
 Usage::
 
@@ -19,6 +21,7 @@ import sys
 
 from repro.bench.harness import build_pair
 from repro.difftest import run_difftest
+from repro.xadt.register import enable_structural_indexes
 
 
 def main() -> int:
@@ -35,13 +38,17 @@ def main() -> int:
     pair = build_pair(args.dataset, scale=1)
     failed = False
     total = 0
-    for loaded in (pair.hybrid, pair.xorator):
+    for loaded, route in (
+        (pair.hybrid, "scan"), (pair.xorator, "scan"), (pair.xorator, "xindex"),
+    ):
+        if route == "xindex":
+            enable_structural_indexes(loaded.db)
         for seed in seeds:
             report = run_difftest(
                 loaded.db, loaded.schema, count=args.count, seed=seed
             )
             total += report.executed
-            print(f"{loaded.algorithm}: {report.summary()}")
+            print(f"{loaded.algorithm} [{route}]: {report.summary()}")
             for divergence in report.divergences:
                 failed = True
                 print(f"  DIVERGENCE [{divergence.shape}] {divergence.sql}")

@@ -9,7 +9,9 @@ Usage::
 Without ``--execute``/``--path``, an interactive prompt opens.  Shell
 commands (interactive or piped):
 
-* any SQL statement — executed and rendered DB2-CLP-style;
+* any SQL statement — executed and rendered DB2-CLP-style (the WAL's
+  status and the partition layout are ``SELECT * FROM sys_wal`` and
+  ``SELECT * FROM sys_partitions``);
 * ``\\dt`` — list tables with row counts and sizes;
 * ``\\d <table>`` — describe a table;
 * ``\\explain <sql>`` — show the physical plan;
@@ -33,12 +35,6 @@ commands (interactive or piped):
 * ``\\governor [set <limit> <value>|off]`` — show or change the resource
   governor's database-wide limits (``timeout`` seconds, ``rows``,
   ``bytes``, ``memory``) and its abort counts;
-* ``\\wal`` — write-ahead-log status (or "disabled" in volatile mode);
-* ``\\xindex`` — XADT structural indexes: per column, the distinct
-  payloads whose stored value carries one (the ``sys_xindex`` rows),
-  and the build/hit/miss counters;
-* ``\\partitions`` — partitioned-table layout (per-partition row and
-  byte extents) and the parallel worker pool's state;
 * ``\\backends [sql]`` — list execution backends, or show the SQL the
   sqlite backend compiles for a statement;
 * ``\\difftest [N] [seed]`` — differentially execute N seeded random
@@ -113,12 +109,6 @@ class Shell:
                 self._run_trace(line[len("\\trace"):].strip())
             elif line == "\\governor" or line.startswith("\\governor "):
                 self._run_governor(line[len("\\governor"):].strip())
-            elif line == "\\wal":
-                self._print_wal()
-            elif line == "\\xindex":
-                self._print_xindex()
-            elif line == "\\partitions":
-                self._print_partitions()
             elif line == "\\backends" or line.startswith("\\backends "):
                 self._run_backends(line[len("\\backends"):].strip())
             elif line == "\\difftest" or line.startswith("\\difftest "):
@@ -130,8 +120,7 @@ class Shell:
                             f"\\d, \\explain, \\analyze, \\path, \\io, "
                             f"\\cache, \\sessions, \\metrics, \\statements, "
                             f"\\waits, \\slowlog, \\trace, \\governor, "
-                            f"\\wal, \\xindex, \\partitions, \\backends, "
-                            f"\\difftest, \\server, \\q")
+                            f"\\backends, \\difftest, \\server, \\q")
             else:
                 self._run_sql(line)
         except ReproError as exc:
@@ -453,77 +442,6 @@ class Shell:
             f"cap, {report['byte_cap_aborts']} byte cap, "
             f"{report['memory_cap_aborts']} memory cap"
         )
-
-    def _print_wal(self) -> None:
-        wal = self.db.wal
-        if wal is None:
-            self._print("wal: disabled (volatile database)")
-            return
-        report = wal.report()
-        state = "closed" if report["closed"] else report["sync_mode"]
-        self._print(
-            f"wal ({state}): {report['path']}, next lsn {report['next_lsn']}, "
-            f"{report['records']} records, {report['commits']} commits, "
-            f"{report['fsyncs']} fsyncs, {report['buffered_bytes']} bytes "
-            f"buffered"
-        )
-
-    def _print_xindex(self) -> None:
-        report = self.db.size_report()["xadt_structural_index"]
-        state = "on" if report["active"] else "off"
-        self._print(
-            f"structural index ({state}): {report['fragments']} fragment(s), "
-            f"{report['bytes']} bytes"
-        )
-        for column in report["columns"]:
-            self._print(
-                f"  {column['table']}.{column['column']:24}"
-                f"{column['fragments']:>8} fragments"
-                f"{column['entries']:>10} entries"
-                f"{column['bytes']:>12} bytes"
-            )
-        builds = METRICS.counter("xindex.builds").value
-        hits = {
-            m: METRICS.counter(f"xindex.hits.{m}").value
-            for m in ("get_elm", "find_key_in_elm", "get_elm_index")
-        }
-        misses = {
-            m: METRICS.counter(f"xindex.misses.{m}").value
-            for m in ("get_elm", "find_key_in_elm", "get_elm_index")
-        }
-        self._print(
-            f"builds: {builds}; hits/misses: "
-            + ", ".join(
-                f"{m} {hits[m]}/{misses[m]}" for m in hits
-            )
-        )
-
-    def _print_partitions(self) -> None:
-        from repro.engine.storage import PartitionedHeapTable
-
-        workers = self.db.exec_config.parallel_workers
-        pool = self.db._pool
-        alive = 0 if pool is None else len(pool.workers_alive())
-        self._print(
-            f"parallel workers: {workers} configured, {alive} alive"
-        )
-        found = False
-        for heap in self.db.engine.heaps().values():
-            if not isinstance(heap, PartitionedHeapTable):
-                continue
-            found = True
-            spec = heap.spec
-            self._print(
-                f"{heap.schema.name}: {spec.kind} on {spec.column}, "
-                f"{spec.partitions} partitions"
-            )
-            for partition, count in enumerate(heap.partition_counts()):
-                self._print(
-                    f"  p{partition:<4}{count:>10} rows"
-                    f"{heap.partition_bytes(partition):>12} bytes"
-                )
-        if not found:
-            self._print("no partitioned tables")
 
     def _run_backends(self, args: str) -> None:
         if not args:

@@ -7,11 +7,12 @@ scans — so the one :class:`ExecutionConfig` riding on each
 :class:`~repro.engine.database.Database` only selects what differs
 between deployments:
 
-* ``xadt_structural_index`` — build a structural index
-  (:mod:`repro.xadt.structural_index`) for every fragment the database
-  stores, held by the stored value, and route each statement's XADT
-  methods through it.  Off by default: the tag-scan path is the
-  paper-faithful mode whose Fig11/Fig13 shapes the benchmarks reproduce.
+* ``xadt_structural_index`` — route each statement's XADT methods
+  through the structural index (:mod:`repro.xadt.structural_index`) of
+  every stored fragment they read, built on the first routed call and
+  held by the value; flipping it does no work on the stored data.  Off
+  by default: the tag-scan path is the paper-faithful mode whose
+  Fig11/Fig13 shapes the benchmarks reproduce.
 * ``parallel_workers`` — size of the multiprocessing worker pool for
   partition-parallel scans (DESIGN.md §12).  0 (the default) disables
   the pool entirely: plans never contain an Exchange operator and the

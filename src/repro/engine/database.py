@@ -64,7 +64,6 @@ from repro.engine.system_views import (
     SystemViewTable,
     install_system_views,
     is_system_view_name,
-    xindex_rows,
 )
 from repro.engine.types import type_from_name
 from repro.engine.udf import FunctionRegistry
@@ -327,35 +326,6 @@ class Database:
             if self._wal is not None:
                 self._wal.log_exec_config(config)
             self._catalog_mgr.set_exec_config(config, version)
-            if config.xadt_structural_index:
-                # retroactive, inside the same write transaction: the
-                # flip publishes every stored fragment indexed.  Turning
-                # the flag off leaves the indexes on their values (the
-                # per-statement routing stops consulting them).
-                self._index_fragments(
-                    row
-                    for heap in self.engine.heaps().values()
-                    for row in heap.scan()
-                )
-
-    # -- XADT structural indexes -------------------------------------------
-
-    def _structural_enabled(self) -> bool:
-        return self._catalog_mgr.state.exec_config.xadt_structural_index
-
-    def _index_fragments(self, rows) -> None:
-        """Give the XADT cells of ``rows`` their structural indexes, one
-        build per distinct payload.
-
-        Runs inside the writer transaction, before the heap is touched:
-        a failed build (the ``xadt.index_build`` fault site, the
-        governor's memory budget) aborts the statement with no row
-        stored, and the index becomes visible with its row.
-        """
-        from repro.xadt.structural_index import index_fragments
-
-        with TRACER.span("xindex.build", cat="xadt"):
-            index_fragments(cell for row in rows for cell in row)
 
     # -- sessions ----------------------------------------------------------
 
@@ -467,8 +437,6 @@ class Database:
         with self._write():
             if self._wal is not None:
                 self._wal.log_insert(table, row)
-            if self._structural_enabled():
-                self._index_fragments((row,))
             return self.heap(table).insert(row)
 
     def bulk_insert(self, table: str, rows) -> int:
@@ -481,12 +449,10 @@ class Database:
         """
         self._reject_system_name(table, "insert into")
         logged = self._wal is not None and not self._wal.closed
-        structural = self._structural_enabled()
-        if logged or structural:
-            # materialize once so the WAL, the heap, and the structural
-            # indexer see the same batch; rows are serialized inside
-            # log_bulk_insert, so later caller mutation cannot reach the
-            # log
+        if logged:
+            # materialize once so the WAL and the heap see the same
+            # batch; rows are serialized inside log_bulk_insert, so
+            # later caller mutation cannot reach the log
             rows = list(rows)
         budget = self.governor.budget(statement=f"bulk_insert {table}")
         with self._write():
@@ -494,19 +460,11 @@ class Database:
                 self._wal.log_bulk_insert(table, rows)
             heap = self.heap(table)
             if budget is None:
-                if structural:
-                    self._index_fragments(rows)
                 return heap.bulk_insert(rows)
             from repro.engine.snapshot import activate, deactivate
 
             token = activate(None, None, budget)
             try:
-                # build the structural indexes first (inside the budget
-                # scope, so the build's modelled bytes count against the
-                # statement): a build failure then aborts before the
-                # heap is touched
-                if structural:
-                    self._index_fragments(rows)
                 return heap.bulk_insert(rows)
             finally:
                 deactivate(token)
@@ -729,7 +687,6 @@ class Database:
         XADT decode cache, and the observability layer's own footprint."""
         from repro.xadt.decode_cache import DECODE_CACHE
 
-        xindex = xindex_rows(self)
         return {
             "tables": self.table_count(),
             "database_bytes": self.data_size_bytes(),
@@ -737,15 +694,6 @@ class Database:
             "rows": self.row_count(),
             "plan_cache": self.plan_cache.report(),
             "xadt_decode_cache": DECODE_CACHE.report(),
-            "xadt_structural_index": {
-                "active": self._structural_enabled(),
-                "fragments": sum(row[2] for row in xindex),
-                "bytes": sum(row[4] for row in xindex),
-                "columns": [
-                    dict(zip(("table", "column", "fragments", "entries", "bytes"), row))
-                    for row in xindex
-                ],
-            },
             "sessions": len(self.sessions()),
             "engine_version": self.version,
             "catalog_version": self.catalog_version,

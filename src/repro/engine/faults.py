@@ -18,9 +18,9 @@ site               fires
 ``io.charge``      per modelled page charge on an
                    :class:`~repro.engine.io.IoCounters`
 ``xadt.index_build``  per structural-index build of one distinct
-                   payload at ingest
-                   (:func:`~repro.xadt.structural_index.index_fragments`),
-                   before the heap is touched
+                   payload, on the first routed call that reads it
+                   (:meth:`~repro.xadt.fragment.XadtValue.structural_index`),
+                   before the build
 ``server.accept``  per TCP connection accepted by the network
                    front-end (a raise drops the connection before the
                    handshake; the accept loop must survive)

@@ -142,13 +142,16 @@ def execute_lane_fragment(
     ``(result, counted work)`` for the Exchange to book on the lane that
     ran it — a worker's, or the coordinator's on an inline fallback.
 
-    A fragment's XADT methods always scan: a worker's rows arrive
-    pickled, without the structural indexes their stored values carry,
-    so the fragment runs under a context of its own with routing off
-    and is charged the same wherever it runs."""
+    The fragment runs under the coordinator's routing pin
+    (``task["routing"]``): a structural index is derived from the
+    payload, so a worker's pickled rows route, and are charged, exactly
+    as the inline fallback's and the unpartitioned table's do."""
     lane = IoCounters()
     context = current_context()  # None in a worker process
-    token = activate(context and context.snapshot, lane, context and context.budget)
+    token = activate(
+        context and context.snapshot, lane, context and context.budget,
+        routing=task["routing"],
+    )
     try:
         result = execute_fragment(task, pairs, registry)
     finally:

@@ -148,7 +148,12 @@ class Exchange(Operator):
         return tuple(self.params.values)
 
     def _make_task(
-        self, partition: int, horizon: int, catalog_token: int, values: tuple
+        self,
+        partition: int,
+        horizon: int,
+        catalog_token: int,
+        values: tuple,
+        routing: bool,
     ) -> dict:
         key = self.heap.schema.key
         return {
@@ -161,6 +166,7 @@ class Exchange(Operator):
             "projection": self.template.projection,
             "params": values,
             "project": self.project,
+            "routing": routing,
         }
 
     def _execute(self) -> Iterator[Batch]:
@@ -189,8 +195,10 @@ class Exchange(Operator):
             else -1
         )
         values = self._param_values()
+        routing = context is not None and context.routing
         tasks = [
-            self._make_task(p, horizon, catalog_token, values) for p in parts
+            self._make_task(p, horizon, catalog_token, values, routing)
+            for p in parts
         ]
         providers = [
             (lambda p=p: heap.partition_rows(p, limit=horizon)) for p in parts

@@ -1,7 +1,7 @@
 """SQL-queryable system views: the engine's telemetry as relations.
 
 The paper's thesis is that XML belongs *inside* the ORDBMS; this module
-applies the same discipline to the engine's own runtime state.  Nine
+applies the same discipline to the engine's own runtime state.  Eight
 ``sys_*`` virtual tables are registered in the catalog as read-only
 relations whose "heap" materializes a live snapshot at scan time, so
 
@@ -22,8 +22,6 @@ executor — no side channel, no special syntax:
 * ``sys_partitions``  — per-partition row/byte extents of partitioned
   heaps plus the parallel worker pool's configured/alive counts;
 * ``sys_wal``         — the write-ahead log's report;
-* ``sys_xindex``      — per XADT column, the structural indexes its
-  stored values carry;
 * ``sys_connections`` — the network front-end's live connections
   (process-wide: the server is a process-level component, like the
   metrics registry).
@@ -45,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.engine.schema import Column, TableSchema
 from repro.engine.snapshot import current_context
 from repro.engine.storage import HeapTable
-from repro.engine.types import DOUBLE, INTEGER, VARCHAR, XadtType
+from repro.engine.types import DOUBLE, INTEGER, VARCHAR
 from repro.errors import ExecutionError
 from repro.obs.metrics import METRICS
 from repro.obs.statements import STATEMENTS
@@ -248,34 +246,6 @@ def _wal_rows(db: "Database") -> list[tuple]:
     return rows
 
 
-def xindex_rows(db: "Database") -> list[tuple]:
-    """One row per XADT column of a database with structural indexes on:
-    the distinct payloads whose stored value carries an index, and
-    their directory entries and modelled bytes (``size_report()`` and
-    the shell's ``\\xindex`` read these rows too)."""
-    if not db.exec_config.xadt_structural_index:
-        return []
-    rows: list[tuple] = []
-    for heap in db.engine.heaps().values():
-        schema = heap.schema
-        for position, column in enumerate(schema.columns):
-            if not isinstance(column.sql_type, XadtType):
-                continue
-            indexes = {}
-            for row in heap.scan():
-                index = getattr(row[position], "_index", None)
-                if index is not None:
-                    indexes[row[position].payload] = index
-            rows.append((
-                schema.name.lower(),
-                column.name.lower(),
-                len(indexes),
-                sum(len(index) for index in indexes.values()),
-                sum(index.byte_size() for index in indexes.values()),
-            ))
-    return sorted(rows)
-
-
 def _connections_rows(db: "Database") -> list[tuple]:
     # lazy: the server package is optional at runtime and imports the
     # engine; pulling it in here would cycle and cost every database
@@ -380,14 +350,6 @@ _VIEW_DEFS: dict[str, tuple[list[tuple[str, object]], Callable]] = {
     "sys_wal": (
         [("name", VARCHAR), ("value", VARCHAR)],
         _wal_rows,
-    ),
-    "sys_xindex": (
-        [
-            ("table_name", VARCHAR), ("column_name", VARCHAR),
-            ("fragments", INTEGER), ("entries", INTEGER),
-            ("bytes", INTEGER),
-        ],
-        xindex_rows,
     ),
     "sys_connections": (
         [

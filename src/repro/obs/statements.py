@@ -13,10 +13,10 @@ serves through SQL and the CLI's ``\\statements`` renders.
 **Wait profiling.**  While a statement is observed, the collector
 installs a per-thread wait sink (:data:`repro.obs.trace.WAIT_SINK`); the
 tracer's spans — ``parse``, ``plan``, ``execute``, ``wal.fsync``,
-``xindex.build`` — record their durations into it even when the Chrome
+``exchange`` — record their durations into it even when the Chrome
 trace buffer is off.  At finish the sink is folded into a breakdown
 whose parts sum to the statement's wall time: nested waits
-(``wal.fsync``, ``xindex.build``, ``exchange``) are subtracted from
+(``wal.fsync``, ``exchange``) are subtracted from
 ``execute``, and the unattributed remainder lands in ``other``.  Time a
 statement costs *after* ``execute`` returned — the server writing its
 result frames — is attributed by that caller via
@@ -54,7 +54,6 @@ from repro.obs.trace import WAIT_SINK
 #: the wait taxonomy, in report order — only waits something records.
 #: ``parse``/``plan``/``execute`` are the statement phases;
 #: ``wal.fsync`` is durable-commit sync time;
-#: ``xindex.build`` is structural-index building inside a write;
 #: ``exchange`` is time a partition-parallel scan spent scattered to the
 #: worker pool (dispatch through last reply); ``network`` is time the
 #: server spent writing a statement's result frames to the client
@@ -67,14 +66,13 @@ WAIT_NAMES = (
     "plan",
     "execute",
     "wal.fsync",
-    "xindex.build",
     "exchange",
     "network",
 )
 
 #: waits nested inside the ``execute`` span, subtracted so the
 #: breakdown never double-counts
-_NESTED_WAITS = ("wal.fsync", "xindex.build", "exchange")
+_NESTED_WAITS = ("wal.fsync", "exchange")
 
 #: bounded number of distinct statement keys (LRU-evicted past this)
 DEFAULT_MAX_STATEMENTS = 512

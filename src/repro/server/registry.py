@@ -2,9 +2,8 @@
 
 The server registers every accepted connection here; the
 ``sys_connections`` system view materializes the registry at scan time
-(the same lazy-provider pattern the XADT structural index uses for
-``sys_xindex``), so an operator can watch the front-end from any SQL
-session::
+(the lazy-provider pattern of every ``sys_*`` view), so an operator can
+watch the front-end from any SQL session::
 
     SELECT state, COUNT(*) FROM sys_connections GROUP BY state
 

@@ -20,12 +20,17 @@ from repro.xmlkit.parser import parse_fragment
 from repro.xmlkit.serializer import write_attributes
 
 
+#: the ``_index`` slot of a fragment an XADT method returned: a slice
+#: with no stored metadata, which never gets a structural index
+ANSWER = False
+
+
 class XadtValue:
     """An immutable XML fragment with an explicit storage codec."""
 
-    #: ``_index`` is the structural index a database with
-    #: ``xadt_structural_index`` on gave this stored value (written once,
-    #: by :func:`repro.xadt.structural_index.index_fragments`)
+    #: ``_index`` is the structural index, written once by
+    #: :meth:`structural_index` (None until then, :data:`ANSWER` for a
+    #: method's answer)
     __slots__ = ("codec", "payload", "_size", "_xml", "_directory", "_index")
     __xadt__ = True
 
@@ -43,7 +48,10 @@ class XadtValue:
 
     def __reduce__(self):
         # immutability breaks pickle's default protocol; rebuild from the
-        # constructor (the Exchange workers receive and return rows pickled)
+        # constructor (the Exchange workers receive and return rows
+        # pickled), and an answer as an answer
+        if self._index is ANSWER:
+            return (XadtValue._trusted, (self.payload, PLAIN, ANSWER))
         return (XadtValue, (self.payload, self.codec))
 
     # -- constructors --------------------------------------------------------
@@ -71,14 +79,17 @@ class XadtValue:
         return cls(storage.encode(xml_text, codec), codec)
 
     @classmethod
-    def _trusted(cls, payload: str | bytes, codec: str) -> "XadtValue":
+    def _trusted(
+        cls, payload: str | bytes, codec: str, index: object = None
+    ) -> "XadtValue":
         """A value over a payload already known to fit ``codec``.
 
         Skips the constructor's codec/type checks; for payloads taken
         from, or sliced out of, an existing validated fragment — every
         fragment an XADT method returns is a plain one over such a
-        slice.  The one place slots are filled (through their
-        descriptors: the class rejects ``setattr``).
+        slice, made with ``index=ANSWER``.  The one place slots are
+        filled (through their descriptors: the class rejects
+        ``setattr``).
         """
         value = object.__new__(cls)
         _set_codec(value, codec)
@@ -86,7 +97,7 @@ class XadtValue:
         _set_size(value, None)
         _set_xml(value, None if codec == DICT else payload)
         _set_directory(value, None)
-        _set_index(value, None)
+        _set_index(value, index)
         return value
 
     @classmethod
@@ -176,6 +187,37 @@ class XadtValue:
                 DECODE_CACHE.put(key, cached, cached.byte_size())
             _set_directory(self, cached)
         return cached
+
+    def structural_index(self):
+        """The structural index (:mod:`repro.xadt.structural_index`),
+        built on first use; None for a method's answer.
+
+        Like :meth:`directory`: the value's write-once slot, then the
+        process-wide decode cache keyed on the payload, and only then a
+        build, which passes the ``xadt.index_build`` fault site and
+        charges its modelled bytes to the running statement's memory
+        budget.  It is derived from the payload alone, so a value rebuilt
+        from a pickle answers exactly like the original.
+        """
+        index = self._index
+        if index is None:
+            from repro.engine.faults import FAULTS
+            from repro.engine.snapshot import active_budget
+            from repro.xadt.decode_cache import DECODE_CACHE
+            from repro.xadt.structural_index import StructuralIndex
+
+            key = ("structural-index", self.payload)
+            index = DECODE_CACHE.get(key)
+            if index is None:
+                if FAULTS.active:
+                    FAULTS.fire("xadt.index_build")
+                index = StructuralIndex.build(self.to_xml())
+                budget = active_budget()
+                if budget is not None:
+                    budget.charge_memory(index.byte_size())
+                DECODE_CACHE.put(key, index, index.byte_size())
+            _set_index(self, index)
+        return None if index is ANSWER else index
 
     def is_empty(self) -> bool:
         return self.byte_size() == 0 or next(iter(self.events()), None) is None

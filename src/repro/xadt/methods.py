@@ -20,8 +20,8 @@ depend on the value is done once per column:
 
 What belongs to a value stays per value: ``XadtValue.scan_text()`` (a
 dict payload passes the ``xadt.decode`` fault site once per value, in
-row order), the directory of an indexed value or the structural index a
-stored value carries, and ``findKeyInElm``'s memoized verdict.
+row order), the directory of an indexed value or the structural index
+of a stored one, and ``findKeyInElm``'s memoized verdict.
 
 Every answer is a slice of the fragment's tagged text, taken one of two
 ways — it never builds a DOM or re-serializes:
@@ -36,9 +36,12 @@ ways — it never builds a DOM or re-serializes:
 * the **directory** (``SpanDirectory.*`` in :mod:`repro.xadt.metadata`):
   jumps through recorded element spans into the same text.
 
-:func:`_access_path` decides which, in one place: the structural index
-a stored value carries when the statement routes through it, else the
-directory an ``indexed`` value stores, else the scan.  ``getElm`` with an
+:func:`_access_path` decides which, in one place: a value's structural
+index (``XadtValue.structural_index``, built on the first routed call)
+when the statement routes through it, else the directory an ``indexed``
+value stores, else the scan.  A fragment a method returns is made with
+``ANSWER`` in its index slot, so, having no stored metadata, it always
+scans.  ``getElm`` with an
 explicit ``level >= 0`` always asks a directory (built for the call from
 a scan-codec value), because depth is not visible to a tag scan.
 
@@ -80,22 +83,16 @@ values' (:func:`_charge`).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Sequence
 
 from repro.engine.io import work_counters
 from repro.errors import XadtMethodError
 from repro.xadt import fastscan
 from repro.xadt.decode_cache import memoize_predicate
-from repro.xadt.fragment import XadtValue, coerce_fragment
+from repro.xadt.fragment import ANSWER, XadtValue, coerce_fragment
 from repro.xadt.metadata import ENTRY_BYTES, HEADER_BYTES, SpanDirectory
 from repro.xadt.storage import CODECS, DICT, INDEXED, PLAIN
-from repro.xadt.structural_index import (
-    StructuralIndex,
-    record_hit,
-    record_miss,
-    routing_enabled,
-)
+from repro.xadt.structural_index import StructuralIndex, routing_enabled
 
 
 def _stored_directory(value: XadtValue) -> SpanDirectory | None:
@@ -103,30 +100,19 @@ def _stored_directory(value: XadtValue) -> SpanDirectory | None:
     return value.directory() if value.codec == INDEXED else None
 
 
-def _indexed_directory(method: str, value: XadtValue) -> SpanDirectory | None:
-    """The structural index ``value`` carries (a hit of ``method``), else
-    (a miss) the directory the value stores."""
-    index = value._index
-    if index is not None:
-        record_hit(method)
-        return index
-    record_miss(method)
-    return _stored_directory(value)
-
-
 def _access_path(
-    method: str = "",
+    routes: bool = False,
 ) -> Callable[[XadtValue], SpanDirectory | None]:
     """The access-path decision, made here and nowhere else, once per
     column: the function that gives each value's directory.
 
-    The structural index a value carries when the statement pins routing
-    on (``method`` names the hit / miss counter; callers that never
-    route pass none), else the directory an ``indexed`` value stores,
-    else None: scan the text.
+    A value's structural index when the method ``routes`` and the
+    statement pins routing on (a method's answer has none, and scans),
+    else the directory an ``indexed`` value stores, else None: scan the
+    text.
     """
-    if method and routing_enabled():
-        return partial(_indexed_directory, method)
+    if routes and routing_enabled():
+        return XadtValue.structural_index
     return _stored_directory
 
 
@@ -192,7 +178,7 @@ def get_elm_column(
     search_elm = _tag_arg("getElm", "searchElm", search_elm)
     search_key = _tag_arg("getElm", "searchKey", search_key)
     level = _int_arg("getElm", "level", level)
-    directory_of = _access_path("get_elm" if level < 0 else "")
+    directory_of = _access_path(level < 0)
     new = XadtValue._trusted
     append = results.append
     scanned = decoded = 0
@@ -219,7 +205,7 @@ def get_elm_column(
                     )
             if value.codec == DICT:
                 decoded += len(value.payload)
-            append(new(matched, PLAIN))
+            append(new(matched, PLAIN, ANSWER))
     finally:
         _charge(scanned, decoded)
 
@@ -265,7 +251,7 @@ def find_key_in_elm_column(
         raise XadtMethodError(
             "findKeyInElm: searchElm and searchKey cannot both be empty"
         )
-    directory_of = _access_path("find_key_in_elm")
+    directory_of = _access_path(True)
     terms = (search_elm, search_key)
     append = results.append
     scanned = decoded = 0
@@ -314,7 +300,7 @@ def get_elm_index_column(
         raise XadtMethodError("getElmIndex: childElm cannot be an empty string")
     start_pos = _int_arg("getElmIndex", "startPos", start_pos)
     end_pos = _int_arg("getElmIndex", "endPos", end_pos)
-    directory_of = _access_path("get_elm_index")
+    directory_of = _access_path(True)
     new = XadtValue._trusted
     append = results.append
     scanned = decoded = 0
@@ -336,7 +322,7 @@ def get_elm_index_column(
                 )
             if value.codec == DICT:
                 decoded += len(value.payload)
-            append(new(matched, PLAIN))
+            append(new(matched, PLAIN, ANSWER))
     finally:
         _charge(scanned, decoded)
 

@@ -91,11 +91,8 @@ def enable_structural_indexes(db: Database) -> None:
     """Turn on structural-index routing for ``db``.
 
     Flips ``ExecutionConfig.xadt_structural_index`` through the normal
-    (WAL-logged) exec-config path, which gives every fragment already
-    stored its index inside the same write transaction — so the flag's
-    publish already carries a fully built index, later inserts build
-    theirs as they store, and a recovery replaying the logged config
-    rebuilds them at the same point in the logical history.
+    (WAL-logged) exec-config path and nothing else: each stored
+    fragment's index is built on the first routed call that reads it.
     """
     db.set_exec_config(replace(db.exec_config, xadt_structural_index=True))
 

@@ -17,41 +17,34 @@ back to the directory's bounded per-span scan of just the matching
 elements.  No tag-path postings are stored: outermost sets come from
 the directory's parent links.
 
-The stored value holds its index.  A database whose
-``ExecutionConfig.xadt_structural_index`` is on builds one for each
-fragment it stores (:func:`index_fragments`, called by the database's
-insert paths inside the writer transaction, and once over every stored
-row when the flag turns on) into a write-once slot of the
-:class:`~repro.xadt.fragment.XadtValue`.  Content is immutable, so the
-index needs no staging, publishing or versioning: it becomes visible
-with its row, dies with its table or database, and never crosses a
-pickle (an Exchange worker's rows arrive without one).
+The stored value holds its index, the way an ``indexed`` value holds
+its directory: :meth:`XadtValue.structural_index
+<repro.xadt.fragment.XadtValue.structural_index>` builds it on the first
+routed call (passing the ``xadt.index_build`` fault site and charging the
+running statement's memory budget), memoizes it process-wide in the
+decode cache keyed on the payload, and keeps it in a write-once slot of
+the value.  Nothing on the write path builds, stores or logs an index:
+it is derived from the payload, so it needs no staging, publishing or
+recovery, and a value rebuilt from a pickle (an Exchange worker's rows)
+answers exactly like the original.  A fragment an XADT method returns
+has no stored metadata and never gets one.
 
 Routing is per statement: the session layer installs the catalog's
-flag as the execution context's ``routing`` pin, and
-``methods._access_path`` (once per column) routes a value through its
-index when the pin is on and the value carries one.  Unpinned calls —
-outside any statement — and Exchange fragments scan.
+``ExecutionConfig.xadt_structural_index`` flag as the execution
+context's ``routing`` pin, an Exchange carries that pin to its fragments
+(in a worker and inline alike), and ``methods._access_path`` (once per
+column) routes a value through its index when the pin is on.  Unpinned
+calls — outside any statement — scan.
 """
 
 from __future__ import annotations
 
 import re
-import time
 from contextlib import contextmanager
-from typing import Iterable
 
-from repro.engine.faults import FAULTS
-from repro.engine.snapshot import (
-    ExecContext,
-    activate,
-    active_budget,
-    current_context,
-    deactivate,
-)
-from repro.obs.metrics import METRICS
+from repro.engine.snapshot import ExecContext, activate, current_context, deactivate
 from repro.xadt import fastscan
-from repro.xadt.fragment import XadtValue, _set_index
+from repro.xadt.fragment import XadtValue
 from repro.xadt.metadata import ENTRY_BYTES, HEADER_BYTES, SpanDirectory, SpanEntry
 
 _WORD_RE = re.compile(r"\w+")
@@ -60,20 +53,6 @@ _WORD_RE = re.compile(r"\w+")
 _POSTING_BYTES = 4
 #: modelled per-key overhead of a postings map entry
 _KEY_OVERHEAD = 8
-
-_METHODS = ("get_elm", "find_key_in_elm", "get_elm_index")
-_HITS = {m: METRICS.counter(f"xindex.hits.{m}") for m in _METHODS}
-_MISSES = {m: METRICS.counter(f"xindex.misses.{m}") for m in _METHODS}
-_BUILDS = METRICS.counter("xindex.builds")
-_BUILD_SECONDS = METRICS.histogram("xindex.build_seconds")
-
-
-def record_hit(method: str) -> None:
-    _HITS[method].inc()
-
-
-def record_miss(method: str) -> None:
-    _MISSES[method].inc()
 
 
 # ---------------------------------------------------------------------------
@@ -170,49 +149,6 @@ class StructuralIndex(SpanDirectory):
 
 
 # ---------------------------------------------------------------------------
-# the build at ingest
-# ---------------------------------------------------------------------------
-
-
-def index_fragments(values: Iterable[object]) -> int:
-    """Give each XADT value of ``values`` its structural index; returns
-    the number of builds.
-
-    One build per distinct payload per call: values with equal payloads
-    share an index, and a value that already carries one keeps it and
-    lends it to the equal payloads after it.  Each build passes the
-    ``xadt.index_build`` fault site first and charges its modelled bytes
-    to the active statement budget, so runaway builds trip the governor
-    like any other memory hog.  Anything that is not an XADT value is
-    skipped, so callers pass every cell of their rows.
-    """
-    built: dict[object, StructuralIndex] = {}
-    budget = active_budget()
-    builds = 0
-    for value in values:
-        if type(value) is not XadtValue:
-            continue
-        payload = value.payload
-        if value._index is not None:
-            built.setdefault(payload, value._index)
-            continue
-        index = built.get(payload)
-        if index is None:
-            if FAULTS.active:
-                FAULTS.fire("xadt.index_build")
-            started = time.perf_counter()
-            index = StructuralIndex.build(value.to_xml())
-            _BUILD_SECONDS.observe(time.perf_counter() - started)
-            _BUILDS.inc()
-            if budget is not None:
-                budget.charge_memory(index.byte_size())
-            built[payload] = index
-            builds += 1
-        _set_index(value, index)
-    return builds
-
-
-# ---------------------------------------------------------------------------
 # per-statement routing
 # ---------------------------------------------------------------------------
 
@@ -247,9 +183,6 @@ statement_routing = routing
 
 __all__ = [
     "StructuralIndex",
-    "index_fragments",
-    "record_hit",
-    "record_miss",
     "routing",
     "routing_enabled",
     "statement_routing",

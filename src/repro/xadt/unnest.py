@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.xadt import fastscan
-from repro.xadt.fragment import XadtValue, coerce_fragment
+from repro.xadt.fragment import ANSWER, XadtValue, coerce_fragment
 from repro.xadt.methods import _PROBE_BYTES, _access_path, _charge, _tag_arg
 from repro.xadt.storage import DICT, PLAIN
 
@@ -50,7 +50,7 @@ def unnest_column(
                 pieces = fastscan.unnest_plain(text, tag)
             if value.codec == DICT:
                 decoded += len(value.payload)
-            append([(new(piece, PLAIN),) for piece in pieces])
+            append([(new(piece, PLAIN, ANSWER),) for piece in pieces])
     finally:
         _charge(scanned, decoded)
 

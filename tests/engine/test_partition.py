@@ -19,8 +19,9 @@ The contract under test, layer by layer:
   return *exactly* the unpartitioned results at 1, 2, and 4 workers,
   through worker crashes (respawn + retry) and total pool loss (inline
   degrade);
-* the Exchange route — a fragment's XADT methods scan wherever it runs,
-  with structural indexes on or off.
+* the Exchange route — a fragment's XADT methods take the access path
+  the same table unpartitioned takes, wherever the fragment runs, with
+  structural indexes on or off.
 """
 
 from __future__ import annotations
@@ -524,17 +525,21 @@ class TestAccounting:
 # ---------------------------------------------------------------------------
 
 XADT_SQL = "SELECT id FROM speech WHERE findKeyInElm(line, 'LINE', 'love') = 1"
+#: a routed filter and a routed SELECT list, pushed into the fragments
+XADT_QUERIES = (
+    XADT_SQL,
+    "SELECT id, getElmIndex(line, '', 'LINE', 2, 2) FROM speech "
+    "WHERE findKeyInElm(line, 'LINE', 'kiss') = 1",
+)
 
 
-@pytest.fixture()
-def xadt_db():
-    """40 XORator-style speeches hash-partitioned 4 ways."""
+def make_xadt_db(partitions: int = 4) -> Database:
+    """40 XORator-style speeches, hash-partitioned ``partitions`` ways
+    (0: not partitioned)."""
     db = Database("xadt-lanes")
     register_xadt_functions(db)
-    db.execute(
-        "CREATE TABLE speech (id INTEGER PRIMARY KEY, line XADT) "
-        "PARTITION BY HASH(id) PARTITIONS 4"
-    )
+    layout = f" PARTITION BY HASH(id) PARTITIONS {partitions}" if partitions else ""
+    db.execute(f"CREATE TABLE speech (id INTEGER PRIMARY KEY, line XADT){layout}")
     words = ("love", "death", "kiss")
     db.bulk_insert("speech", [
         (i, XadtValue.from_xml("".join(
@@ -544,33 +549,52 @@ def xadt_db():
         for i in range(40)
     ])
     db.runstats()
+    return db
+
+
+@pytest.fixture()
+def xadt_db():
+    db = make_xadt_db()
     yield db
     db.close()
 
 
-def rows_and_scanned(db: Database) -> tuple[list, int]:
-    db.io.reset()
-    rows = sorted(db.execute(XADT_SQL).rows)
-    return rows, db.io.work["xadt_bytes_scanned"]
+def rows_and_work(db: Database) -> list[tuple[list, dict]]:
+    """Per statement of :data:`XADT_QUERIES`: its rows and counted work."""
+    outcomes = []
+    for sql in XADT_QUERIES:
+        db.io.reset()
+        rows = sorted(db.execute(sql).rows)
+        outcomes.append((rows, dict(db.io.work)))
+    return outcomes
 
 
 class TestExchangeRoute:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_a_fragment_scans_in_a_worker_and_inline(self, xadt_db, workers):
+        # a partition fragment routes its XADT calls like the same table
+        # unpartitioned: with the flag off (both scan) and on (both probe
+        # the structural index), in a worker and on the inline fallback
+        twin = make_xadt_db(partitions=0)
         parallel(xadt_db, workers)
         assert "exchange" in xadt_db.explain(XADT_SQL)
-        unrouted = rows_and_scanned(xadt_db)
-        assert unrouted[0] and unrouted[1] > 0
+        unrouted = rows_and_work(twin)
+        assert rows_and_work(xadt_db) == unrouted
+        enable_structural_indexes(twin)
         enable_structural_indexes(xadt_db)
-        assert rows_and_scanned(xadt_db) == unrouted
-        # the coordinator's inline fallback charges what a worker does
+        routed = rows_and_work(twin)
+        for (rows, work), (scan_rows, scan_work) in zip(routed, unrouted):
+            assert rows == scan_rows and rows
+            assert work["xadt_bytes_scanned"] != scan_work["xadt_bytes_scanned"]
+        assert rows_and_work(xadt_db) == routed
         fallbacks = METRICS.counter("exchange.inline_fallbacks").value
         FAULTS.install(FaultPlan().raise_at("worker.crash", probability=1.0))
         try:
-            assert rows_and_scanned(xadt_db) == unrouted
+            assert rows_and_work(xadt_db) == routed
         finally:
             FAULTS.clear()
         assert METRICS.counter("exchange.inline_fallbacks").value > fallbacks
+        twin.close()
 
     def test_a_fragment_crosses_the_udf_boundary_a_column_at_a_time(
         self, xadt_db, monkeypatch

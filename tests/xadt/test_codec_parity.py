@@ -28,7 +28,7 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import DEGRADATION, events_to_text, reset_degradation
-from repro.xadt.structural_index import index_fragments, routing
+from repro.xadt.structural_index import routing
 from repro.xmlkit import parse, parse_fragment
 
 TAGS = ("a", "ab", "b")
@@ -88,8 +88,6 @@ def answer(call, xml_text, codec, indexed=False):
     method, *args = call
     # a fresh value per call: nothing may ride on instance-level memos
     value = XadtValue.from_xml(xml_text, codec)
-    if indexed:
-        index_fragments([value])
     with routing(indexed):
         result = method(value, *args)
     if isinstance(result, XadtValue):
@@ -119,8 +117,8 @@ def degraded():
 
 
 def routed():
-    """Each codec's value given its structural index and the call made
-    with routing on; held to the plain codec's scan answer."""
+    """The call made with routing on, so each codec's value builds its
+    structural index; held to the plain codec's scan answer."""
     DECODE_CACHE.configure(enabled=True)
 
 

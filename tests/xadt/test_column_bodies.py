@@ -31,7 +31,7 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import reset_degradation
-from repro.xadt.structural_index import index_fragments, routing
+from repro.xadt.structural_index import routing
 from tests.xadt.test_codec_parity import fragments, keys, maybe_tag, tags, texts
 
 BATCH_SIZES = [0, 1, 2, 7, 1024]
@@ -71,7 +71,7 @@ def columns(draw):
         "str": pool,
         "mixed": values + pool + [None],
     }[kinds]
-    return [rng.choice(choices) for _ in range(size)], values
+    return [rng.choice(choices) for _ in range(size)]
 
 
 @pytest.fixture(scope="module")
@@ -157,12 +157,9 @@ def outcome(db, route, name, column, constants, routed=False):
 
 @pytest.mark.parametrize("routed", [False, True], ids=["scan", "routed"])
 @settings(max_examples=150, deadline=None)
-@given(drawn=columns(), call=calls)
-def test_the_column_route_answers_like_the_per_call_route(db, routed, drawn, call):
-    column, values = drawn
+@given(column=columns(), call=calls)
+def test_the_column_route_answers_like_the_per_call_route(db, routed, column, call):
     name, constants = call
-    if routed:  # every XADT value of the column carries an index
-        index_fragments(values)
     expected = outcome(db, per_call, name, column, constants, routed)
     assert expected[1] is None
     assert outcome(db, batched, name, column, constants, routed) == expected

@@ -20,7 +20,7 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import CODECS
-from repro.xadt.structural_index import index_fragments, routing
+from repro.xadt.structural_index import routing
 from repro.xmlkit.chars import escape_text
 from repro.xmlkit.serializer import serialize
 
@@ -284,7 +284,6 @@ def test_get_elm_matches_dom_oracle_at_every_level(xml, root, search, key):
         for codec in CODECS:
             value = XadtValue.from_xml(xml, codec)
             elements = value.to_elements()
-            index_fragments([value])
             for level in (-1, 0, 1, 2, 3):
                 expected = oracle_get_elm(elements, root, search, key, level)
                 for routed in (False, True):

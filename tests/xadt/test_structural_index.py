@@ -1,6 +1,6 @@
-"""The structural index: parity with the scan methods, the build at
-ingest, per-statement routing, isolation between databases, and crash
-behaviour.
+"""The structural index: parity with the scan methods, the build on the
+first routed call, per-statement routing, isolation between databases,
+and crash behaviour.
 
 The parity suite is the module's contract: for every fragment (random or
 hand-picked, any codec) the indexed implementations of ``getElm``,
@@ -15,10 +15,10 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
+from repro.engine.governor import GovernorLimits
 from repro.engine.io import IoCounters
 from repro.engine.snapshot import activate, deactivate
-from repro.errors import CrashPoint
-from repro.obs.metrics import METRICS
+from repro.errors import CrashPoint, ResourceExceeded
 from repro.xadt import XadtValue, register_xadt_functions
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.methods import find_key_in_elm, get_elm, get_elm_index
@@ -26,7 +26,6 @@ from repro.xadt.register import enable_structural_indexes
 from repro.xadt.storage import CODECS
 from repro.xadt.structural_index import (
     StructuralIndex,
-    index_fragments,
     routing,
     routing_enabled,
     statement_routing,
@@ -166,43 +165,86 @@ class TestEdgeCaseParity:
     def test_routed_method_calls_match_scan(self, codec):
         xml = "<SPEECH><LINE>to be</LINE><LINE>or not to be</LINE></SPEECH>"
         value = XadtValue.from_xml(xml, codec)
-        index_fragments([value])
-        assert value._index is not None
         with routing(False):
             scan = get_elm_index(value, "SPEECH", "LINE", 2, 2).to_xml()
+        assert value._index is None  # a scan builds nothing
         with routing(True):
             routed = get_elm_index(value, "SPEECH", "LINE", 2, 2).to_xml()
+        assert isinstance(value._index, StructuralIndex)
         assert routed == scan == "<LINE>or not to be</LINE>"
 
 
 # ---------------------------------------------------------------------------
-# the build at ingest
+# the build on first use
 # ---------------------------------------------------------------------------
+
+
+def charged(call) -> dict[str, int]:
+    """The work ``call`` charges under routing."""
+    counters = IoCounters()
+    token = activate(None, counters, routing=True)
+    try:
+        call()
+    finally:
+        deactivate(token)
+    return dict(counters.work)
 
 
 class TestIndexBuild:
     def test_one_build_per_distinct_payload(self):
         first, twin = (XadtValue.from_xml("<a>x</a>") for _ in range(2))
         other = XadtValue.from_xml("<b>y</b>")
-        assert index_fragments([first, None, twin, other]) == 2
+        plan = FAULTS.install(FaultPlan())  # counts the build site's hits
+        for value in (first, twin, other, first):
+            value.structural_index()
+        assert plan.hits("xadt.index_build") == 2
         assert first._index is twin._index
         assert other._index is not None and other._index is not first._index
 
     def test_an_index_is_written_once(self):
         value = XadtValue.from_xml("<a>x</a>")
-        index_fragments([value])
-        index = value._index
+        index = value.structural_index()
+        DECODE_CACHE.clear()
+        # the value keeps its index; an equal payload builds its own
+        # once the cache has forgotten it
+        assert value.structural_index() is index
         later = XadtValue.from_xml("<a>x</a>")
-        # a second call builds nothing: the indexed value keeps its
-        # index and lends it to the equal payload after it
-        assert index_fragments([value, later]) == 0
-        assert value._index is index and later._index is index
+        assert later.structural_index() is not index
+        assert value._index is index
 
-    def test_an_index_never_crosses_a_pickle(self):
-        value = XadtValue.from_xml("<a>x</a>")
-        index_fragments([value])
+    def test_a_pickled_value_routes_like_the_original(self):
+        value = XadtValue.from_xml(SPEECH_XML)
+        expected = charged(lambda: get_elm_index(value, "SPEECH", "LINE", 2, 2))
+        DECODE_CACHE.clear()
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and copy._index is None
+        assert charged(
+            lambda: get_elm_index(copy, "SPEECH", "LINE", 2, 2)
+        ) == expected
+        assert copy._index is not None
+        # both calls probed an index: they read less than a scan would
+        assert expected["xadt_bytes_scanned"] < len(SPEECH_XML)
+
+    def test_a_methods_answer_never_routes(self):
+        value = XadtValue.from_xml(SPEECH_XML)
+        with routing(True):
+            answer = get_elm(value, "SPEECH", "", "")
+        for candidate in (answer, pickle.loads(pickle.dumps(answer))):
+            assert candidate.structural_index() is None
+            work = charged(lambda: find_key_in_elm(candidate, "LINE", "be"))
+            assert work["xadt_bytes_scanned"] == len(SPEECH_XML)
+
+    def test_a_build_charges_the_statement_budget(self):
+        db = make_db()
+        enable_structural_indexes(db)
+        cap = StructuralIndex.build(SPEECH_XML).byte_size() - 1
+        with db.connect() as session:
+            session.set_limits(GovernorLimits(memory_budget_bytes=cap))
+            with pytest.raises(ResourceExceeded):
+                session.execute(QS6_SQL)
+            assert db.heap("x").rows[0][1]._index is None
+            session.set_limits(GovernorLimits(memory_budget_bytes=cap + 1))
+            assert session.execute(QS6_SQL).rows
 
 
 # ---------------------------------------------------------------------------
@@ -237,42 +279,31 @@ def make_db() -> Database:
     return db
 
 
-def xindex(db: Database) -> list[tuple]:
-    return db.execute("SELECT * FROM sys_xindex").rows
+def stored(db: Database, table: str = "x") -> list[XadtValue]:
+    """The XADT values ``table`` stores, in row order."""
+    return [row[1] for row in db.heap(table).rows]
 
 
 class TestEngineIntegration:
     def test_enable_indexes_retroactively(self):
+        # a value stored before the flip routes, built on first use
         db = make_db()
         enable_structural_indexes(db)
-        report = db.size_report()["xadt_structural_index"]
-        assert report["active"] and report["fragments"] == 1
+        assert stored(db)[0]._index is None  # the flip built nothing
         rows = db.execute(QS6_SQL).rows
         assert rows[0][0].to_xml() == "<LINE>or not to be</LINE>"
+        assert isinstance(stored(db)[0]._index, StructuralIndex)
 
     def test_inserts_after_enable_are_indexed(self):
         db = make_db()
         enable_structural_indexes(db)
         db.insert("x", (2, XadtValue.from_xml("<a>late</a>", "dict")))
-        report = db.size_report()["xadt_structural_index"]
-        assert report["fragments"] == 2
-
-    def test_report_accounts_per_column(self):
-        db = Database("report")
-        register_xadt_functions(db)
-        db.execute("CREATE TABLE t (id INTEGER, frag XADT, other XADT)")
-        enable_structural_indexes(db)
-        value, twin = (XadtValue.from_xml("<a><b>x</b></a>") for _ in range(2))
-        db.bulk_insert("t", [(1, value, None), (2, twin, None)])
-        report = db.size_report()["xadt_structural_index"]
-        # each distinct payload of a column counts once
-        assert report["active"] and report["fragments"] == 1
-        frag, other = report["columns"]
-        assert (frag["table"], frag["column"], frag["fragments"]) == ("t", "frag", 1)
-        assert frag["entries"] == 2
-        assert frag["bytes"] == report["bytes"] == value._index.byte_size()
-        assert (other["fragments"], other["bytes"]) == (0, 0)
-        assert xindex(db) == [tuple(c.values()) for c in report["columns"]]
+        db.bulk_insert("x", [(3, XadtValue.from_xml("<a>bulk</a>"))])
+        assert [value._index for value in stored(db)] == [None] * 3
+        db.execute(QS6_SQL)
+        assert all(
+            isinstance(value._index, StructuralIndex) for value in stored(db)
+        )
 
     def test_explain_labels_access_path(self):
         db = make_db()
@@ -289,53 +320,20 @@ class TestEngineIntegration:
         enable_structural_indexes(other)  # another database opts in ...
         assert "xadt[scan]" in db.explain(QS6_SQL)  # ... db stays faithful
         assert db.execute(QS6_SQL).rows[0][0].to_xml() == "<LINE>or not to be</LINE>"
-
-    def test_drop_table_unregisters(self):
-        db = make_db()
-        enable_structural_indexes(db)
-        assert [row[:2] for row in xindex(db)] == [("x", "frag")]
-        db.execute("DROP TABLE x")
-        assert xindex(db) == []
-
-    def test_drop_table_retires_its_published_indexes(self):
-        db = Database("drop")
-        register_xadt_functions(db)
-        db.execute("CREATE TABLE t (id INTEGER, frag XADT)")
-        db.execute("CREATE TABLE keep (id INTEGER, frag XADT)")
-        enable_structural_indexes(db)
-        for i in range(5):
-            db.insert("t", (i, XadtValue.from_xml(f"<a><b>row {i}</b></a>")))
-        # a payload also stored in t: keep's value carries its own index
-        db.insert("keep", (0, XadtValue.from_xml("<a><b>row 0</b></a>")))
-        db.insert("keep", (1, XadtValue.from_xml("<c>kept</c>")))
-        assert [row[:3] for row in xindex(db)] == [
-            ("keep", "frag", 2), ("t", "frag", 5),
-        ]
-        db.execute("DROP TABLE t")
-        assert [row[:3] for row in xindex(db)] == [("keep", "frag", 2)]
-        report = db.size_report()["xadt_structural_index"]
-        assert report["fragments"] == 2 and report["bytes"] == xindex(db)[0][4]
-        hits = METRICS.counter("xindex.hits.find_key_in_elm").value
-        misses = METRICS.counter("xindex.misses.find_key_in_elm").value
-        sql = "SELECT id FROM keep WHERE findKeyInElm(frag, 'b', 'row') = 1"
-        assert db.execute(sql).rows == [(0,)]
-        assert METRICS.counter("xindex.hits.find_key_in_elm").value == hits + 2
-        assert METRICS.counter("xindex.misses.find_key_in_elm").value == misses
-        db.execute("DROP TABLE keep")
-        assert xindex(db) == []
-        assert db.size_report()["xadt_structural_index"]["bytes"] == 0
+        assert stored(db)[0]._index is None
 
     def test_crash_at_index_build_leaves_no_state(self):
         db = make_db()
         enable_structural_indexes(db)
         FAULTS.install(FaultPlan().crash_at("xadt.index_build", hit=1))
-        value = XadtValue.from_xml("<b>doomed</b>")
         with pytest.raises(CrashPoint):
-            db.insert("x", (2, value))
+            db.execute(QS6_SQL)
         FAULTS.clear()
+        (value,) = stored(db)
         assert value._index is None
-        assert db.size_report()["xadt_structural_index"]["fragments"] == 1
-        assert db.row_count("x") == 1  # heap never touched
+        assert DECODE_CACHE.get(("structural-index", value.payload)) is None
+        rows = db.execute(QS6_SQL).rows
+        assert rows[0][0].to_xml() == "<LINE>or not to be</LINE>"
 
     def test_recovery_rebuilds_indexes(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -345,20 +343,24 @@ class TestEngineIntegration:
         db.insert("x", (1, XadtValue.from_xml(SPEECH_XML)))
         enable_structural_indexes(db)
         db.insert("x", (2, XadtValue.from_xml("<a>after</a>", "dict")))
+        db.io.reset()
         expected = [r[0].to_xml() for r in db.execute(QS6_SQL).rows]
+        work = dict(db.io.work)
         db.close()
 
+        DECODE_CACHE.clear()
         recovered = Database.open(path, recover=True)
         register_xadt_functions(recovered)
         assert recovered.exec_config.xadt_structural_index
-        report = recovered.size_report()["xadt_structural_index"]
-        assert report["active"] and report["fragments"] == 2
+        assert [value._index for value in stored(recovered)] == [None, None]
+        recovered.io.reset()
         assert [r[0].to_xml() for r in recovered.execute(QS6_SQL).rows] == expected
+        assert dict(recovered.io.work) == work
         recovered.close()
 
 
 # ---------------------------------------------------------------------------
-# isolation: an index belongs to the database that stored its value
+# isolation: the flag belongs to the database, the index to the value
 # ---------------------------------------------------------------------------
 
 
@@ -367,22 +369,20 @@ class TestIsolation:
         first, second = make_db(), make_db()
         enable_structural_indexes(first)
         enable_structural_indexes(second)
+        first.execute(QS6_SQL)
+        second.execute(QS6_SQL)
+        (kept,) = stored(second)
+        index = kept._index
         first.execute("DROP TABLE x")
-        assert [row[:3] for row in xindex(second)] == [("x", "frag", 1)]
         late = XadtValue.from_xml("<a>late</a>")
         second.insert("x", (2, late))
-        assert late._index is not None
-        assert [row[:3] for row in xindex(second)] == [("x", "frag", 2)]
-
-    def test_default_database_lists_no_closed_databases_columns(self):
-        indexed = make_db()
-        enable_structural_indexes(indexed)
-        indexed.close()
-        assert xindex(make_db()) == []
+        assert second.execute(QS6_SQL).rows
+        assert kept._index is index and late._index is not None
 
     def test_bare_call_scans_after_an_indexed_database_closed(self):
         indexed = make_db()
         enable_structural_indexes(indexed)
+        indexed.execute(QS6_SQL)
         indexed.close()
         value = XadtValue.from_xml(SPEECH_XML)  # an equal payload
         counters = IoCounters()
