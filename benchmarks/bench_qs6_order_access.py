@@ -1,16 +1,17 @@
-"""QS6 order access: structural index vs tag scan on the XADT column.
+"""QS6 order access: the ``indexed`` directory vs tag scan on the XADT column.
 
 Figure 11's one inversion is QS6 — ``getElmIndex`` over XORator's
 ``speech_line`` fragments loses to Hybrid because every call re-scans
-the fragment text for the Nth ``<LINE>`` sibling.  The structural index
-(:mod:`repro.xadt.structural_index`) stores per-tag ordinal arrays and
-NUL-joined token blobs per fragment, so ordinal and keyword access stop
-paying the O(fragment-bytes) walk.
+the fragment text for the Nth ``<LINE>`` sibling.  The directory an
+``indexed`` value stores (:mod:`repro.xadt.metadata`) holds per-tag
+ordinal arrays and a keyword map of NUL-joined token blobs per fragment,
+so ordinal and keyword access stop paying the O(fragment-bytes) walk.
 
-This is the acceptance gate for that index: the **median per-access-kind
-ratio of counted bytes** — ``xadt_bytes_scanned`` of the paper-faithful
-tag scan over that of the indexed path, one pass per route under
-counters of its own — must be **>= 10x** at the largest Figure 11 scale
+This is the acceptance gate for that directory: the **median
+per-access-kind ratio of counted bytes** — ``xadt_bytes_scanned`` of the
+paper-faithful tag scan over each fragment, over that of the same
+fragment recoded to ``indexed``, one pass per codec under counters of
+its own — must be **>= 10x** at the largest Figure 11 scale
 (DSx8).  Counted bytes are the model's XADT cost (``repro.engine.io``):
 identical run to run and independent of the decode cache, unlike a wall
 ratio on a shared host.  Wall time per call is printed beside them,
@@ -35,12 +36,14 @@ Also asserted here, per the issue:
 
 * **parity** — indexed and scan paths return byte-identical results for
   every fragment and access kind;
-* **default mode preserves the paper shape** — with the index off, QS6
-  still inverts (XORator slower than Hybrid, ratio < 1), so Figure 11's
-  published shape is untouched unless a user opts in;
-* **engine routing** — ``enable_structural_indexes`` flips EXPLAIN from
-  ``xadt[scan]`` to ``xadt[xindex]`` and the QS6 SQL results match the
-  scan-mode run.
+* **default mode preserves the paper shape** — with the chooser's codecs
+  (it never picks ``indexed``), QS6 stays XORator's weakest structural
+  win, so Figure 11's published shape is untouched unless a column is
+  stored ``indexed``;
+* **engine parity** — the corpus loaded with every XADT column
+  ``indexed`` answers the QS6 SQL like the scan-codec load, and both
+  plans label the method call ``xadt[scan]``: the stored value, not the
+  plan, picks the path.
 """
 
 from __future__ import annotations
@@ -54,13 +57,13 @@ from conftest import print_report
 from repro.bench.harness import BASE_SHAKESPEARE, build_database, cold_query
 from repro.datagen.shakespeare import generate_corpus
 from repro.dtd import samples
+from repro.engine.database import Database
 from repro.engine.io import IoCounters
 from repro.engine.snapshot import activate, deactivate
 from repro.mapping import map_xorator
+from repro.shred import load_documents
 from repro.workloads import SHAKESPEARE_QUERIES, shakespeare_queries
-from repro.xadt import methods
-from repro.xadt.register import enable_structural_indexes
-from repro.xadt.structural_index import routing
+from repro.xadt import methods, register_xadt_functions
 
 import pytest
 
@@ -84,11 +87,9 @@ ACCESS_KINDS = (
 def qs6_db():
     """A DSx8 XORator database with paper-sized prologue fragments.
 
-    Yields ``(db, fragments, scan_results, scan_explain)`` where the
-    scan-mode artifacts are captured *before* the structural indexes are
-    enabled, then enables them through the real engine path
-    (``enable_structural_indexes``; each stored fragment builds its index
-    on the first routed call).
+    Yields ``(db, docs, fragments)``: the database loaded with the
+    chooser's codecs, its documents, and the stored prologue fragments
+    the access kinds are measured over.
     """
     config = replace(BASE_SHAKESPEARE.scaled(SCALE), lines_per_speech=14)
     docs = generate_corpus(config)
@@ -100,25 +101,21 @@ def qs6_db():
         sample_for_codecs=4,
     )
     db = loaded.db
-    sql = QS6.sql_for("xorator")
-    scan_results = db.execute(sql).rows
-    scan_explain = db.explain(sql)
-    enable_structural_indexes(db)
     rows = db.execute(
         "SELECT speech_line FROM speech "
         "WHERE speech_parentCODE = 'PROLOGUE'"
     ).rows
     fragments = [row[0] for row in rows]
     assert fragments, "corpus produced no prologue speeches"
-    yield db, fragments, scan_results, scan_explain
+    yield db, docs, fragments
     db.close()
 
 
-def _counted_pass(fn, fragments, routed: bool) -> tuple[int, float]:
-    """One pass with the access path pinned, under counters of its own:
-    (bytes the path scanned, wall seconds per call)."""
+def _counted_pass(fn, fragments) -> tuple[int, float]:
+    """One pass under counters of its own: (bytes the access path
+    scanned, wall seconds per call)."""
     counters = IoCounters()
-    token = activate(None, counters, routing=routed)
+    token = activate(None, counters)
     try:
         started = time.perf_counter()
         for fragment in fragments:
@@ -130,25 +127,22 @@ def _counted_pass(fn, fragments, routed: bool) -> tuple[int, float]:
 
 
 def test_qs6_order_access_gate(qs6_db, benchmark):
-    db, fragments, _, _ = qs6_db
+    _, _, fragments = qs6_db
+    indexed = [fragment.recode("indexed") for fragment in fragments]
 
     # parity first: both paths agree on every fragment and access kind
     for name, _, fn in ACCESS_KINDS:
-        for fragment in fragments:
-            with routing(False):
-                scan_result = fn(fragment)
-            with routing(True):
-                indexed_result = fn(fragment)
-            assert indexed_result == scan_result, name
+        for fragment, recoded in zip(fragments, indexed):
+            assert fn(recoded) == fn(fragment), name
 
     lines = [
-        f"{'access':10}{'scan B':>10}{'xindex B':>10}{'ratio':>8}"
-        f"{'scan/call':>12}{'xindex/call':>13}{'gated':>7}"
+        f"{'access':10}{'scan B':>10}{'index B':>10}{'ratio':>8}"
+        f"{'scan/call':>12}{'index/call':>13}{'gated':>7}"
     ]
     gated_ratios = []
     for name, gated, fn in ACCESS_KINDS:
-        scan_bytes, scan_s = _counted_pass(fn, fragments, routed=False)
-        index_bytes, index_s = _counted_pass(fn, fragments, routed=True)
+        scan_bytes, scan_s = _counted_pass(fn, fragments)
+        index_bytes, index_s = _counted_pass(fn, indexed)
         ratio = scan_bytes / index_bytes if index_bytes else float("inf")
         if gated:
             gated_ratios.append(ratio)
@@ -164,7 +158,7 @@ def test_qs6_order_access_gate(qs6_db, benchmark):
         f"fragments; wall per call is one pass, ungated)"
     )
     print_report(
-        "QS6 order access — structural index vs tag scan "
+        "QS6 order access — indexed directory vs tag scan "
         "(XORator speech_line, paper-sized prologues)",
         "\n".join(lines),
     )
@@ -177,35 +171,44 @@ def test_qs6_order_access_gate(qs6_db, benchmark):
     ordinal = ACCESS_KINDS[0][2]
 
     def indexed_pass():
-        with routing(True):
-            for fragment in fragments:
-                ordinal(fragment)
+        for fragment in indexed:
+            ordinal(fragment)
 
     benchmark(indexed_pass)
 
 
-def test_engine_routing_and_parity(qs6_db):
-    """EXPLAIN flips scan → xindex; SQL results are mode-identical."""
-    db, _, scan_results, scan_explain = qs6_db
+def test_indexed_load_answers_like_the_scan_load(qs6_db):
+    """An ``indexed`` load answers the QS6 SQL like the scan-codec one;
+    both plans say ``xadt[scan]``."""
+    db, docs, _ = qs6_db
+    schema = map_xorator(samples.shakespeare_simplified())
+    codecs = {
+        f"{table.name}.{column.name}": "indexed"
+        for table in schema.tables
+        for column in table.xadt_columns()
+    }
+    indexed_db = Database("xorator-indexed")
+    register_xadt_functions(indexed_db)
+    load_documents(indexed_db, schema, docs, codecs)
+    indexed_db.runstats()
     sql = QS6.sql_for("xorator")
-    assert "xadt[scan]" in scan_explain
-    indexed_explain = db.explain(sql)
-    assert "xadt[xindex]" in indexed_explain
-    indexed_results = db.execute(sql).rows
+    for plan in (db.explain(sql), indexed_db.explain(sql)):
+        assert "xadt[scan]" in plan and "xindex" not in plan
     canon = lambda rows: sorted(tuple(str(v) for v in row) for row in rows)
-    assert canon(indexed_results) == canon(scan_results)
+    assert canon(indexed_db.execute(sql).rows) == canon(db.execute(sql).rows)
+    indexed_db.close()
 
 
 def test_default_mode_preserves_fig11_shape(shakespeare_pair_x1):
-    """Index off: QS6 stays XORator's weakest structural-query ratio.
+    """Chooser codecs: QS6 stays XORator's weakest structural-query ratio.
 
-    The paired databases are built with the default ExecutionConfig
-    (``xadt_structural_index=False``).  This repro does not reproduce
+    The paired databases are loaded with the chooser's codecs, which
+    never pick ``indexed``.  This repro does not reproduce
     the paper's literal QS6 inversion (a scale artifact — see
     EXPERIMENTS.md); its recorded Figure 11 shape is that QS6 is
     XORator's *weakest* win of the structural queries.  This run shows
-    that shape is intact unless a user opts into the index — the scan
-    path stays the default.
+    that shape is intact unless a column is stored ``indexed`` — the
+    scan path stays the default.
     """
     pair = shakespeare_pair_x1
     ratios = {}
@@ -221,7 +224,7 @@ def test_default_mode_preserves_fig11_shape(shakespeare_pair_x1):
         ratios[query.key] = hybrid / xorator
     others = {key: r for key, r in ratios.items() if key != "QS6"}
     print_report(
-        "QS6 default (index-off) mode — Figure 11 relative shape intact",
+        "QS6 default (chooser codecs) — Figure 11 relative shape intact",
         "hybrid/xorator cold ratios: "
         + "  ".join(f"{k} {r:.2f}" for k, r in ratios.items())
         + f"\nQS6 {ratios['QS6']:.2f} vs min(others) "
@@ -229,6 +232,6 @@ def test_default_mode_preserves_fig11_shape(shakespeare_pair_x1):
     )
     assert ratios["QS6"] < min(others.values()), (
         f"QS6 ratio {ratios['QS6']:.2f} is no longer XORator's weakest "
-        "structural-query win — the index-off default changed the "
+        "structural-query win — the scan-codec default changed the "
         "recorded Figure 11 shape"
     )

@@ -14,9 +14,9 @@ For each of three named write-path fault sites (``wal.append``,
 4. asserts the Figure 11 query results are identical to an
    uninterrupted reference load.
 
-Then it crashes a structurally indexed database at ``xadt.index_build``
-mid-query, kills exchange workers, and drops server connections, each
-checked against the same reference.
+Then it crashes an ``indexed`` WAL load at ``xadt.index_build`` (a
+directory build), kills exchange workers, and drops server connections,
+each checked against the same reference.
 
 Usage::
 
@@ -46,7 +46,7 @@ from repro.mapping import map_xorator  # noqa: E402
 from repro.shred import decide_codecs, load_documents  # noqa: E402
 from repro.workloads.shakespeare_queries import workload_sql  # noqa: E402
 from repro.xadt import register_xadt_functions  # noqa: E402
-from repro.xadt.register import enable_structural_indexes  # noqa: E402
+from repro.xadt.decode_cache import DECODE_CACHE  # noqa: E402
 
 #: (site, 1-based hit at which the process "dies") — hits are chosen to
 #: land mid-load: after some documents committed, before the last one
@@ -119,7 +119,7 @@ def main() -> None:
                 f"torn_tail={report.torn_tail}, Fig11 parity holds"
             )
 
-    xindex_stage(schema, documents, codecs, queries, expected)
+    directory_stage(schema, documents, queries, expected)
     worker_crash_stage(schema, documents, codecs, queries, expected)
     server_stage(schema, documents, codecs, queries, expected)
 
@@ -128,28 +128,32 @@ def main() -> None:
     )
 
 
-def xindex_stage(schema, documents, codecs, queries, expected) -> None:
-    """Crash mid structural-index build, recover, check byte parity.
+def directory_stage(schema, documents, queries, expected) -> None:
+    """Crash mid directory build during an ``indexed`` load, recover,
+    check byte parity.
 
-    With structural indexes enabled, a routed XADT method builds a
-    stored fragment's index on first use, passing the
-    ``xadt.index_build`` fault site.  A crash there interrupts a read:
-    after WAL recovery (which replays the flag) the routed Figure 11
-    queries must return **byte-identical** results to the scan-mode
-    reference fingerprint.
+    With every XADT column ``indexed``, the load prices each stored
+    fragment's directory, building it through the ``xadt.index_build``
+    fault site.  A crash there interrupts the load: after WAL recovery
+    and a resumed load, the Figure 11 queries — answered from the
+    directories — must return **byte-identical** results to the
+    scan-codec reference fingerprint.
     """
-    site, hit = "xadt.index_build", 40
+    site, hit = "xadt.index_build", 150  # in doc:1, after doc:0 committed
+    indexed = {
+        f"{table.name}.{column.name}": "indexed"
+        for table in schema.tables
+        for column in table.xadt_columns()
+    }
+    DECODE_CACHE.clear()  # every directory is built, none is remembered
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "wal.jsonl")
         db = Database.open(path, sync_mode="always")
         register_xadt_functions(db)
-        enable_structural_indexes(db)
-        load_documents(db, schema, documents, codecs)
-        db.runstats()
         FAULTS.install(FaultPlan(seed=hit).crash_at(site, hit=hit))
         crashed = False
         try:
-            fingerprint(db, queries)
+            load_documents(db, schema, documents, indexed)
         except CrashPoint:
             crashed = True
         finally:
@@ -160,24 +164,27 @@ def xindex_stage(schema, documents, codecs, queries, expected) -> None:
         recovered = Database.open(path, recover=True)
         register_xadt_functions(recovered)
         report = recovered.recovery_report
-        assert recovered.exec_config.xadt_structural_index, (
-            f"{site}: recovery lost the structural-index flag"
+        load_documents(
+            recovered, schema, documents, indexed,
+            resume_markers=report.markers,
         )
+        recovered.runstats()
         actual = fingerprint(recovered, queries)
-        indexed = sum(
-            cell._index is not None
+        directories = sum(
+            cell._directory is not None
             for heap in recovered.engine.heaps().values()
             for row in heap.scan()
             for cell in row
-            if getattr(cell, "__xadt__", False)
+            if getattr(cell, "__xadt__", False) and cell.codec == "indexed"
         )
-        assert indexed > 0, f"{site}: no routed call after recovery"
+        assert directories > 0, f"{site}: no indexed fragment after recovery"
         assert actual == expected, f"{site}: query mismatch after recovery"
         recovered.close()
         print(
-            f"ok {site:16} crash at hit {hit} mid-query: "
-            f"{report.records_replayed} records replayed, {indexed} stored "
-            f"fragments routed, results byte-identical to the scan-mode "
+            f"ok {site:16} crash at hit {hit} mid-load: "
+            f"{len(report.markers)} committed document txn(s), "
+            f"{report.records_replayed} records replayed, {directories} "
+            f"stored directories, results byte-identical to the scan-codec "
             f"reference"
         )
 

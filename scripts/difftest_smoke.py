@@ -4,9 +4,10 @@ Builds both schemas of the dataset at scale 1, generates seeded random
 queries (selects, joins, aggregates, XADT method predicates, bound
 parameters — see ``repro.difftest.generator``), executes every query on
 the native engine and on the sqlite backend, and exits nonzero on any
-divergence.  After that sweep it turns structural indexes on for the
-XORator database and reruns the same seeds, so the native side's XADT
-methods take the index route.  Defaults run 540 queries per dataset.
+divergence.  After that sweep it loads the same corpus into XORator with
+every XADT column ``indexed`` and reruns the same seeds, so the native
+side's XADT methods answer from each value's directory.  Defaults run
+540 queries per dataset.
 
 Usage::
 
@@ -19,9 +20,41 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.harness import build_pair
+from repro.bench.harness import (
+    BASE_PLAYS,
+    BASE_SHAKESPEARE,
+    BASE_SIGMOD,
+    build_pair,
+)
+from repro.datagen.plays import generate_corpus as generate_plays
+from repro.datagen.shakespeare import generate_corpus as generate_shakespeare
+from repro.datagen.sigmod import generate_corpus as generate_sigmod
 from repro.difftest import run_difftest
-from repro.xadt.register import enable_structural_indexes
+from repro.engine.database import Database
+from repro.mapping.base import MappedSchema
+from repro.shred import load_documents
+from repro.xadt import register_xadt_functions
+
+#: the scale-1 corpus ``build_pair`` loads, per dataset
+CORPORA = {
+    "shakespeare": lambda: generate_shakespeare(BASE_SHAKESPEARE.scaled(1)),
+    "sigmod": lambda: generate_sigmod(BASE_SIGMOD.scaled(1)),
+    "plays": lambda: generate_plays(BASE_PLAYS),
+}
+
+
+def load_indexed(dataset: str, schema: MappedSchema) -> Database:
+    """The XORator database again, with every XADT column ``indexed``."""
+    codecs = {
+        f"{table.name}.{column.name}": "indexed"
+        for table in schema.tables
+        for column in table.xadt_columns()
+    }
+    db = Database("xorator-indexed")
+    register_xadt_functions(db)
+    load_documents(db, schema, CORPORA[dataset](), codecs)
+    db.runstats()
+    return db
 
 
 def main() -> int:
@@ -38,17 +71,17 @@ def main() -> int:
     pair = build_pair(args.dataset, scale=1)
     failed = False
     total = 0
-    for loaded, route in (
-        (pair.hybrid, "scan"), (pair.xorator, "scan"), (pair.xorator, "xindex"),
+    hybrid, xorator = pair.hybrid, pair.xorator
+    for algorithm, db, schema, route in (
+        ("hybrid", hybrid.db, hybrid.schema, "scan"),
+        ("xorator", xorator.db, xorator.schema, "scan"),
+        ("xorator", load_indexed(args.dataset, xorator.schema), xorator.schema,
+         "indexed"),
     ):
-        if route == "xindex":
-            enable_structural_indexes(loaded.db)
         for seed in seeds:
-            report = run_difftest(
-                loaded.db, loaded.schema, count=args.count, seed=seed
-            )
+            report = run_difftest(db, schema, count=args.count, seed=seed)
             total += report.executed
-            print(f"{loaded.algorithm} [{route}]: {report.summary()}")
+            print(f"{algorithm} [{route}]: {report.summary()}")
             for divergence in report.divergences:
                 failed = True
                 print(f"  DIVERGENCE [{divergence.shape}] {divergence.sql}")

@@ -10,8 +10,9 @@ Without ``--execute``/``--path``, an interactive prompt opens.  Shell
 commands (interactive or piped):
 
 * any SQL statement — executed and rendered DB2-CLP-style (the WAL's
-  status and the partition layout are ``SELECT * FROM sys_wal`` and
-  ``SELECT * FROM sys_partitions``);
+  status, the partition layout, the open sessions, the metrics and the
+  statement statistics are ``SELECT * FROM sys_wal`` / ``sys_partitions``
+  / ``sys_sessions`` / ``sys_metrics`` / ``sys_statements``);
 * ``\\dt`` — list tables with row counts and sizes;
 * ``\\d <table>`` — describe a table;
 * ``\\explain <sql>`` — show the physical plan;
@@ -21,12 +22,10 @@ commands (interactive or piped):
   show the SQL, and run it;
 * ``\\io`` — I/O counters of the last statement (the simulated disk);
 * ``\\cache`` — plan-cache and XADT decode-cache counters;
-* ``\\sessions`` — open sessions with pinned snapshot epoch and per-kind
-  query counts;
-* ``\\metrics [json|prom|reset]`` — the process metrics registry
-  (``prom`` renders the Prometheus text exposition format);
-* ``\\statements [N|on|off|reset]`` — statement-level statistics: the
-  top-N statements by total time, or toggle/clear the collector;
+* ``\\metrics json|prom|reset`` — dump the process metrics registry (as
+  JSON, or in the Prometheus text exposition format) or clear it;
+* ``\\statements on|off|reset`` — toggle or clear the statement-level
+  statistics collector;
 * ``\\waits`` — database-wide wait profile (where statement wall time
   went: parse, plan, execute, wal.fsync, exchange, network, ...);
 * ``\\slowlog [N|set <file> [threshold_ms]|off]`` — the slow-query log:
@@ -95,8 +94,6 @@ class Shell:
                 self._print_io()
             elif line == "\\cache":
                 self._print_caches()
-            elif line == "\\sessions":
-                self._print_sessions()
             elif line == "\\metrics" or line.startswith("\\metrics "):
                 self._run_metrics(line[len("\\metrics"):].strip())
             elif line == "\\statements" or line.startswith("\\statements "):
@@ -118,7 +115,7 @@ class Shell:
             elif line.startswith("\\"):
                 self._print(f"unknown command {line.split()[0]!r}; try \\dt, "
                             f"\\d, \\explain, \\analyze, \\path, \\io, "
-                            f"\\cache, \\sessions, \\metrics, \\statements, "
+                            f"\\cache, \\metrics, \\statements, "
                             f"\\waits, \\slowlog, \\trace, \\governor, "
                             f"\\backends, \\difftest, \\server, \\q")
             else:
@@ -194,28 +191,6 @@ class Shell:
             f"(hit rate {decode['hit_rate']:.0%})"
         )
 
-    def _print_sessions(self) -> None:
-        total = METRICS.counter("session.queries").value
-        self._print(
-            f"{'id':>4}  {'name':20}{'snapshot':>10}"
-            f"{'selects':>9}{'inserts':>9}{'ddl':>6}"
-        )
-        for session in self.db.sessions():
-            pin = session.snapshot_version
-            epoch = "live" if pin is None else str(pin)
-            counts = session.query_counts
-            self._print(
-                f"{session.session_id:>4}  {session.name:20}{epoch:>10}"
-                f"{counts.get('select', 0):>9}"
-                f"{counts.get('insert', 0):>9}"
-                f"{counts.get('ddl', 0):>6}"
-            )
-        self._print(
-            f"{len(self.db.sessions())} session(s); engine epoch "
-            f"{self.db.version}, catalog version {self.db.catalog_version}; "
-            f"{total} session statement(s) this process"
-        )
-
     def _run_analyze(self, sql: str) -> None:
         self.db.io.reset()
         report = self.db.explain_analyze(sql)
@@ -233,22 +208,10 @@ class Shell:
             METRICS.reset()
             self._print("metrics reset.")
             return
-        if argument:
-            self._print("usage: \\metrics [json|prom|reset]")
-            return
-        snapshot = METRICS.snapshot()
-        state = "on" if snapshot["enabled"] else "off"
-        self._print(f"metrics ({state}):")
-        for name, value in snapshot["counters"].items():
-            self._print(f"  {name:40}{value:>14}")
-        for name, value in snapshot["gauges"].items():
-            self._print(f"  {name:40}{value:>14}")
-        for name, data in snapshot["histograms"].items():
-            mean = data["sum"] / data["count"] if data["count"] else 0.0
-            self._print(
-                f"  {name:40}{data['count']:>14}  "
-                f"(mean {mean * 1000:.3f} ms)"
-            )
+        self._print(
+            "usage: \\metrics json|prom|reset "
+            "(the values: SELECT * FROM sys_metrics)"
+        )
 
     def _run_statements(self, argument: str) -> None:
         if argument == "on":
@@ -263,43 +226,13 @@ class Shell:
             STATEMENTS.reset()
             self._print("statement statistics reset.")
             return
-        if argument:
-            try:
-                top = int(argument)
-            except ValueError:
-                self._print("usage: \\statements [N|on|off|reset]")
-                return
-        else:
-            top = 10
         state = "on" if STATEMENTS.enabled else "off"
-        entries = STATEMENTS.statements()[:top]
-        if not entries:
-            self._print(
-                f"statement statistics ({state}): no statements tracked"
-                + ("" if STATEMENTS.enabled
-                   else "; enable with \\statements on")
-            )
-            return
         self._print(
-            f"statement statistics ({state}), top {len(entries)} by "
-            f"total time:"
+            f"statement statistics are {state}"
+            + ("" if STATEMENTS.enabled else "; enable with \\statements on")
+            + "; usage: \\statements on|off|reset "
+            "(the statistics: SELECT * FROM sys_statements)"
         )
-        self._print(
-            f"{'calls':>7}{'total ms':>10}{'mean ms':>9}{'p95 ms':>9}"
-            f"{'rows':>9}{'hit%':>6}  query"
-        )
-        for stats in entries:
-            probes = stats.plan_cache_hits + stats.plan_cache_misses
-            hit_rate = (
-                f"{stats.plan_cache_hits / probes:.0%}" if probes else "-"
-            )
-            key = stats.key if len(stats.key) <= 48 else stats.key[:45] + "..."
-            self._print(
-                f"{stats.calls:>7}{stats.total_seconds * 1000:>10.2f}"
-                f"{stats.mean_seconds * 1000:>9.3f}"
-                f"{stats.p95_seconds * 1000:>9.3f}"
-                f"{stats.rows_returned:>9}{hit_rate:>6}  {key}"
-            )
 
     def _print_waits(self) -> None:
         totals = STATEMENTS.wait_totals()

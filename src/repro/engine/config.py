@@ -7,12 +7,6 @@ scans — so the one :class:`ExecutionConfig` riding on each
 :class:`~repro.engine.database.Database` only selects what differs
 between deployments:
 
-* ``xadt_structural_index`` — route each statement's XADT methods
-  through the structural index (:mod:`repro.xadt.structural_index`) of
-  every stored fragment they read, built on the first routed call and
-  held by the value; flipping it does no work on the stored data.  Off
-  by default: the tag-scan path is the paper-faithful mode whose
-  Fig11/Fig13 shapes the benchmarks reproduce.
 * ``parallel_workers`` — size of the multiprocessing worker pool for
   partition-parallel scans (DESIGN.md §12).  0 (the default) disables
   the pool entirely: plans never contain an Exchange operator and the
@@ -21,8 +15,13 @@ between deployments:
   wrapped in a scatter-gather Exchange.
 
 Changing the config on a live database bumps its config epoch, which
-invalidates cached plans (their operators bake in the XADT access-path
-label and the Exchange wrapping).
+invalidates cached plans (their operators bake in the Exchange
+wrapping).
+
+No option picks an XADT method's access path: the stored value does
+(DESIGN.md §10).  ``xadt_structural_index`` survives only as a
+read-only name that is always False, because ``benchmarks/layers``
+still reads it; ROADMAP item 6 deletes it.
 """
 
 from __future__ import annotations
@@ -50,12 +49,18 @@ DEFAULT_WORK_MEM_BYTES = 64 * 1024
 class ExecutionConfig:
     """Immutable knobs of the execution layer."""
 
-    xadt_structural_index: bool = False
     parallel_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.parallel_workers < 0:
             raise ConfigError("parallel_workers cannot be negative")
+
+    @property
+    def xadt_structural_index(self) -> bool:
+        """Always False, and not settable: the stored value picks the
+        access path.  Kept only for ``benchmarks/layers``, which reads it
+        (ROADMAP item 6 deletes it)."""
+        return False
 
     def as_dict(self) -> dict[str, object]:
         return asdict(self)

@@ -17,10 +17,12 @@ site               fires
 ``xadt.decode``    per compressed (dict-codec) fragment decode
 ``io.charge``      per modelled page charge on an
                    :class:`~repro.engine.io.IoCounters`
-``xadt.index_build``  per structural-index build of one distinct
-                   payload, on the first routed call that reads it
-                   (:meth:`~repro.xadt.fragment.XadtValue.structural_index`),
-                   before the build
+``xadt.index_build``  per directory build of one distinct ``indexed``
+                   payload the decode cache does not hold
+                   (:meth:`~repro.xadt.fragment.XadtValue.directory`:
+                   when a load or WAL replay prices the row, or when a
+                   value rebuilt from a pickle is first read), before
+                   the build
 ``server.accept``  per TCP connection accepted by the network
                    front-end (a raise drops the connection before the
                    handshake; the accept loop must survive)

@@ -142,15 +142,14 @@ def execute_lane_fragment(
     ``(result, counted work)`` for the Exchange to book on the lane that
     ran it — a worker's, or the coordinator's on an inline fallback.
 
-    The fragment runs under the coordinator's routing pin
-    (``task["routing"]``): a structural index is derived from the
-    payload, so a worker's pickled rows route, and are charged, exactly
-    as the inline fallback's and the unpartitioned table's do."""
+    An XADT value's access path is its codec's, and an ``indexed``
+    value's directory is derived from the payload, so a worker's pickled
+    rows answer, and are charged, exactly as the inline fallback's and
+    the unpartitioned table's do."""
     lane = IoCounters()
     context = current_context()  # None in a worker process
     token = activate(
-        context and context.snapshot, lane, context and context.budget,
-        routing=task["routing"],
+        context and context.snapshot, lane, context and context.budget
     )
     try:
         result = execute_fragment(task, pairs, registry)

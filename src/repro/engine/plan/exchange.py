@@ -153,7 +153,6 @@ class Exchange(Operator):
         horizon: int,
         catalog_token: int,
         values: tuple,
-        routing: bool,
     ) -> dict:
         key = self.heap.schema.key
         return {
@@ -166,7 +165,6 @@ class Exchange(Operator):
             "projection": self.template.projection,
             "params": values,
             "project": self.project,
-            "routing": routing,
         }
 
     def _execute(self) -> Iterator[Batch]:
@@ -195,10 +193,8 @@ class Exchange(Operator):
             else -1
         )
         values = self._param_values()
-        routing = context is not None and context.routing
         tasks = [
-            self._make_task(p, horizon, catalog_token, values, routing)
-            for p in parts
+            self._make_task(p, horizon, catalog_token, values) for p in parts
         ]
         providers = [
             (lambda p=p: heap.partition_rows(p, limit=horizon)) for p in parts

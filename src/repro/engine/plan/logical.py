@@ -41,9 +41,8 @@ from repro.engine.expr import (
 from repro.engine.sql.ast import OrderItem, SelectItem, TableRef
 from repro.engine.types import INTEGER, VARCHAR, IntegerType, SqlType
 
-#: the XADT method names (lowercased) whose calls can route through the
-#: structural index, so EXPLAIN labels the access path (``xadt[xindex]``
-#: vs ``xadt[scan]``)
+#: the XADT method names (lowercased) whose calls EXPLAIN labels with
+#: their access path (``xadt[scan]``)
 XADT_METHOD_NAMES = frozenset(
     {"getelm", "findkeyinelm", "getelmindex", "elmequals", "elmtext"}
 )
@@ -218,14 +217,15 @@ def has_xadt_call(expr: Expr | None) -> bool:
     return any(has_xadt_call(child) for child in children_of(expr))
 
 
-def xadt_access(exprs, label: str) -> str | None:
-    """``label`` when any expression calls an XADT method, else None.
+def xadt_access(exprs) -> str | None:
+    """``"scan"`` when any expression calls an XADT method, else None.
 
-    Operators carry the label into EXPLAIN (``xadt[xindex]`` vs
-    ``xadt[scan]``) so plans show which access path the fragment methods
-    will take under the catalog's execution config.
+    Operators carry the label into EXPLAIN (``xadt[scan]``).  The plan
+    does not choose the access path — each stored value does (an
+    ``indexed`` one answers from its directory) — so the label names the
+    paper's method call, whatever the values' codecs.
     """
-    return label if any(has_xadt_call(e) for e in exprs) else None
+    return "scan" if any(has_xadt_call(e) for e in exprs) else None
 
 
 def collect_aggregates(

@@ -87,10 +87,6 @@ class _SelectLowering:
         self.registry: FunctionRegistry = ctx.registry
         self.params = params
         self.config = ctx.exec_config
-        #: the XADT access path this config routes method calls to
-        self.xadt_label = (
-            "xindex" if self.config.xadt_structural_index else "scan"
-        )
 
     def filter(self, expr: Expr, binding: Binding) -> BatchFn:
         return compile_filter(expr, binding, self.registry, self.params)
@@ -139,7 +135,7 @@ class _SelectLowering:
                         plan.binding,
                     ),
                     aggregate.having.sql(),
-                    xadt_access=xadt_access([aggregate.having], self.xadt_label),
+                    xadt_access=xadt_access([aggregate.having]),
                 )
 
         # SELECT list (compiled here, placed after ORDER BY)
@@ -200,7 +196,7 @@ class _SelectLowering:
                 plan,
                 projected_slots,
                 tuple_fn,
-                xadt_access=xadt_access(select_exprs, self.xadt_label),
+                xadt_access=xadt_access(select_exprs),
             )
             projected.estimated_rows = plan.estimated_rows
             plan = projected
@@ -232,7 +228,7 @@ class _SelectLowering:
                 plan,
                 self.filter(node.predicate, plan.binding),
                 node.predicate.sql(),
-                xadt_access=xadt_access([node.predicate], self.xadt_label),
+                xadt_access=xadt_access([node.predicate]),
             )
             filtered.estimated_rows = node.estimate
             return filtered
@@ -266,7 +262,7 @@ class _SelectLowering:
                 residual=self.filter(residual, binding) if residual else None,
                 residual_sql=residual.sql() if residual else "",
                 projection=scan.projection,
-                xadt_access=xadt_access(rest, self.xadt_label),
+                xadt_access=xadt_access(rest),
             )
             operator.estimated_rows = scan.estimate
             return operator
@@ -277,7 +273,7 @@ class _SelectLowering:
             predicate=self.filter(predicate, binding) if predicate else None,
             predicate_sql=predicate.sql() if predicate else "",
             projection=scan.projection,
-            xadt_access=xadt_access(scan.pushed, self.xadt_label),
+            xadt_access=xadt_access(scan.pushed),
         )
         operator.estimated_rows = scan.estimate
         if scan.exchange:
@@ -357,7 +353,7 @@ class _SelectLowering:
                 plan,
                 self.filter(predicate, plan.binding),
                 predicate.sql(),
-                xadt_access=xadt_access([predicate], self.xadt_label),
+                xadt_access=xadt_access([predicate]),
             )
             plan.estimated_rows = plan.input.estimated_rows * 0.5
         return plan

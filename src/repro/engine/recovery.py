@@ -47,10 +47,10 @@ from repro.obs.metrics import METRICS
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
 
-#: ``exec_config`` keys older logs carry for the execution modes that no
+#: ``exec_config`` keys older logs carry for the execution options that no
 #: longer exist; replay drops exactly these, any other unknown key is an error
 _RETIRED_CONFIG_KEYS = frozenset(
-    {"batch_size", "compiled_expressions", "scan_pushdown"}
+    {"batch_size", "compiled_expressions", "scan_pushdown", "xadt_structural_index"}
 )
 
 _RECOVERIES = METRICS.counter("wal.recoveries")

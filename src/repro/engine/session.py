@@ -8,8 +8,8 @@
   :meth:`Session.refresh` when off);
 * private :class:`~repro.engine.io.IoCounters`, so concurrent queries
   don't interleave their modelled I/O charges;
-* per-kind query counts (surfaced by the CLI's ``\\sessions`` command
-  and the ``session.*`` metrics).
+* per-kind query counts (surfaced by the ``sys_sessions`` view and the
+  ``session.*`` metrics).
 
 While a statement runs, the session installs its snapshot, counters,
 budget, work_mem and XADT pin as one execution context
@@ -418,17 +418,10 @@ class Session:
         entry.params.bind(tuple(params))
         columns = [slot.name for slot in entry.plan.binding.slots]
         budget = self._db.governor.budget_for(self.limits, statement="select")
-        # pin the XADT access path for this statement to the catalog's
-        # config: two databases in one process (one paper-faithful, one
-        # structurally indexed) must never see each other's routing
-        config = (pin.catalog if pin is not None else self._db.catalog).exec_config
         # the statement's state goes into the context, where operators,
         # the UDF boundary and the XADT methods find it; work_mem is read
         # now, so a cached plan follows the database's current setting
-        token = activate(
-            pin, counters or self.io, budget, self._db.work_mem_bytes,
-            config.xadt_structural_index,
-        )
+        token = activate(pin, counters or self.io, budget, self._db.work_mem_bytes)
         # slow-log plan capture: instrument the cached plan for this
         # execution only (skipped if another execution already holds
         # instrumentation on the shared plan)
@@ -479,9 +472,9 @@ class Session:
     ) -> AnalyzeReport:
         """EXPLAIN ANALYZE: ``execute``'s SELECT path on a private plan.
 
-        Same pin, private I/O counters, governor budget, work_mem and XADT
-        routing as :meth:`_execute` — only the plan differs: planned fresh, kept
-        out of the cache, and instrumented for its whole (one-run) life.
+        Same pin, private I/O counters, governor budget and work_mem as
+        :meth:`_execute` — only the plan differs: planned fresh, kept out of
+        the cache, and instrumented for its whole (one-run) life.
         """
         self._check_open()
         phases: dict[str, float] = {}

@@ -72,9 +72,9 @@ class EngineSnapshot:
 
 class ExecContext:
     """What a session installs while executing one statement: the only
-    channel for per-statement state (``routing`` is the XADT pin)."""
+    channel for per-statement state."""
 
-    __slots__ = ("snapshot", "io", "budget", "work_mem_bytes", "routing")
+    __slots__ = ("snapshot", "io", "budget", "work_mem_bytes")
 
     def __init__(
         self,
@@ -82,13 +82,11 @@ class ExecContext:
         io: "IoCounters | None",
         budget: "StatementBudget | None" = None,
         work_mem_bytes: int = DEFAULT_WORK_MEM_BYTES,
-        routing: bool = False,
     ) -> None:
         self.snapshot = snapshot
         self.io = io
         self.budget = budget
         self.work_mem_bytes = work_mem_bytes
-        self.routing = routing
 
 
 #: the active execution context; None outside session-managed execution
@@ -102,12 +100,9 @@ def activate(
     io: "IoCounters | None" = None,
     budget: "StatementBudget | None" = None,
     work_mem_bytes: int = DEFAULT_WORK_MEM_BYTES,
-    routing: bool = False,
 ) -> Token:
     """Install an execution context; pair with :func:`deactivate`."""
-    return _CONTEXT.set(
-        ExecContext(snapshot, io, budget, work_mem_bytes, routing)
-    )
+    return _CONTEXT.set(ExecContext(snapshot, io, budget, work_mem_bytes))
 
 
 def deactivate(token: Token) -> None:

@@ -240,6 +240,9 @@ class HeapTable:
                         f"unique index {index.definition.name!r} rejects "
                         f"duplicate {key!r}"
                     )
+        # pricing the row may fail too (an indexed value's directory is
+        # built through a fault site, under the statement's budget)
+        width = self._row_bytes(coerced)
         # -- point of no return: all checks passed, now mutate ------------
         row_id = len(self.rows)
         self.rows.append(coerced)
@@ -247,7 +250,7 @@ class HeapTable:
             self._pk_seen.add(pk_key)
         for index in self.indexes:
             index.insert(coerced, row_id)
-        return self._row_bytes(coerced)
+        return width
 
     def _row_bytes(self, row: tuple) -> int:
         width = ROW_OVERHEAD + COLUMN_OVERHEAD * len(row)

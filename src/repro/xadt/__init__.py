@@ -8,9 +8,9 @@ conveniences), the unnest table UDF of §3.5, and the codec chooser of
 §4.1.  Each method is one column body (``methods.*_column``,
 ``unnest.unnest_column``) whose scalar form is the body over one value;
 per value it takes one of two access paths, the tag scan (``fastscan``)
-or the element directory (``metadata.SpanDirectory``, which the opt-in
-structural index of ``structural_index`` extends with a keyword map),
-and ``methods._access_path`` makes that decision once per column.
+or the element directory with its keyword map (``metadata.SpanDirectory``)
+an ``indexed`` value stores, and ``methods._access_path`` makes that
+decision from the value alone.
 """
 
 from repro.xadt.chooser import CodecDecision, choose_codec

@@ -7,8 +7,7 @@ the ``indexed`` codec rebuilding the element-span directory whenever a
 value is reconstructed (e.g. in a row an Exchange worker sent back).
 QS/QG workloads touch the same fragments query after query, so this
 module keeps recently decoded artifacts — a dict payload's tagged text,
-an indexed payload's span directory, a payload's structural index, a
-``findKeyInElm`` verdict — in a
+an indexed payload's directory, a ``findKeyInElm`` verdict — in a
 process-wide LRU keyed on *fragment identity*: the payload content
 itself, which is stable no matter how many
 :class:`~repro.xadt.fragment.XadtValue` instances wrap it.  Fragments a

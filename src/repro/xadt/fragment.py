@@ -20,18 +20,10 @@ from repro.xmlkit.parser import parse_fragment
 from repro.xmlkit.serializer import write_attributes
 
 
-#: the ``_index`` slot of a fragment an XADT method returned: a slice
-#: with no stored metadata, which never gets a structural index
-ANSWER = False
-
-
 class XadtValue:
     """An immutable XML fragment with an explicit storage codec."""
 
-    #: ``_index`` is the structural index, written once by
-    #: :meth:`structural_index` (None until then, :data:`ANSWER` for a
-    #: method's answer)
-    __slots__ = ("codec", "payload", "_size", "_xml", "_directory", "_index")
+    __slots__ = ("codec", "payload", "_size", "_xml", "_directory")
     __xadt__ = True
 
     def __new__(cls, payload: str | bytes, codec: str = PLAIN) -> "XadtValue":
@@ -49,9 +41,7 @@ class XadtValue:
     def __reduce__(self):
         # immutability breaks pickle's default protocol; rebuild from the
         # constructor (the Exchange workers receive and return rows
-        # pickled), and an answer as an answer
-        if self._index is ANSWER:
-            return (XadtValue._trusted, (self.payload, PLAIN, ANSWER))
+        # pickled)
         return (XadtValue, (self.payload, self.codec))
 
     # -- constructors --------------------------------------------------------
@@ -79,15 +69,13 @@ class XadtValue:
         return cls(storage.encode(xml_text, codec), codec)
 
     @classmethod
-    def _trusted(
-        cls, payload: str | bytes, codec: str, index: object = None
-    ) -> "XadtValue":
+    def _trusted(cls, payload: str | bytes, codec: str) -> "XadtValue":
         """A value over a payload already known to fit ``codec``.
 
         Skips the constructor's codec/type checks; for payloads taken
         from, or sliced out of, an existing validated fragment — every
         fragment an XADT method returns is a plain one over such a
-        slice, made with ``index=ANSWER``.  The one place slots are
+        slice.  The one place slots are
         filled (through their descriptors: the class rejects
         ``setattr``).
         """
@@ -97,7 +85,6 @@ class XadtValue:
         _set_size(value, None)
         _set_xml(value, None if codec == DICT else payload)
         _set_directory(value, None)
-        _set_index(value, index)
         return value
 
     @classmethod
@@ -156,8 +143,9 @@ class XadtValue:
     def byte_size(self) -> int:
         """Stored size in bytes (drives the page accounting).
 
-        The indexed codec pays for its span directory — the storage cost
-        of the paper's §5 metadata proposal is charged honestly.
+        The indexed codec pays for its directory (spans and keyword map)
+        — the storage cost of the paper's §5 metadata proposal is charged
+        honestly.
         """
         size = self._size
         if size is None:
@@ -168,56 +156,36 @@ class XadtValue:
         return size
 
     def directory(self):
-        """The element-span directory (indexed codec).
+        """The element directory an ``indexed`` value stores — its span
+        directory and keyword map (:mod:`repro.xadt.metadata`).
 
-        Built once per payload, not per instance: directories are
-        memoized process-wide (:mod:`repro.xadt.decode_cache`) keyed on
-        the payload text, so values reconstructed from the same payload
-        — e.g. a row an Exchange worker sent back — skip the rebuild.
+        Built lazily, once per payload: the value's write-once slot, then
+        the process-wide decode cache keyed on the payload (so a value
+        rebuilt from a pickle — a row an Exchange worker sent back —
+        skips the rebuild), and only then a build, which passes the
+        ``xadt.index_build`` fault site and charges its modelled bytes to
+        the running statement's memory budget, if any.
         """
-        from repro.xadt.decode_cache import DECODE_CACHE
-        from repro.xadt.metadata import SpanDirectory
-
         cached = self._directory
         if cached is None:
-            key = ("span-directory", self.payload)
-            cached = DECODE_CACHE.get(key)
-            if cached is None:
-                cached = SpanDirectory.build(self.to_xml())
-                DECODE_CACHE.put(key, cached, cached.byte_size())
-            _set_directory(self, cached)
-        return cached
-
-    def structural_index(self):
-        """The structural index (:mod:`repro.xadt.structural_index`),
-        built on first use; None for a method's answer.
-
-        Like :meth:`directory`: the value's write-once slot, then the
-        process-wide decode cache keyed on the payload, and only then a
-        build, which passes the ``xadt.index_build`` fault site and
-        charges its modelled bytes to the running statement's memory
-        budget.  It is derived from the payload alone, so a value rebuilt
-        from a pickle answers exactly like the original.
-        """
-        index = self._index
-        if index is None:
             from repro.engine.faults import FAULTS
             from repro.engine.snapshot import active_budget
             from repro.xadt.decode_cache import DECODE_CACHE
-            from repro.xadt.structural_index import StructuralIndex
+            from repro.xadt.metadata import SpanDirectory
 
-            key = ("structural-index", self.payload)
-            index = DECODE_CACHE.get(key)
-            if index is None:
+            key = ("span-directory", self.payload)
+            cached = DECODE_CACHE.get(key)
+            if cached is None:
                 if FAULTS.active:
                     FAULTS.fire("xadt.index_build")
-                index = StructuralIndex.build(self.to_xml())
+                cached = SpanDirectory.build(self.to_xml())
+                size = cached.byte_size()
                 budget = active_budget()
                 if budget is not None:
-                    budget.charge_memory(index.byte_size())
-                DECODE_CACHE.put(key, index, index.byte_size())
-            _set_index(self, index)
-        return None if index is ANSWER else index
+                    budget.charge_memory(size)
+                DECODE_CACHE.put(key, cached, size)
+            _set_directory(self, cached)
+        return cached
 
     def is_empty(self) -> bool:
         return self.byte_size() == 0 or next(iter(self.events()), None) is None
@@ -270,7 +238,7 @@ def _write_canonical(element: Element, parts: list[str]) -> None:
         parts.append(f"</{tag}>")
 
 
-_set_codec, _set_payload, _set_size, _set_xml, _set_directory, _set_index = (
+_set_codec, _set_payload, _set_size, _set_xml, _set_directory = (
     vars(XadtValue)[slot].__set__ for slot in XadtValue.__slots__
 )
 

@@ -10,20 +10,22 @@ of its span plus its parent entry — so the XADT methods can jump straight
 to the relevant elements instead of scanning the whole payload.  It is
 the one element directory of the package and carries the only directory
 implementations of ``getElm`` / ``findKeyInElm`` / ``getElmIndex`` /
-``unnest`` (their scan twins are ``fastscan.*_plain``).  The ``indexed``
-codec stores the plain text together with this directory and pays for it
-in the storage accounting (about 18 bytes per element, the size of four
-32-bit offsets plus tag/parent references); the persistent structural
-index (:mod:`repro.xadt.structural_index`) is this directory plus an
-inverted keyword map plugged into the two ``_keyed_entries`` /
-``_has_key`` hooks.
+``unnest`` (their scan twins are ``fastscan.*_plain``).
 
-The directory is built with the same fast scanner the plain codec uses,
-once, at encode time.
+The directory an ``indexed`` value stores (``XadtValue.directory``) also
+carries an inverted **keyword map**: every maximal word token of an
+element's character content posts to the element and its tag, so
+``findKeyInElm`` and ``getElm`` answer word-key membership without
+touching the payload text; a non-word key (whitespace, punctuation)
+reads just the candidate elements.  The ``indexed`` codec pays for all of
+it in the storage accounting (:meth:`SpanDirectory.byte_size`).  A
+directory built for one ``getElm`` call over a scan-codec value
+(``keywords=False``) has no keyword map and pays for none.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
@@ -34,6 +36,12 @@ from repro.xadt import fastscan
 ENTRY_BYTES = 18
 #: modelled bytes of directory header (tag dictionary, counts)
 HEADER_BYTES = 16
+#: modelled bytes per keyword posting (one 32-bit entry id)
+POSTING_BYTES = 4
+#: modelled per-token overhead of a keyword-map entry
+KEY_OVERHEAD = 8
+
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,9 @@ class SpanDirectory:
     """All element spans of a fragment's text, in document (pre-)order,
     indexed by tag and by ``(parent entry, child tag)``."""
 
-    def __init__(self, text: str, entries: list[SpanEntry]):
+    def __init__(
+        self, text: str, entries: list[SpanEntry], keywords: bool = True
+    ) -> None:
         self.text = text
         self.entries = entries
         self._by_tag: dict[str, list[int]] = {}
@@ -74,13 +84,58 @@ class SpanDirectory:
         for index, entry in enumerate(entries):
             self._by_tag.setdefault(entry.tag, []).append(index)
             self._ordinals.setdefault((entry.parent, entry.tag), []).append(index)
+        #: the keyword map: token -> entries whose content holds it, and
+        #: tag -> its elements' tokens joined on NUL (None: no map)
+        self._token_entries: dict[str, tuple[int, ...]] | None = None
+        self._blobs: dict[str, str] | None = None
+        #: modelled bytes of the keyword map (0: no map)
+        self._keyword_bytes = 0
+        if keywords:
+            self._map_keywords()
+
+    def _map_keywords(self) -> None:
+        """Post the maximal word runs of each element's concatenated
+        character content (the concatenation ``fastscan.text_of`` sees,
+        so a token never splits at a nested tag)."""
+        token_entries: dict[str, list[int]] = {}
+        tag_tokens: dict[str, set[str]] = {}
+        for index, entry in enumerate(self.entries):
+            if entry.content_end <= entry.content_start:
+                continue
+            tokens = set(_WORD_RE.findall(self._entry_text(index)))
+            tag_tokens.setdefault(entry.tag, set()).update(tokens)
+            for token in tokens:
+                token_entries.setdefault(token, []).append(index)
+        self._token_entries = {
+            token: tuple(ids) for token, ids in token_entries.items()
+        }
+        # whole-fragment tokens under the tag '': top-level text and word
+        # runs that straddle element boundaries once tags are stripped
+        fragment_tokens = set(_WORD_RE.findall(fastscan.text_of(self.text)))
+        tag_tokens[""] = fragment_tokens
+        # a word key is \w+, so a match never spans the NUL separator:
+        # word-key membership (exact or substring of a token) is one
+        # ``key in blob`` test
+        self._blobs = {
+            tag: "\x00".join(tokens) for tag, tokens in tag_tokens.items()
+        }
+        # stored: each token once with its postings, and the fragment's
+        # own token set; the per-tag blobs are derived from those in
+        # memory, like the ordinal arrays, and cost nothing
+        self._keyword_bytes = sum(
+            len(token.encode("utf-8")) + KEY_OVERHEAD + POSTING_BYTES * len(ids)
+            for token, ids in token_entries.items()
+        ) + sum(
+            len(token.encode("utf-8")) + POSTING_BYTES for token in fragment_tokens
+        )
 
     @classmethod
-    def build(cls, payload: str) -> "SpanDirectory":
-        """Scan ``payload`` once and record every element span."""
+    def build(cls, payload: str, keywords: bool = True) -> "SpanDirectory":
+        """Scan ``payload`` once and record every element span (and,
+        unless ``keywords`` is False, map its words)."""
         entries: list[SpanEntry] = []
         cls._collect(payload, 0, len(payload), -1, 0, entries)
-        return cls(payload, entries)
+        return cls(payload, entries, keywords)
 
     @classmethod
     def _collect(
@@ -155,11 +210,14 @@ class SpanDirectory:
         ]
 
     def byte_size(self) -> int:
-        """Modelled storage cost of the directory."""
+        """Modelled storage cost: the entries and the keyword map."""
         if not self.entries:
-            return 0
+            return self._keyword_bytes
         tag_bytes = sum(len(t.encode("utf-8")) + 2 for t in self._by_tag)
-        return HEADER_BYTES + tag_bytes + ENTRY_BYTES * len(self.entries)
+        return (
+            HEADER_BYTES + tag_bytes + ENTRY_BYTES * len(self.entries)
+            + self._keyword_bytes
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -169,15 +227,24 @@ class SpanDirectory:
     # Every answer is a slice (or a join of slices) of ``self.text`` and
     # byte-identical to the ``fastscan.*_plain`` twin's.
 
-    def _keyed_entries(self, search_key: str) -> "frozenset[int] | None":
-        """Hook: the entries whose text content holds ``search_key``, or
-        None when only reading their text can tell (the default)."""
-        return None
+    def keyed(self, search_key: str) -> bool:
+        """Does the keyword map answer ``search_key`` (a word key, and a
+        map to look it up in)?  Otherwise the candidates' text is read."""
+        return (
+            self._blobs is not None and _WORD_RE.fullmatch(search_key) is not None
+        )
 
-    def _has_key(self, search_elm: str, search_key: str) -> bool | None:
-        """Hook: does any ``search_elm`` element's text content (the whole
-        fragment's for ``''``) hold ``search_key``?  None = unknown."""
-        return None
+    def _keyed_entries(self, search_key: str) -> "frozenset[int] | None":
+        """The entries whose text content holds ``search_key``, or None
+        when only reading their text can tell."""
+        if not self.keyed(search_key):
+            return None
+        return frozenset(
+            index
+            for token, ids in self._token_entries.items()
+            if search_key in token
+            for index in ids
+        )
 
     def _entry_text(self, index: int) -> str:
         return fastscan.text_of(self.entries[index].content(self.text))
@@ -231,9 +298,8 @@ class SpanDirectory:
             return 0
         if not search_key:
             return 1
-        known = self._has_key(search_elm, search_key)
-        if known is not None:
-            return 1 if known else 0
+        if self.keyed(search_key):
+            return int(search_key in self._blobs.get(search_elm, ""))
         if not search_elm:
             return int(search_key in fastscan.text_of(self.text))
         # an inner occurrence's text is part of its outermost ancestor's

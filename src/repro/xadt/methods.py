@@ -10,18 +10,15 @@ depend on the value is done once per column:
 * the constant arguments are checked — an empty or mistyped argument
   raises :class:`XadtMethodError` before any value is touched (a NULL
   tag or key relaxes the constraint like ``''``);
-* the access-path decision (:func:`_access_path`) is made, and only an
-  ``indexed`` value or a statement routing through structural indexes
-  asks for a directory value by value;
 * the running statement is charged once, with what all the values read
   (:func:`_charge`), also when a value fails part-way;
 * a value that already is an :class:`XadtValue` — every stored column
   value is — skips :func:`coerce_fragment`.
 
-What belongs to a value stays per value: ``XadtValue.scan_text()`` (a
-dict payload passes the ``xadt.decode`` fault site once per value, in
-row order), the directory of an indexed value or the structural index
-of a stored one, and ``findKeyInElm``'s memoized verdict.
+What belongs to a value stays per value: its access path
+(:func:`_access_path`), ``XadtValue.scan_text()`` (a dict payload passes
+the ``xadt.decode`` fault site once per value, in row order), the
+directory of an indexed value, and ``findKeyInElm``'s memoized verdict.
 
 Every answer is a slice of the fragment's tagged text, taken one of two
 ways — it never builds a DOM or re-serializes:
@@ -34,16 +31,16 @@ ways — it never builds a DOM or re-serializes:
   the text, a dict payload's text comes from the decode cache
   (``XadtValue.scan_text``);
 * the **directory** (``SpanDirectory.*`` in :mod:`repro.xadt.metadata`):
-  jumps through recorded element spans into the same text.
+  jumps through recorded element spans into the same text, and answers
+  word keys from its keyword map.
 
-:func:`_access_path` decides which, in one place: a value's structural
-index (``XadtValue.structural_index``, built on the first routed call)
-when the statement routes through it, else the directory an ``indexed``
-value stores, else the scan.  A fragment a method returns is made with
-``ANSWER`` in its index slot, so, having no stored metadata, it always
-scans.  ``getElm`` with an
-explicit ``level >= 0`` always asks a directory (built for the call from
-a scan-codec value), because depth is not visible to a tag scan.
+:func:`_access_path` decides which, in one place, from the value alone:
+an ``indexed`` value answers from the directory it stores
+(``XadtValue.directory``), every other value scans.  A fragment a method
+returns is ``plain``, so it scans.  ``getElm`` with an explicit
+``level >= 0`` always asks a directory (built for the call, without a
+keyword map, from a scan-codec value), because depth is not visible to a
+tag scan.
 
 Semantics follow the paper's definitions:
 
@@ -83,37 +80,21 @@ values' (:func:`_charge`).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.engine.io import work_counters
 from repro.errors import XadtMethodError
 from repro.xadt import fastscan
 from repro.xadt.decode_cache import memoize_predicate
-from repro.xadt.fragment import ANSWER, XadtValue, coerce_fragment
+from repro.xadt.fragment import XadtValue, coerce_fragment
 from repro.xadt.metadata import ENTRY_BYTES, HEADER_BYTES, SpanDirectory
 from repro.xadt.storage import CODECS, DICT, INDEXED, PLAIN
-from repro.xadt.structural_index import StructuralIndex, routing_enabled
 
 
-def _stored_directory(value: XadtValue) -> SpanDirectory | None:
-    """The directory an ``indexed`` value stores, else None."""
+def _access_path(value: XadtValue) -> SpanDirectory | None:
+    """The access-path decision, made here and nowhere else: the
+    directory an ``indexed`` value stores, else None — scan the text."""
     return value.directory() if value.codec == INDEXED else None
-
-
-def _access_path(
-    routes: bool = False,
-) -> Callable[[XadtValue], SpanDirectory | None]:
-    """The access-path decision, made here and nowhere else, once per
-    column: the function that gives each value's directory.
-
-    A value's structural index when the method ``routes`` and the
-    statement pins routing on (a method's answer has none, and scans),
-    else the directory an ``indexed`` value stores, else None: scan the
-    text.
-    """
-    if routes and routing_enabled():
-        return XadtValue.structural_index
-    return _stored_directory
 
 
 #: what one directory probe reads of the stored metadata
@@ -178,7 +159,6 @@ def get_elm_column(
     search_elm = _tag_arg("getElm", "searchElm", search_elm)
     search_key = _tag_arg("getElm", "searchKey", search_key)
     level = _int_arg("getElm", "level", level)
-    directory_of = _access_path(level < 0)
     new = XadtValue._trusted
     append = results.append
     scanned = decoded = 0
@@ -186,7 +166,7 @@ def get_elm_column(
         for value in column:
             if type(value) is not XadtValue:
                 value = coerce_fragment(value)
-            directory = directory_of(value)
+            directory = _access_path(value)
             if directory is not None:
                 matched = directory.get_elm(root_elm, search_elm, search_key, level)
                 scanned += _PROBE_BYTES + len(matched)
@@ -196,7 +176,7 @@ def get_elm_column(
                 if level >= 0:
                     # depth is not visible to a tag scan: a directory for
                     # the call (building it reads the whole text, as charged)
-                    matched = SpanDirectory.build(text).get_elm(
+                    matched = SpanDirectory.build(text, keywords=False).get_elm(
                         root_elm, search_elm, search_key, level
                     )
                 else:
@@ -205,7 +185,7 @@ def get_elm_column(
                     )
             if value.codec == DICT:
                 decoded += len(value.payload)
-            append(new(matched, PLAIN, ANSWER))
+            append(new(matched, PLAIN))
     finally:
         _charge(scanned, decoded)
 
@@ -222,7 +202,7 @@ def _verdict(
 ) -> tuple[int, int]:
     """(bytes read, answer): the charge rides in the memo entry, so a
     hit charges exactly what the miss that made it did."""
-    if directory is not None:  # reads the candidate elements for the key
+    if directory is not None:  # reads the candidate elements
         return (
             _probed(directory.outermost_of(search_elm)),
             directory.find_key(search_elm, search_key),
@@ -237,13 +217,13 @@ def find_key_in_elm_column(
     """``findKeyInElm`` of every value: 1 if any ``search_elm`` element's
     content contains ``search_key``.
 
-    Scan and stored-directory verdicts are memoized in the process-wide
-    decode cache (keyed on payload identity + search terms), and a
-    directory's tag index is consulted first: a document
-    that never contains ``search_elm`` is rejected in O(1) without
-    decoding any payload text — the predicate-pushdown half of the
-    vectorized scan path.  A structural-index probe costs no more than
-    the memo lookup would, so its verdicts are returned as they come.
+    A directory answers from a probe when its tag index proves
+    ``search_elm`` absent — the predicate-pushdown half of the vectorized
+    scan path — or its keyword map holds a word key; a probe costs no
+    more than a memo lookup, so those verdicts are returned as they come.
+    Every other verdict (a scan, or a non-word key read from the
+    candidate elements) is memoized in the process-wide decode cache,
+    keyed on payload identity + search terms.
     """
     search_elm = _tag_arg("findKeyInElm", "searchElm", search_elm)
     search_key = _tag_arg("findKeyInElm", "searchKey", search_key)
@@ -251,7 +231,6 @@ def find_key_in_elm_column(
         raise XadtMethodError(
             "findKeyInElm: searchElm and searchKey cannot both be empty"
         )
-    directory_of = _access_path(True)
     terms = (search_elm, search_key)
     append = results.append
     scanned = decoded = 0
@@ -259,18 +238,15 @@ def find_key_in_elm_column(
         for value in column:
             if type(value) is not XadtValue:
                 value = coerce_fragment(value)
-            directory = directory_of(value)
-            if isinstance(directory, StructuralIndex):
+            directory = _access_path(value)
+            if directory is not None and (
+                (search_elm and not directory.has_tag(search_elm))
+                or directory.keyed(search_key)
+            ):
+                # a probe answers: the tag index proves the tag absent, or
+                # the keyword map holds the word key
                 scanned += _PROBE_BYTES
                 found = directory.find_key(search_elm, search_key)
-            elif (
-                directory is not None
-                and search_elm
-                and not directory.has_tag(search_elm)
-            ):
-                # the tag index proves absence; skip the payload entirely
-                scanned += _PROBE_BYTES
-                found = 0
             else:
                 read, found = memoize_predicate(
                     _VERDICT_KINDS[value.codec], value.payload, terms,
@@ -300,7 +276,6 @@ def get_elm_index_column(
         raise XadtMethodError("getElmIndex: childElm cannot be an empty string")
     start_pos = _int_arg("getElmIndex", "startPos", start_pos)
     end_pos = _int_arg("getElmIndex", "endPos", end_pos)
-    directory_of = _access_path(True)
     new = XadtValue._trusted
     append = results.append
     scanned = decoded = 0
@@ -308,7 +283,7 @@ def get_elm_index_column(
         for value in column:
             if type(value) is not XadtValue:
                 value = coerce_fragment(value)
-            directory = directory_of(value)
+            directory = _access_path(value)
             if directory is not None:
                 matched = directory.get_elm_index(
                     parent_elm, child_elm, start_pos, end_pos
@@ -322,7 +297,7 @@ def get_elm_index_column(
                 )
             if value.codec == DICT:
                 decoded += len(value.payload)
-            append(new(matched, PLAIN, ANSWER))
+            append(new(matched, PLAIN))
     finally:
         _charge(scanned, decoded)
 
@@ -341,7 +316,6 @@ def elm_equals_column(
     search_elm = _tag_arg("elmEquals", "searchElm", search_elm)
     if not search_elm:
         raise XadtMethodError("elmEquals: searchElm cannot be empty")
-    directory_of = _access_path()
     text_of = fastscan.text_of
     append = results.append
     scanned = decoded = 0
@@ -350,7 +324,7 @@ def elm_equals_column(
             if type(fragment) is not XadtValue:
                 fragment = coerce_fragment(fragment)
             text = fragment.scan_text()
-            directory = directory_of(fragment)
+            directory = _access_path(fragment)
             if directory is not None:
                 spans = directory.outermost_of(search_elm)
                 scanned += _probed(spans)

@@ -22,8 +22,6 @@ bodies, so a batch crossing hands them a whole column.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.engine.database import Database
 from repro.engine.types import INTEGER, VARCHAR, XADT
 from repro.engine.udf import FunctionKind
@@ -85,16 +83,6 @@ def register_xadt_functions(db: Database) -> None:
     )
 
     _register_figure14_udfs(db)
-
-
-def enable_structural_indexes(db: Database) -> None:
-    """Turn on structural-index routing for ``db``.
-
-    Flips ``ExecutionConfig.xadt_structural_index`` through the normal
-    (WAL-logged) exec-config path and nothing else: each stored
-    fragment's index is built on the first routed call that reads it.
-    """
-    db.set_exec_config(replace(db.exec_config, xadt_structural_index=True))
 
 
 def _register_figure14_udfs(db: Database) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.xadt import fastscan
-from repro.xadt.fragment import ANSWER, XadtValue, coerce_fragment
+from repro.xadt.fragment import XadtValue, coerce_fragment
 from repro.xadt.methods import _PROBE_BYTES, _access_path, _charge, _tag_arg
 from repro.xadt.storage import DICT, PLAIN
 
@@ -32,7 +32,6 @@ def unnest_column(
     """Append, per value, its rows: one single-column row per matching
     element."""
     tag = _tag_arg("unnest", "tag", tag)
-    directory_of = _access_path()
     new = XadtValue._trusted
     append = results.append
     scanned = decoded = 0
@@ -40,7 +39,7 @@ def unnest_column(
         for value in column:
             if type(value) is not XadtValue:
                 value = coerce_fragment(value)
-            directory = directory_of(value)
+            directory = _access_path(value)
             if directory is not None:
                 pieces = directory.unnest(tag)
                 scanned += _PROBE_BYTES + sum(map(len, pieces))
@@ -50,7 +49,7 @@ def unnest_column(
                 pieces = fastscan.unnest_plain(text, tag)
             if value.codec == DICT:
                 decoded += len(value.payload)
-            append([(new(piece, PLAIN, ANSWER),) for piece in pieces])
+            append([(new(piece, PLAIN),) for piece in pieces])
     finally:
         _charge(scanned, decoded)
 

@@ -15,11 +15,9 @@ from repro.engine.io import (
 )
 from repro.engine.plan.optimizer import plan_select
 from repro.engine.plan_cache import normalize_sql
-from repro.engine.snapshot import current_context
 from repro.engine.sql.parser import parse_sql
 from repro.errors import ResourceExceeded
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
-from repro.xadt.structural_index import routing, routing_enabled
 
 GOLDEN_IO = pathlib.Path(__file__).resolve().parent.parent / (
     "golden/io_counters.json"
@@ -163,28 +161,6 @@ class TestOneChannel:
         db.execute(self.SQL)
         assert db.io.spill_pages == 0 and db.io.notes == []
         assert db.plan_cache.lookup(key, db.catalog_version) is entry
-
-    def test_routing_overlays_the_running_statement(self, db):
-        seen = []
-
-        def probe(value):
-            outer = current_context()
-            with routing(True):
-                seen.append((outer, current_context(), routing_enabled()))
-            seen.append(routing_enabled())
-            return value
-
-        db.registry.register_scalar("probe", probe)
-        with db.connect() as session:
-            session.set_limits(GovernorLimits(memory_budget_bytes=1 << 40))
-            session.execute("SELECT probe(sid) FROM small WHERE sid = 1")
-        (outer, inner, pinned), restored = seen
-        assert pinned and not outer.routing and not restored
-        assert inner.io is outer.io is session.io
-        assert inner.snapshot is outer.snapshot is not None
-        assert inner.budget is outer.budget is not None
-        assert inner.work_mem_bytes == outer.work_mem_bytes == db.work_mem_bytes
-        assert current_context() is None
 
 
 def capture_io_model(db, sql: str) -> dict[str, object]:

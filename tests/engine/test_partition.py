@@ -46,7 +46,7 @@ from repro.workloads.shakespeare_queries import workload_sql as qs_workload
 from repro.workloads.sigmod_queries import SIGMOD_QUERIES
 from repro.workloads.sigmod_queries import workload_sql as qg_workload
 from repro.xadt import XadtValue, register_xadt_functions
-from repro.xadt.register import enable_structural_indexes
+from repro.xadt.decode_cache import DECODE_CACHE
 
 
 def parallel(db: Database, workers: int) -> None:
@@ -521,11 +521,11 @@ class TestAccounting:
 
 
 # ---------------------------------------------------------------------------
-# the Exchange route with structural indexes on
+# the Exchange route over scan-codec and indexed XADT columns
 # ---------------------------------------------------------------------------
 
 XADT_SQL = "SELECT id FROM speech WHERE findKeyInElm(line, 'LINE', 'love') = 1"
-#: a routed filter and a routed SELECT list, pushed into the fragments
+#: an XADT filter and an XADT SELECT list, pushed into the fragments
 XADT_QUERIES = (
     XADT_SQL,
     "SELECT id, getElmIndex(line, '', 'LINE', 2, 2) FROM speech "
@@ -533,9 +533,9 @@ XADT_QUERIES = (
 )
 
 
-def make_xadt_db(partitions: int = 4) -> Database:
-    """40 XORator-style speeches, hash-partitioned ``partitions`` ways
-    (0: not partitioned)."""
+def make_xadt_db(partitions: int = 4, codec: str = "plain") -> Database:
+    """40 XORator-style speeches stored under ``codec``, hash-partitioned
+    ``partitions`` ways (0: not partitioned)."""
     db = Database("xadt-lanes")
     register_xadt_functions(db)
     layout = f" PARTITION BY HASH(id) PARTITIONS {partitions}" if partitions else ""
@@ -545,7 +545,7 @@ def make_xadt_db(partitions: int = 4) -> Database:
         (i, XadtValue.from_xml("".join(
             f"<LINE>{words[(i + k) % 3]} line {k}</LINE>"
             for k in range(i % 4 + 1)
-        )))
+        ), codec))
         for i in range(40)
     ])
     db.runstats()
@@ -572,29 +572,33 @@ def rows_and_work(db: Database) -> list[tuple[list, dict]]:
 class TestExchangeRoute:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_a_fragment_scans_in_a_worker_and_inline(self, xadt_db, workers):
-        # a partition fragment routes its XADT calls like the same table
-        # unpartitioned: with the flag off (both scan) and on (both probe
-        # the structural index), in a worker and on the inline fallback
+        # a partition fragment answers its XADT calls like the same table
+        # unpartitioned: plain values (both scan) and indexed ones (both
+        # probe the directory each value carries, rebuilt in a worker
+        # from the pickled payload), in a worker and on the inline fallback
         twin = make_xadt_db(partitions=0)
         parallel(xadt_db, workers)
         assert "exchange" in xadt_db.explain(XADT_SQL)
-        unrouted = rows_and_work(twin)
-        assert rows_and_work(xadt_db) == unrouted
-        enable_structural_indexes(twin)
-        enable_structural_indexes(xadt_db)
-        routed = rows_and_work(twin)
-        for (rows, work), (scan_rows, scan_work) in zip(routed, unrouted):
+        scanned = rows_and_work(twin)
+        assert rows_and_work(xadt_db) == scanned
+        indexed_twin = make_xadt_db(partitions=0, codec="indexed")
+        indexed = make_xadt_db(codec="indexed")
+        parallel(indexed, workers)
+        probed = rows_and_work(indexed_twin)
+        for (rows, work), (scan_rows, scan_work) in zip(probed, scanned):
             assert rows == scan_rows and rows
             assert work["xadt_bytes_scanned"] != scan_work["xadt_bytes_scanned"]
-        assert rows_and_work(xadt_db) == routed
+        DECODE_CACHE.clear()  # the workers, forked later, rebuild them
+        assert rows_and_work(indexed) == probed
         fallbacks = METRICS.counter("exchange.inline_fallbacks").value
         FAULTS.install(FaultPlan().raise_at("worker.crash", probability=1.0))
         try:
-            assert rows_and_work(xadt_db) == routed
+            assert rows_and_work(indexed) == probed
         finally:
             FAULTS.clear()
         assert METRICS.counter("exchange.inline_fallbacks").value > fallbacks
-        twin.close()
+        for db in (twin, indexed_twin, indexed):
+            db.close()
 
     def test_a_fragment_crosses_the_udf_boundary_a_column_at_a_time(
         self, xadt_db, monkeypatch

@@ -81,8 +81,9 @@ class TestCleanRecovery:
 
     def test_retired_exec_config_keys_are_ignored(self, tmp_path):
         # the five-key record shape written before the row-at-a-time mode
-        # and its three options were removed
-        assert len(_RETIRED_CONFIG_KEYS) == 3 and "batch_size" in _RETIRED_CONFIG_KEYS
+        # and its three options, then the structural-index flag, were
+        # removed
+        assert len(_RETIRED_CONFIG_KEYS) == 4 and "batch_size" in _RETIRED_CONFIG_KEYS
         path = str(tmp_path / "wal.jsonl")
         self._log_with_exec_config(path, {
             **dict.fromkeys(sorted(_RETIRED_CONFIG_KEYS), 1),
@@ -90,9 +91,18 @@ class TestCleanRecovery:
             "parallel_workers": 2,
         })
         recovered = Database.open(path, recover=True)
-        assert recovered.exec_config == ExecutionConfig(
-            xadt_structural_index=True, parallel_workers=2
+        assert recovered.exec_config == ExecutionConfig(parallel_workers=2)
+
+    def test_a_record_with_the_structural_index_flag_replays(self, tmp_path):
+        # the two-key record a database with the retired flag on wrote
+        path = str(tmp_path / "wal.jsonl")
+        self._log_with_exec_config(
+            path, {"xadt_structural_index": True, "parallel_workers": 0}
         )
+        recovered = Database.open(path, recover=True)
+        assert recovered.exec_config == ExecutionConfig()
+        assert not recovered.exec_config.xadt_structural_index
+        assert recovered.exec_config.as_dict() == {"parallel_workers": 0}
 
     def test_unknown_exec_config_key_is_a_recovery_error(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")

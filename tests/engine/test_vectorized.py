@@ -4,8 +4,10 @@ The batch layer must be invisible except in speed: result sets do not
 depend on where batch boundaries fall (checked on the full paper
 workloads at a 7-row batch size against the default), EXPLAIN ANALYZE
 still reports *row* counts, and flipping :class:`ExecutionConfig`
-invalidates cached plans (which bake in the XADT access path).
+invalidates cached plans (which bake in the Exchange wrapping).
 """
+
+import dataclasses
 
 import pytest
 
@@ -97,7 +99,7 @@ class TestConfigEpoch:
         db.execute(sql)
         hits_before = db.plan_cache.stats.hits
         assert hits_before >= 1
-        db.set_exec_config(ExecutionConfig(xadt_structural_index=True))
+        db.set_exec_config(ExecutionConfig(parallel_workers=1))
         try:
             db.execute(sql)
         finally:
@@ -109,6 +111,19 @@ class TestConfigEpoch:
         database = Database("cfg", exec_config=ExecutionConfig(parallel_workers=2))
         assert database.exec_config.parallel_workers == 2
         assert not database.exec_config.xadt_structural_index
+
+    def test_xadt_structural_index_cannot_be_set(self):
+        # the retired flag is a read-only False: no constructor argument,
+        # no replace(), no attribute write
+        config = ExecutionConfig()
+        with pytest.raises(TypeError):
+            ExecutionConfig(xadt_structural_index=True)
+        with pytest.raises(TypeError):
+            dataclasses.replace(config, xadt_structural_index=True)
+        with pytest.raises(AttributeError):
+            config.xadt_structural_index = True
+        assert config.xadt_structural_index is False
+        assert "xadt_structural_index" not in config.as_dict()
 
 
 class TestExplainAnalyzeRowActuals:

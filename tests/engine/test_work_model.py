@@ -11,7 +11,6 @@ numbers themselves across hosts, hash seeds and Python versions
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 
@@ -29,10 +28,12 @@ from repro.engine.snapshot import activate, deactivate
 from repro.mapping import map_xorator
 from repro.obs.metrics import METRICS
 from repro.retry import RetryPolicy
+from repro.shred import load_documents
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 from repro.workloads.shakespeare_queries import workload_sql as qs_workload_sql
 from repro.xadt.decode_cache import DECODE_CACHE
-from repro.xadt.register import enable_structural_indexes
+from repro.xadt import register_xadt_functions
+from repro.xadt.structural_index import statement_routing
 from tests.engine.test_partition import parallel
 from tests.engine.test_udf_batch import (
     BINDING,
@@ -319,14 +320,21 @@ class TestUdfBoundary:
 
 @pytest.fixture(scope="module")
 def indexed_db(shakespeare_docs, shakespeare_simplified):
-    """The XORator Shakespeare database with structural indexes on."""
-    loaded = build_database(
-        "xorator", map_xorator(shakespeare_simplified), shakespeare_docs,
-        qs_workload_sql("xorator"), sample_for_codecs=2,
-    )
-    enable_structural_indexes(loaded.db)
-    yield loaded.db
-    loaded.db.close()
+    """The XORator Shakespeare database with every XADT column
+    ``indexed``."""
+    schema = map_xorator(shakespeare_simplified)
+    codecs = {
+        f"{table.name}.{column.name}": "indexed"
+        for table in schema.tables
+        for column in table.xadt_columns()
+    }
+    db = Database("indexed")
+    register_xadt_functions(db)
+    load_documents(db, schema, shakespeare_docs, codecs)
+    db.apply_index_advice(qs_workload_sql("xorator"))
+    db.runstats()
+    yield db
+    db.close()
 
 
 class TestStructuralIndexRoute:
@@ -334,34 +342,33 @@ class TestStructuralIndexRoute:
     def test_routing_off_is_equal_and_on_reads_other_bytes(
         self, query, indexed_db, shakespeare_pair
     ):
+        # the retired switch, off or on, changes nothing: the stored
+        # values pick the path
         sql = query.xorator_sql
         plain = shakespeare_pair[1].db
         reference = charged(plain, lambda: plain.execute(sql))
-        routed = charged(indexed_db, lambda: indexed_db.execute(sql))
-        config = indexed_db.exec_config
-        indexed_db.set_exec_config(
-            dataclasses.replace(config, xadt_structural_index=False)
+        indexed = charged(indexed_db, lambda: indexed_db.execute(sql))
+        for enabled in (False, True):
+            with statement_routing(enabled):
+                assert charged(plain, lambda: plain.execute(sql)) == reference
+                assert charged(indexed_db, lambda: indexed_db.execute(sql)) == indexed
+        assert sorted(map(str, indexed_db.execute(sql).rows)) == sorted(
+            map(str, plain.execute(sql).rows)
         )
-        try:
-            unrouted = charged(indexed_db, lambda: indexed_db.execute(sql))
-        finally:
-            indexed_db.set_exec_config(config)
-        assert unrouted == reference
         # a probe reads a directory entry and the spans it returns, never
-        # the fragment: same rows, same calls, different bytes — fewer
-        # over the LINE fragments, a few more where the whole fragment
-        # comes back anyway (QS1) or is shorter than a directory entry
-        # (QS4/QS5's 24-byte SPEAKER fragments)
+        # the fragment: same calls, different bytes — fewer over the LINE
+        # fragments, a few more where the whole fragment comes back anyway
+        # (QS1) or is shorter than a directory entry (QS4/QS5's 24-byte
+        # SPEAKER fragments)
+        work, scan_work = indexed["work"], reference["work"]
         cheaper = query.key in ("QS2", "QS3", "QS6")
-        assert routed["work"]["xadt_bytes_scanned"] != (
-            reference["work"]["xadt_bytes_scanned"]
-        )
         assert cheaper == (
-            routed["modeled_seconds"] < reference["modeled_seconds"]
+            work["xadt_bytes_scanned"] < scan_work["xadt_bytes_scanned"]
         )
-        del routed["work"]["xadt_bytes_scanned"]
-        del reference["work"]["xadt_bytes_scanned"]
-        assert routed["work"] == reference["work"]
+        assert work["xadt_bytes_scanned"] != scan_work["xadt_bytes_scanned"]
+        for name in WORK_SECONDS:
+            if name.startswith("udf_calls"):
+                assert work[name] == scan_work[name], name
 
 
 @pytest.fixture()

@@ -28,7 +28,6 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import DEGRADATION, events_to_text, reset_degradation
-from repro.xadt.structural_index import routing
 from repro.xmlkit import parse, parse_fragment
 
 TAGS = ("a", "ab", "b")
@@ -88,8 +87,9 @@ def answer(call, xml_text, codec, indexed=False):
     method, *args = call
     # a fresh value per call: nothing may ride on instance-level memos
     value = XadtValue.from_xml(xml_text, codec)
-    with routing(indexed):
-        result = method(value, *args)
+    if indexed:
+        value = value.recode(INDEXED)
+    result = method(value, *args)
     if isinstance(result, XadtValue):
         return result.to_xml()
     if isinstance(result, list):
@@ -117,8 +117,9 @@ def degraded():
 
 
 def routed():
-    """The call made with routing on, so each codec's value builds its
-    structural index; held to the plain codec's scan answer."""
+    """Each codec's value recoded to ``indexed`` before the call, so it
+    answers from the directory it builds; held to the plain codec's scan
+    answer."""
     DECODE_CACHE.configure(enabled=True)
 
 

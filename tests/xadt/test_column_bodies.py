@@ -31,7 +31,6 @@ from repro.xadt import (
 )
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt.storage import reset_degradation
-from repro.xadt.structural_index import routing
 from tests.xadt.test_codec_parity import fragments, keys, maybe_tag, tags, texts
 
 BATCH_SIZES = [0, 1, 2, 7, 1024]
@@ -129,7 +128,13 @@ def batched(db, name, column, constants, results):
 def outcome(db, route, name, column, constants, routed=False):
     """What one route did: its answers or its error, the counted work
     and the calls the registry counted (:func:`prefix` tells how far a
-    failed route got)."""
+    failed route got).  ``routed`` recodes every XADT value of the column
+    to ``indexed``, so each answers from its directory."""
+    if routed:
+        column = [
+            value.recode(INDEXED) if isinstance(value, XadtValue) else value
+            for value in column
+        ]
     db.registry.stats.reset()
     DECODE_CACHE.clear()
     io = IoCounters()
@@ -137,8 +142,7 @@ def outcome(db, route, name, column, constants, routed=False):
     error = None
     token = activate(None, io)
     try:
-        with routing(routed):
-            route(db, name, column, constants, results)
+        route(db, name, column, constants, results)
     except (Exception, CrashPoint) as exc:  # noqa: B902 - compared below
         error = (type(exc).__name__, str(exc))
     finally:
