@@ -2,17 +2,27 @@
 
 Every predicate, projection, group key, aggregate argument, sort key and
 lateral argument of a plan (and of a worker fragment) is lowered here,
-once, into the Python source of one *batch function*, compiled once per
-(cached) plan at plan time:
+once per (cached) plan at plan time, into the Python source of one
+*batch function*:
 
 * :func:`compile_filter` — ``fn(batch)`` returns the rows it keeps;
 * :func:`compile_column` — ``fn(batch)`` returns one value per row;
 * :func:`compile_projection` — ``fn(batch)`` returns one tuple per row.
 
 A batch is a list of row tuples (any iterable of them will do).  A
-function's generated source is on ``fn.source``.  There is no per-row form: every operator runs its
-expressions a batch at a time, so per-row cost is the work itself inside
-one list comprehension, never a call.
+function's generated source is on ``fn.source``.  There is no per-row
+form: every operator runs its expressions a batch at a time, so per-row
+cost is the work itself inside one list comprehension, never a call.
+
+**One ``compile()`` per source, per process.**  A source names the values
+it reads — string literals, LIKE matchers, bound functions, the plan's
+``_params`` box — and binds them into the plan's own environment, so the
+text depends only on the expression's shape and its int/float literals.
+Its code object comes from a bounded process-wide cache
+(:data:`CODE_CACHE_SIZE` sources); each plan still runs it once, with
+``exec``, into its own environment.  Plans that differ only in a string
+literal or a bound value share ``fn.__code__`` and nothing else, and a
+plan-cache miss on a statement shape seen before compiles nothing.
 
 Semantics are bit-identical to one-row-at-a-time evaluation (the
 reference closure evaluator the tests diff against,
@@ -55,7 +65,9 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from itertools import compress
+from types import CodeType
 from typing import Callable, Sequence
 
 from repro.engine import values as value_ops
@@ -85,6 +97,13 @@ from repro.errors import ExecutionError, PlanError
 
 #: a compiled expression: a batch (list of row tuples) in, a list out
 BatchFn = Callable[[list], list]
+
+#: generated sources whose code object the process keeps (least recently
+#: used first out): room for the sites of a full default plan cache.  A
+#: source names every value it reads (bound into the plan's own ``env``)
+#: and inlines only int/float/bool/None literals, so plans that differ in
+#: a string literal, a function or a bound parameter share a code object
+CODE_CACHE_SIZE = 512
 
 #: the per-row name ``_vK`` of hoisted call ``K``'s value in generated
 #: source (its column is ``_cK``); no other generated name has this shape
@@ -397,13 +416,19 @@ class _Lowering:
         return f"({body})"
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code(source: str) -> CodeType:
+    """The code object of ``source``; ``compile()`` runs on a cache miss."""
+    return compile(source, "<expr-compile>", "exec")
+
+
 def _compile(lines: list[str], env: dict[str, object]) -> BatchFn:
-    """The batch function whose body is ``lines``: one ``compile()``."""
+    """The batch function whose body is ``lines``, defined in ``env``."""
     source = "def _batch_fn(_batch):\n" + "".join(
         f"    {line}\n" for line in lines
     )
     scope: dict[str, object] = {}
-    exec(compile(source, "<expr-compile>", "exec"), env, scope)  # noqa: S102
+    exec(_code(source), env, scope)  # noqa: S102
     fn = scope["_batch_fn"]
     fn.source = source
     return fn

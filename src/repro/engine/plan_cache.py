@@ -25,11 +25,15 @@ every thread that runs one (the server's pool, reader threads in tests).
 
 Normalization collapses whitespace and strips ``--`` comments *outside*
 string literals and quoted identifiers, so formatting differences share
-one plan while ``'a b'`` and ``'a  b'`` stay distinct statements.
+one plan while ``'a b'`` and ``'a  b'`` stay distinct statements.  It is
+one regex substitution over the text (every lookup, hit or miss, pays
+it); the character-loop definition it is tested against is
+``tests/engine/reference_lexer.py``.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,6 +55,16 @@ _MISSES = METRICS.counter("plan_cache.misses")
 _EVICTIONS = METRICS.counter("plan_cache.evictions")
 _INVALIDATIONS = METRICS.counter("plan_cache.invalidations")
 
+#: a quoted run (kept byte for byte, unterminated ones to the end of the
+#: text) or a run of layout (whitespace and ``--`` comments: one space)
+_LAYOUT = re.compile(
+    r"""('[^']*(?:''[^']*)*'?|"[^"]*"?)|(?:[ \t\r\n]+|--[^\n]*\n?)+"""
+)
+
+
+def _keep_quoted(match: re.Match) -> str:
+    return match[1] or " "
+
 
 def normalize_sql(sql: str) -> str:
     """The cache key for ``sql``: whitespace/comment-insensitive text.
@@ -59,49 +73,7 @@ def normalize_sql(sql: str) -> str:
     identifiers are preserved byte for byte (collapsing their whitespace
     would alias distinct statements to one cache entry).
     """
-    parts: list[str] = []
-    pending_space = False
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            pending_space = True
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            pending_space = True
-            continue
-        if pending_space and parts:
-            parts.append(" ")
-        pending_space = False
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        j += 2
-                        continue
-                    break
-                j += 1
-            end = min(j + 1, n)
-            parts.append(sql[i:end])
-            i = end
-            continue
-        if ch == '"':
-            j = sql.find('"', i + 1)
-            end = n if j == -1 else j + 1
-            parts.append(sql[i:end])
-            i = end
-            continue
-        parts.append(ch)
-        i += 1
-    text = "".join(parts)
-    while text.endswith(";") or text.endswith(" "):
-        text = text[:-1]
-    return text
+    return _LAYOUT.sub(_keep_quoted, sql).lstrip(" ").rstrip("; ")
 
 
 @dataclass

@@ -4,11 +4,23 @@ Produces a token list for the parser.  Keywords are recognized
 case-insensitively; identifiers keep their spelling.  String literals
 use single quotes with ``''`` escaping; C-style ``--`` line comments are
 skipped.
+
+One compiled master pattern, :data:`_TOKEN`, walks the text: each
+``match(sql, pos)`` skips the layout (whitespace and comments) before a
+token and names the token's kind by the group it matched, so a statement
+costs one regex call and one tuple per token.  Every token's
+``position`` is the offset of its first character (a string literal's
+opening quote).  Numbers are ASCII ``[0-9]+(.[0-9]+)?``; an identifier
+starts with a character for which ``str.isalpha()`` holds or ``_`` and
+continues with ``str.isalnum()`` characters or ``_`` (Python's ``\\w``);
+anything else — a non-ASCII digit outside an identifier, say — raises
+:class:`~repro.errors.SqlSyntaxError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -20,14 +32,26 @@ KEYWORDS = {
     "in",
 }
 
-SYMBOLS = (
-    "<>", "!=", "<=", ">=", "=", "<", ">", "(", ")", ",", ".", "*",
-    "+", "-", "/", ";", "?",
+#: layout, then one token; ``bad`` catches the first character no token
+#: starts with (an unterminated quote included), ``eof`` the end
+_TOKEN = re.compile(
+    r"""
+    (?:[ \t\r\n]+|--[^\n]*\n?)*
+    (?:
+        (?P<number>[0-9]+(?:\.[0-9]+)?)
+      | (?P<word>\w+)
+      | (?P<symbol><>|!=|<=|>=|[=<>(),.*+\-/;?])
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | "(?P<quoted>[^"]*)"
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   #: 'keyword' | 'ident' | 'number' | 'string' | 'symbol' | 'eof'
     text: str   #: keyword/symbol text is lower/canonical; ident keeps case
     position: int
@@ -41,76 +65,42 @@ class Token:
 
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "'":
-            text, i = _read_string(sql, i)
-            tokens.append(Token("string", text, i))
-            continue
-        if ch == '"':
-            # double-quoted identifier: preserves case, never a keyword
-            end = sql.find('"', i + 1)
-            if end == -1:
-                raise SqlSyntaxError(f"unterminated quoted identifier at {i}")
-            tokens.append(Token("ident", sql[i + 1:end], i))
-            i = end + 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and sql[i].isdigit():
-                i += 1
-            if i < n and sql[i] == "." and i + 1 < n and sql[i + 1].isdigit():
-                i += 1
-                while i < n and sql[i].isdigit():
-                    i += 1
-            tokens.append(Token("number", sql[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            if word.lower() in KEYWORDS:
-                tokens.append(Token("keyword", word.lower(), start))
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        found = match(sql, pos)
+        kind = found.lastgroup
+        text = found[kind]
+        start = found.start(kind)
+        pos = found.end()
+        if kind == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise _unexpected(text[0], start)
+            word = text.lower()
+            if word in KEYWORDS:
+                append(Token("keyword", word, start))
             else:
-                tokens.append(Token("ident", word, start))
-            continue
-        matched = False
-        for symbol in SYMBOLS:
-            if sql.startswith(symbol, i):
-                canonical = "<>" if symbol == "!=" else symbol
-                tokens.append(Token("symbol", canonical, i))
-                i += len(symbol)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(Token("eof", "", n))
-    return tokens
+                append(Token("ident", text, start))
+        elif kind == "symbol":
+            append(Token("symbol", "<>" if text == "!=" else text, start))
+        elif kind == "number":
+            append(Token("number", text, start))
+        elif kind == "string":
+            append(Token("string", text[1:-1].replace("''", "'"), start))
+        elif kind == "quoted":
+            # double-quoted identifier: preserves case, never a keyword
+            append(Token("ident", text, start - 1))
+        elif kind == "eof":
+            append(Token("eof", "", start))
+            return tokens
+        elif text == "'":
+            raise SqlSyntaxError(f"unterminated string literal at offset {start}")
+        elif text == '"':
+            raise SqlSyntaxError(f"unterminated quoted identifier at {start}")
+        else:
+            raise _unexpected(text, start)
 
 
-def _read_string(sql: str, start: int) -> tuple[str, int]:
-    """Read a single-quoted string starting at ``start``; handles ''."""
-    parts: list[str] = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SqlSyntaxError(f"unterminated string literal at offset {start}")
+def _unexpected(ch: str, offset: int) -> SqlSyntaxError:
+    return SqlSyntaxError(f"unexpected character {ch!r} at offset {offset}")

@@ -8,7 +8,7 @@ the reference semantics.  Every test
 here pins the generated code to it — NULL three-valued logic, LIKE
 pattern translation, parameter rebinding, arithmetic, post-aggregate
 slot references — and pins that each expression site of a plan is
-compiled exactly once.
+one batch function whose source is compiled at most once per process.
 """
 
 import random
@@ -352,27 +352,54 @@ class TestOneCompilePerSite:
     def test_planning_compiles_each_site_once_and_running_compiles_none(
         self, sites_db, monkeypatch, sql, params
     ):
-        sources = []
+        expr_compile._code.cache_clear()
+        built, sources = [], []
+        build = expr_compile._compile
+
+        def building(lines, env):
+            built.append(build(lines, env))
+            return built[-1]
 
         def counting(source, *args, **kwargs):
             sources.append(source)
             return compile(source, *args, **kwargs)
 
+        monkeypatch.setattr(expr_compile, "_compile", building)
         monkeypatch.setattr(expr_compile, "compile", counting, raising=False)
         statement = parse_sql(sql)
         box = ParamBox(count_parameters(statement))
         plan = plan_select(statement, sites_db, box)
         sites = _sites(plan)
-        assert sites and len(sources) == len(sites)
-        assert sorted(sources) == sorted(fn.source for fn in sites)
+        # one batch function per site, each distinct source compiled once
+        assert sites and sorted(map(id, built)) == sorted(map(id, sites))
+        assert sorted(sources) == sorted({fn.source for fn in sites})
         box.bind(params)
         first = list(plan.rows())
         assert first and list(plan.rows()) == first
-        assert len(sources) == len(sites)  # running compiles nothing
+        # running builds and compiles nothing
+        assert len(built) == len(sites)
+        assert len(sources) == len({fn.source for fn in sites})
+
+    def test_plans_differing_in_a_string_literal_share_code_not_values(
+        self, sites_db
+    ):
+        def plan(name):
+            statement = parse_sql(f"SELECT id, name FROM u WHERE name = '{name}'")
+            return plan_select(statement, sites_db, ParamBox(0))
+
+        ones, twos = plan("n1"), plan("n2")
+        for one, two in zip(_sites(ones), _sites(twos), strict=True):
+            assert one.source == two.source
+            assert one.__code__ is two.__code__
+            assert one.__globals__ is not two.__globals__
+        assert {name for _, name in ones.rows()} == {"n1"}
+        assert {name for _, name in twos.rows()} == {"n2"}
+        assert len(list(ones.rows())) == len(list(twos.rows())) == 10
 
     def test_a_prepared_insert_compiles_its_values_once(self, monkeypatch):
         db = Database("inserts")
         db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, s VARCHAR, n INTEGER)")
+        expr_compile._code.cache_clear()
         sources = []
 
         def counting(source, *args, **kwargs):

@@ -69,6 +69,32 @@ class TestLexer:
         with pytest.raises(SqlSyntaxError):
             tokenize("SELECT @")
 
+    @pytest.mark.parametrize(
+        "sql", ["SELECT \u00b2 FROM t", "SELECT a FROM t LIMIT \u00b2",
+                "SELECT 1\u0663 FROM t", "SELECT a FROM t WHERE b = \u0663"],
+    )
+    def test_non_ascii_digits_outside_an_identifier_rejected(self, sql):
+        # str.isdigit() holds for them, int() rejects or reads them
+        with pytest.raises(SqlSyntaxError, match="unexpected character"):
+            parse_sql(sql)
+
+    def test_non_ascii_letters_and_digits_inside_an_identifier(self):
+        tokens = tokenize("\u00e9t\u00e92 a\u00b2 _\u0663 7x")
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("ident", "\u00e9t\u00e92"), ("ident", "a\u00b2"),
+            ("ident", "_\u0663"), ("number", "7"), ("ident", "x"), ("eof", ""),
+        ]
+
+    def test_every_token_position_is_its_first_character(self):
+        sql = "SELECT a, 'it''s' FROM \"T\" WHERE b >= 1.5 -- c\n"
+        assert [t.position for t in tokenize(sql)] == [
+            0, 7, 8, 10, 18, 23, 27, 33, 35, 38, len(sql),
+        ]
+
+    def test_string_token_error_names_its_opening_quote(self):
+        with pytest.raises(SqlSyntaxError, match=r"found 'x' \(offset 22\)"):
+            parse_sql("SELECT a FROM t LIMIT 'x'")
+
 
 class TestSelectParsing:
     def test_simple_select(self):
