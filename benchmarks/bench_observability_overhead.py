@@ -165,7 +165,7 @@ def test_statement_stats_overhead_within_bound(shakespeare_pair_x1, benchmark):
         for _ in range(ROUNDS):
             STATEMENTS.disable()
             off_best = min(off_best, run_workload())
-            STATEMENTS.enable(profile_waits=True)
+            STATEMENTS.enable()
             on_best = min(on_best, run_workload())
         overhead = on_best / off_best - 1.0 if off_best else 0.0
         print_report(

@@ -93,8 +93,6 @@ def test_sustained_concurrent_clients(benchmark):
         db,
         max_inflight=8,
         queue_watermark=max(64, CLIENTS),
-        max_sessions=16,
-        per_client_cap=2,
     )
     latencies: list[float] = []
     failures: list[BaseException] = []
@@ -146,7 +144,6 @@ def test_overload_sheds_cleanly(benchmark):
         db,
         max_inflight=1,
         queue_watermark=0,
-        max_sessions=2,
     )
     # each query deterministically holds the one executor thread
     FAULTS.install(FaultPlan().delay_at("io.charge", 0.005))

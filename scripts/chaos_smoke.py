@@ -261,8 +261,7 @@ def server_stage(schema, documents, codecs, queries, expected) -> None:
 
     The whole workload runs through the network front-end
     (DESIGN.md §14) under a fault plan that drops ``server.read`` and
-    ``server.write`` mid-frame and redirects pool sweeps into killing
-    in-use sessions (``server.session_evict``).  The retrying client
+    ``server.write`` mid-frame.  The retrying client
     must recover every query, the wire results must be byte-identical
     to the in-process reference fingerprint, and a graceful stop must
     leave zero pooled sessions and an empty connection registry.
@@ -274,7 +273,7 @@ def server_stage(schema, documents, codecs, queries, expected) -> None:
     register_xadt_functions(db)
     load_documents(db, schema, documents, codecs)
     db.runstats()
-    handle = start_server_thread(db, sweep_interval=0.05)
+    handle = start_server_thread(db)
     client = ReproClient(
         handle.host, handle.port,
         client_name="chaos", retry=RetryPolicy(attempts=8, seed=13),
@@ -284,7 +283,6 @@ def server_stage(schema, documents, codecs, queries, expected) -> None:
         FaultPlan(seed=13)
         .raise_at("server.read", probability=0.15)
         .raise_at("server.write", probability=0.1)
-        .raise_at("server.session_evict", probability=0.5)
     )
     try:
         # one frame per result: a fetch cursor dies with its dropped
@@ -305,7 +303,7 @@ def server_stage(schema, documents, codecs, queries, expected) -> None:
     )
     db.close()
     print(
-        f"ok server.*         read/write/evict chaos: recovered "
+        f"ok server.*         read/write chaos: recovered "
         f"{recovered} drop(s)/retries, wire results byte-identical, "
         f"drained leak-free"
     )

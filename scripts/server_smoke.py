@@ -1,6 +1,6 @@
-"""CI server smoke: load, connection chaos, kills, slow and big results, drain.
+"""CI server smoke: load, connection chaos, slow and big results, drain.
 
-Six stages against a live :class:`~repro.server.ReproServer`, each
+Five stages against a live :class:`~repro.server.ReproServer`, each
 printing one ``ok`` line (the :mod:`scripts.chaos_smoke` convention):
 
 1. **load** — 50 concurrent closed-loop clients (100 without
@@ -10,18 +10,15 @@ printing one ``ok`` line (the :mod:`scripts.chaos_smoke` convention):
    ``server.write`` faults drop connections mid-request and
    mid-response; retrying clients must recover every query with only
    typed transient errors, and nothing may leak.
-3. **session kill** — a pooled session is chaos-killed under a live
-   request stream (the ``server.session_evict`` fault redirects a pool
-   sweep into killing an in-use session); queries keep succeeding.
-4. **slow client** — a client stops reading mid-result; the server's
+3. **slow client** — a client stops reading mid-result; the server's
    write timeout must drop the connection instead of buffering forever,
    and the accept loop must keep serving others.
-5. **big result** — 600 rows x 40 KB, whose first 512 rows do not fit one
+4. **big result** — 600 rows x 40 KB, whose first 512 rows do not fit one
    16 MiB frame, arrive whole across byte-cut pages with no reconnect; a
    single row no frame can carry answers with a typed
    ``ResourceExceeded`` on a connection that stays usable; afterwards no
    pooled session is in use and no cursor is alive.
-6. **drain** — a graceful stop under load: in-flight requests finish,
+5. **drain** — a graceful stop under load: in-flight requests finish,
    new connects are refused, zero sessions and connections remain.
 
 Usage::
@@ -196,29 +193,6 @@ def stage_connection_chaos(db: Database, handle) -> None:
     )
 
 
-def stage_session_kill(db: Database, handle) -> None:
-    killed = METRICS.counter("server.sessions_killed").value
-    # every sweep kills an in-use session; queries are slowed so the
-    # 0.05s sweep reliably finds one in flight
-    FAULTS.install(
-        FaultPlan(seed=5)
-        .delay_at("io.charge", 0.02)
-        .raise_at("server.session_evict", probability=1.0)
-    )
-    try:
-        ok, _ = asyncio.run(run_clients(handle.host, handle.port, 16))
-    finally:
-        FAULTS.clear()
-    assert ok == 16 * REQUESTS, f"session-kill: {ok} incomplete"
-    newly_killed = METRICS.counter("server.sessions_killed").value - killed
-    assert newly_killed > 0, "session-kill: no session was ever killed"
-    assert_leak_free(db, "session-kill")
-    print(
-        f"ok server.session_evict killed {newly_killed} in-use "
-        f"session(s) mid-query, all queries recovered, zero leaks"
-    )
-
-
 def stage_slow_client(db: Database, handle) -> None:
     timeouts = METRICS.counter("server.write_timeouts").value
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -333,18 +307,13 @@ def main() -> None:
         db,
         max_inflight=8,
         queue_watermark=max(64, CLIENTS),
-        max_sessions=16,
-        per_client_cap=2,
         write_timeout=2.0,
-        sweep_interval=0.05,
     )
     stages = 0
     try:
         stage_load(db, handle)
         stages += 1
         stage_connection_chaos(db, handle)
-        stages += 1
-        stage_session_kill(db, handle)
         stages += 1
         stage_slow_client(db, handle)
         stages += 1
@@ -354,7 +323,7 @@ def main() -> None:
         FAULTS.clear()
     stage_drain(db, handle)
     stages += 1
-    print(f"server smoke: {stages}/6 stages passed")
+    print(f"server smoke: {stages}/5 stages passed")
 
 
 if __name__ == "__main__":

@@ -30,9 +30,6 @@ site               fires
                    the peer vanishing mid-request)
 ``server.write``   per response frame written to a client (a raise
                    drops the connection mid-result-stream)
-``server.session_evict``  per session-pool sweep; a raise makes the
-                   pool kill one in-use session, modelling a pooled
-                   session dying under a live request
 =================  ====================================================
 
 When no plan is installed the cost at each site is one module-attribute
@@ -76,7 +73,6 @@ SITES = (
     "server.accept",
     "server.read",
     "server.write",
-    "server.session_evict",
 )
 
 _INJECTED = METRICS.counter("faults.injected")

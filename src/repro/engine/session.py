@@ -198,8 +198,8 @@ class Session:
         #: database-wide ``db.governor.limits``
         self.limits: GovernorLimits | None = None
         self.closed = False
-        #: serializes close() against concurrent closers (the session
-        #: pool's eviction sweep races the owning connection's teardown)
+        #: serializes close() against concurrent closers (a server's
+        #: drain closes pooled sessions a statement may still be using)
         self._close_lock = threading.Lock()
 
     def set_limits(self, limits: GovernorLimits | None) -> None:
@@ -291,13 +291,12 @@ class Session:
         wal_start: int,
     ) -> None:
         observation.rows = len(result.rows)
-        if STATEMENTS.track_result_bytes:
-            rows = result.rows
-            # a batch at a time: the kernel's transients stay batch-sized
-            observation.bytes = sum(
-                batch_row_bytes(rows[start:start + DEFAULT_BATCH_SIZE])
-                for start in range(0, len(rows), DEFAULT_BATCH_SIZE)
-            )
+        rows = result.rows
+        # a batch at a time: the kernel's transients stay batch-sized
+        observation.bytes = sum(
+            batch_row_bytes(rows[start:start + DEFAULT_BATCH_SIZE])
+            for start in range(0, len(rows), DEFAULT_BATCH_SIZE)
+        )
         # deltas of process-wide counters: exact single-threaded,
         # best-effort (may over-attribute) under concurrent writers
         observation.decode_cache_hits = max(
@@ -326,9 +325,9 @@ class Session:
         clears the per-session governor override, and removes the
         session from the database's registry — after ``close`` the
         session holds no engine state, which is what lets the network
-        front-end's pool evict sessions without leaking.  A statement
-        already executing keeps its locally captured snapshot and
-        finishes normally; the *next* statement raises
+        front-end's drain close its pooled sessions without leaking.  A
+        statement already executing keeps its locally captured snapshot
+        and finishes normally; the *next* statement raises
         :class:`~repro.errors.SessionClosed`.
         """
         with self._close_lock:

@@ -101,10 +101,9 @@ class ExecutionError(EngineError):
 class SessionClosed(ExecutionError):
     """Raised when a statement runs on a closed session.
 
-    Fatal on *this* session — the handle is gone — but the network
-    front-end maps it to a transient wire error: a pooled session
-    evicted (or chaos-killed) under a live request is replaced by a
-    fresh one on retry (DESIGN.md §14)."""
+    Fatal: the handle is gone.  The network front-end's pooled
+    sessions are closed only by its drain, after the statements it
+    waited for have finished (DESIGN.md §14)."""
 
 
 class TypeMismatchError(ExecutionError):
@@ -184,13 +183,6 @@ class Overloaded(TransientError):
     ) -> None:
         self.retry_after = retry_after
         super().__init__(message)
-
-
-class SessionLimitExceeded(TransientError):
-    """A client exceeded its concurrent pooled-session cap.
-
-    Transient: sessions free up as the client's other requests finish,
-    so backing off and retrying is the correct response."""
 
 
 class ConnectionLost(TransientError):

@@ -265,10 +265,6 @@ class StatementStatsCollector:
     ) -> None:
         #: master switch; ``begin`` returns None (one branch) while off
         self.enabled = False
-        #: install the tracer wait sink per statement (phase breakdowns)
-        self.profile_waits = True
-        #: compute bytes-returned per result (O(rows) when on)
-        self.track_result_bytes = True
         self.max_statements = max_statements
         self.evictions = 0
         self.slow_log: SlowQueryLog | None = None
@@ -279,9 +275,8 @@ class StatementStatsCollector:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def enable(self, profile_waits: bool = True) -> None:
+    def enable(self) -> None:
         self.enabled = True
-        self.profile_waits = profile_waits
 
     def disable(self) -> None:
         self.enabled = False
@@ -310,8 +305,7 @@ class StatementStatsCollector:
         if not self.enabled:
             return None
         observation = StatementObservation(key, kind, session_id)
-        if self.profile_waits:
-            observation._token = WAIT_SINK.set(observation.waits)
+        observation._token = WAIT_SINK.set(observation.waits)
         return observation
 
     def finish(
@@ -378,7 +372,6 @@ class StatementStatsCollector:
             tracked = len(self._stats)
         return {
             "enabled": self.enabled,
-            "profile_waits": self.profile_waits,
             "tracked_statements": tracked,
             "max_statements": self.max_statements,
             "evictions": self.evictions,

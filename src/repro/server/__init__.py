@@ -1,7 +1,7 @@
 """The fault-tolerant network front-end (DESIGN.md §14).
 
 An asyncio TCP server speaking a length-prefixed JSON protocol in front
-of the synchronous engine: session pooling with TTL + idle eviction,
+of the synchronous engine: a free list of pooled sessions,
 governor-backed admission control with load shedding, typed errors end
 to end, graceful drain, and deterministic connection chaos via the
 ``server.*`` fault sites.
@@ -21,7 +21,7 @@ from repro.server.client import (
     ReproClient,
     RetryPolicy,
 )
-from repro.server.pool import PooledSession, SessionPool
+from repro.server.pool import SessionPool
 from repro.server.protocol import (
     DEFAULT_FETCH_SIZE,
     MAX_FRAME_BYTES,
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_FETCH_SIZE",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
-    "PooledSession",
     "ReproClient",
     "ReproServer",
     "RetryPolicy",

@@ -9,8 +9,8 @@ pattern against a shedding server:
   ``retry_after`` hint, then fall back to jittered exponential backoff;
 * :class:`~repro.errors.ConnectionLost` (and raw socket errors) —
   reconnect, re-handshake, re-prepare cached statements, retry;
-* any other :class:`~repro.errors.TransientError` (injected faults,
-  evicted sessions) — plain jittered backoff;
+* any other :class:`~repro.errors.TransientError` (injected faults)
+  — plain jittered backoff;
 * :class:`~repro.errors.FatalError` (syntax errors, timeouts, caps) —
   surface immediately; retrying would fail identically.
 

@@ -1,11 +1,19 @@
-"""The session pool: reuse pinned-snapshot sessions across requests.
+"""The session pool: a free list of pinned-snapshot sessions.
 
 Opening a :class:`~repro.engine.session.Session` is cheap but not free
 (it pins a snapshot and allocates private I/O counters), and a server
 handling hundreds of short requests would otherwise churn one per
-request.  The pool keeps a bounded set of sessions and hands them out
-per *request*, not per connection — a queued request holds no session,
-which is what keeps the pool small under overload.
+request.  The pool hands sessions out per *request*, not per
+connection: :meth:`~SessionPool.acquire` returns the most recently
+released session (the working set stays hot) or opens a new one, and
+:meth:`~SessionPool.release` puts it back.
+
+The pool has no cap of its own.  The server acquires a session only on
+an executor thread, for the duration of one statement, so the number
+of sessions it ever opens is bounded by admission's ``max_inflight``
+— the one bound on concurrent statements (DESIGN.md §14).  Sessions
+are never evicted: an idle one keeps its last snapshot pinned until it
+is acquired again or the pool closes.
 
 Freshness is **lazy**: pooled sessions are created with
 ``auto_refresh=False`` and re-pinned on acquire only when the engine
@@ -13,36 +21,17 @@ epoch moved since they last pinned (one integer compare on the hot
 path).  Each request therefore still sees read-committed-style
 freshness, without the per-statement re-pin cost of ``auto_refresh``.
 
-Lifecycle rules, enforced by :meth:`sweep` (run periodically by the
-server):
-
-* **idle eviction** — a session unused for ``idle_seconds`` is closed;
-* **TTL** — a session older than ``ttl_seconds`` is closed when it next
-  becomes idle (in-use sessions are never TTL-evicted mid-request);
-* **per-client cap** — one client name may hold at most
-  ``per_client_cap`` sessions concurrently
-  (:class:`~repro.errors.SessionLimitExceeded` beyond that);
-* **pool cap** — at most ``max_sessions`` exist; acquire beyond that
-  sheds with :class:`~repro.errors.Overloaded`.
-
-Each sweep is a fault site (``server.session_evict``): a raise rule
-there makes the sweep *kill* one in-use session — closing it under the
-live request, the pooled-session analogue of ``kill -9``.  The running
-statement finishes on its locally captured snapshot or surfaces
-:class:`~repro.errors.SessionClosed`, which the server maps to a
-transient wire error; either way the pool replaces the session and no
-state leaks (proven by the chaos smoke via ``sys_connections`` and
-``Database.sessions()``).
+:meth:`~SessionPool.close` (the server's drain) closes every session
+the pool opened, in use or not; ``acquire`` sheds with
+:class:`~repro.errors.Overloaded` afterwards.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING
 
-from repro.engine.faults import FAULTS
-from repro.errors import Overloaded, SessionLimitExceeded
+from repro.errors import Overloaded
 from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,202 +40,62 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _CREATED = METRICS.counter("server.sessions_created")
 _REUSED = METRICS.counter("server.sessions_reused")
-_EVICTED = METRICS.counter("server.sessions_evicted")
-_KILLED = METRICS.counter("server.sessions_killed")
 _REFRESHED = METRICS.counter("server.session_refreshes")
 _POOL_SIZE = METRICS.gauge("server.pool_size")
 
 
-class PooledSession:
-    """One pool entry wrapping an engine session."""
-
-    __slots__ = ("session", "client", "created_at", "last_used", "in_use")
-
-    def __init__(self, session: "Session") -> None:
-        self.session = session
-        self.client: str | None = None
-        self.created_at = time.monotonic()
-        self.last_used = self.created_at
-        self.in_use = False
-
-    def age(self, now: float) -> float:
-        return now - self.created_at
-
-    def idle(self, now: float) -> float:
-        return now - self.last_used
-
-
 class SessionPool:
-    """Bounded, TTL- and idle-evicting pool of engine sessions."""
+    """A free list of engine sessions, re-pinned lazily on acquire."""
 
-    def __init__(
-        self,
-        db: "Database",
-        max_sessions: int = 16,
-        per_client_cap: int = 4,
-        ttl_seconds: float = 300.0,
-        idle_seconds: float = 60.0,
-    ) -> None:
+    def __init__(self, db: "Database") -> None:
         self._db = db
-        self.max_sessions = max_sessions
-        self.per_client_cap = per_client_cap
-        self.ttl_seconds = ttl_seconds
-        self.idle_seconds = idle_seconds
         self._lock = threading.Lock()
-        self._entries: list[PooledSession] = []
-        self._in_use_by_client: dict[str, int] = {}
+        self._opened: list["Session"] = []
+        self._free: list["Session"] = []
         self.closed = False
 
-    # -- acquire / release --------------------------------------------------
-
-    def acquire(self, client: str) -> PooledSession:
+    def acquire(self, client: str) -> "Session":
         """An open, freshly pinned session for one request.
 
-        Called from the executor thread that will run the statement, so
-        pool pressure is bounded by the admission controller's in-flight
-        cap, never by the number of connected clients.
+        ``client`` names the caller; the pool does not use it.
         """
         with self._lock:
             if self.closed:
                 raise Overloaded("session pool is closed", retry_after=0.5)
-            held = self._in_use_by_client.get(client, 0)
-            if held >= self.per_client_cap:
-                raise SessionLimitExceeded(
-                    f"client {client!r} already holds {held} pooled "
-                    f"session(s); the cap is {self.per_client_cap}"
-                )
-            entry = self._pick_idle()
-            if entry is None:
-                if len(self._entries) >= self.max_sessions:
-                    raise Overloaded(
-                        f"session pool exhausted "
-                        f"({self.max_sessions} sessions, all in use)",
-                        retry_after=0.05,
-                    )
-                entry = PooledSession(self._open_session())
-                self._entries.append(entry)
-                _CREATED.inc()
-                _POOL_SIZE.set(len(self._entries))
-            else:
+            if self._free:
+                session = self._free.pop()
                 _REUSED.inc()
-            entry.in_use = True
-            entry.client = client
-            entry.last_used = time.monotonic()
-            self._in_use_by_client[client] = held + 1
-        self._refresh_if_stale(entry.session)
-        return entry
-
-    def release(self, entry: PooledSession) -> None:
-        """Return a session after its request finishes."""
-        now = time.monotonic()
-        with self._lock:
-            client = entry.client
-            if client is not None:
-                held = self._in_use_by_client.get(client, 0) - 1
-                if held > 0:
-                    self._in_use_by_client[client] = held
-                else:
-                    self._in_use_by_client.pop(client, None)
-            entry.in_use = False
-            entry.client = None
-            entry.last_used = now
-            # a session killed (or TTL-expired) while in use leaves the
-            # pool as soon as its request lets go of it
-            if entry.session.closed or entry.age(now) > self.ttl_seconds:
-                self._drop(entry)
-
-    def _pick_idle(self) -> PooledSession | None:
-        """The most recently used idle entry (LIFO keeps the working set
-        hot and lets the idle tail age out)."""
-        best: PooledSession | None = None
-        for entry in self._entries:
-            if entry.in_use or entry.session.closed:
-                continue
-            if best is None or entry.last_used > best.last_used:
-                best = entry
-        return best
-
-    def _open_session(self) -> "Session":
-        return self._db.connect(name="pool", auto_refresh=False)
-
-    def _refresh_if_stale(self, session: "Session") -> None:
+            else:
+                session = self._db.connect(name="pool", auto_refresh=False)
+                self._opened.append(session)
+                _CREATED.inc()
+                _POOL_SIZE.set(len(self._opened))
         # lazy freshness: one integer compare unless a write published
         # a new engine epoch since this session last pinned
         if session.snapshot_version != self._db.version:
             session.refresh()
             _REFRESHED.inc()
+        return session
 
-    # -- eviction -----------------------------------------------------------
-
-    def sweep(self) -> int:
-        """Evict idle/expired sessions; returns how many were closed.
-
-        The ``server.session_evict`` fault site fires once per sweep;
-        an injected fault redirects the sweep into :meth:`kill_one` —
-        chaos for the pool itself.
-        """
-        if FAULTS.active:
-            try:
-                FAULTS.fire("server.session_evict")
-            except Exception:
-                return 1 if self.kill_one() else 0
-        now = time.monotonic()
-        victims: list[PooledSession] = []
+    def release(self, session: "Session") -> None:
+        """Return a session after its request finishes."""
         with self._lock:
-            for entry in list(self._entries):
-                if entry.in_use:
-                    continue
-                if (
-                    entry.session.closed
-                    or entry.idle(now) > self.idle_seconds
-                    or entry.age(now) > self.ttl_seconds
-                ):
-                    self._drop(entry)
-                    victims.append(entry)
-        for entry in victims:
-            entry.session.close()
-            _EVICTED.inc()
-        return len(victims)
-
-    def kill_one(self) -> bool:
-        """Close one in-use session under its live request (chaos)."""
-        with self._lock:
-            victim = next((e for e in self._entries if e.in_use), None)
-            if victim is None:
-                return False
-        victim.session.close()  # idempotent; release() drops the entry
-        _KILLED.inc()
-        return True
-
-    def _drop(self, entry: PooledSession) -> None:
-        """Remove ``entry`` from the pool (caller holds the lock)."""
-        try:
-            self._entries.remove(entry)
-        except ValueError:
-            return
-        _POOL_SIZE.set(len(self._entries))
-
-    # -- shutdown -----------------------------------------------------------
+            if not self.closed:
+                self._free.append(session)
 
     def close(self) -> None:
-        """Close every pooled session (drain has already quiesced them)."""
+        """Close every session the pool opened, in use or not."""
         with self._lock:
             self.closed = True
-            entries, self._entries = self._entries, []
-            self._in_use_by_client.clear()
+            opened, self._opened, self._free = self._opened, [], []
             _POOL_SIZE.set(0)
-        for entry in entries:
-            entry.session.close()
+        for session in opened:
+            session.close()
 
     def report(self) -> dict[str, int]:
         with self._lock:
-            in_use = sum(1 for e in self._entries if e.in_use)
-            return {
-                "size": len(self._entries),
-                "in_use": in_use,
-                "idle": len(self._entries) - in_use,
-                "clients": len(self._in_use_by_client),
-            }
+            size, idle = len(self._opened), len(self._free)
+        return {"size": size, "in_use": size - idle, "idle": idle}
 
 
-__all__ = ["PooledSession", "SessionPool"]
+__all__ = ["SessionPool"]

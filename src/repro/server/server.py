@@ -41,14 +41,17 @@ Key properties the tests and chaos smoke pin down:
   *clear* server-side caps, see :meth:`GovernorLimits.merged`).
 * **typed errors end to end** — every failure crosses the wire as its
   ReproError class name; the bundled client re-raises the same class.
+* **one bound on concurrent statements** — admission's
+  ``max_inflight`` sizes the executor; a pooled session is held only
+  while its statement runs on an executor thread, so requests never
+  hold more than ``max_inflight`` sessions and the pool needs no cap.
 * **graceful drain** — SIGTERM (or :meth:`drain`) stops accepting,
   sheds new work, lets in-flight statements finish (bounded by
   ``drain_timeout``), then closes connections and the pool.
 * **deterministic chaos** — ``server.accept`` / ``server.read`` /
-  ``server.write`` / ``server.session_evict`` fire inside the real
-  code paths.  When a fault plan is installed they fire via the
-  executor, because delay rules sleep synchronously and must not stall
-  the event loop.
+  ``server.write`` fire inside the real code paths.  When a fault plan
+  is installed they fire via the executor, because delay rules sleep
+  synchronously and must not stall the event loop.
 """
 
 from __future__ import annotations
@@ -64,17 +67,11 @@ from typing import TYPE_CHECKING
 from repro.engine.faults import FAULTS
 from repro.engine.governor import GovernorLimits
 from repro.engine.plan_cache import normalize_sql
-from repro.errors import (
-    ConfigError,
-    ProtocolError,
-    ReproError,
-    SessionClosed,
-    TransientError,
-)
+from repro.errors import ConfigError, ProtocolError, ReproError
 from repro.obs.metrics import METRICS
 from repro.obs.statements import STATEMENTS
 from repro.server.admission import AdmissionController
-from repro.server.pool import PooledSession, SessionPool
+from repro.server.pool import SessionPool
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ResultPager,
@@ -89,6 +86,7 @@ from repro.server.registry import CONNECTIONS, ConnectionInfo
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
     from repro.engine.result import Result
+    from repro.engine.session import Session
 
 _ACCEPTED = METRICS.counter("server.connections_accepted")
 _DROPPED = METRICS.counter("server.connections_dropped")
@@ -150,38 +148,24 @@ class ReproServer:
         *,
         max_inflight: int = 8,
         queue_watermark: int = 32,
-        max_sessions: int = 16,
-        per_client_cap: int = 4,
-        session_ttl_seconds: float = 300.0,
-        session_idle_seconds: float = 60.0,
         write_timeout: float = 10.0,
         drain_timeout: float = 10.0,
-        sweep_interval: float = 1.0,
         max_cursors: int = 32,
     ) -> None:
-        if write_timeout <= 0 or drain_timeout <= 0 or sweep_interval <= 0:
+        if write_timeout <= 0 or drain_timeout <= 0:
             raise ConfigError("server timeouts must be positive")
         self.db = db
         self.host = host
         self.port = port
         self.write_timeout = write_timeout
         self.drain_timeout = drain_timeout
-        self.sweep_interval = sweep_interval
         self.max_cursors = max_cursors
         self.admission = AdmissionController(max_inflight, queue_watermark)
-        self.pool = SessionPool(
-            db,
-            max_sessions=max_sessions,
-            per_client_cap=per_client_cap,
-            ttl_seconds=session_ttl_seconds,
-            idle_seconds=session_idle_seconds,
-        )
+        self.pool = SessionPool(db)
         self._executor = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-server"
         )
         self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._sweeper: asyncio.Task | None = None
         self._handlers: set[asyncio.Task] = set()
         self._closed = asyncio.Event()
         self._draining = False
@@ -190,12 +174,10 @@ class ReproServer:
 
     async def start(self) -> None:
         """Bind and start accepting; resolves ``self.port`` when 0."""
-        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._sweeper = self._loop.create_task(self._sweep_loop())
 
     async def wait_closed(self) -> None:
         await self._closed.wait()
@@ -219,10 +201,6 @@ class ReproServer:
         deadline = time.monotonic() + self.drain_timeout
         while self.admission.inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._sweeper
         for task in list(self._handlers):
             task.cancel()
         if self._handlers:
@@ -230,14 +208,6 @@ class ReproServer:
         self.pool.close()
         self._executor.shutdown(wait=True, cancel_futures=True)
         self._closed.set()
-
-    async def _sweep_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.sweep_interval)
-            # the sweep fires the server.session_evict fault site and may
-            # sleep under a delay rule: keep it off the event loop
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self.pool.sweep)
 
     # -- connection handling ------------------------------------------------
 
@@ -443,31 +413,20 @@ class ReproServer:
     ) -> dict | bytes:
         self.admission.started()
         try:
-            # a pooled session can be chaos-killed between acquire and
-            # execute; one internal retry on a fresh session makes that
-            # window invisible, a second loss surfaces as transient
-            for attempt in (0, 1):
-                entry = self.pool.acquire(conn.info.client)
-                try:
-                    if conn.info.session_id is None:
-                        conn.info.session_id = entry.session.session_id
-                    return self._run_op(conn, op, request, entry)
-                except SessionClosed as exc:
-                    if attempt == 1:
-                        raise TransientError(
-                            f"pooled session evicted mid-statement: {exc}"
-                        ) from exc
-                finally:
-                    self.pool.release(entry)
-            raise AssertionError("unreachable")
+            session = self.pool.acquire(conn.info.client)
+            try:
+                # sessions are shared across connections: name the one
+                # serving this request, not the one that served the first
+                conn.info.session_id = session.session_id
+                return self._run_op(conn, op, request, session)
+            finally:
+                self.pool.release(session)
         finally:
             self.admission.finished()
 
     def _run_op(
-        self, conn: _Connection, op: str, request: dict,
-        entry: PooledSession,
+        self, conn: _Connection, op: str, request: dict, session: "Session"
     ) -> dict | bytes:
-        session = entry.session
         if op == "prepare":
             sql = self._sql_of(conn, request)
             prepared = session.prepare(sql)  # validates the SQL

@@ -1,4 +1,4 @@
-"""Session close semantics: idempotent, leak-free, pool-evictable."""
+"""Session close semantics: idempotent, leak-free, safe under a drain."""
 
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def test_close_deregisters_and_releases_engine_state(db):
     session.close()
     assert session not in db.sessions()
     # the pin and the governor charge are both released: nothing for a
-    # pool eviction to leak
+    # server's drain to leak
     assert session._snapshot is None
     assert session.limits is None
 

@@ -1,21 +1,11 @@
-"""Session pool: reuse, lazy refresh, caps, eviction, chaos kill."""
+"""Session pool: a free list with reuse, lazy refresh and a leak-free close."""
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.engine.faults import FAULTS, FaultPlan
-from repro.errors import Overloaded, SessionClosed, SessionLimitExceeded
+from repro.errors import Overloaded
 from repro.server.pool import SessionPool
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults():
-    FAULTS.clear()
-    yield
-    FAULTS.clear()
 
 
 @pytest.fixture()
@@ -28,98 +18,44 @@ def db(empty_db):
 def test_release_then_acquire_reuses_the_session(db):
     pool = SessionPool(db)
     first = pool.acquire("c1")
-    session = first.session
     pool.release(first)
-    second = pool.acquire("c1")
-    assert second.session is session
+    assert pool.acquire("c1") is first
     pool.close()
 
 
 def test_lazy_refresh_follows_engine_epoch(db):
     pool = SessionPool(db)
-    entry = pool.acquire("c1")
-    assert entry.session.snapshot_version == db.version
-    pool.release(entry)
+    session = pool.acquire("c1")
+    assert session.snapshot_version == db.version
+    pool.release(session)
     db.execute("INSERT INTO t VALUES (2)")  # publishes a new epoch
-    entry = pool.acquire("c1")
-    assert entry.session.snapshot_version == db.version
-    assert entry.session.execute("SELECT COUNT(*) FROM t").rows == [(2,)]
-    pool.release(entry)
+    assert pool.acquire("c1") is session
+    assert session.snapshot_version == db.version
+    assert session.execute("SELECT COUNT(*) FROM t").rows == [(2,)]
+    pool.release(session)
     pool.close()
 
 
-def test_per_client_cap(db):
-    pool = SessionPool(db, per_client_cap=2)
-    held = [pool.acquire("greedy"), pool.acquire("greedy")]
-    with pytest.raises(SessionLimitExceeded):
-        pool.acquire("greedy")
-    pool.acquire("other")  # other clients are unaffected
-    for entry in held:
-        pool.release(entry)
-    pool.acquire("greedy")  # freed capacity is reusable
-    pool.close()
-
-
-def test_pool_cap_sheds(db):
-    pool = SessionPool(db, max_sessions=2, per_client_cap=8)
-    pool.acquire("c1")
-    pool.acquire("c1")
-    with pytest.raises(Overloaded):
-        pool.acquire("c1")
-    pool.close()
-
-
-def test_sweep_evicts_idle_sessions(db):
-    pool = SessionPool(db, idle_seconds=0.01)
-    entry = pool.acquire("c1")
-    session = entry.session
-    pool.release(entry)
-    time.sleep(0.03)
-    assert pool.sweep() == 1
-    assert session.closed
-    assert pool.report()["size"] == 0
-    pool.close()
-
-
-def test_ttl_expired_session_dropped_on_release(db):
-    pool = SessionPool(db, ttl_seconds=0.01)
-    entry = pool.acquire("c1")
-    time.sleep(0.03)
-    pool.release(entry)
-    assert pool.report()["size"] == 0
-
-
-def test_kill_one_closes_in_use_session(db):
+def test_free_list_is_last_in_first_out(db):
     pool = SessionPool(db)
-    entry = pool.acquire("c1")
-    assert pool.kill_one() is True
-    assert entry.session.closed
-    with pytest.raises(SessionClosed):
-        entry.session.execute("SELECT id FROM t")
-    pool.release(entry)  # the dead entry leaves the pool on release
-    assert pool.report()["size"] == 0
-    # and the engine-side registry holds no leaked session
-    assert all(s.name != "pool" for s in db.sessions())
-    pool.close()
-
-
-def test_session_evict_fault_triggers_kill(db):
-    pool = SessionPool(db)
-    entry = pool.acquire("c1")
-    FAULTS.install(
-        FaultPlan(seed=3).raise_at("server.session_evict", hit=1)
-    )
-    assert pool.sweep() == 1
-    assert entry.session.closed
-    pool.release(entry)
+    first, second = pool.acquire("c1"), pool.acquire("c2")
+    assert first is not second
+    assert pool.report() == {"size": 2, "in_use": 2, "idle": 0}
+    pool.release(first)
+    pool.release(second)
+    assert pool.report() == {"size": 2, "in_use": 0, "idle": 2}
+    assert pool.acquire("c3") is second  # the most recently released
     pool.close()
 
 
 def test_close_closes_every_session_without_leaks(db):
     pool = SessionPool(db)
-    entries = [pool.acquire(f"c{i}") for i in range(3)]
+    sessions = [pool.acquire(f"c{i}") for i in range(3)]
+    pool.release(sessions[0])  # one idle, two in use: close takes all
     pool.close()
-    assert all(entry.session.closed for entry in entries)
+    assert all(session.closed for session in sessions)
     assert all(s.name != "pool" for s in db.sessions())
+    pool.release(sessions[1])  # a request finishing after the drain
+    assert pool.report() == {"size": 0, "in_use": 0, "idle": 0}
     with pytest.raises(Overloaded):
         pool.acquire("late")

@@ -133,6 +133,26 @@ class TestWireOps:
             ).rows
             assert any(row[0] == "watcher" for row in rows)
 
+    def test_sys_connections_names_the_session_serving_the_request(
+        self, served
+    ):
+        db, handle = served
+        pool = handle.server.pool
+        probe = "SELECT session_id FROM sys_connections WHERE client = 'moved'"
+        with client_for(handle, name="moved") as client:
+            [[first]] = client.execute(probe).rows
+            # hold the session that just served it (the free list's top),
+            # so the next request runs on another one
+            held = pool.acquire("test")
+            try:
+                assert held.session_id == first
+                [[second]] = client.execute(probe).rows
+            finally:
+                pool.release(held)
+            pooled = {s.session_id for s in db.sessions() if s.name == "pool"}
+            assert second != first
+            assert second in pooled
+
 
 class TestTypedErrors:
     def test_syntax_error_is_typed(self, served):
@@ -262,19 +282,6 @@ class TestChaos:
         finally:
             FAULTS.clear()
 
-    def test_killed_pooled_session_does_not_leak(self, served):
-        db, handle = served
-        with client_for(handle, name="victim") as client:
-            client.execute("SELECT id FROM t WHERE id = 0")
-            # chaos-kill every pooled session under the live server
-            pool = handle.server.pool
-            while pool.kill_one():
-                pass
-            # the next request transparently gets a fresh session
-            assert client.execute(
-                "SELECT id FROM t WHERE id = 1"
-            ).rows == [[1]]
-
 
 class TestOverloadAndDrain:
     def test_overload_sheds_with_typed_overloaded(self):
@@ -283,9 +290,7 @@ class TestOverloadAndDrain:
         db.execute("CREATE TABLE t (id INT)")
         for i in range(20):
             db.execute("INSERT INTO t VALUES (?)", (i,))
-        handle = start_server_thread(
-            db, max_inflight=1, queue_watermark=0, max_sessions=2
-        )
+        handle = start_server_thread(db, max_inflight=1, queue_watermark=0)
         FAULTS.install(FaultPlan().delay_at("io.charge", 0.005))
         outcomes, lock = {"ok": 0, "shed": 0}, threading.Lock()
         other = []
@@ -319,6 +324,53 @@ class TestOverloadAndDrain:
         assert other == []       # every rejection was typed Overloaded
         assert outcomes["shed"] > 0
         assert outcomes["ok"] > 0
+
+    def test_one_client_name_over_many_connections_is_not_capped(self):
+        """Admission is the one bound: a burst from one client name
+        over several connections runs whole, on at most ``max_inflight``
+        pooled sessions."""
+        db = Database("one-name")
+        register_xadt_functions(db)
+        db.execute("CREATE TABLE t (id INT)")
+        for i in range(20):
+            db.execute("INSERT INTO t VALUES (?)", (i,))
+        handle = start_server_thread(db)
+        clients = [
+            ReproClient(handle.host, handle.port, client_name="burst")
+            for _ in range(8)
+        ]
+        for client in clients:
+            client.connect()
+        # each statement holds its executor thread for a while, so the
+        # eight overlap
+        FAULTS.install(FaultPlan().delay_at("io.charge", 0.005))
+        start = threading.Barrier(len(clients))
+        rows, failures = [], []
+
+        def burst(client):
+            start.wait()
+            try:
+                rows.append(client.execute(
+                    "SELECT COUNT(*) FROM t", retry=False
+                ).rows)
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=burst, args=(c,)) for c in clients
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        FAULTS.clear()
+        size = handle.server.pool.report()["size"]
+        for client in clients:
+            client.close()
+        handle.stop()
+        assert failures == []
+        assert rows == [[[20]]] * 8
+        assert size <= handle.server.admission.max_inflight
 
     def test_drain_stops_accepting_and_closes_cleanly(self):
         db = Database("drain")
