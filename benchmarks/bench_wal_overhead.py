@@ -1,9 +1,13 @@
 """Write-ahead-log overhead on bulk loads (DESIGN.md §9).
 
 Durability is only cheap if logging stays off the load's critical path.
-The WAL earns that three ways: all-native bulk batches pack as one
-C-speed marshal blob per record (base64 inside the JSONL line, spliced
-without a JSON re-scan), control records go through the C JSON encoder,
+The WAL earns that three ways: bulk batches pack as one C-speed
+marshal blob per record (base64 inside the JSONL line, spliced without
+a JSON re-scan) — all-native batches, and XADT batches whose XADT
+columns each hold one codec, which go into the blob as payloads; only
+single-row inserts and irregular batches (mixed row lengths, two codecs
+in one column) take the per-value ``{"$x": ...}`` JSON escapes —
+control records go through the C JSON encoder,
 and bytes reach disk at group-commit fdatasync points rather than per
 statement.  This benchmark runs the same single-transaction bulk load —
 the shape of a document load — against a volatile database and a

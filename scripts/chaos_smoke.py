@@ -14,7 +14,8 @@ For each of three named write-path fault sites (``wal.append``,
 4. asserts the Figure 11 query results are identical to an
    uninterrupted reference load.
 
-Then it crashes an ``indexed`` WAL load at ``xadt.index_build`` (a
+Then it cuts the WAL mid-line (a torn tail, once inside a multibyte
+character), crashes an ``indexed`` WAL load at ``xadt.index_build`` (a
 directory build), kills exchange workers, and drops server connections,
 each checked against the same reference.
 
@@ -43,10 +44,11 @@ from repro.engine.database import Database  # noqa: E402
 from repro.engine.faults import FAULTS, FaultPlan  # noqa: E402
 from repro.errors import CrashPoint  # noqa: E402
 from repro.mapping import map_xorator  # noqa: E402
-from repro.shred import decide_codecs, load_documents  # noqa: E402
+from repro.shred import Shredder, decide_codecs, load_documents  # noqa: E402
 from repro.workloads.shakespeare_queries import workload_sql  # noqa: E402
 from repro.xadt import register_xadt_functions  # noqa: E402
 from repro.xadt.decode_cache import DECODE_CACHE  # noqa: E402
+from repro.xmlkit import Text, parse, serialize  # noqa: E402
 
 #: (site, 1-based hit at which the process "dies") — hits are chosen to
 #: land mid-load: after some documents committed, before the last one
@@ -119,13 +121,86 @@ def main() -> None:
                 f"torn_tail={report.torn_tail}, Fig11 parity holds"
             )
 
+    torn_tail_stage(schema, documents, codecs, queries, expected)
     directory_stage(schema, documents, queries, expected)
     worker_crash_stage(schema, documents, codecs, queries, expected)
     server_stage(schema, documents, codecs, queries, expected)
 
     print(
-        f"chaos smoke passed: {len(CRASH_POINTS) + 3} fault sites survived"
+        f"chaos smoke passed: {len(CRASH_POINTS) + 4} fault sites survived"
     )
+
+
+def torn_tail_stage(schema, documents, codecs, queries, expected) -> None:
+    """Cut the XORator WAL mid-line, recover, resume, recover again.
+
+    ``doc:0`` commits, then the write of ``doc:1`` is cut off mid-line:
+    once inside a packed ``bulk_insert`` record, once between the two
+    bytes of an ``é`` (that write logs single-row inserts, which travel
+    as JSON text, of a copy of the document with the character added).
+    Recovery must report the torn tail and keep ``doc:0`` only; the load
+    resumed from its markers commits the rest, and a second recovery
+    must read those commits back — they start a line of their own, not
+    the torn one — and answer the Figure 11 queries like the reference.
+    """
+    for case in ("mid-line", "multibyte"):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "wal.jsonl")
+            db = Database.open(path, sync_mode="always")
+            register_xadt_functions(db)
+            load_documents(db, schema, documents[:1], codecs)
+            pending = Shredder(schema, codecs)
+            pending.shred(documents[0])
+            document = documents[1]
+            if case == "multibyte":
+                document = parse(serialize(document))
+                next(document.root.iter("LINE")).append(Text(" é"))
+            db.wal.begin(marker="doc:1")
+            for table, rows in pending.shred(document).items():
+                if case == "multibyte":
+                    for row in rows:
+                        db.wal.log_insert(table, row)
+                elif rows:
+                    db.wal.log_bulk_insert(table, rows)
+            db.wal.flush(sync=True)
+            db.wal.abandon()  # the crash: doc:1 never committed
+
+            data = Path(path).read_bytes()
+            if case == "multibyte":
+                cut = data.rindex("é".encode()) + 1
+            else:
+                start = data.rindex(b"\n", 0, len(data) - 1) + 1
+                cut = (start + len(data)) // 2
+            Path(path).write_bytes(data[:cut])
+
+            recovered = Database.open(path, recover=True)
+            register_xadt_functions(recovered)
+            report = recovered.recovery_report
+            assert report.torn_tail, f"torn tail ({case}): not detected"
+            assert report.markers == ["doc:0"], f"torn tail ({case}): {report.markers}"
+            load_documents(
+                recovered, schema, documents, codecs,
+                resume_markers=report.markers,
+            )
+            recovered.close()
+
+            again = Database.open(path, recover=True)
+            register_xadt_functions(again)
+            again.runstats()
+            second = again.recovery_report
+            assert not second.torn_tail, f"torn tail ({case}): resumed log is torn"
+            assert len(second.markers) == len(documents), (
+                f"torn tail ({case}): commits after recovery lost: {second.markers}"
+            )
+            actual = fingerprint(again, queries)
+            assert actual == expected, f"torn tail ({case}): query mismatch"
+            again.close()
+            print(
+                f"ok wal torn tail    cut {case} at byte {cut}: recovered "
+                f"{len(report.markers)} txn(s), resumed, "
+                f"{len(second.markers)} committed after a second recovery, "
+                f"Fig11 parity holds"
+            )
 
 
 def directory_stage(schema, documents, queries, expected) -> None:

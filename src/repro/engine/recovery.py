@@ -6,8 +6,9 @@ rebuilds the catalog, heaps, and indexes to the state of the **last
 durable commit**:
 
 1. **Scan** — read records in file order.  A line that fails to decode
-   is a torn tail (the crash interrupted a write); scanning stops there
-   and everything after is ignored.
+   (bad JSON, or bytes that are not UTF-8: a write cut inside a
+   multibyte character) is a torn tail (the crash interrupted a write);
+   scanning stops there and everything after is ignored.
 2. **Filter** — records are staged per transaction id; only
    transactions whose ``commit`` record was read are replayed.  An
    ``abort`` record, or a ``recovery`` boundary written by a previous
@@ -27,7 +28,9 @@ Recovery invariants (asserted by the chaos tests):
 * replay is idempotent: recovering the same log twice yields equal
   states, because the log is the single source of truth;
 * the recovered WAL appends *after* the existing records (the file is
-  not rewritten), starting with a ``recovery`` boundary record.
+  not rewritten), starting with a ``recovery`` boundary record; a torn
+  tail is cut off first, so the boundary starts a line of its own and
+  every record after it can be read back.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ class RecoveryReport:
     transactions_committed: int = 0
     transactions_dropped: int = 0
     torn_tail: bool = False
+    #: length of the log up to the end of its last readable line (the
+    #: torn tail, if any, starts here)
+    sound_bytes: int = 0
     max_lsn: int = 0
     max_txn: int = 0
     #: markers of committed transactions, in commit order (the loader
@@ -82,21 +88,23 @@ def read_log(path: str) -> tuple[list[dict], RecoveryReport]:
     report = RecoveryReport(path=os.fspath(path))
     staged: dict[int, list[dict]] = {}
     committed: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
+            if not line.strip():
+                report.sound_bytes += len(line)
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 kind = record["type"]
                 txn = record["txn"]
                 lsn = record["lsn"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                # torn tail: the crash interrupted this write — nothing
+            except (ValueError, KeyError, TypeError):
+                # torn tail (a ValueError is bad JSON or a cut multibyte
+                # character): the crash interrupted this write — nothing
                 # after a torn line can be trusted
                 report.torn_tail = True
                 break
+            report.sound_bytes += len(line)
             report.records_read += 1
             report.max_lsn = max(report.max_lsn, lsn)
             report.max_txn = max(report.max_txn, txn)
@@ -210,6 +218,7 @@ def recover_database(
     report.records_replayed = len(committed)
     _REPLAYED.inc(len(committed))
     _RECOVERIES.inc()
+    _cut_torn_tail(path, report.sound_bytes)
     wal_kwargs = {"sync_mode": sync_mode}
     if group_window_seconds is not None:
         wal_kwargs["group_window_seconds"] = group_window_seconds
@@ -226,6 +235,17 @@ def recover_database(
     db.attach_wal(wal)
     db.recovery_report = report
     return db
+
+
+def _cut_torn_tail(path: str, sound_bytes: int) -> None:
+    """Cut the log back to its readable lines, ending in a newline, so
+    records appended after recovery start a line of their own."""
+    with open(path, "r+b") as handle:
+        handle.truncate(sound_bytes)
+        if sound_bytes:
+            handle.seek(sound_bytes - 1)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
 
 
 __all__ = ["RecoveryReport", "read_log", "recover_database"]

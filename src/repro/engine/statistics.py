@@ -61,10 +61,21 @@ def collect_stats(table: HeapTable) -> TableStats:
 def _column_stats(values: tuple) -> ColumnStatistics:
     """:func:`_scan_column`, by set and C-level reductions where the
     value types observed allow it: a column of nothing but ``int`` (or
-    nothing but ``str``) and NULLs.  There equal values are
-    interchangeable, so set order cannot show in min/max."""
+    nothing but ``str``, or nothing but XADT fragments) and NULLs.
+    There equal values are interchangeable, so set order cannot show in
+    min/max."""
     kinds = set(map(type, values))
     kinds.discard(NoneType)
+    if kinds and all(map(is_xadt_value, kinds)):  # the marker is on the class
+        # fragments: widths only, as _scan_column counts them
+        sizes = [value.byte_size() for value in values if value is not None]
+        return ColumnStatistics(
+            n_distinct=0,
+            null_count=len(values) - len(sizes),
+            avg_width=sum(sizes) / len(sizes),
+            min_value=None,
+            max_value=None,
+        )
     if kinds != {int} and kinds != {str}:
         return _scan_column(values)
     distinct = set(values)

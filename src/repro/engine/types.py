@@ -220,15 +220,11 @@ class XadtType(SqlType):
         return 4 + value.byte_size()
 
     def batch_widths(self, values: Sequence[object]) -> list[int] | None:
-        widths = []
-        for value in values:
-            if value is None:
-                widths.append(0)
-            elif is_xadt_value(value):
-                widths.append(4 + value.byte_size())
-            else:
-                return None
-        return widths
+        kinds = set(map(type, values))
+        kinds.discard(NoneType)
+        if not all(map(is_xadt_value, kinds)):  # the marker is on the class
+            return None
+        return [0 if value is None else 4 + value.byte_size() for value in values]
 
 
 INTEGER = IntegerType()

@@ -33,11 +33,16 @@ become ``{"$x": [codec, payload]}`` (dict-codec byte payloads travel
 base64), raw bytes become ``{"$y": base64}``.  Everything else the
 engine stores (int/float/str/bool/NULL) is native JSON.  One exception
 keeps logging off the bulk-load critical path: a ``bulk_insert`` batch
-whose rows are all marshal-native is *packed* — the whole batch is one
-``marshal`` blob (base64 inside the JSONL record) instead of three JSON
-tokens per value, which is ~3x cheaper to serialize.  Batches holding
-XADT fragments fall back to escaped JSON rows, so every record is still
-one self-contained JSON line either way.
+is *packed* — the whole batch is one ``marshal`` blob (base64 inside the
+JSONL record) instead of three JSON tokens per value, which is ~3x
+cheaper to serialize — when its rows are all marshal-native, and also
+when every column holding XADT fragments holds them under one codec
+(NULLs allowed).  Such a column goes into the blob as its payloads, and
+the record names it in ``"xadt": [[column, codec], ...]``; recovery
+rebuilds it a column at a time (:func:`decode_bulk_rows`).  What takes
+the ``$x`` escapes is single-row inserts and the irregular batches: rows
+of mixed length, two codecs (or fragments beside other values) in one
+column.  Every record is one self-contained JSON line either way.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ import os
 import time
 
 from repro.engine.faults import FAULTS
-from repro.errors import WalError
+from repro.engine.types import is_xadt_value
+from repro.errors import RecoveryError, WalError, XadtCodecError
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 
@@ -119,11 +125,60 @@ def decode_row(row) -> tuple:
 
 
 def decode_bulk_rows(record: dict) -> list[tuple]:
-    """The rows of a ``bulk_insert`` record, packed or escaped."""
+    """The rows of a ``bulk_insert`` record, packed or escaped.
+
+    A packed record's ``xadt`` columns come back as fragments, each
+    column checked once (codec name, payload type); a record that fails
+    to decode is a :class:`~repro.errors.RecoveryError`.
+    """
     packed = record.get("packed")
-    if packed is not None:
-        return [tuple(row) for row in marshal.loads(base64.b64decode(packed))]
-    return [decode_row(row) for row in record["rows"]]
+    if packed is None:
+        return [decode_row(row) for row in record["rows"]]
+    try:
+        rows = marshal.loads(base64.b64decode(packed))
+        xadt = record.get("xadt")
+        if not xadt:
+            return [tuple(row) for row in rows]
+        from repro.xadt.fragment import XadtValue
+
+        columns = list(zip(*rows))
+        for index, codec in xadt:
+            columns[index] = XadtValue.column(columns[index], codec)
+        return list(zip(*columns))
+    except (XadtCodecError, LookupError, TypeError, ValueError, EOFError) as exc:
+        raise RecoveryError(f"undecodable bulk_insert record: {exc}") from exc
+
+
+def _pack(rows) -> tuple[bytes, list[list]] | None:
+    """``rows`` as one marshal blob, and the ``[column, codec]`` pairs of
+    the XADT columns whose payloads stand in for their values; None when
+    the batch does not pack (rows of mixed length, a column mixing
+    codecs or fragments with other values, a value marshal cannot
+    write)."""
+    try:
+        return marshal.dumps(rows), []
+    except ValueError:
+        pass
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        return None
+    columns = list(zip(*rows))
+    xadt = []
+    for index, column in enumerate(columns):
+        kinds = set(map(type, column)) - {type(None)}
+        if not any(map(is_xadt_value, kinds)):  # the marker is on the class
+            continue
+        if len(kinds) != 1:
+            return None
+        codecs = {value.codec for value in column if value is not None}
+        if len(codecs) != 1:
+            return None
+        xadt.append([index, codecs.pop()])
+        columns[index] = [None if value is None else value.payload for value in column]
+    try:
+        return marshal.dumps(list(zip(*columns))), xadt
+    except ValueError:
+        return None
 
 
 class WriteAheadLog:
@@ -259,25 +314,26 @@ class WriteAheadLog:
         self._append({"type": "insert", "table": table, "row": row})
 
     def log_bulk_insert(self, table: str, rows) -> None:
-        try:
-            # all-native batches pack as one C-speed marshal blob; a row
-            # holding an XADT fragment raises here and takes the escaped
-            # JSON path below
-            packed = marshal.dumps(rows)
-        except ValueError:
+        # a regular batch packs as one C-speed marshal blob (its XADT
+        # columns as payloads); an irregular one takes the escaped JSON
+        # path
+        packing = _pack(rows)
+        if packing is None:
             self._append({"type": "bulk_insert", "table": table,
                           "rows": rows})
             return
+        packed, xadt = packing
         self._check_open()
         if FAULTS.active:
             FAULTS.fire("wal.append")
+        xadt_field = b'"xadt":%s,' % json.dumps(xadt).encode() if xadt else b""
         # base64 is JSON-safe by construction, so the line is spliced
         # directly instead of paying a json.dumps scan of the payload
         line = (
-            b'{"type":"bulk_insert","table":%s,"packed":"%s",'
+            b'{"type":"bulk_insert","table":%s,"packed":"%s",%s'
             b'"lsn":%d,"txn":%d}'
             % (json.dumps(table).encode("utf-8"),
-               base64.b64encode(packed), self._lsn, self._txn)
+               base64.b64encode(packed), xadt_field, self._lsn, self._txn)
         )
         self._push(line)
 

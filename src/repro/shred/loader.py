@@ -167,14 +167,7 @@ class Shredder:
             elif fill == _VALUE:
                 row.append(element.direct_text() or None)
             elif fill == _XADT:
-                codec, fragment = detail
-                children = fragments[source]
-                if children:
-                    fragment = XadtValue.from_elements(children, codec)
-                self.work["fragment_bytes"] += len(fragment.payload)
-                if codec == DICT:
-                    self.work["compressed_bytes"] += len(fragment.payload)
-                row.append(fragment)
+                row.append(self._fragment(fragments[source], *detail))
             else:
                 node: Element | None = element
                 for step in source:
@@ -193,6 +186,17 @@ class Shredder:
 
         # recurse to relation descendants through inlined intermediates
         self._descend(element, fragment_tags, element.tag, row_id, rows)
+
+    def _fragment(
+        self, children: list[Element], codec: str, empty: XadtValue
+    ) -> object:
+        """The XADT cell holding ``children`` (``empty`` when there are none)."""
+        fragment = XadtValue.from_elements(children, codec) if children else empty
+        size = len(fragment.payload)
+        self.work["fragment_bytes"] += size
+        if codec == DICT:
+            self.work["compressed_bytes"] += size
+        return fragment
 
     def _descend(
         self,
@@ -226,6 +230,13 @@ class Shredder:
         self.work["nodes_shredded"] += visited
 
 
+class _ElementShredder(Shredder):
+    """A shredder whose XADT cells are the child elements themselves."""
+
+    def _fragment(self, children, codec, empty):
+        return children
+
+
 def _root_element(document: Document | Element | str) -> Element:
     if isinstance(document, str):
         document = parse(document)
@@ -241,10 +252,11 @@ def decide_codecs(
 ) -> dict[str, str]:
     """Pick per-XADT-column codecs by sampling documents (paper §4.1).
 
-    A plain-codec shred of the samples collects each column's fragments
-    — over the schema's XADT columns only, the sample rows' relational
-    half is never built; :func:`~repro.xadt.chooser.choose_codec` then
-    decides per column.
+    A shred of the samples collects each column's fragments as the DOM
+    elements they hold — over the schema's XADT columns only, the sample
+    rows' relational half is never built;
+    :func:`~repro.xadt.chooser.choose_codec` then encodes its sample
+    from those trees under both codecs and decides per column.
     """
     fragment_columns = dataclasses.replace(
         schema,
@@ -253,8 +265,8 @@ def decide_codecs(
             for table in schema.tables
         ],
     )
-    shredder = Shredder(fragment_columns)
-    fragments: dict[str, list[XadtValue]] = {}
+    shredder = _ElementShredder(fragment_columns)
+    fragments: dict[str, list[list[Element]]] = {}
     for document in sample_documents:
         shredded = shredder.shred(document)
         for table in fragment_columns.tables:

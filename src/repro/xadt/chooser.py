@@ -18,8 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.xadt.fragment import coerce_fragment
+from repro.xadt.fragment import XadtValue, coerce_fragment
 from repro.xadt.storage import DICT, PLAIN
+from repro.xmlkit.dom import Element
 
 #: compression must save at least this fraction to be chosen (paper: 20 %)
 DEFAULT_THRESHOLD = 0.20
@@ -52,7 +53,9 @@ def choose_codec(
 ) -> CodecDecision:
     """Sample ``fragments`` and decide the storage codec.
 
-    ``fragments`` may be XadtValues, fragment text, or DOM elements.
+    ``fragments`` may be XadtValues, fragment text, or DOM elements
+    (an element or a list of them, whose dict size is encoded from the
+    tree).
     Sampling is deterministic for a given seed (reproducible builds).
     """
     if not fragments:
@@ -68,7 +71,13 @@ def choose_codec(
     for item in sample:
         value = coerce_fragment(item)
         plain_bytes += value.recode(PLAIN).byte_size()
-        dict_bytes += value.recode(DICT).byte_size()
+        if isinstance(item, Element):
+            item = [item]
+        if isinstance(item, (list, tuple)):  # DOM elements: encode the tree
+            compressed = XadtValue.from_elements(item, DICT)
+        else:
+            compressed = value.recode(DICT)
+        dict_bytes += compressed.byte_size()
 
     savings = 1.0 - (dict_bytes / plain_bytes) if plain_bytes else 0.0
     codec = DICT if savings >= threshold else PLAIN

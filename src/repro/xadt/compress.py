@@ -18,6 +18,10 @@ Binary layout::
 
 The event vocabulary shared with the plain codec:
 ``("open", tag, attrs)``, ``("close", tag)``, ``("text", data)``.
+
+Two encoders write the format: :func:`encode_events` for an event stream
+(fragment text goes through the tokenizer first) and
+:func:`encode_elements`, the loader's, straight from a DOM subtree.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.errors import XadtCodecError
+from repro.xmlkit.dom import Element, Text
 
 OPEN = 0x01
 CLOSE = 0x02
@@ -114,6 +119,69 @@ def encode_events(events: Iterable[Event]) -> bytes:
         write_varint(len(raw), header)
         header.extend(raw)
     return bytes(header + body)
+
+
+def encode_elements(elements: Iterable[Element]) -> bytes:
+    """Compress DOM elements straight into the dictionary format.
+
+    Byte-identical to :func:`encode_events` over the tokenized canonical
+    text of ``elements`` (what ``fragment._write_canonical`` writes),
+    without writing or tokenizing that text: adjacent text nodes make one
+    text event, empty text makes none, comments and processing
+    instructions are dropped (the text on either side of one merges), and
+    names get their codes in first-use order.
+    """
+    codes: dict[str, int] = {}
+    body = bytearray()
+    for element in elements:
+        _encode_element(element, codes, body)
+    out = bytearray()
+    write_varint(len(codes), out)
+    for name in codes:  # insertion order == code order
+        raw = name.encode("utf-8")
+        write_varint(len(raw), out)
+        out += raw
+    out += body
+    return bytes(out)
+
+
+def _encode_element(element: Element, codes: dict[str, int], body: bytearray) -> None:
+    tag = element.tag
+    code = codes.get(tag)
+    if code is None:
+        code = codes[tag] = len(codes)
+    body.append(OPEN)
+    write_varint(code, body)
+    attributes = element.attributes
+    write_varint(len(attributes), body)
+    for name, value in attributes.items():
+        code = codes.get(name)
+        if code is None:
+            code = codes[name] = len(codes)
+        write_varint(code, body)
+        raw = value.encode("utf-8")
+        write_varint(len(raw), body)
+        body += raw
+    text = ""  # the run of character data not yet written
+    for child in element.children:
+        if isinstance(child, Element):
+            if text:
+                _encode_text(text, body)
+                text = ""
+            _encode_element(child, codes, body)
+        elif isinstance(child, Text):
+            text += child.data
+        # comments / PIs: dropped, as the tokenizer drops them
+    if text:
+        _encode_text(text, body)
+    body.append(CLOSE)
+
+
+def _encode_text(text: str, body: bytearray) -> None:
+    raw = text.encode("utf-8")
+    body.append(TEXT)
+    write_varint(len(raw), body)
+    body += raw
 
 
 def decode_events(payload: bytes) -> Iterator[Event]:

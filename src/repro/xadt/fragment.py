@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.errors import XadtCodecError
-from repro.xadt import fastscan, storage
+from repro.xadt import compress, fastscan, storage
 from repro.xadt.storage import DICT, INDEXED, PLAIN
 from repro.xmlkit.chars import escape_text
 from repro.xmlkit.dom import Comment, Element, ProcessingInstruction, Text
@@ -69,6 +69,24 @@ class XadtValue:
         return cls(storage.encode(xml_text, codec), codec)
 
     @classmethod
+    def column(cls, payloads, codec: str) -> list["XadtValue | None"]:
+        """Values over ``payloads`` under one codec, ``None`` kept as NULL.
+
+        The constructor's codec and payload-type checks, made once for
+        the whole column rather than per value — how a write-ahead log's
+        packed ``bulk_insert`` batch rebuilds its XADT columns.
+        """
+        if codec not in storage.CODECS:
+            raise XadtCodecError(f"unknown codec {codec!r}")
+        kind = bytes if codec == DICT else str
+        kinds = set(map(type, payloads))
+        kinds.discard(type(None))
+        if kinds - {kind}:
+            raise XadtCodecError(f"{codec} payloads must be {kind.__name__}")
+        trusted = cls._trusted
+        return [None if p is None else trusted(p, codec) for p in payloads]
+
+    @classmethod
     def _trusted(cls, payload: str | bytes, codec: str) -> "XadtValue":
         """A value over a payload already known to fit ``codec``.
 
@@ -93,11 +111,16 @@ class XadtValue:
     ) -> "XadtValue":
         """Build a fragment from DOM elements (canonical fragment text).
 
-        The loader's door.  An element the parser left a verbatim
-        :attr:`~repro.xmlkit.dom.Element.span` on goes in as that slice
-        of the source; any other element — every built tree, every
-        subtree the source spelled differently — is written out.
+        The loader's door.  Under the text codecs, an element the parser
+        left a verbatim :attr:`~repro.xmlkit.dom.Element.span` on goes in
+        as that slice of the source; any other element — every built
+        tree, every subtree the source spelled differently — is written
+        out.  A dict payload is encoded from the tree itself
+        (:func:`~repro.xadt.compress.encode_elements`), the bytes
+        :func:`storage.encode` makes from that text.
         """
+        if codec == DICT:
+            return cls._trusted(compress.encode_elements(elements), DICT)
         parts: list[str] = []
         for element in elements:
             _write_canonical(element, parts)

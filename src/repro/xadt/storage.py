@@ -197,6 +197,6 @@ def dict_payload_text(payload: bytes) -> str:
 def payload_size(payload: str | bytes, codec: str) -> int:
     """Stored size in bytes (the indexed codec's directory is added by
     XadtValue.byte_size, which owns the directory)."""
-    if codec in (PLAIN, INDEXED):
+    if codec in (PLAIN, INDEXED) and not payload.isascii():  # type: ignore[union-attr]
         return len(payload.encode("utf-8"))  # type: ignore[union-attr]
-    return len(payload)  # type: ignore[arg-type]
+    return len(payload)

@@ -231,3 +231,71 @@ class TestCrashRecovery:
         # prefix; the dead pre-crash transaction stayed dropped
         assert "doc:late" in report.markers
         assert "doc:1" not in report.markers
+
+
+class TestTornTail:
+    def commit_row(self, db, row_id, marker):
+        with db.transaction(marker=marker):
+            db.insert("t", (row_id, row_id, f"név{row_id}"))
+
+    def test_commits_after_recovering_a_torn_tail_survive(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = Database.open(path, sync_mode="always")
+        db.execute(DDL)
+        self.commit_row(db, 1, "a")
+        db.close()
+        with open(path, "ab") as handle:
+            handle.write(b'{"type":"insert","table":"t","ro')  # torn write
+
+        recovered = Database.open(path, recover=True)
+        assert recovered.recovery_report.torn_tail is True
+        self.commit_row(recovered, 3, "b")
+        recovered.close()
+
+        again = Database.open(path, recover=True)
+        report = again.recovery_report
+        assert report.torn_tail is False
+        assert report.markers == ["a", "b"]
+        assert again.execute("SELECT id FROM t ORDER BY id").rows == [(1,), (3,)]
+        again.close()
+
+    def test_a_tail_cut_inside_a_multibyte_character_is_torn(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = Database.open(path, sync_mode="always")
+        db.execute(DDL)
+        self.commit_row(db, 1, "a")
+        self.commit_row(db, 2, "é")
+        db.close()
+        data = open(path, "rb").read()
+        cut = data.rindex("é".encode()) + 1  # between the two UTF-8 bytes
+        with open(path, "wb") as handle:
+            handle.write(data[:cut])
+
+        recovered = Database.open(path, recover=True)
+        report = recovered.recovery_report
+        assert report.torn_tail is True
+        assert report.markers == ["a"]
+        self.commit_row(recovered, 3, "b")
+        recovered.close()
+        again = Database.open(path, recover=True)
+        assert again.recovery_report.markers == ["a", "b"]
+        assert again.execute("SELECT id FROM t ORDER BY id").rows == [(1,), (3,)]
+        again.close()
+
+    def test_a_last_record_without_its_newline_is_kept(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = Database.open(path, sync_mode="always")
+        db.execute(DDL)
+        self.commit_row(db, 1, "a")
+        db.close()
+        data = open(path, "rb").read()
+        with open(path, "wb") as handle:
+            handle.write(data.rstrip(b"\n"))
+
+        recovered = Database.open(path, recover=True)
+        assert recovered.recovery_report.markers == ["a"]
+        self.commit_row(recovered, 2, "b")
+        recovered.close()
+        again = Database.open(path, recover=True)
+        assert again.recovery_report.markers == ["a", "b"]
+        again.close()

@@ -57,3 +57,22 @@ class TestChooseCodec:
     def test_savings_sign(self):
         inflating = choose_codec([tiny_fragment()])
         assert inflating.savings < 0  # dictionary overhead inflates
+
+    def test_dom_elements_weigh_what_their_fragments_weigh(self):
+        """Element lists (how ``decide_codecs`` samples) are encoded from
+        the tree; the sizes, and so the decision, are the text path's."""
+        from repro.xmlkit import Element, Text
+
+        lists = [
+            [Element("a", {"k": str(i)}, [Text("x" * i), Element("b")])] * (i % 3)
+            for i in range(40)
+        ]
+        values = [XadtValue.from_elements(items) for items in lists]
+        for threshold in (0.01, 0.2, 0.99):
+            assert choose_codec(lists, threshold=threshold) == choose_codec(
+                values, threshold=threshold
+            )
+        element = lists[5][0]  # a bare element counts as one fragment
+        assert choose_codec([element]) == choose_codec(
+            [XadtValue.from_elements([element])]
+        )
