@@ -10,7 +10,8 @@ conveniences), the unnest table UDF of §3.5, and the codec chooser of
 per value it takes one of two access paths, the tag scan (``fastscan``)
 or the element directory with its keyword map (``metadata.SpanDirectory``)
 an ``indexed`` value stores, and ``methods._access_path`` makes that
-decision from the value alone.
+decision from the value alone.  A run of one object in consecutive rows
+(a lateral's outer value) is answered once (``methods._run_column``).
 """
 
 from repro.xadt.chooser import CodecDecision, choose_codec

@@ -15,10 +15,22 @@ depend on the value is done once per column:
 * a value that already is an :class:`XadtValue` — every stored column
   value is — skips :func:`coerce_fragment`.
 
-What belongs to a value stays per value: its access path
+What belongs to a value stays per value: its coercion, its access path
 (:func:`_access_path`), ``XadtValue.scan_text()`` (a dict payload passes
-the ``xadt.decode`` fault site once per value, in row order), the
-directory of an indexed value, and ``findKeyInElm``'s memoized verdict.
+the ``xadt.decode`` fault site and the decode cache once per value, in
+row order), the directory of an indexed value, the statement's deadline
+tick, the bytes it is charged, and ``findKeyInElm``'s memoized verdict.
+
+What a value's answer is computed from does not always change from row
+to row: a lateral copies its outer row into every row it produces, so
+``getElm(st.out, …)`` over its fan-out sees one object many times in a
+row.  Every body but ``findKeyInElm``'s runs one loop
+(:func:`_run_column`) that computes an answer once per *run* — a value
+that ``is`` the previous row's reuses the previous answer, on the scan
+and the directory route alike.  A fragment-valued answer is the same
+immutable :class:`XadtValue`, so a nested ``elmText(getElm(…))`` hits its
+own run too.  Everything listed above still happens per value, and a hit
+charges what a miss would have; the memo dies when the body returns.
 
 Every answer is a slice of the fragment's tagged text, taken one of two
 ways — it never builds a DOM or re-serializes:
@@ -80,7 +92,7 @@ values' (:func:`_charge`).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.engine.io import work_counters
 from repro.errors import XadtMethodError
@@ -145,6 +157,53 @@ def _int_arg(method: str, name: str, value: object) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _run_column(
+    results: list,
+    column: Sequence[object],
+    scan: Callable[[str], object],
+    probe: Callable[[SpanDirectory, XadtValue], tuple[object, int]] | None,
+) -> None:
+    """The loop every body but ``findKeyInElm``'s runs: append one answer
+    per value of ``column``, in order, and charge the column's reads.
+
+    ``scan(text)`` answers from a value's tagged text, which the value's
+    whole length is charged for; ``probe(directory, value)`` answers from
+    the directory :func:`_access_path` picks and returns ``(answer, bytes
+    read)``.  Without a ``probe`` every value scans.
+
+    A run of one object — the outer value a lateral copies into each row
+    it produces — computes once: a value that ``is`` the previous row's
+    reuses the previous answer.  Its own coercion, access path,
+    ``scan_text()`` and bytes charged stay per value, so a hit fires the
+    same fault sites, touches the decode cache and charges what a miss
+    would have.  The memo is these locals: it dies with the call.
+    """
+    append = results.append
+    scanned = decoded = read = 0
+    last = answer = None
+    try:
+        for value in column:
+            if type(value) is not XadtValue:
+                value = coerce_fragment(value)
+            directory = None if probe is None else _access_path(value)
+            if directory is None:
+                text = value.scan_text()
+                scanned += len(text)
+                if value is not last:
+                    answer = scan(text)
+                    last = value
+            else:
+                if value is not last:
+                    answer, read = probe(directory, value)
+                    last = value
+                scanned += read
+            if value.codec == DICT:
+                decoded += len(value.payload)
+            append(answer)
+    finally:
+        _charge(scanned, decoded)
+
+
 def get_elm_column(
     results: list,
     column: Sequence[object],
@@ -160,34 +219,20 @@ def get_elm_column(
     search_key = _tag_arg("getElm", "searchKey", search_key)
     level = _int_arg("getElm", "level", level)
     new = XadtValue._trusted
-    append = results.append
-    scanned = decoded = 0
-    try:
-        for value in column:
-            if type(value) is not XadtValue:
-                value = coerce_fragment(value)
-            directory = _access_path(value)
-            if directory is not None:
-                matched = directory.get_elm(root_elm, search_elm, search_key, level)
-                scanned += _PROBE_BYTES + len(matched)
-            else:
-                text = value.scan_text()
-                scanned += len(text)
-                if level >= 0:
-                    # depth is not visible to a tag scan: a directory for
-                    # the call (building it reads the whole text, as charged)
-                    matched = SpanDirectory.build(text, keywords=False).get_elm(
-                        root_elm, search_elm, search_key, level
-                    )
-                else:
-                    matched = fastscan.get_elm_plain(
-                        text, root_elm, search_elm, search_key
-                    )
-            if value.codec == DICT:
-                decoded += len(value.payload)
-            append(new(matched, PLAIN))
-    finally:
-        _charge(scanned, decoded)
+    get_elm_plain = fastscan.get_elm_plain
+
+    def probe(directory: SpanDirectory, _value) -> tuple[XadtValue, int]:
+        matched = directory.get_elm(root_elm, search_elm, search_key, level)
+        return new(matched, PLAIN), _PROBE_BYTES + len(matched)
+
+    def scan(text: str) -> XadtValue:
+        if level >= 0:
+            # depth is not visible to a tag scan: a directory for the
+            # call (building it reads the whole text, as charged)
+            return probe(SpanDirectory.build(text, keywords=False), None)[0]
+        return new(get_elm_plain(text, root_elm, search_elm, search_key), PLAIN)
+
+    _run_column(results, column, scan, probe)
 
 
 #: the decode-cache kind of a ``findKeyInElm`` verdict, per codec
@@ -277,36 +322,27 @@ def get_elm_index_column(
     start_pos = _int_arg("getElmIndex", "startPos", start_pos)
     end_pos = _int_arg("getElmIndex", "endPos", end_pos)
     new = XadtValue._trusted
-    append = results.append
-    scanned = decoded = 0
-    try:
-        for value in column:
-            if type(value) is not XadtValue:
-                value = coerce_fragment(value)
-            directory = _access_path(value)
-            if directory is not None:
-                matched = directory.get_elm_index(
-                    parent_elm, child_elm, start_pos, end_pos
-                )
-                scanned += _PROBE_BYTES + len(matched)
-            else:
-                text = value.scan_text()
-                scanned += len(text)
-                matched = fastscan.get_elm_index_plain(
-                    text, parent_elm, child_elm, start_pos, end_pos
-                )
-            if value.codec == DICT:
-                decoded += len(value.payload)
-            append(new(matched, PLAIN))
-    finally:
-        _charge(scanned, decoded)
+    get_elm_index_plain = fastscan.get_elm_index_plain
+
+    def scan(text: str) -> XadtValue:
+        return new(
+            get_elm_index_plain(text, parent_elm, child_elm, start_pos, end_pos),
+            PLAIN,
+        )
+
+    def probe(directory: SpanDirectory, _value) -> tuple[XadtValue, int]:
+        matched = directory.get_elm_index(parent_elm, child_elm, start_pos, end_pos)
+        return new(matched, PLAIN), _PROBE_BYTES + len(matched)
+
+    _run_column(results, column, scan, probe)
 
 
 def elm_equals_column(
     results: list, column: Sequence[object], search_elm: str, value: str
 ) -> None:
     """``elmEquals`` of every fragment: 1 if any (non-nested)
-    ``search_elm`` element's text content equals ``value``.
+    ``search_elm`` element's text content equals ``value`` (a NULL
+    ``value`` equals nothing).
 
     The exact-match companion of ``findKeyInElm`` (a "more specialized
     method" in the sense of §3.4.2); the path-query compiler uses it for
@@ -316,48 +352,29 @@ def elm_equals_column(
     search_elm = _tag_arg("elmEquals", "searchElm", search_elm)
     if not search_elm:
         raise XadtMethodError("elmEquals: searchElm cannot be empty")
+    if value is not None and not isinstance(value, str):
+        raise XadtMethodError(
+            f"elmEquals: value must be a string, not {type(value).__name__}"
+        )
     text_of = fastscan.text_of
-    append = results.append
-    scanned = decoded = 0
-    try:
-        for fragment in column:
-            if type(fragment) is not XadtValue:
-                fragment = coerce_fragment(fragment)
-            text = fragment.scan_text()
-            directory = _access_path(fragment)
-            if directory is not None:
-                spans = directory.outermost_of(search_elm)
-                scanned += _probed(spans)
-                contents = [span.content(text) for span in spans]
-            else:
-                scanned += len(text)
-                contents = [
-                    text[cs:ce]
-                    for _, cs, ce, _ in fastscan.find_spans(text, search_elm)
-                ]
-            if fragment.codec == DICT:
-                decoded += len(fragment.payload)
-            append(1 if value in map(text_of, contents) else 0)
-    finally:
-        _charge(scanned, decoded)
+    find_spans = fastscan.find_spans
+
+    def scan(text: str) -> int:
+        contents = [text[cs:ce] for _, cs, ce, _ in find_spans(text, search_elm)]
+        return 1 if value in map(text_of, contents) else 0
+
+    def probe(directory: SpanDirectory, fragment: XadtValue) -> tuple[int, int]:
+        text = fragment.scan_text()
+        spans = directory.outermost_of(search_elm)
+        found = value in map(text_of, [span.content(text) for span in spans])
+        return (1 if found else 0), _probed(spans)
+
+    _run_column(results, column, scan, probe)
 
 
 def elm_text_column(results: list, column: Sequence[object]) -> None:
     """``elmText`` of every value: its concatenated character content."""
-    text_of = fastscan.text_of
-    append = results.append
-    scanned = decoded = 0
-    try:
-        for value in column:
-            if type(value) is not XadtValue:
-                value = coerce_fragment(value)
-            text = value.scan_text()
-            scanned += len(text)
-            if value.codec == DICT:
-                decoded += len(value.payload)
-            append(text_of(text))
-    finally:
-        _charge(scanned, decoded)
+    _run_column(results, column, fastscan.text_of, None)
 
 
 # ---------------------------------------------------------------------------

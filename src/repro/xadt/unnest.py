@@ -13,7 +13,10 @@ XORator database.
 Like the methods (:mod:`repro.xadt.methods`), the body is written once,
 over a column: :func:`unnest_column` produces the rows of every value of
 a lateral's input batch in one call, and :func:`unnest` is that body
-over one value.
+over one value.  It runs the methods' loop (``methods._run_column``), so
+a run of one object — an outer lateral's value, copied into each row of
+its fan-out — is unnested once; coercion, access path, ``scan_text()``,
+the deadline tick and the bytes charged stay per value.
 """
 
 from __future__ import annotations
@@ -21,37 +24,31 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.xadt import fastscan
-from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.methods import _PROBE_BYTES, _access_path, _charge, _tag_arg
-from repro.xadt.storage import DICT, PLAIN
+from repro.xadt.fragment import XadtValue
+from repro.xadt.metadata import SpanDirectory
+from repro.xadt.methods import _PROBE_BYTES, _run_column, _tag_arg
+from repro.xadt.storage import PLAIN
 
 
 def unnest_column(
     results: list, column: Sequence[object], tag: str = ""
 ) -> None:
     """Append, per value, its rows: one single-column row per matching
-    element."""
+    element.  The rows of a run of one value are one list, appended once
+    per row of the run (no consumer mutates it)."""
     tag = _tag_arg("unnest", "tag", tag)
     new = XadtValue._trusted
-    append = results.append
-    scanned = decoded = 0
-    try:
-        for value in column:
-            if type(value) is not XadtValue:
-                value = coerce_fragment(value)
-            directory = _access_path(value)
-            if directory is not None:
-                pieces = directory.unnest(tag)
-                scanned += _PROBE_BYTES + sum(map(len, pieces))
-            else:
-                text = value.scan_text()
-                scanned += len(text)
-                pieces = fastscan.unnest_plain(text, tag)
-            if value.codec == DICT:
-                decoded += len(value.payload)
-            append([(new(piece, PLAIN),) for piece in pieces])
-    finally:
-        _charge(scanned, decoded)
+    unnest_plain = fastscan.unnest_plain
+
+    def scan(text: str) -> list[tuple[XadtValue]]:
+        return [(new(piece, PLAIN),) for piece in unnest_plain(text, tag)]
+
+    def probe(directory: SpanDirectory, _value) -> tuple[list, int]:
+        pieces = directory.unnest(tag)
+        rows = [(new(piece, PLAIN),) for piece in pieces]
+        return rows, _PROBE_BYTES + sum(map(len, pieces))
+
+    _run_column(results, column, scan, probe)
 
 
 def unnest(fragment: object, tag: str = "") -> Iterator[tuple[XadtValue]]:

@@ -7,6 +7,10 @@ call (``invoke_scalar_batch`` / ``invoke_table_batch``); one
 two must give the same answers in the same order, charge the same work,
 count the same calls, fail at the same row with the same error — and a
 replaced ``fn`` or ``invoke`` must bypass the column body.
+
+A lateral copies its outer row into every row it produces, so a column
+can hold runs of one object; a body computes each run's answer once
+(the run-shaped columns below pin that, and that nothing else moves).
 """
 
 import random
@@ -29,7 +33,9 @@ from repro.xadt import (
     register_xadt_functions,
     unnest_values,
 )
+from repro.xadt import fastscan
 from repro.xadt.decode_cache import DECODE_CACHE
+from repro.xadt.metadata import SpanDirectory
 from repro.xadt.storage import reset_degradation
 from tests.xadt.test_codec_parity import fragments, keys, maybe_tag, tags, texts
 
@@ -180,6 +186,7 @@ def test_an_empty_column_makes_no_call(db):
     ("getElmIndex", ("", "", 1, 1)),
     ("getElmIndex", ("", "a", "one", 1)),
     ("elmEquals", ("", "x")),
+    ("elmEquals", ("a", 5)),
 ])
 def test_arguments_are_checked_before_any_value_is_touched(db, name, constants):
     # a fault on the first decode would fire if a value were touched
@@ -264,6 +271,120 @@ def test_a_malformed_fragment_fails_the_same_way(db, name, constants, bad, row):
     assert prefix(db, batched, name, column, constants) == prefix(
         db, per_call, name, column, constants
     )
+
+
+# ---------------------------------------------------------------------------
+# run-shaped columns: one object in consecutive rows
+# ---------------------------------------------------------------------------
+
+RUN_TEXTS = [
+    f"<a><b>k{i}</b><b>x</b></a><a><c><b>k{i}y</b></c></a><b>k{i}</b>"
+    for i in range(3)
+]
+
+RUN_CALLS = [
+    ("getElm", ("a",)),
+    ("getElm", ("a", "b", "k1", -1)),
+    ("getElm", ("a", "b", "", 1)),
+    ("findKeyInElm", ("b", "k1")),
+    ("getElmIndex", ("a", "b", 1, 2)),
+    ("elmText", ()),
+    ("elmEquals", ("b", "k1")),
+    ("unnest", ()),
+    ("unnest", ("b",)),
+]
+
+
+def run_shaped(codec, seed):
+    """Runs of one object, 1 to 40 rows each, drawn from a small pool so
+    an object comes back after a break; a run ends in a NULL, in an equal
+    but distinct twin of its object, or in the next run's object."""
+    rng = random.Random(seed)
+    pool = [XadtValue.from_xml(text, codec) for text in RUN_TEXTS]
+    column = []
+    for _ in range(6):
+        value = rng.choice(pool)
+        column += [value] * rng.randint(1, 40)
+        end = rng.choice(["null", "twin", "next"])
+        if end == "null":
+            column.append(None)
+        elif end == "twin":
+            column.append(XadtValue.from_xml(value.to_xml(), codec))
+    return column
+
+
+def runs_of(column):
+    """Rows that start a run: the first, and each that is not the object
+    before it (a NULL is a fresh empty fragment every row)."""
+    return sum(
+        1 for i, value in enumerate(column)
+        if i == 0 or value is None or value is not column[i - 1]
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("name, constants", RUN_CALLS)
+def test_a_run_shaped_column_answers_like_the_per_call_route(
+    db, name, constants, codec, seed
+):
+    column = run_shaped(codec, seed)
+    assert runs_of(column) < len(column)
+    expected = outcome(db, per_call, name, column, constants)
+    assert expected[1] is None
+    assert outcome(db, batched, name, column, constants) == expected
+
+
+@pytest.mark.parametrize("name, constants", RUN_CALLS)
+@pytest.mark.parametrize("hit", [1, 2, 5, 17, 40, 90])
+def test_a_decode_crash_in_a_run_fires_at_the_same_row(db, name, constants, hit):
+    column = run_shaped(DICT, seed=hit)
+    seen = []
+    for route in (per_call, batched):
+        plan = FAULTS.install(FaultPlan().crash_at("xadt.decode", hit=hit))
+        result = outcome(db, route, name, column, constants)
+        hits = plan.hits("xadt.decode")
+        DECODE_CACHE.clear()
+        FAULTS.install(FaultPlan().crash_at("xadt.decode", hit=hit))
+        seen.append((result, hits, prefix(db, route, name, column, constants)))
+    assert seen[0] == seen[1]
+
+
+#: (call, the kernels whose calls are counted: a scan's and a directory's)
+SPIED = [
+    (("getElm", ("a",)),
+     [(fastscan, "get_elm_plain"), (SpanDirectory, "get_elm")]),
+    (("getElmIndex", ("a", "b", 1, 2)),
+     [(fastscan, "get_elm_index_plain"), (SpanDirectory, "get_elm_index")]),
+    (("elmText", ()), [(fastscan, "text_of")]),
+    (("elmEquals", ("b", "k1")),
+     [(fastscan, "find_spans"), (SpanDirectory, "outermost_of")]),
+    (("unnest", ("b",)),
+     [(fastscan, "unnest_plain"), (SpanDirectory, "unnest")]),
+]
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("call, kernels", SPIED, ids=[c[0][0] for c in SPIED])
+def test_a_kernel_runs_once_per_run_not_once_per_row(
+    db, monkeypatch, call, kernels, codec
+):
+    name, constants = call
+    column = run_shaped(codec, seed=7)
+    counted = []
+    for owner, attribute in kernels:
+        kernel = getattr(owner, attribute)
+
+        def spy(*args, kernel=kernel):
+            counted.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(owner, attribute, spy)
+    outcome(db, batched, name, column, constants)
+    assert len(counted) == runs_of(column)
+    counted.clear()
+    outcome(db, per_call, name, column, constants)
+    assert len(counted) == len(column)
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,11 @@ class TestSqlSurface:
          "getElmIndex: startPos must be an integer, not 'z'"),
         ("SELECT getElmIndex(speech_line, 'p', 'c', 1, NULL) FROM speech",
          "getElmIndex: endPos must be an integer, not NULL"),
+        ("SELECT elmEquals(speech_line, 'LINE', 5) FROM speech",
+         "elmEquals: value must be a string, not int"),
     ], ids=["findKeyInElm-int-tag", "unnest-int-tag", "getElm-text-level",
-            "getElmIndex-text-position", "getElmIndex-null-position"])
+            "getElmIndex-text-position", "getElmIndex-null-position",
+            "elmEquals-int-value"])
     def test_argument_type_errors_stay_xadt_method_errors(self, db, sql, message):
         # formerly a Python TypeError / ValueError wrapped in UdfError
         with pytest.raises(XadtMethodError) as raised:
@@ -177,6 +180,14 @@ class TestSqlSurface:
             ).rows
         sql = "SELECT u.out FROM speech, TABLE(unnest(speech_line, {})) u"
         assert db.execute(sql.format("NULL")).rows == db.execute(sql.format("''")).rows
+
+    def test_a_null_elm_equals_value_equals_nothing(self, db):
+        sql = (
+            "SELECT elmEquals(speech_speaker, 'SPEAKER', {}) FROM speech "
+            "ORDER BY speechID"
+        )
+        assert db.execute(sql.format("'HAMLET'")).column("elmequals") == [1, 0]
+        assert db.execute(sql.format("NULL")).column("elmequals") == [0, 0]
 
     def test_table_function_library_errors_pass_through(self, db):
         from repro.errors import XadtCodecError
