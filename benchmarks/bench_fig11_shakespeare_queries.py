@@ -22,9 +22,9 @@ from repro.workloads import SHAKESPEARE_QUERIES
 #: query -> (scales where the model disagrees with the paper's "QS1-QS5
 #: above 1, QS6 below 1, at every scale", the counter that decides it).
 #: Mirrored line for line in EXPERIMENTS.md "Known deviations"; asserted
-#: in both directions.  Shortening this list is ROADMAP item 2's
-#: experiment (the paper-scale corpus), not a matter of changing a
-#: constant.
+#: in both directions.  Shortening this list is the experiment of the
+#: ROADMAP item "Run Figs. 11 and 13 at the paper's data sizes" (the
+#: paper-scale corpus), not a matter of changing a constant.
 KNOWN_DEVIATIONS = {
     "QS4": ((1, 2), "spill_pages: Hybrid's speech join only spills from DSx4 "
                     "(0, 0, 13, 24); before that XORator's extra "

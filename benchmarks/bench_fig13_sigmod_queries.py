@@ -23,8 +23,9 @@ from repro.workloads import SIGMOD_QUERIES
 #: "below 1 at DSx1/DSx2, above 1 at DSx4/DSx8", the counter that decides
 #: it).  Mirrored line for line in EXPERIMENTS.md "Known deviations"; a
 #: listed cell that stops deviating fails the sweep like an unlisted one
-#: that starts.  Shortening this list is ROADMAP item 2's experiment (the
-#: paper-scale corpus), not a matter of changing a constant.
+#: that starts.  Shortening this list is the experiment of the ROADMAP
+#: item "Run Figs. 11 and 13 at the paper's data sizes" (the paper-scale
+#: corpus), not a matter of changing a constant.
 KNOWN_DEVIATIONS = {
     "QG1": ((4, 8), "spills from DSx4 and jumps 0.20 -> 0.92, short of 1: "
                     "xadt_bytes_decoded (the dict payload decompressed on "

@@ -10,17 +10,10 @@ reported metric) with their counters, the Hybrid / XORator ratio (> 1
 means XORator wins), and beside them the host's wall seconds.  One
 execution per cell: the model is a function of (data, plan).
 
-``BENCH_partitioned.json`` is ``partitioned_to_json`` of
-``run_partitioned_sweep``: the Fig11 XORator queries over the ``speech``
-table hash-partitioned 4 ways, executed serially and through the
-multiprocessing Exchange at 1/2/4 workers, with modeled cold seconds and
-the speedup per worker count (``benchmarks/bench_partitioned_speedup.py``
-gates the same sweep; DESIGN.md §12 has the scaled-out machine model).
-
 Usage::
 
     PYTHONPATH=src python scripts/bench_trajectory.py [--out-dir .]
-        [--only fig11,fig13,partitioned]
+        [--only fig11,fig13]
 """
 
 from __future__ import annotations
@@ -28,17 +21,12 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.bench.experiments import (
-    run_fig11,
-    run_fig13,
-    run_partitioned_sweep,
-)
-from repro.bench.report import partitioned_to_json, sweep_to_json
+from repro.bench.experiments import run_fig11, run_fig13
+from repro.bench.report import sweep_to_json
 
 ARTIFACTS = {
     "fig11": lambda: sweep_to_json(run_fig11()),
     "fig13": lambda: sweep_to_json(run_fig13()),
-    "partitioned": lambda: partitioned_to_json(run_partitioned_sweep()),
 }
 
 

@@ -12,23 +12,15 @@ The ``REPRO_SCALE`` environment variable multiplies every corpus size
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
 
-from repro.bench.harness import (
-    BASE_SHAKESPEARE,
-    ColdRun,
-    build_database,
-    build_pair,
-    cold_query,
-)
+from repro.bench.harness import ColdRun, build_pair, cold_query
 from repro.bench.sizing import SizeComparison, compare_sizes
 from repro.datagen.shakespeare import ShakespeareConfig, generate_corpus
 from repro.datagen.sigmod import SigmodConfig
 from repro.datagen.sigmod import generate_corpus as generate_sigmod_corpus
 from repro.dtd import samples
-from repro.errors import BenchmarkError
 from repro.mapping import (
     map_basic,
     map_hybrid,
@@ -43,7 +35,6 @@ from repro.workloads import (
     SHAKESPEARE_QUERIES,
     SIGMOD_QUERIES,
     WorkloadQuery,
-    shakespeare_queries,
 )
 
 PAPER_SCALES = (1, 2, 4, 8)
@@ -147,60 +138,6 @@ def run_fig11(scales: tuple[int, ...] = PAPER_SCALES) -> RatioSweep:
 def run_fig13(scales: tuple[int, ...] = PAPER_SCALES) -> RatioSweep:
     """Figure 13: QG1-QG6 + loading, SIGMOD Proceedings, DSx1-DSx8."""
     return run_ratio_sweep("sigmod", SIGMOD_QUERIES, scales)
-
-
-# ---------------------------------------------------------------------------
-# the partition-parallel Figure 11 sweep (DESIGN.md §12)
-# ---------------------------------------------------------------------------
-
-
-#: the partitioned gate's corpus scale and ``speech`` layout
-PARTITIONED_SCALE = 16
-PARTITIONED_PARTITIONS = 4
-
-
-def run_partitioned_sweep(
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-) -> dict[int, dict[str, ColdRun]]:
-    """Cold runs of the Fig. 11 XORator queries by worker count: 0 is the
-    serial baseline, the others run through the Exchange over ``speech``
-    hash-partitioned ``PARTITIONED_PARTITIONS`` ways.  Every parallel run
-    must return the serial run's rows exactly."""
-    db = build_database(
-        "xorator",
-        map_xorator(samples.shakespeare_simplified()),
-        generate_corpus(BASE_SHAKESPEARE.scaled(PARTITIONED_SCALE)),
-        shakespeare_queries.workload_sql("xorator"),
-        sample_for_codecs=4,
-    ).db
-    try:
-        sqls = {q.key: q.xorator_sql for q in SHAKESPEARE_QUERIES}
-        expected = {key: db.execute(sql).rows for key, sql in sqls.items()}
-        runs = {0: {key: cold_query(db, sql) for key, sql in sqls.items()}}
-        db.partition_table("speech", "speechID", PARTITIONED_PARTITIONS)
-        for workers in worker_counts:
-            db.set_exec_config(
-                dataclasses.replace(db.exec_config, parallel_workers=workers)
-            )
-            for key, sql in sqls.items():
-                if db.execute(sql).rows != expected[key]:
-                    raise BenchmarkError(
-                        f"{key} at {workers} worker(s) differs from serial"
-                    )
-            runs[workers] = {key: cold_query(db, sql) for key, sql in sqls.items()}
-    finally:
-        db.close()
-    return runs
-
-
-def partitioned_speedups(
-    runs: dict[int, dict[str, ColdRun]], workers: int
-) -> dict[str, float]:
-    """Serial / parallel modeled seconds per query at ``workers``."""
-    return {
-        key: serial.modeled_seconds / runs[workers][key].modeled_seconds
-        for key, serial in runs[0].items()
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class ColdRun:
     sequential_pages: int
     random_pages: int
     spill_pages: int
-    #: counted work x pinned constants, net of overlapped exchange lanes
+    #: counted work x pinned constants
     cpu_seconds: float
     disk_seconds: float
     #: the counted work behind ``cpu_seconds`` (``IoCounters.work``)

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import json
-import statistics
 
 from repro.bench.experiments import (
-    PARTITIONED_PARTITIONS,
-    PARTITIONED_SCALE,
     CompressionChoice,
     DecoupleAblation,
     GrowthPoint,
@@ -15,9 +12,7 @@ from repro.bench.experiments import (
     MicroResult,
     RatioSweep,
     TableCountComparison,
-    partitioned_speedups,
 )
-from repro.bench.harness import ColdRun
 from repro.bench.sizing import SizeComparison
 
 
@@ -96,35 +91,6 @@ def sweep_to_json(sweep: RatioSweep, indent: int | None = 2) -> str:
         "loads": {str(scale): load for scale, load in sweep.loads.items()},
     }
     return json.dumps(payload, indent=indent)
-
-
-def partitioned_to_json(runs: dict[int, dict[str, ColdRun]]) -> str:
-    """``run_partitioned_sweep``'s runs as a JSON artifact."""
-    speedups = {
-        workers: partitioned_speedups(runs, workers) for workers in runs if workers
-    }
-    payload = {
-        "dataset": "shakespeare (xorator schema)",
-        "scale": PARTITIONED_SCALE,
-        "partitions": PARTITIONED_PARTITIONS,
-        "partition_column": "speechID",
-        "metric": "modeled cold seconds: counted work net of the exchange "
-                  "lanes that overlap the busiest one + simulated disk of "
-                  "the widest partition (DESIGN.md §12); wall_seconds / "
-                  "phase_seconds are host measurements recorded beside it",
-        "median_speedup_by_workers": {
-            str(workers): statistics.median(by_query.values())
-            for workers, by_query in speedups.items()
-        },
-        "speedups": {str(workers): by_query for workers, by_query in speedups.items()},
-        "runs": {
-            "serial" if not workers else f"workers_{workers}": {
-                key: run.to_dict() for key, run in by_query.items()
-            }
-            for workers, by_query in runs.items()
-        },
-    }
-    return json.dumps(payload, indent=2)
 
 
 def render_fig14(results: list[MicroResult]) -> str:

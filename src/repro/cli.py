@@ -10,9 +10,9 @@ Without ``--execute``/``--path``, an interactive prompt opens.  Shell
 commands (interactive or piped):
 
 * any SQL statement — executed and rendered DB2-CLP-style (the WAL's
-  status, the partition layout, the open sessions, the metrics and the
-  statement statistics are ``SELECT * FROM sys_wal`` / ``sys_partitions``
-  / ``sys_sessions`` / ``sys_metrics`` / ``sys_statements``);
+  status, the open sessions, the metrics and the statement statistics
+  are ``SELECT * FROM sys_wal`` / ``sys_sessions`` / ``sys_metrics`` /
+  ``sys_statements``);
 * ``\\dt`` — list tables with row counts and sizes;
 * ``\\d <table>`` — describe a table;
 * ``\\explain <sql>`` — show the physical plan;
@@ -27,7 +27,7 @@ commands (interactive or piped):
 * ``\\statements on|off|reset`` — toggle or clear the statement-level
   statistics collector;
 * ``\\waits`` — database-wide wait profile (where statement wall time
-  went: parse, plan, execute, wal.fsync, exchange, network, ...);
+  went: parse, plan, execute, wal.fsync, network, ...);
 * ``\\slowlog [N|set <file> [threshold_ms]|off]`` — the slow-query log:
   show the most recent entries, attach a JSONL log file, or detach;
 * ``\\trace on|off|dump [file]`` — query tracing (Chrome trace format);

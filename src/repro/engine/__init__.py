@@ -12,17 +12,10 @@ from repro.engine.catalog import CatalogManager, CatalogState
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultInjector, FaultPlan
 from repro.engine.governor import GovernorLimits, ResourceGovernor
-from repro.engine.parallel import WorkerPool
 from repro.engine.recovery import RecoveryReport, recover_database
 from repro.engine.result import Result
 from repro.engine.wal import WriteAheadLog
-from repro.engine.schema import (
-    Catalog,
-    Column,
-    IndexDef,
-    PartitionSpec,
-    TableSchema,
-)
+from repro.engine.schema import Catalog, Column, IndexDef, TableSchema
 from repro.engine.session import PreparedStatement, Session
 from repro.engine.snapshot import EngineSnapshot, TableVersion
 from repro.engine.storage_engine import StorageEngine
@@ -56,7 +49,6 @@ __all__ = [
     "IndexDef",
     "IndexSuggestion",
     "IntegerType",
-    "PartitionSpec",
     "PreparedStatement",
     "RecoveryReport",
     "ResourceGovernor",
@@ -68,7 +60,6 @@ __all__ = [
     "TableVersion",
     "VARCHAR",
     "VarcharType",
-    "WorkerPool",
     "WriteAheadLog",
     "XADT",
     "XadtType",

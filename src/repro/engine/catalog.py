@@ -1,12 +1,11 @@
 """The catalog layer: versioned, copy-on-write schema state.
 
 One :class:`CatalogState` is an immutable value: the table schemas, the
-index definitions, the per-table statistics, and the execution config,
-stamped with the engine epoch at which it was published.  DDL,
-``runstats()``, and ``set_exec_config()`` never mutate a state in place;
-the :class:`CatalogManager` builds a new state with copied dictionaries
-and swaps one reference — readers planning against a pinned state can
-never observe a half-applied change.
+index definitions and the per-table statistics, stamped with the engine
+epoch at which it was published.  DDL and ``runstats()`` never mutate a
+state in place; the :class:`CatalogManager` builds a new state with
+copied dictionaries and swaps one reference — readers planning against a
+pinned state can never observe a half-applied change.
 
 The single ``version`` stamp subsumes the schema/stats/config epoch trio
 the plan cache used to juggle: a cached plan records the catalog version
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from repro.engine.config import ExecutionConfig
 from repro.engine.schema import IndexDef, TableSchema
 from repro.errors import CatalogError
 
@@ -36,7 +34,6 @@ class CatalogState:
     tables: Mapping[str, TableSchema] = field(default_factory=dict)
     indexes: Mapping[str, IndexDef] = field(default_factory=dict)
     stats: Mapping[str, "TableStats"] = field(default_factory=dict)
-    exec_config: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     # -- reads (the planner/CLI surface) ----------------------------------
 
@@ -79,10 +76,8 @@ class CatalogManager:
     lock; the manager asserts the stamp never moves backwards.
     """
 
-    def __init__(self, exec_config: ExecutionConfig | None = None) -> None:
-        self._state = CatalogState(
-            0, {}, {}, {}, exec_config or ExecutionConfig()
-        )
+    def __init__(self) -> None:
+        self._state = CatalogState(0, {}, {}, {})
 
     @property
     def state(self) -> CatalogState:
@@ -99,7 +94,6 @@ class CatalogManager:
             "tables": current.tables,
             "indexes": current.indexes,
             "stats": current.stats,
-            "exec_config": current.exec_config,
         }
         fields.update(changes)
         self._state = CatalogState(version, **fields)
@@ -109,19 +103,6 @@ class CatalogManager:
     def add_table(self, schema: TableSchema, version: int) -> None:
         if schema.key in self._state.tables:
             raise CatalogError(f"table {schema.name!r} already exists")
-        tables = dict(self._state.tables)
-        tables[schema.key] = schema
-        self._swap(version, tables=tables)
-
-    def replace_table(self, schema: TableSchema, version: int) -> None:
-        """Swap the schema of an existing table (partitioning DDL).
-
-        Index definitions and statistics survive: the replacement must
-        keep the same columns (``partition_table`` only changes the
-        partition spec), which the caller is responsible for.
-        """
-        if schema.key not in self._state.tables:
-            raise CatalogError(f"unknown table {schema.name!r}")
         tables = dict(self._state.tables)
         tables[schema.key] = schema
         self._swap(version, tables=tables)
@@ -156,9 +137,6 @@ class CatalogManager:
         stats = dict(self._state.stats)
         stats.update(new_stats)
         self._swap(version, stats=stats)
-
-    def set_exec_config(self, config: ExecutionConfig, version: int) -> None:
-        self._swap(version, exec_config=config)
 
 
 __all__ = ["CatalogManager", "CatalogState"]

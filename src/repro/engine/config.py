@@ -3,32 +3,20 @@
 The engine has one execution regime — batches of row tuples through
 expressions compiled by :mod:`repro.engine.expr_compile`, with
 single-table predicates and the needed-column projection pushed into the
-scans — so the one :class:`ExecutionConfig` riding on each
-:class:`~repro.engine.database.Database` only selects what differs
-between deployments:
-
-* ``parallel_workers`` — size of the multiprocessing worker pool for
-  partition-parallel scans (DESIGN.md §12).  0 (the default) disables
-  the pool entirely: plans never contain an Exchange operator and the
-  engine behaves byte-identically to the pre-partitioning executor.
-  Scans of partitioned tables with ``parallel_workers >= 1`` are
-  wrapped in a scatter-gather Exchange.
-
-Changing the config on a live database bumps its config epoch, which
-invalidates cached plans (their operators bake in the Exchange
-wrapping).
+scans — and no execution option is left to set: the two defaults below
+are its only tunables.
 
 No option picks an XADT method's access path: the stored value does
-(DESIGN.md §10).  ``xadt_structural_index`` survives only as a
-read-only name that is always False, because ``benchmarks/layers``
-still reads it; ROADMAP item 6 deletes it.
+(DESIGN.md §10).  :class:`ExecutionConfig` survives only as the
+field-less holder of the read-only ``xadt_structural_index`` name that is
+always False, because ``benchmarks/layers`` still reads
+``db.exec_config.xadt_structural_index``; the ROADMAP item "The
+benchmark stops patching the engine" deletes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
-from repro.errors import ConfigError
+from dataclasses import dataclass
 
 #: target rows per batch (``Operator._execute`` yields lists of row
 #: tuples).  1024 amortizes the per-batch Python overhead (iterator
@@ -47,23 +35,15 @@ DEFAULT_WORK_MEM_BYTES = 64 * 1024
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Immutable knobs of the execution layer."""
-
-    parallel_workers: int = 0
-
-    def __post_init__(self) -> None:
-        if self.parallel_workers < 0:
-            raise ConfigError("parallel_workers cannot be negative")
+    """The execution layer's (empty) set of knobs."""
 
     @property
     def xadt_structural_index(self) -> bool:
         """Always False, and not settable: the stored value picks the
         access path.  Kept only for ``benchmarks/layers``, which reads it
-        (ROADMAP item 6 deletes it)."""
+        (the ROADMAP item "The benchmark stops patching the engine"
+        deletes it)."""
         return False
-
-    def as_dict(self) -> dict[str, object]:
-        return asdict(self)
 
 
 __all__ = ["DEFAULT_BATCH_SIZE", "DEFAULT_WORK_MEM_BYTES", "ExecutionConfig"]

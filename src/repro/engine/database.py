@@ -4,8 +4,8 @@ A :class:`Database` composes three layers (DESIGN.md §8):
 
 * the **catalog** (:class:`~repro.engine.catalog.CatalogManager`):
   versioned, copy-on-write schema state — table schemas, index
-  definitions, statistics, and the execution config, all stamped with
-  one monotonically increasing version;
+  definitions and statistics, all stamped with one monotonically
+  increasing version;
 * the **storage engine**
   (:class:`~repro.engine.storage_engine.StorageEngine`): the live
   heaps and index structures behind a single writer lock that publishes
@@ -23,9 +23,9 @@ behaviour byte for byte.
 Repeated SELECTs are served from a bounded LRU plan cache (DB2's package
 cache, in miniature): a hit skips lex/parse/optimize/compile entirely
 and re-runs the cached operator tree, which builds fresh iterator state
-on every ``rows()`` call.  Any plan-relevant change — DDL, ``runstats``,
-an exec-config swap — advances the catalog version; plans from older
-versions are purged at publish time instead of silently reused.
+on every ``rows()`` call.  Any plan-relevant change (DDL, ``runstats``)
+advances the catalog version; plans from older versions are purged at
+publish time instead of silently reused.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.engine.index import Index
 from repro.engine.plan.optimizer import plan_select
 from repro.engine.plan_cache import DEFAULT_CAPACITY, PlanCache, normalize_sql
 from repro.engine.result import Result
-from repro.engine.schema import Column, IndexDef, PartitionSpec, TableSchema
+from repro.engine.schema import Column, IndexDef, TableSchema
 from repro.engine.session import PreparedStatement, Session
 from repro.engine.sql.ast import (
     CreateIndexStmt,
@@ -58,7 +58,7 @@ from repro.engine.sql.ast import (
 )
 from repro.engine.sql.parser import parse_sql
 from repro.engine.statistics import TableStats, collect_stats
-from repro.engine.storage import HeapTable, PartitionedHeapTable
+from repro.engine.storage import HeapTable
 from repro.engine.storage_engine import StorageEngine
 from repro.engine.system_views import (
     SystemViewTable,
@@ -83,7 +83,6 @@ class Database:
         name: str = "db",
         work_mem_bytes: int | None = None,
         plan_cache_capacity: int = DEFAULT_CAPACITY,
-        exec_config: ExecutionConfig | None = None,
     ) -> None:
         self.name = name
         self.registry = FunctionRegistry()
@@ -92,7 +91,7 @@ class Database:
         self.work_mem_bytes = (
             DEFAULT_WORK_MEM_BYTES if work_mem_bytes is None else work_mem_bytes
         )
-        self._catalog_mgr = CatalogManager(exec_config or ExecutionConfig())
+        self._catalog_mgr = CatalogManager()
         #: the storage layer: live heaps/indexes + writer lock + snapshots
         self.engine = StorageEngine(self._catalog_mgr)
         #: compiled-plan cache; capacity 0 re-plans every execution
@@ -122,9 +121,6 @@ class Database:
         self.governor = ResourceGovernor()
         #: set by :func:`repro.engine.recovery.recover_database`
         self.recovery_report = None
-        #: lazy partition-parallel worker pool (DESIGN.md §12)
-        self._pool = None
-        self._pool_lock = threading.Lock()
         #: lazy alternative execution backends by name (DESIGN.md §13)
         self._backends: dict[str, object] = {}
         self._backends_lock = threading.Lock()
@@ -175,83 +171,9 @@ class Database:
         return self._wal
 
     def close(self) -> None:
-        """Durably flush and detach the WAL; stop the worker pool."""
+        """Durably flush and detach the WAL."""
         if self._wal is not None and not self._wal.closed:
             self._wal.close()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
-
-    # -- partition-parallel execution --------------------------------------
-
-    def worker_pool(self):
-        """The scatter-gather worker pool, sized by the execution config.
-
-        Returns None while ``parallel_workers`` is 0 (the default: plans
-        never contain an Exchange).  The pool spawns lazily on first use
-        and is rebuilt when the configured size changes; plans hold this
-        *method* as their pool provider, so cached plans follow resizes
-        and never pin dead worker processes.
-        """
-        workers = self.exec_config.parallel_workers
-        with self._pool_lock:
-            if workers < 1:
-                if self._pool is not None:
-                    self._pool.close()
-                    self._pool = None
-                return None
-            if self._pool is not None and self._pool.size != workers:
-                self._pool.close()
-                self._pool = None
-            if self._pool is None:
-                from repro.engine.parallel import WorkerPool
-
-                self._pool = WorkerPool(workers)
-            return self._pool
-
-    def partition_table(
-        self,
-        name: str,
-        column: str,
-        partitions: int,
-        kind: str = "hash",
-        bounds: tuple | list | None = None,
-    ) -> None:
-        """Hash/range-partition an existing table by ``column``.
-
-        Rebuilds the heap as a
-        :class:`~repro.engine.storage.PartitionedHeapTable` under the
-        writer lock: rows keep their ids (the unified append-only row
-        list is preserved, so row-id ordering — and therefore every
-        query result — is unchanged), gaining per-partition row-id
-        buckets; attached indexes are rebuilt against the new heap.
-        Readers pinned to older snapshots keep the old heap object.
-        The catalog version bump purges cached plans, keeping plan-cache
-        keys sound under the new partition metadata.
-        """
-        self._reject_system_name(name, "partition table")
-        old_schema = self.catalog.table(name)
-        spec = PartitionSpec(
-            column=column,
-            partitions=partitions,
-            kind=kind,
-            bounds=tuple(bounds) if bounds is not None else None,
-        )
-        schema = TableSchema(
-            old_schema.name, list(old_schema.columns), partition=spec
-        )
-        with self._write() as version:
-            if self._wal is not None:
-                self._wal.log_partition_table(name, spec)
-            old_heap = self.engine.heap(name)
-            heap = PartitionedHeapTable(schema)
-            heap.bulk_insert(list(old_heap.rows))
-            definitions = [index.definition for index in old_heap.indexes]
-            self._catalog_mgr.replace_table(schema, version)
-            self.engine.replace_heap(heap)
-            for definition in definitions:
-                self.engine.add_index(definition)
 
     @contextmanager
     def _write(self, marker: str | None = None) -> Iterator[int]:
@@ -312,20 +234,8 @@ class Database:
 
     @property
     def exec_config(self) -> ExecutionConfig:
-        """Execution-layer knobs the planner bakes into physical plans."""
-        return self._catalog_mgr.state.exec_config
-
-    def set_exec_config(self, config: ExecutionConfig) -> None:
-        """Swap the execution config; cached plans are invalidated.
-
-        Plans bake in the XADT access path and the Exchange wrapping of
-        partitioned scans, so the catalog-version bump purges every
-        cached statement at publish time.
-        """
-        with self._write() as version:
-            if self._wal is not None:
-                self._wal.log_exec_config(config)
-            self._catalog_mgr.set_exec_config(config, version)
+        """The execution layer's (field-less) config; read-only."""
+        return ExecutionConfig()
 
     # -- sessions ----------------------------------------------------------
 
@@ -537,16 +447,7 @@ class Database:
                 Column(c.name, type_from_name(c.type_name), c.primary_key)
                 for c in statement.columns
             ]
-            partition = None
-            if statement.partition_column is not None:
-                partition = PartitionSpec(
-                    column=statement.partition_column,
-                    partitions=statement.partition_count or 0,
-                    kind=statement.partition_kind,
-                )
-            self.create_table(
-                TableSchema(statement.table, columns, partition=partition)
-            )
+            self.create_table(TableSchema(statement.table, columns))
             return Result(["status"], [("table created",)])
         if isinstance(statement, CreateIndexStmt):
             self.create_index(

@@ -1,8 +1,8 @@
 """Source-level expression compilation: the one compiler a plan holds.
 
 Every predicate, projection, group key, aggregate argument, sort key and
-lateral argument of a plan (and of a worker fragment) is lowered here,
-once per (cached) plan at plan time, into the Python source of one
+lateral argument of a plan is lowered here, once per (cached) plan at
+plan time, into the Python source of one
 *batch function*:
 
 * :func:`compile_filter` — ``fn(batch)`` returns the rows it keeps;

@@ -69,7 +69,6 @@ SITES = (
     "xadt.decode",
     "io.charge",
     "xadt.index_build",
-    "worker.crash",
     "server.accept",
     "server.read",
     "server.write",

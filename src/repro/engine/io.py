@@ -9,8 +9,7 @@ model prices the counts with pinned constants:
     modeled      = cpu_seconds + disk_seconds
     disk_seconds = (sequential_pages + spill_pages) * SEQUENTIAL_PAGE_SECONDS
                  + random_pages * RANDOM_PAGE_SECONDS
-    cpu_seconds  = sum(counter * WORK_SECONDS[counter]), less the lanes
-                   a partition-parallel exchange overlaps
+    cpu_seconds  = sum(counter * WORK_SECONDS[counter])
 
 No clock enters the model: it is a function of (data, plan), identical
 from run to run, host to host and Python to Python (sums go through
@@ -121,16 +120,12 @@ class IoCounters:
     #: counted work, one entry per ``WORK_SECONDS`` name (a charge to any
     #: other name is a KeyError): ``io.work[name] += n``
     work: dict[str, int] = field(default_factory=_no_work)
-    #: the part of that work a multi-core pool overlaps: per exchange,
-    #: every lane but the busiest (DESIGN.md §12)
-    overlapped: dict[str, int] = field(default_factory=_no_work)
     #: per-category detail for EXPLAIN-style reporting
     notes: list[str] = field(default_factory=list)
 
     def reset(self) -> None:
         self.sequential_pages = self.random_pages = self.spill_pages = 0
         self.work.update(_no_work())
-        self.overlapped.update(_no_work())
         self.notes.clear()
 
     # Each page charge is a fault-injection site ("io.charge"): delay
@@ -161,16 +156,11 @@ class IoCounters:
         self.random_pages += other.random_pages
         self.spill_pages += other.spill_pages
         add_work(self.work, other.work)
-        add_work(self.overlapped, other.overlapped)
         self.notes.extend(other.notes)
 
     def cpu_seconds(self) -> float:
-        """CPU seconds on the critical path: the counted work less what
-        ran on lanes beside the busiest one."""
-        return fsum(
-            (self.work[name] - self.overlapped[name]) * price
-            for name, price in WORK_SECONDS.items()
-        )
+        """CPU seconds of the counted work."""
+        return work_seconds(self.work)
 
     def disk_seconds(self) -> float:
         return (

@@ -107,29 +107,6 @@ def seq_scan_cost(row_count: float, data_pages: float) -> float:
     return data_pages * MS_SEQ_PAGE + row_count * MS_TUPLE
 
 
-def parallel_scan_cost(
-    row_count: float,
-    data_pages: float,
-    partitions: int,
-    workers: int,
-) -> float:
-    """Partition-parallel scan cost in modeled milliseconds.
-
-    Partition streams are read concurrently, so the disk term is the
-    widest fragment (pages split evenly across partitions under hash
-    spread) rather than the whole table; the per-tuple CPU divides
-    across the effective lanes (``min(workers, partitions)``); each
-    fragment pays one random page of scatter/gather dispatch overhead.
-    """
-    if partitions < 1:
-        return seq_scan_cost(row_count, data_pages)
-    lanes = max(min(workers, partitions), 1)
-    disk = (data_pages / partitions) * MS_SEQ_PAGE
-    cpu = (row_count * MS_TUPLE) / lanes
-    dispatch = MS_RANDOM_PAGE * partitions
-    return disk + cpu + dispatch
-
-
 def index_scan_cost(matches: float, table_pages: float | None = None) -> float:
     """Unclustered index equality scan: leaf probe plus one random page
     per match, capped by the table's page count (within-query caching)."""

@@ -3,9 +3,8 @@
 A logical plan sits between the parsed :class:`SelectStmt` and the
 physical operator tree.  The optimizer makes every *planning decision*
 on this representation — predicate classification, join order and
-strategy, access paths (index vs sequential), partition/exchange
-eligibility and prune hints, scan-level projection pushdown — and
-records the decisions as plain node fields holding AST
+strategy, access paths (index vs sequential), scan-level projection
+pushdown — and records the decisions as plain node fields holding AST
 :class:`~repro.engine.expr.Expr` trees, never compiled closures.
 
 Two lowering backends consume it:
@@ -92,9 +91,8 @@ class LogicalScan(LogicalNode):
 
     ``access`` is ``"seq"`` or ``"index"``; for index access the
     equality conjunct that selects the index, the probe-key expression,
-    and the live index object are recorded.  ``exchange`` marks a
-    partition-parallel scan (with bind-aware prune descriptors), and
-    ``projection`` is the pushed-down column index list.
+    and the live index object are recorded.  ``projection`` is the
+    pushed-down column index list.
     """
 
     ref: TableRef
@@ -105,8 +103,6 @@ class LogicalScan(LogicalNode):
     eq_conjunct: Expr | None = None
     key_expr: Expr | None = None
     index: object | None = None  #: live Index for "index" access
-    exchange: bool = False
-    prunes: list[tuple[str, tuple[str, object]]] = field(default_factory=list)
     estimate: float = 0.0
 
 

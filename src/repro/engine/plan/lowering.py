@@ -33,7 +33,6 @@ from repro.engine.expr_compile import (
     compile_filter,
     compile_projection,
 )
-from repro.engine.plan.exchange import Exchange
 from repro.engine.plan.logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -83,10 +82,8 @@ class _SelectLowering:
     """One lowering pass: carries the context and the bind-value box."""
 
     def __init__(self, ctx, params: ParamBox | None) -> None:
-        self.ctx = ctx
         self.registry: FunctionRegistry = ctx.registry
         self.params = params
-        self.config = ctx.exec_config
 
     def filter(self, expr: Expr, binding: Binding) -> BatchFn:
         return compile_filter(expr, binding, self.registry, self.params)
@@ -181,25 +178,14 @@ class _SelectLowering:
                 pre_sort.estimated_rows = plan.estimated_rows
                 plan = pre_sort
 
-        if (
-            tuple_fn is not None
-            and isinstance(plan, Exchange)
-            and plan.project is None
-        ):
-            # push the SELECT list into the fragments: workers evaluate the
-            # (already-validated) expressions, the exchange emits
-            # final output tuples, and the coordinator-side Project is
-            # dropped.  Per-row XADT decode then runs partition-parallel.
-            plan.attach_project(select_exprs, Binding(projected_slots))
-        else:
-            projected = Project(
-                plan,
-                projected_slots,
-                tuple_fn,
-                xadt_access=xadt_access(select_exprs),
-            )
-            projected.estimated_rows = plan.estimated_rows
-            plan = projected
+        projected = Project(
+            plan,
+            projected_slots,
+            tuple_fn,
+            xadt_access=xadt_access(select_exprs),
+        )
+        projected.estimated_rows = plan.estimated_rows
+        plan = projected
 
         if distinct:
             distinct_input_rows = plan.estimated_rows
@@ -276,18 +262,6 @@ class _SelectLowering:
             xadt_access=xadt_access(scan.pushed),
         )
         operator.estimated_rows = scan.estimate
-        if scan.exchange:
-            exchange = Exchange(
-                operator,
-                pool_provider=getattr(self.ctx, "worker_pool", None),
-                registry=self.registry,
-                workers=self.config.parallel_workers,
-                predicate_ast=predicate,
-                params=self.params,
-                prunes=scan.prunes,
-            )
-            exchange.estimated_rows = scan.estimate
-            return exchange
         return operator
 
     def _lower_join(self, join: LogicalJoin) -> Operator:

@@ -6,8 +6,7 @@ Plans a parsed :class:`SelectStmt` in two phases:
    (:mod:`repro.engine.plan.logical`): classify WHERE conjuncts
    (single-table, equi-join edge, residual), pick an access path per
    base table (index scan when an equality predicate has a live index
-   and wins on cost, else sequential scan — partition-parallel when a
-   worker pool and a partitioned heap allow it), order joins greedily by
+   and wins on cost, else sequential scan), order joins greedily by
    estimated cost choosing between hash join and index nested-loop join
    per step, append lateral table functions in declared order (DB2
    semantics: their arguments may reference any FROM item to their
@@ -39,7 +38,6 @@ from repro.engine.expr import (
     and_together,
     conjuncts_of,
 )
-from repro.engine.config import ExecutionConfig
 from repro.engine.index import Index
 from repro.engine.plan import cost as cost_model
 from repro.engine.plan.logical import (
@@ -60,7 +58,7 @@ from repro.engine.plan.lowering import lower_select
 from repro.engine.plan.physical import Operator, table_binding
 from repro.engine.schema import IndexDef
 from repro.engine.statistics import TableStats
-from repro.engine.storage import HeapTable, PartitionedHeapTable
+from repro.engine.storage import HeapTable
 from repro.engine.sql.ast import SelectStmt, TableFunctionRef, TableRef
 from repro.engine.udf import FunctionRegistry
 from repro.errors import PlanError
@@ -70,7 +68,6 @@ class PlannerContext(Protocol):
     """What the planner needs from the database."""
 
     registry: FunctionRegistry
-    exec_config: ExecutionConfig
     work_mem_bytes: int  #: join working memory the hash-join cost assumes
 
     def heap(self, table_name: str) -> HeapTable: ...
@@ -287,18 +284,9 @@ def _decide_access(
 
     Mirrors the lowered operator's cost model exactly: an equality
     conjunct with a live index wins when the index probe is cheaper than
-    the (possibly partition-parallel) sequential scan.
+    the sequential scan.
     """
-    config = ctx.exec_config
     projection = _projection_of(heap, ref.qualifier.lower(), needed)
-    # partition-parallel scans need a partitioned heap, an enabled pool,
-    # and a context that can provide one (DESIGN.md §12)
-    pool_provider = getattr(ctx, "worker_pool", None)
-    exchange_ready = (
-        config.parallel_workers > 0
-        and isinstance(heap, PartitionedHeapTable)
-        and pool_provider is not None
-    )
     selectivity = 1.0
     for conjunct in pushed:
         selectivity *= cost_model.predicate_selectivity(conjunct, table_stats)
@@ -312,15 +300,8 @@ def _decide_access(
             table_stats, column.name if column else "", heap.row_count()
         )
         index_cost = cost_model.index_scan_cost(matches, heap.data_pages())
-        scan_cost = (
-            cost_model.parallel_scan_cost(
-                heap.row_count(),
-                heap.data_pages(),
-                heap.spec.partitions,
-                config.parallel_workers,
-            )
-            if exchange_ready
-            else cost_model.seq_scan_cost(heap.row_count(), heap.data_pages())
+        scan_cost = cost_model.seq_scan_cost(
+            heap.row_count(), heap.data_pages()
         )
         if index_cost >= scan_cost:
             index_choice = None
@@ -337,7 +318,7 @@ def _decide_access(
             index=index,
             estimate=estimate,
         )
-    scan = LogicalScan(
+    return LogicalScan(
         ref=ref,
         heap=heap,
         pushed=list(pushed),
@@ -345,53 +326,6 @@ def _decide_access(
         access="seq",
         estimate=estimate,
     )
-    if exchange_ready:
-        scan.exchange = True
-        scan.prunes = _partition_prunes(pushed, heap.spec)
-    return scan
-
-
-#: comparison flips for constant-on-the-left partition-column conjuncts
-_PRUNE_FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _partition_prunes(
-    pushed: list[Expr], spec
-) -> list[tuple[str, tuple[str, object]]]:
-    """Bind-aware prune descriptors from partition-column conjuncts.
-
-    Each descriptor is ``(op, ("lit", value) | ("param", index))``; the
-    Exchange resolves literals at plan time and parameters per execution
-    (so one cached prepared plan prunes correctly for every binding).
-    """
-    prunes: list[tuple[str, tuple[str, object]]] = []
-    column_key = spec.column.lower()
-    for conjunct in pushed:
-        if not isinstance(conjunct, Comparison):
-            continue
-        op = conjunct.op
-        if op not in _PRUNE_FLIP:
-            continue
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, ColumnRef) and isinstance(
-            right, (Literal, Parameter)
-        ):
-            column, key_expr = left, right
-        elif isinstance(right, ColumnRef) and isinstance(
-            left, (Literal, Parameter)
-        ):
-            column, key_expr, op = right, left, _PRUNE_FLIP[op]
-        else:
-            continue
-        if column.name.lower() != column_key:
-            continue
-        source = (
-            ("lit", key_expr.value)
-            if isinstance(key_expr, Literal)
-            else ("param", key_expr.index)
-        )
-        prunes.append((op, source))
-    return prunes
 
 
 def _find_eq_index(

@@ -25,8 +25,7 @@ no operator evaluates an expression on a single row.  The lowering
 (:mod:`repro.engine.plan.lowering`) wires them against the correct
 child bindings, including the scan-level projection pushdown
 (``SeqScan``/``IndexScan`` accept a ``projection`` column list and then
-bind only the surviving slots).  The scatter-gather ``Exchange`` lives
-in :mod:`repro.engine.plan.exchange`.
+bind only the surviving slots).
 """
 
 from __future__ import annotations

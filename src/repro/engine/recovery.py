@@ -40,8 +40,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.engine.config import ExecutionConfig
-from repro.engine.schema import Column, PartitionSpec, TableSchema
+from repro.engine.schema import Column, TableSchema
 from repro.engine.types import type_from_name
 from repro.engine.wal import WriteAheadLog, decode_bulk_rows, decode_row
 from repro.errors import RecoveryError
@@ -51,10 +50,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
 
 #: ``exec_config`` keys older logs carry for the execution options that no
-#: longer exist; replay drops exactly these, any other unknown key is an error
-_RETIRED_CONFIG_KEYS = frozenset(
-    {"batch_size", "compiled_expressions", "scan_pushdown", "xadt_structural_index"}
-)
+#: longer exist (``parallel_workers`` sized the partition-parallel worker
+#: pool).  No option is left, so such a record changes nothing: replay
+#: checks its keys against exactly these, and any other key is an error
+_RETIRED_CONFIG_KEYS = frozenset({
+    "batch_size", "compiled_expressions", "parallel_workers", "scan_pushdown",
+    "xadt_structural_index",
+})
+#: record types older logs carry for operations that no longer exist
+#: (``partition_table`` re-laid a heap out for partition-parallel scans,
+#: which never changed a query's rows); replay skips them.  Such logs'
+#: ``create_table`` records may also carry a ``partition`` spec, which
+#: replay ignores: the table comes back plain.
+_RETIRED_RECORD_TYPES = frozenset({"partition_table"})
 
 _RECOVERIES = METRICS.counter("wal.recoveries")
 _REPLAYED = METRICS.counter("wal.records_replayed")
@@ -134,18 +142,7 @@ def _apply(db: "Database", record: dict) -> None:
             Column(name, type_from_name(type_name), primary_key)
             for name, type_name, primary_key in record["columns"]
         ]
-        partition = _decode_partition(record.get("partition"))
-        db.create_table(
-            TableSchema(record["table"], columns, partition=partition)
-        )
-    elif kind == "partition_table":
-        db.partition_table(
-            record["table"],
-            record["column"],
-            record["partitions"],
-            kind=record["kind"],
-            bounds=tuple(record["bounds"]) if record["bounds"] else None,
-        )
+        db.create_table(TableSchema(record["table"], columns))
     elif kind == "drop_table":
         db.drop_table(record["table"])
     elif kind == "create_index":
@@ -160,30 +157,13 @@ def _apply(db: "Database", record: dict) -> None:
     elif kind == "runstats":
         db.runstats(record["table"])
     elif kind == "exec_config":
-        kept = {
-            key: value
-            for key, value in record["config"].items()
-            if key not in _RETIRED_CONFIG_KEYS
-        }
-        try:
-            config = ExecutionConfig(**kept)
-        except TypeError as exc:
-            raise RecoveryError(f"bad exec_config record: {exc}") from exc
-        db.set_exec_config(config)
-    else:
+        unknown = sorted(set(record["config"]) - _RETIRED_CONFIG_KEYS)
+        if unknown:
+            raise RecoveryError(
+                f"bad exec_config record: unknown keys {unknown}"
+            )
+    elif kind not in _RETIRED_RECORD_TYPES:
         raise RecoveryError(f"unknown WAL record type {kind!r}")
-
-
-def _decode_partition(payload: dict | None) -> "PartitionSpec | None":
-    if payload is None:
-        return None
-    bounds = payload["bounds"]
-    return PartitionSpec(
-        column=payload["column"],
-        partitions=payload["partitions"],
-        kind=payload["kind"],
-        bounds=tuple(bounds) if bounds else None,
-    )
 
 
 def recover_database(

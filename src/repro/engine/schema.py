@@ -8,89 +8,10 @@ column names (``speech_parentCODE`` etc.) freely.
 
 from __future__ import annotations
 
-import zlib
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.engine.types import SqlType
 from repro.errors import CatalogError
-
-
-def stable_hash(value: object) -> int:
-    """A process-independent hash for partition routing.
-
-    Python's built-in ``hash`` is salted per process (PYTHONHASHSEED),
-    so the coordinator and its worker processes would disagree on row
-    placement.  Integers map to themselves; everything else goes through
-    CRC-32 of a canonical byte rendering.
-    """
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, bytes):
-        return zlib.crc32(value)
-    if isinstance(value, str):
-        return zlib.crc32(value.encode("utf-8"))
-    return zlib.crc32(repr(value).encode("utf-8"))
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """How a table's rows are routed to partitions.
-
-    ``hash``: partition = ``stable_hash(value) % partitions``.
-    ``range``: ``bounds`` holds ``partitions - 1`` ascending upper
-    bounds; a row lands in the first partition whose bound its value is
-    below (values >= the last bound go in the final partition, NULLs in
-    the first).
-    """
-
-    column: str
-    partitions: int
-    kind: str = "hash"
-    bounds: tuple | None = None
-
-    def __post_init__(self) -> None:
-        if self.partitions < 2:
-            raise CatalogError("a partitioned table needs >= 2 partitions")
-        if self.kind not in ("hash", "range"):
-            raise CatalogError(f"unknown partitioning kind {self.kind!r}")
-        if self.kind == "range":
-            if self.bounds is None or len(self.bounds) != self.partitions - 1:
-                raise CatalogError(
-                    "range partitioning needs partitions - 1 bounds"
-                )
-            if list(self.bounds) != sorted(self.bounds):
-                raise CatalogError("range partition bounds must be ascending")
-        elif self.bounds is not None:
-            raise CatalogError("hash partitioning takes no bounds")
-
-    def partition_for(self, value: object) -> int:
-        """The partition id a routing-column value maps to."""
-        if self.kind == "hash":
-            return stable_hash(value) % self.partitions
-        if value is None:
-            return 0
-        return bisect_right(list(self.bounds), value)
-
-    def prune_range(self, op: str, value: object) -> list[int] | None:
-        """Partitions a range predicate on the routing column can reach.
-
-        Only meaningful for range partitioning; hash placement carries
-        no order, so anything but equality returns None (no pruning).
-        """
-        if self.kind != "range" or value is None:
-            return None
-        bounds = list(self.bounds)
-        anchor = bisect_right(bounds, value)
-        if op in ("<", "<="):
-            return list(range(0, anchor + 1))[: self.partitions]
-        if op in (">", ">="):
-            return list(range(anchor, self.partitions))
-        return None
 
 
 @dataclass(frozen=True)
@@ -109,12 +30,7 @@ class Column:
 class TableSchema:
     """An ordered set of columns with unique (case-insensitive) names."""
 
-    def __init__(
-        self,
-        name: str,
-        columns: list[Column],
-        partition: PartitionSpec | None = None,
-    ):
+    def __init__(self, name: str, columns: list[Column]):
         if not columns:
             raise CatalogError(f"table {name!r} requires at least one column")
         self.name = name
@@ -130,10 +46,6 @@ class TableSchema:
         if len(primary) > 1:
             raise CatalogError(f"table {name!r} declares multiple primary keys")
         self.primary_key: Column | None = primary[0] if primary else None
-        self.partition = partition
-        if partition is not None:
-            # validates the routing column exists
-            self.position(partition.column)
 
     @property
     def key(self) -> str:

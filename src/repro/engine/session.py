@@ -126,19 +126,6 @@ class _PlannerView:
         self.registry = db.registry
         self.work_mem_bytes = db.work_mem_bytes
 
-    @property
-    def exec_config(self):
-        return self._catalog.exec_config
-
-    def worker_pool(self):
-        """The database's partition-parallel pool (None when disabled).
-
-        Pool handles are baked into Exchange operators as this provider,
-        not as a pool object, so a cached plan picks up pool resizes and
-        never holds dead worker processes alive.
-        """
-        return self._db.worker_pool()
-
     def heap(self, table_name: str) -> "HeapTable":
         # sys.* views live outside the snapshot machinery: they are
         # materialized at scan time, never published

@@ -74,10 +74,6 @@ class ColumnDef:
 class CreateTableStmt:
     table: str
     columns: list[ColumnDef]
-    #: ``PARTITION BY HASH(col) PARTITIONS n`` clause, if present
-    partition_column: str | None = None
-    partition_count: int | None = None
-    partition_kind: str = "hash"
 
 
 @dataclass

@@ -98,14 +98,6 @@ class _Parser:
             return True
         return False
 
-    def _accept_word(self, word: str) -> bool:
-        """Accept a non-reserved word (lexed as an identifier)."""
-        token = self._peek()
-        if token.kind == "ident" and token.text.lower() == word:
-            self._advance()
-            return True
-        return False
-
     def _expect_keyword(self, word: str) -> None:
         token = self._advance()
         if not token.is_keyword(word):
@@ -263,30 +255,7 @@ class _Parser:
         while self._accept_symbol(","):
             columns.append(self._parse_column_def())
         self._expect_symbol(")")
-        partition_column: str | None = None
-        partition_count: int | None = None
-        partition_kind = "hash"
-        if self._accept_word("partition"):
-            self._expect_keyword("by")
-            kind = self._expect_ident().lower()
-            if kind != "hash":
-                raise self._error(
-                    f"unknown partitioning kind {kind!r} (DDL supports HASH; "
-                    f"range partitioning goes through partition_table())"
-                )
-            partition_kind = kind
-            self._expect_symbol("(")
-            partition_column = self._expect_ident()
-            self._expect_symbol(")")
-            if not self._accept_word("partitions"):
-                raise self._error("expected PARTITIONS", self._peek())
-            partition_count = self._expect_number()
-        return CreateTableStmt(
-            table, columns,
-            partition_column=partition_column,
-            partition_count=partition_count,
-            partition_kind=partition_kind,
-        )
+        return CreateTableStmt(table, columns)
 
     def _parse_column_def(self) -> ColumnDef:
         name = self._expect_ident()

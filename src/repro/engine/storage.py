@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from bisect import bisect_left
-
 from repro.engine.faults import FAULTS
 from repro.engine.pages import PageAccounting
-from repro.engine.schema import PartitionSpec, TableSchema
+from repro.engine.schema import TableSchema
 from repro.engine.snapshot import TableVersion, active_budget
 from repro.engine.types import COLUMN_OVERHEAD, ROW_OVERHEAD
 from repro.errors import ExecutionError
@@ -312,98 +310,3 @@ class HeapTable:
 
     def __repr__(self) -> str:
         return f"HeapTable({self.schema.name}, {len(self.rows)} rows)"
-
-
-class PartitionedHeapTable(HeapTable):
-    """A heap whose rows are additionally bucketed into partitions.
-
-    The unified append-only ``rows`` list is unchanged — row ids, scans,
-    indexes, snapshot horizons, and ``capture_version()`` behave exactly
-    as on a plain heap, so every existing read path works untouched.
-    On top of it the table keeps one ascending row-id bucket per
-    partition (``PartitionSpec.partition_for`` routes on the spec's
-    column), which is what partition-parallel scans slice:
-    ``partition_rows(p, limit)`` is the subsequence of the heap scan
-    belonging to partition ``p`` under a snapshot horizon, and
-    concatenating all partitions k-way-merged by row id reproduces the
-    unpartitioned scan order byte for byte.
-    """
-
-    def __init__(self, schema: TableSchema) -> None:
-        if schema.partition is None:
-            raise ExecutionError(
-                f"table {schema.name!r} has no partition spec"
-            )
-        super().__init__(schema)
-        self.spec: PartitionSpec = schema.partition
-        self._routing_position = schema.position(self.spec.column)
-        #: per-partition ascending row-id buckets
-        self.buckets: list[list[int]] = [
-            [] for _ in range(self.spec.partitions)
-        ]
-
-    def _store_row(self, row: Sequence[object]) -> int:
-        width = super()._store_row(row)
-        row_id = len(self.rows) - 1
-        value = self.rows[row_id][self._routing_position]
-        self.buckets[self.spec.partition_for(value)].append(row_id)
-        return width
-
-    def _store_batch(
-        self, rows: list[Sequence[object]], budget: "StatementBudget | None"
-    ) -> list[int] | None:
-        first_row_id = len(self.rows)
-        widths = super()._store_batch(rows, budget)
-        if widths:
-            position = self._routing_position
-            route = self.spec.partition_for
-            stored = self.rows
-            for row_id in range(first_row_id, len(stored)):
-                self.buckets[route(stored[row_id][position])].append(row_id)
-        return widths
-
-    def rollback_to(self, mark: tuple) -> None:
-        row_count = mark[0]
-        super().rollback_to(mark)
-        for bucket in self.buckets:
-            # buckets are ascending, so the doomed tail is a suffix
-            del bucket[bisect_left(bucket, row_count):]
-
-    # -- partition-wise reads ----------------------------------------------
-
-    def partition_row_ids(
-        self, partition: int, limit: int | None = None
-    ) -> list[int]:
-        """Row ids of ``partition`` under the snapshot horizon ``limit``."""
-        bucket = self.buckets[partition]
-        if limit is None:
-            return list(bucket)
-        return bucket[: bisect_left(bucket, limit)]
-
-    def partition_rows(
-        self, partition: int, limit: int | None = None
-    ) -> list[tuple[int, tuple]]:
-        """``(row_id, row)`` pairs of one partition, ascending by row id."""
-        rows = self.rows
-        return [
-            (rid, rows[rid])
-            for rid in self.partition_row_ids(partition, limit)
-        ]
-
-    def partition_counts(self, limit: int | None = None) -> list[int]:
-        return [
-            len(self.partition_row_ids(p, limit))
-            for p in range(self.spec.partitions)
-        ]
-
-    def partition_bytes(self, partition: int) -> int:
-        total = 0
-        for rid in self.buckets[partition]:
-            total += self._row_bytes(self.rows[rid])
-        return total
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionedHeapTable({self.schema.name}, {len(self.rows)} rows, "
-            f"{self.spec.partitions} {self.spec.kind} partitions)"
-        )

@@ -32,7 +32,7 @@ from repro.engine.faults import FAULTS
 from repro.engine.index import Index, build_index
 from repro.engine.schema import IndexDef, TableSchema
 from repro.engine.snapshot import EngineSnapshot, TableVersion
-from repro.engine.storage import HeapTable, PartitionedHeapTable
+from repro.engine.storage import HeapTable
 from repro.errors import CatalogError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,27 +139,9 @@ class StorageEngine:
     # -- storage mutations (call inside a write transaction) ---------------
 
     def add_heap(self, schema: TableSchema) -> HeapTable:
-        heap = (
-            PartitionedHeapTable(schema)
-            if schema.partition is not None
-            else HeapTable(schema)
-        )
+        heap = HeapTable(schema)
         self._heaps[schema.key] = heap
         return heap
-
-    def replace_heap(self, heap: HeapTable) -> None:
-        """Swap in a rebuilt heap for an existing table (partitioning DDL).
-
-        The caller (``Database.partition_table``) rebuilt the heap with
-        identical rows/indexes under the writer lock; the old heap stays
-        valid for snapshots already pinned to it.
-        """
-        key = heap.schema.key
-        if key not in self._heaps:
-            raise CatalogError(f"unknown table {heap.schema.name!r}")
-        self._heaps[key] = heap
-        for index in heap.indexes:
-            self._indexes[index.definition.name.lower()] = index
 
     def drop_heap(self, name: str) -> None:
         key = name.lower()

@@ -1,7 +1,7 @@
 """SQL-queryable system views: the engine's telemetry as relations.
 
 The paper's thesis is that XML belongs *inside* the ORDBMS; this module
-applies the same discipline to the engine's own runtime state.  Eight
+applies the same discipline to the engine's own runtime state.  Seven
 ``sys_*`` virtual tables are registered in the catalog as read-only
 relations whose "heap" materializes a live snapshot at scan time, so
 
@@ -19,8 +19,6 @@ executor — no side channel, no special syntax:
   counts;
 * ``sys_statements``  — the pg_stat_statements view over
   :data:`repro.obs.statements.STATEMENTS`;
-* ``sys_partitions``  — per-partition row/byte extents of partitioned
-  heaps plus the parallel worker pool's configured/alive counts;
 * ``sys_wal``         — the write-ahead log's report;
 * ``sys_connections`` — the network front-end's live connections
   (process-wide: the server is a process-level component, like the
@@ -258,34 +256,6 @@ def _connections_rows(db: "Database") -> list[tuple]:
     ]
 
 
-def _partitions_rows(db: "Database") -> list[tuple]:
-    # lazy to keep this module's import surface minimal
-    from repro.engine.storage import PartitionedHeapTable
-
-    # peek at the existing pool rather than calling worker_pool(), which
-    # would spawn processes as a side effect of scanning a monitoring view
-    pool = db._pool
-    workers = db.exec_config.parallel_workers
-    alive = 0 if pool is None else len(pool.workers_alive())
-    rows: list[tuple] = []
-    for heap in db.engine.heaps().values():
-        if not isinstance(heap, PartitionedHeapTable):
-            continue
-        counts = heap.partition_counts()
-        for partition, count in enumerate(counts):
-            rows.append((
-                heap.schema.name,
-                partition,
-                heap.spec.kind,
-                heap.spec.column,
-                count,
-                heap.partition_bytes(partition),
-                workers,
-                alive,
-            ))
-    return sorted(rows)
-
-
 def _schema(name: str, columns: list[tuple[str, object]]) -> TableSchema:
     return TableSchema(
         name, [Column(cname, ctype) for cname, ctype in columns]
@@ -337,15 +307,6 @@ _VIEW_DEFS: dict[str, tuple[list[tuple[str, object]], Callable]] = {
             ("wal_bytes", INTEGER),
         ],
         _statements_rows,
-    ),
-    "sys_partitions": (
-        [
-            ("table_name", VARCHAR), ("partition_id", INTEGER),
-            ("kind", VARCHAR), ("column_name", VARCHAR),
-            ("row_count", INTEGER), ("bytes", INTEGER),
-            ("workers", INTEGER), ("workers_alive", INTEGER),
-        ],
-        _partitions_rows,
     ),
     "sys_wal": (
         [("name", VARCHAR), ("value", VARCHAR)],

@@ -277,22 +277,6 @@ class WriteAheadLog:
                 for c in schema.columns
             ],
         }
-        if schema.partition is not None:
-            record["partition"] = self._partition_payload(schema.partition)
-        self._append(record)
-
-    @staticmethod
-    def _partition_payload(spec) -> dict:
-        return {
-            "column": spec.column,
-            "partitions": spec.partitions,
-            "kind": spec.kind,
-            "bounds": list(spec.bounds) if spec.bounds is not None else None,
-        }
-
-    def log_partition_table(self, name: str, spec) -> None:
-        record = {"type": "partition_table", "table": name}
-        record.update(self._partition_payload(spec))
         self._append(record)
 
     def log_drop_table(self, name: str) -> None:
@@ -339,9 +323,6 @@ class WriteAheadLog:
 
     def log_runstats(self, table: str | None) -> None:
         self._append({"type": "runstats", "table": table})
-
-    def log_exec_config(self, config) -> None:
-        self._append({"type": "exec_config", "config": config.as_dict()})
 
     def log_recovery_boundary(self, dropped_records: int) -> None:
         """Mark a recovery point: uncommitted records before it are dead.

@@ -192,15 +192,6 @@ class ConnectionLost(TransientError):
     (read-only) requests under its backoff policy."""
 
 
-class WorkerError(TransientError):
-    """A partition-parallel worker failed or died mid-fragment.
-
-    Transient by classification: the scatter-gather coordinator respawns
-    the worker and retries the fragment, and after the retry budget is
-    exhausted it degrades to executing the fragment inline — worker
-    loss never changes query results (DESIGN.md §12)."""
-
-
 class FaultInjected(TransientError):
     """A deterministic fault raised by the injection harness at a named
     site.  Transient by construction: the retry layer is expected to

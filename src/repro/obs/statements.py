@@ -12,14 +12,13 @@ serves through SQL and the CLI's ``\\statements`` renders.
 
 **Wait profiling.**  While a statement is observed, the collector
 installs a per-thread wait sink (:data:`repro.obs.trace.WAIT_SINK`); the
-tracer's spans — ``parse``, ``plan``, ``execute``, ``wal.fsync``,
-``exchange`` — record their durations into it even when the Chrome
-trace buffer is off.  At finish the sink is folded into a breakdown
-whose parts sum to the statement's wall time: nested waits
-(``wal.fsync``, ``exchange``) are subtracted from
-``execute``, and the unattributed remainder lands in ``other``.  Time a
-statement costs *after* ``execute`` returned — the server writing its
-result frames — is attributed by that caller via
+tracer's spans — ``parse``, ``plan``, ``execute``, ``wal.fsync`` —
+record their durations into it even when the Chrome trace buffer is
+off.  At finish the sink is folded into a breakdown whose parts sum to
+the statement's wall time: the nested ``wal.fsync`` wait is subtracted
+from ``execute``, and the unattributed remainder lands in ``other``.
+Time a statement costs *after* ``execute`` returned — the server writing
+its result frames — is attributed by that caller via
 :meth:`StatementStatsCollector.record_wait` (wait name ``network``).
 
 **Flight recorder and slow-query log.**  Every observed statement
@@ -53,12 +52,10 @@ from repro.obs.trace import WAIT_SINK
 
 #: the wait taxonomy, in report order — only waits something records.
 #: ``parse``/``plan``/``execute`` are the statement phases;
-#: ``wal.fsync`` is durable-commit sync time;
-#: ``exchange`` is time a partition-parallel scan spent scattered to the
-#: worker pool (dispatch through last reply); ``network`` is time the
-#: server spent writing a statement's result frames to the client
-#: (attributed out-of-band by the network front-end via
-#: :meth:`StatementStatsCollector.record_wait`).
+#: ``wal.fsync`` is durable-commit sync time (nested inside
+#: ``execute``); ``network`` is time the server spent writing a
+#: statement's result frames to the client (attributed out-of-band by
+#: the network front-end via :meth:`StatementStatsCollector.record_wait`).
 #: The residual bucket ``other`` absorbs unattributed wall time, so a
 #: breakdown always sums to the statement's measured wall clock.
 WAIT_NAMES = (
@@ -66,13 +63,8 @@ WAIT_NAMES = (
     "plan",
     "execute",
     "wal.fsync",
-    "exchange",
     "network",
 )
-
-#: waits nested inside the ``execute`` span, subtracted so the
-#: breakdown never double-counts
-_NESTED_WAITS = ("wal.fsync", "exchange")
 
 #: bounded number of distinct statement keys (LRU-evicted past this)
 DEFAULT_MAX_STATEMENTS = 512
@@ -392,7 +384,8 @@ class StatementStatsCollector:
 
         Only taxonomy names are kept (the outer ``query`` span and any
         operator spans would double-count the phases they contain);
-        nested waits come out of ``execute``; the residual is ``other``.
+        the nested ``wal.fsync`` comes out of ``execute``; the residual
+        is ``other``.
         """
         waits: dict[str, float] = {}
         for name in WAIT_NAMES:
@@ -400,7 +393,7 @@ class StatementStatsCollector:
             if seconds:
                 waits[name] = seconds
         if "execute" in waits:
-            nested = sum(raw.get(name, 0.0) for name in _NESTED_WAITS)
+            nested = raw.get("wal.fsync", 0.0)
             waits["execute"] = max(0.0, waits["execute"] - nested)
         residual = elapsed - sum(waits.values())
         if residual > 0.0:

@@ -1,10 +1,8 @@
 """The one retry substrate: bounded, transient-only, seeded jitter.
 
 :class:`RetryPolicy` is shared by everything that re-attempts work
-(DESIGN.md §9): the scatter-gather worker pool re-dispatching a failed
-fragment (:mod:`repro.engine.parallel`) and the bundled wire client
-re-sending a request (:mod:`repro.server.client`).  The rules are the
-same everywhere:
+(DESIGN.md §9): today that is the bundled wire client re-sending a
+request (:mod:`repro.server.client`).  The rules are:
 
 * only :class:`~repro.errors.TransientError` is retried — a fatal error
   would fail identically, so it surfaces on its first occurrence;

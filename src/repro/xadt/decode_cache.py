@@ -4,7 +4,7 @@ The XADT methods (``getElm``/``findKeyInElm``/``getElmIndex``) scan a
 fragment's tagged text; for the ``dict`` codec that would mean running
 the XMill-style decompressor and the serializer on every call, and for
 the ``indexed`` codec rebuilding the element-span directory whenever a
-value is reconstructed (e.g. in a row an Exchange worker sent back).
+value is reconstructed (e.g. unpickled, or read back by WAL replay).
 QS/QG workloads touch the same fragments query after query, so this
 module keeps recently decoded artifacts — a dict payload's tagged text,
 an indexed payload's directory, a ``findKeyInElm`` verdict — in a

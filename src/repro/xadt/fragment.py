@@ -40,8 +40,7 @@ class XadtValue:
 
     def __reduce__(self):
         # immutability breaks pickle's default protocol; rebuild from the
-        # constructor (the Exchange workers receive and return rows
-        # pickled)
+        # constructor
         return (XadtValue, (self.payload, self.codec))
 
     # -- constructors --------------------------------------------------------
@@ -184,8 +183,8 @@ class XadtValue:
 
         Built lazily, once per payload: the value's write-once slot, then
         the process-wide decode cache keyed on the payload (so a value
-        rebuilt from a pickle — a row an Exchange worker sent back —
-        skips the rebuild), and only then a build, which passes the
+        rebuilt from a pickle or by WAL replay skips the rebuild), and
+        only then a build, which passes the
         ``xadt.index_build`` fault site and charges its modelled bytes to
         the running statement's memory budget, if any.
         """

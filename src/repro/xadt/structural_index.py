@@ -15,8 +15,9 @@ from contextlib import contextmanager
 def statement_routing(enabled: bool):
     """A no-op: the stored value picks the access path.
 
-    Kept only because ``benchmarks/layers`` imports it; ROADMAP item 6
-    deletes it with the benchmark's own seams.
+    Kept only because ``benchmarks/layers`` imports it; the ROADMAP item
+    "The benchmark stops patching the engine" deletes it with the
+    benchmark's own seams.
     """
     yield
 

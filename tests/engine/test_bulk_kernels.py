@@ -1,7 +1,7 @@
 """The write-side batch kernels against their per-value references.
 
 ``HeapTable.bulk_insert`` must leave a table — rows, primary-key set,
-page accounting, every index, partition buckets — exactly as storing the
+page accounting, every index — exactly as storing the
 same rows one ``_store_row`` at a time does, and raise exactly what that
 loop raises, for any batch: valid, coercible, or with one bad row
 anywhere in it.  ``collect_stats`` must equal ``_scan_column`` on every
@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
 from repro.engine.index import build_index
-from repro.engine.schema import Column, IndexDef, PartitionSpec, TableSchema
+from repro.engine.schema import Column, IndexDef, TableSchema
 from repro.engine.statistics import _scan_column, collect_stats
-from repro.engine.storage import HeapTable, PartitionedHeapTable
+from repro.engine.storage import HeapTable
 from repro.engine.types import INTEGER, VARCHAR, XADT, VarcharType
 from repro.errors import CrashPoint, ReproError
 from repro.xadt import DICT, INDEXED, PLAIN, XadtValue
@@ -49,11 +49,6 @@ INDEXES = [
     ("by_code", "code", "btree", True),
     ("by_frag", "frag", "hash", False),
 ]
-PARTITIONS = [
-    None,
-    PartitionSpec("id", 3),
-    PartitionSpec("parent", 3, kind="range", bounds=(1, 3)),
-]
 FRAGMENTS = [
     XadtValue.from_xml(text, codec)
     for text in ("<a>x</a>", "<a>x</a><a>é</a>", "")
@@ -61,9 +56,8 @@ FRAGMENTS = [
 ]
 
 
-def make_table(partition):
-    schema = TableSchema("t", COLUMNS, partition=partition)
-    table = HeapTable(schema) if partition is None else PartitionedHeapTable(schema)
+def make_table():
+    table = HeapTable(TableSchema("t", COLUMNS))
     for name, column, kind, unique in INDEXES:
         table.attach_index(build_index(IndexDef(name, "t", column, kind, unique), table))
     return table
@@ -105,7 +99,6 @@ def state_of(table):
         "pk_seen": set(table._pk_seen),
         "accounting": table.accounting.mark(),
         "indexes": indexes,
-        "buckets": [list(bucket) for bucket in getattr(table, "buckets", ())],
     }
 
 
@@ -237,11 +230,10 @@ PRELOAD = [
 
 
 class TestBulkInsertEqualsTheRowLoop:
-    @pytest.mark.parametrize("partition", PARTITIONS, ids=["plain", "hash", "range"])
     @given(batches=batches(), as_iterator=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_same_state_same_exception(self, partition, batches, as_iterator):
-        kernel, reference = make_table(partition), make_table(partition)
+    def test_same_state_same_exception(self, batches, as_iterator):
+        kernel, reference = make_table(), make_table()
         for table in (kernel, reference):
             for row in PRELOAD:
                 table.insert(row)
@@ -254,7 +246,7 @@ class TestBulkInsertEqualsTheRowLoop:
 
     def test_the_kernel_is_what_a_regular_batch_takes(self, monkeypatch):
         # guards the test above against comparing the row loop to itself
-        table = make_table(None)
+        table = make_table()
         monkeypatch.setattr(
             HeapTable, "_store_row", lambda self, row: pytest.fail("row path taken")
         )
@@ -262,7 +254,7 @@ class TestBulkInsertEqualsTheRowLoop:
         assert table.rows == PRELOAD
 
     def test_index_built_over_loaded_rows_equals_one_kept_up_to_date(self):
-        kept, built = make_table(None), HeapTable(TableSchema("t", COLUMNS))
+        kept, built = make_table(), HeapTable(TableSchema("t", COLUMNS))
         kept.bulk_insert(PRELOAD)
         built.bulk_insert(PRELOAD)
         for name, column, kind, unique in INDEXES:
@@ -286,7 +278,7 @@ class TestStoreRowFaultSite:
     def test_crash_inside_a_batch_lands_on_the_same_hit(self, hit):
         states = []
         for load in (HeapTable.bulk_insert, store_by_row):
-            table = make_table(PARTITIONS[1])
+            table = make_table()
             table.bulk_insert(PRELOAD)
             before = state_of(table)
             plan = FaultPlan().crash_at("heap.store_row", hit=hit)
@@ -300,7 +292,7 @@ class TestStoreRowFaultSite:
         assert states[0] == states[1]
 
     def test_a_completed_batch_fires_once_per_row(self):
-        table = make_table(None)
+        table = make_table()
         plan = FaultPlan()
         FAULTS.install(plan)
         table.bulk_insert(PRELOAD)
@@ -391,7 +383,7 @@ class TestCollectStatsEqualsTheScan:
             collect_stats(table)
 
     def test_empty_table(self):
-        table = make_table(None)
+        table = make_table()
         stats = collect_stats(table)
         assert stats.row_count == 0
         assert [repr(stats.columns[c.key]) for c in COLUMNS] == [

@@ -18,7 +18,6 @@ import threading
 import pytest
 
 from repro.engine import CatalogManager, Database
-from repro.engine.config import ExecutionConfig
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER
 from repro.errors import CatalogError, ExecutionError
@@ -146,7 +145,7 @@ class TestVersionMonotonicity:
         assert report["hits"] == 1
 
     def test_catalog_rejects_backwards_versions(self):
-        manager = CatalogManager(ExecutionConfig())
+        manager = CatalogManager()
         schema = TableSchema("t", [Column("a", INTEGER, primary_key=True)])
         manager.add_table(schema, version=3)
         with pytest.raises(CatalogError):

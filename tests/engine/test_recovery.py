@@ -8,7 +8,8 @@ from repro.engine.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
 from repro.engine.recovery import _RETIRED_CONFIG_KEYS
-from repro.errors import CrashPoint, RecoveryError
+from repro.engine.storage import HeapTable
+from repro.errors import CrashPoint, RecoveryError, SqlSyntaxError
 from repro.xadt import XadtValue, register_xadt_functions
 
 
@@ -26,6 +27,11 @@ def load(db, lo, hi, marker=None):
     rows = [(i, i % 5, f"name{i % 3}") for i in range(lo, hi)]
     with db.transaction(marker=marker):
         db.bulk_insert("t", rows)
+
+
+def write_log(path, records):
+    with open(path, "w", encoding="utf-8") as log:
+        log.writelines(json.dumps(record) + "\n" for record in records)
 
 
 def fingerprint(db):
@@ -58,32 +64,21 @@ class TestCleanRecovery:
         assert report.records_replayed > 0
         assert report.torn_tail is False
 
-    def test_exec_config_replayed(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
-        db = Database.open(path, sync_mode="always")
-        db.set_exec_config(ExecutionConfig(parallel_workers=3))
-        db.close()
-        recovered = Database.open(path, recover=True)
-        assert recovered.exec_config.parallel_workers == 3
-
-    def _log_with_exec_config(self, path, config):
-        """A log whose committed ``exec_config`` record carries ``config``."""
-        db = Database.open(path, sync_mode="always")
-        db.set_exec_config(ExecutionConfig(parallel_workers=1))
-        db.close()
-        with open(path, encoding="utf-8") as log:
-            records = [json.loads(line) for line in log]
-        for record in records:
-            if record["type"] == "exec_config":
-                record["config"] = config
-        with open(path, "w", encoding="utf-8") as log:
-            log.writelines(json.dumps(record) + "\n" for record in records)
+    @staticmethod
+    def _log_with_exec_config(path, config):
+        """A log whose one committed transaction is an ``exec_config``
+        record carrying ``config`` (new logs write none)."""
+        write_log(path, [
+            {"type": "exec_config", "config": config, "lsn": 1, "txn": 1},
+            {"type": "commit", "lsn": 2, "txn": 1},
+        ])
 
     def test_retired_exec_config_keys_are_ignored(self, tmp_path):
         # the five-key record shape written before the row-at-a-time mode
-        # and its three options, then the structural-index flag, were
-        # removed
-        assert len(_RETIRED_CONFIG_KEYS) == 4 and "batch_size" in _RETIRED_CONFIG_KEYS
+        # and its three options, then the structural-index flag, then the
+        # worker-pool size were removed
+        assert len(_RETIRED_CONFIG_KEYS) == 5
+        assert {"batch_size", "parallel_workers"} <= _RETIRED_CONFIG_KEYS
         path = str(tmp_path / "wal.jsonl")
         self._log_with_exec_config(path, {
             **dict.fromkeys(sorted(_RETIRED_CONFIG_KEYS), 1),
@@ -91,7 +86,7 @@ class TestCleanRecovery:
             "parallel_workers": 2,
         })
         recovered = Database.open(path, recover=True)
-        assert recovered.exec_config == ExecutionConfig(parallel_workers=2)
+        assert recovered.exec_config == ExecutionConfig()
 
     def test_a_record_with_the_structural_index_flag_replays(self, tmp_path):
         # the two-key record a database with the retired flag on wrote
@@ -102,7 +97,6 @@ class TestCleanRecovery:
         recovered = Database.open(path, recover=True)
         assert recovered.exec_config == ExecutionConfig()
         assert not recovered.exec_config.xadt_structural_index
-        assert recovered.exec_config.as_dict() == {"parallel_workers": 0}
 
     def test_unknown_exec_config_key_is_a_recovery_error(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -141,6 +135,64 @@ class TestCleanRecovery:
     def test_missing_log_rejected(self, tmp_path):
         with pytest.raises(RecoveryError):
             Database.open(str(tmp_path / "absent"), recover=True)
+
+
+class TestRetiredPartitioning:
+    """Partition-parallel execution is gone; logs that used it replay."""
+
+    ROWS = [(i, i % 5, f"name{i % 3}") for i in range(12)]
+
+    def old_log(self, path):
+        """The records a partitioned database wrote before the deletion."""
+        columns = [
+            ["id", "INTEGER", True], ["parent", "INTEGER", False],
+            ["name", "VARCHAR", False],
+        ]
+        records = [
+            {"type": "create_table", "table": "t", "columns": columns,
+             "partition": {"column": "id", "partitions": 2, "kind": "hash",
+                           "bounds": None}},
+            *({"type": "insert", "table": "t", "row": list(row)}
+              for row in self.ROWS[:6]),
+            {"type": "partition_table", "table": "t", "column": "parent",
+             "partitions": 3, "kind": "range", "bounds": [1, 3]},
+            {"type": "exec_config", "config": {"parallel_workers": 2}},
+            *({"type": "insert", "table": "t", "row": list(row)}
+              for row in self.ROWS[6:]),
+        ]
+        lines, lsn = [], 0
+        for txn, record in enumerate(records, start=1):
+            lines.append({**record, "lsn": lsn + 1, "txn": txn})
+            lines.append({"type": "commit", "lsn": lsn + 2, "txn": txn})
+            lsn += 2
+        write_log(path, lines)
+
+    def test_an_old_partitioned_log_replays_to_a_plain_table(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        self.old_log(path)
+        plain = Database("plain")
+        plain.execute(DDL)
+        plain.bulk_insert("t", self.ROWS)
+        recovered = Database.open(path, recover=True)
+        assert type(recovered.heap("t")) is HeapTable
+        assert recovered.exec_config == ExecutionConfig()
+        assert fingerprint(recovered) == fingerprint(plain)
+        sql = "SELECT name FROM t WHERE parent = 3 ORDER BY id"
+        assert recovered.execute(sql).rows == plain.execute(sql).rows
+        # the log the recovered database appends to replays again
+        recovered.insert("t", (99, 1, "late"))
+        recovered.close()
+        again = Database.open(path, recover=True)
+        assert again.row_count("t") == len(self.ROWS) + 1
+        again.close()
+
+    def test_the_partition_ddl_is_a_syntax_error(self):
+        db = Database()
+        with pytest.raises(SqlSyntaxError, match="PARTITION"):
+            db.execute(
+                "CREATE TABLE t (a INTEGER) PARTITION BY HASH (a) PARTITIONS 2"
+            )
+        assert not db.catalog.has_table("t")
 
 
 class TestCrashRecovery:

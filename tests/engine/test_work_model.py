@@ -3,9 +3,9 @@
 ``modeled = cpu_seconds + disk_seconds`` prices what the engine counted
 with pinned constants (:mod:`repro.engine.io`), so for a given (data,
 plan) it must come out *equal* — exact float equality, never approx —
-whatever the batch size, cache state, statement route or worker count,
-and no clock may reach it.  ``tests/golden/work_counters.json`` pins the
-numbers themselves across hosts, hash seeds and Python versions
+whatever the batch size, cache state or statement route, and no clock
+may reach it.  ``tests/golden/work_counters.json`` pins the numbers
+themselves across hosts, hash seeds and Python versions
 (``scripts/record_golden_io_counters.py`` writes and ``--check``s it).
 """
 
@@ -18,23 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import build_database, build_pair, cold_query
+from repro.bench.harness import build_pair, cold_query
 from repro.engine.database import Database
-from repro.engine.faults import FAULTS, FaultPlan
 from repro.engine.governor import GovernorLimits
 from repro.engine.io import WORK_SECONDS, IoCounters, work_seconds
 from repro.engine.plan.physical import Operator
 from repro.engine.snapshot import activate, deactivate
 from repro.mapping import map_xorator
-from repro.obs.metrics import METRICS
-from repro.retry import RetryPolicy
 from repro.shred import load_documents
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 from repro.workloads.shakespeare_queries import workload_sql as qs_workload_sql
 from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xadt import register_xadt_functions
 from repro.xadt.structural_index import statement_routing
-from tests.engine.test_partition import parallel
 from tests.engine.test_udf_batch import (
     BINDING,
     Recorder,
@@ -235,8 +231,6 @@ class TestConstants:
         for name in WORK_SECONDS:
             counters.work[name] += 3
         assert counters.cpu_seconds() == work_seconds(counters.work) > 0
-        counters.overlapped.update(counters.work)  # all of it on other lanes
-        assert counters.cpu_seconds() == 0.0
         counters.reset()
         assert counters.cpu_seconds() == 0.0 == counters.modeled_seconds()
 
@@ -369,118 +363,3 @@ class TestStructuralIndexRoute:
         for name in WORK_SECONDS:
             if name.startswith("udf_calls"):
                 assert work[name] == scan_work[name], name
-
-
-@pytest.fixture()
-def lanes_db():
-    """100 rows hash-partitioned 4 ways."""
-    db = Database("lanes")
-    db.execute(
-        "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, g INTEGER) "
-        "PARTITION BY HASH(id) PARTITIONS 4"
-    )
-    db.bulk_insert("t", [(i, i * 3, i % 5) for i in range(100)])
-    db.runstats()
-    yield db
-    db.close()
-
-
-LANES_SQL = "SELECT v FROM t WHERE v > 150"
-
-
-def credit(db) -> float:
-    """Modeled seconds the last statement's exchanges overlapped."""
-    return work_seconds(db.io.overlapped)
-
-
-def expected_lanes(db, workers: int) -> list[dict[str, int]]:
-    """Per worker slot, the work of the fragments it runs — worked out
-    from the partition contents, not from the engine's counters."""
-    lanes = [{"scan_rows": 0, "operator_rows": 0} for _ in range(workers)]
-    for partition in range(4):
-        rows = [row for _, row in db.heap("t").partition_rows(partition)]
-        lane = lanes[partition % workers]
-        lane["scan_rows"] += len(rows)
-        lane["operator_rows"] += sum(1 for row in rows if row[1] > 150)
-    return lanes
-
-
-class TestExchangeLanes:
-    """Credit = counted work of all lanes minus the busiest lane."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_total_equals_serial_and_credit_is_all_but_the_busiest(
-        self, lanes_db, workers
-    ):
-        serial = cold_query(lanes_db, LANES_SQL)
-        assert "Exchange" not in lanes_db.explain(LANES_SQL)
-        assert credit(lanes_db) == 0.0
-        parallel(lanes_db, workers)
-        assert "Exchange" in lanes_db.explain(LANES_SQL)
-        run = cold_query(lanes_db, LANES_SQL)
-        assert run.work == serial.work
-        lanes = sorted(map(work_seconds, expected_lanes(lanes_db, workers)))
-        assert credit(lanes_db) == pytest.approx(sum(lanes[:-1]))
-        assert (credit(lanes_db) == 0.0) == (workers == 1)
-        assert run.cpu_seconds == pytest.approx(
-            serial.cpu_seconds - credit(lanes_db)
-        )
-        assert run.modeled_seconds == run.cpu_seconds + run.disk_seconds
-        assert cold_query(lanes_db, LANES_SQL).modeled_seconds == run.modeled_seconds
-
-    def test_an_inline_fallback_runs_on_the_coordinators_lane(self, lanes_db):
-        parallel(lanes_db, 4)
-        healthy = cold_query(lanes_db, LANES_SQL)
-        lanes_db.worker_pool().retry = RetryPolicy(attempts=1, base_delay=0.0)
-        fallbacks = METRICS.counter("exchange.inline_fallbacks").value
-        # total loss: every fragment on the one coordinator lane
-        FAULTS.install(FaultPlan().raise_at("worker.crash", probability=1.0))
-        try:
-            lost = cold_query(lanes_db, LANES_SQL)
-        finally:
-            FAULTS.clear()
-        assert METRICS.counter("exchange.inline_fallbacks").value == fallbacks + 4
-        assert lost.work == healthy.work and lost.rows == healthy.rows
-        assert lost.cpu_seconds == work_seconds(lost.work)  # no credit
-        # one fragment lost (dispatch and its one retry): its lane moves
-        # to the coordinator, the lanes themselves are what they were
-        FAULTS.install(
-            FaultPlan()
-            .raise_at("worker.crash", hit=1)
-            .raise_at("worker.crash", hit=5)
-        )
-        try:
-            degraded = cold_query(lanes_db, LANES_SQL)
-        finally:
-            FAULTS.clear()
-        assert METRICS.counter("exchange.inline_fallbacks").value == fallbacks + 5
-        assert degraded.work == healthy.work
-        assert degraded.modeled_seconds == healthy.modeled_seconds
-
-    def test_udf_calls_and_bytes_cross_the_process_boundary(
-        self, shakespeare_docs, shakespeare_simplified
-    ):
-        loaded = build_database(
-            "xorator", map_xorator(shakespeare_simplified), shakespeare_docs,
-            qs_workload_sql("xorator"), sample_for_codecs=2,
-        )
-        db = loaded.db
-        try:
-            serial = {
-                query.key: cold_query(db, query.xorator_sql)
-                for query in SHAKESPEARE_QUERIES
-            }
-            db.partition_table("speech", "speechID", 4)
-            for workers in (1, 4):
-                parallel(db, workers)
-                for query in SHAKESPEARE_QUERIES:
-                    run = cold_query(db, query.xorator_sql)
-                    assert run.work == serial[query.key].work, (
-                        workers, query.key
-                    )
-                    assert run.cpu_seconds == pytest.approx(
-                        serial[query.key].cpu_seconds - credit(db)
-                    )
-                    assert (credit(db) > 0) == (workers > 1)
-        finally:
-            db.close()

@@ -22,7 +22,7 @@ from repro.obs import METRICS, STATEMENTS
 
 VIEW_NAMES = (
     "sys_metrics", "sys_sessions", "sys_tables", "sys_indexes",
-    "sys_statements", "sys_wal", "sys_partitions",
+    "sys_statements", "sys_wal",
 )
 
 
@@ -103,22 +103,10 @@ class TestViewsThroughSql:
         assert "wal.jsonl" in pairs["path"]
         database.close()
 
-    def test_sys_partitions_empty_without_partitioned_tables(self, db):
-        assert db.execute("SELECT * FROM sys_partitions").rows == []
-
-    def test_sys_partitions_reports_layout(self, db):
-        db.partition_table("t", "id", 3)
-        rows = db.execute(
-            "SELECT table_name, partition_id, kind, column_name, "
-            "row_count, workers FROM sys_partitions"
-        ).rows
-        assert [row[:4] for row in rows] == [
-            ("t", 0, "hash", "id"),
-            ("t", 1, "hash", "id"),
-            ("t", 2, "hash", "id"),
-        ]
-        assert sum(row[4] for row in rows) == 20
-        assert all(row[5] == 0 for row in rows)  # no pool configured
+    def test_sys_partitions_is_an_unknown_table(self, db):
+        # partition-parallel execution was deleted with its view
+        with pytest.raises(CatalogError, match="unknown table 'sys_partitions'"):
+            db.execute("SELECT * FROM sys_partitions")
 
 
 class TestSysStatements:

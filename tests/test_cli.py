@@ -175,25 +175,6 @@ class TestShellCommands:
         sh.handle("\\slowlog")
         assert "not attached" in out.getvalue()
 
-    def test_partitions_without_partitioned_tables(self, shell):
-        sh, out = shell
-        sh.handle("SELECT * FROM sys_partitions")
-        assert "0 record(s) selected" in out.getvalue()
-
-    def test_partitions_reports_layout(self, shell):
-        sh, out = shell
-        sh.db.partition_table("speech", "speechID", 2)
-        sh.handle(
-            "SELECT table_name, partition_id, kind, column_name "
-            "FROM sys_partitions"
-        )
-        text = out.getvalue()
-        assert "2 record(s) selected" in text
-        for partition in (0, 1):
-            assert f"speech {partition} hash speechID" in " ".join(
-                text.split()
-            )
-
     def test_sys_views_via_sql(self, shell):
         sh, out = shell
         sh.handle("SELECT table_name, row_count FROM sys_tables")

@@ -1,21 +1,18 @@
 """The one retry substrate (``repro.retry.RetryPolicy``), unit by unit.
 
-Both users — the Exchange worker pool and the wire client — get their
-loop from ``RetryPolicy.run``, so its contract is pinned once, here:
-transient-only, bounded, seeded, ``retry_after`` as a floor, every
-absorbed error visible to ``on_retry``.
+The wire client gets its retry loop from ``RetryPolicy.run``, so the
+contract is pinned once, here: transient-only, bounded, seeded,
+``retry_after`` as a floor, every absorbed error visible to
+``on_retry``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 from repro import retry
-from repro.engine.database import Database
-from repro.engine.faults import FAULTS, FaultPlan
 from repro.errors import (
     ConfigError,
     ExecutionError,
@@ -23,7 +20,6 @@ from repro.errors import (
     Overloaded,
     TransientError,
 )
-from repro.obs import METRICS
 from repro.retry import RetryPolicy
 
 
@@ -135,47 +131,3 @@ class TestRun:
         small = Overloaded("queue full", retry_after=0.001)
         RetryPolicy(attempts=2, base_delay=0.5).run(failing([small]))
         assert sleeps[0] >= 0.25
-
-
-class TestExchangeUsesThePolicy:
-    """Worker-crash retry and inline degradation, counted as before."""
-
-    @pytest.fixture()
-    def pdb(self):
-        FAULTS.clear()
-        db = Database("retry-exchange")
-        db.execute(
-            "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER) "
-            "PARTITION BY HASH(id) PARTITIONS 2"
-        )
-        db.bulk_insert("t", [(i, i * 3) for i in range(40)])
-        db.runstats()
-        db.set_exec_config(
-            dataclasses.replace(db.exec_config, parallel_workers=2)
-        )
-        db.worker_pool().retry = RetryPolicy(attempts=3, base_delay=0.0)
-        yield db
-        FAULTS.clear()
-        db.close()
-
-    @staticmethod
-    def counters():
-        return (
-            METRICS.counter("exchange.retries").value,
-            METRICS.counter("exchange.inline_fallbacks").value,
-        )
-
-    def test_one_crash_costs_one_retry_and_no_fallback(self, pdb):
-        expected = sorted(pdb.execute("SELECT id, v FROM t").rows)
-        retries, fallbacks = self.counters()
-        FAULTS.install(FaultPlan().raise_at("worker.crash", hit=1))
-        assert sorted(pdb.execute("SELECT id, v FROM t").rows) == expected
-        assert self.counters() == (retries + 1, fallbacks)
-
-    def test_total_loss_spends_the_budget_then_degrades_inline(self, pdb):
-        expected = sorted(pdb.execute("SELECT id, v FROM t").rows)
-        retries, fallbacks = self.counters()
-        FAULTS.install(FaultPlan().raise_at("worker.crash", probability=1.0))
-        assert sorted(pdb.execute("SELECT id, v FROM t").rows) == expected
-        # two fragments, each re-dispatched `attempts` times, then inline
-        assert self.counters() == (retries + 2 * 3, fallbacks + 2)

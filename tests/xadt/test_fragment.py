@@ -115,7 +115,6 @@ class TestValueSemantics:
         assert XadtValue.from_xml("<s/>") != "<s/>"
 
     def test_pickle_roundtrip(self):
-        # the Exchange: workers receive and return rows pickled
         for codec in (PLAIN, DICT, INDEXED):
             value = XadtValue.from_xml("<s>x</s>", codec)
             again = pickle.loads(pickle.dumps(value))
