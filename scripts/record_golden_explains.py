@@ -5,15 +5,18 @@ use (tests/conftest.py) and writes one plan file per (dataset,
 algorithm, query) under tests/golden/explain/.  The snapshot test
 (tests/workloads/test_golden_explain.py) asserts the live planner
 reproduces these byte-for-byte — the plan-neutrality proof for the
-logical-IR refactor.
+logical-IR refactor.  ``--check`` writes nothing, lists the files that
+differ (or are missing, or no longer produced) and exits 1 unless every
+plan is reproduced exactly.
 
 Run from the repo root:
 
-    PYTHONPATH=src python scripts/record_golden_explains.py
+    PYTHONPATH=src python scripts/record_golden_explains.py [--check]
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import sys
 
@@ -68,16 +71,35 @@ def build_pairs():
 
 
 def main() -> None:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    written = 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with the committed plans, write nothing",
+    )
+    check = parser.parse_args().check
+    plans = {}
     for dataset, (hybrid, xorator, queries) in build_pairs().items():
         for query in queries:
             for algorithm, loaded in (("hybrid", hybrid), ("xorator", xorator)):
                 plan = loaded.db.explain(query.sql_for(algorithm))
-                path = GOLDEN_DIR / f"{dataset}_{algorithm}_{query.key}.txt"
-                path.write_text(plan + "\n", encoding="utf-8")
-                written += 1
-    print(f"wrote {written} golden plans to {GOLDEN_DIR}")
+                plans[f"{dataset}_{algorithm}_{query.key}.txt"] = plan + "\n"
+    if not check:
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        for name, text in plans.items():
+            (GOLDEN_DIR / name).write_text(text, encoding="utf-8")
+        print(f"wrote {len(plans)} golden plans to {GOLDEN_DIR}")
+        return
+    committed = {path.name for path in GOLDEN_DIR.glob("*.txt")}
+    differing = sorted(
+        name
+        for name in committed | plans.keys()
+        if name not in plans
+        or name not in committed
+        or (GOLDEN_DIR / name).read_text(encoding="utf-8") != plans[name]
+    )
+    if differing:
+        sys.exit(f"golden plans not reproduced exactly: {', '.join(differing)}")
+    print(f"{len(plans)} golden plans reproduced")
 
 
 if __name__ == "__main__":

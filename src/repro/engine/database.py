@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -107,8 +108,11 @@ class Database:
         self._sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
         self._sessions_lock = threading.Lock()
+        # the database owns its default session (and its backends), so
+        # they reach it through a proxy: a dropped database is freed by
+        # reference counting, without waiting for a full collection
         self._default = Session(
-            self, 0, name="default", snapshot_reads=False
+            weakref.proxy(self), 0, name="default", snapshot_reads=False
         )
         self._sessions[0] = self._default
         #: the default session's counters, charged by ``execute`` and
@@ -410,7 +414,7 @@ class Database:
             if key == "sqlite":
                 from repro.backends.sqlite import SqliteBackend
 
-                created = SqliteBackend(self)
+                created = SqliteBackend(weakref.proxy(self))
             else:
                 from repro.errors import BackendError
 

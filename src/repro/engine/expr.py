@@ -317,6 +317,9 @@ class Slot:
     qualifier: str  #: table alias (lower case)
     name: str       #: column name as declared
     sql_type: SqlType
+    #: the values are a base table's stored column, which storage has
+    #: validated against ``sql_type`` (``io.row_bytes_kernel`` trusts it)
+    stored: bool = field(default=False, compare=False)
 
     @property
     def key(self) -> str:

@@ -15,12 +15,12 @@ form: every operator runs its expressions a batch at a time, so per-row
 cost is the work itself inside one list comprehension, never a call.
 
 **One ``compile()`` per source, per process.**  A source names the values
-it reads — string literals, LIKE matchers, bound functions, the plan's
-``_params`` box — and binds them into the plan's own environment, so the
-text depends only on the expression's shape and its int/float literals.
+it reads — number and string literals, LIKE matchers, bound functions,
+the plan's ``_params`` box — and binds them into the plan's own
+environment, so the text depends only on the expression's shape.
 Its code object comes from a bounded process-wide cache
 (:data:`CODE_CACHE_SIZE` sources); each plan still runs it once, with
-``exec``, into its own environment.  Plans that differ only in a string
+``exec``, into its own environment.  Plans that differ only in a
 literal or a bound value share ``fn.__code__`` and nothing else, and a
 plan-cache miss on a statement shape seen before compiles nothing.
 
@@ -63,7 +63,6 @@ a reach condition that fails does so before the calls it guards.
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
 from itertools import compress
@@ -101,8 +100,8 @@ BatchFn = Callable[[list], list]
 #: generated sources whose code object the process keeps (least recently
 #: used first out): room for the sites of a full default plan cache.  A
 #: source names every value it reads (bound into the plan's own ``env``)
-#: and inlines only int/float/bool/None literals, so plans that differ in
-#: a string literal, a function or a bound parameter share a code object
+#: and inlines only bool/None literals, so plans that differ in a number
+#: or string literal, a function or a bound parameter share a code object
 CODE_CACHE_SIZE = 512
 
 #: the per-row name ``_vK`` of hoisted call ``K``'s value in generated
@@ -346,11 +345,9 @@ class _Lowering:
         return f"for {targets} in {rows}"
 
     def _literal(self, value: object) -> str:
+        # numbers and strings are bound, not spelled, so that plans
+        # differing only in a constant generate one source
         if value is None or value is True or value is False:
-            return repr(value)
-        if isinstance(value, int):
-            return repr(value)
-        if isinstance(value, float) and math.isfinite(value):
             return repr(value)
         return self.bind(value)
 

@@ -15,15 +15,18 @@ writer thread, under the engine's writer lock.  Readers may call
   :meth:`finalize` (called at publish time) swaps in freshly built
   arrays with a single reference assignment, so a concurrent reader sees
   either the old arrays or the new ones, never a mix;
-* the hash index appends row ids to bucket lists in place, which is safe
-  because readers clamp results to their snapshot's row horizon (the
-  ``bound`` argument): a row id at or beyond the horizon is invisible no
-  matter when the writer filed it.
+* the hash index files a key's first row id bare, swaps in a two-element
+  list (one reference store) when a second row shares the key, and
+  appends in place from then on, which is safe because readers clamp
+  results to their snapshot's row horizon (the ``bound`` argument): a
+  row id at or beyond the horizon is invisible no matter when the writer
+  filed it.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import count
 from typing import Iterator, Sequence
 
 from repro.engine.pages import PAGE_CAPACITY, PAGE_SIZE
@@ -69,8 +72,9 @@ class Index:
     kind = "index"
 
     def __init__(self, definition: IndexDef, table: HeapTable) -> None:
+        # the table holds its indexes; an index keeps no reference back,
+        # so a dropped database's heaps are freed by reference counting
         self.definition = definition
-        self.table = table
         self.position = table.schema.position(definition.column)
         self._entry_bytes = 0
         self._entries = 0
@@ -149,54 +153,75 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality-only index: key -> row id list."""
+    """Equality-only index: key -> row ids.
+
+    A bucket is a bare row id while one row carries its key, and a list
+    of row ids in row-id order from the second row on: most keys of an
+    ID column, and many of a PARENT_ID column, never need the list.
+    """
 
     kind = "hash"
     _fill_factor = 0.6
     _structure_overhead = 0.25
 
     def __init__(self, definition: IndexDef, table: HeapTable) -> None:
-        self._buckets: dict[object, list[int]] = {}
+        self._buckets: dict[object, int | list[int]] = {}
         super().__init__(definition, table)
 
     def _insert_key(self, key: object, row_id: int) -> None:
-        if key is None:
-            return  # NULLs are not indexed (never equal to anything)
-        if self.definition.unique and key in self._buckets:
-            raise ExecutionError(
-                f"unique index {self.definition.name!r} rejects duplicate {key!r}"
-            )
-        self._buckets.setdefault(key, []).append(row_id)
+        self._insert_keys((key,), row_id)
 
     def _insert_keys(self, keys: Sequence[object], first_row_id: int) -> None:
-        if self.definition.unique:
-            super()._insert_keys(keys, first_row_id)
-            return
         buckets = self._buckets
+        if not buckets:
+            built = dict(zip(keys, count(first_row_id)))
+            if len(built) == len(keys):  # distinct, at most one NULL
+                built.pop(None, None)  # NULLs are not indexed
+                self._buckets = built
+                return
+        unique = self.definition.unique
+        get = buckets.get
         for row_id, key in enumerate(keys, first_row_id):
             if key is None:
-                continue
-            if key in buckets:
-                buckets[key].append(row_id)
+                continue  # never equal to anything
+            bucket = get(key)
+            if bucket is None:
+                buckets[key] = row_id
+            elif unique:
+                raise ExecutionError(
+                    f"unique index {self.definition.name!r} rejects "
+                    f"duplicate {key!r}"
+                )
+            elif type(bucket) is list:
+                bucket.append(row_id)
             else:
-                buckets[key] = [row_id]
+                buckets[key] = [bucket, row_id]
 
     def _discard_from(self, row_count: int) -> None:
+        buckets = self._buckets
         emptied = []
-        for key, row_ids in self._buckets.items():
-            if row_ids and row_ids[-1] >= row_count:
-                kept = [rid for rid in row_ids if rid < row_count]
-                if kept:
-                    self._buckets[key] = kept
+        for key, bucket in buckets.items():
+            if type(bucket) is not list:
+                if bucket >= row_count:
+                    emptied.append(key)
+            elif bucket[-1] >= row_count:
+                kept = [rid for rid in bucket if rid < row_count]
+                if len(kept) > 1:
+                    buckets[key] = kept
+                elif kept:
+                    buckets[key] = kept[0]
                 else:
                     emptied.append(key)
         for key in emptied:
-            del self._buckets[key]
+            del buckets[key]
 
     def lookup(self, key: object, bound: int | None = None) -> list[int]:
-        if key is None:
+        bucket = self._buckets.get(key)  # NULL is never filed
+        if bucket is None:
             return []
-        return _clamp(self._buckets.get(key, []), bound)
+        if type(bucket) is list:
+            return _clamp(bucket, bound)
+        return [bucket] if bound is None or bucket < bound else []
 
     def contains(self, key: object) -> bool:
         return key is not None and key in self._buckets

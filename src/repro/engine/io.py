@@ -46,11 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from repro.engine.faults import FAULTS
 from repro.engine.pages import PAGE_SIZE, pages_for
 from repro.engine.snapshot import current_context
+from repro.engine.types import FloatType, IntegerType, VarcharType
 from repro.obs.metrics import METRICS
 
 #: process-wide page-read mirrors (lifetime totals across all databases,
@@ -217,27 +219,70 @@ _FIXED_WIDTH = frozenset({int, float, bool, type(None)})
 _STR_OR_NULL = frozenset({str, type(None)})
 
 
+def _column_bytes(column: list) -> int:
+    """:func:`_values_bytes` of one column, costed from the value types
+    observed in it (never from an inferred slot type): integer/NULL
+    columns cost nothing, string columns one ``sum(map(len, ...))``, and
+    only columns holding anything else (XADT fragments, ``str``
+    subclasses, foreign objects) take the per-value reference path."""
+    kinds = set(map(type, column))
+    if kinds <= _FIXED_WIDTH:
+        return 0
+    if kinds <= _STR_OR_NULL:  # filter() drops the NULLs (and "")
+        return sum(map(len, filter(None, column)))
+    return _values_bytes(column)
+
+
 def batch_row_bytes(batch: list) -> int:
     """``sum(estimate_row_bytes(row) for row in batch)``, column at a time.
 
-    The width kernel: each column is costed from the value types actually
-    observed in it (never from an inferred slot type) — integer/NULL
-    columns cost nothing, string columns one ``sum(map(len, ...))``, and
-    only columns holding anything else (XADT fragments, ``str``
-    subclasses, foreign objects) take the per-value reference path.
+    The width kernel for rows of unknown provenance: each column is read
+    through ``itemgetter`` and costed by :func:`_column_bytes`.  An
+    operator whose input slots are known costs it with the
+    :func:`row_bytes_kernel` built at plan time instead.
     """
     if not batch:
         return 0
-    columns = list(zip(*batch))
-    width = len(batch) * (24 + 8 * len(columns))
-    for column in columns:
-        kinds = set(map(type, column))
-        if kinds <= _FIXED_WIDTH:
-            continue
-        if kinds <= _STR_OR_NULL:  # filter() drops the NULLs (and "")
-            width += sum(map(len, filter(None, column)))
-        else:
-            width += _values_bytes(column)
+    arity = len(batch[0])
+    width = len(batch) * (24 + 8 * arity)
+    for position in range(arity):
+        width += _column_bytes(list(map(itemgetter(position), batch)))
+    return width
+
+
+def row_bytes_kernel(slots: Sequence) -> Callable[[list], int]:
+    """:func:`batch_row_bytes` specialised, at plan time, to an input's
+    slot layout.
+
+    A ``stored`` slot reads a base-table column, whose values storage
+    has validated against the declared type: an INTEGER or DOUBLE column
+    holds numbers or NULL and is never read, a VARCHAR column holds
+    ``str`` or NULL and costs one ``sum(map(len, ...))``, and any other
+    type (the XADT) takes the per-value reference path.  A slot of
+    unknown provenance (a computed column, a table function's output, a
+    system view) keeps the observed-type rule of :func:`_column_bytes`.
+    Every answer equals ``sum(map(estimate_row_bytes, batch))``.
+    """
+    fixed = 24 + 8 * len(slots)
+    strings = []
+    others = []
+    for position, slot in enumerate(slots):
+        getter = itemgetter(position)
+        if not slot.stored:
+            others.append((getter, _column_bytes))
+        elif isinstance(slot.sql_type, VarcharType):
+            strings.append(getter)
+        elif not isinstance(slot.sql_type, (IntegerType, FloatType)):
+            others.append((getter, _values_bytes))
+
+    def width(batch: list) -> int:
+        total = len(batch) * fixed
+        for getter in strings:
+            total += sum(map(len, filter(None, map(getter, batch))))
+        for getter, cost in others:
+            total += cost(list(map(getter, batch)))
+        return total
+
     return width
 
 

@@ -230,22 +230,24 @@ def collect_aggregates(
     order_by: list[OrderItem],
 ) -> list[FuncCall]:
     collected: list[FuncCall] = []
-
-    def visit(expr: Expr) -> None:
-        if isinstance(expr, FuncCall) and expr.is_aggregate():
-            if expr not in collected:
-                collected.append(expr)
-            return  # no nested aggregates
-        for child in children_of(expr):
-            visit(child)
-
     for item in items:
-        visit(item.expr)
+        _collect_aggregates(item.expr, collected)
     if having is not None:
-        visit(having)
+        _collect_aggregates(having, collected)
     for order in order_by:
-        visit(order.expr)
+        _collect_aggregates(order.expr, collected)
     return collected
+
+
+def _collect_aggregates(expr: Expr, collected: list[FuncCall]) -> None:
+    # a module function, not a recursive closure: a closure that calls
+    # itself is a reference cycle, left for the collector by every plan
+    if isinstance(expr, FuncCall) and expr.is_aggregate():
+        if expr not in collected:
+            collected.append(expr)
+        return  # no nested aggregates
+    for child in children_of(expr):
+        _collect_aggregates(child, collected)
 
 
 def rebuild_with_slots(expr: Expr, substitutions: dict[Expr, int]) -> Expr | None:

@@ -40,9 +40,9 @@ from repro.engine.expr import Binding, Slot
 from repro.engine.expr_compile import BatchFn
 from repro.engine.index import Index
 from repro.engine.io import (
-    batch_row_bytes,
     estimate_row_bytes,
     pages_of_bytes,
+    row_bytes_kernel,
     work_counters,
 )
 from repro.engine.snapshot import (
@@ -324,6 +324,9 @@ class HashJoin(Operator):
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.binding = left.binding.extend(right.binding)
+        #: the spill decision's row widths, costed from each input's slots
+        self.build_width = row_bytes_kernel(right.binding.slots)
+        self.probe_width = row_bytes_kernel(left.binding.slots)
 
     def _execute(self) -> Iterator[Batch]:
         table: dict[object, list[tuple]] = {}
@@ -336,11 +339,12 @@ class HashJoin(Operator):
         work_mem = context.work_mem_bytes if context else DEFAULT_WORK_MEM_BYTES
         budget = active_budget()
         setdefault = table.setdefault
+        batch_bytes = self.build_width
         io = work_counters()
         work = io.work
         for batch in self.right.batches():
             work["hash_build_rows"] += len(batch)
-            width = batch_row_bytes(batch)
+            width = batch_bytes(batch)
             build_bytes += width
             keys = batch_group_keys(list(map(right_key, batch)), composite)
             if composite:
@@ -356,11 +360,12 @@ class HashJoin(Operator):
         spilled = build_bytes > work_mem
         left_key = itemgetter(*self.left_keys)
         get = table.get
+        batch_bytes = self.probe_width
         probe_bytes = 0
         for left_batch in self.left.batches():
             work["hash_probe_rows"] += len(left_batch)
             if spilled:
-                probe_bytes += batch_row_bytes(left_batch)
+                probe_bytes += batch_bytes(left_batch)
             keys = batch_group_keys(list(map(left_key, left_batch)), composite)
             # a NULL key (or part) finds no bucket: the build skipped them
             out = [
@@ -401,6 +406,7 @@ class NestedLoopJoin(Operator):
         self.left = left
         self.right = right
         self.binding = left.binding.extend(right.binding)
+        self.batch_bytes = row_bytes_kernel(right.binding.slots)
 
     def _execute(self) -> Iterator[Batch]:
         budget = active_budget()
@@ -412,7 +418,7 @@ class NestedLoopJoin(Operator):
             right_rows = []
             for batch in self.right.batches():
                 right_rows.extend(batch)
-                budget.charge_memory(batch_row_bytes(batch))
+                budget.charge_memory(self.batch_bytes(batch))
         work = work_counters().work
         for left_batch in self.left.batches():
             work["operator_rows"] += len(left_batch) * len(right_rows)  # pairs
@@ -665,6 +671,7 @@ class HashDistinct(Operator):
     def __init__(self, input_op: Operator) -> None:
         self.input = input_op
         self.binding = input_op.binding
+        self.batch_bytes = row_bytes_kernel(input_op.binding.slots)
 
     def _execute(self) -> Iterator[Batch]:
         seen: set[tuple] = set()
@@ -686,7 +693,7 @@ class HashDistinct(Operator):
                 yield from _batched(out[:full], size)
                 out = out[full:]
             if budget is not None and fresh:
-                budget.charge_memory(batch_row_bytes(fresh))
+                budget.charge_memory(self.batch_bytes(fresh))
         if out:
             yield out
 
@@ -904,6 +911,7 @@ class Sort(Operator):
         self.keys = keys
         self.descending = descending
         self.binding = input_op.binding
+        self.batch_bytes = row_bytes_kernel(input_op.binding.slots)
 
     def _execute(self) -> Iterator[Batch]:
         budget = active_budget()
@@ -913,7 +921,7 @@ class Sort(Operator):
             rows = []
             for batch in self.input.batches():
                 rows.extend(batch)
-                budget.charge_memory(batch_row_bytes(batch))
+                budget.charge_memory(self.batch_bytes(batch))
         # n * ceil(log2 n) comparisons per key pass, whatever the input order
         work_counters().work["sort_comparisons"] += (
             len(self.keys) * len(rows) * (len(rows) - 1).bit_length()
@@ -988,14 +996,19 @@ def table_binding(
     """The slot layout a table contributes under ``alias``.
 
     ``projection`` (a scan's pushed-down column index list) keeps only
-    those columns, in that order.
+    those columns, in that order.  The slots are ``stored`` when the
+    table's values went through their column types' validation.
     """
     qualifier = alias.lower()
     columns = table.schema.columns
     if projection is not None:
         columns = [columns[i] for i in projection]
+    stored = table.typed
     return Binding(
-        [Slot(qualifier, column.name, column.sql_type) for column in columns]
+        [
+            Slot(qualifier, column.name, column.sql_type, stored)
+            for column in columns
+        ]
     )
 
 

@@ -41,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class HeapTable:
     """A heap of rows conforming to a :class:`TableSchema`."""
 
+    #: every stored value went through its column type's ``validate``
+    #: (or the ``batch_widths`` kernel that vouches for it), so a
+    #: column's values have the Python types its SQL type admits
+    typed = True
+
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self.rows: list[tuple] = []

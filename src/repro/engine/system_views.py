@@ -36,6 +36,8 @@ cannot leak into version publishing, ``runstats``, or size accounting).
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.engine.schema import Column, TableSchema
@@ -59,6 +61,9 @@ def is_system_view_name(name: str) -> bool:
 
 class SystemViewTable(HeapTable):
     """A read-only virtual table materialized fresh on every scan."""
+
+    #: a provider's rows are never validated
+    typed = False
 
     def __init__(
         self, schema: TableSchema, provider: Callable[[], Iterable[tuple]]
@@ -338,8 +343,9 @@ def install_system_views(db: "Database") -> dict[str, SystemViewTable]:
     version = db.catalog_version
     for name, (columns, provider) in _VIEW_DEFS.items():
         schema = _schema(name, columns)
+        # a proxy, not the database: the views must not keep it alive
         views[name] = SystemViewTable(
-            schema, lambda db=db, fn=provider: fn(db)
+            schema, partial(provider, weakref.proxy(db))
         )
         db._catalog_mgr.add_table(schema, version)
     return views

@@ -147,7 +147,8 @@ class VarcharType(SqlType):
                 raise TypeMismatchError(
                     f"string of length {len(value)} exceeds VARCHAR({self.max_length})"
                 )
-            return value
+            # a subclass is stored as the plain ``str`` it spells
+            return value if type(value) is str else str.__str__(value)
         if isinstance(value, int) and not isinstance(value, bool):
             return self.validate(str(value))
         raise TypeMismatchError(f"cannot store {type(value).__name__} in VARCHAR")

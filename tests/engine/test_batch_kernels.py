@@ -3,8 +3,11 @@
 ``io.batch_row_bytes`` must equal ``sum(estimate_row_bytes(row))`` and
 ``values.batch_group_keys`` must equal ``group_key`` value by value, for
 any mix of value types a batch can hold — the kernels decide from the
-types they observe, so no mix may steer them wrong.  ``HashJoin`` is
-held, rows **and order**, to a per-row hash join kept here.
+types they observe, so no mix may steer them wrong.  The plan-time
+``io.row_bytes_kernel`` must equal the same sum on a base table's stored
+rows, where it trusts the declared column types, and on anything else,
+where it may not.  ``HashJoin`` is held, rows **and order**, to a
+per-row hash join kept here.
 """
 
 import pytest
@@ -12,24 +15,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database
-from repro.engine.expr import Binding, Slot
+from repro.engine.expr import Binding, ParamBox, Slot
 from repro.engine.io import (
     IoCounters,
     batch_row_bytes,
     estimate_row_bytes,
     pages_of_bytes,
+    row_bytes_kernel,
 )
 from repro.engine.plan.logical import infer_type
-from repro.engine.plan.physical import HashJoin, Operator
+from repro.engine.plan.optimizer import plan_select
+from repro.engine.plan.physical import (
+    HashJoin,
+    Operator,
+    Project,
+    SeqScan,
+    row_picker,
+    table_binding,
+)
+from repro.engine.schema import Column, TableSchema
 from repro.engine.snapshot import activate, deactivate
 from repro.engine.sql.parser import parse_sql
-from repro.engine.types import INTEGER, VARCHAR, XADT, IntegerType
+from repro.engine.storage import HeapTable
+from repro.engine.types import DOUBLE, INTEGER, VARCHAR, XADT, IntegerType
 from repro.engine.values import batch_group_keys, group_key, like, like_matcher
 from repro.xadt import DICT, INDEXED, PLAIN, XadtValue, register_xadt_functions
 
 
 class _Text(str):
     """A ``str`` subclass: must be costed and keyed like a ``str``."""
+
+
+class _Falsy(str):
+    """A ``str`` subclass that tests false even when it is not empty."""
+
+    def __bool__(self):
+        return False
 
 
 class _Sized:
@@ -96,6 +117,76 @@ class TestWidthKernel:
         assert batch_row_bytes(batch) == (
             2 * (24 + 8 * 4) + 2 + 2 * fragment.byte_size()
         )
+
+
+#: a base table with one column of each declared type
+BASE_COLUMNS = [
+    Column("i", INTEGER), Column("d", DOUBLE), Column("v", VARCHAR),
+    Column("x", XADT),
+]
+base_rows = st.lists(
+    st.tuples(
+        st.none() | st.integers(-(2**31), 2**31 - 1),
+        st.none() | st.floats() | st.integers(-5, 5),  # stored as float
+        # "" and non-ASCII text; a str subclass is stored as plain str
+        st.none()
+        | st.text(max_size=6)
+        | st.builds(_Text, st.text(max_size=3))
+        | st.builds(_Falsy, st.text(min_size=1, max_size=3)),
+        st.none() | xadt_values,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def reference_width(batch):
+    return sum(map(estimate_row_bytes, batch))
+
+
+class TestPlannedWidthKernel:
+    @given(
+        rows=base_rows,
+        projection=st.none() | st.lists(st.integers(0, 3), max_size=5),
+        size=st.sampled_from([1, 2, 1024]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_base_table_batches(self, rows, projection, size):
+        table = HeapTable(TableSchema("t", BASE_COLUMNS))
+        table.bulk_insert(rows)
+        slots = table_binding(table, "t", projection).slots
+        assert all(slot.stored for slot in slots)
+        stored = (table.rows * (size // len(rows) + 1))[:size]
+        pick = row_picker(projection)
+        batch = stored if pick is None else list(map(pick, stored))
+        width = reference_width(batch)
+        assert row_bytes_kernel(slots)(batch) == width
+        assert batch_row_bytes(batch) == width
+
+    @given(batches(), st.lists(st.sampled_from([INTEGER, DOUBLE, VARCHAR, XADT])))
+    @settings(max_examples=150, deadline=None)
+    def test_slots_of_unknown_provenance(self, batch, types):
+        # a declared type says nothing about a computed column's values
+        arity = len(batch[0])
+        types = (types + [INTEGER] * arity)[:arity]
+        slots = [Slot("", f"c{i}", sql_type) for i, sql_type in enumerate(types)]
+        assert row_bytes_kernel(slots)(batch) == reference_width(batch)
+
+    def test_empty_batch(self):
+        slots = table_binding(HeapTable(TableSchema("t", BASE_COLUMNS)), "t").slots
+        assert row_bytes_kernel(slots)([]) == 0
+
+    def test_only_base_tables_are_stored(self, typed_db):
+        view = typed_db.heap("sys_tables")
+        assert not any(slot.stored for slot in table_binding(view, "s").slots)
+        plan = plan_select(parse_sql("SELECT a, b FROM t"), typed_db, ParamBox(0))
+        assert isinstance(plan, Project) and isinstance(plan.input, SeqScan)
+        assert all(slot.stored for slot in plan.input.binding.slots)
+        assert not any(slot.stored for slot in plan.binding.slots)
+
+    def test_stored_is_not_part_of_slot_equality(self):
+        assert Slot("t", "a", INTEGER, True) == Slot("t", "a", INTEGER)
+        assert hash(Slot("t", "a", INTEGER, True)) == hash(Slot("t", "a", INTEGER))
 
 
 class TestKeyKernel:

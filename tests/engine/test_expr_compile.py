@@ -396,6 +396,22 @@ class TestOneCompilePerSite:
         assert {name for _, name in twos.rows()} == {"n2"}
         assert len(list(ones.rows())) == len(list(twos.rows())) == 10
 
+        # number literals are bound the same way: a new integer or float
+        # constant reuses the code object instead of compiling again
+        def numbered(low, scale):
+            statement = parse_sql(
+                f"SELECT id, name FROM u WHERE id > {low} AND id * {scale} < 60"
+            )
+            return plan_select(statement, sites_db, ParamBox(0))
+
+        highs, mids = numbered(45, 1.0), numbered(20, 2.5)
+        for one, two in zip(_sites(highs), _sites(mids), strict=True):
+            assert one.source == two.source
+            assert one.__code__ is two.__code__
+            assert one.__globals__ is not two.__globals__
+        assert sorted(id_ for id_, _ in highs.rows()) == [46, 47, 48, 49]
+        assert sorted(id_ for id_, _ in mids.rows()) == [21, 22, 23]
+
     def test_a_prepared_insert_compiles_its_values_once(self, monkeypatch):
         db = Database("inserts")
         db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, s VARCHAR, n INTEGER)")

@@ -1,6 +1,8 @@
 """Crash recovery: WAL replay rebuilds the last committed state."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -351,3 +353,40 @@ class TestTornTail:
         again = Database.open(path, recover=True)
         assert again.recovery_report.markers == ["a", "b"]
         again.close()
+
+
+class TestAClosedDatabaseIsFreed:
+    """A dropped database holds no reference cycle: reference counting
+    frees it and its heaps, without waiting for a full collection."""
+
+    def used(self, db):
+        register_xadt_functions(db)
+        db.runstats()
+        db.execute("SELECT name FROM t WHERE parent = 2")
+        db.execute("SELECT table_name, row_count FROM sys_tables")
+        with db.connect() as session:
+            session.execute("SELECT count(*) FROM t")
+        db.backend("sqlite").execute("SELECT id FROM t WHERE id < 3")
+        db.close()
+        return weakref.ref(db), weakref.ref(db.engine.heap("t"))
+
+    def test_loaded_and_recovered_databases(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        gc.collect()
+        gc.disable()
+        try:
+            db = Database.open(path)
+            db.execute(DDL)
+            load(db, 0, 200, marker="doc:0")
+            db.create_index("t_parent", "t", "parent", "hash")
+            refs = self.used(db)
+            del db
+            assert [ref() for ref in refs] == [None, None]
+
+            recovered = Database.open(path, recover=True)
+            assert recovered.row_count() == 200
+            refs = self.used(recovered)
+            del recovered
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
