@@ -25,6 +25,7 @@ Run from the repo root:
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
@@ -43,6 +44,12 @@ from tests.engine.test_work_model import (  # noqa: E402
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with the committed files, write nothing",
+    )
+    check = parser.parse_args().check
     io_model, work_model = {}, {}
     for dataset, (hybrid, xorator, queries) in build_pairs().items():
         for algorithm, loaded in (("hybrid", hybrid), ("xorator", xorator)):
@@ -55,7 +62,7 @@ def main() -> None:
     stale = []
     for path, golden in ((GOLDEN_IO, io_model), (GOLDEN_WORK, work_model)):
         text = json.dumps(golden, indent=1, sort_keys=True) + "\n"
-        if "--check" not in sys.argv[1:]:
+        if not check:
             path.write_text(text, encoding="utf-8")
             print(f"wrote {len(golden)} entries to {path}")
         elif not path.exists() or path.read_text(encoding="utf-8") != text:

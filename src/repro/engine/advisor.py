@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.expr import ColumnRef, Comparison, Expr, Literal
+from repro.engine.expr import ColumnRef, Comparison, Expr, FuncCall, Literal
 from repro.engine.schema import Catalog
 from repro.engine.sql.ast import SelectStmt, TableFunctionRef, TableRef
 from repro.engine.sql.parser import parse_sql
@@ -95,14 +95,8 @@ class IndexAdvisor:
                 if right_col:
                     self._demand(expr.right, aliases, ordering=True, reason="range")
             return
-        for attribute in ("items",):
-            if hasattr(expr, attribute):
-                for item in getattr(expr, attribute):
-                    self._walk_predicate(item, aliases)
-                return
-        for attribute in ("left", "right", "operand"):
-            child = getattr(expr, attribute, None)
-            if isinstance(child, Expr):
+        if not isinstance(expr, FuncCall):  # a call's arguments demand nothing
+            for child in expr.children():
                 self._walk_predicate(child, aliases)
 
     def _demand(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from repro.engine.types import SqlType
 from repro.engine.udf import AGGREGATE_NAMES
@@ -19,14 +19,30 @@ from repro.errors import ExecutionError, PlanError
 
 
 class Expr:
-    """Base class of expression nodes."""
+    """Base class of expression nodes.
+
+    ``CHILDREN`` names the fields that hold sub-expressions (an ``Expr``,
+    or a tuple of them), once per class: :meth:`children`,
+    :func:`walk_exprs`, :meth:`column_refs` and the planner's rebuilds
+    all read the tree's shape from it.  Every other field is a scalar.
+    """
+
+    CHILDREN: ClassVar[tuple[str, ...]] = ()
+
+    def children(self) -> list["Expr"]:
+        """The direct sub-expressions, in field order."""
+        out: list[Expr] = []
+        for name in self.CHILDREN:
+            value = getattr(self, name)
+            if type(value) is tuple:
+                out.extend(value)
+            else:
+                out.append(value)
+        return out
 
     def column_refs(self) -> Iterator["ColumnRef"]:
-        """All column references in this subtree."""
-        return iter(())
-
-    def contains_aggregate(self) -> bool:
-        return False
+        """All column references in this subtree, left to right."""
+        return (node for node in walk_exprs(self) if type(node) is ColumnRef)
 
     def sql(self) -> str:
         """Render back to SQL-ish text (for EXPLAIN and error messages)."""
@@ -50,9 +66,6 @@ class Literal(Expr):
 class ColumnRef(Expr):
     qualifier: str | None
     name: str
-
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        yield self
 
     def sql(self) -> str:
         if self.qualifier:
@@ -136,20 +149,12 @@ class ParamBox:
 
 
 def walk_exprs(expr: Expr) -> Iterator[Expr]:
-    """Every node of an expression tree (pre-order)."""
-    yield expr
-    if isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk_exprs(arg)
-        return
-    if isinstance(expr, (And, Or)):
-        for item in expr.items:
-            yield from walk_exprs(item)
-        return
-    for attribute in ("left", "right", "operand"):
-        child = getattr(expr, attribute, None)
-        if isinstance(child, Expr):
-            yield from walk_exprs(child)
+    """Every node of an expression tree (pre-order, left to right)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 @dataclass(frozen=True)
@@ -158,15 +163,10 @@ class FuncCall(Expr):
     args: tuple[Expr, ...]
     distinct: bool = False
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        for arg in self.args:
-            yield from arg.column_refs()
+    CHILDREN = ("args",)
 
     def is_aggregate(self) -> bool:
         return self.name.lower() in AGGREGATE_NAMES
-
-    def contains_aggregate(self) -> bool:
-        return self.is_aggregate() or any(a.contains_aggregate() for a in self.args)
 
     def sql(self) -> str:
         inner = ", ".join(a.sql() for a in self.args)
@@ -181,12 +181,7 @@ class Comparison(Expr):
     left: Expr
     right: Expr
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        yield from self.left.column_refs()
-        yield from self.right.column_refs()
-
-    def contains_aggregate(self) -> bool:
-        return self.left.contains_aggregate() or self.right.contains_aggregate()
+    CHILDREN = ("left", "right")
 
     def sql(self) -> str:
         return f"{self.left.sql()} {self.op} {self.right.sql()}"
@@ -198,11 +193,7 @@ class Like(Expr):
     pattern: str
     negated: bool = False
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        yield from self.operand.column_refs()
-
-    def contains_aggregate(self) -> bool:
-        return self.operand.contains_aggregate()
+    CHILDREN = ("operand",)
 
     def sql(self) -> str:
         keyword = "NOT LIKE" if self.negated else "LIKE"
@@ -215,8 +206,7 @@ class IsNull(Expr):
     operand: Expr
     negated: bool = False
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        yield from self.operand.column_refs()
+    CHILDREN = ("operand",)
 
     def sql(self) -> str:
         keyword = "IS NOT NULL" if self.negated else "IS NULL"
@@ -227,12 +217,7 @@ class IsNull(Expr):
 class And(Expr):
     items: tuple[Expr, ...]
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        for item in self.items:
-            yield from item.column_refs()
-
-    def contains_aggregate(self) -> bool:
-        return any(item.contains_aggregate() for item in self.items)
+    CHILDREN = ("items",)
 
     def sql(self) -> str:
         return " AND ".join(f"({item.sql()})" for item in self.items)
@@ -242,12 +227,7 @@ class And(Expr):
 class Or(Expr):
     items: tuple[Expr, ...]
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        for item in self.items:
-            yield from item.column_refs()
-
-    def contains_aggregate(self) -> bool:
-        return any(item.contains_aggregate() for item in self.items)
+    CHILDREN = ("items",)
 
     def sql(self) -> str:
         return " OR ".join(f"({item.sql()})" for item in self.items)
@@ -257,11 +237,7 @@ class Or(Expr):
 class Not(Expr):
     operand: Expr
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        yield from self.operand.column_refs()
-
-    def contains_aggregate(self) -> bool:
-        return self.operand.contains_aggregate()
+    CHILDREN = ("operand",)
 
     def sql(self) -> str:
         return f"NOT ({self.operand.sql()})"
@@ -273,12 +249,7 @@ class Arithmetic(Expr):
     left: Expr
     right: Expr
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        yield from self.left.column_refs()
-        yield from self.right.column_refs()
-
-    def contains_aggregate(self) -> bool:
-        return self.left.contains_aggregate() or self.right.contains_aggregate()
+    CHILDREN = ("left", "right")
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
@@ -288,8 +259,7 @@ class Arithmetic(Expr):
 class Negate(Expr):
     operand: Expr
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        yield from self.operand.column_refs()
+    CHILDREN = ("operand",)
 
     def sql(self) -> str:
         return f"-({self.operand.sql()})"

@@ -209,7 +209,7 @@ def _values_bytes(values) -> int:
 def estimate_row_bytes(row: tuple) -> int:
     """Cheap in-flight width estimate for spill decisions.
 
-    The reference semantics of :func:`batch_row_bytes`, and the form for
+    The reference semantics of :func:`row_bytes_kernel`, and the form for
     a single row (a new group's key).
     """
     return 24 + 8 * len(row) + _values_bytes(row)
@@ -233,26 +233,10 @@ def _column_bytes(column: list) -> int:
     return _values_bytes(column)
 
 
-def batch_row_bytes(batch: list) -> int:
-    """``sum(estimate_row_bytes(row) for row in batch)``, column at a time.
-
-    The width kernel for rows of unknown provenance: each column is read
-    through ``itemgetter`` and costed by :func:`_column_bytes`.  An
-    operator whose input slots are known costs it with the
-    :func:`row_bytes_kernel` built at plan time instead.
-    """
-    if not batch:
-        return 0
-    arity = len(batch[0])
-    width = len(batch) * (24 + 8 * arity)
-    for position in range(arity):
-        width += _column_bytes(list(map(itemgetter(position), batch)))
-    return width
-
-
 def row_bytes_kernel(slots: Sequence) -> Callable[[list], int]:
-    """:func:`batch_row_bytes` specialised, at plan time, to an input's
-    slot layout.
+    """The batch width kernel — ``sum(map(estimate_row_bytes, batch))``,
+    a column at a time — specialised, at plan time, to an input's slot
+    layout.
 
     A ``stored`` slot reads a base-table column, whose values storage
     has validated against the declared type: an INTEGER or DOUBLE column

@@ -35,31 +35,15 @@ class PageAccounting:
     used_bytes: int = 0
     _free_in_current: int = 0
 
-    def add_row(self, row_bytes: int) -> None:
-        """Account for one row of ``row_bytes`` payload."""
-        need = row_bytes + SLOT_ENTRY
-        if need > PAGE_CAPACITY:
-            # oversized rows span dedicated pages
-            span = (need + PAGE_CAPACITY - 1) // PAGE_CAPACITY
-            self.pages += span
-            self._free_in_current = 0
-            _PAGES_WRITTEN.inc(span)
-        else:
-            if need > self._free_in_current:
-                self.pages += 1
-                self._free_in_current = PAGE_CAPACITY
-                _PAGES_WRITTEN.inc()
-            self._free_in_current -= need
-        self.rows += 1
-        self.used_bytes += need
-
     def add_rows(self, row_widths: list[int]) -> None:
-        """Account for a batch of rows in one pass.
+        """Account for rows of these payload widths, packed in order.
 
-        Packing is identical to calling :meth:`add_row` per width (same
-        page splits, same byte totals), but the page counter and the
-        process-wide metric are updated once for the whole batch instead
-        of per row — this is the accounting half of ``bulk_insert``.
+        A row takes its width plus a slot entry; one that fits no page
+        spans dedicated pages of its own.  Packing is incremental, so one
+        call over a list equals one call per width (same page splits,
+        same byte totals); the page counter and the process-wide metric
+        move once per call — this is the accounting half of
+        ``HeapTable.bulk_insert``.
         """
         pages = self.pages
         free = self._free_in_current

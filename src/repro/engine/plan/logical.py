@@ -36,6 +36,7 @@ from repro.engine.expr import (
     Literal,
     Negate,
     SlotRef,
+    walk_exprs,
 )
 from repro.engine.sql.ast import OrderItem, SelectItem, TableRef
 from repro.engine.types import INTEGER, VARCHAR, IntegerType, SqlType
@@ -191,26 +192,13 @@ class LogicalLimit(LogicalNode):
 # ---------------------------------------------------------------------------
 
 
-def children_of(expr: Expr) -> list[Expr]:
-    if isinstance(expr, FuncCall):
-        return list(expr.args)
-    for attribute in ("items",):
-        if hasattr(expr, attribute):
-            return list(getattr(expr, attribute))
-    children: list[Expr] = []
-    for attribute in ("left", "right", "operand"):
-        child = getattr(expr, attribute, None)
-        if isinstance(child, Expr):
-            children.append(child)
-    return children
-
-
 def has_xadt_call(expr: Expr | None) -> bool:
     if expr is None:
         return False
-    if isinstance(expr, FuncCall) and expr.name.lower() in XADT_METHOD_NAMES:
-        return True
-    return any(has_xadt_call(child) for child in children_of(expr))
+    return any(
+        isinstance(node, FuncCall) and node.name.lower() in XADT_METHOD_NAMES
+        for node in walk_exprs(expr)
+    )
 
 
 def xadt_access(exprs) -> str | None:
@@ -246,7 +234,7 @@ def _collect_aggregates(expr: Expr, collected: list[FuncCall]) -> None:
         if expr not in collected:
             collected.append(expr)
         return  # no nested aggregates
-    for child in children_of(expr):
+    for child in expr.children():
         _collect_aggregates(child, collected)
 
 
@@ -257,36 +245,21 @@ def rebuild_with_slots(expr: Expr, substitutions: dict[Expr, int]) -> Expr | Non
     """
     if expr in substitutions:
         return SlotRef(substitutions[expr])
-    if isinstance(expr, FuncCall):
-        if expr.is_aggregate():
-            return None
-        new_args = []
-        for arg in expr.args:
-            rebuilt = rebuild_with_slots(arg, substitutions)
+    if isinstance(expr, FuncCall) and expr.is_aggregate():
+        return None
+    replacements = {}
+    for name in expr.CHILDREN:
+        value = getattr(expr, name)
+        if type(value) is tuple:
+            rebuilt = tuple(rebuild_with_slots(item, substitutions) for item in value)
+            if None in rebuilt:
+                return None
+        else:
+            rebuilt = rebuild_with_slots(value, substitutions)
             if rebuilt is None:
                 return None
-            new_args.append(rebuilt)
-        return FuncCall(expr.name, tuple(new_args), expr.distinct)
-    if dataclasses.is_dataclass(expr):
-        replacements = {}
-        for field_info in dataclasses.fields(expr):
-            value = getattr(expr, field_info.name)
-            if isinstance(value, Expr):
-                rebuilt = rebuild_with_slots(value, substitutions)
-                if rebuilt is None:
-                    return None
-                replacements[field_info.name] = rebuilt
-            elif isinstance(value, tuple) and value and isinstance(value[0], Expr):
-                rebuilt_items = []
-                for item in value:
-                    rebuilt = rebuild_with_slots(item, substitutions)
-                    if rebuilt is None:
-                        return None
-                    rebuilt_items.append(rebuilt)
-                replacements[field_info.name] = tuple(rebuilt_items)
-        if replacements:
-            return dataclasses.replace(expr, **replacements)
-    return expr
+        replacements[name] = rebuilt
+    return dataclasses.replace(expr, **replacements) if replacements else expr
 
 
 def output_name(expr: Expr, alias: str | None, position: int) -> str:
@@ -322,7 +295,7 @@ def infer_type(expr: Expr, binding, registry) -> SqlType:
         return INTEGER
     if isinstance(expr, (Arithmetic, Negate)) and all(
         isinstance(infer_type(operand, binding, registry), IntegerType)
-        for operand in children_of(expr)
+        for operand in expr.children()
     ):
         return INTEGER
     # unknown shapes answer VARCHAR: a *guess*, so nothing downstream may
@@ -344,7 +317,6 @@ __all__ = [
     "LogicalScan",
     "LogicalSort",
     "XADT_METHOD_NAMES",
-    "children_of",
     "collect_aggregates",
     "has_xadt_call",
     "infer_type",

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from repro.engine.config import DEFAULT_BATCH_SIZE
 from repro.engine.expr import ParamBox
 from repro.engine.governor import GovernorLimits
-from repro.engine.io import IoCounters, batch_row_bytes
+from repro.engine.io import IoCounters, estimate_row_bytes, row_bytes_kernel
 from repro.engine.plan.optimizer import plan_select
 from repro.engine.plan_cache import CachedPlan, normalize_sql
 from repro.engine.result import Result
@@ -250,13 +250,17 @@ class Session:
                         key, statement, sql, pin, observation
                     )
                     result = self._run_select(entry, params, pin, observation)
+                    slots = entry.plan.binding.slots
                 else:
                     if statement is None:
                         with TRACER.span("parse"):
                             statement = parse_sql(sql)
                     result = self._execute_write(statement, params)
+                    slots = None
             if observation is not None:
-                self._note_result(observation, result, decode_start, wal_start)
+                self._note_result(
+                    observation, result, slots, decode_start, wal_start
+                )
             self._count(kind)
             _QUERY_HISTOGRAMS[kind].observe(time.perf_counter() - started)
             return result
@@ -274,16 +278,21 @@ class Session:
     def _note_result(
         observation: StatementObservation,
         result: Result,
+        slots: list | None,
         decode_start: int,
         wal_start: int,
     ) -> None:
-        observation.rows = len(result.rows)
         rows = result.rows
-        # a batch at a time: the kernel's transients stay batch-sized
-        observation.bytes = sum(
-            batch_row_bytes(rows[start:start + DEFAULT_BATCH_SIZE])
-            for start in range(0, len(rows), DEFAULT_BATCH_SIZE)
-        )
+        observation.rows = len(rows)
+        if slots is None:  # a write's one status row
+            observation.bytes = sum(map(estimate_row_bytes, rows))
+        else:
+            # a batch at a time: the kernel's transients stay batch-sized
+            width = row_bytes_kernel(slots)
+            observation.bytes = sum(
+                width(rows[start:start + DEFAULT_BATCH_SIZE])
+                for start in range(0, len(rows), DEFAULT_BATCH_SIZE)
+            )
         # deltas of process-wide counters: exact single-threaded,
         # best-effort (may over-attribute) under concurrent writers
         observation.decode_cache_hits = max(
@@ -428,11 +437,12 @@ class Session:
                         budget.limits.max_result_rows is not None
                         or budget.limits.max_result_bytes is not None
                     )
+                    width = row_bytes_kernel(entry.plan.binding.slots)
                     for batch in entry.plan.batches():
                         rows.extend(batch)
                         if caps:
                             budget.add_result_rows(len(batch))
-                            budget.add_result_bytes(batch_row_bytes(batch))
+                            budget.add_result_bytes(width(batch))
                 span.args["rows"] = len(rows)
         finally:
             deactivate(token)

@@ -4,9 +4,10 @@ Rows live as Python tuples in insertion order (their position is the row
 id).  Every insert validates and coerces values against the schema and
 feeds the page accountant, so a table always knows its modelled on-disk
 size.  Indexes attached to the table are kept consistent on insert.
-A single row goes through :meth:`HeapTable._store_row`, which defines
-what an insert checks and does; a batch goes through the column-wise
-:meth:`HeapTable._store_batch`, which does the same or steps aside.
+:meth:`HeapTable._store_row` defines what an insert checks and does; a
+batch — a single insert is a batch of one — goes through the column-wise
+:meth:`HeapTable._store_batch`, which does the same or steps aside to
+``_store_row`` row by row.
 
 Concurrency contract (DESIGN.md §8): the row list is append-only and all
 appends happen on the single writer thread.  Any prefix ``rows[:n]``
@@ -61,12 +62,9 @@ class HeapTable:
     # -- writes -----------------------------------------------------------
 
     def insert(self, row: Sequence[object]) -> int:
-        """Insert one row; returns its row id."""
+        """Insert one row (a batch of one); returns its row id."""
         row_id = len(self.rows)
-        row_bytes = self._store_row(row)
-        self.accounting.add_row(row_bytes)
-        _ROWS_INSERTED.inc()
-        _BYTES_WRITTEN.inc(row_bytes)
+        self.bulk_insert([row])
         return row_id
 
     def bulk_insert(self, rows: Iterable[Sequence[object]]) -> int:
@@ -210,8 +208,7 @@ class HeapTable:
         exactly as they were (a mid-batch ``bulk_insert`` failure keeps
         the stored prefix fully consistent).
 
-        Accounting is the caller's responsibility (per row for
-        :meth:`insert`, per batch for :meth:`bulk_insert`).
+        Accounting is the caller's (:meth:`bulk_insert`) responsibility.
         """
         if FAULTS.active:
             FAULTS.fire("heap.store_row")

@@ -92,12 +92,7 @@ class SystemViewTable(HeapTable):
     def row_count(self) -> int:
         return len(self.materialize())
 
-    # -- writes are refused -------------------------------------------------
-
-    def insert(self, row) -> int:
-        raise ExecutionError(
-            f"system view {self.schema.name!r} is read-only"
-        )
+    # -- writes are refused (``insert`` is a batch of one) -------------------
 
     def bulk_insert(self, rows) -> int:
         raise ExecutionError(

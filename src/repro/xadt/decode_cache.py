@@ -161,11 +161,10 @@ def memoize_predicate(kind: str, payload: object, args: tuple, compute, *compute
     Keys on fragment identity (the payload content) plus the predicate's
     arguments, so repeated scans of the same document with the same
     search terms — the shape of every Fig11/Fig13 XADT filter — skip the
-    scan entirely.  ``kind`` names the access path the verdict was
-    computed on (``findKeyInElm`` passes one per codec); a structural
-    index's probe is never memoized, so nothing else can change a
-    payload's verdict.  Verdicts are tiny, so the byte budget charges a
-    flat :data:`PREDICATE_ENTRY_BYTES` per entry.
+    span walk.  ``kind`` names the predicate; only scanned verdicts are
+    memoized (a directory's probe never is), so nothing else can change
+    a payload's verdict.  Verdicts are tiny, so the byte budget charges
+    a flat :data:`PREDICATE_ENTRY_BYTES` per entry.
     ``compute(*compute_args)`` runs only on a miss; its result must
     never be None (the miss sentinel).
     """

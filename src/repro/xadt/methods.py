@@ -19,18 +19,20 @@ What belongs to a value stays per value: its coercion, its access path
 (:func:`_access_path`), ``XadtValue.scan_text()`` (a dict payload passes
 the ``xadt.decode`` fault site and the decode cache once per value, in
 row order), the directory of an indexed value, the statement's deadline
-tick, the bytes it is charged, and ``findKeyInElm``'s memoized verdict.
+tick and the bytes it is charged.
 
 What a value's answer is computed from does not always change from row
 to row: a lateral copies its outer row into every row it produces, so
 ``getElm(st.out, …)`` over its fan-out sees one object many times in a
-row.  Every body but ``findKeyInElm``'s runs one loop
-(:func:`_run_column`) that computes an answer once per *run* — a value
-that ``is`` the previous row's reuses the previous answer, on the scan
-and the directory route alike.  A fragment-valued answer is the same
-immutable :class:`XadtValue`, so a nested ``elmText(getElm(…))`` hits its
-own run too.  Everything listed above still happens per value, and a hit
-charges what a miss would have; the memo dies when the body returns.
+row.  Every body runs one loop (:func:`_run_column`) that computes an
+answer once per *run* — a value that ``is`` the previous row's reuses
+the previous answer, on the scan and the directory route alike.  A
+fragment-valued answer is the same immutable :class:`XadtValue`, so a
+nested ``elmText(getElm(…))`` hits its own run too.  Everything listed
+above still happens per value, and a hit charges what a miss would have;
+the memo dies when the body returns.  The one answer that outlives a
+call is ``findKeyInElm``'s scanned verdict, memoized in the decode cache
+on the payload and the search terms: a 0/1 costs nothing to keep.
 
 Every answer is a slice of the fragment's tagged text, taken one of two
 ways — it never builds a DOM or re-serializes:
@@ -100,7 +102,7 @@ from repro.xadt import fastscan
 from repro.xadt.decode_cache import memoize_predicate
 from repro.xadt.fragment import XadtValue, coerce_fragment
 from repro.xadt.metadata import ENTRY_BYTES, HEADER_BYTES, SpanDirectory
-from repro.xadt.storage import CODECS, DICT, INDEXED, PLAIN
+from repro.xadt.storage import DICT, INDEXED, PLAIN
 
 
 def _access_path(value: XadtValue) -> SpanDirectory | None:
@@ -160,16 +162,16 @@ def _int_arg(method: str, name: str, value: object) -> int:
 def _run_column(
     results: list,
     column: Sequence[object],
-    scan: Callable[[str], object],
+    scan: Callable[[str, XadtValue], object],
     probe: Callable[[SpanDirectory, XadtValue], tuple[object, int]] | None,
 ) -> None:
-    """The loop every body but ``findKeyInElm``'s runs: append one answer
-    per value of ``column``, in order, and charge the column's reads.
+    """The loop every body runs: append one answer per value of
+    ``column``, in order, and charge the column's reads.
 
-    ``scan(text)`` answers from a value's tagged text, which the value's
-    whole length is charged for; ``probe(directory, value)`` answers from
-    the directory :func:`_access_path` picks and returns ``(answer, bytes
-    read)``.  Without a ``probe`` every value scans.
+    ``scan(text, value)`` answers from a value's tagged text, which the
+    value's whole length is charged for; ``probe(directory, value)``
+    answers from the directory :func:`_access_path` picks and returns
+    ``(answer, bytes read)``.  Without a ``probe`` every value scans.
 
     A run of one object — the outer value a lateral copies into each row
     it produces — computes once: a value that ``is`` the previous row's
@@ -190,7 +192,7 @@ def _run_column(
                 text = value.scan_text()
                 scanned += len(text)
                 if value is not last:
-                    answer = scan(text)
+                    answer = scan(text, value)
                     last = value
             else:
                 if value is not last:
@@ -225,7 +227,7 @@ def get_elm_column(
         matched = directory.get_elm(root_elm, search_elm, search_key, level)
         return new(matched, PLAIN), _PROBE_BYTES + len(matched)
 
-    def scan(text: str) -> XadtValue:
+    def scan(text: str, _value) -> XadtValue:
         if level >= 0:
             # depth is not visible to a tag scan: a directory for the
             # call (building it reads the whole text, as charged)
@@ -235,40 +237,17 @@ def get_elm_column(
     _run_column(results, column, scan, probe)
 
 
-#: the decode-cache kind of a ``findKeyInElm`` verdict, per codec
-_VERDICT_KINDS = {codec: "findkey-" + codec for codec in CODECS}
-
-
-def _verdict(
-    value: XadtValue,
-    directory: SpanDirectory | None,
-    search_elm: str,
-    search_key: str,
-) -> tuple[int, int]:
-    """(bytes read, answer): the charge rides in the memo entry, so a
-    hit charges exactly what the miss that made it did."""
-    if directory is not None:  # reads the candidate elements
-        return (
-            _probed(directory.outermost_of(search_elm)),
-            directory.find_key(search_elm, search_key),
-        )
-    text = value.scan_text()
-    return len(text), fastscan.find_key_in_elm_plain(text, search_elm, search_key)
-
-
 def find_key_in_elm_column(
     results: list, column: Sequence[object], search_elm: str, search_key: str
 ) -> None:
     """``findKeyInElm`` of every value: 1 if any ``search_elm`` element's
     content contains ``search_key``.
 
-    A directory answers from a probe when its tag index proves
-    ``search_elm`` absent — the predicate-pushdown half of the vectorized
-    scan path — or its keyword map holds a word key; a probe costs no
-    more than a memo lookup, so those verdicts are returned as they come.
-    Every other verdict (a scan, or a non-word key read from the
-    candidate elements) is memoized in the process-wide decode cache,
-    keyed on payload identity + search terms.
+    A scanned verdict is memoized in the process-wide decode cache, keyed
+    on the payload and the search terms.  A directory answers from a
+    probe when its tag index proves ``search_elm`` absent — the
+    predicate-pushdown half of the vectorized scan path — or its keyword
+    map holds a word key, and otherwise reads the candidate elements.
     """
     search_elm = _tag_arg("findKeyInElm", "searchElm", search_elm)
     search_key = _tag_arg("findKeyInElm", "searchKey", search_key)
@@ -277,32 +256,25 @@ def find_key_in_elm_column(
             "findKeyInElm: searchElm and searchKey cannot both be empty"
         )
     terms = (search_elm, search_key)
-    append = results.append
-    scanned = decoded = 0
-    try:
-        for value in column:
-            if type(value) is not XadtValue:
-                value = coerce_fragment(value)
-            directory = _access_path(value)
-            if directory is not None and (
-                (search_elm and not directory.has_tag(search_elm))
-                or directory.keyed(search_key)
-            ):
-                # a probe answers: the tag index proves the tag absent, or
-                # the keyword map holds the word key
-                scanned += _PROBE_BYTES
-                found = directory.find_key(search_elm, search_key)
-            else:
-                read, found = memoize_predicate(
-                    _VERDICT_KINDS[value.codec], value.payload, terms,
-                    _verdict, value, directory, search_elm, search_key,
-                )
-                scanned += read
-            if value.codec == DICT:
-                decoded += len(value.payload)
-            append(found)
-    finally:
-        _charge(scanned, decoded)
+    find_key_in_elm_plain = fastscan.find_key_in_elm_plain
+
+    def scan(text: str, value: XadtValue) -> int:
+        return memoize_predicate(
+            "findkey", value.payload, terms,
+            find_key_in_elm_plain, text, search_elm, search_key,
+        )
+
+    def probe(directory: SpanDirectory, _value) -> tuple[int, int]:
+        shortcut = (
+            search_elm and not directory.has_tag(search_elm)
+        ) or directory.keyed(search_key)
+        if shortcut:
+            read = _PROBE_BYTES
+        else:
+            read = _probed(directory.outermost_of(search_elm))
+        return directory.find_key(search_elm, search_key), read
+
+    _run_column(results, column, scan, probe)
 
 
 def get_elm_index_column(
@@ -324,7 +296,7 @@ def get_elm_index_column(
     new = XadtValue._trusted
     get_elm_index_plain = fastscan.get_elm_index_plain
 
-    def scan(text: str) -> XadtValue:
+    def scan(text: str, _value) -> XadtValue:
         return new(
             get_elm_index_plain(text, parent_elm, child_elm, start_pos, end_pos),
             PLAIN,
@@ -359,7 +331,7 @@ def elm_equals_column(
     text_of = fastscan.text_of
     find_spans = fastscan.find_spans
 
-    def scan(text: str) -> int:
+    def scan(text: str, _value) -> int:
         contents = [text[cs:ce] for _, cs, ce, _ in find_spans(text, search_elm)]
         return 1 if value in map(text_of, contents) else 0
 
@@ -374,7 +346,8 @@ def elm_equals_column(
 
 def elm_text_column(results: list, column: Sequence[object]) -> None:
     """``elmText`` of every value: its concatenated character content."""
-    _run_column(results, column, fastscan.text_of, None)
+    text_of = fastscan.text_of
+    _run_column(results, column, lambda text, _value: text_of(text), None)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def unnest_column(
     new = XadtValue._trusted
     unnest_plain = fastscan.unnest_plain
 
-    def scan(text: str) -> list[tuple[XadtValue]]:
+    def scan(text: str, _value) -> list[tuple[XadtValue]]:
         return [(new(piece, PLAIN),) for piece in unnest_plain(text, tag)]
 
     def probe(directory: SpanDirectory, _value) -> tuple[list, int]:

@@ -1,4 +1,4 @@
-"""XML toolkit substrate: DOM, tokenizer, parser, serializer, paths.
+"""XML toolkit substrate: DOM, tokenizer, parser, serializer.
 
 This package replaces the IBM XML4J parser the paper used.  Everything is
 implemented from scratch so that the shredders and the XADT control their
@@ -15,7 +15,6 @@ from repro.xmlkit.dom import (
     element,
 )
 from repro.xmlkit.parser import parse, parse_file, parse_fragment
-from repro.xmlkit.path import select
 from repro.xmlkit.serializer import serialize, serialize_children
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "parse",
     "parse_file",
     "parse_fragment",
-    "select",
     "serialize",
     "serialize_children",
 ]

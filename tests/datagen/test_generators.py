@@ -7,7 +7,7 @@ from repro.datagen.shakespeare import (
     generate_corpus as generate_shakespeare,
 )
 from repro.datagen.sigmod import SigmodConfig, generate_corpus as generate_sigmod
-from repro.xmlkit import select, serialize
+from repro.xmlkit import serialize
 
 
 class TestRng:
@@ -40,19 +40,14 @@ class TestShakespeareGenerator:
         assert config.seed == ShakespeareConfig().seed
 
     def test_romeo_and_juliet_present(self, shakespeare_docs):
-        titles = [
-            select(doc, "PLAY/TITLE")[0].text_content()
-            for doc in shakespeare_docs
-        ]
+        titles = [doc.root.find("TITLE").text_content() for doc in shakespeare_docs]
         assert any("Romeo and Juliet" in t for t in titles)
 
     def test_romeo_speaks_in_romeo_and_juliet(self, shakespeare_docs):
         for doc in shakespeare_docs:
-            title = select(doc, "PLAY/TITLE")[0].text_content()
+            title = doc.root.find("TITLE").text_content()
             if "Romeo and Juliet" in title:
-                speakers = {
-                    s.text_content() for s in select(doc, "//SPEAKER")
-                }
+                speakers = {s.text_content() for s in doc.iter("SPEAKER")}
                 assert "ROMEO" in speakers
                 return
         raise AssertionError("corpus lacks Romeo and Juliet")
@@ -65,16 +60,18 @@ class TestShakespeareGenerator:
     def test_prologues_have_multi_line_speeches(self, shakespeare_docs):
         # QS6 needs second lines inside prologue speeches
         for doc in shakespeare_docs:
-            for speech in select(doc, "//PROLOGUE/SPEECH"):
-                if len(speech.find_all("LINE")) >= 2:
-                    return
+            for prologue in doc.iter("PROLOGUE"):
+                for speech in prologue.find_all("SPEECH"):
+                    if len(speech.find_all("LINE")) >= 2:
+                        return
         raise AssertionError("no prologue speech with a second line")
 
     def test_stagedirs_nested_in_lines(self, shakespeare_docs):
         nested = [
             sd
             for doc in shakespeare_docs
-            for sd in select(doc, "//LINE/STAGEDIR")
+            for line in doc.iter("LINE")
+            for sd in line.find_all("STAGEDIR")
         ]
         assert nested, "QS2 needs stage directions inside lines"
 
@@ -98,9 +95,9 @@ class TestSigmodGenerator:
 
     def test_structure_counts(self):
         (doc,) = generate_sigmod(SigmodConfig(documents=1))
-        assert len(select(doc, "PP/sList/sListTuple")) == 3
-        articles = select(doc, "//aTuple")
-        assert len(articles) == 3 * 5
+        assert doc.root.tag == "PP"
+        assert len(doc.root.find("sList").find_all("sListTuple")) == 3
+        assert len(list(doc.iter("aTuple"))) == 3 * 5
 
     def test_keywords_planted(self, sigmod_docs):
         text = " ".join(serialize(doc) for doc in sigmod_docs)
@@ -108,22 +105,20 @@ class TestSigmodGenerator:
             assert keyword in text, keyword
 
     def test_author_positions_attributed(self, sigmod_docs):
-        authors = select(sigmod_docs[0], "//author")
-        assert authors[0].get("AuthorPosition") == "01"
+        first = next(sigmod_docs[0].iter("author"))
+        assert first.get("AuthorPosition") == "01"
 
     def test_some_articles_have_second_authors(self, sigmod_docs):
         # QG6 needs position-2 authors
         for doc in sigmod_docs:
-            for authors in select(doc, "//authors"):
+            for authors in doc.iter("authors"):
                 if len(authors.find_all("author")) >= 2:
                     return
         raise AssertionError("no multi-author paper generated")
 
     def test_pages_monotonic_within_issue(self, sigmod_docs):
         for doc in sigmod_docs[:3]:
-            starts = [
-                int(p.text_content()) for p in select(doc, "//initPage")
-            ]
+            starts = [int(p.text_content()) for p in doc.iter("initPage")]
             assert starts == sorted(starts)
 
 
@@ -140,6 +135,10 @@ class TestPlaysGenerator:
 
     def test_speeches_directly_under_acts(self, plays_docs):
         direct = [
-            s for doc in plays_docs for s in select(doc, "PLAY/ACT/SPEECH")
+            speech
+            for doc in plays_docs
+            if doc.root.tag == "PLAY"
+            for act in doc.root.find_all("ACT")
+            for speech in act.find_all("SPEECH")
         ]
         assert direct, "QE1 joins speeches to acts directly"

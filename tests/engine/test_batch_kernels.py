@@ -1,12 +1,11 @@
 """The two batch kernels against their per-row reference semantics.
 
-``io.batch_row_bytes`` must equal ``sum(estimate_row_bytes(row))`` and
-``values.batch_group_keys`` must equal ``group_key`` value by value, for
-any mix of value types a batch can hold — the kernels decide from the
-types they observe, so no mix may steer them wrong.  The plan-time
-``io.row_bytes_kernel`` must equal the same sum on a base table's stored
-rows, where it trusts the declared column types, and on anything else,
-where it may not.  ``HashJoin`` is held, rows **and order**, to a
+``io.row_bytes_kernel`` over slots of unknown provenance must equal
+``sum(estimate_row_bytes(row))`` and ``values.batch_group_keys`` must
+equal ``group_key`` value by value, for any mix of value types a batch
+can hold — the kernels decide from the types they observe, so no mix may
+steer them wrong.  The width kernel must equal the same sum on a base
+table's stored rows too, where it trusts the declared column types.  ``HashJoin`` is held, rows **and order**, to a
 per-row hash join kept here.
 """
 
@@ -18,7 +17,6 @@ from repro.engine import Database
 from repro.engine.expr import Binding, ParamBox, Slot
 from repro.engine.io import (
     IoCounters,
-    batch_row_bytes,
     estimate_row_bytes,
     pages_of_bytes,
     row_bytes_kernel,
@@ -102,19 +100,29 @@ def batches(draw, values=any_values):
     return (rows * (size // len(rows) + 1))[:size]
 
 
+def unstored_width(batch):
+    """The width kernel over slots of unknown provenance, typed INTEGER
+    (a computed column's inferred type says nothing of its values)."""
+    arity = len(batch[0]) if batch else 0
+    slots = [Slot("", f"c{i}", INTEGER) for i in range(arity)]
+    return row_bytes_kernel(slots)(batch)
+
+
 class TestWidthKernel:
+    """The observed-type rule: what a slot of unknown provenance costs."""
+
     @given(batches())
     @settings(max_examples=150, deadline=None)
     def test_equals_sum_of_row_estimates(self, batch):
-        assert batch_row_bytes(batch) == sum(map(estimate_row_bytes, batch))
+        assert unstored_width(batch) == sum(map(estimate_row_bytes, batch))
 
     def test_empty_batch(self):
-        assert batch_row_bytes([]) == 0
+        assert unstored_width([]) == 0
 
     def test_column_kinds(self):
         fragment = XadtValue.from_xml("<a>x</a>", DICT)
         batch = [(1, "ab", None, fragment), (None, None, 2.5, fragment)]
-        assert batch_row_bytes(batch) == (
+        assert unstored_width(batch) == (
             2 * (24 + 8 * 4) + 2 + 2 * fragment.byte_size()
         )
 
@@ -161,7 +169,7 @@ class TestPlannedWidthKernel:
         batch = stored if pick is None else list(map(pick, stored))
         width = reference_width(batch)
         assert row_bytes_kernel(slots)(batch) == width
-        assert batch_row_bytes(batch) == width
+        assert unstored_width(batch) == width
 
     @given(batches(), st.lists(st.sampled_from([INTEGER, DOUBLE, VARCHAR, XADT])))
     @settings(max_examples=150, deadline=None)

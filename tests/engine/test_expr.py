@@ -1,4 +1,7 @@
-"""Expression AST: rendering, binding resolution, compilation details."""
+"""Expression AST: tree shape, rendering, binding resolution, compilation
+details."""
+
+import dataclasses
 
 import pytest
 
@@ -7,6 +10,7 @@ from repro.engine.expr import (
     Binding,
     ColumnRef,
     Comparison,
+    Expr,
     FuncCall,
     IsNull,
     Like,
@@ -17,6 +21,7 @@ from repro.engine.expr import (
     Slot,
     and_together,
     conjuncts_of,
+    walk_exprs,
 )
 from repro.engine.sql.parser import parse_expression
 from repro.engine.types import INTEGER, VARCHAR
@@ -181,3 +186,80 @@ class TestSqlRendering:
 
     def test_null_literal_renders(self):
         assert Literal(None).sql() == "NULL"
+
+
+#: every field of an ``Expr`` class that is not named in its ``CHILDREN``:
+#: a new field goes here or into ``CHILDREN``, or the shape check fails
+SCALAR_FIELDS = {
+    "Literal": {"value"},
+    "ColumnRef": {"qualifier", "name"},
+    "Star": set(),
+    "Parameter": {"index"},
+    "FuncCall": {"name", "distinct"},
+    "Comparison": {"op"},
+    "Like": {"pattern", "negated"},
+    "IsNull": {"negated"},
+    "And": set(),
+    "Or": set(),
+    "Not": set(),
+    "Arithmetic": {"op"},
+    "Negate": set(),
+    "SlotRef": {"index"},
+}
+
+
+def expr_classes():
+    """Every ``Expr`` subclass the engine defines."""
+    found, todo = [], [Expr]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.append(sub)
+    return found
+
+
+def undeclared(cls, scalars):
+    """Fields of ``cls`` that are neither children nor listed scalars,
+    and names claimed by both."""
+    fields = {field.name for field in dataclasses.fields(cls)}
+    children = set(cls.CHILDREN)
+    return (fields ^ (children | scalars)) | (children & scalars)
+
+
+class TestTreeShape:
+    def test_every_field_is_a_child_or_a_listed_scalar(self):
+        classes = expr_classes()
+        assert {cls.__name__ for cls in classes} == set(SCALAR_FIELDS)
+        for cls in classes:
+            assert not undeclared(cls, SCALAR_FIELDS[cls.__name__]), cls.__name__
+
+    def test_an_undeclared_field_fails_the_check(self):
+        @dataclasses.dataclass(frozen=True)
+        class Widened(Negate):
+            extra: Expr = None
+
+        assert undeclared(Widened, SCALAR_FIELDS["Negate"]) == {"extra"}
+
+    def test_walk_is_pre_order_left_to_right(self):
+        expr = parse_expression("f(a, b + c) = -d AND e IS NULL")
+        assert [node.sql() for node in walk_exprs(expr) if isinstance(
+            node, ColumnRef
+        )] == ["a", "b", "c", "d", "e"]
+        assert [type(node).__name__ for node in walk_exprs(expr)] == [
+            "And", "Comparison", "FuncCall", "ColumnRef", "Arithmetic",
+            "ColumnRef", "ColumnRef", "Negate", "ColumnRef", "IsNull",
+            "ColumnRef",
+        ]
+
+    def test_column_refs_reach_every_operand(self):
+        # IsNull and Negate hold their operand like every other node
+        expr = parse_expression("-(x) = 1 OR y IS NOT NULL OR NOT z LIKE 'q'")
+        assert [ref.name for ref in expr.column_refs()] == ["x", "y", "z"]
+
+    def test_children_in_field_order(self):
+        a, b = ColumnRef(None, "a"), Literal(1)
+        assert Comparison("=", a, b).children() == [a, b]
+        assert FuncCall("f", (b, a)).children() == [b, a]
+        assert And((a, b, a)).children() == [a, b, a]
+        assert Literal(3).children() == []

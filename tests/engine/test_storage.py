@@ -166,13 +166,12 @@ class TestStoreRowAtomicity:
 class TestPageAccounting:
     def test_rows_pack_into_pages(self):
         accounting = PageAccounting()
-        for _ in range(100):
-            accounting.add_row(80)
+        accounting.add_rows([80] * 100)
         assert accounting.pages == 2  # ~96 rows per 8 KB page at 80+4 B
 
     def test_oversized_row_spans_pages(self):
         accounting = PageAccounting()
-        accounting.add_row(3 * PAGE_SIZE)
+        accounting.add_rows([3 * PAGE_SIZE])
         assert accounting.pages >= 3
 
     def test_table_data_bytes_multiple_of_page(self):

@@ -153,15 +153,19 @@ def test_like_matches_naive_semantics(value, pattern):
 # --- engine paging ----------------------------------------------------------
 
 
-@given(st.lists(st.integers(1, 2000), max_size=60))
+@given(st.lists(st.integers(1, 3 * PAGE_SIZE), max_size=60))
 def test_page_accounting_monotone_and_sufficient(widths):
     accounting = PageAccounting()
     pages_seen = [0]
     for width in widths:
-        accounting.add_row(width)
+        accounting.add_rows([width])
         assert accounting.pages >= pages_seen[-1]
         pages_seen.append(accounting.pages)
     assert accounting.pages * PAGE_SIZE >= accounting.used_bytes
+    # packing is incremental: one call over the list packs the same pages
+    batched = PageAccounting()
+    batched.add_rows(widths)
+    assert batched.mark() == accounting.mark()
 
 
 # --- mapping properties -------------------------------------------------------

@@ -350,6 +350,39 @@ def test_a_decode_crash_in_a_run_fires_at_the_same_row(db, name, constants, hit)
     assert seen[0] == seen[1]
 
 
+def charged(db, name, column, constants):
+    """The work one batch crossing charges, with the decode cache as it
+    is (warm or cold)."""
+    io = IoCounters()
+    token = activate(None, io)
+    try:
+        batched(db, name, column, constants, [])
+    finally:
+        deactivate(token)
+    return dict(io.work)
+
+
+@pytest.mark.parametrize("name, constants", [
+    ("findKeyInElm", ("b", "k1")),
+    ("getElm", ("a",)),
+])
+def test_every_dict_value_passes_the_decode_site_warm_or_cold(db, name, constants):
+    # the memoized findKeyInElm verdict does not skip the site: the
+    # value's text is fetched (and charged) like every other method's
+    column = [XadtValue.from_xml(f"<a><b>k{i}</b></a>", DICT) for i in range(5)]
+    scanned = sum(len(value.to_xml()) for value in column)
+    decoded = sum(len(value.payload) for value in column)
+    DECODE_CACHE.clear()
+    plan = FAULTS.install(FaultPlan())
+    cold = charged(db, name, column, constants)
+    assert plan.hits("xadt.decode") == len(column)
+    warm = charged(db, name, column, constants)
+    assert plan.hits("xadt.decode") == 2 * len(column)
+    for work in (cold, warm):
+        assert work["xadt_bytes_scanned"] == scanned
+        assert work["xadt_bytes_decoded"] == decoded
+
+
 #: (call, the kernels whose calls are counted: a scan's and a directory's)
 SPIED = [
     (("getElm", ("a",)),

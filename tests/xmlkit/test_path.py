@@ -1,10 +1,8 @@
-"""Simple path navigation (the tests' ground-truth evaluator)."""
+"""Path navigation over the DOM by tag: ``find_all`` for a child step,
+``iter`` / ``descendants`` for a descendant step — the idioms the tests
+use to state a query's intent against raw documents."""
 
-import pytest
-
-from repro.errors import XmlError
-from repro.xmlkit import parse, select
-from repro.xmlkit.path import texts
+from repro.xmlkit import parse
 
 DOC = parse(
     "<PLAY>"
@@ -15,32 +13,44 @@ DOC = parse(
 )
 
 
+def texts(nodes):
+    return [node.text_content() for node in nodes]
+
+
 class TestSelect:
     def test_rooted_path(self):
-        speakers = select(DOC, "PLAY/ACT/SCENE/SPEECH/SPEAKER")
+        speakers = [
+            speaker
+            for act in DOC.root.find_all("ACT")
+            for scene in act.find_all("SCENE")
+            for speech in scene.find_all("SPEECH")
+            for speaker in speech.find_all("SPEAKER")
+        ]
         assert texts(speakers) == ["A", "B", "C"]
 
     def test_anywhere_path(self):
-        assert texts(select(DOC, "//SPEAKER")) == ["A", "B", "C"]
+        assert texts(DOC.iter("SPEAKER")) == ["A", "B", "C"]
 
     def test_wildcard_step(self):
-        scenes = select(DOC, "PLAY/*/SCENE")
+        scenes = [
+            scene
+            for child in DOC.root.child_elements()
+            for scene in child.find_all("SCENE")
+        ]
         assert len(scenes) == 2
 
     def test_root_mismatch_yields_empty(self):
-        assert select(DOC, "NOPE/ACT") == []
+        assert DOC.root.find("NOPE") is None
+        assert DOC.root.find_all("NOPE") == []
 
     def test_document_or_element_accepted(self):
-        assert select(DOC.root, "//SPEECH") == select(DOC, "//SPEECH")
+        assert list(DOC.root.iter("SPEECH")) == list(DOC.iter("SPEECH"))
 
     def test_anywhere_includes_root(self):
-        assert select(DOC, "//PLAY") == [DOC.root]
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(XmlError):
-            select(DOC, "")
+        assert list(DOC.iter("PLAY")) == [DOC.root]
+        assert list(DOC.root.descendants("PLAY")) == []
 
     def test_anywhere_non_nested_tags(self):
         nested = parse("<a><x><x/></x></a>")
         # descendant search finds both occurrences (outer and inner)
-        assert len(select(nested, "//x")) == 2
+        assert len(list(nested.root.descendants("x"))) == 2
