@@ -307,6 +307,39 @@ class IndexScan(Operator):
         ]
 
 
+def hash_buckets(
+    keyed: Iterable[tuple[list, Batch]], composite: bool
+) -> dict[object, tuple]:
+    """A hash join's build table: each key's rows, in input order.
+
+    ``keyed`` yields ``(keys, batch)`` pairs, one key (with
+    ``composite``, one tuple of key parts) per row.  A row whose key is
+    NULL (or has a NULL part) is left out: NULL never joins.  Every
+    bucket is a tuple — ``(row,)`` for a key seen once, which is most of
+    them — so once its rows are untracked the collector can untrack the
+    bucket too; a second row upgrades a bucket to a list, and those
+    lists are frozen to tuples before the table is returned.
+    """
+    table: dict[object, tuple | list] = {}
+    get = table.get
+    grown = []
+    for keys, batch in keyed:
+        for key, row in zip(keys, batch):
+            if key is None or composite and None in key:
+                continue
+            bucket = get(key)
+            if bucket is None:
+                table[key] = (row,)
+            elif type(bucket) is tuple:
+                table[key] = [bucket[0], row]
+                grown.append(key)
+            else:
+                bucket.append(row)
+    for key in grown:
+        table[key] = tuple(table[key])
+    return table
+
+
 class HashJoin(Operator):
     """Equi-join: build a hash table on the right input, probe with the left."""
 
@@ -329,7 +362,6 @@ class HashJoin(Operator):
         self.probe_width = row_bytes_kernel(left.binding.slots)
 
     def _execute(self) -> Iterator[Batch]:
-        table: dict[object, list[tuple]] = {}
         composite = len(self.right_keys) > 1
         right_key = itemgetter(*self.right_keys)
         build_bytes = 0
@@ -338,25 +370,21 @@ class HashJoin(Operator):
         context = current_context()
         work_mem = context.work_mem_bytes if context else DEFAULT_WORK_MEM_BYTES
         budget = active_budget()
-        setdefault = table.setdefault
         batch_bytes = self.build_width
         io = work_counters()
         work = io.work
-        for batch in self.right.batches():
-            work["hash_build_rows"] += len(batch)
-            width = batch_bytes(batch)
-            build_bytes += width
-            keys = batch_group_keys(list(map(right_key, batch)), composite)
-            if composite:
-                for key, row in zip(keys, batch):
-                    if None not in key:  # NULL keys never join
-                        setdefault(key, []).append(row)
-            else:
-                for key, row in zip(keys, batch):
-                    if key is not None:
-                        setdefault(key, []).append(row)
-            if budget is not None:
-                budget.charge_memory(width)
+
+        def keyed_build() -> Iterator[tuple[list, Batch]]:
+            nonlocal build_bytes
+            for batch in self.right.batches():
+                work["hash_build_rows"] += len(batch)
+                width = batch_bytes(batch)
+                build_bytes += width
+                yield batch_group_keys(list(map(right_key, batch)), composite), batch
+                if budget is not None:
+                    budget.charge_memory(width)
+
+        table = hash_buckets(keyed_build(), composite)
         spilled = build_bytes > work_mem
         left_key = itemgetter(*self.left_keys)
         get = table.get
@@ -712,69 +740,54 @@ class AggSpec:
     distinct: bool = False
 
 
-class _Accumulator:
-    """One aggregate's running state for one group, plus its DISTINCT set."""
+def _fold(
+    kind: str, groups: list[int], values: list, counts: list[int], totals: list
+) -> None:
+    """Fold one aggregate's values into the state of their groups.
 
-    __slots__ = ("kind", "count", "total", "best", "seen")
-
-    def __init__(self, kind: str, distinct: bool) -> None:
-        self.kind = kind
-        self.count = 0
-        self.total: float | int = 0
-        self.best: object = None
-        self.seen: set[object] | None = set() if distinct else None
-
-    def result(self) -> object:
-        kind = self.kind
-        if kind == "count":
-            return self.count
-        if kind == "sum":
-            return self.total if self.count else None
-        if kind == "avg":
-            return (self.total / self.count) if self.count else None
-        return self.best
-
-
-# Per-kind accumulator updates for one non-NULL value: ``HashAggregate``
-# binds one per aggregate and applies it column by column.
-
-
-def _add_count(acc: _Accumulator, value: object) -> None:
-    acc.count += 1
-
-
-def _add_total(acc: _Accumulator, value: object) -> None:
-    if not isinstance(value, (int, float)):
-        raise ExecutionError(f"{acc.kind.upper()} over non-numeric {value!r}")
-    acc.count += 1
-    acc.total += value
-
-
-def _add_min(acc: _Accumulator, value: object) -> None:
-    acc.count += 1
-    try:
-        if acc.best is None or value < acc.best:  # type: ignore[operator]
-            acc.best = value
-    except TypeError:
-        raise ExecutionError(f"MIN over unordered {value!r}") from None
+    ``groups[i]`` is the group number of ``values[i]``; NULLs are
+    skipped.  COUNT / SUM / AVG count each value in ``counts``; SUM and
+    AVG add it to ``totals`` left to right, MIN and MAX keep the best
+    value there instead.
+    """
+    if kind == "count":
+        for group, value in zip(groups, values):
+            if value is not None:
+                counts[group] += 1
+    elif kind == "sum" or kind == "avg":
+        for group, value in zip(groups, values):
+            if value is None:
+                continue
+            if not isinstance(value, (int, float)):
+                raise ExecutionError(f"{kind.upper()} over non-numeric {value!r}")
+            counts[group] += 1
+            totals[group] += value
+    else:
+        lowest = kind == "min"
+        try:
+            for group, value in zip(groups, values):
+                if value is None:
+                    continue
+                best = totals[group]
+                if best is None or (value < best if lowest else value > best):
+                    totals[group] = value
+        except TypeError:
+            raise ExecutionError(
+                f"{kind.upper()} over unordered {value!r}"
+            ) from None
 
 
-def _add_max(acc: _Accumulator, value: object) -> None:
-    acc.count += 1
-    try:
-        if acc.best is None or value > acc.best:  # type: ignore[operator]
-            acc.best = value
-    except TypeError:
-        raise ExecutionError(f"MAX over unordered {value!r}") from None
-
-
-AGG_UPDATES = {
-    "count": _add_count,
-    "sum": _add_total,
-    "avg": _add_total,
-    "min": _add_min,
-    "max": _add_max,
-}
+def _results(kind: str, counts: list[int], totals: list) -> list:
+    """One aggregate's result per group, from its folded state."""
+    if kind == "count":
+        return counts
+    if kind == "sum":
+        return [total if count else None for count, total in zip(counts, totals)]
+    if kind == "avg":
+        return [
+            total / count if count else None for count, total in zip(counts, totals)
+        ]
+    return totals
 
 
 class HashAggregate(Operator):
@@ -795,10 +808,19 @@ class HashAggregate(Operator):
         self._grand_total = not group_exprs
 
     def _execute(self) -> Iterator[Batch]:
-        groups: dict[tuple, tuple[tuple, list[_Accumulator]]] = {}
+        #: group key -> group number; every other piece of state is a
+        #: flat list indexed by group number (or, for DISTINCT, a set of
+        #: ``(group, key)`` pairs), so none of it is one object per group
+        groups: dict[object, int] = {}
+        group_keys: list[tuple] = []
         group_exprs = self.group_exprs
         aggregates = self.aggregates
-        updates = [AGG_UPDATES[spec.kind] for spec in aggregates]
+        counts: list[list[int]] = [[] for _ in aggregates]
+        totals: list[list] = [[] for _ in aggregates]
+        starts = [0 if spec.kind in ("sum", "avg") else None for spec in aggregates]
+        seen: list[set | None] = [
+            set() if spec.distinct else None for spec in aggregates
+        ]
         budget = active_budget()
         #: modelled bytes per group entry: key tuple + accumulator slots
         group_overhead = 56 * max(len(aggregates), 1)
@@ -809,53 +831,68 @@ class HashAggregate(Operator):
         hashes = 1 + sum(1 for spec in aggregates if spec.distinct)
         for batch in self.input.batches():
             work["group_rows"] += hashes * len(batch)
-            new_bytes = 0
             raw_keys = (
                 list(zip(*[expr(batch) for expr in group_exprs]))
                 if group_exprs
                 else [()] * len(batch)
             )
-            #: each row's accumulator list (its group's)
-            row_accumulators = []
+            known = len(group_keys)
+            #: each row's group number
+            row_groups = []
             for key, raw_key in zip(batch_group_keys(raw_keys, True), raw_keys):
-                entry = groups_get(key)
-                if entry is None:
-                    entry = groups[key] = (
-                        raw_key,
-                        [_Accumulator(a.kind, a.distinct) for a in aggregates],
-                    )
-                    if budget is not None:
-                        new_bytes += (
-                            estimate_row_bytes(raw_key) + group_overhead
-                        )
-                row_accumulators.append(entry[1])
-            for slot, (spec, update) in enumerate(zip(aggregates, updates)):
+                group = groups_get(key)
+                if group is None:
+                    group = groups[key] = len(group_keys)
+                    group_keys.append(raw_key)
+                row_groups.append(group)
+            fresh = len(group_keys) - known
+            if fresh:
+                for slot, start in enumerate(starts):
+                    counts[slot].extend([0] * fresh)
+                    totals[slot].extend([start] * fresh)
+            for slot, spec in enumerate(aggregates):
                 if spec.arg is None:  # COUNT(*)
-                    for accumulators in row_accumulators:
-                        accumulators[slot].count += 1
+                    slot_counts = counts[slot]
+                    for group in row_groups:
+                        slot_counts[group] += 1
                     continue
                 values = spec.arg(batch)
-                if not spec.distinct:
-                    for accumulators, value in zip(row_accumulators, values):
-                        if value is not None:
-                            update(accumulators[slot], value)
-                    continue
-                keys = batch_group_keys(values, False)
-                for accumulators, value, key in zip(row_accumulators, values, keys):
-                    accumulator = accumulators[slot]
-                    if value is not None and key not in accumulator.seen:
-                        accumulator.seen.add(key)
-                        update(accumulator, value)
-            if budget is not None and new_bytes:
-                budget.charge_memory(new_bytes)
-        if not groups and self._grand_total:
-            empty = [_Accumulator(a.kind, a.distinct) for a in aggregates]
-            yield [tuple(acc.result() for acc in empty)]
-            return
-        result_rows = [
-            raw_key + tuple(acc.result() for acc in accumulators)
-            for raw_key, accumulators in groups.values()
+                value_groups = row_groups
+                distinct = seen[slot]
+                if distinct is not None:
+                    add = distinct.add
+                    firsts = [
+                        (group, value)
+                        for group, value, key in zip(
+                            row_groups, values, batch_group_keys(values, False)
+                        )
+                        if value is not None
+                        and (pair := (group, key)) not in distinct
+                        and not add(pair)
+                    ]
+                    value_groups = [group for group, _ in firsts]
+                    values = [value for _, value in firsts]
+                _fold(spec.kind, value_groups, values, counts[slot], totals[slot])
+            if budget is not None and fresh:
+                budget.charge_memory(sum(
+                    estimate_row_bytes(raw_key) + group_overhead
+                    for raw_key in group_keys[known:]
+                ))
+        if not group_keys and self._grand_total:
+            # the grand total of no rows is still one row
+            group_keys.append(())
+            for slot, start in enumerate(starts):
+                counts[slot].append(0)
+                totals[slot].append(start)
+        columns = [
+            _results(spec.kind, counts[slot], totals[slot])
+            for slot, spec in enumerate(aggregates)
         ]
+        result_rows = (
+            [key + tail for key, tail in zip(group_keys, zip(*columns))]
+            if columns
+            else group_keys
+        )
         yield from _batched(result_rows, self.batch_size)
 
     def explain(self, depth: int = 0) -> list[str]:
